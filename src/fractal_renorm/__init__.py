@@ -13,7 +13,8 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
 from .networks import (ConductanceForm, effective_resistance, energy, flows,
                        harmonic_extension, resistance_matrix, trace)
 from .structure import (GluedVertexSet, MsStructure, build_structure,
-                        level_vertices, levels_to_json, rotation_action,
+                        level_size, level_vertices, levels_to_json,
+                        rotation_action,
                         structure_from_json, structure_to_json)
 from .renorm import (HarmonicStructure, renorm_T, replicate,
                      restrict_to_subset, solve_eigenform, symmetrize,

@@ -13,11 +13,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import __version__
 from .angles import make_context
@@ -27,16 +24,16 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      NotAPermutationError, NotInvariantError)
 from .gd import (build_gd_structure, gd_relation_rhos, gd_solve,
                  gd_structure_to_json)
-from .networks import ConductanceForm, harmonic_extension, resistance_matrix
-from .relations import (Partition, _partitions_rgs, build_J_plus_minus,
-                        is_preserved, per_cell_flows, rotation_invariant,
+from .networks import ConductanceForm, resistance_matrix
+from .relations import (build_J_plus_minus, enumerate_preserved,
                         sabot_verdict, uniqueness_certificate)
-from .renorm import (_boundary_matrix, _replicate_matrix, replicate,
-                     solve_eigenform, verify_harmonic_structure)
-from .reports import (claim, form_to_json, render_report,
-                      validate_report_details, write_report)
-from .structure import (build_structure, level_vertices, levels_to_json,
-                        structure_from_json, structure_to_json)
+from .renorm import (_boundary_matrix, _replicate_matrix, solve_eigenform,
+                     verify_harmonic_structure)
+from .reports import (claim, flows_results, form_to_json, render_report,
+                      validate_report_details)
+from .structure import (build_structure, level_size, level_vertices,
+                        levels_to_json, structure_from_json,
+                        structure_to_json)
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -49,13 +46,29 @@ _INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError,
                  NotAPermutationError, DisconnectedError)
 _BUDGET_ERRORS = (NonConvergenceError, CapExceededError, DepthCapError)
 
+# Float64 matrices of side N_k that the dense resistance path holds at its
+# peak (weights, Laplacian, eigh input, workspace and eigenvectors); the
+# peak RSS at level 5 of (2,1,1/12) came to 7.6 of them.
+DENSE_MATRICES_LIVE = 8
 
-def _worker_count() -> int:
-    raw = os.environ.get("FRACTAL_RENORM_THREADS", "1")
+
+def _physical_memory_bytes() -> Optional[int]:
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_dense_memory(structure, level: int) -> None:
+    """Refuse a level whose dense plan outgrows physical memory, up front."""
+    size = level_size(structure, level)
+    need = DENSE_MATRICES_LIVE * 8 * size * size
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise DepthCapError(
+            f"level {level} has {size} vertices; the dense resistance path "
+            f"needs about {need / 2**30:.1f} GiB, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory")
 
 
 def _load_structure(args):
@@ -150,29 +163,10 @@ def _cmd_solve(args, started: float) -> int:
     return _emit(args, _envelope(args, inputs, tolerances, results, started))
 
 
-def _preserved_stream(structure, require_g: bool, cap: int, threads: int):
-    nb = len(structure.boundary)
-    if nb > cap:
-        raise CapExceededError(
-            f"boundary size {nb} exceeds enumeration cap {cap}")
-    if require_g and not structure.rotation_closed:
-        raise NotInvariantError("G-relations need a rotation-closed boundary")
-    candidates = [cand for cand in _partitions_rgs(structure.boundary)
-                  if not require_g or rotation_invariant(structure, cand)]
-    if threads <= 1:
-        return [c for c in candidates if is_preserved(structure, c)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        keep = list(pool.map(lambda c: is_preserved(structure, c),
-                             candidates, chunksize=16))
-    # merge preserves candidate order, so the fan-out is order-independent
-    return [c for c, k in zip(candidates, keep) if k]
-
-
 def _cmd_relations(args, started: float) -> int:
     structure = _load_structure(args)
     require_g = not args.all
-    preserved = _preserved_stream(structure, require_g, args.cap,
-                                  _worker_count())
+    preserved = enumerate_preserved(structure, require_g, cap=args.cap)
     hs = None
     solver_error = None
     try:
@@ -235,6 +229,7 @@ def _cmd_relations(args, started: float) -> int:
 
 def _cmd_resistance(args, started: float) -> int:
     structure = _load_structure(args)
+    _check_dense_memory(structure, args.level)
     hs = solve_eigenform(structure, tol=args.tol, max_iter=args.max_iter)
     lv = level_vertices(structure, args.level)
     w = _boundary_matrix(structure, hs.form)
@@ -265,31 +260,10 @@ def _cmd_flows(args, started: float) -> int:
     structure = _load_structure(args)
     hs = solve_eigenform(structure, tol=args.tol, max_iter=args.max_iter)
     raw = [float(tok) for tok in args.values.split(",")]
-    if len(raw) != len(structure.boundary):
-        raise ValueError(f"--values needs {len(structure.boundary)} entries "
-                         "(boundary order, sorted by angle)")
-    lv1 = level_vertices(structure, 1)
-    level1 = replicate(structure, hs.form)
-    boundary_ids = list(lv1.boundary_ids)
-    ext = harmonic_extension(level1, boundary_ids,
-                             dict(zip(boundary_ids, raw)))
-    report_flows = per_cell_flows(structure, hs, ext.values)
-    results = {
-        "kind": "flows",
-        "boundary_values": dict(zip([str(a) for a in structure.boundary],
-                                    raw)),
-        "boundary_flow": {str(a): v
-                          for a, v in report_flows.boundary_flow.items()},
-        "cell_flows": [{str(a): v for a, v in cf.items()}
-                       for cf in report_flows.cell_flows],
-        "active_boundary": [str(a) for a in report_flows.active_boundary],
-        "active_critical": [str(a) for a in report_flows.active_critical],
-        "conservation_defect": claim(report_flows.conservation_defect, 1e-9),
-        "matching_defect": claim(report_flows.matching_defect, 1e-9),
-        "scaling_defect": claim(report_flows.scaling_defect, 1e-9),
-    }
+    results = flows_results(structure, hs, raw)
     inputs = {"n": structure.ctx.n, "m": structure.ctx.m,
-              "theta": str(structure.ctx.theta), "values": args.values}
+              "theta": str(structure.ctx.theta),
+              "symmetrized": structure.symmetrized, "values": args.values}
     tolerances = {"solver_tol": args.tol, "flow_tol": 1e-9}
     return _emit(args, _envelope(args, inputs, tolerances, results, started))
 

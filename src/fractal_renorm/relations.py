@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -196,38 +196,26 @@ def is_preserved(structure: MsStructure, relation: Partition,
     return restricted == relation
 
 
-def _partitions_rgs(items: Sequence[Hashable]) -> Iterator[Partition]:
-    """All partitions in restricted-growth-string order (deterministic)."""
-    n = len(items)
-    if n == 0:
-        yield Partition(())
-        return
-    code = [0] * n
-
-    def emit() -> Partition:
-        groups: dict[int, list] = {}
-        for i, c in enumerate(code):
-            groups.setdefault(c, []).append(items[i])
-        return Partition.from_blocks(groups.values())
-
-    def rec(i: int, top: int) -> Iterator[Partition]:
-        if i == n:
-            yield emit()
-            return
-        for c in range(top + 2):
-            code[i] = c
-            yield from rec(i + 1, max(top, c))
-
-    yield from rec(1, 0)
-
-
 def enumerate_preserved(structure: MsStructure, require_g: bool = False,
                         cap: int = DEFAULT_ENUM_CAP) -> list[Partition]:
     """All preserved relations (including the two trivial ones), in RGS order.
 
-    Refuses boundaries larger than the cap: the stream grows like the Bell
-    numbers. With require_g, rotation invariance is filtered before the
-    closure test.
+    Depth-first restricted-growth search over boundary indices, with one
+    undoable union-find on the level-1 ids carrying the closure of the
+    partial assignment. Point i joining block c unions row[first of c]
+    with row[i] in every copy; those unions are undone on backtrack.
+
+    Pruning is sound because F(J), the level-1 closure of J restricted
+    back to the boundary, is monotone in J, and a restricted-growth search
+    never merges blocks that are already assigned. So once the closure of
+    a partial assignment joins the inclusions of two assigned points in
+    different blocks, F of every completion relates those two points and
+    no completion is a fixed point. F is not extensive (F(J) >= J fails
+    for most J), so closure-system shortcuts do not apply. A leaf is
+    preserved exactly when "same root" equals "same block" on all points.
+
+    Refuses boundaries larger than the cap. With require_g, only the
+    rotation-invariant relations among the preserved ones are returned.
     """
     nb = len(structure.boundary)
     if nb > cap:
@@ -236,12 +224,78 @@ def enumerate_preserved(structure: MsStructure, require_g: bool = False,
     if require_g and not structure.rotation_closed:
         raise NotInvariantError(
             "G-relations need a rotation-closed boundary")
+    lv1 = level_vertices(structure, 1)
+    rows = lv1.copy_map
+    incl = lv1.inclusion
+    # union by size without path compression, so every union is undoable
+    parent = list(range(lv1.num_vertices))
+    size = [1] * lv1.num_vertices
+    undo_log: list[int] = []
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return
+        if size[rx] < size[ry]:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        size[rx] += size[ry]
+        undo_log.append(ry)
+
+    def undo(mark: int) -> None:
+        while len(undo_log) > mark:
+            ry = undo_log.pop()
+            size[parent[ry]] -= size[ry]
+            parent[ry] = ry
+
+    code = [0] * nb
+    first: list[int] = []  # least point of each block
     out = []
-    for cand in _partitions_rgs(structure.boundary):
-        if require_g and not rotation_invariant(structure, cand):
-            continue
-        if is_preserved(structure, cand):
-            out.append(cand)
+
+    def separated(upto: int) -> bool:
+        """Assigned points in different blocks keep different roots."""
+        block_of_root: dict[int, int] = {}
+        for p in range(upto):
+            if block_of_root.setdefault(find(incl[p]), code[p]) != code[p]:
+                return False
+        return True
+
+    def emit() -> None:
+        roots = [find(incl[p]) for p in range(nb)]
+        if any(roots[p] != roots[first[code[p]]] for p in range(nb)):
+            return
+        groups = [[] for _ in first]
+        for p, c in enumerate(code):
+            groups[c].append(structure.boundary[p])
+        out.append(Partition.from_blocks(groups))
+
+    def rec(i: int) -> None:
+        if i == nb:
+            emit()
+            return
+        for c in range(len(first) + 1):
+            mark = len(undo_log)
+            code[i] = c
+            opened = c == len(first)
+            if opened:
+                first.append(i)
+            else:
+                for row in rows:
+                    union(row[first[c]], row[i])
+            if separated(i + 1):
+                rec(i + 1)
+            undo(mark)
+            if opened:
+                first.pop()
+
+    rec(0)
+    if require_g:
+        out = [rel for rel in out if rotation_invariant(structure, rel)]
     return out
 
 
@@ -664,6 +718,17 @@ class CertificateReport:
     monotone: bool
 
 
+def certificate_summary(trajectory: Sequence[float],
+                        margin: float) -> tuple[Optional[int], bool]:
+    """First k with trajectory[k-1] < 1 - margin, and whether it decreases."""
+    certified_k = next((k for k, r in enumerate(trajectory, start=1)
+                        if r < 1.0 - margin), None)
+    scale = max(abs(t) for t in trajectory)
+    monotone = all(trajectory[i + 1] <= trajectory[i] + 1e-12 * scale
+                   for i in range(len(trajectory) - 1))
+    return certified_k, monotone
+
+
 def uniqueness_certificate(structure: MsStructure, hs: HarmonicStructure,
                            relation: Partition, k_max: int = DEFAULT_K_MAX,
                            margin: float = DEFAULT_MARGIN) -> CertificateReport:
@@ -675,11 +740,7 @@ def uniqueness_certificate(structure: MsStructure, hs: HarmonicStructure,
         current = t_relation(structure, relation, current)
         ratio = stationary_ratios(current, base, modulo=relation)[1]
         trajectory.append(float(hs.eta ** k * ratio))
-    certified_k = next((k for k, r in enumerate(trajectory, start=1)
-                        if r < 1.0 - margin), None)
-    scale = max(abs(t) for t in trajectory)
-    monotone = all(trajectory[i + 1] <= trajectory[i] + 1e-12 * scale
-                   for i in range(len(trajectory) - 1))
+    certified_k, monotone = certificate_summary(trajectory, margin)
     return CertificateReport(relation=relation,
                              certified=certified_k is not None,
                              k=certified_k, margin=margin,
@@ -793,6 +854,35 @@ class VerdictReport:
     nonexistence_witness: Optional[tuple[Partition, Partition]]
 
 
+def nested_pairs(relations: Sequence[Partition]
+                 ) -> tuple[tuple[Partition, Partition], ...]:
+    """Ordered pairs (a, b) of distinct relations where a refines b."""
+    return tuple((a, b) for a in relations for b in relations
+                 if a != b and a.refines(b))
+
+
+def verdict_rule(rhos: Sequence[tuple[float, float, float, float]],
+                 nested: bool) -> tuple[str, Optional[tuple[int, int]]]:
+    """The verdict from the rho certificates of the nontrivial relations.
+
+    rhos[i] is (rho_over_relation, rho_under_relation, rho_over_quotient,
+    rho_under_quotient) of the i-th relation; nested says whether two of
+    them are strictly nested. Also returns the first index pair (a, b)
+    whose quotient-side upper certificate of a sits below the
+    relation-side lower certificate of b (the nonexistence witness).
+    """
+    if not rhos:
+        return "no_nontrivial_relations_exists_unique", None
+    for a, (_, _, over_quotient, _) in enumerate(rhos):
+        for b, (_, under_relation, _, _) in enumerate(rhos):
+            if over_quotient < under_relation:
+                return "nonexistence_certified", (a, b)
+    if all(under_quotient - over_relation > 0
+           for over_relation, _, _, under_quotient in rhos) and not nested:
+        return "criteria_hold_exists_unique", None
+    return "inconclusive", None
+
+
 def sabot_verdict(structure: MsStructure, hs: Optional[HarmonicStructure],
                   enumerated: Sequence[Partition], *,
                   restarts: int = 3, sweeps: int = 40,
@@ -805,14 +895,8 @@ def sabot_verdict(structure: MsStructure, hs: Optional[HarmonicStructure],
     certified when some quotient-side upper certificate sits below some
     relation-side lower certificate.
     """
-    nontrivial = [rel for rel in enumerated if not rel.is_trivial]
-    if not nontrivial:
-        return VerdictReport(verdict="no_nontrivial_relations_exists_unique",
-                             witnesses=(), ordered_pairs=(),
-                             nonexistence_witness=None)
-
     witnesses = []
-    for rel in nontrivial:
+    for rel in (rel for rel in enumerated if not rel.is_trivial):
         rel_starts, quot_starts = [], []
         try:
             rel_starts.append(block_star_form(structure, rel))
@@ -839,25 +923,13 @@ def sabot_verdict(structure: MsStructure, hs: Optional[HarmonicStructure],
                                          quotient_rhos=qr, separation=sep,
                                          criterion_met=sep > 0))
 
-    ordered = tuple((a.relation, b.relation)
-                    for a in witnesses for b in witnesses
-                    if a.relation != b.relation
-                    and a.relation.refines(b.relation))
-    nonexistence = None
-    for a in witnesses:
-        for b in witnesses:
-            if a.quotient_rhos.rho_over < b.relation_rhos.rho_under:
-                nonexistence = (a.relation, b.relation)
-                break
-        if nonexistence:
-            break
-
-    if nonexistence is not None:
-        verdict = "nonexistence_certified"
-    elif all(w.criterion_met for w in witnesses) and not ordered:
-        verdict = "criteria_hold_exists_unique"
-    else:
-        verdict = "inconclusive"
+    ordered = nested_pairs([w.relation for w in witnesses])
+    verdict, pair = verdict_rule(
+        [(w.relation_rhos.rho_over, w.relation_rhos.rho_under,
+          w.quotient_rhos.rho_over, w.quotient_rhos.rho_under)
+         for w in witnesses], bool(ordered))
+    nonexistence = None if pair is None else (witnesses[pair[0]].relation,
+                                              witnesses[pair[1]].relation)
     return VerdictReport(verdict=verdict, witnesses=tuple(witnesses),
                          ordered_pairs=ordered,
                          nonexistence_witness=nonexistence)

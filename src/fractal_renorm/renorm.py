@@ -12,7 +12,7 @@ unordered pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -122,8 +122,11 @@ def solve_eigenform(structure: MsStructure, *, tol: float = DEFAULT_TOL,
 
     Default initial guess: complete graph with unit weights (invariant
     under every vertex permutation, hence under the rotation action).
-    Raises NonConvergence with oscillation diagnostics if the tolerance is
-    not met within max_iter steps.
+    Stops at the first iterate whose relative residual
+    |eta*T(w) - w|max / |w|max is at most tol, so the returned residual is
+    the one report validation recomputes. Raises NonConvergence with that
+    residual and oscillation diagnostics if max_iter steps do not get
+    there.
     """
     lv1 = level_vertices(structure, 1)
     bidx = list(lv1.boundary_ids)
@@ -139,14 +142,18 @@ def solve_eigenform(structure: MsStructure, *, tol: float = DEFAULT_TOL,
                                 "rotation-closed")
     w = w / (w.sum() / 2.0)
 
-    history: list[np.ndarray] = []
-    delta = np.inf
-    for iteration in range(1, max_iter + 1):
-        traced = _trace_matrix(_replicate_matrix(lv1, w), bidx)
+    def traced_of(mat: np.ndarray, iteration: int) -> tuple[np.ndarray, float]:
+        traced = _trace_matrix(_replicate_matrix(lv1, mat), bidx)
         tmass = traced.sum() / 2.0
         if tmass <= 0:
             raise NonConvergenceError("iteration collapsed to the zero form",
                                       iterations=iteration)
+        return traced, tmass
+
+    history: list[np.ndarray] = []
+    delta = residual = np.inf
+    traced, tmass = traced_of(w, 0)
+    for iteration in range(1, max_iter + 1):
         w_next = traced / tmass
         if symmetrize_each_step:
             form = _form_from_boundary_matrix(structure, w_next)
@@ -156,21 +163,20 @@ def solve_eigenform(structure: MsStructure, *, tol: float = DEFAULT_TOL,
         history.append(w)
         if len(history) > 16:
             history.pop(0)
-        if delta <= tol:
-            eta = 1.0 / tmass
-            traced_final = _trace_matrix(_replicate_matrix(lv1, w), bidx)
-            residual = float(np.abs((1.0 / (traced_final.sum() / 2.0))
-                                    * traced_final - w).max() / np.abs(w).max())
-            eta_final = 1.0 / (traced_final.sum() / 2.0)
-            eta_rayleigh = _rayleigh_eta(w, traced_final)
-            if abs(eta_final - eta_rayleigh) > ETA_AGREEMENT_TOL * max(abs(eta_final), 1.0):
+        traced, tmass = traced_of(w, iteration)
+        eta = 1.0 / tmass
+        # the same residual that report validation rederives from the form
+        residual = float(np.abs(eta * traced - w).max() / np.abs(w).max())
+        if residual <= tol:
+            eta_rayleigh = _rayleigh_eta(w, traced)
+            if abs(eta - eta_rayleigh) > ETA_AGREEMENT_TOL * max(abs(eta), 1.0):
                 raise NonConvergenceError(
-                    f"eta estimates disagree: mass ratio {eta_final!r} vs "
+                    f"eta estimates disagree: mass ratio {eta!r} vs "
                     f"Rayleigh {eta_rayleigh!r}",
                     iterations=iteration, residual=residual)
             return HarmonicStructure(
                 form=_form_from_boundary_matrix(structure, w),
-                eta=eta_final, eta_rayleigh=eta_rayleigh,
+                eta=eta, eta_rayleigh=eta_rayleigh,
                 residual=residual, iterations=iteration)
 
     period = None
@@ -180,9 +186,10 @@ def solve_eigenform(structure: MsStructure, *, tol: float = DEFAULT_TOL,
             break
     last = [_form_from_boundary_matrix(structure, h) for h in history[-3:]]
     raise NonConvergenceError(
-        f"no convergence after {max_iter} iterations "
-        f"(last step {delta:.3e}, tol {tol:.3e})",
-        iterations=max_iter, residual=delta, period=period, last_iterates=last)
+        f"no convergence after {max_iter} iterations (residual "
+        f"{residual:.3e}, last step {delta:.3e}, tol {tol:.3e})",
+        iterations=max_iter, residual=residual, period=period,
+        last_iterates=last)
 
 
 def verify_harmonic_structure(structure: MsStructure, form: ConductanceForm,

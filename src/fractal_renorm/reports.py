@@ -17,12 +17,16 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from . import __version__
 from .angles import make_context
+from .errors import KappaUndefinedError, WorkbenchError
 from .gd import FORM_VERTICES, cell_graph, _assemble_cell
-from .networks import ConductanceForm, _trace_matrix
-from .renorm import _boundary_matrix, _replicate_matrix
-from .structure import build_structure, level_vertices
+from .networks import ConductanceForm, _trace_matrix, harmonic_extension
+from .relations import (build_J_plus_minus, certificate_summary,
+                        enumerate_preserved, nested_pairs, per_cell_flows,
+                        verdict_rule)
+from .renorm import (HarmonicStructure, _replicate_matrix, replicate,
+                     solve_eigenform)
+from .structure import MsStructure, build_structure, level_vertices
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -71,6 +75,34 @@ def _form_matrix_from_json(data: dict) -> tuple[list[str], np.ndarray]:
         mat[index[x], index[y]] += float(w)
         mat[index[y], index[x]] += float(w)
     return verts, mat
+
+
+def flows_results(structure: MsStructure, hs: HarmonicStructure,
+                  values: Sequence[float]) -> dict:
+    """Results of a flows report: the level-1 harmonic extension of the
+    boundary values (in angle order) and its per-cell flows."""
+    if len(values) != len(structure.boundary):
+        raise ValueError(f"--values needs {len(structure.boundary)} entries "
+                         "(boundary order, sorted by angle)")
+    lv1 = level_vertices(structure, 1)
+    boundary_ids = list(lv1.boundary_ids)
+    ext = harmonic_extension(replicate(structure, hs.form), boundary_ids,
+                             dict(zip(boundary_ids, values)))
+    report_flows = per_cell_flows(structure, hs, ext.values)
+    return {
+        "kind": "flows",
+        "boundary_values": dict(zip([str(a) for a in structure.boundary],
+                                    values)),
+        "boundary_flow": {str(a): v
+                          for a, v in report_flows.boundary_flow.items()},
+        "cell_flows": [{str(a): v for a, v in cf.items()}
+                       for cf in report_flows.cell_flows],
+        "active_boundary": [str(a) for a in report_flows.active_boundary],
+        "active_critical": [str(a) for a in report_flows.active_critical],
+        "conservation_defect": claim(report_flows.conservation_defect, 1e-9),
+        "matching_defect": claim(report_flows.matching_defect, 1e-9),
+        "scaling_defect": claim(report_flows.scaling_defect, 1e-9),
+    }
 
 
 def render_report(report: Mapping) -> str:
@@ -217,6 +249,129 @@ def _check_gd_structure(results: dict, errors: list[str]) -> None:
         errors.append("corner map table must have 4(m+n)^2 rows")
 
 
+# what a malformed or edited report can make a recomputation raise
+_REBUILD_ERRORS = (ArithmeticError, KeyError, TypeError, ValueError,
+                   WorkbenchError)
+
+
+def _structure_from_inputs(inputs: dict) -> MsStructure:
+    ctx = make_context(int(inputs["n"]), int(inputs["m"]),
+                       Fraction(inputs["theta"]))
+    return build_structure(ctx, symmetrize=inputs.get("symmetrized"))
+
+
+def _check_relations(report: dict, errors: list[str]) -> None:
+    """Re-enumerate, then rederive every verdict step but the rho searches.
+
+    The rho values themselves are search results and are taken as stated;
+    the flags, nesting, verdict and certificate outcomes built from them
+    are recomputed.
+    """
+    inputs, results = report["inputs"], report["results"]
+    try:
+        structure = _structure_from_inputs(inputs)
+        preserved = enumerate_preserved(structure, bool(inputs["require_g"]),
+                                        cap=int(inputs["cap"]))
+    except _REBUILD_ERRORS as exc:
+        errors.append(f"cannot re-enumerate the preserved relations: {exc}")
+        return
+    if results.get("preserved") != [rel.to_json() for rel in preserved]:
+        errors.append("preserved relations differ from a fresh enumeration")
+        return
+    nontrivial = [rel for rel in preserved if not rel.is_trivial]
+    want = [rel.to_json() for rel in nontrivial]
+    verdict = results.get("verdict")
+    if not isinstance(verdict, dict):
+        errors.append("relations results missing the verdict block")
+        return
+    witnesses = verdict.get("witnesses", [])
+    if [w.get("relation") for w in witnesses] != want:
+        errors.append("witnesses do not list the nontrivial relations")
+        return
+    rhos = []
+    for i, w in enumerate(witnesses):
+        values = tuple(_check_claim(w.get(key), f"witness {i} {key}", errors)
+                       for key in ("rho_over_relation", "rho_under_relation",
+                                   "rho_over_quotient", "rho_under_quotient"))
+        if None in values:
+            return
+        if w.get("criterion_met") != (values[3] - values[0] > 0):
+            errors.append(f"witness {i}: criterion_met does not match "
+                          "rho_under_quotient - rho_over_relation > 0")
+        rhos.append(values)
+    ordered = nested_pairs(nontrivial)
+    if verdict.get("ordered_pairs") != [[a.to_json(), b.to_json()]
+                                        for a, b in ordered]:
+        errors.append("ordered_pairs do not match the nesting of the "
+                      "relations")
+    derived, _ = verdict_rule(rhos, bool(ordered))
+    if verdict.get("verdict") != derived:
+        errors.append(f"verdict {verdict.get('verdict')!r} does not follow "
+                      f"from the witnesses (expected {derived!r})")
+    certificates = results.get("certificates", [])
+    if "solver_error" not in results and \
+            [c.get("relation") for c in certificates] != want:
+        errors.append("certificates do not list the nontrivial relations")
+    for i, cert in enumerate(certificates):
+        trajectory = [_check_claim(t, f"certificate {i} trajectory", errors)
+                      for t in cert.get("trajectory", [])]
+        margin = cert.get("margin")
+        if not trajectory or None in trajectory \
+                or not isinstance(margin, (int, float)):
+            errors.append(f"certificate {i}: trajectory or margin missing")
+            continue
+        k, monotone = certificate_summary(trajectory, float(margin))
+        if (cert.get("certified"), cert.get("k"), cert.get("monotone")) != \
+                (k is not None, k, monotone):
+            errors.append(f"certificate {i}: certified, k or monotone do "
+                          "not follow from its trajectory")
+    try:
+        j_plus, j_minus = build_J_plus_minus(structure)
+        candidates = {"plus": j_plus.to_json(), "minus": j_minus.to_json()}
+    except KappaUndefinedError:
+        candidates = None
+    if results.get("candidates") != candidates:
+        errors.append("candidate relations differ from a fresh build")
+
+
+def _check_flows(report: dict, errors: list[str]) -> None:
+    """Recompute the flows from the inputs and compare within tolerance."""
+    inputs, results = report["inputs"], report["results"]
+    try:
+        structure = _structure_from_inputs(inputs)
+        values = [float(tok) for tok in str(inputs["values"]).split(",")]
+        hs = solve_eigenform(structure,
+                             tol=float(report["tolerances"]["solver_tol"]))
+        fresh = flows_results(structure, hs, values)
+        flow_tol = float(report["tolerances"]["flow_tol"])
+    except _REBUILD_ERRORS as exc:
+        errors.append(f"cannot recompute the flows: {exc}")
+        return
+    for key in ("boundary_values", "active_boundary", "active_critical"):
+        if results.get(key) != fresh[key]:
+            errors.append(f"{key} differs from the recomputed flows")
+    stated = [results.get("boundary_flow")] + list(
+        results.get("cell_flows") or [])
+    want = [fresh["boundary_flow"]] + fresh["cell_flows"]
+    scale = max([1.0] + [abs(v) for flow in want for v in flow.values()])
+
+    def close(got, flow: dict) -> bool:
+        return (isinstance(got, dict) and set(got) == set(flow)
+                and all(isinstance(got[a], (int, float))
+                        and abs(got[a] - v) <= flow_tol * scale
+                        for a, v in flow.items()))
+
+    if len(stated) != len(want) or not all(map(close, stated, want)):
+        errors.append(f"flows differ from the recomputed flows by more than "
+                      f"{flow_tol:.1e} of scale {scale:.3e}")
+    for key in ("conservation_defect", "matching_defect", "scaling_defect"):
+        value = _check_claim(results.get(key), key, errors)
+        if value is not None and \
+                abs(value - fresh[key]["value"]) > results[key]["tol"]:
+            errors.append(f"{key} {value:.3e} differs from the recomputed "
+                          f"{fresh[key]['value']:.3e}")
+
+
 def validate_report_details(path: str) -> list[str]:
     """Schema plus consistency validation; empty list means valid."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -235,6 +390,10 @@ def validate_report_details(path: str) -> list[str]:
         _recompute_ms_residual(results, errors)
     elif kind == "gd_harmonic":
         _recompute_gd_residual(results, errors)
+    elif kind == "relations":
+        _check_relations(report, errors)
+    elif kind == "flows":
+        _check_flows(report, errors)
     elif kind == "resistance":
         _check_resistance(results, errors)
     elif kind == "structure":

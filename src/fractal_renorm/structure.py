@@ -175,13 +175,30 @@ def _next_level(structure: MsStructure, prev: GluedVertexSet) -> GluedVertexSet:
                           representatives=tuple(reps))
 
 
-def level_vertices(structure: MsStructure, k: int,
-                   depth_cap: int = DEFAULT_DEPTH_CAP) -> GluedVertexSet:
-    """Build the level-k glued vertex set, refusing beyond the depth cap."""
+def _check_level(k: int, depth_cap: int) -> None:
     if k < 0:
         raise ValueError(f"level must be nonnegative, got {k}")
     if k > depth_cap:
         raise DepthCapError(f"level {k} exceeds the depth cap {depth_cap}")
+
+
+def level_size(structure: MsStructure, k: int,
+               depth_cap: int = DEFAULT_DEPTH_CAP) -> int:
+    """Vertex count of level k without building it.
+
+    m+n copies of level k-1 glued at m+n points: N_k = (m+n)(N_{k-1} - 1).
+    """
+    _check_level(k, depth_cap)
+    size = len(structure.boundary)
+    for _ in range(k):
+        size = structure.ctx.ring_size * (size - 1)
+    return size
+
+
+def level_vertices(structure: MsStructure, k: int,
+                   depth_cap: int = DEFAULT_DEPTH_CAP) -> GluedVertexSet:
+    """Build the level-k glued vertex set, refusing beyond the depth cap."""
+    _check_level(k, depth_cap)
     lv = _level_zero(structure)
     for _ in range(k):
         lv = _next_level(structure, lv)

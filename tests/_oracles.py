@@ -8,6 +8,9 @@ iteration), so agreement is evidence rather than tautology.
 from fractions import Fraction
 import math
 
+from fractal_renorm.relations import (Partition, is_preserved,
+                                      rotation_invariant)
+
 
 def relaxed_minimum_energy(vertices, weights, boundary_values,
                            sweeps=20000, tol=1e-14):
@@ -92,3 +95,35 @@ def gd_rho_values(n, m):
     sides max over M_J, sides quotient.
     """
     return (0.5, 1.0 / m + 1.0 / n, 1.0 / n, (m * n) / (m + n))
+
+
+def partitions_rgs(items):
+    """All partitions of items in restricted-growth-string order."""
+    n = len(items)
+    if n == 0:
+        yield Partition(())
+        return
+    code = [0] * n
+
+    def rec(i, top):
+        if i == n:
+            groups = {}
+            for k, c in enumerate(code):
+                groups.setdefault(c, []).append(items[k])
+            yield Partition.from_blocks(groups.values())
+            return
+        for c in range(top + 2):
+            code[i] = c
+            yield from rec(i + 1, max(top, c))
+
+    yield from rec(1, 0)
+
+
+def brute_force_preserved(structure, require_g=False):
+    """Preserved relations by testing every partition, Bell(nb) of them.
+
+    The pruned enumerator must return exactly this list, in this order.
+    """
+    return [cand for cand in partitions_rgs(structure.boundary)
+            if not (require_g and not rotation_invariant(structure, cand))
+            and is_preserved(structure, cand)]

@@ -3,6 +3,7 @@
 import json
 import re
 
+from fractal_renorm import cli
 from fractal_renorm.cli import main, run
 
 
@@ -65,6 +66,33 @@ class TestExitCodes:
         assert main(["validate", str(out)]) == 0
         assert "valid" in capsys.readouterr().out
 
+    def test_solve_reports_validate_at_large_boundaries(self, tmp_path,
+                                                        capsys):
+        # nb = 15 and 18: the solver stops on the residual that validate
+        # recomputes, not on the step size
+        for theta in ("1/96", "1/192"):
+            out = tmp_path / "h.json"
+            assert main(["solve", "--n", "2", "--m", "1", "--theta", theta,
+                         "--out", str(out)]) == 0
+            assert main(["validate", str(out)]) == 0
+
+    def test_resistance_refuses_level_beyond_memory(self, monkeypatch,
+                                                    capsys):
+        # level 8 of (2,1,1/12) has N = 29,526; refused before any level or
+        # eigenform is built
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("dense plan started")
+
+        assert cli._physical_memory_bytes() > 0
+        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 8 << 30)
+        monkeypatch.setattr(cli, "level_vertices", must_not_run)
+        monkeypatch.setattr(cli, "solve_eigenform", must_not_run)
+        code = main(["resistance", "--n", "2", "--m", "1", "--theta", "1/12",
+                     "--level", "8"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "29526 vertices" in err and "physical memory" in err
+
     def test_flows_value_count(self, capsys):
         code = main(["flows", "--n", "2", "--m", "1", "--theta", "1/6",
                      "--values", "1,0"])
@@ -104,18 +132,6 @@ class TestOutput:
         second = strip_wall_time(
             (tmp_path / "report.json").read_text(encoding="utf-8"))
         assert first == second
-
-    def test_thread_count_does_not_change_results(self, tmp_path,
-                                                  monkeypatch):
-        argv = ["relations", "--n", "2", "--m", "1", "--theta", "1/6",
-                "--all"]
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        monkeypatch.delenv("FRACTAL_RENORM_THREADS", raising=False)
-        assert main(argv + ["--out", str(a)]) == 0
-        monkeypatch.setenv("FRACTAL_RENORM_THREADS", "2")
-        assert main(argv + ["--out", str(b)]) == 0
-        ra, rb = load(a), load(b)
-        assert ra["results"] == rb["results"]
 
     def test_structure_solve_round_trip(self, tmp_path):
         s_path = tmp_path / "s.json"

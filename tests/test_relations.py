@@ -15,6 +15,7 @@ from fractal_renorm import (
     replicate, rho_search, rotation_invariant, sabot_verdict, solve_eigenform,
     stationary_ratios, t_quotient, t_relation, uniqueness_certificate,
 )
+from _oracles import brute_force_preserved
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -206,6 +207,20 @@ class TestEnumeration:
         s = ms(2, 1, "1/12")
         with pytest.raises(CapExceededError):
             enumerate_preserved(s, cap=5)
+
+    @pytest.mark.parametrize("n,m,theta", [
+        (2, 1, "1/12"), (2, 1, "1/6"), (3, 1, "1/9"), (2, 2, "3/16"),
+        (2, 3, "1/10")])
+    @pytest.mark.parametrize("require_g", [False, True])
+    def test_matches_brute_force_in_order(self, n, m, theta, require_g):
+        s = ms(n, m, theta)
+        assert enumerate_preserved(s, require_g=require_g) == \
+            brute_force_preserved(s, require_g=require_g)
+
+    def test_require_g_needs_closed_boundary(self):
+        s = ms(2, 2, "3/16", symmetrize=False)
+        with pytest.raises(NotInvariantError):
+            enumerate_preserved(s, require_g=True)
 
     def test_full_enumeration_includes_g_relations(self):
         s = ms(2, 1, "1/12")

@@ -222,6 +222,54 @@ class TestTamperDetection:
         assert any("corner map" in line
                    for line in validate_report_details(str(path)))
 
+    def test_relations_tampers(self, tmp_path):
+        path = make_report(tmp_path, "rel.json",
+                           ["relations", "--n", "2", "--m", "1",
+                            "--theta", "1/12"])
+        assert validate_report(str(path))
+        base = load(path)
+
+        report = json.loads(json.dumps(base))
+        report["results"]["verdict"]["verdict"] = "nonexistence_certified"
+        report["results"]["verdict"]["witnesses"][0][
+            "rho_over_relation"]["value"] = 99.0
+        dump(path, report)
+        details = validate_report_details(str(path))
+        assert any("criterion_met" in line for line in details)
+        assert any("does not follow" in line for line in details)
+
+        report = json.loads(json.dumps(base))
+        report["results"]["preserved"].pop(1)
+        dump(path, report)
+        assert any("fresh enumeration" in line
+                   for line in validate_report_details(str(path)))
+
+        report = json.loads(json.dumps(base))
+        report["results"]["certificates"][0]["certified"] = False
+        dump(path, report)
+        assert any("certificate 0" in line
+                   for line in validate_report_details(str(path)))
+
+    def test_flows_tampers(self, tmp_path):
+        path = make_report(tmp_path, "f.json",
+                           ["flows", "--n", "2", "--m", "1", "--theta",
+                            "1/12", "--values", "1,0,0,0.5,0,0"])
+        assert validate_report(str(path))
+        base = load(path)
+
+        report = json.loads(json.dumps(base))
+        report["results"]["conservation_defect"]["value"] = 0.5
+        dump(path, report)
+        assert any("conservation_defect" in line
+                   for line in validate_report_details(str(path)))
+
+        report = json.loads(json.dumps(base))
+        first = next(iter(report["results"]["boundary_flow"]))
+        report["results"]["boundary_flow"][first] += 1e-3
+        dump(path, report)
+        assert any("flows differ" in line
+                   for line in validate_report_details(str(path)))
+
     def test_gd_harmonic_tamper_and_exploratory_skip(self, tmp_path):
         path = make_report(tmp_path, "gh.json",
                            ["gd", "solve", "--n", "2", "--m", "1"])

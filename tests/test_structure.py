@@ -6,7 +6,8 @@ import pytest
 
 from fractal_renorm import (
     Angle, DepthCapError, InvalidMsError, NotInvariantError, build_structure,
-    level_vertices, levels_to_json, make_context, phi_n, rotation_action,
+    level_size, level_vertices, levels_to_json, make_context, phi_n,
+    rotation_action,
     structure_from_json, structure_to_json,
 )
 
@@ -144,6 +145,15 @@ class TestLevels:
             level_vertices(s, 13)
         with pytest.raises(ValueError):
             level_vertices(s, -1)
+
+    def test_level_size_matches_built_levels(self):
+        for n, m, theta in [(2, 1, "1/12"), (3, 1, "1/9"), (2, 3, "1/10")]:
+            s = ms(n, m, theta)
+            for k in range(4):
+                assert level_size(s, k) == level_vertices(s, k).num_vertices
+        assert level_size(ms(2, 1, "1/12"), 8) == 29_526
+        with pytest.raises(DepthCapError):
+            level_size(ms(2, 1, "1/6"), 13)
 
 
 class TestRotationAction:
