@@ -12,9 +12,9 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      NotAPermutationError, NotInvariantError, WorkbenchError)
 from .networks import (ConductanceForm, effective_resistance, energy, flows,
                        harmonic_extension, resistance_matrix, trace)
-from .structure import (GluedVertexSet, MsStructure, build_structure,
-                        level_size, level_vertices, levels_to_json,
-                        rotation_action,
+from .structure import (GluedVertexSet, GluingScheme, MsStructure,
+                        build_structure, level_size, level_vertices,
+                        levels_to_json, rotation_action,
                         structure_from_json, structure_to_json)
 from .renorm import (HarmonicStructure, renorm_T, replicate,
                      restrict_to_subset, solve_eigenform, symmetrize,
@@ -29,9 +29,8 @@ from .relations import (CertificateReport, FlowReport, Partition,
                         t_quotient, t_relation, uniqueness_certificate)
 from .gd import (GdCellGraph, GdHarmonicStructure, GdRhoEntry, GdRhoTable,
                  GdStructure, RELATION_PQ, RELATION_SIDES, build_gd_structure,
-                 cell_graph, existence_verdict, gd_closure, gd_is_preserved,
-                 gd_relation_rhos, gd_renorm_T, gd_solve, gd_solve_all_cells,
-                 gd_structure_to_json, gd_t_quotient)
+                 cell_graph, existence_verdict, gd_relation_rhos, gd_solve,
+                 gd_solve_all_cells, gd_structure_to_json, quotient_rho)
 from .reports import (claim, form_to_json, render_report, validate_report,
                       validate_report_details, write_report)
 from .cli import main, run

@@ -22,17 +22,17 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      DisconnectedError, InvalidMsError, KappaUndefinedError,
                      KernelMismatchError, NonConvergenceError,
                      NotAPermutationError, NotInvariantError)
-from .gd import (build_gd_structure, gd_relation_rhos, gd_solve,
-                 gd_structure_to_json)
+from .gd import (QUOTIENT_TOL, SEARCH_TOL, build_gd_structure,
+                 gd_relation_rhos, gd_solve, gd_structure_to_json)
 from .networks import ConductanceForm, resistance_matrix
 from .relations import (build_J_plus_minus, enumerate_preserved,
                         sabot_verdict, uniqueness_certificate)
-from .renorm import (_boundary_matrix, _replicate_matrix, solve_eigenform,
+from .renorm import (_boundary_matrix, solve_eigenform,
                      verify_harmonic_structure)
 from .reports import (claim, flows_results, form_to_json, render_report,
                       validate_report_details)
-from .structure import (build_structure, level_size, level_vertices,
-                        levels_to_json, structure_from_json,
+from .structure import (GluingScheme, build_structure, level_size,
+                        level_vertices, levels_to_json, structure_from_json,
                         structure_to_json)
 
 EXIT_OK = 0
@@ -234,7 +234,7 @@ def _cmd_resistance(args, started: float) -> int:
     lv = level_vertices(structure, args.level)
     w = _boundary_matrix(structure, hs.form)
     for lvl in range(1, args.level + 1):
-        w = _replicate_matrix(level_vertices(structure, lvl), w)
+        w = GluingScheme.of_level(level_vertices(structure, lvl)).assemble(w)
     net = ConductanceForm.from_matrix(tuple(range(w.shape[0])), w)
     boundary_ids = list(lv.boundary_ids)
     matrix = resistance_matrix(net, boundary_ids)
@@ -284,15 +284,7 @@ def _cmd_gd_solve(args, started: float) -> int:
         "ctx": {"n": args.n, "m": args.m},
         "existence": hs.existence,
         "converged": hs.converged,
-        "harmonic": {
-            "eta": claim(hs.eta, args.tol * 10),
-            "eta_inverse": claim(1.0 / hs.eta, args.tol * 10),
-            "eta_rayleigh": claim(hs.eta_rayleigh, 1e-9),
-            "residual": claim(hs.residual, args.tol),
-            "iterations": hs.iterations,
-            "normalization": hs.normalization,
-            "form": form_to_json(hs.form),
-        },
+        "harmonic": _harmonic_block(hs, args.tol),
         "diagnostics": {
             "last_step": float(hs.diagnostics["last_step"]),
             "collapsed_pairs": [list(p)
@@ -310,9 +302,9 @@ def _cmd_gd_rhos(args, started: float) -> int:
     def entry(e):
         return {
             "relation": e.relation.to_json(),
-            "rho_over_relation": claim(e.rho_over_relation, 1e-2),
-            "rho_under_relation": claim(e.rho_under_relation, 1e-2),
-            "rho_quotient": claim(e.rho_quotient, 1e-9),
+            "rho_over_relation": claim(e.rho_over_relation, SEARCH_TOL),
+            "rho_under_relation": claim(e.rho_under_relation, SEARCH_TOL),
+            "rho_quotient": claim(e.rho_quotient, QUOTIENT_TOL),
             "basis_dim": e.basis_dim,
             "evaluations": e.evaluations,
         }
@@ -323,7 +315,7 @@ def _cmd_gd_rhos(args, started: float) -> int:
         "side_pairs": entry(table.side_pairs),
     }
     inputs = {"n": args.n, "m": args.m}
-    tolerances = {"search_tol": 1e-2, "quotient_tol": 1e-9}
+    tolerances = {"search_tol": SEARCH_TOL, "quotient_tol": QUOTIENT_TOL}
     csv_lines = [
         "relation,rho_over_relation,rho_under_relation,rho_quotient",
         f"pq_pairs,{table.pq_pairs.rho_over_relation:.12g},"

@@ -7,23 +7,28 @@ image, share their p-corner image except at two broken junctions, and the
 four cell corners are the four unglued p-corner images at those junctions.
 Cells are glued to their neighbors at shared corners only.
 
-The renormalization map traces one cell's subdivided network back onto its
-four corners; by rotation symmetry a single form on (p0, q0, p1, q1)
-describes the whole system, and the unreduced all-cells iteration is kept
-only as a consistency check.
+By rotation symmetry a single form on (p0, q0, p1, q1) describes the whole
+system. The cell from cell_graph carries a boundary, an index and a gluing
+scheme, so renorm_T, solve_eigenform, is_preserved, enumerate_preserved,
+t_quotient and rho_search take it as they take an MsStructure. This module
+keeps the construction, the existence dichotomy, the exploratory solve, the
+corner-relation rho table, and the unreduced all-cells iteration as a
+consistency check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import NonConvergenceError
-from .networks import ConductanceForm, _laplacian, _trace_matrix
-from .relations import Partition, _coordinate_descent, stationary_ratios
-from .structure import DisjointSet
+from .networks import ConductanceForm, DisjointSet, _trace_matrix
+from .relations import Partition, is_preserved, rho_search, t_quotient
+from .renorm import _normalized_iteration, _rayleigh_eta
+from .structure import GluingScheme
 
 CORNER_ORDER = ("pl", "ql", "pr", "qr")  # images of (p_k, q_k, p_k+1, q_k+1)
 FORM_VERTICES = ("p0", "q0", "p1", "q1")
@@ -43,7 +48,8 @@ class GdCellGraph:
     subcell_ids[k] lists the ids of subcell k's four corner images in
     CORNER_ORDER. corners holds the ids of (p_cell, q_cell, p_cell+1,
     q_cell+1). broken lists the junction indices k where the p-merge
-    between subcells k and k+1 is absent.
+    between subcells k and k+1 is absent. boundary, index and scheme make
+    the cell a structure for the shared operators.
     """
 
     n: int
@@ -54,9 +60,19 @@ class GdCellGraph:
     corners: tuple[int, int, int, int]
     broken: tuple[int, ...]
 
+    boundary = FORM_VERTICES
+    index = {name: i for i, name in enumerate(FORM_VERTICES)}
+
+    @cached_property
+    def scheme(self) -> GluingScheme:
+        """One copy of the corner form per subcell, traced onto corners."""
+        return GluingScheme(self.subcell_ids, self.corners, self.num_ids)
+
 
 def cell_graph(n: int, m: int, cell: int = 0) -> GdCellGraph:
     """Build the within-cell gluing for one cell (0-based index)."""
+    if n < 2 or m < 1:
+        raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     ring = m + n
     dsu = DisjointSet(4 * ring)
     broken = []
@@ -101,28 +117,17 @@ class GdStructure:
     corner_ids: Mapping[tuple[int, int], tuple[int, int, int, int]]
     level1_ids: Mapping[str, int]
 
-    @property
-    def ring_size(self) -> int:
-        return self.m + self.n
-
 
 def build_gd_structure(n: int, m: int) -> GdStructure:
     """Glue all cells; the vertex count comes out to 2(m+n)^2."""
-    if n < 2 or m < 1:
-        raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     ring = m + n
+    cells = [cell_graph(n, m, cell) for cell in range(ring)]
+    size = cells[0].num_ids
 
     def slot(cell: int, sub: int, corner: int) -> int:
-        return (cell * ring + sub) * 4 + corner
+        return cell * size + cells[cell].subcell_ids[sub][corner]
 
-    dsu = DisjointSet(4 * ring * ring)
-    for cell in range(ring):
-        for sub in range(ring):
-            nxt = (sub + 1) % ring
-            dsu.union(slot(cell, sub, 3), slot(cell, nxt, 1))
-            junction = (sub + 1) % ring
-            if junction not in ((n * (cell + 1)) % ring, (n * cell) % ring):
-                dsu.union(slot(cell, sub, 2), slot(cell, nxt, 0))
+    dsu = DisjointSet(ring * size)
     for cell in range(ring):
         nxt_cell = (cell + 1) % ring
         right = (n * (cell + 1)) % ring
@@ -160,32 +165,6 @@ def gd_structure_to_json(gd: GdStructure) -> dict:
         "corner_maps": tables,
         "level1": dict(sorted(gd.level1_ids.items())),
     }
-
-
-def _form_to_matrix(form: ConductanceForm) -> np.ndarray:
-    if tuple(form.vertices) != FORM_VERTICES:
-        order = [form.index[v] for v in FORM_VERTICES]
-        return form.matrix()[np.ix_(order, order)]
-    return form.matrix()
-
-
-def _assemble_cell(graph: GdCellGraph, w4: np.ndarray) -> np.ndarray:
-    big = np.zeros((graph.num_ids, graph.num_ids))
-    for sub_ids in graph.subcell_ids:
-        idx = np.asarray(sub_ids)
-        big[np.ix_(idx, idx)] += w4
-    return big
-
-
-def gd_renorm_T(n: int, m: int, form: ConductanceForm) -> ConductanceForm:
-    """Trace of one subdivided cell onto its corners, same vertex names.
-
-    Every subcell carries a copy of the input form via its corner images.
-    """
-    graph = cell_graph(n, m, 0)
-    traced = _trace_matrix(_assemble_cell(graph, _form_to_matrix(form)),
-                           list(graph.corners))
-    return ConductanceForm.from_matrix(FORM_VERTICES, traced)
 
 
 def existence_verdict(n: int, m: int) -> str:
@@ -230,62 +209,36 @@ def gd_solve(n: int, m: int, *, tol: float = DEFAULT_TOL,
              init: Optional[ConductanceForm] = None) -> GdHarmonicStructure:
     """Normalized fixed-point iteration on the four-corner form.
 
-    Outside the existence regime the iteration is exploratory and its
-    budget is capped at EXPLORE_ITER_CAP steps; diagnostics record how the
-    weights behaved.
+    The loop is the one solve_eigenform runs, stopping on the same
+    residual. Outside the existence regime the iteration is exploratory
+    and its budget is capped at EXPLORE_ITER_CAP steps; diagnostics record
+    how the weights behaved.
     """
     verdict = existence_verdict(n, m)
-    graph = cell_graph(n, m, 0)
-    if init is not None:
-        w = _form_to_matrix(init)
-    else:
-        w = np.ones((4, 4)) - np.eye(4)
-    w = w / (w.sum() / 2.0)
-
     budget = max_iter if verdict == "exists_unique" \
         else min(max_iter, EXPLORE_ITER_CAP)
-    mass_ratios: list[float] = []
-    delta = np.inf
-    tmass = 1.0
-    iteration = 0
-    for iteration in range(1, budget + 1):
-        traced = _trace_matrix(_assemble_cell(graph, w), list(graph.corners))
-        tmass = traced.sum() / 2.0
-        if tmass <= 0:
-            break
-        w_next = traced / tmass
-        delta = float(np.abs(w_next - w).max())
-        w = w_next
-        mass_ratios.append(1.0 / tmass)
-        if delta <= tol:
-            break
-
-    traced = _trace_matrix(_assemble_cell(graph, w), list(graph.corners))
-    eta = 1.0 / (traced.sum() / 2.0)
-    residual = float(np.abs(eta * traced - w).max() / np.abs(w).max())
-    probe = np.array([1.0, 0.0, 0.0, 0.0])
-    eta_rayleigh = float((probe @ _laplacian(w) @ probe)
-                         / (probe @ _laplacian(traced) @ probe))
-    converged = delta <= tol
+    run = _normalized_iteration(cell_graph(n, m), tol, budget, init)
+    if verdict == "exists_unique" and not run.converged:
+        raise NonConvergenceError(
+            f"no convergence after {max_iter} iterations "
+            f"(residual {run.residual:.3e}, tol {tol:.3e})",
+            iterations=run.iterations, residual=run.residual)
+    w = run.form
     scale = float(np.abs(w).max())
     collapsed = [(FORM_VERTICES[i], FORM_VERTICES[j])
                  for i in range(4) for j in range(i + 1, 4)
                  if w[i, j] < 1e-10 * scale]
     diagnostics = {
-        "last_step": delta,
+        "last_step": run.step,
         "collapsed_pairs": collapsed,
-        "mass_ratio_tail": [float(r) for r in mass_ratios[-5:]],
+        "mass_ratio_tail": [float(eta) for _, eta in run.history[-5:]],
     }
-    if verdict == "exists_unique" and not converged:
-        raise NonConvergenceError(
-            f"no convergence after {max_iter} iterations "
-            f"(last step {delta:.3e}, tol {tol:.3e})",
-            iterations=iteration, residual=delta)
     return GdHarmonicStructure(
         n=n, m=m, existence=verdict,
         form=ConductanceForm.from_matrix(FORM_VERTICES, w),
-        eta=eta, eta_rayleigh=eta_rayleigh, residual=residual,
-        iterations=iteration, converged=converged, diagnostics=diagnostics)
+        eta=run.eta, eta_rayleigh=_rayleigh_eta(w, run.traced),
+        residual=run.residual, iterations=run.iterations,
+        converged=run.converged, diagnostics=diagnostics)
 
 
 def _corner_partition(blocks: Sequence[Sequence[str]]) -> Partition:
@@ -294,61 +247,8 @@ def _corner_partition(blocks: Sequence[Sequence[str]]) -> Partition:
 
 RELATION_PQ = _corner_partition((("p0", "q0"), ("p1", "q1")))
 RELATION_SIDES = _corner_partition((("p0", "p1"), ("q0", "q1")))
-
-
-def gd_closure(graph: GdCellGraph, relation: Partition) -> list[int]:
-    """Class index of each cell id under per-subcell images of a relation."""
-    pos = {name: i for i, name in enumerate(FORM_VERTICES)}
-    dsu = DisjointSet(graph.num_ids)
-    for sub_ids in graph.subcell_ids:
-        for block in relation.blocks:
-            first = sub_ids[pos[block[0]]]
-            for other in block[1:]:
-                dsu.union(first, sub_ids[pos[other]])
-    roots = sorted({dsu.find(v) for v in range(graph.num_ids)})
-    index = {r: i for i, r in enumerate(roots)}
-    return [index[dsu.find(v)] for v in range(graph.num_ids)]
-
-
-def gd_is_preserved(n: int, m: int, relation: Partition) -> bool:
-    """Restriction of the subdivision closure to the corners equals J."""
-    graph = cell_graph(n, m, 0)
-    classes = gd_closure(graph, relation)
-    corner_class = {name: classes[graph.corners[i]]
-                    for i, name in enumerate(FORM_VERTICES)}
-    restricted = Partition.from_pairs(
-        FORM_VERTICES,
-        [(a, b) for i, a in enumerate(FORM_VERTICES)
-         for b in FORM_VERTICES[i + 1:]
-         if corner_class[a] == corner_class[b]])
-    return restricted == relation
-
-
-def gd_t_quotient(n: int, m: int, relation: Partition,
-                  qform: ConductanceForm) -> ConductanceForm:
-    """Quotient renormalization over a preserved corner relation."""
-    if tuple(qform.vertices) != relation.blocks:
-        raise ValueError("quotient form must live on the relation blocks")
-    graph = cell_graph(n, m, 0)
-    classes = gd_closure(graph, relation)
-    nclasses = max(classes) + 1
-    pos = {name: i for i, name in enumerate(FORM_VERTICES)}
-    wq = np.zeros((nclasses, nclasses))
-    for sub_ids in graph.subcell_ids:
-        for (i, j), weight in qform.weights.items():
-            ci = classes[sub_ids[pos[relation.blocks[i][0]]]]
-            cj = classes[sub_ids[pos[relation.blocks[j][0]]]]
-            if ci != cj:
-                wq[ci, cj] += weight
-                wq[cj, ci] += weight
-    boundary = []
-    for block in relation.blocks:
-        boundary.append(classes[graph.corners[pos[block[0]]]])
-    if len(set(boundary)) != len(boundary):
-        raise ValueError("corner blocks collide in the closure; relation "
-                         "not preserved")
-    traced = _trace_matrix(wq, boundary)
-    return ConductanceForm.from_matrix(relation.blocks, traced)
+SEARCH_TOL = 1e-2    # stated tolerance of the searched relation rhos
+QUOTIENT_TOL = 1e-9  # stated tolerance of the exact quotient rho
 
 
 @dataclass(frozen=True)
@@ -361,7 +261,6 @@ class GdRhoEntry:
     evaluations: int
     best_over_form: Optional[ConductanceForm] = None
     best_under_form: Optional[ConductanceForm] = None
-    quotient_witness: Optional[ConductanceForm] = None
 
 
 @dataclass(frozen=True)
@@ -379,65 +278,40 @@ class GdRhoTable:
                 self.side_pairs.rho_quotient)
 
 
-def _gd_rho_entry(n: int, m: int, relation: Partition, *, restarts: int,
-                  sweeps: int, seed: int) -> GdRhoEntry:
-    pairs = [(x, y) for block in relation.blocks
-             for bi, x in enumerate(block) for y in block[bi + 1:]]
-    dim = len(pairs)
-    counter = [0]
+def quotient_rho(cell: GdCellGraph, relation: Partition) -> float:
+    """Weight of the quotient map applied to the unit two-block form.
 
-    def build(logw):
-        return ConductanceForm.from_edges(
-            FORM_VERTICES, [(x, y, float(np.exp(l)))
-                            for (x, y), l in zip(pairs, logw)])
-
-    def ratios(logw):
-        counter[0] += 1
-        form = build(logw)
-        return stationary_ratios(gd_renorm_T(n, m, form), form,
-                                 modulo=relation)
-
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(dim)]
-    starts += [rng.standard_normal(dim) for _ in range(max(restarts - 1, 0))]
-
-    x_over, rho_over = _coordinate_descent(dim, lambda x: ratios(x)[1],
-                                           starts, sweeps)
-    x_under, neg_under = _coordinate_descent(dim, lambda x: -ratios(x)[0],
-                                             starts, sweeps)
-
-    unit = ConductanceForm.from_edges(relation.blocks,
-                                      [(relation.blocks[0],
-                                        relation.blocks[1], 1.0)])
-    quot = gd_t_quotient(n, m, relation, unit)
-    rho_quotient = quot.weight(relation.blocks[0], relation.blocks[1])
-    return GdRhoEntry(relation=relation, rho_over_relation=float(rho_over),
-                      rho_under_relation=float(-neg_under),
-                      rho_quotient=float(rho_quotient), basis_dim=dim,
-                      evaluations=counter[0],
-                      best_over_form=build(x_over),
-                      best_under_form=build(x_under),
-                      quotient_witness=unit)
+    The quotient space is a ray, so this single ratio is exact.
+    """
+    unit = ConductanceForm.from_edges(
+        relation.blocks, [(relation.blocks[0], relation.blocks[1], 1.0)])
+    return float(t_quotient(cell, relation, unit).weight(*relation.blocks))
 
 
 def gd_relation_rhos(n: int, m: int, *, restarts: int = 3, sweeps: int = 40,
                      seed: int = 0) -> GdRhoTable:
     """Search-certified rho table for the two corner relations.
 
-    The quotient spaces are one-dimensional, so their single stationary
-    ratio is exact (weight-independent by homogeneity) and serves as both
-    the upper and the lower certificate.
+    The relation sides go through rho_search. The quotient spaces are
+    one-dimensional, so their single stationary ratio is exact
+    (weight-independent by homogeneity) and serves as both the upper and
+    the lower certificate.
     """
+    cell = cell_graph(n, m)
+    entries = []
     for relation in (RELATION_PQ, RELATION_SIDES):
-        if not gd_is_preserved(n, m, relation):
+        if not is_preserved(cell, relation):
             raise AssertionError(f"relation {relation} unexpectedly not "
                                  "preserved")
-    return GdRhoTable(
-        n=n, m=m,
-        pq_pairs=_gd_rho_entry(n, m, RELATION_PQ, restarts=restarts,
-                               sweeps=sweeps, seed=seed),
-        side_pairs=_gd_rho_entry(n, m, RELATION_SIDES, restarts=restarts,
-                                 sweeps=sweeps, seed=seed))
+        rr = rho_search(cell, relation, "relation", restarts=restarts,
+                        sweeps=sweeps, seed=seed)
+        entries.append(GdRhoEntry(
+            relation=relation, rho_over_relation=rr.rho_over,
+            rho_under_relation=rr.rho_under,
+            rho_quotient=quotient_rho(cell, relation),
+            basis_dim=rr.basis_dim, evaluations=rr.evaluations,
+            best_over_form=rr.best_over, best_under_form=rr.best_under))
+    return GdRhoTable(n=n, m=m, pq_pairs=entries[0], side_pairs=entries[1])
 
 
 def gd_solve_all_cells(n: int, m: int, *, tol: float = 1e-12,

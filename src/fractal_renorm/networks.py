@@ -24,6 +24,35 @@ RANK_RTOL = 1e-12          # relative eigenvalue cutoff for pseudo-inverses
 NEGATIVE_WEIGHT_WARN = 1e-12  # relative size of traced weights clamped silently
 
 
+class DisjointSet:
+    """Union-find with path compression; roots chosen as smallest members."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return
+        if rx > ry:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+
+    def canonical_ids(self) -> tuple[list[int], int]:
+        """Map each element to a dense id, numbered in root order."""
+        roots = sorted({self.find(x) for x in range(len(self.parent))})
+        index = {r: i for i, r in enumerate(roots)}
+        return [index[self.find(x)] for x in range(len(self.parent))], len(roots)
+
+
 @dataclass(frozen=True, eq=False)
 class ConductanceForm:
     """Immutable weighted graph on an ordered vertex tuple.
@@ -115,21 +144,12 @@ class ConductanceForm:
 
     def support_components(self) -> list[frozenset]:
         """Connected components of the positive-weight graph."""
-        parent = list(range(len(self.vertices)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        dsu = DisjointSet(len(self.vertices))
         for (i, j) in self.weights:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+            dsu.union(i, j)
         comps: dict[int, set] = {}
         for i, v in enumerate(self.vertices):
-            comps.setdefault(find(i), set()).add(v)
+            comps.setdefault(dsu.find(i), set()).add(v)
         return [frozenset(c) for c in comps.values()]
 
     def __repr__(self) -> str:
@@ -178,7 +198,8 @@ def _trace_matrix(matrix: np.ndarray, boundary_idx: Sequence[int]) -> np.ndarray
     """Schur complement of the Laplacian onto the boundary, as a weight matrix."""
     nv = matrix.shape[0]
     b = list(boundary_idx)
-    interior = [i for i in range(nv) if i not in set(b)]
+    bset = set(b)
+    interior = [i for i in range(nv) if i not in bset]
     lap = _laplacian(matrix)
     lbb = lap[np.ix_(b, b)]
     if interior:
@@ -236,7 +257,8 @@ def harmonic_extension(form: ConductanceForm,
     if missing:
         raise ValueError(f"boundary vertices not in form: {missing!r}")
     bidx = [form.index[v] for v in boundary]
-    interior = [i for i in range(len(form.vertices)) if i not in set(bidx)]
+    bidx_set = set(bidx)
+    interior = [i for i in range(len(form.vertices)) if i not in bidx_set]
     lap = _laplacian(form.matrix())
     fb = np.array([values[v] for v in boundary], dtype=float)
     out = {v: float(values[v]) for v in boundary}

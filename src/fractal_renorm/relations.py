@@ -13,6 +13,11 @@ the best possible min-ratio. Both bounds remain valid for the
 rotation-symmetric variants of the same quantities, because averaging a
 form over the rotation group never worsens either ratio (mediant
 inequality), so an unrestricted witness certifies the symmetric criterion.
+
+The closure, preservation test, enumeration, relation and quotient
+operators and rho search read only a structure's boundary, index and
+gluing scheme, so they take an MsStructure or a graph-directed cell from
+gd.cell_graph alike.
 """
 from __future__ import annotations
 
@@ -27,10 +32,10 @@ from .angles import Angle, critical_angles, kappa, phi_n, rotate
 from .errors import (CapExceededError, KappaUndefinedError,
                      KernelMismatchError, NotAPermutationError,
                      NotInvariantError)
-from .networks import ConductanceForm, _laplacian, _trace_matrix, flows, trace
-from .renorm import HarmonicStructure, renorm_T, _boundary_matrix, \
-    _replicate_matrix
-from .structure import DisjointSet, MsStructure, level_vertices
+from .networks import (ConductanceForm, DisjointSet, _laplacian,
+                       _trace_matrix, flows, trace)
+from .renorm import HarmonicStructure, renorm_T, _boundary_matrix
+from .structure import GluingScheme, MsStructure, level_vertices
 
 DEFAULT_ENUM_CAP = 12
 DEFAULT_K_MAX = 8
@@ -120,13 +125,12 @@ def partition_from_json(structure: MsStructure, data: dict) -> Partition:
     return Partition.from_blocks(blocks, ground=structure.boundary)
 
 
-def _check_ground(structure: MsStructure, relation: Partition) -> None:
+def _check_ground(structure, relation: Partition) -> None:
     if relation.ground_set != set(structure.boundary):
         raise ValueError("relation ground set does not match the boundary")
 
 
-def _index_blocks(structure: MsStructure,
-                  relation: Partition) -> list[list[int]]:
+def _index_blocks(structure, relation: Partition) -> list[list[int]]:
     return [[structure.index[a] for a in b] for b in relation.blocks]
 
 
@@ -142,21 +146,16 @@ def closure_at_level(structure: MsStructure, relation: Partition,
         raise ValueError("closure level must be >= 1")
     blocks = _index_blocks(structure, relation)
     for lvl in range(1, level + 1):
-        lv = level_vertices(structure, lvl)
-        dsu = DisjointSet(lv.num_vertices)
-        for row in lv.copy_map:
-            for block in blocks:
-                first = row[block[0]]
-                for other in block[1:]:
-                    dsu.union(first, row[other])
+        scheme = structure.scheme if lvl == 1 \
+            else GluingScheme.of_level(level_vertices(structure, lvl))
         groups: dict[int, list[int]] = {}
-        for v in range(lv.num_vertices):
-            groups.setdefault(dsu.find(v), []).append(v)
+        for v, c in enumerate(scheme.closure(blocks)):
+            groups.setdefault(c, []).append(v)
         blocks = list(groups.values())
     return Partition.from_blocks(blocks)
 
 
-def j1_closure(structure: MsStructure, relation: Partition) -> Partition:
+def j1_closure(structure, relation: Partition) -> Partition:
     """Level-1 closure of a boundary relation, on level-1 integer ids."""
     return closure_at_level(structure, relation, 1)
 
@@ -169,7 +168,7 @@ def rotation_invariant(structure: MsStructure, relation: Partition) -> bool:
         for b in relation.blocks)
 
 
-def is_preserved(structure: MsStructure, relation: Partition,
+def is_preserved(structure, relation: Partition,
                  require_g: bool = False) -> bool:
     """Check that the level-1 closure restricts back to the relation itself.
 
@@ -185,18 +184,15 @@ def is_preserved(structure: MsStructure, relation: Partition,
                 "build the structure with symmetrize=True")
         if not rotation_invariant(structure, relation):
             return False
-    closure = j1_closure(structure, relation)
-    lv1 = level_vertices(structure, 1)
-    restricted = Partition.from_pairs(
-        structure.boundary,
-        [(a, b)
-         for i, a in enumerate(structure.boundary)
-         for j, b in enumerate(structure.boundary) if i < j
-         and closure.same(lv1.inclusion[i], lv1.inclusion[j])])
-    return restricted == relation
+    scheme = structure.scheme
+    classes = scheme.closure(_index_blocks(structure, relation))
+    groups: dict[int, list] = {}
+    for a, v in zip(structure.boundary, scheme.marked):
+        groups.setdefault(classes[v], []).append(a)
+    return Partition.from_blocks(groups.values()) == relation
 
 
-def enumerate_preserved(structure: MsStructure, require_g: bool = False,
+def enumerate_preserved(structure, require_g: bool = False,
                         cap: int = DEFAULT_ENUM_CAP) -> list[Partition]:
     """All preserved relations (including the two trivial ones), in RGS order.
 
@@ -224,12 +220,12 @@ def enumerate_preserved(structure: MsStructure, require_g: bool = False,
     if require_g and not structure.rotation_closed:
         raise NotInvariantError(
             "G-relations need a rotation-closed boundary")
-    lv1 = level_vertices(structure, 1)
-    rows = lv1.copy_map
-    incl = lv1.inclusion
+    scheme = structure.scheme
+    rows = scheme.rows
+    incl = scheme.marked
     # union by size without path compression, so every union is undoable
-    parent = list(range(lv1.num_vertices))
-    size = [1] * lv1.num_vertices
+    parent = list(range(scheme.num_ids))
+    size = [1] * scheme.num_ids
     undo_log: list[int] = []
 
     def find(x: int) -> int:
@@ -353,7 +349,7 @@ def _check_in_cone(relation: Partition, form: ConductanceForm) -> None:
             f"{sorted(map(sorted, blocks))}")
 
 
-def t_relation(structure: MsStructure, relation: Partition,
+def t_relation(structure, relation: Partition,
                form: ConductanceForm) -> ConductanceForm:
     """Renormalization applied to a degenerate form with kernel J.
 
@@ -417,7 +413,7 @@ def quotient_form(relation: Partition, form: ConductanceForm) -> ConductanceForm
     return ConductanceForm.from_edges(relation.blocks, edges)
 
 
-def t_quotient(structure: MsStructure, relation: Partition,
+def t_quotient(structure, relation: Partition,
                qform: ConductanceForm) -> ConductanceForm:
     """Renormalization on the quotient by a preserved relation.
 
@@ -435,17 +431,12 @@ def t_quotient(structure: MsStructure, relation: Partition,
     if len(qform.support_components()) != 1:
         raise ValueError("degenerate quotient input: support is disconnected")
 
-    closure = j1_closure(structure, relation)
-    lv1 = level_vertices(structure, 1)
-    class_of = {}
-    for ci, cblock in enumerate(closure.blocks):
-        for v in cblock:
-            class_of[v] = ci
-    nclasses = len(closure.blocks)
-
+    scheme = structure.scheme
     block_idx = _index_blocks(structure, relation)
+    class_of = scheme.closure(block_idx)
+    nclasses = max(class_of) + 1
     wq = np.zeros((nclasses, nclasses))
-    for row in lv1.copy_map:
+    for row in scheme.rows:
         for (i, j), w in qform.weights.items():
             ci = class_of[row[block_idx[i][0]]]
             cj = class_of[row[block_idx[j][0]]]
@@ -453,9 +444,8 @@ def t_quotient(structure: MsStructure, relation: Partition,
                 wq[ci, cj] += w
                 wq[cj, ci] += w
 
-    boundary_classes = []
-    for block in block_idx:
-        boundary_classes.append(class_of[lv1.inclusion[block[0]]])
+    boundary_classes = [class_of[scheme.marked[block[0]]]
+                        for block in block_idx]
     if len(set(boundary_classes)) != len(boundary_classes):
         raise ValueError("boundary blocks collide in the closure; "
                          "the relation is not preserved")
@@ -625,7 +615,7 @@ def _log_weights(form: ConductanceForm, pairs, floor=1e-12) -> np.ndarray:
     return np.log([max(form.weight(x, y), floor) for x, y in pairs])
 
 
-def rho_search(structure: MsStructure, relation: Partition, side: str, *,
+def rho_search(structure, relation: Partition, side: str, *,
                restarts: int = 3, sweeps: int = 40, seed: int = 0,
                starts: Sequence[ConductanceForm] = ()) -> RhoReport:
     """Optimize the extreme stationary ratios over one side's weight cone.
@@ -637,36 +627,27 @@ def rho_search(structure: MsStructure, relation: Partition, side: str, *,
     """
     _check_ground(structure, relation)
     if side == "relation":
+        vertices, operator, modulo = structure.boundary, t_relation, relation
         pairs = [(x, y) for block in relation.blocks if len(block) > 1
                  for bi, x in enumerate(block) for y in block[bi + 1:]]
-        vertices = structure.boundary
-
-        def build(logw):
-            return ConductanceForm.from_edges(
-                vertices, [(x, y, float(np.exp(l)))
-                           for (x, y), l in zip(pairs, logw)])
-
-        def ratios(form):
-            return stationary_ratios(t_relation(structure, relation, form),
-                                     form, modulo=relation)
     elif side == "quotient":
         if relation.block_count() < 2:
             raise ValueError("degenerate quotient input: fewer than two "
                              "blocks")
-        blocks = relation.blocks
-        pairs = [(blocks[i], blocks[j]) for i in range(len(blocks))
-                 for j in range(i + 1, len(blocks))]
-
-        def build(logw):
-            return ConductanceForm.from_edges(
-                blocks, [(x, y, float(np.exp(l)))
-                         for (x, y), l in zip(pairs, logw)])
-
-        def ratios(form):
-            return stationary_ratios(t_quotient(structure, relation, form),
-                                     form, modulo="constants")
+        vertices, operator, modulo = relation.blocks, t_quotient, "constants"
+        pairs = [(vertices[i], vertices[j]) for i in range(len(vertices))
+                 for j in range(i + 1, len(vertices))]
     else:
         raise ValueError(f"side must be 'relation' or 'quotient', got {side!r}")
+
+    def build(logw):
+        return ConductanceForm.from_edges(
+            vertices, [(x, y, float(np.exp(l)))
+                       for (x, y), l in zip(pairs, logw)])
+
+    def ratios(form):
+        return stationary_ratios(operator(structure, relation, form), form,
+                                 modulo=modulo)
 
     if not pairs:
         raise ValueError("relation has no searchable weight space")
@@ -774,27 +755,27 @@ def per_cell_flows(structure: MsStructure, hs: HarmonicStructure,
     rejected.
     """
     ctx = structure.ctx
-    lv1 = level_vertices(structure, 1)
-    w1 = _replicate_matrix(lv1, _boundary_matrix(structure, hs.form))
-    hvec = np.array([values[v] for v in range(lv1.num_vertices)])
+    scheme = structure.scheme
+    w1 = scheme.assemble(_boundary_matrix(structure, hs.form))
+    hvec = np.array([values[v] for v in range(scheme.num_ids)])
     net = _laplacian(w1) @ hvec
-    included = set(lv1.inclusion)
+    included = set(scheme.marked)
     # noise floor of the matvec itself, so exact constants pass
     matvec_floor = float(np.abs(hvec).max()) * float(w1.sum())
     scale = max(float(np.abs(net).max()), matvec_floor, 1e-30)
     interior_resid = max((abs(float(net[v]))
-                          for v in range(lv1.num_vertices)
+                          for v in range(scheme.num_ids)
                           if v not in included), default=0.0)
     if interior_resid > harmonic_tol * scale:
         raise ValueError(
             f"input is not harmonic: interior flow residual {interior_resid:.3e} "
             f"exceeds {harmonic_tol:.1e} of scale {scale:.3e}")
 
-    boundary_values = {a: float(hvec[lv1.inclusion[i]])
-                       for i, a in enumerate(structure.boundary)}
+    boundary_values = {a: float(hvec[v])
+                       for a, v in zip(structure.boundary, scheme.marked)}
     boundary_flow = flows(hs.form, boundary_values)
     cell_flows = []
-    for row in lv1.copy_map:
+    for row in scheme.rows:
         cell_values = {a: float(hvec[row[structure.index[a]]])
                        for a in structure.boundary}
         cell_flows.append(flows(hs.form, cell_values))

@@ -1,16 +1,21 @@
 """Replication, trace renormalization, and the eigenform fixed point.
 
 The renormalization map T sends a form D on the boundary to the trace of
-its level-1 replication back onto the (included) boundary. An eigenform is
-a fixed point of the normalized iteration D -> T(D)/mass(T(D)); the
+its glued copies back onto the marked copy of the boundary. An eigenform
+is a fixed point of the normalized iteration D -> T(D)/mass(T(D)); the
 renormalization constant eta is the inverse of the mass ratio at the fixed
 point, so that D = eta * T(D).
+
+Everything here reads only a structure's boundary, index and gluing
+scheme, so the same functions serve an MsStructure (its level-1 set) and
+a graph-directed cell from gd.cell_graph (its subdivided cell).
 
 Normalization convention: total conductance mass equal to 1, one term per
 unordered pair.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,16 +23,16 @@ import numpy as np
 
 from .angles import Angle
 from .errors import NonConvergenceError, NotInvariantError
-from .networks import (ConductanceForm, _laplacian, _trace_matrix,
-                       harmonic_extension, trace)
-from .structure import GluedVertexSet, MsStructure, level_vertices, rotation_action
+from .networks import ConductanceForm, _laplacian, harmonic_extension, trace
+from .structure import (GluingScheme, MsStructure, level_vertices,
+                        rotation_action)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 ETA_AGREEMENT_TOL = 1e-9
 
 
-def _boundary_matrix(structure: MsStructure, form: ConductanceForm) -> np.ndarray:
+def _boundary_matrix(structure, form: ConductanceForm) -> np.ndarray:
     """Weight matrix of a boundary form, reindexed into boundary order."""
     if set(form.vertices) != set(structure.boundary):
         raise ValueError("form vertices do not match the structure boundary")
@@ -36,35 +41,25 @@ def _boundary_matrix(structure: MsStructure, form: ConductanceForm) -> np.ndarra
     return mat[np.ix_(order, order)]
 
 
-def _form_from_boundary_matrix(structure: MsStructure,
-                               mat: np.ndarray) -> ConductanceForm:
+def _form_from_boundary_matrix(structure, mat: np.ndarray) -> ConductanceForm:
     return ConductanceForm.from_matrix(structure.boundary, mat)
 
 
-def _replicate_matrix(lv1: GluedVertexSet, w0: np.ndarray) -> np.ndarray:
-    w1 = np.zeros((lv1.num_vertices, lv1.num_vertices))
-    for row in lv1.copy_map:
-        idx = np.asarray(row)
-        w1[np.ix_(idx, idx)] += w0
-    return w1
-
-
-def replicate(structure: MsStructure, form: ConductanceForm) -> ConductanceForm:
+def replicate(structure, form: ConductanceForm) -> ConductanceForm:
     """One copy of the form per cell, on the glued level-1 vertex ids.
 
     Weights of pairs that get identified by the gluing add up.
     """
-    lv1 = level_vertices(structure, 1)
-    w1 = _replicate_matrix(lv1, _boundary_matrix(structure, form))
-    return ConductanceForm.from_matrix(tuple(range(lv1.num_vertices)), w1)
+    scheme = structure.scheme
+    return ConductanceForm.from_matrix(
+        tuple(range(scheme.num_ids)),
+        scheme.assemble(_boundary_matrix(structure, form)))
 
 
-def renorm_T(structure: MsStructure, form: ConductanceForm) -> ConductanceForm:
+def renorm_T(structure, form: ConductanceForm) -> ConductanceForm:
     """Trace of the replicated form back onto the included boundary."""
-    lv1 = level_vertices(structure, 1)
-    w1 = _replicate_matrix(lv1, _boundary_matrix(structure, form))
-    traced = _trace_matrix(w1, list(lv1.boundary_ids))
-    return _form_from_boundary_matrix(structure, traced)
+    return _form_from_boundary_matrix(
+        structure, structure.scheme.T(_boundary_matrix(structure, form)))
 
 
 def symmetrize(structure: MsStructure, form: ConductanceForm) -> ConductanceForm:
@@ -114,7 +109,66 @@ def _rayleigh_eta(w_now: np.ndarray, w_traced: np.ndarray) -> float:
     return float(num / den)
 
 
-def solve_eigenform(structure: MsStructure, *, tol: float = DEFAULT_TOL,
+@dataclass(frozen=True)
+class _Run:
+    # the last iterate, its trace and eta, the last step, and the last few
+    # (iterate, eta) pairs, oldest first
+    form: np.ndarray
+    traced: np.ndarray
+    eta: float
+    residual: float
+    step: float
+    iterations: int
+    converged: bool
+    history: tuple[tuple[np.ndarray, float], ...]
+
+
+def _normalized_iteration(structure, tol: float, max_iter: int,
+                          init: Optional[ConductanceForm] = None,
+                          symmetric: bool = False) -> _Run:
+    """The iteration both solvers share: D -> T(D)/mass(T(D)), one trace
+    per step, until the relative residual is at most tol or max_iter steps
+    are spent. symmetric averages each iterate over the rotations."""
+    scheme = structure.scheme
+    nb = len(structure.boundary)
+    if init is not None:
+        w = _boundary_matrix(structure, init)
+        if w.sum() <= 0:
+            raise ValueError("initial form has no positive weights")
+    else:
+        w = np.ones((nb, nb)) - np.eye(nb)
+    w = w / (w.sum() / 2.0)
+
+    def traced_of(mat: np.ndarray, iteration: int) -> tuple[np.ndarray, float]:
+        traced = scheme.T(mat)
+        tmass = traced.sum() / 2.0
+        if tmass <= 0:
+            raise NonConvergenceError("iteration collapsed to the zero form",
+                                      iterations=iteration)
+        return traced, tmass
+
+    history: deque = deque(maxlen=16)
+    traced, tmass = traced_of(w, 0)
+    eta, delta, residual, iteration = 1.0 / tmass, np.inf, np.inf, 0
+    for iteration in range(1, max_iter + 1):
+        w_next = traced / tmass
+        if symmetric:
+            w_next = _boundary_matrix(structure, symmetrize(
+                structure, _form_from_boundary_matrix(structure, w_next)))
+        delta = float(np.abs(w_next - w).max())
+        w = w_next
+        traced, tmass = traced_of(w, iteration)
+        eta = 1.0 / tmass
+        residual = scheme.residual(w, eta, traced)
+        history.append((w, eta))
+        if residual <= tol:
+            break
+    return _Run(form=w, traced=traced, eta=eta, residual=residual,
+                step=delta, iterations=iteration, converged=residual <= tol,
+                history=tuple(history))
+
+
+def solve_eigenform(structure, *, tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER,
                     symmetrize_each_step: bool = False,
                     init: Optional[ConductanceForm] = None) -> HarmonicStructure:
@@ -126,59 +180,25 @@ def solve_eigenform(structure: MsStructure, *, tol: float = DEFAULT_TOL,
     |eta*T(w) - w|max / |w|max is at most tol, so the returned residual is
     the one report validation recomputes. Raises NonConvergence with that
     residual and oscillation diagnostics if max_iter steps do not get
-    there.
+    there, and NotInvariant when asked to symmetrize a boundary that is not
+    rotation-closed.
     """
-    lv1 = level_vertices(structure, 1)
-    bidx = list(lv1.boundary_ids)
-    nb = len(structure.boundary)
-    if init is not None:
-        w = _boundary_matrix(structure, init)
-        if w.sum() <= 0:
-            raise ValueError("initial form has no positive weights")
-    else:
-        w = np.ones((nb, nb)) - np.eye(nb)
-    if symmetrize_each_step and not structure.rotation_closed:
-        raise NotInvariantError("cannot symmetrize: boundary is not "
-                                "rotation-closed")
-    w = w / (w.sum() / 2.0)
+    run = _normalized_iteration(structure, tol, max_iter, init,
+                                symmetrize_each_step)
+    if run.converged:
+        eta_rayleigh = _rayleigh_eta(run.form, run.traced)
+        if abs(run.eta - eta_rayleigh) > \
+                ETA_AGREEMENT_TOL * max(abs(run.eta), 1.0):
+            raise NonConvergenceError(
+                f"eta estimates disagree: mass ratio {run.eta!r} vs "
+                f"Rayleigh {eta_rayleigh!r}",
+                iterations=run.iterations, residual=run.residual)
+        return HarmonicStructure(
+            form=_form_from_boundary_matrix(structure, run.form),
+            eta=run.eta, eta_rayleigh=eta_rayleigh,
+            residual=run.residual, iterations=run.iterations)
 
-    def traced_of(mat: np.ndarray, iteration: int) -> tuple[np.ndarray, float]:
-        traced = _trace_matrix(_replicate_matrix(lv1, mat), bidx)
-        tmass = traced.sum() / 2.0
-        if tmass <= 0:
-            raise NonConvergenceError("iteration collapsed to the zero form",
-                                      iterations=iteration)
-        return traced, tmass
-
-    history: list[np.ndarray] = []
-    delta = residual = np.inf
-    traced, tmass = traced_of(w, 0)
-    for iteration in range(1, max_iter + 1):
-        w_next = traced / tmass
-        if symmetrize_each_step:
-            form = _form_from_boundary_matrix(structure, w_next)
-            w_next = _boundary_matrix(structure, symmetrize(structure, form))
-        delta = float(np.abs(w_next - w).max())
-        w = w_next
-        history.append(w)
-        if len(history) > 16:
-            history.pop(0)
-        traced, tmass = traced_of(w, iteration)
-        eta = 1.0 / tmass
-        # the same residual that report validation rederives from the form
-        residual = float(np.abs(eta * traced - w).max() / np.abs(w).max())
-        if residual <= tol:
-            eta_rayleigh = _rayleigh_eta(w, traced)
-            if abs(eta - eta_rayleigh) > ETA_AGREEMENT_TOL * max(abs(eta), 1.0):
-                raise NonConvergenceError(
-                    f"eta estimates disagree: mass ratio {eta!r} vs "
-                    f"Rayleigh {eta_rayleigh!r}",
-                    iterations=iteration, residual=residual)
-            return HarmonicStructure(
-                form=_form_from_boundary_matrix(structure, w),
-                eta=eta, eta_rayleigh=eta_rayleigh,
-                residual=residual, iterations=iteration)
-
+    history = [w for w, _ in run.history]
     period = None
     for p in range(1, min(8, len(history) - 1) + 1):
         if float(np.abs(history[-1] - history[-1 - p]).max()) <= 1e-9:
@@ -187,8 +207,8 @@ def solve_eigenform(structure: MsStructure, *, tol: float = DEFAULT_TOL,
     last = [_form_from_boundary_matrix(structure, h) for h in history[-3:]]
     raise NonConvergenceError(
         f"no convergence after {max_iter} iterations (residual "
-        f"{residual:.3e}, last step {delta:.3e}, tol {tol:.3e})",
-        iterations=max_iter, residual=residual, period=period,
+        f"{run.residual:.3e}, last step {run.step:.3e}, tol {tol:.3e})",
+        iterations=max_iter, residual=run.residual, period=period,
         last_iterates=last)
 
 
@@ -202,30 +222,28 @@ def verify_harmonic_structure(structure: MsStructure, form: ConductanceForm,
     same data. The locality check exercises the gluing combinatorics, not
     the particular form.
     """
+    scheme = structure.scheme
     w0 = _boundary_matrix(structure, form)
-    lv1 = level_vertices(structure, 1)
-    bidx = list(lv1.boundary_ids)
-    traced = _trace_matrix(_replicate_matrix(lv1, w0), bidx)
-    eigen_residual = float(np.abs(eta * traced - w0).max() / np.abs(w0).max())
+    eigen_residual = scheme.residual(w0, eta)
     mass_defect = abs(w0.sum() / 2.0 - 1.0)
 
     lv2 = level_vertices(structure, 2)
-    w1 = _replicate_matrix(lv1, w0)
-    form1 = ConductanceForm.from_matrix(tuple(range(lv1.num_vertices)), w1)
-    w2 = _replicate_matrix(lv2, w1)
+    w1 = scheme.assemble(w0)
+    form1 = ConductanceForm.from_matrix(tuple(range(scheme.num_ids)), w1)
+    w2 = GluingScheme.of_level(lv2).assemble(w1)
     form2 = ConductanceForm.from_matrix(tuple(range(lv2.num_vertices)), w2)
     rng = np.random.default_rng(seed)
-    probe = rng.standard_normal(lv1.num_vertices)
+    probe = rng.standard_normal(scheme.num_ids)
     global_values = {lv2.inclusion[x]: float(probe[x])
-                     for x in range(lv1.num_vertices)}
+                     for x in range(scheme.num_ids)}
     ext = harmonic_extension(form2, tuple(global_values), global_values)
     nesting = 0.0
-    incl1 = list(lv1.inclusion)
+    incl1 = scheme.marked
     for j, row in enumerate(lv2.copy_map):
-        local_values = {incl1[v]: float(probe[lv1.copy_map[j][v]])
+        local_values = {incl1[v]: float(probe[scheme.rows[j][v]])
                         for v in range(len(incl1))}
         local = harmonic_extension(form1, tuple(local_values), local_values)
-        for u in range(lv1.num_vertices):
+        for u in range(scheme.num_ids):
             dev = abs(local.values[u] - ext.values[row[u]])
             nesting = max(nesting, dev)
     return {

@@ -19,14 +19,14 @@ from jsonschema import Draft202012Validator
 
 from .angles import make_context
 from .errors import KappaUndefinedError, WorkbenchError
-from .gd import FORM_VERTICES, cell_graph, _assemble_cell
-from .networks import ConductanceForm, _trace_matrix, harmonic_extension
+from .gd import (QUOTIENT_TOL, RELATION_PQ, RELATION_SIDES, SEARCH_TOL,
+                 cell_graph, quotient_rho)
+from .networks import ConductanceForm, harmonic_extension
 from .relations import (build_J_plus_minus, certificate_summary,
                         enumerate_preserved, nested_pairs, per_cell_flows,
                         verdict_rule)
-from .renorm import (HarmonicStructure, _replicate_matrix, replicate,
-                     solve_eigenform)
-from .structure import MsStructure, build_structure, level_vertices
+from .renorm import HarmonicStructure, replicate, solve_eigenform
+from .structure import MsStructure, build_structure
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -84,8 +84,7 @@ def flows_results(structure: MsStructure, hs: HarmonicStructure,
     if len(values) != len(structure.boundary):
         raise ValueError(f"--values needs {len(structure.boundary)} entries "
                          "(boundary order, sorted by angle)")
-    lv1 = level_vertices(structure, 1)
-    boundary_ids = list(lv1.boundary_ids)
+    boundary_ids = list(structure.scheme.marked)
     ext = harmonic_extension(replicate(structure, hs.form), boundary_ids,
                              dict(zip(boundary_ids, values)))
     report_flows = per_cell_flows(structure, hs, ext.values)
@@ -125,26 +124,29 @@ def _check_claim(node, name: str, errors: list[str]) -> Optional[float]:
     return float(node["value"])
 
 
-def _recompute_ms_residual(results: dict, errors: list[str]) -> None:
+def _recompute_residual(results: dict, errors: list[str]) -> None:
+    """Rederive the eigen residual of a harmonic or gd_harmonic report."""
     harmonic = results.get("harmonic")
     if not isinstance(harmonic, dict):
-        errors.append("harmonic results missing the harmonic block")
+        errors.append(f"{results['kind']} results missing the harmonic block")
         return
     eta = _check_claim(harmonic.get("eta"), "eta", errors)
     resid = harmonic.get("residual")
     stated = _check_claim(resid, "residual", errors)
     if eta is None or stated is None:
         return
+    if results["kind"] == "gd_harmonic" \
+            and not results.get("converged", True):
+        return  # exploratory run; no eigen equation to check
     tol = float(resid["tol"])
-    ctx_data = results.get("structure", {}).get("ctx")
-    if not isinstance(ctx_data, dict):
-        errors.append("harmonic results missing structure.ctx")
-        return
     try:
-        ctx = make_context(int(ctx_data["n"]), int(ctx_data["m"]),
-                           Fraction(ctx_data["theta"]))
-        structure = build_structure(
-            ctx, symmetrize=bool(results["structure"]["symmetrized"]))
+        if results["kind"] == "gd_harmonic":
+            structure = cell_graph(int(results["ctx"]["n"]),
+                                   int(results["ctx"]["m"]))
+        else:
+            structure = _structure_from_inputs(dict(
+                results["structure"]["ctx"],
+                symmetrized=bool(results["structure"]["symmetrized"])))
         verts, mat = _form_matrix_from_json(harmonic["form"])
     except Exception as exc:
         errors.append(f"cannot rebuild structure/form: {exc}")
@@ -154,48 +156,10 @@ def _recompute_ms_residual(results: dict, errors: list[str]) -> None:
         errors.append("embedded form vertices do not match the boundary")
         return
     order = [verts.index(s) for s in expected]
-    w = mat[np.ix_(order, order)]
-    lv1 = level_vertices(structure, 1)
-    traced = _trace_matrix(_replicate_matrix(lv1, w),
-                           list(lv1.boundary_ids))
-    recomputed = float(np.abs(eta * traced - w).max() / np.abs(w).max())
+    recomputed = structure.scheme.residual(mat[np.ix_(order, order)], eta)
     if recomputed > 10.0 * max(tol, 1e-15):
         errors.append(
             f"recomputed residual {recomputed:.3e} exceeds 10x stated "
-            f"tolerance {tol:.1e}")
-
-
-def _recompute_gd_residual(results: dict, errors: list[str]) -> None:
-    harmonic = results.get("harmonic")
-    if not isinstance(harmonic, dict):
-        errors.append("gd_harmonic results missing the harmonic block")
-        return
-    eta = _check_claim(harmonic.get("eta"), "eta", errors)
-    resid = harmonic.get("residual")
-    stated = _check_claim(resid, "residual", errors)
-    if eta is None or stated is None:
-        return
-    if not results.get("converged", True):
-        return  # exploratory run; no eigen equation to check
-    tol = float(resid["tol"])
-    ctx = results.get("ctx", {})
-    try:
-        n, m = int(ctx["n"]), int(ctx["m"])
-        verts, mat = _form_matrix_from_json(harmonic["form"])
-    except Exception as exc:
-        errors.append(f"cannot rebuild gd form: {exc}")
-        return
-    if sorted(verts) != sorted(FORM_VERTICES):
-        errors.append("gd form vertices must be p0, q0, p1, q1")
-        return
-    order = [verts.index(s) for s in FORM_VERTICES]
-    w = mat[np.ix_(order, order)]
-    graph = cell_graph(n, m, 0)
-    traced = _trace_matrix(_assemble_cell(graph, w), list(graph.corners))
-    recomputed = float(np.abs(eta * traced - w).max() / np.abs(w).max())
-    if recomputed > 10.0 * max(tol, 1e-15):
-        errors.append(
-            f"recomputed gd residual {recomputed:.3e} exceeds 10x stated "
             f"tolerance {tol:.1e}")
 
 
@@ -372,6 +336,42 @@ def _check_flows(report: dict, errors: list[str]) -> None:
                           f"{fresh[key]['value']:.3e}")
 
 
+def _check_gd_rhos(results: dict, errors: list[str]) -> None:
+    """Recompute the exact quotient rhos. The searches are not rerun;
+    their values need only rho_under <= rho_over within tolerance. The
+    tolerances are the writer's fixed ones, not the tols in the report."""
+    try:
+        cell = cell_graph(int(results["ctx"]["n"]), int(results["ctx"]["m"]))
+    except _REBUILD_ERRORS as exc:
+        errors.append(f"cannot rebuild the gd cell: {exc}")
+        return
+    for key, relation in (("pq_pairs", RELATION_PQ),
+                          ("side_pairs", RELATION_SIDES)):
+        entry = results.get(key)
+        if not isinstance(entry, dict) \
+                or entry.get("relation") != relation.to_json():
+            errors.append(f"{key} must carry the relation "
+                          f"{relation.to_json()['blocks']}")
+            continue
+        pairs = sum(len(b) * (len(b) - 1) // 2 for b in relation.blocks)
+        if entry.get("basis_dim") != pairs:
+            errors.append(f"{key}: basis_dim must be {pairs}, the number of "
+                          "within-block pairs")
+        over, under, quotient = (
+            _check_claim(entry.get(name), f"{key} {name}", errors)
+            for name in ("rho_over_relation", "rho_under_relation",
+                         "rho_quotient"))
+        if quotient is not None:
+            want = quotient_rho(cell, relation)
+            if abs(quotient - want) > QUOTIENT_TOL:
+                errors.append(f"{key} rho_quotient {quotient!r} differs from "
+                              f"the recomputed {want!r}")
+        if over is not None and under is not None \
+                and under > over + SEARCH_TOL:
+            errors.append(f"{key}: rho_under_relation exceeds "
+                          "rho_over_relation")
+
+
 def validate_report_details(path: str) -> list[str]:
     """Schema plus consistency validation; empty list means valid."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -386,10 +386,10 @@ def validate_report_details(path: str) -> list[str]:
     kind = results.get("kind")
     if kind not in KINDS:
         return [f"unknown result kind {kind!r}"]
-    if kind == "harmonic":
-        _recompute_ms_residual(results, errors)
-    elif kind == "gd_harmonic":
-        _recompute_gd_residual(results, errors)
+    if kind in ("harmonic", "gd_harmonic"):
+        _recompute_residual(results, errors)
+    elif kind == "gd_rhos":
+        _check_gd_rhos(results, errors)
     elif kind == "relations":
         _check_relations(report, errors)
     elif kind == "flows":

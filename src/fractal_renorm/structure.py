@@ -9,44 +9,73 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .angles import (Angle, AngleContext, cell_index, critical_angles,
                      make_context, phi_n, post_critical_set, rotate,
                      symmetrized_set, validate_ms)
 from .errors import DepthCapError, InvalidMsError, NotInvariantError
+from .networks import DisjointSet, _trace_matrix
 
 DEFAULT_DEPTH_CAP = 12
 
 
-class DisjointSet:
-    """Union-find with path compression; roots chosen as smallest members."""
+@dataclass(frozen=True)
+class GluingScheme:
+    """Copies of a marked vertex set glued into ids 0..num_ids-1.
 
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+    rows[c][v] is the glued id of marked vertex v in copy c; marked[v] is
+    the id that v itself is included as. An MS level-1 set and a GD cell
+    are both of this shape.
+    """
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    rows: tuple[tuple[int, ...], ...]
+    marked: tuple[int, ...]
+    num_ids: int
 
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if rx > ry:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
+    @classmethod
+    def of_level(cls, lv: "GluedVertexSet") -> "GluingScheme":
+        """Level k as copies of level k-1, included along lv.inclusion."""
+        return cls(lv.copy_map, lv.inclusion, lv.num_vertices)
 
-    def canonical_ids(self) -> tuple[list[int], int]:
-        """Map each element to a dense id, numbered in root order."""
-        roots = sorted({self.find(x) for x in range(len(self.parent))})
-        index = {r: i for i, r in enumerate(roots)}
-        return [index[self.find(x)] for x in range(len(self.parent))], len(roots)
+    @cached_property
+    def _index_grids(self) -> tuple:
+        return tuple(np.ix_(row, row) for row in map(np.asarray, self.rows))
+
+    def assemble(self, w: np.ndarray) -> np.ndarray:
+        """One copy of the marked weight matrix per row; glued pairs add up."""
+        out = np.zeros((self.num_ids, self.num_ids))
+        for grid in self._index_grids:
+            out[grid] += w
+        return out
+
+    def T(self, w: np.ndarray) -> np.ndarray:
+        """Trace of the assembled copies back onto the marked ids."""
+        return _trace_matrix(self.assemble(w), self.marked)
+
+    def residual(self, w: np.ndarray, eta: float,
+                 traced: Optional[np.ndarray] = None) -> float:
+        """Relative eigen defect |eta*T(w) - w|max / |w|max."""
+        if traced is None:
+            traced = self.T(w)
+        return float(np.abs(eta * traced - w).max() / np.abs(w).max())
+
+    def closure(self, blocks: Sequence[Sequence[int]]) -> list[int]:
+        """Class of each glued id under the per-copy images of the blocks.
+
+        Classes are numbered in order of their least id.
+        """
+        dsu = DisjointSet(self.num_ids)
+        for row in self.rows:
+            for block in blocks:
+                first = row[block[0]]
+                for other in block[1:]:
+                    dsu.union(first, row[other])
+        return dsu.canonical_ids()[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +105,11 @@ class MsStructure:
     def rotation_closed(self) -> bool:
         bset = set(self.boundary)
         return all(rotate(self.ctx, a, 1) in bset for a in self.boundary)
+
+    @cached_property
+    def scheme(self) -> GluingScheme:
+        """The level-1 gluing, built on first use and kept."""
+        return GluingScheme.of_level(level_vertices(self, 1))
 
 
 def build_structure(ctx: AngleContext,

@@ -8,8 +8,8 @@ iteration), so agreement is evidence rather than tautology.
 from fractions import Fraction
 import math
 
-from fractal_renorm.relations import (Partition, is_preserved,
-                                      rotation_invariant)
+from fractal_renorm.relations import Partition, rotation_invariant
+from fractal_renorm.structure import level_vertices
 
 
 def relaxed_minimum_energy(vertices, weights, boundary_values,
@@ -119,6 +119,34 @@ def partitions_rgs(items):
     yield from rec(1, 0)
 
 
+def preserved_by_closure(structure, relation):
+    """Whether the level-1 closure of the relation restricts back to it.
+
+    Own union-find over level_vertices(structure, 1).copy_map, so the test
+    does not lean on the package's closure or preservation code.
+    """
+    lv1 = level_vertices(structure, 1)
+    parent = list(range(lv1.num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    index = {a: i for i, a in enumerate(structure.boundary)}
+    for row in lv1.copy_map:
+        for block in relation.blocks:
+            for other in block[1:]:
+                parent[find(row[index[other]])] = find(row[index[block[0]]])
+    root = [find(lv1.inclusion[index[a]]) for a in structure.boundary]
+    block_of = {a: b for b, block in enumerate(relation.blocks) for a in block}
+    nb = len(structure.boundary)
+    return all((root[i] == root[j])
+               == (block_of[structure.boundary[i]]
+                   == block_of[structure.boundary[j]])
+               for i in range(nb) for j in range(i + 1, nb))
+
+
 def brute_force_preserved(structure, require_g=False):
     """Preserved relations by testing every partition, Bell(nb) of them.
 
@@ -126,4 +154,4 @@ def brute_force_preserved(structure, require_g=False):
     """
     return [cand for cand in partitions_rgs(structure.boundary)
             if not (require_g and not rotation_invariant(structure, cand))
-            and is_preserved(structure, cand)]
+            and preserved_by_closure(structure, cand)]

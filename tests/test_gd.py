@@ -8,10 +8,10 @@ import pytest
 
 from fractal_renorm import (
     ConductanceForm, NonConvergenceError, Partition, RELATION_PQ,
-    RELATION_SIDES, build_gd_structure, cell_graph, existence_verdict,
-    gd_is_preserved, gd_relation_rhos, gd_renorm_T, gd_solve,
-    gd_solve_all_cells, gd_structure_to_json, gd_t_quotient,
-    stationary_ratios,
+    RELATION_SIDES, build_gd_structure, cell_graph, enumerate_preserved,
+    existence_verdict, gd_relation_rhos, gd_solve, gd_solve_all_cells,
+    gd_structure_to_json, is_preserved, renorm_T, stationary_ratios,
+    t_quotient,
 )
 from fractal_renorm.gd import CORNER_ORDER, EXPLORE_ITER_CAP, FORM_VERTICES
 
@@ -136,8 +136,8 @@ class TestRenormT:
             FORM_VERTICES,
             [(x, y, 1.0 + 0.1 * i)
              for i, (x, y) in enumerate(combinations(FORM_VERTICES, 2))])
-        a = gd_renorm_T(2, 1, form).matrix()
-        b = gd_renorm_T(2, 1, form.scaled(3.0)).matrix()
+        a = renorm_T(cell_graph(2, 1), form).matrix()
+        b = renorm_T(cell_graph(2, 1), form.scaled(3.0)).matrix()
         assert np.abs(b - 3.0 * a).max() < 1e-12
 
     def test_vertex_order_irrelevant(self):
@@ -151,15 +151,15 @@ class TestRenormT:
         shuffled = ConductanceForm.from_edges(
             shuffled_vs, [(x, y, weights[frozenset((x, y))])
                           for x, y in combinations(shuffled_vs, 2)])
-        out_a = gd_renorm_T(2, 1, direct)
-        out_b = gd_renorm_T(2, 1, shuffled)
+        out_a = renorm_T(cell_graph(2, 1), direct)
+        out_b = renorm_T(cell_graph(2, 1), shuffled)
         for x, y in combinations(FORM_VERTICES, 2):
             assert out_a.weight(x, y) == pytest.approx(out_b.weight(x, y),
                                                        abs=1e-12)
 
     def test_fixed_point_scaling(self):
         hs = gd_solve(2, 1)
-        traced = gd_renorm_T(2, 1, hs.form).matrix()
+        traced = renorm_T(cell_graph(2, 1), hs.form).matrix()
         assert np.abs(hs.eta * traced - hs.form.matrix()).max() < 1e-10
 
 
@@ -177,6 +177,13 @@ class TestSolve:
 
     def test_2_1_eta_inverse(self):
         assert 1.0 / gd_solve(2, 1).eta == pytest.approx(0.6, abs=1e-9)
+
+    def test_residual_within_stated_tolerance(self):
+        # the reported residual is the one the loop stops on
+        for n, m in [(2, 1), (4, 3), (2, 3), (5, 4)]:
+            hs = gd_solve(n, m)
+            assert hs.converged
+            assert hs.residual <= 1e-12
 
     def test_critical_runs_out_of_budget(self):
         hs = gd_solve(4, 4)
@@ -221,20 +228,22 @@ class TestSolve:
 class TestPreservation:
     def test_named_relations_preserved(self):
         for n, m in [(2, 1), (3, 2), (2, 3)]:
-            assert gd_is_preserved(n, m, RELATION_PQ)
-            assert gd_is_preserved(n, m, RELATION_SIDES)
+            assert is_preserved(cell_graph(n, m), RELATION_PQ)
+            assert is_preserved(cell_graph(n, m), RELATION_SIDES)
 
     def test_exactly_four_preserved(self):
         # trivial pair plus the two named relations, nothing else
         for n, m in [(2, 1), (3, 2), (2, 3)]:
             preserved = [p for p in all_partitions(FORM_VERTICES)
-                         if gd_is_preserved(n, m, p)]
+                         if is_preserved(cell_graph(n, m), p)]
             assert len(preserved) == 4
             assert RELATION_PQ in preserved
             assert RELATION_SIDES in preserved
             assert Partition.from_blocks([[v] for v in FORM_VERTICES]) \
                 in preserved
             assert Partition.from_blocks([list(FORM_VERTICES)]) in preserved
+            # the pruned MS enumerator serves the cell, in RGS order
+            assert enumerate_preserved(cell_graph(n, m)) == preserved
 
 
 class TestQuotient:
@@ -244,26 +253,26 @@ class TestQuotient:
 
     def test_pq_quotient_weight(self):
         for n, m in [(2, 1), (3, 2), (2, 3)]:
-            q = gd_t_quotient(n, m, RELATION_PQ, self.unit(RELATION_PQ))
+            q = t_quotient(cell_graph(n, m), RELATION_PQ, self.unit(RELATION_PQ))
             assert q.weight(*RELATION_PQ.blocks) == pytest.approx(
                 1.0 / m + 1.0 / n, abs=1e-9)
 
     def test_sides_quotient_weight(self):
         for n, m in [(2, 1), (3, 2), (2, 3)]:
-            q = gd_t_quotient(n, m, RELATION_SIDES, self.unit(RELATION_SIDES))
+            q = t_quotient(cell_graph(n, m), RELATION_SIDES, self.unit(RELATION_SIDES))
             assert q.weight(*RELATION_SIDES.blocks) == pytest.approx(
                 m * n / (m + n), abs=1e-9)
 
     def test_homogeneous(self):
-        q1 = gd_t_quotient(2, 1, RELATION_PQ, self.unit(RELATION_PQ))
-        q7 = gd_t_quotient(2, 1, RELATION_PQ,
+        q1 = t_quotient(cell_graph(2, 1), RELATION_PQ, self.unit(RELATION_PQ))
+        q7 = t_quotient(cell_graph(2, 1), RELATION_PQ,
                            self.unit(RELATION_PQ).scaled(7.0))
         assert q7.weight(*RELATION_PQ.blocks) == pytest.approx(
             7.0 * q1.weight(*RELATION_PQ.blocks), abs=1e-9)
 
     def test_wrong_vertices_rejected(self):
         with pytest.raises(ValueError):
-            gd_t_quotient(2, 1, RELATION_PQ, self.unit(RELATION_SIDES))
+            t_quotient(cell_graph(2, 1), RELATION_PQ, self.unit(RELATION_SIDES))
 
 
 class TestRhoTable:
@@ -290,11 +299,11 @@ class TestRhoTable:
         table = gd_relation_rhos(2, 1)
         for entry in (table.pq_pairs, table.side_pairs):
             form = entry.best_over_form
-            _, hi = stationary_ratios(gd_renorm_T(2, 1, form), form,
+            _, hi = stationary_ratios(renorm_T(cell_graph(2, 1), form), form,
                                       modulo=entry.relation)
             assert hi == pytest.approx(entry.rho_over_relation, abs=1e-9)
             form = entry.best_under_form
-            lo, _ = stationary_ratios(gd_renorm_T(2, 1, form), form,
+            lo, _ = stationary_ratios(renorm_T(cell_graph(2, 1), form), form,
                                       modulo=entry.relation)
             assert lo == pytest.approx(entry.rho_under_relation, abs=1e-9)
 

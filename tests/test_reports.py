@@ -101,6 +101,18 @@ class TestTamperDetection:
         assert any("residual" in line for line in details)
         assert not validate_report(str(path))
 
+    def test_harmonic_converged_flag_does_not_skip_recheck(self, tmp_path):
+        # only an exploratory gd run may skip the residual recheck
+        path = make_report(tmp_path, "h1.json",
+                           ["solve", "--n", "2", "--m", "1",
+                            "--theta", "1/6"])
+        report = load(path)
+        report["results"]["converged"] = False
+        report["results"]["harmonic"]["eta"]["value"] *= 1.01
+        dump(path, report)
+        assert any("residual" in line
+                   for line in validate_report_details(str(path)))
+
     def test_harmonic_form_tamper(self, tmp_path):
         path = make_report(tmp_path, "h2.json",
                            ["solve", "--n", "2", "--m", "1",
@@ -284,3 +296,44 @@ class TestTamperDetection:
         report2 = load(path2)
         assert report2["results"]["converged"] is False
         assert validate_report(str(path2))
+
+    def test_gd_rhos_tampers(self, tmp_path):
+        path = make_report(tmp_path, "gr.json",
+                           ["gd", "rhos", "--n", "2", "--m", "1"])
+        assert validate_report(str(path))
+        base = load(path)
+
+        report = json.loads(json.dumps(base))
+        report["results"]["pq_pairs"]["rho_quotient"]["value"] = 42.0
+        dump(path, report)
+        assert any("pq_pairs rho_quotient" in line
+                   for line in validate_report_details(str(path)))
+
+        # a widened stated tol does not excuse the edited value
+        report["results"]["pq_pairs"]["rho_quotient"]["tol"] = 100.0
+        dump(path, report)
+        assert any("pq_pairs rho_quotient" in line
+                   for line in validate_report_details(str(path)))
+
+        report = json.loads(json.dumps(base))
+        report["results"]["side_pairs"]["relation"] = \
+            base["results"]["pq_pairs"]["relation"]
+        dump(path, report)
+        assert any("side_pairs must carry" in line
+                   for line in validate_report_details(str(path)))
+
+        report = json.loads(json.dumps(base))
+        report["results"]["pq_pairs"]["basis_dim"] = 3
+        dump(path, report)
+        assert any("basis_dim" in line
+                   for line in validate_report_details(str(path)))
+
+        report = json.loads(json.dumps(base))
+        report["results"]["side_pairs"]["rho_under_relation"]["value"] = 5.0
+        dump(path, report)
+        assert any("rho_under_relation exceeds" in line
+                   for line in validate_report_details(str(path)))
+        report["results"]["side_pairs"]["rho_under_relation"]["tol"] = 100.0
+        dump(path, report)
+        assert any("rho_under_relation exceeds" in line
+                   for line in validate_report_details(str(path)))

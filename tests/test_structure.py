@@ -1,14 +1,17 @@
 """Glued level sets: counts, merges, inclusion, rotations, JSON."""
 
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fractal_renorm import (
-    Angle, DepthCapError, InvalidMsError, NotInvariantError, build_structure,
+    Angle, ConductanceForm, DepthCapError, GluingScheme, InvalidMsError,
+    NotInvariantError, build_structure, cell_graph, enumerate_preserved, is_preserved,
     level_size, level_vertices, levels_to_json, make_context, phi_n,
-    rotation_action,
-    structure_from_json, structure_to_json,
+    renorm_T, rotation_action, solve_eigenform, structure_from_json,
+    structure_to_json, t_quotient,
 )
 
 
@@ -154,6 +157,57 @@ class TestLevels:
         assert level_size(ms(2, 1, "1/12"), 8) == 29_526
         with pytest.raises(DepthCapError):
             level_size(ms(2, 1, "1/6"), 13)
+
+
+class TestGluingScheme:
+    def test_two_glued_edges(self):
+        # two unit edges glued end to end: a path 0-1-2 marked at its ends
+        scheme = GluingScheme(rows=((0, 1), (1, 2)), marked=(0, 2), num_ids=3)
+        unit = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert scheme.assemble(unit).tolist() == [[0.0, 1.0, 0.0],
+                                                  [1.0, 0.0, 1.0],
+                                                  [0.0, 1.0, 0.0]]
+        assert scheme.T(unit)[0, 1] == pytest.approx(0.5, abs=1e-15)
+        assert scheme.residual(unit, 2.0) == pytest.approx(0.0, abs=1e-15)
+        assert scheme.closure([[0, 1]]) == [0, 0, 0]
+        assert scheme.closure([[0], [1]]) == [0, 1, 2]
+
+    def test_ms_scheme_is_the_level1_set(self):
+        s = ms(2, 1, "1/12")
+        lv1 = level_vertices(s, 1)
+        assert s.scheme.rows == lv1.copy_map
+        assert s.scheme.marked == lv1.inclusion == lv1.boundary_ids
+        assert s.scheme.num_ids == lv1.num_vertices
+
+    def test_gd_scheme_is_the_cell(self):
+        cell = cell_graph(3, 2)
+        assert cell.scheme.rows == cell.subcell_ids
+        assert cell.scheme.marked == cell.corners
+        assert cell.scheme.num_ids == cell.num_ids
+        assert cell.boundary == ("p0", "q0", "p1", "q1")
+
+    def test_built_once_per_structure(self, monkeypatch):
+        calls = []
+        for name in ("structure", "renorm", "relations"):
+            module = sys.modules[f"fractal_renorm.{name}"]
+            real = module.level_vertices
+
+            def counted(*args, _real=real, **kwargs):
+                calls.append(args[1])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "level_vertices", counted)
+        s = ms(2, 1, "1/12")
+        hs = solve_eigenform(s)
+        renorm_T(s, hs.form)
+        preserved = enumerate_preserved(s)
+        relation = next(p for p in preserved if not p.is_trivial)
+        assert is_preserved(s, relation)
+        blocks = relation.blocks
+        t_quotient(s, relation, ConductanceForm.from_edges(
+            blocks, [(a, b, 1.0) for i, a in enumerate(blocks)
+                     for b in blocks[i + 1:]]))
+        assert calls == [1]
 
 
 class TestRotationAction:
