@@ -2,15 +2,15 @@
 
 Every subcommand emits one JSON report (see reports.py) either to --out or
 to stdout. Exit codes: 0 success, 2 invalid input, 3 non-convergence or a
-cap hit, 4 internal invariant violation (including failed report
-validation). Reports are deterministic byte-for-byte apart from the
-wall-time field.
+cap hit (such as a level past the depth cap), 4 internal invariant
+violation (including failed report validation). Reports are deterministic
+byte-for-byte apart from the wall-time field. `resistance --level k` scales
+the eigenform's resistances by eta^k and builds nothing of level k.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -24,16 +24,14 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      NotAPermutationError, NotInvariantError)
 from .gd import (QUOTIENT_TOL, SEARCH_TOL, build_gd_structure,
                  gd_relation_rhos, gd_solve, gd_structure_to_json)
-from .networks import ConductanceForm, resistance_matrix
 from .relations import (build_J_plus_minus, enumerate_preserved,
                         sabot_verdict, uniqueness_certificate)
-from .renorm import (_boundary_matrix, solve_eigenform,
-                     verify_harmonic_structure)
-from .reports import (claim, flows_results, form_to_json, render_report,
+from .renorm import solve_eigenform, verify_harmonic_structure
+from .reports import (RESISTANCE_TOL, claim, flows_results, form_to_json,
+                      render_report, resistance_results, structure_inputs,
                       validate_report_details)
-from .structure import (GluingScheme, build_structure, level_size,
-                        level_vertices, levels_to_json, structure_from_json,
-                        structure_to_json)
+from .structure import (build_structure, level_vertices, levels_to_json,
+                        structure_from_json, structure_to_json)
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -45,30 +43,6 @@ _INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError,
                  KappaUndefinedError, KernelMismatchError,
                  NotAPermutationError, DisconnectedError)
 _BUDGET_ERRORS = (NonConvergenceError, CapExceededError, DepthCapError)
-
-# Float64 matrices of side N_k that the dense resistance path holds at its
-# peak (weights, Laplacian, eigh input, workspace and eigenvectors); the
-# peak RSS at level 5 of (2,1,1/12) came to 7.6 of them.
-DENSE_MATRICES_LIVE = 8
-
-
-def _physical_memory_bytes() -> Optional[int]:
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def _check_dense_memory(structure, level: int) -> None:
-    """Refuse a level whose dense plan outgrows physical memory, up front."""
-    size = level_size(structure, level)
-    need = DENSE_MATRICES_LIVE * 8 * size * size
-    have = _physical_memory_bytes()
-    if have is not None and need > have:
-        raise DepthCapError(
-            f"level {level} has {size} vertices; the dense resistance path "
-            f"needs about {need / 2**30:.1f} GiB, more than the "
-            f"{have / 2**30:.1f} GiB of physical memory")
 
 
 def _load_structure(args):
@@ -87,12 +61,12 @@ def _load_structure(args):
     return build_structure(ctx, symmetrize=args.symmetrize)
 
 
-def _emit(args, report: dict, csv_text: Optional[str] = None) -> int:
+def _emit(args, report: dict, csv_rows: Optional[list] = None) -> int:
     if getattr(args, "format", "json") == "csv":
-        if csv_text is None:
+        if csv_rows is None:
             raise ValueError("csv output is only available for rho tables "
                              "and resistance matrices")
-        payload = csv_text
+        payload = "".join(",".join(row) + "\n" for row in csv_rows)
     else:
         payload = render_report(report)
     out = getattr(args, "out", None)
@@ -125,9 +99,7 @@ def _cmd_structure(args, started: float) -> int:
         "structure": structure_to_json(structure),
         "levels": levels_to_json(lv),
     }
-    inputs = {"n": structure.ctx.n, "m": structure.ctx.m,
-              "theta": str(structure.ctx.theta),
-              "symmetrized": structure.symmetrized, "level": args.level}
+    inputs = structure_inputs(structure, level=args.level)
     report = _envelope(args, inputs, {"exact_arithmetic": 0.0}, results,
                        started)
     return _emit(args, report)
@@ -156,9 +128,7 @@ def _cmd_solve(args, started: float) -> int:
         "checks": {k: (v if isinstance(v, bool) else claim(v, 1e-9))
                    for k, v in checks.items()},
     }
-    inputs = {"n": structure.ctx.n, "m": structure.ctx.m,
-              "theta": str(structure.ctx.theta),
-              "symmetrized": structure.symmetrized}
+    inputs = structure_inputs(structure)
     tolerances = {"solver_tol": args.tol, "eta_agreement": 1e-9}
     return _emit(args, _envelope(args, inputs, tolerances, results, started))
 
@@ -218,10 +188,7 @@ def _cmd_relations(args, started: float) -> int:
     }
     if solver_error:
         results["solver_error"] = solver_error
-    inputs = {"n": structure.ctx.n, "m": structure.ctx.m,
-              "theta": str(structure.ctx.theta),
-              "symmetrized": structure.symmetrized, "cap": args.cap,
-              "require_g": require_g}
+    inputs = structure_inputs(structure, cap=args.cap, require_g=require_g)
     tolerances = {"solver_tol": args.tol, "certificate_margin": 1e-6,
                   "ratio_tol": 1e-9}
     return _emit(args, _envelope(args, inputs, tolerances, results, started))
@@ -229,31 +196,15 @@ def _cmd_relations(args, started: float) -> int:
 
 def _cmd_resistance(args, started: float) -> int:
     structure = _load_structure(args)
-    _check_dense_memory(structure, args.level)
     hs = solve_eigenform(structure, tol=args.tol, max_iter=args.max_iter)
-    lv = level_vertices(structure, args.level)
-    w = _boundary_matrix(structure, hs.form)
-    for lvl in range(1, args.level + 1):
-        w = GluingScheme.of_level(level_vertices(structure, lvl)).assemble(w)
-    net = ConductanceForm.from_matrix(tuple(range(w.shape[0])), w)
-    boundary_ids = list(lv.boundary_ids)
-    matrix = resistance_matrix(net, boundary_ids)
-    labels = [str(a) for a in structure.boundary]
-    results = {
-        "kind": "resistance",
-        "level": args.level,
-        "vertices": labels,
-        "matrix": [[float(x) for x in row] for row in matrix],
-        "eta": claim(hs.eta, args.tol * 10),
-    }
-    inputs = {"n": structure.ctx.n, "m": structure.ctx.m,
-              "theta": str(structure.ctx.theta), "level": args.level}
-    tolerances = {"solver_tol": args.tol, "resistance_tol": 1e-9}
-    csv_lines = ["vertex," + ",".join(labels)]
-    for label, row in zip(labels, matrix):
-        csv_lines.append(label + "," + ",".join(f"{x:.12g}" for x in row))
+    results = resistance_results(structure, hs, args.level, args.tol)
+    inputs = structure_inputs(structure, level=args.level)
+    tolerances = {"solver_tol": args.tol, "resistance_tol": RESISTANCE_TOL}
+    rows = [["vertex"] + results["vertices"]] + [
+        [label] + [f"{x:.12g}" for x in row]
+        for label, row in zip(results["vertices"], results["matrix"])]
     return _emit(args, _envelope(args, inputs, tolerances, results, started),
-                 csv_text="\n".join(csv_lines) + "\n")
+                 rows)
 
 
 def _cmd_flows(args, started: float) -> int:
@@ -261,9 +212,7 @@ def _cmd_flows(args, started: float) -> int:
     hs = solve_eigenform(structure, tol=args.tol, max_iter=args.max_iter)
     raw = [float(tok) for tok in args.values.split(",")]
     results = flows_results(structure, hs, raw)
-    inputs = {"n": structure.ctx.n, "m": structure.ctx.m,
-              "theta": str(structure.ctx.theta),
-              "symmetrized": structure.symmetrized, "values": args.values}
+    inputs = structure_inputs(structure, values=args.values)
     tolerances = {"solver_tol": args.tol, "flow_tol": 1e-9}
     return _emit(args, _envelope(args, inputs, tolerances, results, started))
 
@@ -316,22 +265,16 @@ def _cmd_gd_rhos(args, started: float) -> int:
     }
     inputs = {"n": args.n, "m": args.m}
     tolerances = {"search_tol": SEARCH_TOL, "quotient_tol": QUOTIENT_TOL}
-    csv_lines = [
-        "relation,rho_over_relation,rho_under_relation,rho_quotient",
-        f"pq_pairs,{table.pq_pairs.rho_over_relation:.12g},"
-        f"{table.pq_pairs.rho_under_relation:.12g},"
-        f"{table.pq_pairs.rho_quotient:.12g}",
-        f"side_pairs,{table.side_pairs.rho_over_relation:.12g},"
-        f"{table.side_pairs.rho_under_relation:.12g},"
-        f"{table.side_pairs.rho_quotient:.12g}",
-    ]
+    names = ("rho_over_relation", "rho_under_relation", "rho_quotient")
+    rows = [["relation", *names]] + [
+        [key] + [f"{getattr(e, name):.12g}" for name in names]
+        for key, e in (("pq_pairs", table.pq_pairs),
+                       ("side_pairs", table.side_pairs))]
     return _emit(args, _envelope(args, inputs, tolerances, results, started),
-                 csv_text="\n".join(csv_lines) + "\n")
+                 rows)
 
 
 def _cmd_validate(args, started: float) -> int:
-    if not os.path.exists(args.path):
-        raise OSError(f"no such report: {args.path}")
     details = validate_report_details(args.path)
     if details:
         for line in details:

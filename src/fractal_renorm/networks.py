@@ -322,10 +322,7 @@ def resistance_matrix(form: ConductanceForm,
                     f"vertices {outside!r} are separated from "
                     f"{vertices[0]!r}")
             break
-    pinv = _psd_pinv(_laplacian(form.matrix()))
     idx = [form.index[v] for v in vertices]
-    out = np.zeros((len(idx), len(idx)))
-    for a, i in enumerate(idx):
-        for b, j in enumerate(idx):
-            out[a, b] = pinv[i, i] + pinv[j, j] - 2.0 * pinv[i, j]
-    return out
+    pinv = _psd_pinv(_laplacian(form.matrix()))[np.ix_(idx, idx)]
+    diag = np.diag(pinv)
+    return diag[:, None] + diag[None, :] - 2.0 * pinv

@@ -3,9 +3,10 @@
 Every CLI run emits one JSON report: a fixed envelope (schema tag,
 version, command echo, inputs, tolerances, wall time) around a results
 object tagged with its kind. Numeric claims are {"value": x, "tol": t}
-pairs so a report is checkable without rerunning the solver: validation
-re-derives the residual from the embedded form and compares against ten
-times the stated tolerance.
+pairs. Validation re-derives the residual of a harmonic report from its
+embedded form, recomputes relations, flows, resistance and gd_rhos reports
+from their inputs (all but the rho searches), and checks the shape of
+structure reports.
 """
 from __future__ import annotations
 
@@ -20,13 +21,15 @@ from jsonschema import Draft202012Validator
 from .angles import make_context
 from .errors import KappaUndefinedError, WorkbenchError
 from .gd import (QUOTIENT_TOL, RELATION_PQ, RELATION_SIDES, SEARCH_TOL,
-                 cell_graph, quotient_rho)
-from .networks import ConductanceForm, harmonic_extension
+                 cell_graph, gd_solve, quotient_rho)
+from .networks import ConductanceForm, harmonic_extension, resistance_matrix
 from .relations import (build_J_plus_minus, certificate_summary,
                         enumerate_preserved, nested_pairs, per_cell_flows,
                         verdict_rule)
-from .renorm import HarmonicStructure, replicate, solve_eigenform
-from .structure import MsStructure, build_structure
+from .renorm import (ETA_AGREEMENT_TOL, HarmonicStructure, _boundary_matrix,
+                     replicate, solve_eigenform)
+from .structure import (MsStructure, build_structure, level_size,
+                        structure_from_json)
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -51,8 +54,7 @@ REPORT_SCHEMA = {
 
 _VALIDATOR = Draft202012Validator(REPORT_SCHEMA)
 
-KINDS = ("structure", "harmonic", "relations", "resistance", "flows",
-         "gd_structure", "gd_harmonic", "gd_rhos")
+RESISTANCE_TOL = 1e-9  # relative tolerance of a resistance matrix
 
 
 def claim(value: float, tol: float) -> dict:
@@ -104,6 +106,26 @@ def flows_results(structure: MsStructure, hs: HarmonicStructure,
     }
 
 
+def resistance_results(structure: MsStructure, hs: HarmonicStructure,
+                       level: int, tol: float) -> dict:
+    """Results of a resistance report: the boundary resistances at a level.
+
+    eta*T(D) = D gives T^k(D) = eta^-k D: the level-k network traced onto
+    the boundary is the eigenform over eta^k, so its resistances are eta^k
+    times the eigenform's (Kigami, Analysis on Fractals, 2001, ch. 2-3).
+    Nothing of level k is built; the level is checked against the depth cap.
+    """
+    level_size(structure, level)
+    matrix = hs.eta ** level * resistance_matrix(hs.form, structure.boundary)
+    return {
+        "kind": "resistance",
+        "level": level,
+        "vertices": [str(a) for a in structure.boundary],
+        "matrix": [[float(x) for x in row] for row in matrix],
+        "eta": claim(hs.eta, tol * 10),
+    }
+
+
 def render_report(report: Mapping) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
@@ -124,8 +146,14 @@ def _check_claim(node, name: str, errors: list[str]) -> Optional[float]:
     return float(node["value"])
 
 
-def _recompute_residual(results: dict, errors: list[str]) -> None:
-    """Rederive the eigen residual of a harmonic or gd_harmonic report."""
+def _recompute_residual(report: dict, errors: list[str]) -> None:
+    """Rederive the eigen residual of a harmonic or gd_harmonic report.
+
+    An unconverged gd_harmonic report has no eigen equation. Its capped,
+    deterministic run is repeated instead; eta, the form and the mass-ratio
+    tail must match within the writer's ETA_AGREEMENT_TOL, relative.
+    """
+    results = report["results"]
     harmonic = results.get("harmonic")
     if not isinstance(harmonic, dict):
         errors.append(f"{results['kind']} results missing the harmonic block")
@@ -135,19 +163,22 @@ def _recompute_residual(results: dict, errors: list[str]) -> None:
     stated = _check_claim(resid, "residual", errors)
     if eta is None or stated is None:
         return
-    if results["kind"] == "gd_harmonic" \
-            and not results.get("converged", True):
-        return  # exploratory run; no eigen equation to check
     tol = float(resid["tol"])
+    rerun = results["kind"] == "gd_harmonic" \
+        and not results.get("converged", True)
     try:
         if results["kind"] == "gd_harmonic":
-            structure = cell_graph(int(results["ctx"]["n"]),
-                                   int(results["ctx"]["m"]))
+            n, m = int(results["ctx"]["n"]), int(results["ctx"]["m"])
+            structure = cell_graph(n, m)
         else:
-            structure = _structure_from_inputs(dict(
-                results["structure"]["ctx"],
-                symmetrized=bool(results["structure"]["symmetrized"])))
+            structure = structure_from_json(results["structure"])
         verts, mat = _form_matrix_from_json(harmonic["form"])
+        if rerun:
+            iterations = int(harmonic["iterations"])
+            hs = gd_solve(n, m, max_iter=iterations,
+                          tol=float(report["tolerances"]["solver_tol"]))
+            tail = np.asarray(results["diagnostics"]["mass_ratio_tail"],
+                              dtype=float)
     except Exception as exc:
         errors.append(f"cannot rebuild structure/form: {exc}")
         return
@@ -156,38 +187,65 @@ def _recompute_residual(results: dict, errors: list[str]) -> None:
         errors.append("embedded form vertices do not match the boundary")
         return
     order = [verts.index(s) for s in expected]
-    recomputed = structure.scheme.residual(mat[np.ix_(order, order)], eta)
-    if recomputed > 10.0 * max(tol, 1e-15):
-        errors.append(
-            f"recomputed residual {recomputed:.3e} exceeds 10x stated "
-            f"tolerance {tol:.1e}")
-
-
-def _check_resistance(results: dict, errors: list[str]) -> None:
-    matrix = results.get("matrix")
-    verts = results.get("vertices")
-    if not isinstance(matrix, list) or not isinstance(verts, list):
-        errors.append("resistance results need vertices and matrix")
+    mat = mat[np.ix_(order, order)]
+    if not rerun:
+        recomputed = structure.scheme.residual(mat, eta)
+        if recomputed > 10.0 * max(tol, 1e-15):
+            errors.append(
+                f"recomputed residual {recomputed:.3e} exceeds 10x stated "
+                f"tolerance {tol:.1e}")
         return
-    nv = len(verts)
-    if len(matrix) != nv or any(len(row) != nv for row in matrix):
-        errors.append("resistance matrix shape does not match vertices")
+    if hs.converged or hs.iterations != iterations:
+        errors.append(f"a rerun ends at iteration {hs.iterations} with "
+                      f"converged={hs.converged}, not at {iterations}")
         return
-    for i in range(nv):
-        if abs(matrix[i][i]) > 1e-12:
-            errors.append("resistance matrix diagonal must be zero")
-            break
-        for j in range(nv):
-            if matrix[i][j] < -1e-12:
-                errors.append("resistance matrix must be nonnegative")
-                return
-            if abs(matrix[i][j] - matrix[j][i]) > 1e-9:
-                errors.append("resistance matrix must be symmetric")
-                return
+    got = np.concatenate([[eta], mat.ravel(), tail])
+    want = np.concatenate([[hs.eta],
+                           _boundary_matrix(structure, hs.form).ravel(),
+                           hs.diagnostics["mass_ratio_tail"]])
+    if got.shape != want.shape or not np.abs(got - want).max() \
+            <= ETA_AGREEMENT_TOL * max(np.abs(want).max(), 1.0):
+        errors.append("eta, form or mass_ratio_tail differ from a rerun of "
+                      f"{iterations} iterations")
 
 
-def _check_structure(results: dict, errors: list[str]) -> None:
-    s = results.get("structure")
+def _check_resistance(report: dict, errors: list[str]) -> None:
+    """Recompute eta and eta^k R_0 and check the metric's shape. The matrix
+    is held to the writer's RESISTANCE_TOL, not to the tol the report
+    states, which an edit could raise."""
+    inputs, results = report["inputs"], report["results"]
+    eta = _check_claim(results.get("eta"), "eta", errors)
+    try:
+        structure = _structure_from_inputs(inputs)
+        level = int(inputs["level"])
+        solver_tol = float(report["tolerances"]["solver_tol"])
+        hs = solve_eigenform(structure, tol=solver_tol)
+        fresh = resistance_results(structure, hs, level, solver_tol)
+        matrix = np.array(results.get("matrix"), dtype=float)
+    except _REBUILD_ERRORS as exc:
+        errors.append(f"cannot recompute the resistances: {exc}")
+        return
+    want = np.asarray(fresh["matrix"])
+    if (results.get("level"), results.get("vertices"), matrix.shape) != \
+            (level, fresh["vertices"], want.shape):
+        errors.append("level, vertices or matrix shape differ from inputs")
+        return
+    if np.abs(np.diag(matrix)).max() > 1e-12:
+        errors.append("resistance matrix diagonal must be zero")
+    if matrix.min() < -1e-12:
+        errors.append("resistance matrix must be nonnegative")
+    elif np.abs(matrix - matrix.T).max() > 1e-9:
+        errors.append("resistance matrix must be symmetric")
+    if eta is not None and not abs(eta - hs.eta) <= 10.0 * solver_tol:
+        errors.append(f"eta {eta!r} differs from the recomputed {hs.eta!r}")
+    rel = float(np.abs(matrix - want).max() / np.abs(want).max())
+    if not rel <= RESISTANCE_TOL:
+        errors.append(f"resistance matrix differs from eta^{level} R_0 by "
+                      f"{rel:.3e} relative (> {RESISTANCE_TOL:.0e})")
+
+
+def _check_structure(report: dict, errors: list[str]) -> None:
+    s = report["results"].get("structure")
     if not isinstance(s, dict):
         errors.append("structure results missing structure block")
         return
@@ -199,7 +257,8 @@ def _check_structure(results: dict, errors: list[str]) -> None:
         errors.append("glue points must be boundary angles")
 
 
-def _check_gd_structure(results: dict, errors: list[str]) -> None:
+def _check_gd_structure(report: dict, errors: list[str]) -> None:
+    results = report["results"]
     ctx = results.get("ctx", {})
     try:
         ring = int(ctx["n"]) + int(ctx["m"])
@@ -216,6 +275,13 @@ def _check_gd_structure(results: dict, errors: list[str]) -> None:
 # what a malformed or edited report can make a recomputation raise
 _REBUILD_ERRORS = (ArithmeticError, KeyError, TypeError, ValueError,
                    WorkbenchError)
+
+
+def structure_inputs(structure: MsStructure, **extra) -> dict:
+    """Report inputs that _structure_from_inputs rebuilds the structure from."""
+    ctx = structure.ctx
+    return {"n": ctx.n, "m": ctx.m, "theta": str(ctx.theta),
+            "symmetrized": structure.symmetrized, **extra}
 
 
 def _structure_from_inputs(inputs: dict) -> MsStructure:
@@ -336,10 +402,11 @@ def _check_flows(report: dict, errors: list[str]) -> None:
                           f"{fresh[key]['value']:.3e}")
 
 
-def _check_gd_rhos(results: dict, errors: list[str]) -> None:
+def _check_gd_rhos(report: dict, errors: list[str]) -> None:
     """Recompute the exact quotient rhos. The searches are not rerun;
     their values need only rho_under <= rho_over within tolerance. The
     tolerances are the writer's fixed ones, not the tols in the report."""
+    results = report["results"]
     try:
         cell = cell_graph(int(results["ctx"]["n"]), int(results["ctx"]["m"]))
     except _REBUILD_ERRORS as exc:
@@ -372,6 +439,12 @@ def _check_gd_rhos(results: dict, errors: list[str]) -> None:
                           "rho_over_relation")
 
 
+_CHECKS = {"structure": _check_structure, "harmonic": _recompute_residual,
+           "relations": _check_relations, "resistance": _check_resistance,
+           "flows": _check_flows, "gd_structure": _check_gd_structure,
+           "gd_harmonic": _recompute_residual, "gd_rhos": _check_gd_rhos}
+
+
 def validate_report_details(path: str) -> list[str]:
     """Schema plus consistency validation; empty list means valid."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -382,24 +455,10 @@ def validate_report_details(path: str) -> list[str]:
     errors = [f"schema: {e.message}" for e in _VALIDATOR.iter_errors(report)]
     if errors:
         return errors
-    results = report["results"]
-    kind = results.get("kind")
-    if kind not in KINDS:
+    kind = report["results"].get("kind")
+    if kind not in _CHECKS:
         return [f"unknown result kind {kind!r}"]
-    if kind in ("harmonic", "gd_harmonic"):
-        _recompute_residual(results, errors)
-    elif kind == "gd_rhos":
-        _check_gd_rhos(results, errors)
-    elif kind == "relations":
-        _check_relations(report, errors)
-    elif kind == "flows":
-        _check_flows(report, errors)
-    elif kind == "resistance":
-        _check_resistance(results, errors)
-    elif kind == "structure":
-        _check_structure(results, errors)
-    elif kind == "gd_structure":
-        _check_gd_structure(results, errors)
+    _CHECKS[kind](report, errors)
     for value in report["tolerances"].values():
         if not isinstance(value, (int, float)) or not math.isfinite(value):
             errors.append("tolerances must be finite numbers")

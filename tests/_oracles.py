@@ -8,6 +8,8 @@ iteration), so agreement is evidence rather than tautology.
 from fractions import Fraction
 import math
 
+import numpy as np
+
 from fractal_renorm.relations import Partition, rotation_invariant
 from fractal_renorm.structure import level_vertices
 
@@ -155,3 +157,37 @@ def brute_force_preserved(structure, require_g=False):
     return [cand for cand in partitions_rgs(structure.boundary)
             if not (require_g and not rotation_invariant(structure, cand))
             and preserved_by_closure(structure, cand)]
+
+
+def dense_level_resistance(structure, weights, k):
+    """Boundary resistances of the dense level-k network.
+
+    weights is the level-0 weight matrix in boundary order. Its pairs are
+    copied down the copy_map of each level 1..k with plain loops, the
+    Laplacian of the result is pseudo-inverted by numpy, and
+    R(p,q) = G(p,p) + G(q,q) - 2 G(p,q) is read at boundary_ids. Neither
+    the package's assembly nor its resistance code is used. Meant for
+    k <= 3, where N_k stays in the hundreds.
+    """
+    nb = len(structure.boundary)
+    edges = {(i, j): float(weights[i][j])
+             for i in range(nb) for j in range(i + 1, nb) if weights[i][j]}
+    lv = level_vertices(structure, 0)
+    for level in range(1, k + 1):
+        lv = level_vertices(structure, level)
+        glued = {}
+        for row in lv.copy_map:
+            for (a, b), w in edges.items():
+                pair = (min(row[a], row[b]), max(row[a], row[b]))
+                glued[pair] = glued.get(pair, 0.0) + w
+        edges = glued
+    lap = np.zeros((lv.num_vertices, lv.num_vertices))
+    for (x, y), w in edges.items():
+        lap[x, x] += w
+        lap[y, y] += w
+        lap[x, y] -= w
+        lap[y, x] -= w
+    green = np.linalg.pinv(lap, rcond=1e-10, hermitian=True)
+    ids = list(lv.boundary_ids)
+    diag = np.diag(green)[ids]
+    return diag[:, None] + diag[None, :] - 2.0 * green[np.ix_(ids, ids)]

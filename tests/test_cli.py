@@ -3,8 +3,14 @@
 import json
 import re
 
+import numpy as np
+import pytest
+
+from _oracles import dense_level_resistance
 from fractal_renorm import cli
 from fractal_renorm.cli import main, run
+from fractal_renorm.renorm import _boundary_matrix, solve_eigenform
+from fractal_renorm.reports import _structure_from_inputs
 
 
 def load(path):
@@ -76,22 +82,28 @@ class TestExitCodes:
                          "--out", str(out)]) == 0
             assert main(["validate", str(out)]) == 0
 
-    def test_resistance_refuses_level_beyond_memory(self, monkeypatch,
-                                                    capsys):
-        # level 8 of (2,1,1/12) has N = 29,526; refused before any level or
-        # eigenform is built
+    def test_resistance_levels_come_from_the_eigenform(self, monkeypatch,
+                                                        tmp_path, capsys):
+        # level 8 of (2,1,1/12) has N = 29,526 vertices; none is built
         def must_not_run(*args, **kwargs):
-            raise AssertionError("dense plan started")
+            raise AssertionError("level vertices built")
 
-        assert cli._physical_memory_bytes() > 0
-        monkeypatch.setattr(cli, "_physical_memory_bytes", lambda: 8 << 30)
         monkeypatch.setattr(cli, "level_vertices", must_not_run)
-        monkeypatch.setattr(cli, "solve_eigenform", must_not_run)
-        code = main(["resistance", "--n", "2", "--m", "1", "--theta", "1/12",
-                     "--level", "8"])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "29526 vertices" in err and "physical memory" in err
+        ctx = ["resistance", "--n", "2", "--m", "1", "--theta", "1/12"]
+        matrices = {}
+        for level in (0, 8):
+            out = tmp_path / f"r{level}.json"
+            assert main(ctx + ["--level", str(level), "--out", str(out)]) == 0
+            matrices[level] = load(out)["results"]
+        eta = matrices[8]["eta"]["value"]
+        assert eta == matrices[0]["eta"]["value"]
+        assert np.allclose(matrices[8]["matrix"],
+                           eta ** 8 * np.array(matrices[0]["matrix"]),
+                           rtol=1e-12, atol=0.0)
+        assert main(ctx + ["--level", "13"]) == 3
+        assert "depth cap" in capsys.readouterr().err
+        assert main(ctx + ["--level", "-1"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
 
     def test_flows_value_count(self, capsys):
         code = main(["flows", "--n", "2", "--m", "1", "--theta", "1/6",
@@ -165,6 +177,34 @@ class TestOutput:
         lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0].startswith("vertex,")
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("ctx", [
+        ["--n", "2", "--m", "1", "--theta", "1/6"],
+        ["--n", "2", "--m", "1", "--theta", "1/12"],
+        ["--n", "3", "--m", "1", "--theta", "1/9"],
+        ["--n", "2", "--m", "2", "--theta", "3/16", "--symmetrize"],
+        "structure report",
+    ])
+    def test_resistance_matches_dense_oracle(self, ctx, tmp_path):
+        if ctx == "structure report":
+            source = tmp_path / "s.json"
+            # the 5-point boundary, which the default would symmetrize
+            assert main(["structure", "--n", "2", "--m", "2", "--theta",
+                         "3/16", "--no-symmetrize", "--out",
+                         str(source)]) == 0
+            ctx = ["--structure", str(source)]
+        for level in range(4):
+            out = tmp_path / f"r{level}.json"
+            assert main(["resistance"] + ctx + ["--level", str(level),
+                                                "--out", str(out)]) == 0
+            report = load(out)
+            structure = _structure_from_inputs(report["inputs"])
+            weights = _boundary_matrix(structure,
+                                       solve_eigenform(structure).form)
+            want = dense_level_resistance(structure, weights, level)
+            got = np.array(report["results"]["matrix"])
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+            assert main(["validate", str(out)]) == 0
 
     def test_gd_rhos_csv(self, tmp_path):
         out = tmp_path / "rho.csv"

@@ -170,9 +170,36 @@ class TestTamperDetection:
     def test_resistance_tampers(self, tmp_path):
         path = make_report(tmp_path, "r.json",
                            ["resistance", "--n", "2", "--m", "1",
-                            "--theta", "1/6"])
+                            "--theta", "1/12", "--level", "2"])
         assert validate_report(str(path))
         base = load(path)
+
+        # one pair tripled and eta edited, also with the stated tol raised
+        for tol in (None, 100.0):
+            report = json.loads(json.dumps(base))
+            report["results"]["matrix"][0][1] *= 3.0
+            report["results"]["matrix"][1][0] *= 3.0
+            report["results"]["eta"]["value"] = 9.0
+            if tol is not None:
+                report["tolerances"]["resistance_tol"] = tol
+            dump(path, report)
+            details = validate_report_details(str(path))
+            assert any("eta 9.0" in line for line in details)
+            assert any("eta^2 R_0" in line for line in details)
+            assert main(["validate", str(path)]) == 4
+
+        report = json.loads(json.dumps(base))
+        report["results"]["matrix"][0][1] *= 3.0
+        report["results"]["matrix"][1][0] *= 3.0
+        dump(path, report)
+        assert any("eta^2 R_0" in line
+                   for line in validate_report_details(str(path)))
+
+        report = json.loads(json.dumps(base))
+        report["inputs"]["level"] = 3
+        dump(path, report)
+        assert any("level" in line
+                   for line in validate_report_details(str(path)))
 
         report = json.loads(json.dumps(base))
         report["results"]["matrix"][0][1] = -0.5
@@ -197,6 +224,45 @@ class TestTamperDetection:
         report["results"]["matrix"].pop()
         dump(path, report)
         assert any("shape" in line
+                   for line in validate_report_details(str(path)))
+
+    def test_unconverged_gd_harmonic_tampers(self, tmp_path):
+        # (4,4) is critical: the run stops unconverged at its budget
+        path = make_report(tmp_path, "gd.json",
+                           ["gd", "solve", "--n", "4", "--m", "4"])
+        base = load(path)
+        assert base["results"]["converged"] is False
+        assert validate_report(str(path))
+
+        report = json.loads(json.dumps(base))
+        report["results"]["harmonic"]["eta"]["value"] = 7.0
+        report["results"]["harmonic"]["form"]["edges"][0][2] = 99.0
+        dump(path, report)
+        assert any("differ from a rerun" in line
+                   for line in validate_report_details(str(path)))
+        assert main(["validate", str(path)]) == 4
+
+        for edit in ("eta", "form", "tail"):
+            report = json.loads(json.dumps(base))
+            results = report["results"]
+            if edit == "eta":
+                results["harmonic"]["eta"]["value"] += 1e-6
+            elif edit == "form":
+                results["harmonic"]["form"]["edges"][-1][2] += 1e-6
+            else:
+                results["diagnostics"]["mass_ratio_tail"][0] += 1e-6
+            dump(path, report)
+            assert any("differ from a rerun" in line
+                       for line in validate_report_details(str(path)))
+
+        # a converged run marked unconverged is rerun, not skipped
+        path = make_report(tmp_path, "gd21.json",
+                           ["gd", "solve", "--n", "2", "--m", "1"])
+        report = load(path)
+        report["results"]["converged"] = False
+        report["results"]["harmonic"]["eta"]["value"] = 7.0
+        dump(path, report)
+        assert any("converged=True" in line
                    for line in validate_report_details(str(path)))
 
     def test_structure_tampers(self, tmp_path):
@@ -290,7 +356,8 @@ class TestTamperDetection:
         dump(path, report)
         assert not validate_report(str(path))
 
-        # unconverged exploratory run carries no eigen equation to recheck
+        # an unconverged exploratory run has no eigen equation; its rerun
+        # for the stated iterations matches
         path2 = make_report(tmp_path, "gh2.json",
                             ["gd", "solve", "--n", "4", "--m", "4"])
         report2 = load(path2)
