@@ -22,11 +22,13 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      DisconnectedError, InvalidMsError, KappaUndefinedError,
                      KernelMismatchError, NonConvergenceError,
                      NotAPermutationError, NotInvariantError)
-from .gd import (QUOTIENT_TOL, SEARCH_TOL, build_gd_structure,
-                 gd_relation_rhos, gd_solve, gd_structure_to_json)
-from .relations import (build_J_plus_minus, enumerate_preserved,
-                        sabot_verdict, uniqueness_certificate)
-from .renorm import solve_eigenform, verify_harmonic_structure
+from .gd import (build_gd_structure, gd_relation_rhos, gd_solve,
+                 gd_structure_to_json)
+from .relations import (RATIO_TOL, RHO_KEYS, build_J_plus_minus,
+                        enumerate_preserved, sabot_verdict,
+                        uniqueness_certificate)
+from .renorm import (ETA_AGREEMENT_TOL, solve_eigenform,
+                     verify_harmonic_structure)
 from .reports import (RESISTANCE_TOL, claim, flows_results, form_to_json,
                       render_report, resistance_results, structure_inputs,
                       validate_report_details)
@@ -109,7 +111,7 @@ def _harmonic_block(hs, tol: float) -> dict:
     return {
         "eta": claim(hs.eta, tol * 10),
         "eta_inverse": claim(1.0 / hs.eta, tol * 10),
-        "eta_rayleigh": claim(hs.eta_rayleigh, 1e-9),
+        "eta_rayleigh": claim(hs.eta_rayleigh, ETA_AGREEMENT_TOL),
         "residual": claim(hs.residual, tol),
         "iterations": hs.iterations,
         "normalization": hs.normalization,
@@ -125,7 +127,8 @@ def _cmd_solve(args, started: float) -> int:
         "kind": "harmonic",
         "structure": structure_to_json(structure),
         "harmonic": _harmonic_block(hs, args.tol),
-        "checks": {k: (v if isinstance(v, bool) else claim(v, 1e-9))
+        "checks": {k: (v if isinstance(v, bool)
+                       else claim(v, ETA_AGREEMENT_TOL))
                    for k, v in checks.items()},
     }
     inputs = structure_inputs(structure)
@@ -144,7 +147,7 @@ def _cmd_relations(args, started: float) -> int:
                              max_iter=args.max_iter)
     except NonConvergenceError as exc:
         solver_error = str(exc)
-    verdict = sabot_verdict(structure, hs, preserved)
+    verdict = sabot_verdict(structure, preserved)
     certificates = []
     if hs is not None:
         for rel in preserved:
@@ -174,10 +177,8 @@ def _cmd_relations(args, started: float) -> int:
             "verdict": verdict.verdict,
             "witnesses": [{
                 "relation": w.relation.to_json(),
-                "rho_over_relation": claim(w.relation_rhos.rho_over, 1e-9),
-                "rho_under_relation": claim(w.relation_rhos.rho_under, 1e-9),
-                "rho_over_quotient": claim(w.quotient_rhos.rho_over, 1e-9),
-                "rho_under_quotient": claim(w.quotient_rhos.rho_under, 1e-9),
+                **{key: claim(value, RATIO_TOL)
+                   for key, value in zip(RHO_KEYS, w.rhos)},
                 "criterion_met": w.criterion_met,
             } for w in verdict.witnesses],
             "ordered_pairs": [[a.to_json(), b.to_json()]
@@ -190,7 +191,7 @@ def _cmd_relations(args, started: float) -> int:
         results["solver_error"] = solver_error
     inputs = structure_inputs(structure, cap=args.cap, require_g=require_g)
     tolerances = {"solver_tol": args.tol, "certificate_margin": 1e-6,
-                  "ratio_tol": 1e-9}
+                  "ratio_tol": RATIO_TOL}
     return _emit(args, _envelope(args, inputs, tolerances, results, started))
 
 
@@ -251,9 +252,9 @@ def _cmd_gd_rhos(args, started: float) -> int:
     def entry(e):
         return {
             "relation": e.relation.to_json(),
-            "rho_over_relation": claim(e.rho_over_relation, SEARCH_TOL),
-            "rho_under_relation": claim(e.rho_under_relation, SEARCH_TOL),
-            "rho_quotient": claim(e.rho_quotient, QUOTIENT_TOL),
+            "rho_over_relation": claim(e.rho_over_relation, RATIO_TOL),
+            "rho_under_relation": claim(e.rho_under_relation, RATIO_TOL),
+            "rho_quotient": claim(e.rho_quotient, RATIO_TOL),
             "basis_dim": e.basis_dim,
             "evaluations": e.evaluations,
         }
@@ -264,7 +265,7 @@ def _cmd_gd_rhos(args, started: float) -> int:
         "side_pairs": entry(table.side_pairs),
     }
     inputs = {"n": args.n, "m": args.m}
-    tolerances = {"search_tol": SEARCH_TOL, "quotient_tol": QUOTIENT_TOL}
+    tolerances = {"ratio_tol": RATIO_TOL}
     names = ("rho_over_relation", "rho_under_relation", "rho_quotient")
     rows = [["relation", *names]] + [
         [key] + [f"{getattr(e, name):.12g}" for name in names]

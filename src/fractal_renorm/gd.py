@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .networks import ConductanceForm, DisjointSet, _trace_matrix
-from .relations import Partition, is_preserved, rho_search, t_quotient
+from .relations import Partition, is_preserved, rho_search
 from .renorm import _normalized_iteration, _rayleigh_eta
 from .structure import GluingScheme
 
@@ -247,8 +247,6 @@ def _corner_partition(blocks: Sequence[Sequence[str]]) -> Partition:
 
 RELATION_PQ = _corner_partition((("p0", "q0"), ("p1", "q1")))
 RELATION_SIDES = _corner_partition((("p0", "p1"), ("q0", "q1")))
-SEARCH_TOL = 1e-2    # stated tolerance of the searched relation rhos
-QUOTIENT_TOL = 1e-9  # stated tolerance of the exact quotient rho
 
 
 @dataclass(frozen=True)
@@ -278,22 +276,11 @@ class GdRhoTable:
                 self.side_pairs.rho_quotient)
 
 
-def quotient_rho(cell: GdCellGraph, relation: Partition) -> float:
-    """Weight of the quotient map applied to the unit two-block form.
+def gd_relation_rhos(n: int, m: int) -> GdRhoTable:
+    """Rho table for the two corner relations from cone brackets.
 
-    The quotient space is a ray, so this single ratio is exact.
-    """
-    unit = ConductanceForm.from_edges(
-        relation.blocks, [(relation.blocks[0], relation.blocks[1], 1.0)])
-    return float(t_quotient(cell, relation, unit).weight(*relation.blocks))
-
-
-def gd_relation_rhos(n: int, m: int, *, restarts: int = 3, sweeps: int = 40,
-                     seed: int = 0) -> GdRhoTable:
-    """Search-certified rho table for the two corner relations.
-
-    The relation sides go through rho_search. The quotient spaces are
-    one-dimensional, so their single stationary ratio is exact
+    Both sides go through rho_search. The quotient spaces are
+    one-dimensional, so their one-step bracket is exact
     (weight-independent by homogeneity) and serves as both the upper and
     the lower certificate.
     """
@@ -303,12 +290,11 @@ def gd_relation_rhos(n: int, m: int, *, restarts: int = 3, sweeps: int = 40,
         if not is_preserved(cell, relation):
             raise AssertionError(f"relation {relation} unexpectedly not "
                                  "preserved")
-        rr = rho_search(cell, relation, "relation", restarts=restarts,
-                        sweeps=sweeps, seed=seed)
+        rr = rho_search(cell, relation, "relation")
         entries.append(GdRhoEntry(
             relation=relation, rho_over_relation=rr.rho_over,
             rho_under_relation=rr.rho_under,
-            rho_quotient=quotient_rho(cell, relation),
+            rho_quotient=rho_search(cell, relation, "quotient").rho_over,
             basis_dim=rr.basis_dim, evaluations=rr.evaluations,
             best_over_form=rr.best_over, best_under_form=rr.best_under))
     return GdRhoTable(n=n, m=m, pq_pairs=entries[0], side_pairs=entries[1])

@@ -7,15 +7,18 @@ a relation side (degenerate forms whose kernel is the J-constant functions)
 and a quotient side (forms on the block set); the extreme stationary ratios
 of the two sides feed the existence and uniqueness criteria.
 
-Search-based rho values here are one-sided certificates: rho_over is an
-upper bound for the best possible max-ratio, rho_under a lower bound for
-the best possible min-ratio. Both bounds remain valid for the
-rotation-symmetric variants of the same quantities, because averaging a
-form over the rotation group never worsens either ratio (mediant
-inequality), so an unrestricted witness certifies the symmetric criterion.
+Rho values here are the ends of cone brackets: power iteration of a
+side's operator from the unit form gives at every step a max ratio that
+upper-bounds the best possible max-ratio (rho_over) and a min ratio that
+lower-bounds the best possible min-ratio (rho_under). The loop is
+deterministic, so a report's values can be recomputed. Both bounds remain
+valid for the rotation-symmetric variants of the same quantities, because
+averaging a form over the rotation group never worsens either ratio
+(mediant inequality), so an unrestricted witness certifies the symmetric
+criterion.
 
 The closure, preservation test, enumeration, relation and quotient
-operators and rho search read only a structure's boundary, index and
+operators and rho brackets read only a structure's boundary, index and
 gluing scheme, so they take an MsStructure or a graph-directed cell from
 gd.cell_graph alike.
 """
@@ -40,6 +43,9 @@ from .structure import GluingScheme, MsStructure, level_vertices
 DEFAULT_ENUM_CAP = 12
 DEFAULT_K_MAX = 8
 DEFAULT_MARGIN = 1e-6
+BRACKET_TOL = 1e-12   # relative width at which a rho bracket stops
+BRACKET_STEPS = 200   # step limit of a rho bracket
+RATIO_TOL = 1e-9      # tolerance of a reported rho value
 
 
 @dataclass(frozen=True)
@@ -567,12 +573,15 @@ def block_cycle_form(structure: MsStructure,
 
 @dataclass(frozen=True)
 class RhoReport:
-    """One-sided certificates for the extreme ratios on one side.
+    """Bracket of the extreme stationary ratios on one side's cone.
 
-    rho_over upper-bounds the infimum of max-ratios over the side's cone;
-    rho_under lower-bounds the supremum of min-ratios. k is the number of
-    renormalization applications inside the ratio (always 1 here);
-    basis_dim is the dimension of the searched weight space.
+    rho_over is the least max-ratio and rho_under the greatest min-ratio
+    met along the power iterates; best_over and best_under are the
+    iterates that attain them. k is the number of renormalization
+    applications inside the ratio (always 1 here); basis_dim is the number
+    of weights of a form on the side (within-block pairs on the relation
+    side, block pairs on the quotient side); evaluations counts the
+    bracket steps.
     """
 
     relation: Partition
@@ -586,44 +595,20 @@ class RhoReport:
     evaluations: int
 
 
-def _coordinate_descent(dim, objective, starts, sweeps):
-    best_x, best_v = None, np.inf
-    for x0 in starts:
-        x = np.array(x0, dtype=float)
-        value = objective(x)
-        step = 0.5
-        for _ in range(sweeps):
-            improved = False
-            for c in range(dim):
-                for delta in (step, -step):
-                    cand = x.copy()
-                    cand[c] += delta
-                    cv = objective(cand)
-                    if cv < value - 1e-15:
-                        x, value = cand, cv
-                        improved = True
-            if not improved:
-                step *= 0.5
-                if step < 1e-4:
-                    break
-        if value < best_v:
-            best_x, best_v = x, value
-    return best_x, best_v
+def rho_search(structure, relation: Partition, side: str) -> RhoReport:
+    """Bracket the extreme stationary ratios by power iteration on a cone.
 
-
-def _log_weights(form: ConductanceForm, pairs, floor=1e-12) -> np.ndarray:
-    return np.log([max(form.weight(x, y), floor) for x, y in pairs])
-
-
-def rho_search(structure, relation: Partition, side: str, *,
-               restarts: int = 3, sweeps: int = 40, seed: int = 0,
-               starts: Sequence[ConductanceForm] = ()) -> RhoReport:
-    """Optimize the extreme stationary ratios over one side's weight cone.
-
-    Weights are parameterized by their logarithms (all pairs within blocks
-    on the relation side, all block pairs on the quotient side), so every
-    iterate stays strictly inside the cone. Coordinate descent with
-    restarts; results are certificates, not claimed optima.
+    T_J (side "relation") and T^J (side "quotient") are monotone and
+    homogeneous of degree 1 on their cones, so along the iterates
+    D_{k+1} = T(D_k)/mass, starting from unit weights on every pair, the
+    max ratio M_k of T(D_k) against D_k never rises and the min ratio m_k
+    never falls (upper and lower Collatz-Wielandt numbers; Lemmens and
+    Nussbaum, Nonlinear Perron-Frobenius Theory, 2012). Each M_k bounds
+    the best max-ratio from above and each m_k the best min-ratio from
+    below. Stops when the bracket [max m_k, min M_k] is narrower than
+    BRACKET_TOL relative, or after BRACKET_STEPS steps. An eigenvector on
+    the boundary of the cone, which the iterates approach slowly, or
+    iterates that cycle, leave a wider bracket.
     """
     _check_ground(structure, relation)
     if side == "relation":
@@ -639,47 +624,26 @@ def rho_search(structure, relation: Partition, side: str, *,
                  for j in range(i + 1, len(vertices))]
     else:
         raise ValueError(f"side must be 'relation' or 'quotient', got {side!r}")
-
-    def build(logw):
-        return ConductanceForm.from_edges(
-            vertices, [(x, y, float(np.exp(l)))
-                       for (x, y), l in zip(pairs, logw)])
-
-    def ratios(form):
-        return stationary_ratios(operator(structure, relation, form), form,
-                                 modulo=modulo)
-
     if not pairs:
-        raise ValueError("relation has no searchable weight space")
-    dim = len(pairs)
-    counter = [0]
+        raise ValueError("relation has no weights on this side")
 
-    def safe_ratios(logw):
-        counter[0] += 1
-        try:
-            return ratios(build(logw))
-        except (ValueError, np.linalg.LinAlgError):
-            return (-np.inf, np.inf)
-
-    rng = np.random.default_rng(seed)
-    start_vectors = [np.zeros(dim)]
-    for form in starts:
-        try:
-            start_vectors.append(_log_weights(form, pairs))
-        except KeyError:
-            continue
-    for _ in range(max(restarts - 1, 0)):
-        start_vectors.append(rng.standard_normal(dim))
-
-    x_over, rho_over = _coordinate_descent(
-        dim, lambda x: safe_ratios(x)[1], start_vectors, sweeps)
-    x_under, neg_under = _coordinate_descent(
-        dim, lambda x: -safe_ratios(x)[0], start_vectors, sweeps)
-    return RhoReport(relation=relation, side=side,
-                     rho_over=float(rho_over), rho_under=float(-neg_under),
-                     k=1, basis_dim=dim,
-                     best_over=build(x_over), best_under=build(x_under),
-                     evaluations=counter[0])
+    form = ConductanceForm.from_edges(vertices, [(x, y, 1.0)
+                                                 for x, y in pairs])
+    rho_over, rho_under = np.inf, -np.inf
+    for step in range(1, BRACKET_STEPS + 1):
+        image = operator(structure, relation, form)
+        lo, hi = stationary_ratios(image, form, modulo=modulo)
+        if hi < rho_over:
+            rho_over, best_over = hi, form
+        if lo > rho_under:
+            rho_under, best_under = lo, form
+        if rho_over - rho_under <= BRACKET_TOL * abs(rho_over):
+            break
+        form = image.scaled(1.0 / image.mass())
+    return RhoReport(relation=relation, side=side, rho_over=rho_over,
+                     rho_under=rho_under, k=1, basis_dim=len(pairs),
+                     best_over=best_over, best_under=best_under,
+                     evaluations=step)
 
 
 @dataclass(frozen=True)
@@ -820,6 +784,16 @@ class RelationWitness:
     separation: float
     criterion_met: bool
 
+    @property
+    def rhos(self) -> tuple[float, float, float, float]:
+        """The four rho values, in the order of RHO_KEYS."""
+        return (self.relation_rhos.rho_over, self.relation_rhos.rho_under,
+                self.quotient_rhos.rho_over, self.quotient_rhos.rho_under)
+
+
+RHO_KEYS = ("rho_over_relation", "rho_under_relation", "rho_over_quotient",
+            "rho_under_quotient")
+
 
 @dataclass(frozen=True)
 class VerdictReport:
@@ -846,11 +820,11 @@ def verdict_rule(rhos: Sequence[tuple[float, float, float, float]],
                  nested: bool) -> tuple[str, Optional[tuple[int, int]]]:
     """The verdict from the rho certificates of the nontrivial relations.
 
-    rhos[i] is (rho_over_relation, rho_under_relation, rho_over_quotient,
-    rho_under_quotient) of the i-th relation; nested says whether two of
-    them are strictly nested. Also returns the first index pair (a, b)
-    whose quotient-side upper certificate of a sits below the
-    relation-side lower certificate of b (the nonexistence witness).
+    rhos[i] holds the values named in RHO_KEYS for the i-th relation
+    (RelationWitness.rhos); nested says whether two of them are strictly
+    nested. Also returns the first index pair (a, b) whose quotient-side
+    upper certificate of a sits below the relation-side lower certificate
+    of b (the nonexistence witness).
     """
     if not rhos:
         return "no_nontrivial_relations_exists_unique", None
@@ -864,11 +838,9 @@ def verdict_rule(rhos: Sequence[tuple[float, float, float, float]],
     return "inconclusive", None
 
 
-def sabot_verdict(structure: MsStructure, hs: Optional[HarmonicStructure],
-                  enumerated: Sequence[Partition], *,
-                  restarts: int = 3, sweeps: int = 40,
-                  seed: int = 0) -> VerdictReport:
-    """Combine enumeration and rho searches into a verdict.
+def sabot_verdict(structure, enumerated: Sequence[Partition]
+                  ) -> VerdictReport:
+    """Combine enumeration and rho brackets into a verdict.
 
     Uniqueness requires the relation-side upper certificate to sit below
     the quotient-side lower certificate for every nontrivial relation, and
@@ -878,37 +850,15 @@ def sabot_verdict(structure: MsStructure, hs: Optional[HarmonicStructure],
     """
     witnesses = []
     for rel in (rel for rel in enumerated if not rel.is_trivial):
-        rel_starts, quot_starts = [], []
-        try:
-            rel_starts.append(block_star_form(structure, rel))
-        except (ValueError, KappaUndefinedError, KernelMismatchError,
-                NotAPermutationError, KeyError):
-            pass
-        try:
-            quot_starts.append(block_cycle_form(structure, rel))
-        except (ValueError, KappaUndefinedError, NotAPermutationError,
-                KeyError):
-            pass
-        if hs is not None:
-            try:
-                rel_starts.append(d_sub_j(structure, hs.form, rel))
-                quot_starts.append(quotient_form(rel, hs.form))
-            except (ValueError, KernelMismatchError):
-                pass
-        rr = rho_search(structure, rel, "relation", restarts=restarts,
-                        sweeps=sweeps, seed=seed, starts=rel_starts)
-        qr = rho_search(structure, rel, "quotient", restarts=restarts,
-                        sweeps=sweeps, seed=seed, starts=quot_starts)
+        rr = rho_search(structure, rel, "relation")
+        qr = rho_search(structure, rel, "quotient")
         sep = qr.rho_under - rr.rho_over
         witnesses.append(RelationWitness(relation=rel, relation_rhos=rr,
                                          quotient_rhos=qr, separation=sep,
                                          criterion_met=sep > 0))
 
     ordered = nested_pairs([w.relation for w in witnesses])
-    verdict, pair = verdict_rule(
-        [(w.relation_rhos.rho_over, w.relation_rhos.rho_under,
-          w.quotient_rhos.rho_over, w.quotient_rhos.rho_under)
-         for w in witnesses], bool(ordered))
+    verdict, pair = verdict_rule([w.rhos for w in witnesses], bool(ordered))
     nonexistence = None if pair is None else (witnesses[pair[0]].relation,
                                               witnesses[pair[1]].relation)
     return VerdictReport(verdict=verdict, witnesses=tuple(witnesses),

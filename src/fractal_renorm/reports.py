@@ -4,9 +4,9 @@ Every CLI run emits one JSON report: a fixed envelope (schema tag,
 version, command echo, inputs, tolerances, wall time) around a results
 object tagged with its kind. Numeric claims are {"value": x, "tol": t}
 pairs. Validation re-derives the residual of a harmonic report from its
-embedded form, recomputes relations, flows, resistance and gd_rhos reports
-from their inputs (all but the rho searches), and checks the shape of
-structure reports.
+embedded form together with its checks, Rayleigh eta and iteration count,
+and recomputes structure, relations, flows, resistance and gd_rhos reports
+from their inputs, rho brackets included.
 """
 from __future__ import annotations
 
@@ -20,16 +20,17 @@ from jsonschema import Draft202012Validator
 
 from .angles import make_context
 from .errors import KappaUndefinedError, WorkbenchError
-from .gd import (QUOTIENT_TOL, RELATION_PQ, RELATION_SIDES, SEARCH_TOL,
-                 cell_graph, gd_solve, quotient_rho)
+from .gd import DEFAULT_MAX_ITER as GD_MAX_ITER
+from .gd import cell_graph, gd_relation_rhos, gd_solve
 from .networks import ConductanceForm, harmonic_extension, resistance_matrix
-from .relations import (build_J_plus_minus, certificate_summary,
-                        enumerate_preserved, nested_pairs, per_cell_flows,
-                        verdict_rule)
+from .relations import (RATIO_TOL, RHO_KEYS, build_J_plus_minus,
+                        certificate_summary, enumerate_preserved,
+                        per_cell_flows, sabot_verdict, verdict_rule)
 from .renorm import (ETA_AGREEMENT_TOL, HarmonicStructure, _boundary_matrix,
-                     replicate, solve_eigenform)
+                     _rayleigh_eta, replicate, solve_eigenform,
+                     verify_harmonic_structure)
 from .structure import (MsStructure, build_structure, level_size,
-                        structure_from_json)
+                        level_vertices, levels_to_json, structure_from_json)
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -149,9 +150,13 @@ def _check_claim(node, name: str, errors: list[str]) -> Optional[float]:
 def _recompute_residual(report: dict, errors: list[str]) -> None:
     """Rederive the eigen residual of a harmonic or gd_harmonic report.
 
-    An unconverged gd_harmonic report has no eigen equation. Its capped,
-    deterministic run is repeated instead; eta, the form and the mass-ratio
-    tail must match within the writer's ETA_AGREEMENT_TOL, relative.
+    A converged report is re-solved at its stated solver_tol and must stop
+    at the same iteration; its eta_rayleigh is recomputed from the embedded
+    form, and a harmonic report's checks block is rerun on that form and
+    eta. An unconverged gd_harmonic report has no eigen equation. Its
+    capped, deterministic run is repeated instead; eta, the form and the
+    mass-ratio tail must match. Both comparisons use the writer's
+    ETA_AGREEMENT_TOL, not a tol the report states.
     """
     results = report["results"]
     harmonic = results.get("harmonic")
@@ -164,19 +169,21 @@ def _recompute_residual(report: dict, errors: list[str]) -> None:
     if eta is None or stated is None:
         return
     tol = float(resid["tol"])
-    rerun = results["kind"] == "gd_harmonic" \
-        and not results.get("converged", True)
+    gd = results["kind"] == "gd_harmonic"
+    rerun = gd and not results.get("converged", True)
     try:
-        if results["kind"] == "gd_harmonic":
+        iterations = int(harmonic["iterations"])
+        solver_tol = float(report["tolerances"]["solver_tol"])
+        if gd:
             n, m = int(results["ctx"]["n"]), int(results["ctx"]["m"])
             structure = cell_graph(n, m)
+            hs = gd_solve(n, m, tol=solver_tol,
+                          max_iter=iterations if rerun else GD_MAX_ITER)
         else:
             structure = structure_from_json(results["structure"])
+            hs = solve_eigenform(structure, tol=solver_tol)
         verts, mat = _form_matrix_from_json(harmonic["form"])
         if rerun:
-            iterations = int(harmonic["iterations"])
-            hs = gd_solve(n, m, max_iter=iterations,
-                          tol=float(report["tolerances"]["solver_tol"]))
             tail = np.asarray(results["diagnostics"]["mass_ratio_tail"],
                               dtype=float)
     except Exception as exc:
@@ -189,11 +196,27 @@ def _recompute_residual(report: dict, errors: list[str]) -> None:
     order = [verts.index(s) for s in expected]
     mat = mat[np.ix_(order, order)]
     if not rerun:
-        recomputed = structure.scheme.residual(mat, eta)
+        scheme = structure.scheme
+        recomputed = scheme.residual(mat, eta)
         if recomputed > 10.0 * max(tol, 1e-15):
             errors.append(
                 f"recomputed residual {recomputed:.3e} exceeds 10x stated "
                 f"tolerance {tol:.1e}")
+        if hs.iterations != iterations:
+            errors.append(f"a re-solve at solver_tol {solver_tol:.1e} stops "
+                          f"at iteration {hs.iterations}, not {iterations}")
+        rayleigh = _check_claim(harmonic.get("eta_rayleigh"), "eta_rayleigh",
+                                errors)
+        want = _rayleigh_eta(mat, scheme.T(mat))
+        if rayleigh is not None and not abs(rayleigh - want) \
+                <= ETA_AGREEMENT_TOL * max(abs(want), 1.0):
+            errors.append(f"eta_rayleigh {rayleigh!r} differs from the "
+                          f"recomputed {want!r}")
+        if not gd:
+            form = ConductanceForm.from_matrix(structure.boundary, mat)
+            _compare_checks(results.get("checks"),
+                            verify_harmonic_structure(structure, form, eta),
+                            errors)
         return
     if hs.converged or hs.iterations != iterations:
         errors.append(f"a rerun ends at iteration {hs.iterations} with "
@@ -207,6 +230,22 @@ def _recompute_residual(report: dict, errors: list[str]) -> None:
             <= ETA_AGREEMENT_TOL * max(np.abs(want).max(), 1.0):
         errors.append("eta, form or mass_ratio_tail differ from a rerun of "
                       f"{iterations} iterations")
+
+
+def _compare_checks(checks, fresh: dict, errors: list[str]) -> None:
+    """A harmonic report's checks block against a rerun of the checks."""
+    if not isinstance(checks, dict) or set(checks) != set(fresh):
+        errors.append(f"checks must list {sorted(fresh)}")
+        return
+    for key, want in fresh.items():
+        if isinstance(want, bool):
+            if checks[key] is not want:
+                errors.append(f"checks {key} is not {want}, as a rerun gives")
+            continue
+        got = _check_claim(checks[key], f"checks {key}", errors)
+        if got is not None and not abs(got - want) <= ETA_AGREEMENT_TOL:
+            errors.append(f"checks {key} {got!r} differs from the rerun "
+                          f"{want!r}")
 
 
 def _check_resistance(report: dict, errors: list[str]) -> None:
@@ -245,6 +284,7 @@ def _check_resistance(report: dict, errors: list[str]) -> None:
 
 
 def _check_structure(report: dict, errors: list[str]) -> None:
+    """Check the structure block's shape and rebuild the levels block."""
     s = report["results"].get("structure")
     if not isinstance(s, dict):
         errors.append("structure results missing structure block")
@@ -255,6 +295,15 @@ def _check_structure(report: dict, errors: list[str]) -> None:
         errors.append("cells mapping does not cover the boundary")
     if not set(s.get("glue_points", [])) <= set(boundary):
         errors.append("glue points must be boundary angles")
+    try:
+        structure = _structure_from_inputs(report["inputs"])
+        levels = levels_to_json(level_vertices(structure,
+                                               int(report["inputs"]["level"])))
+    except _REBUILD_ERRORS as exc:
+        errors.append(f"cannot rebuild the levels: {exc}")
+        return
+    if report["results"].get("levels") != levels:
+        errors.append("levels differ from a fresh build")
 
 
 def _check_gd_structure(report: dict, errors: list[str]) -> None:
@@ -291,25 +340,27 @@ def _structure_from_inputs(inputs: dict) -> MsStructure:
 
 
 def _check_relations(report: dict, errors: list[str]) -> None:
-    """Re-enumerate, then rederive every verdict step but the rho searches.
+    """Re-enumerate, rerun the rho brackets, rederive every verdict step.
 
-    The rho values themselves are search results and are taken as stated;
-    the flags, nesting, verdict and certificate outcomes built from them
-    are recomputed.
+    Each witness's four rho values must match a fresh sabot_verdict within
+    the writer's RATIO_TOL, not a tol the report states; the flags,
+    nesting, verdict and certificate outcomes built from them are
+    recomputed.
     """
     inputs, results = report["inputs"], report["results"]
     try:
         structure = _structure_from_inputs(inputs)
         preserved = enumerate_preserved(structure, bool(inputs["require_g"]),
                                         cap=int(inputs["cap"]))
+        fresh = sabot_verdict(structure, preserved)
     except _REBUILD_ERRORS as exc:
-        errors.append(f"cannot re-enumerate the preserved relations: {exc}")
+        errors.append("cannot re-enumerate the preserved relations or rerun "
+                      f"their brackets: {exc}")
         return
     if results.get("preserved") != [rel.to_json() for rel in preserved]:
         errors.append("preserved relations differ from a fresh enumeration")
         return
-    nontrivial = [rel for rel in preserved if not rel.is_trivial]
-    want = [rel.to_json() for rel in nontrivial]
+    want = [w.relation.to_json() for w in fresh.witnesses]
     verdict = results.get("verdict")
     if not isinstance(verdict, dict):
         errors.append("relations results missing the verdict block")
@@ -319,22 +370,24 @@ def _check_relations(report: dict, errors: list[str]) -> None:
         errors.append("witnesses do not list the nontrivial relations")
         return
     rhos = []
-    for i, w in enumerate(witnesses):
+    for i, (w, recomputed) in enumerate(zip(witnesses, fresh.witnesses)):
         values = tuple(_check_claim(w.get(key), f"witness {i} {key}", errors)
-                       for key in ("rho_over_relation", "rho_under_relation",
-                                   "rho_over_quotient", "rho_under_quotient"))
+                       for key in RHO_KEYS)
         if None in values:
             return
+        for key, got, expected in zip(RHO_KEYS, values, recomputed.rhos):
+            if not abs(got - expected) <= RATIO_TOL:
+                errors.append(f"witness {i} {key} {got!r} differs from the "
+                              f"recomputed {expected!r}")
         if w.get("criterion_met") != (values[3] - values[0] > 0):
             errors.append(f"witness {i}: criterion_met does not match "
                           "rho_under_quotient - rho_over_relation > 0")
         rhos.append(values)
-    ordered = nested_pairs(nontrivial)
     if verdict.get("ordered_pairs") != [[a.to_json(), b.to_json()]
-                                        for a, b in ordered]:
+                                        for a, b in fresh.ordered_pairs]:
         errors.append("ordered_pairs do not match the nesting of the "
                       "relations")
-    derived, _ = verdict_rule(rhos, bool(ordered))
+    derived, _ = verdict_rule(rhos, bool(fresh.ordered_pairs))
     if verdict.get("verdict") != derived:
         errors.append(f"verdict {verdict.get('verdict')!r} does not follow "
                       f"from the witnesses (expected {derived!r})")
@@ -403,38 +456,37 @@ def _check_flows(report: dict, errors: list[str]) -> None:
 
 
 def _check_gd_rhos(report: dict, errors: list[str]) -> None:
-    """Recompute the exact quotient rhos. The searches are not rerun;
-    their values need only rho_under <= rho_over within tolerance. The
-    tolerances are the writer's fixed ones, not the tols in the report."""
+    """Recompute the rho table: the exact quotient rhos and the
+    relation-side brackets. The tolerance is the writer's RATIO_TOL, not
+    the tols in the report."""
     results = report["results"]
     try:
-        cell = cell_graph(int(results["ctx"]["n"]), int(results["ctx"]["m"]))
+        table = gd_relation_rhos(int(results["ctx"]["n"]),
+                                 int(results["ctx"]["m"]))
     except _REBUILD_ERRORS as exc:
-        errors.append(f"cannot rebuild the gd cell: {exc}")
+        errors.append(f"cannot recompute the gd rho table: {exc}")
         return
-    for key, relation in (("pq_pairs", RELATION_PQ),
-                          ("side_pairs", RELATION_SIDES)):
-        entry = results.get(key)
-        if not isinstance(entry, dict) \
-                or entry.get("relation") != relation.to_json():
+    for key in ("pq_pairs", "side_pairs"):
+        entry, fresh = results.get(key), getattr(table, key)
+        relation = fresh.relation.to_json()
+        if not isinstance(entry, dict) or entry.get("relation") != relation:
             errors.append(f"{key} must carry the relation "
-                          f"{relation.to_json()['blocks']}")
+                          f"{relation['blocks']}")
             continue
-        pairs = sum(len(b) * (len(b) - 1) // 2 for b in relation.blocks)
-        if entry.get("basis_dim") != pairs:
-            errors.append(f"{key}: basis_dim must be {pairs}, the number of "
-                          "within-block pairs")
-        over, under, quotient = (
+        if entry.get("basis_dim") != fresh.basis_dim:
+            errors.append(f"{key}: basis_dim must be {fresh.basis_dim}, the "
+                          "number of within-block pairs")
+        names = ("rho_over_relation", "rho_under_relation", "rho_quotient")
+        over, under, _ = stated = [
             _check_claim(entry.get(name), f"{key} {name}", errors)
-            for name in ("rho_over_relation", "rho_under_relation",
-                         "rho_quotient"))
-        if quotient is not None:
-            want = quotient_rho(cell, relation)
-            if abs(quotient - want) > QUOTIENT_TOL:
-                errors.append(f"{key} rho_quotient {quotient!r} differs from "
-                              f"the recomputed {want!r}")
+            for name in names]
+        for name, got in zip(names, stated):
+            want = getattr(fresh, name)
+            if got is not None and not abs(got - want) <= RATIO_TOL:
+                errors.append(f"{key} {name} {got!r} differs from the "
+                              f"recomputed {want!r}")
         if over is not None and under is not None \
-                and under > over + SEARCH_TOL:
+                and under > over + RATIO_TOL:
             errors.append(f"{key}: rho_under_relation exceeds "
                           "rho_over_relation")
 

@@ -19,6 +19,7 @@ from fractal_renorm import (
     solve_eigenform, stationary_ratios, t_quotient, t_relation, trace,
     uniqueness_certificate,
 )
+from fractal_renorm.relations import RATIO_TOL
 
 from _oracles import (family_eta, restriction_weights, gd_eta_m1, gd_rho_values,
                       relaxed_trace_weights)
@@ -177,9 +178,9 @@ def test_07_graph_directed_model():
         got = table.values()
         want = gd_rho_values(n, m)
         print(f"gd rhos (n={n}, m={m}): {[f'{v:.4f}' for v in got]} "
-              f"(want {[f'{v:.4f}' for v in want]} +- 1e-2)")
+              f"(want {[f'{v:.4f}' for v in want]} +- {RATIO_TOL})")
         for g, w in zip(got, want):
-            assert g == pytest.approx(w, abs=1e-2)
+            assert g == pytest.approx(w, abs=RATIO_TOL)
 
 
 def test_08_property_suites():

@@ -14,6 +14,7 @@ from fractal_renorm import (
     t_quotient,
 )
 from fractal_renorm.gd import CORNER_ORDER, EXPLORE_ITER_CAP, FORM_VERTICES
+from fractal_renorm.relations import RATIO_TOL
 
 from _oracles import gd_eta_m1, gd_rho_values
 
@@ -281,7 +282,7 @@ class TestRhoTable:
             table = gd_relation_rhos(n, m)
             expected = gd_rho_values(n, m)
             for got, want in zip(table.values(), expected):
-                assert got == pytest.approx(want, abs=1e-2)
+                assert got == pytest.approx(want, abs=RATIO_TOL)
             # the quotient spaces are rays, so those two are near-exact
             assert table.pq_pairs.rho_quotient == pytest.approx(
                 expected[1], abs=1e-9)

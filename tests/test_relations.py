@@ -15,7 +15,8 @@ from fractal_renorm import (
     replicate, rho_search, rotation_invariant, sabot_verdict, solve_eigenform,
     stationary_ratios, t_quotient, t_relation, uniqueness_certificate,
 )
-from _oracles import brute_force_preserved
+from fractal_renorm.gd import RELATION_PQ, RELATION_SIDES, cell_graph
+from _oracles import brute_force_preserved, gd_rho_values
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -414,27 +415,82 @@ class TestRhoSearch:
     def test_relation_side_upper(self):
         s = ms(2, 1, "1/12")
         rel = opposite_pairs(s)
-        report = rho_search(s, rel, "relation",
-                            starts=[block_star_form(s, rel)])
+        report = rho_search(s, rel, "relation")
         assert report.rho_over <= 1.0 + 1e-6
         assert report.rho_under <= report.rho_over
 
     def test_quotient_side_lower(self):
         s = ms(2, 1, "1/12")
         rel = opposite_pairs(s)
-        report = rho_search(s, rel, "quotient",
-                            starts=[block_cycle_form(s, rel)])
+        report = rho_search(s, rel, "quotient")
         assert report.rho_under >= 1.5 - 1e-6
 
-    def test_start_value_never_lost(self):
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 3), (2, 3)])
+    def test_bracket_contains_gd_closed_forms(self, n, m):
+        cell = cell_graph(n, m)
+        over_pq, quot_pq, over_sides, quot_sides = gd_rho_values(n, m)
+        for rel, side, want in ((RELATION_PQ, "relation", over_pq),
+                                (RELATION_PQ, "quotient", quot_pq),
+                                (RELATION_SIDES, "relation", over_sides),
+                                (RELATION_SIDES, "quotient", quot_sides)):
+            report = rho_search(cell, rel, side)
+            assert report.rho_under - 1e-9 <= want <= report.rho_over + 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_bracket_beats_constructed_forms(self, n):
+        # the star and cycle forms are points of the cones, so the bracket
+        # ends are at least as good as their ratios
+        s = ms(n, 1, "1/12")
+        cycles = 0
+        for rel in enumerate_preserved(s):
+            if rel.is_trivial:
+                continue
+            star = block_star_form(s, rel)
+            _, star_hi = stationary_ratios(t_relation(s, rel, star), star,
+                                           modulo=rel)
+            assert rho_search(s, rel, "relation").rho_over \
+                <= star_hi + 1e-9
+            try:
+                cycle = block_cycle_form(s, rel)
+            except ValueError:
+                continue  # some block holds no cell-return image
+            cycles += 1
+            cycle_lo, _ = stationary_ratios(t_quotient(s, rel, cycle), cycle,
+                                            modulo="constants")
+            assert rho_search(s, rel, "quotient").rho_under \
+                >= cycle_lo - 1e-9
+        assert cycles == 2
+
+    def test_ratios_monotone_along_iterates(self):
+        # M_k never rises and m_k never falls along D_{k+1} = T(D_k)/mass,
+        # and the reported ends are the best of them
         s = ms(2, 1, "1/12")
-        rel = opposite_pairs(s)
-        cyc = block_cycle_form(s, rel)
-        lo_start, _ = stationary_ratios(t_quotient(s, rel, cyc), cyc,
-                                        modulo="constants")
-        report = rho_search(s, rel, "quotient", restarts=1, sweeps=2,
-                            starts=[cyc])
-        assert report.rho_under >= lo_start - 1e-12
+        for rel in enumerate_preserved(s):
+            if rel.is_trivial:
+                continue
+            blocks = rel.blocks
+            sides = (
+                ("relation", t_relation, rel, ConductanceForm.from_edges(
+                    s.boundary, [(x, y, 1.0) for block in blocks
+                                 for i, x in enumerate(block)
+                                 for y in block[i + 1:]])),
+                ("quotient", t_quotient, "constants",
+                 ConductanceForm.from_edges(
+                     blocks, [(x, y, 1.0) for i, x in enumerate(blocks)
+                              for y in blocks[i + 1:]])))
+            for side, op, modulo, form in sides:
+                lows, highs = [], []
+                for _ in range(20):
+                    image = op(s, rel, form)
+                    lo, hi = stationary_ratios(image, form, modulo=modulo)
+                    lows.append(lo)
+                    highs.append(hi)
+                    form = image.scaled(1.0 / image.mass())
+                assert all(b <= a + 1e-10 for a, b in zip(highs, highs[1:]))
+                assert all(b >= a - 1e-10 for a, b in zip(lows, lows[1:]))
+                report = rho_search(s, rel, side)
+                assert report.rho_over <= min(highs) + 1e-10
+                assert report.rho_under >= max(lows) - 1e-10
 
     def test_bad_side(self):
         s = ms(2, 1, "1/12")
@@ -525,9 +581,8 @@ class TestFlowReport:
 class TestVerdicts:
     def test_2_1_12_criteria_hold(self):
         s = ms(2, 1, "1/12")
-        hs = solve_eigenform(s)
         enumerated = enumerate_preserved(s, require_g=True)
-        report = sabot_verdict(s, hs, enumerated)
+        report = sabot_verdict(s, enumerated)
         assert report.verdict == "criteria_hold_exists_unique"
         assert len(report.witnesses) == 1
         w = report.witnesses[0]
@@ -538,13 +593,25 @@ class TestVerdicts:
 
     def test_2_2_316_no_nontrivial(self):
         s = ms(2, 2, "3/16")
-        hs = solve_eigenform(s)
-        report = sabot_verdict(s, hs, enumerate_preserved(s, require_g=True))
+        report = sabot_verdict(s, enumerate_preserved(s, require_g=True))
         assert report.verdict == "no_nontrivial_relations_exists_unique"
         assert report.witnesses == ()
 
     def test_2_1_6_no_nontrivial(self):
         s = ms(2, 1, "1/6")
-        hs = solve_eigenform(s)
-        report = sabot_verdict(s, hs, enumerate_preserved(s, require_g=True))
+        report = sabot_verdict(s, enumerate_preserved(s, require_g=True))
         assert report.verdict == "no_nontrivial_relations_exists_unique"
+
+    @pytest.mark.parametrize("n,m,theta,require_g,verdict", [
+        (2, 1, "1/12", True, "criteria_hold_exists_unique"),
+        (2, 1, "1/4", True, "criteria_hold_exists_unique"),
+        (2, 1, "1/12", False, "inconclusive"),
+        (2, 1, "1/24", False, "criteria_hold_exists_unique"),
+        (2, 2, "3/16", False, "no_nontrivial_relations_exists_unique"),
+        (3, 1, "1/12", False, "criteria_hold_exists_unique"),
+        (3, 1, "1/9", False, "inconclusive"),
+    ])
+    def test_verdict_strings_pinned(self, n, m, theta, require_g, verdict):
+        s = ms(n, m, theta)
+        report = sabot_verdict(s, enumerate_preserved(s, require_g=require_g))
+        assert report.verdict == verdict

@@ -113,6 +113,29 @@ class TestTamperDetection:
         assert any("residual" in line
                    for line in validate_report_details(str(path)))
 
+    def test_harmonic_checks_rayleigh_and_iterations_tampers(self, tmp_path):
+        path = make_report(tmp_path, "hc.json",
+                           ["solve", "--n", "2", "--m", "1",
+                            "--theta", "1/12"])
+        assert validate_report(str(path))
+        base = load(path)
+        iterations = base["results"]["harmonic"]["iterations"]
+        edits = [("ok", ("checks", "ok"), False),
+                 ("copy_consistency",
+                  ("checks", "copy_consistency", "value"), 0.5),
+                 ("eta_rayleigh", ("harmonic", "eta_rayleigh", "value"), 99.0),
+                 ("iteration", ("harmonic", "iterations"), iterations + 1)]
+        for word, keys, value in edits:
+            report = json.loads(json.dumps(base))
+            node = report["results"]
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+            dump(path, report)
+            assert any(word in line
+                       for line in validate_report_details(str(path)))
+            assert main(["validate", str(path)]) == 4
+
     def test_harmonic_form_tamper(self, tmp_path):
         path = make_report(tmp_path, "h2.json",
                            ["solve", "--n", "2", "--m", "1",
@@ -283,6 +306,22 @@ class TestTamperDetection:
         assert any("cells" in line
                    for line in validate_report_details(str(path)))
 
+        path = make_report(tmp_path, "s2.json",
+                           ["structure", "--n", "2", "--m", "1",
+                            "--theta", "1/12", "--level", "2"])
+        assert validate_report(str(path))
+        base = load(path)
+        for edit in ("num_vertices", "merges"):
+            report = json.loads(json.dumps(base))
+            if edit == "num_vertices":
+                report["results"]["levels"]["num_vertices"] = 999
+            else:
+                report["results"]["levels"]["merges"] = []
+            dump(path, report)
+            assert any("levels differ" in line
+                       for line in validate_report_details(str(path)))
+            assert main(["validate", str(path)]) == 4
+
     def test_gd_structure_tampers(self, tmp_path):
         path = make_report(tmp_path, "g.json",
                            ["gd", "build", "--n", "2", "--m", "1"])
@@ -315,6 +354,21 @@ class TestTamperDetection:
         details = validate_report_details(str(path))
         assert any("criterion_met" in line for line in details)
         assert any("does not follow" in line for line in details)
+
+        # an edited rho value is caught by rerunning the bracket, also when
+        # the edit keeps criterion_met and the verdict consistent and when
+        # the stated tol is raised
+        for tol in (None, 100.0):
+            report = json.loads(json.dumps(base))
+            witness = report["results"]["verdict"]["witnesses"][0]
+            assert witness["rho_over_relation"]["value"] == pytest.approx(0.5)
+            witness["rho_over_relation"]["value"] = 0.01
+            if tol is not None:
+                witness["rho_over_relation"]["tol"] = tol
+            dump(path, report)
+            assert any("witness 0 rho_over_relation" in line
+                       for line in validate_report_details(str(path)))
+            assert main(["validate", str(path)]) == 4
 
         report = json.loads(json.dumps(base))
         report["results"]["preserved"].pop(1)
@@ -381,6 +435,17 @@ class TestTamperDetection:
         dump(path, report)
         assert any("pq_pairs rho_quotient" in line
                    for line in validate_report_details(str(path)))
+
+        # an edited relation-side rho is caught by rerunning the bracket
+        for tol in (None, 100.0):
+            report = json.loads(json.dumps(base))
+            entry = report["results"]["side_pairs"]
+            entry["rho_over_relation"]["value"] = 0.01
+            if tol is not None:
+                entry["rho_over_relation"]["tol"] = tol
+            dump(path, report)
+            assert any("side_pairs rho_over_relation" in line
+                       for line in validate_report_details(str(path)))
 
         report = json.loads(json.dumps(base))
         report["results"]["side_pairs"]["relation"] = \
