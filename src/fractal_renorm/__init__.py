@@ -30,7 +30,7 @@ from .relations import (CertificateReport, FlowReport, Partition,
 from .gd import (GdCellGraph, GdHarmonicStructure, GdRhoEntry, GdRhoTable,
                  GdStructure, RELATION_PQ, RELATION_SIDES, build_gd_structure,
                  cell_graph, existence_verdict, gd_relation_rhos, gd_solve,
-                 gd_solve_all_cells, gd_structure_to_json)
+                 gd_structure_to_json)
 from .reports import (claim, form_to_json, render_report, validate_report,
                       validate_report_details, write_report)
 from .cli import main, run

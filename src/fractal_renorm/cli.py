@@ -24,9 +24,9 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      NotAPermutationError, NotInvariantError)
 from .gd import (build_gd_structure, gd_relation_rhos, gd_solve,
                  gd_structure_to_json)
-from .relations import (RATIO_TOL, RHO_KEYS, build_J_plus_minus,
-                        enumerate_preserved, sabot_verdict,
-                        uniqueness_certificate)
+from .relations import (DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
+                        build_J_plus_minus, enumerate_preserved,
+                        sabot_verdict, uniqueness_certificate)
 from .renorm import (ETA_AGREEMENT_TOL, solve_eigenform,
                      verify_harmonic_structure)
 from .reports import (RESISTANCE_TOL, claim, flows_results, form_to_json,
@@ -160,7 +160,7 @@ def _cmd_relations(args, started: float) -> int:
                 "certified": cert.certified,
                 "k": cert.k,
                 "margin": cert.margin,
-                "trajectory": [claim(t, 1e-9) for t in cert.trajectory],
+                "trajectory": [claim(t, RATIO_TOL) for t in cert.trajectory],
                 "monotone": cert.monotone,
             })
     jpm = None
@@ -190,8 +190,8 @@ def _cmd_relations(args, started: float) -> int:
     if solver_error:
         results["solver_error"] = solver_error
     inputs = structure_inputs(structure, cap=args.cap, require_g=require_g)
-    tolerances = {"solver_tol": args.tol, "certificate_margin": 1e-6,
-                  "ratio_tol": RATIO_TOL}
+    tolerances = {"solver_tol": args.tol,
+                  "certificate_margin": DEFAULT_MARGIN, "ratio_tol": RATIO_TOL}
     return _emit(args, _envelope(args, inputs, tolerances, results, started))
 
 

@@ -11,9 +11,8 @@ By rotation symmetry a single form on (p0, q0, p1, q1) describes the whole
 system. The cell from cell_graph carries a boundary, an index and a gluing
 scheme, so renorm_T, solve_eigenform, is_preserved, enumerate_preserved,
 t_quotient and rho_search take it as they take an MsStructure. This module
-keeps the construction, the existence dichotomy, the exploratory solve, the
-corner-relation rho table, and the unreduced all-cells iteration as a
-consistency check.
+keeps the construction, the existence dichotomy, the exploratory solve and
+the corner-relation rho table.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import NonConvergenceError
-from .networks import ConductanceForm, DisjointSet, _trace_matrix
+from .networks import ConductanceForm, DisjointSet
 from .relations import Partition, is_preserved, rho_search
 from .renorm import _normalized_iteration, _rayleigh_eta
 from .structure import GluingScheme
@@ -299,48 +298,3 @@ def gd_relation_rhos(n: int, m: int) -> GdRhoTable:
             best_over_form=rr.best_over, best_under_form=rr.best_under))
     return GdRhoTable(n=n, m=m, pq_pairs=entries[0], side_pairs=entries[1])
 
-
-def gd_solve_all_cells(n: int, m: int, *, tol: float = 1e-12,
-                       max_iter: int = 20_000, seed: int = 1
-                       ) -> tuple[list[np.ndarray], float, int]:
-    """Unreduced iteration carrying one form per cell; consistency check.
-
-    Starts from an asymmetric random initial condition. Returns the final
-    per-cell matrices (each on that cell's corners in local order), the
-    joint eta, and the iteration count. The caller checks that all cells
-    agree, which validates the reduction to a single form.
-    """
-    ring = m + n
-    graphs = [cell_graph(n, m, cell) for cell in range(ring)]
-    rng = np.random.default_rng(seed)
-    forms = []
-    for _ in range(ring):
-        mat = np.zeros((4, 4))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                mat[i, j] = mat[j, i] = 0.5 + rng.random()
-        forms.append(mat)
-    total = sum(f.sum() / 2.0 for f in forms)
-    forms = [f * (ring / total) for f in forms]
-
-    eta = np.nan
-    for iteration in range(1, max_iter + 1):
-        new_forms = []
-        for cell in range(ring):
-            graph = graphs[cell]
-            big = np.zeros((graph.num_ids, graph.num_ids))
-            for sub in range(ring):
-                idx = np.asarray(graph.subcell_ids[sub])
-                big[np.ix_(idx, idx)] += forms[sub]
-            new_forms.append(_trace_matrix(big, list(graph.corners)))
-        total = sum(f.sum() / 2.0 for f in new_forms)
-        eta = ring / total
-        new_forms = [f * (ring / total) for f in new_forms]
-        delta = max(float(np.abs(a - b).max())
-                    for a, b in zip(new_forms, forms))
-        forms = new_forms
-        if delta <= tol:
-            return forms, float(eta), iteration
-    raise NonConvergenceError(
-        f"all-cells iteration did not converge in {max_iter} steps",
-        iterations=max_iter)

@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .angles import Angle, critical_angles, kappa, phi_n, rotate
 from .errors import (CapExceededError, KappaUndefinedError,
@@ -515,7 +514,11 @@ def stationary_ratios(num_form: ConductanceForm, den_form: ConductanceForm,
     if bvals[0] <= 1e-12 * max(bvals[-1], 1e-300):
         raise ValueError("denominator form degenerate on the complement of "
                          "the modded-out space")
-    vals = scipy.linalg.eigh(ar, br, eigvals_only=True)
+    # Cholesky reduction to a standard problem, as LAPACK sygvd does:
+    # br = L L^T, and L^-1 ar L^-T has the generalized eigenvalues
+    chol = np.linalg.cholesky(br)
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, ar).T)
+    vals = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
     return float(vals[0]), float(vals[-1])
 
 

@@ -1,12 +1,15 @@
-"""Report envelope, schema validation, and internal consistency checks.
+"""Report envelope, envelope validation, and internal consistency checks.
 
 Every CLI run emits one JSON report: a fixed envelope (schema tag,
 version, command echo, inputs, tolerances, wall time) around a results
 object tagged with its kind. Numeric claims are {"value": x, "tol": t}
-pairs. Validation re-derives the residual of a harmonic report from its
-embedded form together with its checks, Rayleigh eta and iteration count,
-and recomputes structure, relations, flows, resistance and gd_rhos reports
-from their inputs, rho brackets included.
+pairs. Validation first checks the envelope: an object with exactly the
+keys of ENVELOPE, each meeting its plain rule, every broken rule giving a
+"schema: " line. It then re-derives the residual of a harmonic report
+from its embedded form together with its checks, Rayleigh eta and
+iteration count, and recomputes structure, relations, flows, resistance
+and gd_rhos reports from their inputs, rho brackets and certificate
+trajectories included.
 """
 from __future__ import annotations
 
@@ -16,44 +19,39 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .angles import make_context
 from .errors import KappaUndefinedError, WorkbenchError
 from .gd import DEFAULT_MAX_ITER as GD_MAX_ITER
 from .gd import cell_graph, gd_relation_rhos, gd_solve
 from .networks import ConductanceForm, harmonic_extension, resistance_matrix
-from .relations import (RATIO_TOL, RHO_KEYS, build_J_plus_minus,
-                        certificate_summary, enumerate_preserved,
-                        per_cell_flows, sabot_verdict, verdict_rule)
+from .relations import (DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
+                        build_J_plus_minus, certificate_summary,
+                        enumerate_preserved, per_cell_flows, sabot_verdict,
+                        uniqueness_certificate, verdict_rule)
 from .renorm import (ETA_AGREEMENT_TOL, HarmonicStructure, _boundary_matrix,
                      _rayleigh_eta, replicate, solve_eigenform,
                      verify_harmonic_structure)
 from .structure import (MsStructure, build_structure, level_size,
                         level_vertices, levels_to_json, structure_from_json)
 
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema", "version", "command", "wall_time_s",
-                 "inputs", "tolerances", "results"],
-    "properties": {
-        "schema": {"const": "fr-1"},
-        "version": {"type": "string"},
-        "command": {"type": "array", "items": {"type": "string"}},
-        "wall_time_s": {"type": "number", "minimum": 0},
-        "inputs": {"type": "object"},
-        "tolerances": {"type": "object", "minProperties": 1},
-        "results": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {"kind": {"type": "string"}},
-        },
-    },
-    "additionalProperties": False,
+# the envelope: each key a report must carry, with its rule; no other key
+ENVELOPE = {
+    "schema": (lambda v: v == "fr-1", 'must be "fr-1"'),
+    "version": (lambda v: isinstance(v, str), "must be a string"),
+    "command": (lambda v: isinstance(v, list)
+                and all(isinstance(a, str) for a in v),
+                "must be a list of strings"),
+    "wall_time_s": (lambda v: isinstance(v, (int, float))
+                    and not isinstance(v, bool) and v >= 0,
+                    "must be a number >= 0"),
+    "inputs": (lambda v: isinstance(v, dict), "must be an object"),
+    "tolerances": (lambda v: isinstance(v, dict) and bool(v),
+                   "must be a non-empty object"),
+    "results": (lambda v: isinstance(v, dict)
+                and isinstance(v.get("kind"), str),
+                "must be an object with a string kind"),
 }
-
-_VALIDATOR = Draft202012Validator(REPORT_SCHEMA)
 
 RESISTANCE_TOL = 1e-9  # relative tolerance of a resistance matrix
 
@@ -340,12 +338,15 @@ def _structure_from_inputs(inputs: dict) -> MsStructure:
 
 
 def _check_relations(report: dict, errors: list[str]) -> None:
-    """Re-enumerate, rerun the rho brackets, rederive every verdict step.
+    """Re-enumerate, rerun the rho brackets and the certificates, and
+    rederive every verdict step.
 
-    Each witness's four rho values must match a fresh sabot_verdict within
-    the writer's RATIO_TOL, not a tol the report states; the flags,
-    nesting, verdict and certificate outcomes built from them are
-    recomputed.
+    Each witness's four rho values must match a fresh sabot_verdict, and
+    each certificate trajectory a rerun of uniqueness_certificate (from a
+    re-solve at the stated solver_tol, as many steps as it lists), within
+    the writer's RATIO_TOL, not a tol the report states; a margin must be
+    the writer's DEFAULT_MARGIN. The flags, nesting, verdict and
+    certificate outcomes built from them are recomputed.
     """
     inputs, results = report["inputs"], report["results"]
     try:
@@ -391,23 +392,6 @@ def _check_relations(report: dict, errors: list[str]) -> None:
     if verdict.get("verdict") != derived:
         errors.append(f"verdict {verdict.get('verdict')!r} does not follow "
                       f"from the witnesses (expected {derived!r})")
-    certificates = results.get("certificates", [])
-    if "solver_error" not in results and \
-            [c.get("relation") for c in certificates] != want:
-        errors.append("certificates do not list the nontrivial relations")
-    for i, cert in enumerate(certificates):
-        trajectory = [_check_claim(t, f"certificate {i} trajectory", errors)
-                      for t in cert.get("trajectory", [])]
-        margin = cert.get("margin")
-        if not trajectory or None in trajectory \
-                or not isinstance(margin, (int, float)):
-            errors.append(f"certificate {i}: trajectory or margin missing")
-            continue
-        k, monotone = certificate_summary(trajectory, float(margin))
-        if (cert.get("certified"), cert.get("k"), cert.get("monotone")) != \
-                (k is not None, k, monotone):
-            errors.append(f"certificate {i}: certified, k or monotone do "
-                          "not follow from its trajectory")
     try:
         j_plus, j_minus = build_J_plus_minus(structure)
         candidates = {"plus": j_plus.to_json(), "minus": j_minus.to_json()}
@@ -415,6 +399,44 @@ def _check_relations(report: dict, errors: list[str]) -> None:
         candidates = None
     if results.get("candidates") != candidates:
         errors.append("candidate relations differ from a fresh build")
+    certificates = results.get("certificates", [])
+    if [c.get("relation") for c in certificates] != \
+            ([] if "solver_error" in results else want):
+        errors.append("certificates must list the nontrivial relations, or "
+                      "none after a solver_error")
+        return
+    if not certificates:
+        return
+    try:
+        hs = solve_eigenform(structure,
+                             tol=float(report["tolerances"]["solver_tol"]))
+        reruns = [uniqueness_certificate(structure, hs, w.relation,
+                                         k_max=len(c.get("trajectory", [])))
+                  for c, w in zip(certificates, fresh.witnesses)]
+    except _REBUILD_ERRORS as exc:
+        errors.append(f"cannot rerun the certificates: {exc}")
+        return
+    for i, (cert, rerun) in enumerate(zip(certificates, reruns)):
+        trajectory = [_check_claim(t, f"certificate {i} trajectory", errors)
+                      for t in cert.get("trajectory", [])]
+        margin = cert.get("margin")
+        if not trajectory or None in trajectory \
+                or not isinstance(margin, (int, float)):
+            errors.append(f"certificate {i}: trajectory or margin missing")
+            continue
+        if margin != DEFAULT_MARGIN:
+            errors.append(f"certificate {i}: margin {margin!r} is not "
+                          f"{DEFAULT_MARGIN!r}")
+        for step, (got, expected) in enumerate(
+                zip(trajectory, rerun.trajectory), start=1):
+            if not abs(got - expected) <= RATIO_TOL * abs(expected):
+                errors.append(f"certificate {i} trajectory step {step} "
+                              f"{got!r} differs from the rerun {expected!r}")
+        k, monotone = certificate_summary(trajectory, float(margin))
+        if (cert.get("certified"), cert.get("k"), cert.get("monotone")) != \
+                (k is not None, k, monotone):
+            errors.append(f"certificate {i}: certified, k or monotone do "
+                          "not follow from its trajectory")
 
 
 def _check_flows(report: dict, errors: list[str]) -> None:
@@ -497,14 +519,29 @@ _CHECKS = {"structure": _check_structure, "harmonic": _recompute_residual,
            "gd_harmonic": _recompute_residual, "gd_rhos": _check_gd_rhos}
 
 
+def _envelope_errors(report) -> list[str]:
+    """Every envelope rule a report breaks, each line prefixed 'schema: '."""
+    if not isinstance(report, dict):
+        return [f"schema: a report must be a JSON object, not "
+                f"{type(report).__name__}"]
+    errors = [f"schema: unexpected key {key!r}"
+              for key in sorted(set(report) - set(ENVELOPE))]
+    for key, (rule, message) in ENVELOPE.items():
+        if key not in report:
+            errors.append(f"schema: required key {key!r} is missing")
+        elif not rule(report[key]):
+            errors.append(f"schema: {key} {message}")
+    return errors
+
+
 def validate_report_details(path: str) -> list[str]:
-    """Schema plus consistency validation; empty list means valid."""
+    """Envelope plus consistency validation; empty list means valid."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
         except json.JSONDecodeError as exc:
             return [f"not valid JSON: {exc}"]
-    errors = [f"schema: {e.message}" for e in _VALIDATOR.iter_errors(report)]
+    errors = _envelope_errors(report)
     if errors:
         return errors
     kind = report["results"].get("kind")

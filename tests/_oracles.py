@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+from fractal_renorm.errors import NonConvergenceError
+from fractal_renorm.gd import cell_graph
+from fractal_renorm.networks import _trace_matrix
 from fractal_renorm.relations import Partition, rotation_invariant
 from fractal_renorm.structure import level_vertices
 
@@ -191,3 +194,45 @@ def dense_level_resistance(structure, weights, k):
     ids = list(lv.boundary_ids)
     diag = np.diag(green)[ids]
     return diag[:, None] + diag[None, :] - 2.0 * green[np.ix_(ids, ids)]
+
+
+def gd_solve_all_cells(n, m, *, tol=1e-12, max_iter=20_000, seed=1):
+    """Unreduced graph-directed iteration carrying one form per cell.
+
+    Starts from an asymmetric random initial condition. Returns the final
+    per-cell matrices (each on that cell's corners in local order), the
+    joint eta, and the iteration count. The caller checks that all cells
+    agree, which validates the package's reduction to a single form.
+    """
+    ring = m + n
+    graphs = [cell_graph(n, m, cell) for cell in range(ring)]
+    rng = np.random.default_rng(seed)
+    forms = []
+    for _ in range(ring):
+        mat = np.zeros((4, 4))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                mat[i, j] = mat[j, i] = 0.5 + rng.random()
+        forms.append(mat)
+    total = sum(f.sum() / 2.0 for f in forms)
+    forms = [f * (ring / total) for f in forms]
+
+    for iteration in range(1, max_iter + 1):
+        new_forms = []
+        for graph in graphs:
+            big = np.zeros((graph.num_ids, graph.num_ids))
+            for sub in range(ring):
+                idx = np.asarray(graph.subcell_ids[sub])
+                big[np.ix_(idx, idx)] += forms[sub]
+            new_forms.append(_trace_matrix(big, list(graph.corners)))
+        total = sum(f.sum() / 2.0 for f in new_forms)
+        eta = ring / total
+        new_forms = [f * (ring / total) for f in new_forms]
+        delta = max(float(np.abs(a - b).max())
+                    for a, b in zip(new_forms, forms))
+        forms = new_forms
+        if delta <= tol:
+            return forms, float(eta), iteration
+    raise NonConvergenceError(
+        f"all-cells iteration did not converge in {max_iter} steps",
+        iterations=max_iter)

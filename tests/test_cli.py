@@ -1,7 +1,11 @@
 """Workbench front end: exit codes, determinism, file round-trips."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +238,31 @@ class TestOutput:
 
     def test_run_alias(self):
         assert run is main
+
+
+class TestImportFootprint:
+    """The package runs on the standard library and numpy alone."""
+
+    @staticmethod
+    def python(*argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_import_loads_no_scipy_or_jsonschema(self):
+        done = self.python("-c", "import sys, fractal_renorm; "
+                                 "print('\\n'.join(sorted(sys.modules)))")
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout.split()
+        assert "fractal_renorm.cli" in loaded
+        assert [m for m in loaded
+                if m.split(".")[0] in ("scipy", "jsonschema")] == []
+
+    def test_module_help_exits_zero(self):
+        done = self.python("-m", "fractal_renorm", "--help")
+        assert done.returncode == 0, done.stderr
+        assert "validate" in done.stdout
+

@@ -9,14 +9,13 @@ import pytest
 from fractal_renorm import (
     ConductanceForm, NonConvergenceError, Partition, RELATION_PQ,
     RELATION_SIDES, build_gd_structure, cell_graph, enumerate_preserved,
-    existence_verdict, gd_relation_rhos, gd_solve, gd_solve_all_cells,
-    gd_structure_to_json, is_preserved, renorm_T, stationary_ratios,
-    t_quotient,
+    existence_verdict, gd_relation_rhos, gd_solve, gd_structure_to_json,
+    is_preserved, renorm_T, stationary_ratios, t_quotient,
 )
 from fractal_renorm.gd import CORNER_ORDER, EXPLORE_ITER_CAP, FORM_VERTICES
 from fractal_renorm.relations import RATIO_TOL
 
-from _oracles import gd_eta_m1, gd_rho_values
+from _oracles import gd_eta_m1, gd_rho_values, gd_solve_all_cells
 
 GRID = [(n, m) for n in range(2, 7) for m in range(1, 7)]
 

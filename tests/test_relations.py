@@ -410,6 +410,107 @@ class TestStationaryRatios:
         with pytest.raises(ValueError):
             stationary_ratios(num, den, modulo="constants")
 
+    @staticmethod
+    def random_form(rng, verts, spread):
+        # a random Hamiltonian path with weights log-uniform over `spread`
+        # decades over a complete graph at the lowest weight: condition
+        # numbers grow to about 10**spread
+        low = 10.0 ** (-spread / 2)
+        weights = {frozenset((x, y)): low * rng.uniform(0.5, 1.0)
+                   for i, x in enumerate(verts) for y in verts[i + 1:]}
+        path = [verts[i] for i in rng.permutation(len(verts))]
+        for x, y in zip(path, path[1:]):
+            weights[frozenset((x, y))] = 10.0 ** rng.uniform(-spread / 2,
+                                                             spread / 2)
+        return ConductanceForm.from_edges(
+            verts, [(*sorted(pair), w) for pair, w in weights.items()])
+
+    @staticmethod
+    def oracle(num, den, verts, cols):
+        """Extreme eigenvalues of solve(br, ar) on a QR basis of the
+        complement of cols, the Rayleigh quotients num(f)/den(f) at their
+        eigenvectors, the condition number of br and the basis."""
+        rank = np.linalg.matrix_rank(cols)
+        q, _ = np.linalg.qr(np.hstack([cols, np.eye(len(verts))]))
+        comp = q[:, rank:len(verts)]
+
+        def laplacian(form):
+            mat = np.zeros((len(verts), len(verts)))
+            for i, x in enumerate(verts):
+                for j, y in enumerate(verts):
+                    if i != j:
+                        mat[i, i] += form.weight(x, y)
+                        mat[i, j] -= form.weight(x, y)
+            return comp.T @ mat @ comp
+
+        ar, br = laplacian(num), laplacian(den)
+        vals, vecs = np.linalg.eig(np.linalg.solve(br, ar))
+        order = np.argsort(vals.real)
+        ends = [vals.real[order[0]], vals.real[order[-1]]]
+        rayleigh = []
+        for i in (order[0], order[-1]):
+            f = dict(zip(verts, comp @ vecs[:, i].real))
+            rayleigh.append(energy(num, f) / energy(den, f))
+        return ends, rayleigh, np.linalg.cond(br), comp
+
+    def test_against_generalized_eigen_oracle(self):
+        conds = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            nv = 4 + seed % 6
+            verts = [f"v{i}" for i in range(nv)]
+            spread = [0.0, 2.0, 4.0, 6.0, 8.0][seed % 5]
+            num = self.random_form(rng, verts, spread)
+            den = self.random_form(rng, verts, spread)
+            cut = sorted(rng.choice(np.arange(1, nv), size=2, replace=False))
+            partition = Partition.from_blocks(
+                [verts[:cut[0]], verts[cut[0]:cut[1]], verts[cut[1]:]])
+            maps = [{v: float(rng.standard_normal()) for v in verts}
+                    for _ in range(2)]
+            with pytest.raises(ValueError):
+                # constants lie in the kernel of every Laplacian
+                stationary_ratios(num, den)
+            for modulo, cols in (
+                    ("constants", np.ones((nv, 1))),
+                    (partition, np.array([[float(v in block)
+                                           for block in partition.blocks]
+                                          for v in verts])),
+                    (maps + [dict.fromkeys(verts, 1.0)],
+                     np.array([[mp[v] for mp in maps] + [1.0]
+                               for v in verts]))):
+                lo, hi = stationary_ratios(num, den, modulo=modulo)
+                ends, rayleigh, cond, comp = self.oracle(num, den, verts,
+                                                         cols)
+                conds.append(cond)
+                # the backward-stable scale eps * cond(br) * |lambda|max,
+                # with a margin of 450
+                tol = 1e-13 * cond * ends[1]
+                assert lo == pytest.approx(ends[0], rel=0, abs=tol)
+                assert hi == pytest.approx(ends[1], rel=0, abs=tol)
+                assert lo == pytest.approx(rayleigh[0], rel=0, abs=tol)
+                assert hi == pytest.approx(rayleigh[1], rel=0, abs=tol)
+                for _ in range(5):
+                    f = dict(zip(verts, comp @ rng.standard_normal(
+                        comp.shape[1])))
+                    ratio = energy(num, f) / energy(den, f)
+                    assert lo - tol <= ratio <= hi + tol
+        assert 1e7 < max(conds) <= 1e8
+
+    def test_degenerate_denominator_under_each_modulo(self):
+        # the denominator splits into {v0, v1} and {v2, v3}; a combination
+        # of the two component indicators has zero energy and lies off
+        # each modded-out space below
+        verts = ["v0", "v1", "v2", "v3"]
+        rng = np.random.default_rng(7)
+        num = self.random_form(rng, verts, 2.0)
+        den = ConductanceForm.from_edges(
+            verts, [("v0", "v1", 2.0), ("v2", "v3", 0.5)])
+        for modulo in (None, "constants",
+                       Partition.from_blocks([["v0", "v2"], ["v1", "v3"]]),
+                       [{v: float(i) for i, v in enumerate(verts)}]):
+            with pytest.raises(ValueError, match="degenerate"):
+                stationary_ratios(num, den, modulo=modulo)
+
 
 class TestRhoSearch:
     def test_relation_side_upper(self):

@@ -88,6 +88,52 @@ class TestEnvelope:
             assert validate_report_details(str(path)) == []
             assert validate_report(str(path))
 
+    def test_envelope_rule_tampers(self, tmp_path, capsys):
+        # one edit per envelope rule: each fails with a schema line and
+        # exit 4, never an exception
+        path = make_report(tmp_path, "env.json",
+                           ["solve", "--n", "2", "--m", "1",
+                            "--theta", "1/6"])
+        base = load(path)
+
+        def edited(**changes):
+            report = json.loads(json.dumps(base))
+            for key, value in changes.items():
+                if value is KeyError:
+                    del report[key]
+                else:
+                    report[key] = value
+            return report
+
+        cases = [[base], "fr-1", None]
+        cases += [edited(**{key: KeyError}) for key in base]
+        cases += [
+            edited(annotation="hand-edited"),
+            edited(schema="fr-2"),
+            edited(version=1),
+            edited(command="solve"),
+            edited(command=["solve", 2]),
+            edited(wall_time_s=-1.0),
+            edited(wall_time_s="0.5"),
+            edited(wall_time_s=True),
+            edited(inputs=[]),
+            edited(tolerances={}),
+            edited(tolerances=[1e-12]),
+            edited(results=[]),
+            edited(results={"harmonic": base["results"]["harmonic"]}),
+            edited(results={**base["results"], "kind": 3}),
+        ]
+        assert len(base) == 7
+        capsys.readouterr()
+        for report in cases:
+            dump(path, report)
+            details = validate_report_details(str(path))
+            assert details and any(line.startswith("schema: ")
+                                   for line in details), report
+            assert main(["validate", str(path)]) == 4
+            err = capsys.readouterr().err
+            assert "schema: " in err and "Traceback" not in err
+
 
 class TestTamperDetection:
     def test_harmonic_eta_tamper(self, tmp_path):
@@ -381,6 +427,47 @@ class TestTamperDetection:
         dump(path, report)
         assert any("certificate 0" in line
                    for line in validate_report_details(str(path)))
+
+        # trajectories are rerun: halving every value keeps certified, k
+        # and monotone consistent; one edited entry, a stated tol raised
+        # to 100, a changed margin and a dropped certificate fail too
+        def halve(cert):
+            for t in cert["trajectory"]:
+                t["value"] /= 2
+
+        def nudge(cert):
+            cert["trajectory"][-1]["value"] *= 1 + 1e-6
+            cert["trajectory"][-1]["tol"] = 100.0
+
+        def margin(cert):
+            cert["margin"] = 0.4
+
+        for edit, word in ((halve, "trajectory step 1"),
+                           (nudge, "trajectory step 8"),
+                           (margin, "margin")):
+            report = json.loads(json.dumps(base))
+            edit(report["results"]["certificates"][0])
+            dump(path, report)
+            assert any(f"certificate 0 {word}" in line
+                       or f"certificate 0: {word}" in line
+                       for line in validate_report_details(str(path)))
+            assert main(["validate", str(path)]) == 4
+        report = json.loads(json.dumps(base))
+        report["results"]["certificates"].pop()
+        dump(path, report)
+        assert main(["validate", str(path)]) == 4
+        report = json.loads(json.dumps(base))
+        report["results"]["solver_error"] = "did not converge"
+        dump(path, report)
+        assert any("solver_error" in line
+                   for line in validate_report_details(str(path)))
+
+        # a report whose solve stopped early has no certificates to rerun
+        path = make_report(tmp_path, "rel_unsolved.json",
+                           ["relations", "--n", "2", "--m", "1",
+                            "--theta", "1/12", "--max-iter", "2"])
+        assert "solver_error" in load(path)["results"]
+        assert validate_report_details(str(path)) == []
 
     def test_flows_tampers(self, tmp_path):
         path = make_report(tmp_path, "f.json",
