@@ -1,11 +1,14 @@
-"""Command-line front end: builds structures, solves, reports.
+"""Command-line front end: parses flags, writes reports, maps exit codes.
 
-Every subcommand emits one JSON report (see reports.py) either to --out or
-to stdout. Exit codes: 0 success, 2 invalid input, 3 non-convergence or a
-cap hit (such as a level past the depth cap), 4 internal invariant
-violation (including failed report validation). Reports are deterministic
-byte-for-byte apart from the wall-time field. `resistance --level k` scales
-the eigenform's resistances by eta^k and builds nothing of level k.
+Every subcommand but validate records its flags as the report's inputs,
+hands them with --tol to the kind's builder in reports.BUILDERS, and emits
+the envelope around the results and tolerances the builder returns: one
+JSON report (see reports.py), or CSV rows for the tabular kinds, to --out
+or stdout. validate reruns the same builder and compares every field.
+Exit codes: 0 success, 2 invalid input, 3 non-convergence or a cap hit
+(such as a level past the depth cap), 4 internal invariant violation
+(including failed report validation). Reports are deterministic
+byte-for-byte apart from the wall-time field.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .angles import make_context
@@ -22,18 +25,11 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      DisconnectedError, InvalidMsError, KappaUndefinedError,
                      KernelMismatchError, NonConvergenceError,
                      NotAPermutationError, NotInvariantError)
-from .gd import (build_gd_structure, gd_relation_rhos, gd_solve,
-                 gd_structure_to_json)
-from .relations import (DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
-                        build_J_plus_minus, enumerate_preserved,
-                        sabot_verdict, uniqueness_certificate)
-from .renorm import (ETA_AGREEMENT_TOL, solve_eigenform,
-                     verify_harmonic_structure)
-from .reports import (RESISTANCE_TOL, claim, flows_results, form_to_json,
-                      render_report, resistance_results, structure_inputs,
+from .relations import DEFAULT_K_MAX
+from .renorm import DEFAULT_MAX_ITER
+from .reports import (BUILDERS, render_report, structure_inputs,
                       validate_report_details)
-from .structure import (build_structure, level_vertices, levels_to_json,
-                        structure_from_json, structure_to_json)
+from .structure import build_structure, structure_from_json
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -80,9 +76,11 @@ def _emit(args, report: dict, csv_rows: Optional[list] = None) -> int:
     return EXIT_OK
 
 
-def _envelope(args, inputs: dict, tolerances: dict, results: dict,
-              started: float) -> dict:
-    return {
+def _report(args, started: float, kind: str, inputs: dict,
+            csv_rows: Optional[Callable[[dict], list]] = None) -> int:
+    """Run the kind's builder on the inputs and emit its report."""
+    results, tolerances = BUILDERS[kind](inputs, args.tol)
+    report = {
         "schema": "fr-1",
         "version": __version__,
         "command": list(args.command_echo),
@@ -91,188 +89,63 @@ def _envelope(args, inputs: dict, tolerances: dict, results: dict,
         "tolerances": tolerances,
         "results": results,
     }
+    return _emit(args, report, csv_rows(results) if csv_rows else None)
 
 
 def _cmd_structure(args, started: float) -> int:
-    structure = _load_structure(args)
-    lv = level_vertices(structure, args.level)
-    results = {
-        "kind": "structure",
-        "structure": structure_to_json(structure),
-        "levels": levels_to_json(lv),
-    }
-    inputs = structure_inputs(structure, level=args.level)
-    report = _envelope(args, inputs, {"exact_arithmetic": 0.0}, results,
-                       started)
-    return _emit(args, report)
-
-
-def _harmonic_block(hs, tol: float) -> dict:
-    return {
-        "eta": claim(hs.eta, tol * 10),
-        "eta_inverse": claim(1.0 / hs.eta, tol * 10),
-        "eta_rayleigh": claim(hs.eta_rayleigh, ETA_AGREEMENT_TOL),
-        "residual": claim(hs.residual, tol),
-        "iterations": hs.iterations,
-        "normalization": hs.normalization,
-        "form": form_to_json(hs.form),
-    }
+    inputs = structure_inputs(_load_structure(args), level=args.level)
+    return _report(args, started, "structure", inputs)
 
 
 def _cmd_solve(args, started: float) -> int:
-    structure = _load_structure(args)
-    hs = solve_eigenform(structure, tol=args.tol, max_iter=args.max_iter)
-    checks = verify_harmonic_structure(structure, hs.form, hs.eta)
-    results = {
-        "kind": "harmonic",
-        "structure": structure_to_json(structure),
-        "harmonic": _harmonic_block(hs, args.tol),
-        "checks": {k: (v if isinstance(v, bool)
-                       else claim(v, ETA_AGREEMENT_TOL))
-                   for k, v in checks.items()},
-    }
-    inputs = structure_inputs(structure)
-    tolerances = {"solver_tol": args.tol, "eta_agreement": 1e-9}
-    return _emit(args, _envelope(args, inputs, tolerances, results, started))
+    inputs = structure_inputs(_load_structure(args), max_iter=args.max_iter)
+    return _report(args, started, "harmonic", inputs)
 
 
 def _cmd_relations(args, started: float) -> int:
-    structure = _load_structure(args)
-    require_g = not args.all
-    preserved = enumerate_preserved(structure, require_g, cap=args.cap)
-    hs = None
-    solver_error = None
-    try:
-        hs = solve_eigenform(structure, tol=args.tol,
-                             max_iter=args.max_iter)
-    except NonConvergenceError as exc:
-        solver_error = str(exc)
-    verdict = sabot_verdict(structure, preserved)
-    certificates = []
-    if hs is not None:
-        for rel in preserved:
-            if rel.is_trivial:
-                continue
-            cert = uniqueness_certificate(structure, hs, rel,
-                                          k_max=args.k_max)
-            certificates.append({
-                "relation": rel.to_json(),
-                "certified": cert.certified,
-                "k": cert.k,
-                "margin": cert.margin,
-                "trajectory": [claim(t, RATIO_TOL) for t in cert.trajectory],
-                "monotone": cert.monotone,
-            })
-    jpm = None
-    try:
-        j_plus, j_minus = build_J_plus_minus(structure)
-        jpm = {"plus": j_plus.to_json(), "minus": j_minus.to_json()}
-    except KappaUndefinedError:
-        pass
-    results = {
-        "kind": "relations",
-        "require_g": require_g,
-        "preserved": [rel.to_json() for rel in preserved],
-        "verdict": {
-            "verdict": verdict.verdict,
-            "witnesses": [{
-                "relation": w.relation.to_json(),
-                **{key: claim(value, RATIO_TOL)
-                   for key, value in zip(RHO_KEYS, w.rhos)},
-                "criterion_met": w.criterion_met,
-            } for w in verdict.witnesses],
-            "ordered_pairs": [[a.to_json(), b.to_json()]
-                              for a, b in verdict.ordered_pairs],
-        },
-        "certificates": certificates,
-        "candidates": jpm,
-    }
-    if solver_error:
-        results["solver_error"] = solver_error
-    inputs = structure_inputs(structure, cap=args.cap, require_g=require_g)
-    tolerances = {"solver_tol": args.tol,
-                  "certificate_margin": DEFAULT_MARGIN, "ratio_tol": RATIO_TOL}
-    return _emit(args, _envelope(args, inputs, tolerances, results, started))
+    inputs = structure_inputs(_load_structure(args), cap=args.cap,
+                              require_g=not args.all, k_max=args.k_max,
+                              max_iter=args.max_iter)
+    return _report(args, started, "relations", inputs)
+
+
+def _resistance_rows(results: dict) -> list:
+    return [["vertex"] + results["vertices"]] + [
+        [label] + [f"{x:.12g}" for x in row]
+        for label, row in zip(results["vertices"], results["matrix"])]
 
 
 def _cmd_resistance(args, started: float) -> int:
-    structure = _load_structure(args)
-    hs = solve_eigenform(structure, tol=args.tol, max_iter=args.max_iter)
-    results = resistance_results(structure, hs, args.level, args.tol)
-    inputs = structure_inputs(structure, level=args.level)
-    tolerances = {"solver_tol": args.tol, "resistance_tol": RESISTANCE_TOL}
-    rows = [["vertex"] + results["vertices"]] + [
-        [label] + [f"{x:.12g}" for x in row]
-        for label, row in zip(results["vertices"], results["matrix"])]
-    return _emit(args, _envelope(args, inputs, tolerances, results, started),
-                 rows)
+    inputs = structure_inputs(_load_structure(args), level=args.level,
+                              max_iter=args.max_iter)
+    return _report(args, started, "resistance", inputs, _resistance_rows)
 
 
 def _cmd_flows(args, started: float) -> int:
-    structure = _load_structure(args)
-    hs = solve_eigenform(structure, tol=args.tol, max_iter=args.max_iter)
-    raw = [float(tok) for tok in args.values.split(",")]
-    results = flows_results(structure, hs, raw)
-    inputs = structure_inputs(structure, values=args.values)
-    tolerances = {"solver_tol": args.tol, "flow_tol": 1e-9}
-    return _emit(args, _envelope(args, inputs, tolerances, results, started))
+    inputs = structure_inputs(_load_structure(args), values=args.values,
+                              max_iter=args.max_iter)
+    return _report(args, started, "flows", inputs)
 
 
 def _cmd_gd_build(args, started: float) -> int:
-    gd = build_gd_structure(args.n, args.m)
-    results = dict(gd_structure_to_json(gd))
-    results["kind"] = "gd_structure"
-    inputs = {"n": args.n, "m": args.m}
-    return _emit(args, _envelope(args, inputs, {"exact_arithmetic": 0.0},
-                                 results, started))
+    return _report(args, started, "gd_structure", {"n": args.n, "m": args.m})
 
 
 def _cmd_gd_solve(args, started: float) -> int:
-    hs = gd_solve(args.n, args.m, tol=args.tol, max_iter=args.max_iter)
-    results = {
-        "kind": "gd_harmonic",
-        "ctx": {"n": args.n, "m": args.m},
-        "existence": hs.existence,
-        "converged": hs.converged,
-        "harmonic": _harmonic_block(hs, args.tol),
-        "diagnostics": {
-            "last_step": float(hs.diagnostics["last_step"]),
-            "collapsed_pairs": [list(p)
-                                for p in hs.diagnostics["collapsed_pairs"]],
-            "mass_ratio_tail": list(hs.diagnostics["mass_ratio_tail"]),
-        },
-    }
-    inputs = {"n": args.n, "m": args.m}
-    tolerances = {"solver_tol": args.tol, "eta_agreement": 1e-9}
-    return _emit(args, _envelope(args, inputs, tolerances, results, started))
+    inputs = {"n": args.n, "m": args.m, "max_iter": args.max_iter}
+    return _report(args, started, "gd_harmonic", inputs)
+
+
+def _rho_rows(results: dict) -> list:
+    names = ("rho_over_relation", "rho_under_relation", "rho_quotient")
+    return [["relation", *names]] + [
+        [key] + [f"{results[key][name]['value']:.12g}" for name in names]
+        for key in ("pq_pairs", "side_pairs")]
 
 
 def _cmd_gd_rhos(args, started: float) -> int:
-    table = gd_relation_rhos(args.n, args.m)
-    def entry(e):
-        return {
-            "relation": e.relation.to_json(),
-            "rho_over_relation": claim(e.rho_over_relation, RATIO_TOL),
-            "rho_under_relation": claim(e.rho_under_relation, RATIO_TOL),
-            "rho_quotient": claim(e.rho_quotient, RATIO_TOL),
-            "basis_dim": e.basis_dim,
-            "evaluations": e.evaluations,
-        }
-    results = {
-        "kind": "gd_rhos",
-        "ctx": {"n": args.n, "m": args.m},
-        "pq_pairs": entry(table.pq_pairs),
-        "side_pairs": entry(table.side_pairs),
-    }
-    inputs = {"n": args.n, "m": args.m}
-    tolerances = {"ratio_tol": RATIO_TOL}
-    names = ("rho_over_relation", "rho_under_relation", "rho_quotient")
-    rows = [["relation", *names]] + [
-        [key] + [f"{getattr(e, name):.12g}" for name in names]
-        for key, e in (("pq_pairs", table.pq_pairs),
-                       ("side_pairs", table.side_pairs))]
-    return _emit(args, _envelope(args, inputs, tolerances, results, started),
-                 rows)
+    return _report(args, started, "gd_rhos", {"n": args.n, "m": args.m},
+                   _rho_rows)
 
 
 def _cmd_validate(args, started: float) -> int:
@@ -302,7 +175,7 @@ def _add_ctx_flags(p: argparse.ArgumentParser, with_structure=True) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -329,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate preserved relations and verdict")
     _add_ctx_flags(p)
     p.add_argument("--cap", type=int, default=12)
-    p.add_argument("--k-max", type=int, default=8)
+    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--all", action="store_true",
                    help="enumerate all relations, not only rotation-"
                         "invariant ones")

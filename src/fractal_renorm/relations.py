@@ -460,8 +460,6 @@ def t_quotient(structure, relation: Partition,
 
 def _modulo_columns(vertices: Sequence[Hashable], modulo) -> np.ndarray:
     nv = len(vertices)
-    if modulo is None:
-        return np.zeros((nv, 0))
     if isinstance(modulo, str):
         if modulo != "constants":
             raise ValueError(f"unknown modulo choice {modulo!r}")
@@ -473,6 +471,8 @@ def _modulo_columns(vertices: Sequence[Hashable], modulo) -> np.ndarray:
             for x in block:
                 cols[index[x], b] = 1.0
         return cols
+    if not modulo:
+        raise ValueError("modulo needs at least one value map")
     cols = np.zeros((nv, len(modulo)))
     for c, mapping in enumerate(modulo):
         for i, v in enumerate(vertices):
@@ -481,12 +481,13 @@ def _modulo_columns(vertices: Sequence[Hashable], modulo) -> np.ndarray:
 
 
 def stationary_ratios(num_form: ConductanceForm, den_form: ConductanceForm,
-                      modulo=None) -> tuple[float, float]:
+                      modulo) -> tuple[float, float]:
     """Extreme ratios num(f)/den(f) over functions off the modded-out space.
 
-    modulo may be None, "constants", a Partition (its block indicators), or
-    an explicit sequence of value maps. The denominator form must be
-    positive definite on the complement, otherwise the ratios are
+    modulo is "constants", a Partition (its block indicators), or a
+    non-empty sequence of value maps: the constants lie in the kernel of
+    every Laplacian, so nothing can be left out. The denominator form must
+    be positive definite on the complement, otherwise the ratios are
     undefined and a ValueError is raised.
     """
     verts = den_form.vertices
@@ -496,13 +497,10 @@ def stationary_ratios(num_form: ConductanceForm, den_form: ConductanceForm,
     la = _laplacian(num_form.matrix())[np.ix_(order, order)]
     lb = _laplacian(den_form.matrix())
 
-    cols = _modulo_columns(verts, modulo)
-    if cols.shape[1] == 0:
-        comp = np.eye(len(verts))
-    else:
-        u, s, _ = np.linalg.svd(cols, full_matrices=True)
-        rank = int((s > 1e-12 * max(s[0], 1.0)).sum())
-        comp = u[:, rank:]
+    u, s, _ = np.linalg.svd(_modulo_columns(verts, modulo),
+                            full_matrices=True)
+    rank = int((s > 1e-12 * max(s[0], 1.0)).sum())
+    comp = u[:, rank:]
     if comp.shape[1] == 0:
         raise ValueError("modded-out space covers everything; "
                          "no ratios to compute")

@@ -124,11 +124,10 @@ class _Run:
 
 
 def _normalized_iteration(structure, tol: float, max_iter: int,
-                          init: Optional[ConductanceForm] = None,
-                          symmetric: bool = False) -> _Run:
+                          init: Optional[ConductanceForm] = None) -> _Run:
     """The iteration both solvers share: D -> T(D)/mass(T(D)), one trace
     per step, until the relative residual is at most tol or max_iter steps
-    are spent. symmetric averages each iterate over the rotations."""
+    are spent."""
     scheme = structure.scheme
     nb = len(structure.boundary)
     if init is not None:
@@ -152,9 +151,6 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
     eta, delta, residual, iteration = 1.0 / tmass, np.inf, np.inf, 0
     for iteration in range(1, max_iter + 1):
         w_next = traced / tmass
-        if symmetric:
-            w_next = _boundary_matrix(structure, symmetrize(
-                structure, _form_from_boundary_matrix(structure, w_next)))
         delta = float(np.abs(w_next - w).max())
         w = w_next
         traced, tmass = traced_of(w, iteration)
@@ -170,7 +166,6 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
 
 def solve_eigenform(structure, *, tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER,
-                    symmetrize_each_step: bool = False,
                     init: Optional[ConductanceForm] = None) -> HarmonicStructure:
     """Run the normalized fixed-point iteration to an eigenform.
 
@@ -180,11 +175,9 @@ def solve_eigenform(structure, *, tol: float = DEFAULT_TOL,
     |eta*T(w) - w|max / |w|max is at most tol, so the returned residual is
     the one report validation recomputes. Raises NonConvergence with that
     residual and oscillation diagnostics if max_iter steps do not get
-    there, and NotInvariant when asked to symmetrize a boundary that is not
-    rotation-closed.
+    there.
     """
-    run = _normalized_iteration(structure, tol, max_iter, init,
-                                symmetrize_each_step)
+    run = _normalized_iteration(structure, tol, max_iter, init)
     if run.converged:
         eta_rayleigh = _rayleigh_eta(run.form, run.traced)
         if abs(run.eta - eta_rayleigh) > \

@@ -1,39 +1,44 @@
-"""Report envelope, envelope validation, and internal consistency checks.
+"""Report layout: one results builder per report kind, and validation.
 
 Every CLI run emits one JSON report: a fixed envelope (schema tag,
 version, command echo, inputs, tolerances, wall time) around a results
 object tagged with its kind. Numeric claims are {"value": x, "tol": t}
-pairs. Validation first checks the envelope: an object with exactly the
-keys of ENVELOPE, each meeting its plain rule, every broken rule giving a
-"schema: " line. It then re-derives the residual of a harmonic report
-from its embedded form together with its checks, Rayleigh eta and
-iteration count, and recomputes structure, relations, flows, resistance
-and gd_rhos reports from their inputs, rho brackets and certificate
-trajectories included.
+pairs.
+
+BUILDERS maps each kind to the one function that lays out its results:
+builder(inputs, solver_tol) returns the results and tolerances blocks,
+reading nothing but the report's inputs (the flags of the run) and its
+solver tolerance. The CLI writes what the builder returns. Validation
+checks the envelope, reruns the kind's builder on the report's own inputs
+and solver_tol, and compares every field of the stated results and
+tolerances with the fresh ones (_diff): one line per differing leaf, named
+by its path. A few checks then test stated values against each other
+(_CONSISTENCY): the eigen residual of the embedded form, the shape of a
+resistance metric, the structure's cover of its boundary, the gd vertex
+counts, the verdict and certificate rules, and the order of rho brackets.
 """
 from __future__ import annotations
 
 import json
 import math
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .angles import make_context
-from .errors import KappaUndefinedError, WorkbenchError
-from .gd import DEFAULT_MAX_ITER as GD_MAX_ITER
-from .gd import cell_graph, gd_relation_rhos, gd_solve
+from .errors import KappaUndefinedError, NonConvergenceError, WorkbenchError
+from .gd import build_gd_structure, cell_graph, gd_relation_rhos, gd_solve
+from .gd import gd_structure_to_json
 from .networks import ConductanceForm, harmonic_extension, resistance_matrix
-from .relations import (DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
+from .relations import (DEFAULT_K_MAX, DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
                         build_J_plus_minus, certificate_summary,
                         enumerate_preserved, per_cell_flows, sabot_verdict,
                         uniqueness_certificate, verdict_rule)
-from .renorm import (ETA_AGREEMENT_TOL, HarmonicStructure, _boundary_matrix,
-                     _rayleigh_eta, replicate, solve_eigenform,
-                     verify_harmonic_structure)
+from .renorm import (DEFAULT_MAX_ITER, ETA_AGREEMENT_TOL, replicate,
+                     solve_eigenform, verify_harmonic_structure)
 from .structure import (MsStructure, build_structure, level_size,
-                        level_vertices, levels_to_json, structure_from_json)
+                        level_vertices, levels_to_json, structure_to_json)
 
 # the envelope: each key a report must carry, with its rule; no other key
 ENVELOPE = {
@@ -54,6 +59,8 @@ ENVELOPE = {
 }
 
 RESISTANCE_TOL = 1e-9  # relative tolerance of a resistance matrix
+FLOW_TOL = 1e-9        # tolerance of the flows and their defects
+FLOAT_AGREEMENT = 1e-9  # relative agreement of a stated float with a rerun
 
 
 def claim(value: float, tol: float) -> dict:
@@ -78,13 +85,158 @@ def _form_matrix_from_json(data: dict) -> tuple[list[str], np.ndarray]:
     return verts, mat
 
 
-def flows_results(structure: MsStructure, hs: HarmonicStructure,
-                  values: Sequence[float]) -> dict:
-    """Results of a flows report: the level-1 harmonic extension of the
-    boundary values (in angle order) and its per-cell flows."""
+def structure_inputs(structure: MsStructure, **extra) -> dict:
+    """Report inputs that _structure_from_inputs rebuilds the structure from."""
+    ctx = structure.ctx
+    return {"n": ctx.n, "m": ctx.m, "theta": str(ctx.theta),
+            "symmetrized": structure.symmetrized, **extra}
+
+
+def _structure_from_inputs(inputs: dict) -> MsStructure:
+    ctx = make_context(int(inputs["n"]), int(inputs["m"]),
+                       Fraction(inputs["theta"]))
+    return build_structure(ctx, symmetrize=inputs.get("symmetrized"))
+
+
+def _max_iter(inputs: dict) -> int:
+    return int(inputs.get("max_iter", DEFAULT_MAX_ITER))
+
+
+def _solve(structure, inputs: dict, solver_tol):
+    return solve_eigenform(structure, tol=float(solver_tol),
+                           max_iter=_max_iter(inputs))
+
+
+def _harmonic_block(hs, tol: float) -> dict:
+    return {
+        "eta": claim(hs.eta, tol * 10),
+        "eta_inverse": claim(1.0 / hs.eta, tol * 10),
+        "eta_rayleigh": claim(hs.eta_rayleigh, ETA_AGREEMENT_TOL),
+        "residual": claim(hs.residual, tol),
+        "iterations": hs.iterations,
+        "normalization": hs.normalization,
+        "form": form_to_json(hs.form),
+    }
+
+
+def structure_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+    """The structure and its glued vertex set at inputs["level"]."""
+    structure = _structure_from_inputs(inputs)
+    return {
+        "kind": "structure",
+        "structure": structure_to_json(structure),
+        "levels": levels_to_json(level_vertices(structure,
+                                                int(inputs["level"]))),
+    }, {"exact_arithmetic": 0.0}
+
+
+def harmonic_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+    """The eigenform, eta and the independent checks of the solution."""
+    structure = _structure_from_inputs(inputs)
+    hs = _solve(structure, inputs, solver_tol)
+    checks = verify_harmonic_structure(structure, hs.form, hs.eta)
+    return {
+        "kind": "harmonic",
+        "structure": structure_to_json(structure),
+        "harmonic": _harmonic_block(hs, float(solver_tol)),
+        "checks": {k: (v if isinstance(v, bool)
+                       else claim(v, ETA_AGREEMENT_TOL))
+                   for k, v in checks.items()},
+    }, {"solver_tol": float(solver_tol), "eta_agreement": ETA_AGREEMENT_TOL}
+
+
+def _certificate_block(cert) -> dict:
+    return {
+        "relation": cert.relation.to_json(),
+        "certified": cert.certified,
+        "k": cert.k,
+        "margin": cert.margin,
+        "trajectory": [claim(t, RATIO_TOL) for t in cert.trajectory],
+        "monotone": cert.monotone,
+    }
+
+
+def relations_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+    """Preserved relations, the verdict with its rho brackets, and one
+    uniqueness certificate per nontrivial relation; a solve that runs out
+    of inputs["max_iter"] steps gives a solver_error and no certificates."""
+    structure = _structure_from_inputs(inputs)
+    require_g = bool(inputs["require_g"])
+    preserved = enumerate_preserved(structure, require_g,
+                                    cap=int(inputs["cap"]))
+    hs = solver_error = None
+    try:
+        hs = _solve(structure, inputs, solver_tol)
+    except NonConvergenceError as exc:
+        solver_error = str(exc)
+    verdict = sabot_verdict(structure, preserved)
+    k_max = int(inputs.get("k_max", DEFAULT_K_MAX))
+    certificates = [] if hs is None else [
+        _certificate_block(uniqueness_certificate(structure, hs, rel,
+                                                  k_max=k_max))
+        for rel in preserved if not rel.is_trivial]
+    try:
+        j_plus, j_minus = build_J_plus_minus(structure)
+        candidates = {"plus": j_plus.to_json(), "minus": j_minus.to_json()}
+    except KappaUndefinedError:
+        candidates = None
+    results = {
+        "kind": "relations",
+        "require_g": require_g,
+        "preserved": [rel.to_json() for rel in preserved],
+        "verdict": {
+            "verdict": verdict.verdict,
+            "witnesses": [{
+                "relation": w.relation.to_json(),
+                **{key: claim(value, RATIO_TOL)
+                   for key, value in zip(RHO_KEYS, w.rhos)},
+                "criterion_met": w.criterion_met,
+            } for w in verdict.witnesses],
+            "ordered_pairs": [[a.to_json(), b.to_json()]
+                              for a, b in verdict.ordered_pairs],
+        },
+        "certificates": certificates,
+        "candidates": candidates,
+    }
+    if solver_error:
+        results["solver_error"] = solver_error
+    return results, {"solver_tol": float(solver_tol),
+                     "certificate_margin": DEFAULT_MARGIN,
+                     "ratio_tol": RATIO_TOL}
+
+
+def resistance_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+    """The boundary resistances at inputs["level"].
+
+    eta*T(D) = D gives T^k(D) = eta^-k D: the level-k network traced onto
+    the boundary is the eigenform over eta^k, so its resistances are eta^k
+    times the eigenform's (Kigami, Analysis on Fractals, 2001, ch. 2-3).
+    Nothing of level k is built; the level is checked against the depth cap.
+    """
+    structure = _structure_from_inputs(inputs)
+    level = int(inputs["level"])
+    level_size(structure, level)
+    hs = _solve(structure, inputs, solver_tol)
+    matrix = hs.eta ** level * resistance_matrix(hs.form, structure.boundary)
+    return {
+        "kind": "resistance",
+        "level": level,
+        "vertices": [str(a) for a in structure.boundary],
+        "matrix": [[float(x) for x in row] for row in matrix],
+        "eta": claim(hs.eta, float(solver_tol) * 10),
+    }, {"solver_tol": float(solver_tol), "resistance_tol": RESISTANCE_TOL}
+
+
+def flows_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+    """The level-1 harmonic extension of the boundary values in
+    inputs["values"] (comma-separated, in angle order) and its per-cell
+    flows."""
+    structure = _structure_from_inputs(inputs)
+    values = [float(tok) for tok in str(inputs["values"]).split(",")]
     if len(values) != len(structure.boundary):
         raise ValueError(f"--values needs {len(structure.boundary)} entries "
                          "(boundary order, sorted by angle)")
+    hs = _solve(structure, inputs, solver_tol)
     boundary_ids = list(structure.scheme.marked)
     ext = harmonic_extension(replicate(structure, hs.form), boundary_ids,
                              dict(zip(boundary_ids, values)))
@@ -99,30 +251,68 @@ def flows_results(structure: MsStructure, hs: HarmonicStructure,
                        for cf in report_flows.cell_flows],
         "active_boundary": [str(a) for a in report_flows.active_boundary],
         "active_critical": [str(a) for a in report_flows.active_critical],
-        "conservation_defect": claim(report_flows.conservation_defect, 1e-9),
-        "matching_defect": claim(report_flows.matching_defect, 1e-9),
-        "scaling_defect": claim(report_flows.scaling_defect, 1e-9),
-    }
+        "conservation_defect": claim(report_flows.conservation_defect,
+                                     FLOW_TOL),
+        "matching_defect": claim(report_flows.matching_defect, FLOW_TOL),
+        "scaling_defect": claim(report_flows.scaling_defect, FLOW_TOL),
+    }, {"solver_tol": float(solver_tol), "flow_tol": FLOW_TOL}
 
 
-def resistance_results(structure: MsStructure, hs: HarmonicStructure,
-                       level: int, tol: float) -> dict:
-    """Results of a resistance report: the boundary resistances at a level.
+def gd_structure_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+    """The glued graph-directed structure of all m+n cells."""
+    gd = build_gd_structure(int(inputs["n"]), int(inputs["m"]))
+    return ({**gd_structure_to_json(gd), "kind": "gd_structure"},
+            {"exact_arithmetic": 0.0})
 
-    eta*T(D) = D gives T^k(D) = eta^-k D: the level-k network traced onto
-    the boundary is the eigenform over eta^k, so its resistances are eta^k
-    times the eigenform's (Kigami, Analysis on Fractals, 2001, ch. 2-3).
-    Nothing of level k is built; the level is checked against the depth cap.
-    """
-    level_size(structure, level)
-    matrix = hs.eta ** level * resistance_matrix(hs.form, structure.boundary)
+
+def gd_harmonic_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+    """The four-corner eigenform, or the capped exploratory run outside the
+    existence regime, with diagnostics of how the weights behaved."""
+    n, m = int(inputs["n"]), int(inputs["m"])
+    hs = gd_solve(n, m, tol=float(solver_tol), max_iter=_max_iter(inputs))
     return {
-        "kind": "resistance",
-        "level": level,
-        "vertices": [str(a) for a in structure.boundary],
-        "matrix": [[float(x) for x in row] for row in matrix],
-        "eta": claim(hs.eta, tol * 10),
-    }
+        "kind": "gd_harmonic",
+        "ctx": {"n": n, "m": m},
+        "existence": hs.existence,
+        "converged": hs.converged,
+        "harmonic": _harmonic_block(hs, float(solver_tol)),
+        "diagnostics": {
+            "last_step": float(hs.diagnostics["last_step"]),
+            "collapsed_pairs": [list(p)
+                                for p in hs.diagnostics["collapsed_pairs"]],
+            "mass_ratio_tail": list(hs.diagnostics["mass_ratio_tail"]),
+        },
+    }, {"solver_tol": float(solver_tol), "eta_agreement": ETA_AGREEMENT_TOL}
+
+
+def gd_rhos_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+    """The rho table of the two corner relations."""
+    n, m = int(inputs["n"]), int(inputs["m"])
+    table = gd_relation_rhos(n, m)
+
+    def entry(e):
+        return {
+            "relation": e.relation.to_json(),
+            "rho_over_relation": claim(e.rho_over_relation, RATIO_TOL),
+            "rho_under_relation": claim(e.rho_under_relation, RATIO_TOL),
+            "rho_quotient": claim(e.rho_quotient, RATIO_TOL),
+            "basis_dim": e.basis_dim,
+            "evaluations": e.evaluations,
+        }
+
+    return {
+        "kind": "gd_rhos",
+        "ctx": {"n": n, "m": m},
+        "pq_pairs": entry(table.pq_pairs),
+        "side_pairs": entry(table.side_pairs),
+    }, {"ratio_tol": RATIO_TOL}
+
+
+BUILDERS = {"structure": structure_results, "harmonic": harmonic_results,
+            "relations": relations_results,
+            "resistance": resistance_results, "flows": flows_results,
+            "gd_structure": gd_structure_results,
+            "gd_harmonic": gd_harmonic_results, "gd_rhos": gd_rhos_results}
 
 
 def render_report(report: Mapping) -> str:
@@ -134,389 +324,167 @@ def write_report(path: str, report: Mapping) -> None:
         fh.write(render_report(report))
 
 
-def _check_claim(node, name: str, errors: list[str]) -> Optional[float]:
-    if not isinstance(node, dict) or "value" not in node or "tol" not in node:
-        errors.append(f"{name}: numeric claim must carry value and tol")
-        return None
-    if not (isinstance(node["value"], (int, float))
-            and isinstance(node["tol"], (int, float))):
-        errors.append(f"{name}: value and tol must be numbers")
-        return None
-    return float(node["value"])
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _recompute_residual(report: dict, errors: list[str]) -> None:
-    """Rederive the eigen residual of a harmonic or gd_harmonic report.
+def _brief(x) -> str:
+    text = repr(x)
+    return text if len(text) <= 60 else text[:57] + "..."
 
-    A converged report is re-solved at its stated solver_tol and must stop
-    at the same iteration; its eta_rayleigh is recomputed from the embedded
-    form, and a harmonic report's checks block is rerun on that form and
-    eta. An unconverged gd_harmonic report has no eigen equation. Its
-    capped, deterministic run is repeated instead; eta, the form and the
-    mass-ratio tail must match. Both comparisons use the writer's
-    ETA_AGREEMENT_TOL, not a tol the report states.
+
+def _diff(path: str, got, want, errors: list[str]) -> None:
+    """One line per leaf where a stated block differs from its rerun.
+
+    Objects must have the same keys and lists the same length. A claim
+    must carry the recomputed tol exactly, and its value must lie within
+    that tol of the recomputed value; any other float must agree within
+    FLOAT_AGREEMENT relative; ints, strings, bools and null must be equal
+    and of the same type.
     """
-    results = report["results"]
-    harmonic = results.get("harmonic")
-    if not isinstance(harmonic, dict):
-        errors.append(f"{results['kind']} results missing the harmonic block")
+    if isinstance(want, dict):
+        if not isinstance(got, dict):
+            errors.append(f"{path}: {_brief(got)}, recomputed an object")
+            return
+        errors.extend(f"{path}.{key}: stated, absent from the rerun"
+                      for key in sorted(set(got) - set(want)))
+        errors.extend(f"{path}.{key}: missing, recomputed {_brief(want[key])}"
+                      for key in sorted(set(want) - set(got)))
+        if set(want) == {"value", "tol"}:
+            tol, value = want["tol"], want["value"]
+            if not (_is_number(got.get("tol")) and got["tol"] == tol):
+                errors.append(f"{path}.tol: {_brief(got.get('tol'))}, "
+                              f"recomputed {tol!r}")
+            if not (_is_number(got.get("value")) and
+                    (got["value"] == value or abs(got["value"] - value)
+                     <= tol)):
+                errors.append(f"{path}.value: {_brief(got.get('value'))}, "
+                              f"recomputed {value!r}")
+            return
+        for key in sorted(set(want) & set(got)):
+            _diff(f"{path}.{key}", got[key], want[key], errors)
+    elif isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            shown = (f"a list of {len(got)}" if isinstance(got, list)
+                     else _brief(got))
+            errors.append(f"{path}: {shown}, recomputed a list of "
+                          f"{len(want)}")
+            return
+        for i, (g, w) in enumerate(zip(got, want)):
+            _diff(f"{path}[{i}]", g, w, errors)
+    elif isinstance(want, float):
+        if not (_is_number(got) and (got == want or abs(got - want)
+                                     <= FLOAT_AGREEMENT * max(1.0,
+                                                              abs(want)))):
+            errors.append(f"{path}: {_brief(got)}, recomputed {want!r}")
+    elif type(got) is not type(want) or got != want:
+        errors.append(f"{path}: {_brief(got)}, recomputed {want!r}")
+
+
+def _check_residual(report: dict, fresh: dict, errors: list[str]) -> None:
+    """The eigen residual of the stated form at the stated eta, held to
+    10x the stated residual tol. Skipped only where the rerun did not
+    converge: an exploratory gd run has no eigen equation."""
+    if not fresh.get("converged", True):
         return
-    eta = _check_claim(harmonic.get("eta"), "eta", errors)
-    resid = harmonic.get("residual")
-    stated = _check_claim(resid, "residual", errors)
-    if eta is None or stated is None:
-        return
-    tol = float(resid["tol"])
-    gd = results["kind"] == "gd_harmonic"
-    rerun = gd and not results.get("converged", True)
-    try:
-        iterations = int(harmonic["iterations"])
-        solver_tol = float(report["tolerances"]["solver_tol"])
-        if gd:
-            n, m = int(results["ctx"]["n"]), int(results["ctx"]["m"])
-            structure = cell_graph(n, m)
-            hs = gd_solve(n, m, tol=solver_tol,
-                          max_iter=iterations if rerun else GD_MAX_ITER)
-        else:
-            structure = structure_from_json(results["structure"])
-            hs = solve_eigenform(structure, tol=solver_tol)
-        verts, mat = _form_matrix_from_json(harmonic["form"])
-        if rerun:
-            tail = np.asarray(results["diagnostics"]["mass_ratio_tail"],
-                              dtype=float)
-    except Exception as exc:
-        errors.append(f"cannot rebuild structure/form: {exc}")
-        return
+    inputs, harmonic = report["inputs"], report["results"]["harmonic"]
+    structure = (cell_graph(int(inputs["n"]), int(inputs["m"]))
+                 if fresh["kind"] == "gd_harmonic"
+                 else _structure_from_inputs(inputs))
+    verts, mat = _form_matrix_from_json(harmonic["form"])
     expected = [str(a) for a in structure.boundary]
     if sorted(verts) != sorted(expected):
         errors.append("embedded form vertices do not match the boundary")
         return
     order = [verts.index(s) for s in expected]
-    mat = mat[np.ix_(order, order)]
-    if not rerun:
-        scheme = structure.scheme
-        recomputed = scheme.residual(mat, eta)
-        if recomputed > 10.0 * max(tol, 1e-15):
-            errors.append(
-                f"recomputed residual {recomputed:.3e} exceeds 10x stated "
-                f"tolerance {tol:.1e}")
-        if hs.iterations != iterations:
-            errors.append(f"a re-solve at solver_tol {solver_tol:.1e} stops "
-                          f"at iteration {hs.iterations}, not {iterations}")
-        rayleigh = _check_claim(harmonic.get("eta_rayleigh"), "eta_rayleigh",
-                                errors)
-        want = _rayleigh_eta(mat, scheme.T(mat))
-        if rayleigh is not None and not abs(rayleigh - want) \
-                <= ETA_AGREEMENT_TOL * max(abs(want), 1.0):
-            errors.append(f"eta_rayleigh {rayleigh!r} differs from the "
-                          f"recomputed {want!r}")
-        if not gd:
-            form = ConductanceForm.from_matrix(structure.boundary, mat)
-            _compare_checks(results.get("checks"),
-                            verify_harmonic_structure(structure, form, eta),
-                            errors)
-        return
-    if hs.converged or hs.iterations != iterations:
-        errors.append(f"a rerun ends at iteration {hs.iterations} with "
-                      f"converged={hs.converged}, not at {iterations}")
-        return
-    got = np.concatenate([[eta], mat.ravel(), tail])
-    want = np.concatenate([[hs.eta],
-                           _boundary_matrix(structure, hs.form).ravel(),
-                           hs.diagnostics["mass_ratio_tail"]])
-    if got.shape != want.shape or not np.abs(got - want).max() \
-            <= ETA_AGREEMENT_TOL * max(np.abs(want).max(), 1.0):
-        errors.append("eta, form or mass_ratio_tail differ from a rerun of "
-                      f"{iterations} iterations")
+    tol = float(harmonic["residual"]["tol"])
+    recomputed = structure.scheme.residual(mat[np.ix_(order, order)],
+                                           float(harmonic["eta"]["value"]))
+    if recomputed > 10.0 * max(tol, 1e-15):
+        errors.append(f"recomputed residual {recomputed:.3e} exceeds 10x "
+                      f"stated tolerance {tol:.1e}")
 
 
-def _compare_checks(checks, fresh: dict, errors: list[str]) -> None:
-    """A harmonic report's checks block against a rerun of the checks."""
-    if not isinstance(checks, dict) or set(checks) != set(fresh):
-        errors.append(f"checks must list {sorted(fresh)}")
-        return
-    for key, want in fresh.items():
-        if isinstance(want, bool):
-            if checks[key] is not want:
-                errors.append(f"checks {key} is not {want}, as a rerun gives")
-            continue
-        got = _check_claim(checks[key], f"checks {key}", errors)
-        if got is not None and not abs(got - want) <= ETA_AGREEMENT_TOL:
-            errors.append(f"checks {key} {got!r} differs from the rerun "
-                          f"{want!r}")
-
-
-def _check_resistance(report: dict, errors: list[str]) -> None:
-    """Recompute eta and eta^k R_0 and check the metric's shape. The matrix
-    is held to the writer's RESISTANCE_TOL, not to the tol the report
-    states, which an edit could raise."""
-    inputs, results = report["inputs"], report["results"]
-    eta = _check_claim(results.get("eta"), "eta", errors)
-    try:
-        structure = _structure_from_inputs(inputs)
-        level = int(inputs["level"])
-        solver_tol = float(report["tolerances"]["solver_tol"])
-        hs = solve_eigenform(structure, tol=solver_tol)
-        fresh = resistance_results(structure, hs, level, solver_tol)
-        matrix = np.array(results.get("matrix"), dtype=float)
-    except _REBUILD_ERRORS as exc:
-        errors.append(f"cannot recompute the resistances: {exc}")
-        return
-    want = np.asarray(fresh["matrix"])
-    if (results.get("level"), results.get("vertices"), matrix.shape) != \
-            (level, fresh["vertices"], want.shape):
-        errors.append("level, vertices or matrix shape differ from inputs")
-        return
+def _check_metric(report: dict, fresh: dict, errors: list[str]) -> None:
+    """A resistance matrix has a zero diagonal, is nonnegative and
+    symmetric."""
+    matrix = np.array(report["results"]["matrix"], dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("the resistance matrix is not square")
     if np.abs(np.diag(matrix)).max() > 1e-12:
         errors.append("resistance matrix diagonal must be zero")
     if matrix.min() < -1e-12:
         errors.append("resistance matrix must be nonnegative")
     elif np.abs(matrix - matrix.T).max() > 1e-9:
         errors.append("resistance matrix must be symmetric")
-    if eta is not None and not abs(eta - hs.eta) <= 10.0 * solver_tol:
-        errors.append(f"eta {eta!r} differs from the recomputed {hs.eta!r}")
-    rel = float(np.abs(matrix - want).max() / np.abs(want).max())
-    if not rel <= RESISTANCE_TOL:
-        errors.append(f"resistance matrix differs from eta^{level} R_0 by "
-                      f"{rel:.3e} relative (> {RESISTANCE_TOL:.0e})")
 
 
-def _check_structure(report: dict, errors: list[str]) -> None:
-    """Check the structure block's shape and rebuild the levels block."""
-    s = report["results"].get("structure")
-    if not isinstance(s, dict):
-        errors.append("structure results missing structure block")
-        return
+def _check_cover(report: dict, fresh: dict, errors: list[str]) -> None:
+    """The cells cover the boundary, and the glue points lie on it."""
+    s = report["results"]["structure"]
     boundary = s.get("boundary", [])
-    cells = s.get("cells", {})
-    if set(boundary) != set(cells):
+    if set(boundary) != set(s.get("cells", {})):
         errors.append("cells mapping does not cover the boundary")
     if not set(s.get("glue_points", [])) <= set(boundary):
         errors.append("glue points must be boundary angles")
-    try:
-        structure = _structure_from_inputs(report["inputs"])
-        levels = levels_to_json(level_vertices(structure,
-                                               int(report["inputs"]["level"])))
-    except _REBUILD_ERRORS as exc:
-        errors.append(f"cannot rebuild the levels: {exc}")
-        return
-    if report["results"].get("levels") != levels:
-        errors.append("levels differ from a fresh build")
 
 
-def _check_gd_structure(report: dict, errors: list[str]) -> None:
+def _check_gd_counts(report: dict, fresh: dict, errors: list[str]) -> None:
     results = report["results"]
-    ctx = results.get("ctx", {})
-    try:
-        ring = int(ctx["n"]) + int(ctx["m"])
-    except Exception:
-        errors.append("gd_structure results missing ctx")
-        return
+    ring = int(results["ctx"]["n"]) + int(results["ctx"]["m"])
     if results.get("num_vertices") != 2 * ring * ring:
         errors.append("gd vertex count does not equal 2(m+n)^2")
-    tables = results.get("corner_maps", [])
-    if len(tables) != 4 * ring * ring:
+    if len(results.get("corner_maps", [])) != 4 * ring * ring:
         errors.append("corner map table must have 4(m+n)^2 rows")
 
 
-# what a malformed or edited report can make a recomputation raise
-_REBUILD_ERRORS = (ArithmeticError, KeyError, TypeError, ValueError,
-                   WorkbenchError)
-
-
-def structure_inputs(structure: MsStructure, **extra) -> dict:
-    """Report inputs that _structure_from_inputs rebuilds the structure from."""
-    ctx = structure.ctx
-    return {"n": ctx.n, "m": ctx.m, "theta": str(ctx.theta),
-            "symmetrized": structure.symmetrized, **extra}
-
-
-def _structure_from_inputs(inputs: dict) -> MsStructure:
-    ctx = make_context(int(inputs["n"]), int(inputs["m"]),
-                       Fraction(inputs["theta"]))
-    return build_structure(ctx, symmetrize=inputs.get("symmetrized"))
-
-
-def _check_relations(report: dict, errors: list[str]) -> None:
-    """Re-enumerate, rerun the rho brackets and the certificates, and
-    rederive every verdict step.
-
-    Each witness's four rho values must match a fresh sabot_verdict, and
-    each certificate trajectory a rerun of uniqueness_certificate (from a
-    re-solve at the stated solver_tol, as many steps as it lists), within
-    the writer's RATIO_TOL, not a tol the report states; a margin must be
-    the writer's DEFAULT_MARGIN. The flags, nesting, verdict and
-    certificate outcomes built from them are recomputed.
-    """
-    inputs, results = report["inputs"], report["results"]
-    try:
-        structure = _structure_from_inputs(inputs)
-        preserved = enumerate_preserved(structure, bool(inputs["require_g"]),
-                                        cap=int(inputs["cap"]))
-        fresh = sabot_verdict(structure, preserved)
-    except _REBUILD_ERRORS as exc:
-        errors.append("cannot re-enumerate the preserved relations or rerun "
-                      f"their brackets: {exc}")
-        return
-    if results.get("preserved") != [rel.to_json() for rel in preserved]:
-        errors.append("preserved relations differ from a fresh enumeration")
-        return
-    want = [w.relation.to_json() for w in fresh.witnesses]
-    verdict = results.get("verdict")
-    if not isinstance(verdict, dict):
-        errors.append("relations results missing the verdict block")
-        return
-    witnesses = verdict.get("witnesses", [])
-    if [w.get("relation") for w in witnesses] != want:
-        errors.append("witnesses do not list the nontrivial relations")
-        return
+def _check_verdict_rules(report: dict, fresh: dict,
+                         errors: list[str]) -> None:
+    """criterion_met, the verdict and each certificate's certified, k and
+    monotone must follow from the stated rho values and trajectories."""
+    results = report["results"]
+    verdict = results["verdict"]
     rhos = []
-    for i, (w, recomputed) in enumerate(zip(witnesses, fresh.witnesses)):
-        values = tuple(_check_claim(w.get(key), f"witness {i} {key}", errors)
-                       for key in RHO_KEYS)
-        if None in values:
-            return
-        for key, got, expected in zip(RHO_KEYS, values, recomputed.rhos):
-            if not abs(got - expected) <= RATIO_TOL:
-                errors.append(f"witness {i} {key} {got!r} differs from the "
-                              f"recomputed {expected!r}")
-        if w.get("criterion_met") != (values[3] - values[0] > 0):
+    for i, w in enumerate(verdict["witnesses"]):
+        values = tuple(float(w[key]["value"]) for key in RHO_KEYS)
+        if w["criterion_met"] != (values[3] - values[0] > 0):
             errors.append(f"witness {i}: criterion_met does not match "
                           "rho_under_quotient - rho_over_relation > 0")
         rhos.append(values)
-    if verdict.get("ordered_pairs") != [[a.to_json(), b.to_json()]
-                                        for a, b in fresh.ordered_pairs]:
-        errors.append("ordered_pairs do not match the nesting of the "
-                      "relations")
-    derived, _ = verdict_rule(rhos, bool(fresh.ordered_pairs))
-    if verdict.get("verdict") != derived:
-        errors.append(f"verdict {verdict.get('verdict')!r} does not follow "
+    derived, _ = verdict_rule(rhos, bool(verdict["ordered_pairs"]))
+    if verdict["verdict"] != derived:
+        errors.append(f"verdict {verdict['verdict']!r} does not follow "
                       f"from the witnesses (expected {derived!r})")
-    try:
-        j_plus, j_minus = build_J_plus_minus(structure)
-        candidates = {"plus": j_plus.to_json(), "minus": j_minus.to_json()}
-    except KappaUndefinedError:
-        candidates = None
-    if results.get("candidates") != candidates:
-        errors.append("candidate relations differ from a fresh build")
-    certificates = results.get("certificates", [])
-    if [c.get("relation") for c in certificates] != \
-            ([] if "solver_error" in results else want):
-        errors.append("certificates must list the nontrivial relations, or "
-                      "none after a solver_error")
-        return
-    if not certificates:
-        return
-    try:
-        hs = solve_eigenform(structure,
-                             tol=float(report["tolerances"]["solver_tol"]))
-        reruns = [uniqueness_certificate(structure, hs, w.relation,
-                                         k_max=len(c.get("trajectory", [])))
-                  for c, w in zip(certificates, fresh.witnesses)]
-    except _REBUILD_ERRORS as exc:
-        errors.append(f"cannot rerun the certificates: {exc}")
-        return
-    for i, (cert, rerun) in enumerate(zip(certificates, reruns)):
-        trajectory = [_check_claim(t, f"certificate {i} trajectory", errors)
-                      for t in cert.get("trajectory", [])]
-        margin = cert.get("margin")
-        if not trajectory or None in trajectory \
-                or not isinstance(margin, (int, float)):
-            errors.append(f"certificate {i}: trajectory or margin missing")
-            continue
-        if margin != DEFAULT_MARGIN:
-            errors.append(f"certificate {i}: margin {margin!r} is not "
-                          f"{DEFAULT_MARGIN!r}")
-        for step, (got, expected) in enumerate(
-                zip(trajectory, rerun.trajectory), start=1):
-            if not abs(got - expected) <= RATIO_TOL * abs(expected):
-                errors.append(f"certificate {i} trajectory step {step} "
-                              f"{got!r} differs from the rerun {expected!r}")
-        k, monotone = certificate_summary(trajectory, float(margin))
-        if (cert.get("certified"), cert.get("k"), cert.get("monotone")) != \
+    for i, cert in enumerate(results["certificates"]):
+        k, monotone = certificate_summary(
+            [float(t["value"]) for t in cert["trajectory"]],
+            float(cert["margin"]))
+        if (cert["certified"], cert["k"], cert["monotone"]) != \
                 (k is not None, k, monotone):
             errors.append(f"certificate {i}: certified, k or monotone do "
                           "not follow from its trajectory")
 
 
-def _check_flows(report: dict, errors: list[str]) -> None:
-    """Recompute the flows from the inputs and compare within tolerance."""
-    inputs, results = report["inputs"], report["results"]
-    try:
-        structure = _structure_from_inputs(inputs)
-        values = [float(tok) for tok in str(inputs["values"]).split(",")]
-        hs = solve_eigenform(structure,
-                             tol=float(report["tolerances"]["solver_tol"]))
-        fresh = flows_results(structure, hs, values)
-        flow_tol = float(report["tolerances"]["flow_tol"])
-    except _REBUILD_ERRORS as exc:
-        errors.append(f"cannot recompute the flows: {exc}")
-        return
-    for key in ("boundary_values", "active_boundary", "active_critical"):
-        if results.get(key) != fresh[key]:
-            errors.append(f"{key} differs from the recomputed flows")
-    stated = [results.get("boundary_flow")] + list(
-        results.get("cell_flows") or [])
-    want = [fresh["boundary_flow"]] + fresh["cell_flows"]
-    scale = max([1.0] + [abs(v) for flow in want for v in flow.values()])
-
-    def close(got, flow: dict) -> bool:
-        return (isinstance(got, dict) and set(got) == set(flow)
-                and all(isinstance(got[a], (int, float))
-                        and abs(got[a] - v) <= flow_tol * scale
-                        for a, v in flow.items()))
-
-    if len(stated) != len(want) or not all(map(close, stated, want)):
-        errors.append(f"flows differ from the recomputed flows by more than "
-                      f"{flow_tol:.1e} of scale {scale:.3e}")
-    for key in ("conservation_defect", "matching_defect", "scaling_defect"):
-        value = _check_claim(results.get(key), key, errors)
-        if value is not None and \
-                abs(value - fresh[key]["value"]) > results[key]["tol"]:
-            errors.append(f"{key} {value:.3e} differs from the recomputed "
-                          f"{fresh[key]['value']:.3e}")
-
-
-def _check_gd_rhos(report: dict, errors: list[str]) -> None:
-    """Recompute the rho table: the exact quotient rhos and the
-    relation-side brackets. The tolerance is the writer's RATIO_TOL, not
-    the tols in the report."""
-    results = report["results"]
-    try:
-        table = gd_relation_rhos(int(results["ctx"]["n"]),
-                                 int(results["ctx"]["m"]))
-    except _REBUILD_ERRORS as exc:
-        errors.append(f"cannot recompute the gd rho table: {exc}")
-        return
+def _check_rho_order(report: dict, fresh: dict, errors: list[str]) -> None:
     for key in ("pq_pairs", "side_pairs"):
-        entry, fresh = results.get(key), getattr(table, key)
-        relation = fresh.relation.to_json()
-        if not isinstance(entry, dict) or entry.get("relation") != relation:
-            errors.append(f"{key} must carry the relation "
-                          f"{relation['blocks']}")
-            continue
-        if entry.get("basis_dim") != fresh.basis_dim:
-            errors.append(f"{key}: basis_dim must be {fresh.basis_dim}, the "
-                          "number of within-block pairs")
-        names = ("rho_over_relation", "rho_under_relation", "rho_quotient")
-        over, under, _ = stated = [
-            _check_claim(entry.get(name), f"{key} {name}", errors)
-            for name in names]
-        for name, got in zip(names, stated):
-            want = getattr(fresh, name)
-            if got is not None and not abs(got - want) <= RATIO_TOL:
-                errors.append(f"{key} {name} {got!r} differs from the "
-                              f"recomputed {want!r}")
-        if over is not None and under is not None \
-                and under > over + RATIO_TOL:
+        entry = report["results"][key]
+        if float(entry["rho_under_relation"]["value"]) > \
+                float(entry["rho_over_relation"]["value"]) + RATIO_TOL:
             errors.append(f"{key}: rho_under_relation exceeds "
                           "rho_over_relation")
 
 
-_CHECKS = {"structure": _check_structure, "harmonic": _recompute_residual,
-           "relations": _check_relations, "resistance": _check_resistance,
-           "flows": _check_flows, "gd_structure": _check_gd_structure,
-           "gd_harmonic": _recompute_residual, "gd_rhos": _check_gd_rhos}
+_CONSISTENCY = {"structure": _check_cover, "harmonic": _check_residual,
+                "relations": _check_verdict_rules,
+                "resistance": _check_metric,
+                "gd_structure": _check_gd_counts,
+                "gd_harmonic": _check_residual, "gd_rhos": _check_rho_order}
+
+# what a malformed or edited report can make a recomputation raise
+_REBUILD_ERRORS = (ArithmeticError, KeyError, TypeError, ValueError,
+                   WorkbenchError)
+# and what a consistency check of malformed stated values can raise
+_MALFORMED = _REBUILD_ERRORS + (AttributeError, IndexError)
 
 
 def _envelope_errors(report) -> list[str]:
@@ -535,7 +503,8 @@ def _envelope_errors(report) -> list[str]:
 
 
 def validate_report_details(path: str) -> list[str]:
-    """Envelope plus consistency validation; empty list means valid."""
+    """Envelope check, rerun of the kind's builder and a diff of every
+    field; an empty list means valid."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
@@ -544,14 +513,28 @@ def validate_report_details(path: str) -> list[str]:
     errors = _envelope_errors(report)
     if errors:
         return errors
-    kind = report["results"].get("kind")
-    if kind not in _CHECKS:
+    kind = report["results"]["kind"]
+    if kind not in BUILDERS:
         return [f"unknown result kind {kind!r}"]
-    _CHECKS[kind](report, errors)
-    for value in report["tolerances"].values():
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            errors.append("tolerances must be finite numbers")
-            break
+    tolerances = report["tolerances"]
+    if not all(_is_number(v) and math.isfinite(v)
+               for v in tolerances.values()):
+        return ["tolerances must be finite numbers"]
+    try:
+        results, fresh_tolerances = BUILDERS[kind](
+            report["inputs"], tolerances.get("solver_tol"))
+    except _REBUILD_ERRORS as exc:
+        return [f"cannot recompute the {kind} results from the report's "
+                f"inputs: {exc}"]
+    _diff("results", report["results"], results, errors)
+    _diff("tolerances", tolerances, fresh_tolerances, errors)
+    if kind in _CONSISTENCY:
+        try:
+            _CONSISTENCY[kind](report, results, errors)
+        except _MALFORMED as exc:
+            if not errors:  # the diff names what is malformed
+                errors.append(f"cannot check the stated {kind} results: "
+                              f"{exc}")
     return errors
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from _oracles import dense_level_resistance
-from fractal_renorm import cli
+from fractal_renorm import reports
 from fractal_renorm.cli import main, run
 from fractal_renorm.renorm import _boundary_matrix, solve_eigenform
 from fractal_renorm.reports import _structure_from_inputs
@@ -92,7 +92,7 @@ class TestExitCodes:
         def must_not_run(*args, **kwargs):
             raise AssertionError("level vertices built")
 
-        monkeypatch.setattr(cli, "level_vertices", must_not_run)
+        monkeypatch.setattr(reports, "level_vertices", must_not_run)
         ctx = ["resistance", "--n", "2", "--m", "1", "--theta", "1/12"]
         matrices = {}
         for level in (0, 8):

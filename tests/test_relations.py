@@ -467,9 +467,6 @@ class TestStationaryRatios:
                 [verts[:cut[0]], verts[cut[0]:cut[1]], verts[cut[1]:]])
             maps = [{v: float(rng.standard_normal()) for v in verts}
                     for _ in range(2)]
-            with pytest.raises(ValueError):
-                # constants lie in the kernel of every Laplacian
-                stationary_ratios(num, den)
             for modulo, cols in (
                     ("constants", np.ones((nv, 1))),
                     (partition, np.array([[float(v in block)
@@ -505,11 +502,20 @@ class TestStationaryRatios:
         num = self.random_form(rng, verts, 2.0)
         den = ConductanceForm.from_edges(
             verts, [("v0", "v1", 2.0), ("v2", "v3", 0.5)])
-        for modulo in (None, "constants",
+        for modulo in ("constants",
                        Partition.from_blocks([["v0", "v2"], ["v1", "v3"]]),
                        [{v: float(i) for i, v in enumerate(verts)}]):
             with pytest.raises(ValueError, match="degenerate"):
                 stationary_ratios(num, den, modulo=modulo)
+
+
+    def test_modulo_is_required_and_nonempty(self):
+        f = ConductanceForm.from_edges("abc", [("a", "b", 1.0),
+                                               ("b", "c", 1.0)])
+        with pytest.raises(TypeError):
+            stationary_ratios(f, f)
+        with pytest.raises(ValueError, match="at least one value map"):
+            stationary_ratios(f, f, modulo=[])
 
 
 class TestRhoSearch:

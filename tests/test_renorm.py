@@ -189,12 +189,6 @@ class TestSolveEigenform:
         assert err.value.iterations == 2
         assert err.value.last_iterates
 
-    def test_symmetrize_each_step_matches(self):
-        s = ms(2, 2, "3/16")
-        plain = solve_eigenform(s)
-        stepped = solve_eigenform(s, symmetrize_each_step=True)
-        assert stepped.eta == pytest.approx(plain.eta, abs=1e-9)
-
 
 class TestVerify:
     def test_solved_structure_passes(self):

@@ -10,6 +10,7 @@ from fractal_renorm import (
 )
 from fractal_renorm.cli import main
 from fractal_renorm.networks import ConductanceForm
+from fractal_renorm.reports import _diff
 
 
 def make_report(tmp_path, name, argv):
@@ -253,15 +254,15 @@ class TestTamperDetection:
                 report["tolerances"]["resistance_tol"] = tol
             dump(path, report)
             details = validate_report_details(str(path))
-            assert any("eta 9.0" in line for line in details)
-            assert any("eta^2 R_0" in line for line in details)
+            assert any("results.eta.value: 9.0" in line for line in details)
+            assert any("results.matrix[0][1]" in line for line in details)
             assert main(["validate", str(path)]) == 4
 
         report = json.loads(json.dumps(base))
         report["results"]["matrix"][0][1] *= 3.0
         report["results"]["matrix"][1][0] *= 3.0
         dump(path, report)
-        assert any("eta^2 R_0" in line
+        assert any("results.matrix[0][1]" in line
                    for line in validate_report_details(str(path)))
 
         report = json.loads(json.dumps(base))
@@ -292,7 +293,7 @@ class TestTamperDetection:
         report = json.loads(json.dumps(base))
         report["results"]["matrix"].pop()
         dump(path, report)
-        assert any("shape" in line
+        assert any("results.matrix: a list of 5" in line
                    for line in validate_report_details(str(path)))
 
     def test_unconverged_gd_harmonic_tampers(self, tmp_path):
@@ -307,11 +308,14 @@ class TestTamperDetection:
         report["results"]["harmonic"]["eta"]["value"] = 7.0
         report["results"]["harmonic"]["form"]["edges"][0][2] = 99.0
         dump(path, report)
-        assert any("differ from a rerun" in line
+        assert any("results.harmonic.eta.value: 7.0" in line
                    for line in validate_report_details(str(path)))
         assert main(["validate", str(path)]) == 4
 
-        for edit in ("eta", "form", "tail"):
+        last = len(base["results"]["harmonic"]["form"]["edges"]) - 1
+        for edit, word in (("eta", "results.harmonic.eta.value"),
+                           ("form", f"results.harmonic.form.edges[{last}][2]"),
+                           ("tail", "results.diagnostics.mass_ratio_tail[0]")):
             report = json.loads(json.dumps(base))
             results = report["results"]
             if edit == "eta":
@@ -321,7 +325,7 @@ class TestTamperDetection:
             else:
                 results["diagnostics"]["mass_ratio_tail"][0] += 1e-6
             dump(path, report)
-            assert any("differ from a rerun" in line
+            assert any(word in line
                        for line in validate_report_details(str(path)))
 
         # a converged run marked unconverged is rerun, not skipped
@@ -331,7 +335,7 @@ class TestTamperDetection:
         report["results"]["converged"] = False
         report["results"]["harmonic"]["eta"]["value"] = 7.0
         dump(path, report)
-        assert any("converged=True" in line
+        assert any("results.converged: False, recomputed True" in line
                    for line in validate_report_details(str(path)))
 
     def test_structure_tampers(self, tmp_path):
@@ -364,7 +368,7 @@ class TestTamperDetection:
             else:
                 report["results"]["levels"]["merges"] = []
             dump(path, report)
-            assert any("levels differ" in line
+            assert any(f"results.levels.{edit}" in line
                        for line in validate_report_details(str(path)))
             assert main(["validate", str(path)]) == 4
 
@@ -412,14 +416,15 @@ class TestTamperDetection:
             if tol is not None:
                 witness["rho_over_relation"]["tol"] = tol
             dump(path, report)
-            assert any("witness 0 rho_over_relation" in line
+            assert any("results.verdict.witnesses[0].rho_over_relation"
+                       ".value: 0.01" in line
                        for line in validate_report_details(str(path)))
             assert main(["validate", str(path)]) == 4
 
         report = json.loads(json.dumps(base))
         report["results"]["preserved"].pop(1)
         dump(path, report)
-        assert any("fresh enumeration" in line
+        assert any("results.preserved: a list of" in line
                    for line in validate_report_details(str(path)))
 
         report = json.loads(json.dumps(base))
@@ -442,14 +447,13 @@ class TestTamperDetection:
         def margin(cert):
             cert["margin"] = 0.4
 
-        for edit, word in ((halve, "trajectory step 1"),
-                           (nudge, "trajectory step 8"),
-                           (margin, "margin")):
+        for edit, word in ((halve, "trajectory[0].value"),
+                           (nudge, "trajectory[7].value"),
+                           (margin, "margin: 0.4")):
             report = json.loads(json.dumps(base))
             edit(report["results"]["certificates"][0])
             dump(path, report)
-            assert any(f"certificate 0 {word}" in line
-                       or f"certificate 0: {word}" in line
+            assert any(f"results.certificates[0].{word}" in line
                        for line in validate_report_details(str(path)))
             assert main(["validate", str(path)]) == 4
         report = json.loads(json.dumps(base))
@@ -486,7 +490,7 @@ class TestTamperDetection:
         first = next(iter(report["results"]["boundary_flow"]))
         report["results"]["boundary_flow"][first] += 1e-3
         dump(path, report)
-        assert any("flows differ" in line
+        assert any(f"results.boundary_flow.{first}" in line
                    for line in validate_report_details(str(path)))
 
     def test_gd_harmonic_tamper_and_exploratory_skip(self, tmp_path):
@@ -514,13 +518,13 @@ class TestTamperDetection:
         report = json.loads(json.dumps(base))
         report["results"]["pq_pairs"]["rho_quotient"]["value"] = 42.0
         dump(path, report)
-        assert any("pq_pairs rho_quotient" in line
+        assert any("results.pq_pairs.rho_quotient.value: 42.0" in line
                    for line in validate_report_details(str(path)))
 
         # a widened stated tol does not excuse the edited value
         report["results"]["pq_pairs"]["rho_quotient"]["tol"] = 100.0
         dump(path, report)
-        assert any("pq_pairs rho_quotient" in line
+        assert any("results.pq_pairs.rho_quotient.value: 42.0" in line
                    for line in validate_report_details(str(path)))
 
         # an edited relation-side rho is caught by rerunning the bracket
@@ -531,14 +535,14 @@ class TestTamperDetection:
             if tol is not None:
                 entry["rho_over_relation"]["tol"] = tol
             dump(path, report)
-            assert any("side_pairs rho_over_relation" in line
-                       for line in validate_report_details(str(path)))
+            assert any("results.side_pairs.rho_over_relation.value: 0.01"
+                       in line for line in validate_report_details(str(path)))
 
         report = json.loads(json.dumps(base))
         report["results"]["side_pairs"]["relation"] = \
             base["results"]["pq_pairs"]["relation"]
         dump(path, report)
-        assert any("side_pairs must carry" in line
+        assert any("results.side_pairs.relation.blocks" in line
                    for line in validate_report_details(str(path)))
 
         report = json.loads(json.dumps(base))
@@ -556,3 +560,196 @@ class TestTamperDetection:
         dump(path, report)
         assert any("rho_under_relation exceeds" in line
                    for line in validate_report_details(str(path)))
+
+
+SWEEP_RUNS = [
+    ("structure", ["structure", "--n", "2", "--m", "1", "--theta", "1/6"]),
+    ("harmonic", ["solve", "--n", "2", "--m", "1", "--theta", "1/6"]),
+    ("relations", ["relations", "--n", "2", "--m", "1", "--theta", "1/6"]),
+    ("resistance", ["resistance", "--n", "2", "--m", "1",
+                    "--theta", "1/6"]),
+    ("flows", ["flows", "--n", "2", "--m", "1", "--theta", "1/6",
+               "--values", "1,0,0"]),
+    ("gd_structure", ["gd", "build", "--n", "2", "--m", "1"]),
+    ("gd_harmonic", ["gd", "solve", "--n", "2", "--m", "1"]),
+    ("gd_rhos", ["gd", "rhos", "--n", "2", "--m", "1"]),
+]
+
+
+def leaf_paths(node, keys=()):
+    """(keys, dotted path) of every leaf below node."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaf_paths(value, keys + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from leaf_paths(value, keys + (i,))
+    else:
+        yield keys, "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                            for k in keys)[1:]
+
+
+def edit_leaf(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * (1 + 1e-6) + 1e-6
+    if isinstance(value, str):
+        return value + "x"
+    assert value is None
+    return 0
+
+
+def set_path(report, keys, value):
+    node = report
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+
+
+class TestLeafEdits:
+    @pytest.mark.parametrize("kind,argv", SWEEP_RUNS,
+                             ids=[kind for kind, _ in SWEEP_RUNS])
+    def test_every_leaf_edit_fails(self, kind, argv, tmp_path, capsys):
+        # every leaf of results and tolerances, edited one at a time,
+        # makes validate exit 4 with a line naming the edited path
+        path = make_report(tmp_path, f"{kind}.json", argv)
+        base = load(path)
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        edits = [(keys, dotted) for block in ("results", "tolerances")
+                 for keys, dotted in leaf_paths(base[block], (block,))]
+        assert len(edits) > 10
+        for keys, dotted in edits:
+            report = json.loads(json.dumps(base))
+            node = report
+            for key in keys:
+                node = node[key]
+            value = edit_leaf(node)
+            assert value != node, dotted
+            set_path(report, keys, value)
+            dump(path, report)
+            code = main(["validate", str(path)])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err, dotted
+            if dotted == "tolerances.solver_tol" and code == 0:
+                # the rerun at the edited tol moves no field: the edited
+                # report is then the one a run at that tol writes
+                rerun = load(make_report(tmp_path, "rerun.json",
+                                         argv + ["--tol", repr(value)]))
+                assert rerun["results"] == report["results"]
+                assert rerun["tolerances"] == report["tolerances"]
+                continue
+            assert code == 4, dotted
+            if dotted == "results.kind":
+                assert "unknown result kind" in err
+            elif dotted != "tolerances.solver_tol":
+                assert any(line.startswith(f"{dotted}: ")
+                           for line in err.splitlines()), (dotted, err)
+
+    def test_edits_of_unchecked_fields_fail(self, tmp_path, capsys):
+        # fields that earlier per-kind checks did not compare
+        cases = [
+            (["solve", "--n", "2", "--m", "1", "--theta", "1/12"], [
+                (("harmonic", "eta_inverse", "value"), 42.0,
+                 "results.harmonic.eta_inverse.value"),
+                (("harmonic", "eta_inverse"), 42,
+                 "results.harmonic.eta_inverse"),
+                (("harmonic", "normalization"), "bogus",
+                 "results.harmonic.normalization"),
+                (("harmonic", "residual", "value"), 1e-3,
+                 "results.harmonic.residual.value"),
+            ]),
+            (["gd", "solve", "--n", "2", "--m", "1"], [
+                (("existence",), "none", "results.existence"),
+                (("diagnostics", "last_step"), 99,
+                 "results.diagnostics.last_step"),
+                (("diagnostics", "collapsed_pairs"), [["p0", "q0"]],
+                 "results.diagnostics.collapsed_pairs"),
+                (("diagnostics", "mass_ratio_tail"), [1, 2, 3],
+                 "results.diagnostics.mass_ratio_tail"),
+            ]),
+            (["gd", "rhos", "--n", "2", "--m", "1"], [
+                (("pq_pairs", "evaluations"), 999,
+                 "results.pq_pairs.evaluations"),
+            ]),
+            (["relations", "--n", "2", "--m", "1", "--theta", "1/12"], [
+                (("certificates",), [], "results.certificates"),
+            ]),
+        ]
+        path = tmp_path / "report.json"
+        for argv, edits in cases:
+            base = load(make_report(tmp_path, "report.json", argv))
+            for keys, value, dotted in edits:
+                report = json.loads(json.dumps(base))
+                set_path(report["results"], keys, value)
+                if argv[0] == "relations":
+                    report["results"]["solver_error"] = "did not converge"
+                dump(path, report)
+                capsys.readouterr()
+                assert main(["validate", str(path)]) == 4, dotted
+                err = capsys.readouterr().err
+                assert "Traceback" not in err
+                assert any(line.startswith(f"{dotted}: ")
+                           for line in err.splitlines()), (dotted, err)
+                if argv[0] == "relations":
+                    assert "results.solver_error: " in err
+
+    def test_diff_rules(self):
+        def lines(got, want):
+            errors = []
+            _diff("r", got, want, errors)
+            return errors
+
+        fresh = {"c": claim(0.5, 1e-9), "x": 2.0, "n": 3, "b": True,
+                 "s": "a", "z": None, "l": [1.0, 2.0]}
+        assert lines(json.loads(json.dumps(fresh)), fresh) == []
+        ok = {**fresh, "c": claim(0.5 + 5e-10, 1e-9), "x": 2.0 + 1e-9}
+        assert lines(ok, fresh) == []
+        # a widened stated tol neither passes itself nor excuses the value
+        assert lines({**fresh, "c": claim(0.6, 1.0)}, fresh) == [
+            "r.c.tol: 1.0, recomputed 1e-09",
+            "r.c.value: 0.6, recomputed 0.5"]
+        # a claim's value is held to its recomputed tol, not to the float
+        # agreement, and its tol must match exactly
+        assert lines(claim(1e6 + 1e-4, 1e-9), claim(1e6, 1e-9)) == [
+            "r.value: 1000000.0001, recomputed 1000000.0"]
+        assert lines(claim(0.5004, 1e-3), claim(0.5, 1e-3)) == []
+        wider = 1e-9 * (1 + 1e-12)
+        assert lines(claim(0.5, wider), claim(0.5, 1e-9)) == [
+            f"r.tol: {wider!r}, recomputed 1e-09"]
+        assert lines({**fresh, "x": 2.0 + 1e-8}, fresh) == [
+            "r.x: 2.00000001, recomputed 2.0"]
+        # same value, other JSON type
+        assert lines({**fresh, "b": 1}, fresh) == ["r.b: 1, recomputed True"]
+        assert lines({**fresh, "n": 3.0}, fresh) == ["r.n: 3.0, recomputed 3"]
+        assert lines({**fresh, "z": 0}, fresh) == ["r.z: 0, recomputed None"]
+        assert lines({**fresh, "x": "2.0"}, fresh) == [
+            "r.x: '2.0', recomputed 2.0"]
+        assert lines({**fresh, "l": [1.0]}, fresh) == [
+            "r.l: a list of 1, recomputed a list of 2"]
+        extra = {**fresh, "e": 1}
+        del extra["s"]
+        assert lines(extra, fresh) == ["r.e: stated, absent from the rerun",
+                                       "r.s: missing, recomputed 'a'"]
+
+    def test_recorded_flags_are_rerun(self, tmp_path):
+        ctx = ["relations", "--n", "2", "--m", "1", "--theta", "1/12"]
+        path = make_report(tmp_path, "k3.json", ctx + ["--k-max", "3"])
+        report = load(path)
+        assert report["inputs"]["k_max"] == 3
+        assert [len(c["trajectory"])
+                for c in report["results"]["certificates"]] == [3]
+        assert validate_report_details(str(path)) == []
+
+        # a report written before max_iter and k_max were recorded reruns
+        # with the command-line defaults
+        path = make_report(tmp_path, "default.json", ctx)
+        report = load(path)
+        assert (report["inputs"]["max_iter"],
+                report["inputs"]["k_max"]) == (100_000, 8)
+        del report["inputs"]["max_iter"], report["inputs"]["k_max"]
+        dump(path, report)
+        assert validate_report_details(str(path)) == []
