@@ -4,7 +4,9 @@ Every subcommand but validate records its flags as the report's inputs,
 hands them with --tol to the kind's builder in reports.BUILDERS, and emits
 the envelope around the results and tolerances the builder returns: one
 JSON report (see reports.py), or CSV rows for the tabular kinds, to --out
-or stdout. validate reruns the same builder and compares every field.
+or stdout. validate reruns the same builder and compares every field,
+then reparses the report's command and requires every field a flag sets
+to match it.
 Exit codes: 0 success, 2 invalid input, 3 non-convergence or a cap hit
 (such as a level past the depth cap), 4 internal invariant violation
 (including failed report validation). Reports are deterministic
@@ -13,6 +15,8 @@ byte-for-byte apart from the wall-time field.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 import time
@@ -27,8 +31,8 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      NotAPermutationError, NotInvariantError)
 from .relations import DEFAULT_K_MAX
 from .renorm import DEFAULT_MAX_ITER
-from .reports import (BUILDERS, render_report, structure_inputs,
-                      validate_report_details)
+from .reports import (BUILDERS, envelope_errors, render_report,
+                      structure_inputs, validate_report_details)
 from .structure import build_structure, structure_from_json
 
 EXIT_OK = 0
@@ -76,10 +80,11 @@ def _emit(args, report: dict, csv_rows: Optional[list] = None) -> int:
     return EXIT_OK
 
 
-def _report(args, started: float, kind: str, inputs: dict,
+def _report(args, started: float, inputs: dict,
             csv_rows: Optional[Callable[[dict], list]] = None) -> int:
-    """Run the kind's builder on the inputs and emit its report."""
-    results, tolerances = BUILDERS[kind](inputs, args.tol)
+    """Run the builder of the subcommand's kind on the inputs and emit its
+    report."""
+    results, tolerances = BUILDERS[args.kind](inputs, args.tol)
     report = {
         "schema": "fr-1",
         "version": __version__,
@@ -94,19 +99,19 @@ def _report(args, started: float, kind: str, inputs: dict,
 
 def _cmd_structure(args, started: float) -> int:
     inputs = structure_inputs(_load_structure(args), level=args.level)
-    return _report(args, started, "structure", inputs)
+    return _report(args, started, inputs)
 
 
 def _cmd_solve(args, started: float) -> int:
     inputs = structure_inputs(_load_structure(args), max_iter=args.max_iter)
-    return _report(args, started, "harmonic", inputs)
+    return _report(args, started, inputs)
 
 
 def _cmd_relations(args, started: float) -> int:
     inputs = structure_inputs(_load_structure(args), cap=args.cap,
                               require_g=not args.all, k_max=args.k_max,
                               max_iter=args.max_iter)
-    return _report(args, started, "relations", inputs)
+    return _report(args, started, inputs)
 
 
 def _resistance_rows(results: dict) -> list:
@@ -118,22 +123,22 @@ def _resistance_rows(results: dict) -> list:
 def _cmd_resistance(args, started: float) -> int:
     inputs = structure_inputs(_load_structure(args), level=args.level,
                               max_iter=args.max_iter)
-    return _report(args, started, "resistance", inputs, _resistance_rows)
+    return _report(args, started, inputs, _resistance_rows)
 
 
 def _cmd_flows(args, started: float) -> int:
     inputs = structure_inputs(_load_structure(args), values=args.values,
                               max_iter=args.max_iter)
-    return _report(args, started, "flows", inputs)
+    return _report(args, started, inputs)
 
 
 def _cmd_gd_build(args, started: float) -> int:
-    return _report(args, started, "gd_structure", {"n": args.n, "m": args.m})
+    return _report(args, started, {"n": args.n, "m": args.m})
 
 
 def _cmd_gd_solve(args, started: float) -> int:
     inputs = {"n": args.n, "m": args.m, "max_iter": args.max_iter}
-    return _report(args, started, "gd_harmonic", inputs)
+    return _report(args, started, inputs)
 
 
 def _rho_rows(results: dict) -> list:
@@ -144,12 +149,74 @@ def _rho_rows(results: dict) -> list:
 
 
 def _cmd_gd_rhos(args, started: float) -> int:
-    return _report(args, started, "gd_rhos", {"n": args.n, "m": args.m},
+    return _report(args, started, {"n": args.n, "m": args.m},
                    _rho_rows)
 
 
+# (namespace attribute, report block, field, how the flag's value is
+# recorded): the fields a run's flags determine; --out and --format are
+# not recorded
+_RECORDED_FLAGS = (
+    ("tol", "tolerances", "solver_tol", float),
+    ("max_iter", "inputs", "max_iter", int),
+    ("k_max", "inputs", "k_max", int),
+    ("cap", "inputs", "cap", int),
+    ("all", "inputs", "require_g", lambda all_: not all_),
+    ("level", "inputs", "level", int),
+    ("values", "inputs", "values", str),
+)
+# the context flags, compared when given and no --structure is read
+_CONTEXT_FLAGS = (
+    ("n", "inputs", "n", int),
+    ("m", "inputs", "m", int),
+    ("theta", "inputs", "theta", lambda theta: str(Fraction(theta))),
+    ("symmetrize", "inputs", "symmetrized", bool),
+)
+
+
+def _command_errors(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """One line per report field that differs from what the report's own
+    command sets it to. A field the report does not record (a flag its
+    kind ignores, or one that older reports lack) is left to the rerun,
+    and a report that is no JSON or breaks the envelope to the envelope
+    check."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            report = json.load(fh)
+        except json.JSONDecodeError:
+            return []
+    if envelope_errors(report):
+        return []
+    shown = " ".join(report["command"])
+    messages = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(messages), \
+                contextlib.redirect_stderr(messages):
+            flags = parser.parse_args(report["command"])
+    except SystemExit:
+        last = (messages.getvalue().strip().splitlines() or [""])[-1]
+        return [f"command: {shown!r} does not parse as a run: {last}"]
+    kind = report["results"]["kind"]
+    if getattr(flags, "kind", None) != kind:
+        return [f"command: {shown!r} does not write a {kind!r} report"]
+    checked = _RECORDED_FLAGS
+    if not getattr(flags, "structure", None):
+        checked += tuple(flag for flag in _CONTEXT_FLAGS
+                         if getattr(flags, flag[0], None) is not None)
+    errors = []
+    for attr, block, key, convert in checked:
+        if not hasattr(flags, attr) or key not in report[block]:
+            continue
+        stated, want = report[block][key], convert(getattr(flags, attr))
+        if type(stated) is not type(want) or stated != want:
+            errors.append(f"{block}.{key}: {stated!r}, the command gives "
+                          f"{want!r}")
+    return errors
+
+
 def _cmd_validate(args, started: float) -> int:
-    details = validate_report_details(args.path)
+    details = (validate_report_details(args.path)
+               + _command_errors(args.parser, args.path))
     if details:
         for line in details:
             print(line, file=sys.stderr)
@@ -191,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ctx_flags(p)
     p.add_argument("--level", type=int, default=1)
     _add_common(p)
-    p.set_defaults(handler=_cmd_structure)
+    p.set_defaults(handler=_cmd_structure, kind="structure")
 
     p = sub.add_parser("solve", help="solve for the eigenform")
     _add_ctx_flags(p)
     _add_common(p)
-    p.set_defaults(handler=_cmd_solve)
+    p.set_defaults(handler=_cmd_solve, kind="harmonic")
 
     p = sub.add_parser("relations",
                        help="enumerate preserved relations and verdict")
@@ -207,21 +274,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate all relations, not only rotation-"
                         "invariant ones")
     _add_common(p)
-    p.set_defaults(handler=_cmd_relations)
+    p.set_defaults(handler=_cmd_relations, kind="relations")
 
     p = sub.add_parser("resistance",
                        help="pairwise boundary resistances at a level")
     _add_ctx_flags(p)
     p.add_argument("--level", type=int, default=1)
     _add_common(p)
-    p.set_defaults(handler=_cmd_resistance)
+    p.set_defaults(handler=_cmd_resistance, kind="resistance")
 
     p = sub.add_parser("flows", help="per-cell flows of a harmonic function")
     _add_ctx_flags(p)
     p.add_argument("--values", type=str, required=True,
                    help="comma-separated boundary values, in angle order")
     _add_common(p)
-    p.set_defaults(handler=_cmd_flows)
+    p.set_defaults(handler=_cmd_flows, kind="flows")
 
     gd = sub.add_parser("gd", help="graph-directed model")
     gdsub = gd.add_subparsers(dest="gd_subcommand", required=True)
@@ -229,17 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
-    p.set_defaults(handler=_cmd_gd_build)
+    p.set_defaults(handler=_cmd_gd_build, kind="gd_structure")
     p = gdsub.add_parser("solve", help="solve the gd eigenform")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
-    p.set_defaults(handler=_cmd_gd_solve)
+    p.set_defaults(handler=_cmd_gd_solve, kind="gd_harmonic")
     p = gdsub.add_parser("rhos", help="rho table for the corner relations")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
-    p.set_defaults(handler=_cmd_gd_rhos)
+    p.set_defaults(handler=_cmd_gd_rhos, kind="gd_rhos")
 
     p = sub.add_parser("validate", help="validate a report file")
     p.add_argument("path", type=str)
@@ -257,6 +324,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = exc.code if isinstance(exc.code, int) else 2
         return EXIT_OK if code == 0 else EXIT_INVALID_INPUT
     args.command_echo = list(argv)
+    args.parser = parser
     started = time.perf_counter()
     try:
         return args.handler(args, started)

@@ -6,21 +6,29 @@ the Dirichlet form  E(f) = sum over unordered pairs {x,y} of w_xy
 conductances of physical resistors; a convention summing ordered pairs
 would double every value.
 
-Traces are Schur complements of the graph Laplacian. Interior blocks may be
-singular (disconnected interiors are allowed), so the inverse is a spectral
-pseudo-inverse with a relative rank cutoff rather than a direct solve.
+Traces are Schur complements of the graph Laplacian onto a boundary, and
+harmonic extensions solve with the same interior block. That block is
+inverted directly when the inverse is finite and the product of the two
+Frobenius norms, an upper bound on the condition number, is at most
+INVERSE_COND_BOUND: then no eigenvalue lies anywhere near the RANK_RTOL
+cutoff and the pseudo-inverse would truncate nothing. Otherwise (a
+singular block, as on a disconnected or floating interior or the
+degenerate cones of the relation side, or an ill-conditioned one) the
+inverse is the spectral pseudo-inverse with that relative rank cutoff.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import (Hashable, Iterable, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from .errors import DisconnectedError
 
 RANK_RTOL = 1e-12          # relative eigenvalue cutoff for pseudo-inverses
+INVERSE_COND_BOUND = 1e6   # largest |A|_F |A^-1|_F of a direct inverse used
 NEGATIVE_WEIGHT_WARN = 1e-12  # relative size of traced weights clamped silently
 
 
@@ -96,15 +104,15 @@ class ConductanceForm:
     @classmethod
     def from_matrix(cls, vertices: Sequence[Hashable],
                     matrix: np.ndarray) -> "ConductanceForm":
+        # one conversion to nested lists, then the positive pairs i < j in
+        # row-major order; much cheaper than indexing numpy scalars, and
+        # cheaper than np.triu_indices on the few-vertex forms of the
+        # relation side
         mat = np.asarray(matrix, dtype=float)
-        nv = len(vertices)
-        weights = {}
-        for i in range(nv):
-            for j in range(i + 1, nv):
-                w = 0.5 * (mat[i, j] + mat[j, i])
-                if w > 0.0:
-                    weights[(i, j)] = w
-        return cls(tuple(vertices), weights)
+        sym = (0.5 * (mat + mat.T)).tolist()
+        return cls(tuple(vertices),
+                   {(i, j): w for i, row in enumerate(sym)
+                    for j, w in enumerate(row[i + 1:], i + 1) if w > 0.0})
 
     @property
     def index(self) -> Mapping[Hashable, int]:
@@ -194,20 +202,51 @@ def _psd_pinv(mat: np.ndarray) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
-def _trace_matrix(matrix: np.ndarray, boundary_idx: Sequence[int]) -> np.ndarray:
+def _interior_inverse(lii: np.ndarray) -> np.ndarray:
+    """Inverse of an interior Laplacian block, direct where that is safe.
+
+    |A|_F |A^-1|_F bounds cond_2(A) from above, so an accepted inverse has
+    every eigenvalue above 1/INVERSE_COND_BOUND of the largest and equals
+    the pseudo-inverse up to rounding. A singular, nonfinite or
+    ill-conditioned result falls back to _psd_pinv.
+    """
+    try:
+        inv = np.linalg.inv(lii)
+    except np.linalg.LinAlgError:
+        return _psd_pinv(lii)
+    # a nonfinite inverse gives a nan or inf product and fails the bound
+    if np.linalg.norm(lii) * np.linalg.norm(inv) <= INVERSE_COND_BOUND:
+        return inv
+    return _psd_pinv(lii)
+
+
+class _Split(NamedTuple):
+    """Ids 0..nv-1 split into a boundary, in its given order, and the rest,
+    with the index grids of the Laplacian blocks a trace reads."""
+
+    boundary: np.ndarray
+    interior: np.ndarray
+    bb: tuple
+    bi: tuple
+    ii: tuple
+
+
+def _split_ids(nv: int, boundary_idx: Sequence[int]) -> _Split:
+    b = np.asarray(boundary_idx, dtype=np.intp)
+    keep = np.ones(nv, dtype=bool)
+    keep[b] = False
+    interior = np.flatnonzero(keep)
+    return _Split(b, interior, np.ix_(b, b), np.ix_(b, interior),
+                 np.ix_(interior, interior))
+
+
+def _trace_matrix(matrix: np.ndarray, split: _Split) -> np.ndarray:
     """Schur complement of the Laplacian onto the boundary, as a weight matrix."""
-    nv = matrix.shape[0]
-    b = list(boundary_idx)
-    bset = set(b)
-    interior = [i for i in range(nv) if i not in bset]
     lap = _laplacian(matrix)
-    lbb = lap[np.ix_(b, b)]
-    if interior:
-        lbi = lap[np.ix_(b, interior)]
-        lii = lap[np.ix_(interior, interior)]
-        schur = lbb - lbi @ _psd_pinv(lii) @ lbi.T
-    else:
-        schur = lbb
+    schur = lap[split.bb]
+    if split.interior.size:
+        lbi = lap[split.bi]
+        schur = schur - lbi @ _interior_inverse(lap[split.ii]) @ lbi.T
     out = -0.5 * (schur + schur.T)
     np.fill_diagonal(out, 0.0)
     scale = float(np.abs(out).max()) if out.size else 0.0
@@ -216,6 +255,19 @@ def _trace_matrix(matrix: np.ndarray, boundary_idx: Sequence[int]) -> np.ndarray
         warnings.warn(f"traced weight {worst:.3e} clamped to zero "
                       f"(scale {scale:.3e}); result may be inaccurate")
     return np.clip(out, 0.0, None)
+
+
+def _extension_matrix(matrix: np.ndarray, split: _Split,
+                      fb: np.ndarray) -> np.ndarray:
+    """Energy-minimizing values on all ids from boundary values fb (one
+    column per data set when fb is two-dimensional)."""
+    out = np.zeros((matrix.shape[0],) + fb.shape[1:])
+    out[split.boundary] = fb
+    if split.interior.size:
+        lap = _laplacian(matrix)
+        out[split.interior] = -_interior_inverse(lap[split.ii]) @ (
+            lap[split.bi].T @ fb)
+    return out
 
 
 def trace(form: ConductanceForm,
@@ -232,7 +284,8 @@ def trace(form: ConductanceForm,
     if len(set(boundary)) != len(tuple(boundary)):
         raise ValueError("boundary contains repeats")
     bidx = [form.index[v] for v in boundary]
-    traced = _trace_matrix(form.matrix(), bidx)
+    split = _split_ids(len(form.vertices), bidx)
+    traced = _trace_matrix(form.matrix(), split)
     return ConductanceForm.from_matrix(tuple(boundary), traced)
 
 
@@ -256,19 +309,13 @@ def harmonic_extension(form: ConductanceForm,
     missing = [v for v in boundary if v not in form.index]
     if missing:
         raise ValueError(f"boundary vertices not in form: {missing!r}")
-    bidx = [form.index[v] for v in boundary]
-    bidx_set = set(bidx)
-    interior = [i for i in range(len(form.vertices)) if i not in bidx_set]
-    lap = _laplacian(form.matrix())
+    split = _split_ids(len(form.vertices), [form.index[v] for v in boundary])
     fb = np.array([values[v] for v in boundary], dtype=float)
+    ext = _extension_matrix(form.matrix(), split, fb)
     out = {v: float(values[v]) for v in boundary}
+    out.update((form.vertices[i], float(ext[i])) for i in split.interior)
     floating = set()
-    if interior:
-        lii = lap[np.ix_(interior, interior)]
-        lib = lap[np.ix_(interior, bidx)]
-        fi = -_psd_pinv(lii) @ (lib @ fb)
-        for pos, i in enumerate(interior):
-            out[form.vertices[i]] = float(fi[pos])
+    if split.interior.size:
         for comp in form.support_components():
             if not comp & bset:
                 floating |= comp

@@ -35,7 +35,7 @@ from .errors import (CapExceededError, KappaUndefinedError,
                      KernelMismatchError, NotAPermutationError,
                      NotInvariantError)
 from .networks import (ConductanceForm, DisjointSet, _laplacian,
-                       _trace_matrix, flows, trace)
+                       _split_ids, _trace_matrix, flows, trace)
 from .renorm import HarmonicStructure, renorm_T, _boundary_matrix
 from .structure import GluingScheme, MsStructure, level_vertices
 
@@ -358,9 +358,10 @@ def t_relation(structure, relation: Partition,
                form: ConductanceForm) -> ConductanceForm:
     """Renormalization applied to a degenerate form with kernel J.
 
-    The trace goes through the same pseudo-inverse Schur complement as the
-    nondegenerate case; for a preserved relation the result lands back in
-    the same degenerate cone.
+    The trace goes through the same Schur complement as the nondegenerate
+    case, whose interior block is singular when the glued copies leave an
+    interior piece cut off, and then inverted by the pseudo-inverse; for a
+    preserved relation the result lands back in the same degenerate cone.
     """
     _check_ground(structure, relation)
     if form.mass() == 0.0:
@@ -454,7 +455,7 @@ def t_quotient(structure, relation: Partition,
     if len(set(boundary_classes)) != len(boundary_classes):
         raise ValueError("boundary blocks collide in the closure; "
                          "the relation is not preserved")
-    traced = _trace_matrix(wq, boundary_classes)
+    traced = _trace_matrix(wq, _split_ids(nclasses, boundary_classes))
     return ConductanceForm.from_matrix(relation.blocks, traced)
 
 
@@ -759,9 +760,11 @@ def per_cell_flows(structure: MsStructure, hs: HarmonicStructure,
         inner = cell_flows[structure.cells[a] - 1][phi_n(a, ctx.n)]
         scaling = max(scaling, abs(boundary_flow[a] - hs.eta * inner))
 
+    # floored at the matvec noise, so the rounding-level flows of a
+    # constant input do not set the scale they are measured against
     flow_scale = max(max((abs(v) for v in boundary_flow.values()), default=0.0),
                      max((abs(v) for cf in cell_flows for v in cf.values()),
-                         default=0.0), 1e-30)
+                         default=0.0), matvec_floor, 1e-30)
     threshold = 1e-9 * flow_scale
     active_boundary = tuple(a for a in structure.boundary
                             if abs(boundary_flow[a]) > threshold)

@@ -487,7 +487,7 @@ _REBUILD_ERRORS = (ArithmeticError, KeyError, TypeError, ValueError,
 _MALFORMED = _REBUILD_ERRORS + (AttributeError, IndexError)
 
 
-def _envelope_errors(report) -> list[str]:
+def envelope_errors(report) -> list[str]:
     """Every envelope rule a report breaks, each line prefixed 'schema: '."""
     if not isinstance(report, dict):
         return [f"schema: a report must be a JSON object, not "
@@ -510,7 +510,7 @@ def validate_report_details(path: str) -> list[str]:
             report = json.load(fh)
         except json.JSONDecodeError as exc:
             return [f"not valid JSON: {exc}"]
-    errors = _envelope_errors(report)
+    errors = envelope_errors(report)
     if errors:
         return errors
     kind = report["results"]["kind"]

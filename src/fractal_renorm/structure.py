@@ -19,7 +19,7 @@ from .angles import (Angle, AngleContext, cell_index, critical_angles,
                      make_context, phi_n, post_critical_set, rotate,
                      symmetrized_set, validate_ms)
 from .errors import DepthCapError, InvalidMsError, NotInvariantError
-from .networks import DisjointSet, _trace_matrix
+from .networks import DisjointSet, _split_ids, _trace_matrix
 
 DEFAULT_DEPTH_CAP = 12
 
@@ -53,9 +53,14 @@ class GluingScheme:
             out[grid] += w
         return out
 
+    @cached_property
+    def split(self):
+        """The marked ids, the rest, and the Laplacian block grids."""
+        return _split_ids(self.num_ids, self.marked)
+
     def T(self, w: np.ndarray) -> np.ndarray:
         """Trace of the assembled copies back onto the marked ids."""
-        return _trace_matrix(self.assemble(w), self.marked)
+        return _trace_matrix(self.assemble(w), self.split)
 
     def residual(self, w: np.ndarray, eta: float,
                  traced: Optional[np.ndarray] = None) -> float:

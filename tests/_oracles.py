@@ -12,7 +12,6 @@ import numpy as np
 
 from fractal_renorm.errors import NonConvergenceError
 from fractal_renorm.gd import cell_graph
-from fractal_renorm.networks import _trace_matrix
 from fractal_renorm.relations import Partition, rotation_invariant
 from fractal_renorm.structure import level_vertices
 
@@ -66,6 +65,31 @@ def relaxed_trace_weights(vertices, weights, boundary):
         for y in blist[i + 1:]:
             out[frozenset({x, y})] = (single[x] + single[y] - q({x, y})) / 2.0
     return out
+
+
+def pinv_schur_trace(matrix, boundary, rtol=1e-12):
+    """Traced weight matrix by the pseudo-inverse Schur complement.
+
+    The interior block of the Laplacian is inverted through its full
+    eigendecomposition, with eigenvalues at most rtol times the largest
+    treated as zero, so singular interiors (disconnected or floating
+    parts) are handled. Reference for the package's trace kernel, which
+    inverts the interior block directly where that truncates nothing.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    boundary = list(boundary)
+    interior = [i for i in range(matrix.shape[0]) if i not in boundary]
+    lap = np.diag(matrix.sum(axis=1)) - matrix
+    schur = lap[np.ix_(boundary, boundary)]
+    if interior:
+        lbi = lap[np.ix_(boundary, interior)]
+        vals, vecs = np.linalg.eigh(lap[np.ix_(interior, interior)])
+        cut = rtol * max(vals[-1], 0.0)
+        inv = np.array([1.0 / v if v > cut else 0.0 for v in vals])
+        schur = schur - lbi @ (vecs * inv) @ vecs.T @ lbi.T
+    out = -0.5 * (schur + schur.T)
+    np.fill_diagonal(out, 0.0)
+    return np.clip(out, 0.0, None)
 
 
 def family_eta(n, m, l):
@@ -224,7 +248,7 @@ def gd_solve_all_cells(n, m, *, tol=1e-12, max_iter=20_000, seed=1):
             for sub in range(ring):
                 idx = np.asarray(graph.subcell_ids[sub])
                 big[np.ix_(idx, idx)] += forms[sub]
-            new_forms.append(_trace_matrix(big, list(graph.corners)))
+            new_forms.append(pinv_schur_trace(big, graph.corners))
         total = sum(f.sum() / 2.0 for f in new_forms)
         eta = ring / total
         new_forms = [f * (ring / total) for f in new_forms]

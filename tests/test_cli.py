@@ -129,6 +129,79 @@ class TestExitCodes:
         assert load(out)["results"]["existence"] == "critical_undetermined"
 
 
+class TestValidateCommand:
+    """validate holds the inputs and tolerances to the report's command."""
+
+    def validate_edited(self, path, capsys, edit):
+        report = load(path)
+        edit(report)
+        path.write_text(json.dumps(report), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["validate", str(path)])
+        return code, capsys.readouterr().err.splitlines()
+
+    @pytest.mark.parametrize("argv", [
+        ["relations", "--n", "2", "--m", "1", "--theta", "1/6"],
+        ["flows", "--n", "2", "--m", "1", "--theta", "1/6",
+         "--values", "1,0,0"],
+    ], ids=["relations", "flows"])
+    def test_edited_solver_tol_fails(self, argv, tmp_path, capsys):
+        # the rerun at the edited tol moves no result field
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        code, err = self.validate_edited(
+            out, capsys, lambda r: r["tolerances"].update(solver_tol=1e-11))
+        assert code == 4
+        assert err == ["tolerances.solver_tol: 1e-11, the command gives "
+                       "1e-12"]
+
+    def test_recorded_flags_validate(self, tmp_path, capsys):
+        runs = [
+            ["relations", "--all", "--n", "2", "--m", "1", "--theta", "2/12",
+             "--tol", "1e-11", "--max-iter", "5000", "--k-max", "3",
+             "--cap", "7", "--no-symmetrize"],
+            ["structure", "--n", "2", "--m", "1", "--theta", "1/6",
+             "--level", "2", "--tol", "1e-3", "--max-iter", "7"],
+            ["gd", "build", "--n", "2", "--m", "1", "--max-iter", "5"],
+        ]
+        for argv in runs:
+            out = tmp_path / "r.json"
+            assert main(argv + ["--out", str(out), "--format", "json"]) == 0
+            assert main(["validate", str(out)]) == 0, argv
+
+    def test_edited_inputs_fail(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["relations", "--n", "2", "--m", "1", "--theta", "1/12",
+                     "--out", str(out)]) == 0
+        cases = [
+            ("inputs.cap", lambda r: r["inputs"].update(cap=11)),
+            ("inputs.max_iter",
+             lambda r: r["inputs"].update(max_iter=99_999)),
+            ("inputs.theta", lambda r: r["inputs"].update(theta="2/24")),
+            ("inputs.cap", lambda r: r["command"].extend(["--cap", "11"])),
+            ("command", lambda r: r["command"].__setitem__(0, "solve")),
+            ("command", lambda r: r["command"].append("--bogus")),
+            ("command", lambda r: r.update(command=["validate", "r.json"])),
+        ]
+        base = out.read_text(encoding="utf-8")
+        for field, edit in cases:
+            out.write_text(base, encoding="utf-8")
+            code, err = self.validate_edited(out, capsys, edit)
+            assert code == 4, field
+            assert any(line.startswith(field) for line in err), (field, err)
+
+    def test_context_from_a_structure_file_is_not_compared(self, tmp_path,
+                                                          capsys):
+        struct = tmp_path / "s.json"
+        out = tmp_path / "h.json"
+        assert main(["structure", "--n", "2", "--m", "1", "--theta", "1/6",
+                     "--out", str(struct)]) == 0
+        assert main(["solve", "--structure", str(struct), "--n", "3",
+                     "--out", str(out)]) == 0
+        assert load(out)["inputs"]["n"] == 2
+        assert main(["validate", str(out)]) == 0
+
+
 class TestOutput:
     def test_stdout_default(self, capsys):
         assert main(["structure", "--n", "2", "--m", "1",

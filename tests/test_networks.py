@@ -1,13 +1,20 @@
 """Resistance forms: energy, trace, extension, resistance, flows."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from fractal_renorm import (
-    ConductanceForm, DisconnectedError, effective_resistance, energy, flows,
-    harmonic_extension, resistance_matrix, trace,
+    ConductanceForm, DisconnectedError, build_structure, d_sub_j,
+    effective_resistance, energy, enumerate_preserved, flows,
+    harmonic_extension, make_context, networks, resistance_matrix,
+    solve_eigenform, trace,
 )
-from _oracles import relaxed_trace_weights
+from fractal_renorm.networks import (INVERSE_COND_BOUND, _interior_inverse,
+                                     _split_ids, _trace_matrix)
+from fractal_renorm.renorm import _boundary_matrix
+from _oracles import pinv_schur_trace, relaxed_trace_weights
 
 
 def unit_triangle():
@@ -51,6 +58,22 @@ class TestForm:
         f = unit_triangle()
         g = ConductanceForm.from_matrix(tuple(f.vertices), f.matrix())
         assert g.weights == f.weights
+
+    def test_from_matrix_matches_pair_loop(self):
+        # symmetrized upper-triangle weights, positive ones only, in
+        # row-major order, whatever the input's asymmetry or sign
+        rng = np.random.default_rng(13)
+        for nv in (1, 2, 5, 12):
+            mat = rng.uniform(-0.5, 2.0, (nv, nv))
+            mat[rng.random((nv, nv)) < 0.3] = 0.0
+            want = {}
+            for i in range(nv):
+                for j in range(i + 1, nv):
+                    w = 0.5 * (mat[i, j] + mat[j, i])
+                    if w > 0.0:
+                        want[(i, j)] = w
+            got = ConductanceForm.from_matrix(tuple(range(nv)), mat)
+            assert list(got.weights.items()) == list(want.items())
 
     def test_relabel_and_scale(self):
         f = unit_triangle().relabel({"a": 1, "b": 2, "c": 3}).scaled(2.0)
@@ -158,6 +181,93 @@ class TestTrace:
             "xyz", [("x", "y", 1.0), ("y", "z", 0.0)])
         t = trace(f, ("x", "y"))
         assert t.weight("x", "y") == pytest.approx(1.0)
+
+
+@pytest.fixture
+def pinv_calls(monkeypatch):
+    """Shapes of the blocks passed to the pseudo-inverse fallback."""
+    calls = []
+    original = networks._psd_pinv
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(networks, "_psd_pinv", counted)
+    return calls
+
+
+def connected_weights(rng, nv, zero_fraction=0.3):
+    """Random symmetric weights with a path through all vertices."""
+    w = rng.uniform(0.1, 2.0, (nv, nv))
+    w[rng.random((nv, nv)) < zero_fraction] = 0.0
+    w = np.triu(w, 1)
+    w[np.arange(nv - 1), np.arange(1, nv)] += 0.5
+    return w + w.T
+
+
+def assert_matches_oracle(matrix, boundary):
+    got = _trace_matrix(matrix, _split_ids(len(matrix), boundary))
+    want = pinv_schur_trace(matrix, boundary)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestTraceKernel:
+    def test_direct_inverse_matches_pseudo_inverse(self, pinv_calls):
+        rng = np.random.default_rng(41)
+        for nv in range(3, 40, 3):
+            for _ in range(4):
+                nb = int(rng.integers(2, nv))
+                boundary = [int(v) for v in rng.permutation(nv)[:nb]]
+                assert_matches_oracle(connected_weights(rng, nv), boundary)
+        assert pinv_calls == []
+
+    @pytest.mark.parametrize("nv,edges", [
+        # vertices 3 and 4 form a component that touches no boundary
+        (5, [(0, 2, 1.0), (1, 2, 2.0), (3, 4, 1.5)]),
+        # interior vertex 4 has no edge at all
+        (5, [(0, 2, 1.0), (2, 3, 0.5), (1, 3, 2.0)]),
+        # two interior pieces, one of them floating
+        (6, [(0, 2, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 2.0),
+             (3, 5, 1.0)]),
+    ], ids=["floating", "isolated", "split"])
+    def test_singular_interior_falls_back(self, nv, edges, pinv_calls):
+        w = np.zeros((nv, nv))
+        for i, j, x in edges:
+            w[i, j] = w[j, i] = x
+        assert_matches_oracle(w, [0, 1])
+        assert len(pinv_calls) == 1
+
+    def test_relation_cone_step_falls_back(self, pinv_calls):
+        s = build_structure(make_context(2, 1, Fraction(1, 12)))
+        hs = solve_eigenform(s)
+        rel = next(r for r in enumerate_preserved(s, True)
+                   if not r.is_trivial)
+        w = _boundary_matrix(s, d_sub_j(s, hs.form, rel))
+        pinv_calls.clear()
+        got = s.scheme.T(w)
+        assert pinv_calls
+        want = pinv_schur_trace(s.scheme.assemble(w), s.scheme.marked)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_ill_conditioned_interior_trips_guard(self, pinv_calls):
+        # eps - 1 - eps in series between the boundary vertices 0 and 1
+        eps = 1e-7
+        w = np.zeros((4, 4))
+        w[0, 2] = w[2, 0] = w[1, 3] = w[3, 1] = eps
+        w[2, 3] = w[3, 2] = 1.0
+        lii = (np.diag(w.sum(axis=1)) - w)[2:, 2:]
+        assert np.linalg.cond(lii) > INVERSE_COND_BOUND
+        _interior_inverse(lii)
+        assert pinv_calls == [(2, 2)]
+        assert_matches_oracle(w, [0, 1])
+        got = _trace_matrix(w, _split_ids(4, [0, 1]))[0, 1]
+        assert got == pytest.approx(1.0 / (2.0 / eps + 1.0), rel=1e-9)
+
+    def test_eigenform_solve_takes_no_pseudo_inverse(self, pinv_calls):
+        s = build_structure(make_context(2, 1, Fraction(1, 192)))
+        assert solve_eigenform(s).iterations > 0
+        assert pinv_calls == []
 
 
 class TestHarmonicExtension:
