@@ -5,8 +5,8 @@ hands them with --tol to the kind's builder in reports.BUILDERS, and emits
 the envelope around the results and tolerances the builder returns: one
 JSON report (see reports.py), or CSV rows for the tabular kinds, to --out
 or stdout. validate reruns the same builder and compares every field,
-then reparses the report's command and requires every field a flag sets
-to match it.
+then rebuilds the inputs and the solver tolerance from the report's
+command the way the run does and requires each to match.
 Exit codes: 0 success, 2 invalid input, 3 non-convergence or a cap hit
 (such as a level past the depth cap), 4 internal invariant violation
 (including failed report validation). Reports are deterministic
@@ -20,6 +20,7 @@ import io
 import json
 import sys
 import time
+import warnings
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -31,8 +32,8 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      NotAPermutationError, NotInvariantError)
 from .relations import DEFAULT_K_MAX
 from .renorm import DEFAULT_MAX_ITER
-from .reports import (BUILDERS, envelope_errors, render_report,
-                      structure_inputs, validate_report_details)
+from .reports import (BUILDERS, read_report, render_report, report_errors,
+                      structure_inputs)
 from .structure import build_structure, structure_from_json
 
 EXIT_OK = 0
@@ -80,10 +81,19 @@ def _emit(args, report: dict, csv_rows: Optional[list] = None) -> int:
     return EXIT_OK
 
 
-def _report(args, started: float, inputs: dict,
-            csv_rows: Optional[Callable[[dict], list]] = None) -> int:
-    """Run the builder of the subcommand's kind on the inputs and emit its
-    report."""
+def _run_inputs(args) -> dict:
+    """A run's report inputs: the structure's fields, when the kind reads a
+    structure, followed by the fields the subcommand's own flags set."""
+    inputs = args.flag_inputs(args)
+    if args.reads_structure:
+        inputs = structure_inputs(_load_structure(args), **inputs)
+    return inputs
+
+
+def _cmd_run(args, started: float) -> int:
+    """Run the builder of the subcommand's kind on the inputs its flags
+    give and emit its report."""
+    inputs = _run_inputs(args)
     results, tolerances = BUILDERS[args.kind](inputs, args.tol)
     report = {
         "schema": "fr-1",
@@ -94,51 +104,14 @@ def _report(args, started: float, inputs: dict,
         "tolerances": tolerances,
         "results": results,
     }
-    return _emit(args, report, csv_rows(results) if csv_rows else None)
-
-
-def _cmd_structure(args, started: float) -> int:
-    inputs = structure_inputs(_load_structure(args), level=args.level)
-    return _report(args, started, inputs)
-
-
-def _cmd_solve(args, started: float) -> int:
-    inputs = structure_inputs(_load_structure(args), max_iter=args.max_iter)
-    return _report(args, started, inputs)
-
-
-def _cmd_relations(args, started: float) -> int:
-    inputs = structure_inputs(_load_structure(args), cap=args.cap,
-                              require_g=not args.all, k_max=args.k_max,
-                              max_iter=args.max_iter)
-    return _report(args, started, inputs)
+    return _emit(args, report,
+                 args.csv_rows(results) if args.csv_rows else None)
 
 
 def _resistance_rows(results: dict) -> list:
     return [["vertex"] + results["vertices"]] + [
         [label] + [f"{x:.12g}" for x in row]
         for label, row in zip(results["vertices"], results["matrix"])]
-
-
-def _cmd_resistance(args, started: float) -> int:
-    inputs = structure_inputs(_load_structure(args), level=args.level,
-                              max_iter=args.max_iter)
-    return _report(args, started, inputs, _resistance_rows)
-
-
-def _cmd_flows(args, started: float) -> int:
-    inputs = structure_inputs(_load_structure(args), values=args.values,
-                              max_iter=args.max_iter)
-    return _report(args, started, inputs)
-
-
-def _cmd_gd_build(args, started: float) -> int:
-    return _report(args, started, {"n": args.n, "m": args.m})
-
-
-def _cmd_gd_solve(args, started: float) -> int:
-    inputs = {"n": args.n, "m": args.m, "max_iter": args.max_iter}
-    return _report(args, started, inputs)
 
 
 def _rho_rows(results: dict) -> list:
@@ -148,45 +121,12 @@ def _rho_rows(results: dict) -> list:
         for key in ("pq_pairs", "side_pairs")]
 
 
-def _cmd_gd_rhos(args, started: float) -> int:
-    return _report(args, started, {"n": args.n, "m": args.m},
-                   _rho_rows)
-
-
-# (namespace attribute, report block, field, how the flag's value is
-# recorded): the fields a run's flags determine; --out and --format are
-# not recorded
-_RECORDED_FLAGS = (
-    ("tol", "tolerances", "solver_tol", float),
-    ("max_iter", "inputs", "max_iter", int),
-    ("k_max", "inputs", "k_max", int),
-    ("cap", "inputs", "cap", int),
-    ("all", "inputs", "require_g", lambda all_: not all_),
-    ("level", "inputs", "level", int),
-    ("values", "inputs", "values", str),
-)
-# the context flags, compared when given and no --structure is read
-_CONTEXT_FLAGS = (
-    ("n", "inputs", "n", int),
-    ("m", "inputs", "m", int),
-    ("theta", "inputs", "theta", lambda theta: str(Fraction(theta))),
-    ("symmetrize", "inputs", "symmetrized", bool),
-)
-
-
-def _command_errors(parser: argparse.ArgumentParser, path: str) -> list[str]:
+def _command_errors(parser: argparse.ArgumentParser, report: dict) -> list:
     """One line per report field that differs from what the report's own
-    command sets it to. A field the report does not record (a flag its
-    kind ignores, or one that older reports lack) is left to the rerun,
-    and a report that is no JSON or breaks the envelope to the envelope
-    check."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError:
-            return []
-    if envelope_errors(report):
-        return []
+    command sets it to, found by rebuilding the command's inputs as a run
+    does. The structure's fields are not compared when the command reads
+    a --structure file, and a field the report does not record (one that
+    older reports lack) is left to the rerun."""
     shown = " ".join(report["command"])
     messages = io.StringIO()
     try:
@@ -199,24 +139,33 @@ def _command_errors(parser: argparse.ArgumentParser, path: str) -> list[str]:
     kind = report["results"]["kind"]
     if getattr(flags, "kind", None) != kind:
         return [f"command: {shown!r} does not write a {kind!r} report"]
-    checked = _RECORDED_FLAGS
-    if not getattr(flags, "structure", None):
-        checked += tuple(flag for flag in _CONTEXT_FLAGS
-                         if getattr(flags, flag[0], None) is not None)
+    try:
+        # the run warned already when it reduced theta into its window
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inputs = (flags.flag_inputs(flags)
+                      if getattr(flags, "structure", None)
+                      else _run_inputs(flags))
+    except (*_INPUT_ERRORS, ArithmeticError) as exc:
+        return [f"command: {shown!r} is not a run: {exc}"]
+    want = {"inputs": inputs, "tolerances": {"solver_tol": flags.tol}}
     errors = []
-    for attr, block, key, convert in checked:
-        if not hasattr(flags, attr) or key not in report[block]:
-            continue
-        stated, want = report[block][key], convert(getattr(flags, attr))
-        if type(stated) is not type(want) or stated != want:
-            errors.append(f"{block}.{key}: {stated!r}, the command gives "
-                          f"{want!r}")
+    for block, fields in want.items():
+        for key, value in fields.items():
+            if key not in report[block]:
+                continue
+            stated = report[block][key]
+            if type(stated) is not type(value) or stated != value:
+                errors.append(f"{block}.{key}: {stated!r}, the command "
+                              f"gives {value!r}")
     return errors
 
 
 def _cmd_validate(args, started: float) -> int:
-    details = (validate_report_details(args.path)
-               + _command_errors(args.parser, args.path))
+    report, details = read_report(args.path)
+    if report is not None:
+        details = (report_errors(report)
+                   + _command_errors(args.parser, report))
     if details:
         for line in details:
             print(line, file=sys.stderr)
@@ -247,6 +196,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+def _set_run(p: argparse.ArgumentParser, kind: str,
+             flag_inputs: Callable[[argparse.Namespace], dict],
+             reads_structure: bool = True,
+             csv_rows: Optional[Callable[[dict], list]] = None) -> None:
+    """Make p a run that writes a kind report. flag_inputs gives the
+    inputs its own flags set; validate rebuilds them the same way."""
+    p.set_defaults(handler=_cmd_run, kind=kind, flag_inputs=flag_inputs,
+                   reads_structure=reads_structure, csv_rows=csv_rows)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fractal-renorm",
@@ -258,12 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ctx_flags(p)
     p.add_argument("--level", type=int, default=1)
     _add_common(p)
-    p.set_defaults(handler=_cmd_structure, kind="structure")
+    _set_run(p, "structure", lambda a: {"level": a.level})
 
     p = sub.add_parser("solve", help="solve for the eigenform")
     _add_ctx_flags(p)
     _add_common(p)
-    p.set_defaults(handler=_cmd_solve, kind="harmonic")
+    _set_run(p, "harmonic", lambda a: {"max_iter": a.max_iter})
 
     p = sub.add_parser("relations",
                        help="enumerate preserved relations and verdict")
@@ -274,21 +233,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate all relations, not only rotation-"
                         "invariant ones")
     _add_common(p)
-    p.set_defaults(handler=_cmd_relations, kind="relations")
+    _set_run(p, "relations", lambda a: {
+        "cap": a.cap, "require_g": not a.all, "k_max": a.k_max,
+        "max_iter": a.max_iter})
 
     p = sub.add_parser("resistance",
                        help="pairwise boundary resistances at a level")
     _add_ctx_flags(p)
     p.add_argument("--level", type=int, default=1)
     _add_common(p)
-    p.set_defaults(handler=_cmd_resistance, kind="resistance")
+    _set_run(p, "resistance",
+             lambda a: {"level": a.level, "max_iter": a.max_iter},
+             csv_rows=_resistance_rows)
 
     p = sub.add_parser("flows", help="per-cell flows of a harmonic function")
     _add_ctx_flags(p)
     p.add_argument("--values", type=str, required=True,
                    help="comma-separated boundary values, in angle order")
     _add_common(p)
-    p.set_defaults(handler=_cmd_flows, kind="flows")
+    _set_run(p, "flows",
+             lambda a: {"values": a.values, "max_iter": a.max_iter})
 
     gd = sub.add_parser("gd", help="graph-directed model")
     gdsub = gd.add_subparsers(dest="gd_subcommand", required=True)
@@ -296,17 +260,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
-    p.set_defaults(handler=_cmd_gd_build, kind="gd_structure")
+    _set_run(p, "gd_structure", lambda a: {"n": a.n, "m": a.m},
+             reads_structure=False)
     p = gdsub.add_parser("solve", help="solve the gd eigenform")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
-    p.set_defaults(handler=_cmd_gd_solve, kind="gd_harmonic")
+    _set_run(p, "gd_harmonic",
+             lambda a: {"n": a.n, "m": a.m, "max_iter": a.max_iter},
+             reads_structure=False)
     p = gdsub.add_parser("rhos", help="rho table for the corner relations")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
-    p.set_defaults(handler=_cmd_gd_rhos, kind="gd_rhos")
+    _set_run(p, "gd_rhos", lambda a: {"n": a.n, "m": a.m},
+             reads_structure=False, csv_rows=_rho_rows)
 
     p = sub.add_parser("validate", help="validate a report file")
     p.add_argument("path", type=str)

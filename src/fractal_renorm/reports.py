@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -487,7 +487,7 @@ _REBUILD_ERRORS = (ArithmeticError, KeyError, TypeError, ValueError,
 _MALFORMED = _REBUILD_ERRORS + (AttributeError, IndexError)
 
 
-def envelope_errors(report) -> list[str]:
+def _envelope_errors(report) -> list[str]:
     """Every envelope rule a report breaks, each line prefixed 'schema: '."""
     if not isinstance(report, dict):
         return [f"schema: a report must be a JSON object, not "
@@ -502,17 +502,21 @@ def envelope_errors(report) -> list[str]:
     return errors
 
 
-def validate_report_details(path: str) -> list[str]:
-    """Envelope check, rerun of the kind's builder and a diff of every
-    field; an empty list means valid."""
+def read_report(path: str) -> tuple[Optional[dict], list[str]]:
+    """The report at path and no errors if it is JSON inside the envelope,
+    else None and what is wrong."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
         except json.JSONDecodeError as exc:
-            return [f"not valid JSON: {exc}"]
-    errors = envelope_errors(report)
-    if errors:
-        return errors
+            return None, [f"not valid JSON: {exc}"]
+    errors = _envelope_errors(report)
+    return (None, errors) if errors else (report, [])
+
+
+def report_errors(report: dict) -> list[str]:
+    """Rerun of the kind's builder on a report inside the envelope and a
+    diff of every field; an empty list means valid."""
     kind = report["results"]["kind"]
     if kind not in BUILDERS:
         return [f"unknown result kind {kind!r}"]
@@ -526,6 +530,7 @@ def validate_report_details(path: str) -> list[str]:
     except _REBUILD_ERRORS as exc:
         return [f"cannot recompute the {kind} results from the report's "
                 f"inputs: {exc}"]
+    errors: list[str] = []
     _diff("results", report["results"], results, errors)
     _diff("tolerances", tolerances, fresh_tolerances, errors)
     if kind in _CONSISTENCY:
@@ -536,6 +541,13 @@ def validate_report_details(path: str) -> list[str]:
                 errors.append(f"cannot check the stated {kind} results: "
                               f"{exc}")
     return errors
+
+
+def validate_report_details(path: str) -> list[str]:
+    """Envelope check, rerun of the kind's builder and a diff of every
+    field; an empty list means valid."""
+    report, errors = read_report(path)
+    return errors if report is None else report_errors(report)
 
 
 def validate_report(path: str) -> bool:

@@ -22,6 +22,12 @@ def load(path):
         return json.load(fh)
 
 
+def set_flag(report: dict, flag: str, value: str) -> None:
+    """Set the value that follows flag in the report's command."""
+    command = report["command"]
+    command[command.index(flag) + 1] = value
+
+
 def strip_wall_time(text: str) -> str:
     return re.sub(r'"wall_time_s": [0-9eE.+-]+', '"wall_time_s": 0', text)
 
@@ -182,6 +188,9 @@ class TestValidateCommand:
             ("command", lambda r: r["command"].__setitem__(0, "solve")),
             ("command", lambda r: r["command"].append("--bogus")),
             ("command", lambda r: r.update(command=["validate", "r.json"])),
+            ("command", lambda r: set_flag(r, "--theta", "1/0")),
+            ("command", lambda r: set_flag(r, "--theta", "abc")),
+            ("inputs.theta", lambda r: set_flag(r, "--theta", "1/6")),
         ]
         base = out.read_text(encoding="utf-8")
         for field, edit in cases:
@@ -189,6 +198,22 @@ class TestValidateCommand:
             code, err = self.validate_edited(out, capsys, edit)
             assert code == 4, field
             assert any(line.startswith(field) for line in err), (field, err)
+
+    @pytest.mark.parametrize("theta", [["--theta", "1/2"],
+                                       ["--theta", "7/6"],
+                                       ["--theta=-1/6"]],
+                             ids=["1/2", "7/6", "-1/6"])
+    @pytest.mark.filterwarnings("ignore:theta .* reduced")
+    def test_reduced_theta_validates(self, theta, tmp_path, capsys):
+        # the run records theta reduced into [0, 1/(m+n)), and so does
+        # the rebuild from its command
+        out = tmp_path / "h.json"
+        assert main(["solve", "--n", "2", "--m", "1", *theta,
+                     "--out", str(out)]) == 0
+        assert load(out)["inputs"]["theta"] == "1/6"
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_context_from_a_structure_file_is_not_compared(self, tmp_path,
                                                           capsys):
