@@ -30,8 +30,8 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      DisconnectedError, InvalidMsError, KappaUndefinedError,
                      KernelMismatchError, NonConvergenceError,
                      NotAPermutationError, NotInvariantError)
-from .relations import DEFAULT_K_MAX
-from .renorm import DEFAULT_MAX_ITER
+from .relations import DEFAULT_ENUM_CAP, DEFAULT_K_MAX
+from .renorm import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .reports import (BUILDERS, read_report, render_report, report_errors,
                       structure_inputs)
 from .structure import build_structure, structure_from_json
@@ -190,7 +190,7 @@ def _add_ctx_flags(p: argparse.ArgumentParser, with_structure=True) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relations",
                        help="enumerate preserved relations and verdict")
     _add_ctx_flags(p)
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP)
     p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--all", action="store_true",
                    help="enumerate all relations, not only rotation-"

@@ -26,14 +26,12 @@ import numpy as np
 from .errors import NonConvergenceError
 from .networks import ConductanceForm, DisjointSet
 from .relations import Partition, is_preserved, rho_search
-from .renorm import _normalized_iteration, _rayleigh_eta
+from .renorm import (DEFAULT_MAX_ITER, DEFAULT_TOL, _normalized_iteration,
+                     _rayleigh_eta)
 from .structure import GluingScheme
 
 CORNER_ORDER = ("pl", "ql", "pr", "qr")  # images of (p_k, q_k, p_k+1, q_k+1)
 FORM_VERTICES = ("p0", "q0", "p1", "q1")
-
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 100_000
 
 
 def _slot(sub: int, corner: int) -> int:

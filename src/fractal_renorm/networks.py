@@ -105,9 +105,7 @@ class ConductanceForm:
     def from_matrix(cls, vertices: Sequence[Hashable],
                     matrix: np.ndarray) -> "ConductanceForm":
         # one conversion to nested lists, then the positive pairs i < j in
-        # row-major order; much cheaper than indexing numpy scalars, and
-        # cheaper than np.triu_indices on the few-vertex forms of the
-        # relation side
+        # row-major order; much cheaper than indexing numpy scalars
         mat = np.asarray(matrix, dtype=float)
         sym = (0.5 * (mat + mat.T)).tolist()
         return cls(tuple(vertices),

@@ -7,15 +7,15 @@ a relation side (degenerate forms whose kernel is the J-constant functions)
 and a quotient side (forms on the block set); the extreme stationary ratios
 of the two sides feed the existence and uniqueness criteria.
 
-Rho values here are the ends of cone brackets: power iteration of a
-side's operator from the unit form gives at every step a max ratio that
-upper-bounds the best possible max-ratio (rho_over) and a min ratio that
-lower-bounds the best possible min-ratio (rho_under). The loop is
-deterministic, so a report's values can be recomputed. Both bounds remain
-valid for the rotation-symmetric variants of the same quantities, because
-averaging a form over the rotation group never worsens either ratio
-(mediant inequality), so an unrestricted witness certifies the symmetric
-criterion.
+Each side is the T of a gluing scheme on weight matrices: the structure's
+own on the relation side, and on the quotient side one whose rows are each
+copy's closure classes of the block images. One loop, renorm.cone_iteration
+of a side's T, yields the rho brackets of rho_search and the uniqueness
+certificates; it is deterministic, so a report's values can be recomputed.
+The bracket ends remain valid for the rotation-symmetric variants of the
+same quantities, because averaging a form over the rotation group never
+worsens either ratio (mediant inequality), so an unrestricted witness
+certifies the symmetric criterion.
 
 The closure, preservation test, enumeration, relation and quotient
 operators and rho brackets read only a structure's boundary, index and
@@ -34,9 +34,10 @@ from .angles import Angle, critical_angles, kappa, phi_n, rotate
 from .errors import (CapExceededError, KappaUndefinedError,
                      KernelMismatchError, NotAPermutationError,
                      NotInvariantError)
-from .networks import (ConductanceForm, DisjointSet, _laplacian,
-                       _split_ids, _trace_matrix, flows, trace)
-from .renorm import HarmonicStructure, renorm_T, _boundary_matrix
+from .networks import (ConductanceForm, DisjointSet, _laplacian, _split_ids,
+                       _trace_matrix, flows)
+from .renorm import (HarmonicStructure, _boundary_matrix,
+                     _form_from_boundary_matrix, cone_iteration)
 from .structure import GluingScheme, MsStructure, level_vertices
 
 DEFAULT_ENUM_CAP = 12
@@ -344,14 +345,74 @@ def build_J_plus_minus(structure: MsStructure) -> tuple[Partition, Partition]:
     return results[0], results[1]
 
 
-def _check_in_cone(relation: Partition, form: ConductanceForm) -> None:
-    comps = {frozenset(c) for c in form.support_components()}
-    blocks = {frozenset(b) for b in relation.blocks}
-    if comps != blocks:
-        raise KernelMismatchError(
-            "form kernel does not match the relation: support components "
-            f"{sorted(map(sorted, comps))} vs blocks "
-            f"{sorted(map(sorted, blocks))}")
+def _complement(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of cols' span."""
+    u, s, _ = np.linalg.svd(cols, full_matrices=True)
+    return u[:, int((s > 1e-12 * max(s[0], 1.0)).sum()):]
+
+
+class _Side:
+    """A gluing scheme on the forms whose support components are the
+    classes of the indicator columns cols (the blocks, or on the quotient
+    side all blocks in one), with ratios taken off the span of cols."""
+
+    def __init__(self, vertices: tuple, scheme: GluingScheme,
+                 cols: np.ndarray):
+        self.vertices, self.scheme = vertices, scheme
+        self.same = cols @ cols.T > 0
+        self.comp = _complement(cols)
+        self.start = (self.same & ~np.eye(len(cols), dtype=bool)) * 1.0
+
+    def check(self, w: np.ndarray) -> None:
+        """KernelMismatch unless w's support components are the classes."""
+        link = (w > 0) | np.eye(len(w), dtype=bool)
+        reach = np.linalg.matrix_power(link, len(w))
+        if (reach != self.same).any():
+            comps, blocks = (
+                sorted({tuple(v for v, r in zip(self.vertices, row) if r)
+                        for row in mask}) for mask in (reach, self.same))
+            raise KernelMismatchError(
+                "form kernel does not match the relation: support "
+                f"components {comps} vs blocks {blocks}")
+
+    def op(self, w: np.ndarray) -> np.ndarray:
+        self.check(w)
+        image = self.scheme.T(w)
+        # weights between classes are exact zeros for a preserved relation
+        # but for eps-level Schur dust, which would corrupt the support;
+        # only dust is cleared, anything larger fails the next check
+        image[~self.same & (image <= 1e-11 * image.max())] = 0.0
+        return image
+
+
+def _side(structure, relation: Partition, side: str) -> _Side:
+    """The plan of one side, built on first use and kept on the structure."""
+    plans = vars(structure).setdefault("_side_plans", {})
+    if (relation, side) not in plans:
+        plans[relation, side] = _build_side(structure, relation, side)
+    return plans[relation, side]
+
+
+def _build_side(structure, relation: Partition, side: str) -> _Side:
+    if side == "relation":
+        return _Side(structure.boundary, structure.scheme,
+                     _modulo_columns(structure.boundary, relation))
+    if side != "quotient":
+        raise ValueError(f"side must be 'relation' or 'quotient', got {side!r}")
+    if relation.block_count() < 2:
+        raise ValueError("degenerate quotient input: fewer than two blocks")
+    scheme = structure.scheme
+    block_idx = _index_blocks(structure, relation)
+    class_of = scheme.closure(block_idx)
+    # classes of each copy's block images, then of the boundary blocks; a
+    # class named twice in a row folds two blocks, which assemble drops
+    rows = [tuple(class_of[row[block[0]]] for block in block_idx)
+            for row in scheme.rows + (scheme.marked,)]
+    if any(len(set(ids)) != len(ids) for ids in rows):
+        raise ValueError("block images collide in the closure; "
+                         "the relation is not preserved")
+    quotient = GluingScheme(tuple(rows[:-1]), rows[-1], max(class_of) + 1)
+    return _Side(relation.blocks, quotient, np.ones((len(block_idx), 1)))
 
 
 def t_relation(structure, relation: Partition,
@@ -362,26 +423,14 @@ def t_relation(structure, relation: Partition,
     case, whose interior block is singular when the glued copies leave an
     interior piece cut off, and then inverted by the pseudo-inverse; for a
     preserved relation the result lands back in the same degenerate cone.
+    A form outside the cone raises KernelMismatch.
     """
     _check_ground(structure, relation)
     if form.mass() == 0.0:
         return ConductanceForm.from_edges(structure.boundary, [])
-    _check_in_cone(relation, form)
-    image = renorm_T(structure, form)
-    # Cross-block weights of the image are exact zeros for a preserved
-    # relation; the Schur complement leaves eps-level dust there, which
-    # would corrupt the support. Only dust is removed; anything larger is
-    # real and gets reported by the next call's cone check.
-    mat = image.matrix()
-    scale = float(mat.max()) if mat.size else 0.0
-    vs = image.vertices
-    for i, x in enumerate(vs):
-        bx = relation.block_containing(x)
-        for j in range(i + 1, len(vs)):
-            if relation.block_containing(vs[j]) is not bx \
-                    and mat[i, j] <= 1e-11 * scale:
-                mat[i, j] = mat[j, i] = 0.0
-    return ConductanceForm.from_matrix(vs, mat)
+    image = _side(structure, relation, "relation").op(
+        _boundary_matrix(structure, form))
+    return _form_from_boundary_matrix(structure, image)
 
 
 def d_sub_j(structure: MsStructure, form: ConductanceForm,
@@ -395,28 +444,21 @@ def d_sub_j(structure: MsStructure, form: ConductanceForm,
     if relation.is_trivial:
         raise ValueError("trivial relation rejected: its block traces give "
                          "the zero form or the original form")
-    if set(form.vertices) != set(structure.boundary):
-        raise ValueError("form vertices do not match the structure boundary")
-    edges = []
-    for block in relation.blocks:
-        if len(block) < 2:
-            continue
-        traced = trace(form, block)
-        edges.extend(traced.pairs())
-    out = ConductanceForm.from_edges(structure.boundary, edges)
-    _check_in_cone(relation, out)
-    return out
+    w = _boundary_matrix(structure, form)
+    out = np.zeros_like(w)
+    for block in _index_blocks(structure, relation):
+        out[np.ix_(block, block)] = _trace_matrix(w, _split_ids(len(w), block))
+    _side(structure, relation, "relation").check(out)
+    return _form_from_boundary_matrix(structure, out)
 
 
 def quotient_form(relation: Partition, form: ConductanceForm) -> ConductanceForm:
     """Push a boundary form down to the block set (weights added up)."""
-    edges = []
-    for x, y, w in form.pairs():
-        bx = relation.block_containing(x)
-        by = relation.block_containing(y)
-        if bx != by:
-            edges.append((bx, by, w))
-    return ConductanceForm.from_edges(relation.blocks, edges)
+    if set(form.vertices) != relation.ground_set:
+        raise ValueError("form vertices do not match the relation")
+    cols = _modulo_columns(form.vertices, relation)
+    return ConductanceForm.from_matrix(relation.blocks,
+                                       cols.T @ form.matrix() @ cols)
 
 
 def t_quotient(structure, relation: Partition,
@@ -426,37 +468,18 @@ def t_quotient(structure, relation: Partition,
     The replicated quotient graph lives on the blocks of the level-1
     closure; each copy contributes the quotient form between the closure
     classes of its block images, and the result is traced onto the images
-    of the boundary blocks.
+    of the boundary blocks. Block images that share a class show that the
+    relation is not preserved, and raise ValueError.
     """
     _check_ground(structure, relation)
-    if relation.block_count() < 2:
-        raise ValueError("degenerate quotient input: fewer than two blocks")
+    plan = _side(structure, relation, "quotient")
     if tuple(qform.vertices) != relation.blocks:
         raise ValueError("quotient form must live on the relation blocks, "
                          "in canonical block order")
     if len(qform.support_components()) != 1:
         raise ValueError("degenerate quotient input: support is disconnected")
-
-    scheme = structure.scheme
-    block_idx = _index_blocks(structure, relation)
-    class_of = scheme.closure(block_idx)
-    nclasses = max(class_of) + 1
-    wq = np.zeros((nclasses, nclasses))
-    for row in scheme.rows:
-        for (i, j), w in qform.weights.items():
-            ci = class_of[row[block_idx[i][0]]]
-            cj = class_of[row[block_idx[j][0]]]
-            if ci != cj:
-                wq[ci, cj] += w
-                wq[cj, ci] += w
-
-    boundary_classes = [class_of[scheme.marked[block[0]]]
-                        for block in block_idx]
-    if len(set(boundary_classes)) != len(boundary_classes):
-        raise ValueError("boundary blocks collide in the closure; "
-                         "the relation is not preserved")
-    traced = _trace_matrix(wq, _split_ids(nclasses, boundary_classes))
-    return ConductanceForm.from_matrix(relation.blocks, traced)
+    return ConductanceForm.from_matrix(relation.blocks,
+                                       plan.op(qform.matrix()))
 
 
 def _modulo_columns(vertices: Sequence[Hashable], modulo) -> np.ndarray:
@@ -495,18 +518,19 @@ def stationary_ratios(num_form: ConductanceForm, den_form: ConductanceForm,
     if set(num_form.vertices) != set(verts):
         raise ValueError("forms live on different vertex sets")
     order = [num_form.index[v] for v in verts]
-    la = _laplacian(num_form.matrix())[np.ix_(order, order)]
-    lb = _laplacian(den_form.matrix())
+    return _ratio_bounds(num_form.matrix()[np.ix_(order, order)],
+                         den_form.matrix(),
+                         _complement(_modulo_columns(verts, modulo)))
 
-    u, s, _ = np.linalg.svd(_modulo_columns(verts, modulo),
-                            full_matrices=True)
-    rank = int((s > 1e-12 * max(s[0], 1.0)).sum())
-    comp = u[:, rank:]
+
+def _ratio_bounds(num: np.ndarray, den: np.ndarray,
+                  comp: np.ndarray) -> tuple[float, float]:
+    """stationary_ratios of two weight matrices, over the span of comp."""
     if comp.shape[1] == 0:
         raise ValueError("modded-out space covers everything; "
                          "no ratios to compute")
-    ar = comp.T @ la @ comp
-    br = comp.T @ lb @ comp
+    ar = comp.T @ _laplacian(num) @ comp
+    br = comp.T @ _laplacian(den) @ comp
     ar = 0.5 * (ar + ar.T)
     br = 0.5 * (br + br.T)
     bvals = np.linalg.eigvalsh(br)
@@ -536,15 +560,13 @@ def block_star_form(structure: MsStructure,
     relation side: its max stationary ratio is at most 1.
     """
     _check_ground(structure, relation)
-    edges = []
-    for center in _return_centers(structure):
-        block = relation.block_containing(center)
-        for y in block:
-            if y != center:
-                edges.append((center, y, 1.0))
-    out = ConductanceForm.from_edges(structure.boundary, edges)
-    _check_in_cone(relation, out)
-    return out
+    plan = _side(structure, relation, "relation")
+    w = np.zeros_like(plan.start)
+    for center in (structure.index[a] for a in _return_centers(structure)):
+        w[center] += plan.start[center]
+        w[:, center] += plan.start[center]
+    plan.check(w)
+    return _form_from_boundary_matrix(structure, w)
 
 
 def block_cycle_form(structure: MsStructure,
@@ -578,19 +600,17 @@ class RhoReport:
     """Bracket of the extreme stationary ratios on one side's cone.
 
     rho_over is the least max-ratio and rho_under the greatest min-ratio
-    met along the power iterates; best_over and best_under are the
-    iterates that attain them. k is the number of renormalization
-    applications inside the ratio (always 1 here); basis_dim is the number
-    of weights of a form on the side (within-block pairs on the relation
-    side, block pairs on the quotient side); evaluations counts the
-    bracket steps.
+    of one renormalization step met along the power iterates; best_over
+    and best_under are the iterates that attain them. basis_dim is the
+    number of weights of a form on the side (within-block pairs on the
+    relation side, block pairs on the quotient side); evaluations counts
+    the bracket steps.
     """
 
     relation: Partition
     side: str
     rho_over: float
     rho_under: float
-    k: int
     basis_dim: int
     best_over: ConductanceForm
     best_under: ConductanceForm
@@ -613,39 +633,27 @@ def rho_search(structure, relation: Partition, side: str) -> RhoReport:
     iterates that cycle, leave a wider bracket.
     """
     _check_ground(structure, relation)
-    if side == "relation":
-        vertices, operator, modulo = structure.boundary, t_relation, relation
-        pairs = [(x, y) for block in relation.blocks if len(block) > 1
-                 for bi, x in enumerate(block) for y in block[bi + 1:]]
-    elif side == "quotient":
-        if relation.block_count() < 2:
-            raise ValueError("degenerate quotient input: fewer than two "
-                             "blocks")
-        vertices, operator, modulo = relation.blocks, t_quotient, "constants"
-        pairs = [(vertices[i], vertices[j]) for i in range(len(vertices))
-                 for j in range(i + 1, len(vertices))]
-    else:
-        raise ValueError(f"side must be 'relation' or 'quotient', got {side!r}")
-    if not pairs:
+    plan = _side(structure, relation, side)
+    basis_dim = int(np.count_nonzero(plan.start)) // 2
+    if not basis_dim:
         raise ValueError("relation has no weights on this side")
 
-    form = ConductanceForm.from_edges(vertices, [(x, y, 1.0)
-                                                 for x, y in pairs])
     rho_over, rho_under = np.inf, -np.inf
-    for step in range(1, BRACKET_STEPS + 1):
-        image = operator(structure, relation, form)
-        lo, hi = stationary_ratios(image, form, modulo=modulo)
+    for step, (w, image, _) in zip(range(1, BRACKET_STEPS + 1),
+                                   cone_iteration(plan.op, plan.start)):
+        lo, hi = _ratio_bounds(image, w, plan.comp)
         if hi < rho_over:
-            rho_over, best_over = hi, form
+            rho_over, best_over = hi, w
         if lo > rho_under:
-            rho_under, best_under = lo, form
+            rho_under, best_under = lo, w
         if rho_over - rho_under <= BRACKET_TOL * abs(rho_over):
             break
-        form = image.scaled(1.0 / image.mass())
-    return RhoReport(relation=relation, side=side, rho_over=rho_over,
-                     rho_under=rho_under, k=1, basis_dim=len(pairs),
-                     best_over=best_over, best_under=best_under,
-                     evaluations=step)
+    return RhoReport(
+        relation=relation, side=side, rho_over=rho_over,
+        rho_under=rho_under, basis_dim=basis_dim,
+        best_over=ConductanceForm.from_matrix(plan.vertices, best_over),
+        best_under=ConductanceForm.from_matrix(plan.vertices, best_under),
+        evaluations=step)
 
 
 @dataclass(frozen=True)
@@ -680,13 +688,15 @@ def uniqueness_certificate(structure: MsStructure, hs: HarmonicStructure,
                            relation: Partition, k_max: int = DEFAULT_K_MAX,
                            margin: float = DEFAULT_MARGIN) -> CertificateReport:
     """Check eta^k-scaled contraction of iterated block forms."""
-    base = d_sub_j(structure, hs.form, relation)
-    current = base
-    trajectory = []
-    for k in range(1, k_max + 1):
-        current = t_relation(structure, relation, current)
-        ratio = stationary_ratios(current, base, modulo=relation)[1]
-        trajectory.append(float(hs.eta ** k * ratio))
+    base = _boundary_matrix(structure, d_sub_j(structure, hs.form, relation))
+    plan = _side(structure, relation, "relation")
+    trajectory, scale = [], 1.0
+    for k, (_, image, mass) in zip(range(1, k_max + 1),
+                                   cone_iteration(plan.op, base)):
+        # scale * image is T_J^k(base): each iterate was divided by its mass
+        ratio = _ratio_bounds(image, base, plan.comp)[1]
+        trajectory.append(float(hs.eta ** k * scale * ratio))
+        scale *= mass
     certified_k, monotone = certificate_summary(trajectory, margin)
     return CertificateReport(relation=relation,
                              certified=certified_k is not None,

@@ -4,7 +4,8 @@ The renormalization map T sends a form D on the boundary to the trace of
 its glued copies back onto the marked copy of the boundary. An eigenform
 is a fixed point of the normalized iteration D -> T(D)/mass(T(D)); the
 renormalization constant eta is the inverse of the mass ratio at the fixed
-point, so that D = eta * T(D).
+point, so that D = eta * T(D). cone_iteration runs that loop for any
+operator on weight matrices, as the relation sides of relations.py do.
 
 Everything here reads only a structure's boundary, index and gluing
 scheme, so the same functions serve an MsStructure (its level-1 set) and
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -124,11 +125,23 @@ class _Run:
     history: tuple[tuple[np.ndarray, float], ...]
 
 
+def cone_iteration(op: Callable[[np.ndarray], np.ndarray], w: np.ndarray
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """Yield (w_k, op(w_k), mass_k) along w_{k+1} = op(w_k)/mass_k from
+    w_0 = w, where mass_k is the total weight of op(w_k). w_{k+1} is formed
+    only when asked for, so a consumer can stop on a zero mass."""
+    while True:
+        image = op(w)
+        mass = image.sum() / 2.0
+        yield w, image, mass
+        w = image / mass
+
+
 def _normalized_iteration(structure, tol: float, max_iter: int,
                           init: Optional[ConductanceForm] = None) -> _Run:
     """The iteration both solvers share: D -> T(D)/mass(T(D)), one trace
     per step, until the relative residual is at most tol or max_iter steps
-    are spent."""
+    are spent. The start (step 0) is traced but not tested."""
     scheme = structure.scheme
     nb = len(structure.boundary)
     if init is not None:
@@ -139,27 +152,21 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
         w = np.ones((nb, nb)) - np.eye(nb)
     w = w / (w.sum() / 2.0)
 
-    def traced_of(mat: np.ndarray, iteration: int) -> tuple[np.ndarray, float]:
-        traced = scheme.T(mat)
-        tmass = traced.sum() / 2.0
+    history: deque = deque(maxlen=16)
+    delta, residual, previous = np.inf, np.inf, w
+    for iteration, (w, traced, tmass) in zip(range(max_iter + 1),
+                                             cone_iteration(scheme.T, w)):
         if tmass <= 0:
             raise NonConvergenceError("iteration collapsed to the zero form",
                                       iterations=iteration)
-        return traced, tmass
-
-    history: deque = deque(maxlen=16)
-    traced, tmass = traced_of(w, 0)
-    eta, delta, residual, iteration = 1.0 / tmass, np.inf, np.inf, 0
-    for iteration in range(1, max_iter + 1):
-        w_next = traced / tmass
-        delta = float(np.abs(w_next - w).max())
-        w = w_next
-        traced, tmass = traced_of(w, iteration)
         eta = 1.0 / tmass
-        residual = scheme.residual(w, eta, traced)
-        history.append((w, eta))
-        if residual <= tol:
-            break
+        if iteration:
+            delta = float(np.abs(w - previous).max())
+            residual = scheme.residual(w, eta, traced)
+            history.append((w, eta))
+            if residual <= tol:
+                break
+        previous = w
     return _Run(form=w, traced=traced, eta=eta, residual=residual,
                 step=delta, iterations=iteration, converged=residual <= tol,
                 history=tuple(history))

@@ -12,7 +12,9 @@ import numpy as np
 
 from fractal_renorm.errors import NonConvergenceError
 from fractal_renorm.gd import cell_graph
+from fractal_renorm.networks import ConductanceForm, _split_ids, _trace_matrix
 from fractal_renorm.relations import Partition, rotation_invariant
+from fractal_renorm.renorm import renorm_T
 from fractal_renorm.structure import level_vertices
 
 
@@ -260,3 +262,50 @@ def gd_solve_all_cells(n, m, *, tol=1e-12, max_iter=20_000, seed=1):
     raise NonConvergenceError(
         f"all-cells iteration did not converge in {max_iter} steps",
         iterations=max_iter)
+
+
+def loop_t_relation(structure, relation, form):
+    """The relation-side operator with a pair-by-pair dust loop.
+
+    Traces the glued copies with renorm_T, then walks every boundary pair,
+    looks up both blocks with Partition.block_containing and zeroes a
+    weight between different blocks when it is at most 1e-11 of the
+    largest weight. No cone check: the inputs are taken as valid.
+    """
+    image = renorm_T(structure, form)
+    mat = image.matrix()
+    scale = float(mat.max())
+    vs = image.vertices
+    for i, x in enumerate(vs):
+        bx = relation.block_containing(x)
+        for j in range(i + 1, len(vs)):
+            if relation.block_containing(vs[j]) is not bx \
+                    and mat[i, j] <= 1e-11 * scale:
+                mat[i, j] = mat[j, i] = 0.0
+    return ConductanceForm.from_matrix(vs, mat)
+
+
+def loop_t_quotient(structure, relation, qform):
+    """The quotient-side operator with a weight-by-weight assembly loop.
+
+    Every copy adds each weight of the quotient form between the level-1
+    closure classes of the two blocks' first points, skipping a weight
+    whose two ends share a class; the sum is traced onto the classes of
+    the boundary blocks. No preservation check.
+    """
+    scheme = structure.scheme
+    block_idx = [[structure.index[a] for a in b] for b in relation.blocks]
+    class_of = scheme.closure(block_idx)
+    nclasses = max(class_of) + 1
+    wq = np.zeros((nclasses, nclasses))
+    for row in scheme.rows:
+        for (i, j), w in qform.weights.items():
+            ci = class_of[row[block_idx[i][0]]]
+            cj = class_of[row[block_idx[j][0]]]
+            if ci != cj:
+                wq[ci, cj] += w
+                wq[cj, ci] += w
+    boundary_classes = [class_of[scheme.marked[block[0]]]
+                        for block in block_idx]
+    traced = _trace_matrix(wq, _split_ids(nclasses, boundary_classes))
+    return ConductanceForm.from_matrix(relation.blocks, traced)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fractal_renorm import networks
 from fractal_renorm import (
     Angle, CapExceededError, ConductanceForm, KappaUndefinedError,
     KernelMismatchError, NotInvariantError, Partition, block_cycle_form,
@@ -16,7 +17,8 @@ from fractal_renorm import (
     stationary_ratios, t_quotient, t_relation, uniqueness_certificate,
 )
 from fractal_renorm.gd import RELATION_PQ, RELATION_SIDES, cell_graph
-from _oracles import brute_force_preserved, gd_rho_values
+from _oracles import (brute_force_preserved, gd_rho_values, loop_t_quotient,
+                      loop_t_relation)
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -309,6 +311,54 @@ class TestOperators:
             vs, [(x, y, 1.0) for i, x in enumerate(vs) for y in vs[i + 1:]])
         with pytest.raises(KernelMismatchError):
             t_relation(s, rel, full)
+        # one block's only pair left out: its support falls apart
+        split = ConductanceForm.from_edges(
+            vs, [(b[0], b[1], 1.0) for b in rel.blocks[1:]])
+        with pytest.raises(KernelMismatchError):
+            t_relation(s, rel, split)
+
+    @pytest.mark.parametrize("structure", [
+        ("ms", 2, 1, "1/12"), ("ms", 3, 1, "1/9"), ("ms", 2, 1, "1/48"),
+        ("gd", 2, 1), ("gd", 4, 3)], ids=str)
+    def test_side_operators_match_loops(self, structure):
+        # both operators, on the unit forms and five iterates of each side,
+        # against the loop formulations of tests/_oracles.py
+        kind, *args = structure
+        s = ms(*args) if kind == "ms" else cell_graph(*args)
+        relations = [r for r in enumerate_preserved(s) if not r.is_trivial]
+        assert relations
+        for rel in relations:
+            blocks = rel.blocks
+            sides = (
+                (t_relation, loop_t_relation, ConductanceForm.from_edges(
+                    s.boundary, [(x, y, 1.0) for b in blocks
+                                 for i, x in enumerate(b) for y in b[i + 1:]])),
+                (t_quotient, loop_t_quotient, ConductanceForm.from_edges(
+                    blocks, [(x, y, 1.0) for i, x in enumerate(blocks)
+                             for y in blocks[i + 1:]])))
+            for op, oracle, form in sides:
+                for _ in range(6):
+                    got, want = op(s, rel, form), oracle(s, rel, form)
+                    assert got.vertices == want.vertices
+                    assert np.abs(got.matrix() - want.matrix()).max() \
+                        <= 1e-12 * want.matrix().max()
+                    form = want.scaled(1.0 / want.mass())
+
+    def test_quotient_rejects_a_class_named_twice(self):
+        # in the (2, 1) cell, copy 0's images of p1 and q1 are copy 1's
+        # images of p0 and q0, which the block {p0, q0} joins; so {p1} and
+        # {q1} share a closure class within copy 0. The relation is not
+        # preserved, yet the loop formulation returns a form for it
+        cell = cell_graph(2, 1)
+        rel = Partition.from_blocks([["p0", "q0"], ["p1"], ["q1"]],
+                                    ground=cell.boundary)
+        assert not is_preserved(cell, rel)
+        unit = ConductanceForm.from_edges(
+            rel.blocks, [(x, y, 1.0) for i, x in enumerate(rel.blocks)
+                         for y in rel.blocks[i + 1:]])
+        assert loop_t_quotient(cell, rel, unit).mass() > 0
+        with pytest.raises(ValueError, match="not preserved"):
+            t_quotient(cell, rel, unit)
 
     def test_d_sub_j_support(self):
         s = ms(2, 1, "1/12")
@@ -603,6 +653,25 @@ class TestRhoSearch:
         s = ms(2, 1, "1/12")
         with pytest.raises(ValueError):
             rho_search(s, opposite_pairs(s), "sideways")
+
+    def test_no_form_per_step(self, monkeypatch):
+        # a bracket that stalls for all BRACKET_STEPS steps builds only
+        # the forms of its two best iterates
+        built = []
+        real = networks.ConductanceForm.__post_init__
+
+        def counted(self):
+            built.append(len(self.vertices))
+            real(self)
+
+        s = ms(2, 1, "1/12")
+        rel = partition_of(s, ["0"], ["1/6", "2/3"], ["1/3", "5/6"], ["1/2"])
+        assert is_preserved(s, rel)
+        monkeypatch.setattr(networks.ConductanceForm, "__post_init__",
+                            counted)
+        report = rho_search(s, rel, "quotient")
+        assert report.evaluations == 200
+        assert built == [4, 4]
 
 
 class TestCertificates:
