@@ -10,23 +10,18 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      DisconnectedError, InvalidMsError, KappaUndefinedError,
                      KernelMismatchError, NonConvergenceError,
                      NotAPermutationError, NotInvariantError, WorkbenchError)
-from .networks import (ConductanceForm, effective_resistance, energy, flows,
-                       harmonic_extension, resistance_matrix, trace)
+from .networks import ConductanceForm, flows, resistance_matrix
 from .structure import (GluedVertexSet, GluingScheme, MsStructure,
                         build_structure, level_size, level_vertices,
-                        levels_to_json, rotation_action,
-                        structure_from_json, structure_to_json)
-from .renorm import (HarmonicStructure, renorm_T, replicate,
-                     restrict_to_subset, solve_eigenform, symmetrize,
+                        levels_to_json, structure_from_json,
+                        structure_to_json)
+from .renorm import (HarmonicStructure, solve_eigenform,
                      verify_harmonic_structure)
 from .relations import (CertificateReport, FlowReport, Partition,
                         RelationWitness, RhoReport, VerdictReport,
-                        block_cycle_form, block_star_form, build_J_plus_minus,
-                        closure_at_level, d_sub_j, enumerate_preserved,
-                        is_preserved, j1_closure, partition_from_json,
-                        per_cell_flows, quotient_form, rho_search,
-                        rotation_invariant, sabot_verdict, stationary_ratios,
-                        t_quotient, t_relation, uniqueness_certificate)
+                        build_J_plus_minus, enumerate_preserved, is_preserved,
+                        per_cell_flows, rho_search, rotation_invariant,
+                        sabot_verdict, uniqueness_certificate)
 from .gd import (GdCellGraph, GdHarmonicStructure, GdRhoEntry, GdRhoTable,
                  GdStructure, RELATION_PQ, RELATION_SIDES, build_gd_structure,
                  cell_graph, existence_verdict, gd_relation_rhos, gd_solve,

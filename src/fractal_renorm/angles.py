@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import CriticalAngleError, NotAPermutationError
 

@@ -52,6 +52,9 @@ def _load_structure(args):
     if getattr(args, "structure", None):
         with open(args.structure, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.structure}: a structure file must hold "
+                             "a JSON object")
         # accept a full report envelope or the bare structure payload
         if isinstance(data.get("results"), dict):
             data = data["results"]

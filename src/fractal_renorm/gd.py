@@ -9,8 +9,8 @@ Cells are glued to their neighbors at shared corners only.
 
 By rotation symmetry a single form on (p0, q0, p1, q1) describes the whole
 system. The cell from cell_graph carries a boundary, an index and a gluing
-scheme, so renorm_T, solve_eigenform, is_preserved, enumerate_preserved,
-t_quotient and rho_search take it as they take an MsStructure. This module
+scheme, so solve_eigenform, is_preserved, enumerate_preserved and
+rho_search take it as they take an MsStructure. This module
 keeps the construction, the existence dichotomy, the exploratory solve and
 the corner-relation rho table.
 """

@@ -1,4 +1,4 @@
-"""Conductance networks: energy, trace, extension, resistance, flows.
+"""Conductance networks: weight matrices, traces, extensions, resistances.
 
 A ConductanceForm is a finite weighted graph without self-loops, viewed as
 the Dirichlet form  E(f) = sum over unordered pairs {x,y} of w_xy
@@ -7,7 +7,8 @@ conductances of physical resistors; a convention summing ordered pairs
 would double every value.
 
 Traces are Schur complements of the graph Laplacian onto a boundary, and
-harmonic extensions solve with the same interior block. That block is
+harmonic extensions solve with the same interior block; both work on
+weight matrices and index splits, as the gluing schemes call them. That block is
 inverted directly when the inverse is finite and the product of the two
 Frobenius norms, an upper bound on the condition number, is at most
 INVERSE_COND_BOUND: then no eigenvalue lies anywhere near the RANK_RTOL
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import (Hashable, Iterable, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Hashable, Iterable, Mapping, NamedTuple, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -138,16 +139,6 @@ class ConductanceForm:
         """Total conductance, one term per unordered pair."""
         return float(sum(self.weights.values()))
 
-    def relabel(self, mapping: Mapping[Hashable, Hashable]) -> "ConductanceForm":
-        verts = tuple(mapping[v] for v in self.vertices)
-        return ConductanceForm(verts, dict(self.weights))
-
-    def scaled(self, factor: float) -> "ConductanceForm":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return ConductanceForm(self.vertices,
-                               {k: w * factor for k, w in self.weights.items()})
-
     def support_components(self) -> list[frozenset]:
         """Connected components of the positive-weight graph."""
         dsu = DisjointSet(len(self.vertices))
@@ -161,24 +152,6 @@ class ConductanceForm:
     def __repr__(self) -> str:
         return (f"ConductanceForm({len(self.vertices)} vertices, "
                 f"{len(self.weights)} pairs, mass {self.mass():.6g})")
-
-
-def energy(form: ConductanceForm, f: Mapping[Hashable, float],
-           g: Optional[Mapping[Hashable, float]] = None) -> float:
-    """Evaluate the form: E(f) or, with two arguments, E(f, g) by polarization.
-
-    Every vertex must have a value; a missing one raises KeyError.
-    """
-    verts = form.vertices
-    fv = np.array([f[v] for v in verts], dtype=float)
-    if g is None:
-        gv = fv
-    else:
-        gv = np.array([g[v] for v in verts], dtype=float)
-    total = 0.0
-    for (i, j), w in form.weights.items():
-        total += w * (fv[i] - fv[j]) * (gv[i] - gv[j])
-    return float(total)
 
 
 def _laplacian(matrix: np.ndarray) -> np.ndarray:
@@ -266,79 +239,6 @@ def _extension_matrix(matrix: np.ndarray, split: _Split,
         out[split.interior] = -_interior_inverse(lap[split.ii]) @ (
             lap[split.bi].T @ fb)
     return out
-
-
-def trace(form: ConductanceForm,
-          boundary: Sequence[Hashable]) -> ConductanceForm:
-    """Trace (shorted restriction) of the form onto a boundary vertex set.
-
-    The result is the unique form on the boundary whose energy of any
-    boundary data equals the minimum of the original energy over all
-    extensions. Boundary order is preserved in the result.
-    """
-    missing = [v for v in boundary if v not in form.index]
-    if missing:
-        raise ValueError(f"boundary vertices not in form: {missing!r}")
-    if len(set(boundary)) != len(tuple(boundary)):
-        raise ValueError("boundary contains repeats")
-    bidx = [form.index[v] for v in boundary]
-    split = _split_ids(len(form.vertices), bidx)
-    traced = _trace_matrix(form.matrix(), split)
-    return ConductanceForm.from_matrix(tuple(boundary), traced)
-
-
-@dataclass(frozen=True)
-class HarmonicExtension:
-    """Values of the energy minimizer, plus any floating interior vertices.
-
-    Interior vertices in support components that touch no boundary vertex
-    do not affect the energy; they are assigned 0 and reported in floating.
-    """
-
-    values: Mapping[Hashable, float]
-    floating: frozenset
-
-
-def harmonic_extension(form: ConductanceForm,
-                       boundary: Sequence[Hashable],
-                       values: Mapping[Hashable, float]) -> HarmonicExtension:
-    """Extend boundary data to the whole vertex set with minimal energy."""
-    bset = set(boundary)
-    missing = [v for v in boundary if v not in form.index]
-    if missing:
-        raise ValueError(f"boundary vertices not in form: {missing!r}")
-    split = _split_ids(len(form.vertices), [form.index[v] for v in boundary])
-    fb = np.array([values[v] for v in boundary], dtype=float)
-    ext = _extension_matrix(form.matrix(), split, fb)
-    out = {v: float(values[v]) for v in boundary}
-    out.update((form.vertices[i], float(ext[i])) for i in split.interior)
-    floating = set()
-    if split.interior.size:
-        for comp in form.support_components():
-            if not comp & bset:
-                floating |= comp
-        for v in floating:
-            out[v] = 0.0
-    return HarmonicExtension(values=out, floating=frozenset(floating))
-
-
-def effective_resistance(form: ConductanceForm, p: Hashable,
-                         q: Hashable) -> float:
-    """Resistance between two vertices; infinite separation is an error."""
-    if p == q:
-        return 0.0
-    for comp in form.support_components():
-        if p in comp:
-            if q not in comp:
-                raise DisconnectedError(
-                    f"{p!r} and {q!r} lie in different support components")
-            break
-    traced = trace(form, (p, q))
-    w = traced.weight(p, q)
-    if w <= 0.0:
-        raise DisconnectedError(
-            f"{p!r} and {q!r} are separated (zero traced conductance)")
-    return 1.0 / w
 
 
 def flows(form: ConductanceForm,

@@ -25,7 +25,6 @@ gd.cell_graph alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -36,9 +35,8 @@ from .errors import (CapExceededError, KappaUndefinedError,
                      NotInvariantError)
 from .networks import (ConductanceForm, DisjointSet, _laplacian, _split_ids,
                        _trace_matrix, flows)
-from .renorm import (HarmonicStructure, _boundary_matrix,
-                     _form_from_boundary_matrix, cone_iteration)
-from .structure import GluingScheme, MsStructure, level_vertices
+from .renorm import HarmonicStructure, _boundary_matrix, cone_iteration
+from .structure import GluingScheme, MsStructure
 
 DEFAULT_ENUM_CAP = 12
 DEFAULT_K_MAX = 8
@@ -96,9 +94,6 @@ class Partition:
                 return b
         raise KeyError(f"{x!r} is not in the ground set")
 
-    def same(self, x: Hashable, y: Hashable) -> bool:
-        return self.block_containing(x) is self.block_containing(y)
-
     @property
     def is_trivial_zero(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)
@@ -125,12 +120,6 @@ class Partition:
         return {"blocks": [[str(x) for x in b] for b in self.blocks]}
 
 
-def partition_from_json(structure: MsStructure, data: dict) -> Partition:
-    by_fraction = {a.as_fraction(): a for a in structure.boundary}
-    blocks = [[by_fraction[Fraction(s)] for s in b] for b in data["blocks"]]
-    return Partition.from_blocks(blocks, ground=structure.boundary)
-
-
 def _check_ground(structure, relation: Partition) -> None:
     if relation.ground_set != set(structure.boundary):
         raise ValueError("relation ground set does not match the boundary")
@@ -138,32 +127,6 @@ def _check_ground(structure, relation: Partition) -> None:
 
 def _index_blocks(structure, relation: Partition) -> list[list[int]]:
     return [[structure.index[a] for a in b] for b in relation.blocks]
-
-
-def closure_at_level(structure: MsStructure, relation: Partition,
-                     level: int) -> Partition:
-    """Smallest equivalence on level-k ids generated by per-copy images.
-
-    Cross-copy identifications need no extra work: glued slots already
-    share a vertex id, which is what propagates relations between copies.
-    """
-    _check_ground(structure, relation)
-    if level < 1:
-        raise ValueError("closure level must be >= 1")
-    blocks = _index_blocks(structure, relation)
-    for lvl in range(1, level + 1):
-        scheme = structure.scheme if lvl == 1 \
-            else GluingScheme.of_level(level_vertices(structure, lvl))
-        groups: dict[int, list[int]] = {}
-        for v, c in enumerate(scheme.closure(blocks)):
-            groups.setdefault(c, []).append(v)
-        blocks = list(groups.values())
-    return Partition.from_blocks(blocks)
-
-
-def j1_closure(structure, relation: Partition) -> Partition:
-    """Level-1 closure of a boundary relation, on level-1 integer ids."""
-    return closure_at_level(structure, relation, 1)
 
 
 def rotation_invariant(structure: MsStructure, relation: Partition) -> bool:
@@ -394,15 +357,17 @@ def _side(structure, relation: Partition, side: str) -> _Side:
 
 
 def _build_side(structure, relation: Partition, side: str) -> _Side:
+    block_idx = _index_blocks(structure, relation)
     if side == "relation":
-        return _Side(structure.boundary, structure.scheme,
-                     _modulo_columns(structure.boundary, relation))
+        cols = np.zeros((len(structure.boundary), len(block_idx)))
+        for b, block in enumerate(block_idx):
+            cols[block, b] = 1.0
+        return _Side(structure.boundary, structure.scheme, cols)
     if side != "quotient":
         raise ValueError(f"side must be 'relation' or 'quotient', got {side!r}")
     if relation.block_count() < 2:
         raise ValueError("degenerate quotient input: fewer than two blocks")
     scheme = structure.scheme
-    block_idx = _index_blocks(structure, relation)
     class_of = scheme.closure(block_idx)
     # classes of each copy's block images, then of the boundary blocks; a
     # class named twice in a row folds two blocks, which assemble drops
@@ -415,117 +380,14 @@ def _build_side(structure, relation: Partition, side: str) -> _Side:
     return _Side(relation.blocks, quotient, np.ones((len(block_idx), 1)))
 
 
-def t_relation(structure, relation: Partition,
-               form: ConductanceForm) -> ConductanceForm:
-    """Renormalization applied to a degenerate form with kernel J.
-
-    The trace goes through the same Schur complement as the nondegenerate
-    case, whose interior block is singular when the glued copies leave an
-    interior piece cut off, and then inverted by the pseudo-inverse; for a
-    preserved relation the result lands back in the same degenerate cone.
-    A form outside the cone raises KernelMismatch.
-    """
-    _check_ground(structure, relation)
-    if form.mass() == 0.0:
-        return ConductanceForm.from_edges(structure.boundary, [])
-    image = _side(structure, relation, "relation").op(
-        _boundary_matrix(structure, form))
-    return _form_from_boundary_matrix(structure, image)
-
-
-def d_sub_j(structure: MsStructure, form: ConductanceForm,
-            relation: Partition) -> ConductanceForm:
-    """Sum of per-block traces of a form; the canonical element of the cone.
-
-    Trivial relations are rejected: all-singleton blocks give the zero
-    form, and the one-block relation just returns the form itself.
-    """
-    _check_ground(structure, relation)
-    if relation.is_trivial:
-        raise ValueError("trivial relation rejected: its block traces give "
-                         "the zero form or the original form")
-    w = _boundary_matrix(structure, form)
-    out = np.zeros_like(w)
-    for block in _index_blocks(structure, relation):
-        out[np.ix_(block, block)] = _trace_matrix(w, _split_ids(len(w), block))
-    _side(structure, relation, "relation").check(out)
-    return _form_from_boundary_matrix(structure, out)
-
-
-def quotient_form(relation: Partition, form: ConductanceForm) -> ConductanceForm:
-    """Push a boundary form down to the block set (weights added up)."""
-    if set(form.vertices) != relation.ground_set:
-        raise ValueError("form vertices do not match the relation")
-    cols = _modulo_columns(form.vertices, relation)
-    return ConductanceForm.from_matrix(relation.blocks,
-                                       cols.T @ form.matrix() @ cols)
-
-
-def t_quotient(structure, relation: Partition,
-               qform: ConductanceForm) -> ConductanceForm:
-    """Renormalization on the quotient by a preserved relation.
-
-    The replicated quotient graph lives on the blocks of the level-1
-    closure; each copy contributes the quotient form between the closure
-    classes of its block images, and the result is traced onto the images
-    of the boundary blocks. Block images that share a class show that the
-    relation is not preserved, and raise ValueError.
-    """
-    _check_ground(structure, relation)
-    plan = _side(structure, relation, "quotient")
-    if tuple(qform.vertices) != relation.blocks:
-        raise ValueError("quotient form must live on the relation blocks, "
-                         "in canonical block order")
-    if len(qform.support_components()) != 1:
-        raise ValueError("degenerate quotient input: support is disconnected")
-    return ConductanceForm.from_matrix(relation.blocks,
-                                       plan.op(qform.matrix()))
-
-
-def _modulo_columns(vertices: Sequence[Hashable], modulo) -> np.ndarray:
-    nv = len(vertices)
-    if isinstance(modulo, str):
-        if modulo != "constants":
-            raise ValueError(f"unknown modulo choice {modulo!r}")
-        return np.ones((nv, 1))
-    if isinstance(modulo, Partition):
-        index = {v: i for i, v in enumerate(vertices)}
-        cols = np.zeros((nv, modulo.block_count()))
-        for b, block in enumerate(modulo.blocks):
-            for x in block:
-                cols[index[x], b] = 1.0
-        return cols
-    if not modulo:
-        raise ValueError("modulo needs at least one value map")
-    cols = np.zeros((nv, len(modulo)))
-    for c, mapping in enumerate(modulo):
-        for i, v in enumerate(vertices):
-            cols[i, c] = mapping[v]
-    return cols
-
-
-def stationary_ratios(num_form: ConductanceForm, den_form: ConductanceForm,
-                      modulo) -> tuple[float, float]:
-    """Extreme ratios num(f)/den(f) over functions off the modded-out space.
-
-    modulo is "constants", a Partition (its block indicators), or a
-    non-empty sequence of value maps: the constants lie in the kernel of
-    every Laplacian, so nothing can be left out. The denominator form must
-    be positive definite on the complement, otherwise the ratios are
-    undefined and a ValueError is raised.
-    """
-    verts = den_form.vertices
-    if set(num_form.vertices) != set(verts):
-        raise ValueError("forms live on different vertex sets")
-    order = [num_form.index[v] for v in verts]
-    return _ratio_bounds(num_form.matrix()[np.ix_(order, order)],
-                         den_form.matrix(),
-                         _complement(_modulo_columns(verts, modulo)))
-
-
 def _ratio_bounds(num: np.ndarray, den: np.ndarray,
                   comp: np.ndarray) -> tuple[float, float]:
-    """stationary_ratios of two weight matrices, over the span of comp."""
+    """Extreme ratios num(f)/den(f) of the energies of two weight matrices
+    over f in the span of the orthonormal columns comp.
+
+    The denominator must be positive definite on that span, otherwise the
+    ratios are undefined and a ValueError is raised.
+    """
     if comp.shape[1] == 0:
         raise ValueError("modded-out space covers everything; "
                          "no ratios to compute")
@@ -543,56 +405,6 @@ def _ratio_bounds(num: np.ndarray, den: np.ndarray,
     reduced = np.linalg.solve(chol, np.linalg.solve(chol, ar).T)
     vals = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
     return float(vals[0]), float(vals[-1])
-
-
-def _return_centers(structure: MsStructure) -> list[Angle]:
-    ctx = structure.ctx
-    perm = kappa(ctx)
-    crits = critical_angles(ctx)
-    return [phi_n(crits[perm[i] - 1], ctx.n) for i in range(ctx.ring_size)]
-
-
-def block_star_form(structure: MsStructure,
-                    relation: Partition) -> ConductanceForm:
-    """Unit stars centered at the cell-return images, one per cell.
-
-    For the candidate relations this is the constructed witness on the
-    relation side: its max stationary ratio is at most 1.
-    """
-    _check_ground(structure, relation)
-    plan = _side(structure, relation, "relation")
-    w = np.zeros_like(plan.start)
-    for center in (structure.index[a] for a in _return_centers(structure)):
-        w[center] += plan.start[center]
-        w[:, center] += plan.start[center]
-    plan.check(w)
-    return _form_from_boundary_matrix(structure, w)
-
-
-def block_cycle_form(structure: MsStructure,
-                     relation: Partition) -> ConductanceForm:
-    """Unit cycle through the blocks of the cell-return images, in cell order.
-
-    Constructed witness on the quotient side: its min stationary ratio is
-    at least 1 + 1/n in the single-pole case.
-    """
-    _check_ground(structure, relation)
-    centers = _return_centers(structure)
-    seq = [relation.block_containing(c) for c in centers]
-    if set(seq) != set(relation.blocks):
-        raise ValueError("cycle form undefined: some block contains no "
-                         "cell-return image")
-    edges = []
-    ring = len(seq)
-    for i in range(ring):
-        a, b = seq[i], seq[(i + 1) % ring]
-        if a != b:
-            edges.append((a, b, 1.0))
-    out = ConductanceForm.from_edges(relation.blocks, edges)
-    if len(out.support_components()) != 1:
-        raise ValueError("cycle form undefined: blocks not connected by "
-                         "the cell cycle")
-    return out
 
 
 @dataclass(frozen=True)
@@ -684,11 +496,33 @@ def certificate_summary(trajectory: Sequence[float],
     return certified_k, monotone
 
 
+def _block_traces(structure, w: np.ndarray, relation: Partition
+                  ) -> np.ndarray:
+    """D_J: the sum of the traces of w onto each block, the canonical
+    element of the relation side's cone.
+
+    Trivial relations are rejected: all-singleton blocks give the zero
+    form, and the one-block relation just returns w itself.
+    """
+    _check_ground(structure, relation)
+    if relation.is_trivial:
+        raise ValueError("trivial relation rejected: its block traces give "
+                         "the zero form or the original form")
+    out = np.zeros_like(w)
+    for block in _index_blocks(structure, relation):
+        out[np.ix_(block, block)] = _trace_matrix(w, _split_ids(len(w), block))
+    _side(structure, relation, "relation").check(out)
+    return out
+
+
 def uniqueness_certificate(structure: MsStructure, hs: HarmonicStructure,
                            relation: Partition, k_max: int = DEFAULT_K_MAX,
                            margin: float = DEFAULT_MARGIN) -> CertificateReport:
     """Check eta^k-scaled contraction of iterated block forms."""
-    base = _boundary_matrix(structure, d_sub_j(structure, hs.form, relation))
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    base = _block_traces(structure, _boundary_matrix(structure, hs.form),
+                         relation)
     plan = _side(structure, relation, "relation")
     trajectory, scale = [], 1.0
     for k, (_, image, mass) in zip(range(1, k_max + 1),

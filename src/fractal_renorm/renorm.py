@@ -1,4 +1,4 @@
-"""Replication, trace renormalization, and the eigenform fixed point.
+"""Trace renormalization and the eigenform fixed point.
 
 The renormalization map T sends a form D on the boundary to the trace of
 its glued copies back onto the marked copy of the boundary. An eigenform
@@ -18,16 +18,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .angles import Angle
-from .errors import NonConvergenceError, NotInvariantError
-from .networks import (ConductanceForm, _extension_matrix, _laplacian,
-                       trace)
-from .structure import (GluingScheme, MsStructure, level_vertices,
-                        rotation_action)
+from .errors import NonConvergenceError
+from .networks import ConductanceForm, _extension_matrix, _laplacian
+from .structure import GluingScheme, MsStructure, level_vertices
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
@@ -45,43 +42,6 @@ def _boundary_matrix(structure, form: ConductanceForm) -> np.ndarray:
 
 def _form_from_boundary_matrix(structure, mat: np.ndarray) -> ConductanceForm:
     return ConductanceForm.from_matrix(structure.boundary, mat)
-
-
-def replicate(structure, form: ConductanceForm) -> ConductanceForm:
-    """One copy of the form per cell, on the glued level-1 vertex ids.
-
-    Weights of pairs that get identified by the gluing add up.
-    """
-    scheme = structure.scheme
-    return ConductanceForm.from_matrix(
-        tuple(range(scheme.num_ids)),
-        scheme.assemble(_boundary_matrix(structure, form)))
-
-
-def renorm_T(structure, form: ConductanceForm) -> ConductanceForm:
-    """Trace of the replicated form back onto the included boundary."""
-    return _form_from_boundary_matrix(
-        structure, structure.scheme.T(_boundary_matrix(structure, form)))
-
-
-def symmetrize(structure: MsStructure, form: ConductanceForm) -> ConductanceForm:
-    """Average of the form over all rotation pullbacks.
-
-    Requires a rotation-closed boundary; the result is rotation-invariant
-    and has the same mass as the input.
-    """
-    if not structure.rotation_closed:
-        raise NotInvariantError("boundary is not rotation-closed; "
-                                "build the structure with symmetrize=True")
-    w0 = _boundary_matrix(structure, form)
-    ring = structure.ctx.ring_size
-    acc = np.zeros_like(w0)
-    for l in range(ring):
-        perm = np.asarray(rotation_action(structure, l))
-        mat = np.zeros_like(w0)
-        mat[np.ix_(perm, perm)] = w0
-        acc += mat
-    return _form_from_boundary_matrix(structure, acc / ring)
 
 
 @dataclass(frozen=True)
@@ -142,6 +102,8 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
     """The iteration both solvers share: D -> T(D)/mass(T(D)), one trace
     per step, until the relative residual is at most tol or max_iter steps
     are spent. The start (step 0) is traced but not tested."""
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     scheme = structure.scheme
     nb = len(structure.boundary)
     if init is not None:
@@ -245,13 +207,3 @@ def verify_harmonic_structure(structure: MsStructure, form: ConductanceForm,
         "copy_consistency": nesting,
         "ok": bool(eigen_residual <= 1e-9 and nesting <= 1e-9),
     }
-
-
-def restrict_to_subset(structure: MsStructure, hs: HarmonicStructure,
-                       subset: Sequence[Angle]) -> ConductanceForm:
-    """Trace of the eigenform onto a subset of boundary angles."""
-    bad = [a for a in subset if a not in structure.index]
-    if bad or len(subset) < 2 or len(set(subset)) != len(tuple(subset)):
-        raise ValueError(f"subset invalid: must be >= 2 distinct boundary "
-                         f"angles, offending entries {bad!r}")
-    return trace(hs.form, tuple(subset))

@@ -30,12 +30,12 @@ from .angles import make_context
 from .errors import KappaUndefinedError, NonConvergenceError, WorkbenchError
 from .gd import build_gd_structure, cell_graph, gd_relation_rhos, gd_solve
 from .gd import gd_structure_to_json
-from .networks import ConductanceForm, harmonic_extension, resistance_matrix
+from .networks import ConductanceForm, _extension_matrix, resistance_matrix
 from .relations import (DEFAULT_K_MAX, DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
                         build_J_plus_minus, certificate_summary,
                         enumerate_preserved, per_cell_flows, sabot_verdict,
                         uniqueness_certificate, verdict_rule)
-from .renorm import (DEFAULT_MAX_ITER, ETA_AGREEMENT_TOL, replicate,
+from .renorm import (DEFAULT_MAX_ITER, ETA_AGREEMENT_TOL, _boundary_matrix,
                      solve_eigenform, verify_harmonic_structure)
 from .structure import (MsStructure, build_structure, level_size,
                         level_vertices, levels_to_json, structure_to_json)
@@ -236,11 +236,13 @@ def flows_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     if len(values) != len(structure.boundary):
         raise ValueError(f"--values needs {len(structure.boundary)} entries "
                          "(boundary order, sorted by angle)")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"--values must be finite numbers, got {values}")
     hs = _solve(structure, inputs, solver_tol)
-    boundary_ids = list(structure.scheme.marked)
-    ext = harmonic_extension(replicate(structure, hs.form), boundary_ids,
-                             dict(zip(boundary_ids, values)))
-    report_flows = per_cell_flows(structure, hs, ext.values)
+    scheme = structure.scheme
+    w1 = scheme.assemble(_boundary_matrix(structure, hs.form))
+    report_flows = per_cell_flows(
+        structure, hs, _extension_matrix(w1, scheme.split, np.array(values)))
     return {
         "kind": "flows",
         "boundary_values": dict(zip([str(a) for a in structure.boundary],

@@ -18,7 +18,7 @@ import numpy as np
 from .angles import (Angle, AngleContext, cell_index, critical_angles,
                      make_context, phi_n, post_critical_set, rotate,
                      symmetrized_set, validate_ms)
-from .errors import DepthCapError, InvalidMsError, NotInvariantError
+from .errors import DepthCapError, InvalidMsError
 from .networks import DisjointSet, _split_ids, _trace_matrix
 
 DEFAULT_DEPTH_CAP = 12
@@ -242,23 +242,6 @@ def level_vertices(structure: MsStructure, k: int,
     for _ in range(k):
         lv = _next_level(structure, lv)
     return lv
-
-
-def rotation_action(structure: MsStructure, l: int) -> tuple[int, ...]:
-    """Permutation of boundary indices induced by rotation by l/(m+n).
-
-    Requires the boundary to be rotation-closed; otherwise the rotation is
-    not an action on this vertex set and NotInvariant is raised.
-    """
-    perm = []
-    for a in structure.boundary:
-        b = rotate(structure.ctx, a, l)
-        if b not in structure.index:
-            raise NotInvariantError(
-                f"boundary is not rotation-closed: {a} rotates to {b}, "
-                "which is not a boundary angle")
-        perm.append(structure.index[b])
-    return tuple(perm)
 
 
 def structure_to_json(structure: MsStructure) -> dict:

@@ -2,7 +2,11 @@
 
 Everything here is deliberately implemented by a different method than the
 package (relaxation instead of Schur complements, closed forms instead of
-iteration), so agreement is evidence rather than tautology.
+iteration, pair-by-pair loops instead of matrix assembly), so agreement is
+evidence rather than tautology. The form-level references (energy, the
+paper's constructed star and cycle witnesses, rotation averages and block
+quotients) are the edges the tests read the package's weight matrices
+through.
 """
 
 from fractions import Fraction
@@ -10,12 +14,28 @@ import math
 
 import numpy as np
 
+from fractal_renorm.angles import critical_angles, kappa, phi_n, rotate
 from fractal_renorm.errors import NonConvergenceError
-from fractal_renorm.gd import cell_graph
-from fractal_renorm.networks import ConductanceForm, _split_ids, _trace_matrix
+from fractal_renorm.gd import GdCellGraph, cell_graph
+from fractal_renorm.networks import ConductanceForm
 from fractal_renorm.relations import Partition, rotation_invariant
-from fractal_renorm.renorm import renorm_T
 from fractal_renorm.structure import level_vertices
+
+
+def energy(form, f, g=None):
+    """Evaluate the form: E(f) or, with two arguments, E(f, g) by polarization.
+
+    Pair by pair over the form's weights, one term per unordered pair; the
+    reference for the Rayleigh quotients the package takes on matrices.
+    Every vertex must have a value; a missing one raises KeyError.
+    """
+    verts = form.vertices
+    fv = np.array([f[v] for v in verts], dtype=float)
+    gv = fv if g is None else np.array([g[v] for v in verts], dtype=float)
+    total = 0.0
+    for (i, j), w in form.weights.items():
+        total += w * (fv[i] - fv[j]) * (gv[i] - gv[j])
+    return float(total)
 
 
 def relaxed_minimum_energy(vertices, weights, boundary_values,
@@ -264,48 +284,163 @@ def gd_solve_all_cells(n, m, *, tol=1e-12, max_iter=20_000, seed=1):
         iterations=max_iter)
 
 
-def loop_t_relation(structure, relation, form):
+def _level1_maps(structure):
+    """(copy_map, inclusion, number of ids) of the level-1 gluing: an MS
+    structure's level_vertices(structure, 1), or a graph-directed cell's
+    subcell images and corners."""
+    if isinstance(structure, GdCellGraph):
+        return structure.subcell_ids, structure.corners, structure.num_ids
+    lv1 = level_vertices(structure, 1)
+    return lv1.copy_map, lv1.inclusion, lv1.num_vertices
+
+
+def _glued_copies(copy_map, num_ids, weights):
+    """One copy of weights per row of copy_map, pair by pair; weights
+    whose ends land on one id are dropped."""
+    big = np.zeros((num_ids, num_ids))
+    nv = len(weights)
+    for row in copy_map:
+        for i in range(nv):
+            for j in range(i + 1, nv):
+                if weights[i][j] and row[i] != row[j]:
+                    big[row[i], row[j]] += weights[i][j]
+                    big[row[j], row[i]] += weights[i][j]
+    return big
+
+
+def loop_t_relation(structure, relation, w):
     """The relation-side operator with a pair-by-pair dust loop.
 
-    Traces the glued copies with renorm_T, then walks every boundary pair,
-    looks up both blocks with Partition.block_containing and zeroes a
-    weight between different blocks when it is at most 1e-11 of the
-    largest weight. No cone check: the inputs are taken as valid.
+    w is a weight matrix in boundary order. Glues its copies pair by pair
+    along the level-1 copy map, traces onto the inclusion with
+    pinv_schur_trace, then walks every boundary pair, looks up both blocks
+    with Partition.block_containing and zeroes a weight between different
+    blocks when it is at most 1e-11 of the largest weight. No cone check:
+    the inputs are taken as valid.
     """
-    image = renorm_T(structure, form)
-    mat = image.matrix()
+    copy_map, inclusion, num_ids = _level1_maps(structure)
+    mat = pinv_schur_trace(_glued_copies(copy_map, num_ids, w), inclusion)
     scale = float(mat.max())
-    vs = image.vertices
+    vs = structure.boundary
     for i, x in enumerate(vs):
         bx = relation.block_containing(x)
         for j in range(i + 1, len(vs)):
             if relation.block_containing(vs[j]) is not bx \
                     and mat[i, j] <= 1e-11 * scale:
                 mat[i, j] = mat[j, i] = 0.0
-    return ConductanceForm.from_matrix(vs, mat)
+    return mat
 
 
-def loop_t_quotient(structure, relation, qform):
+def loop_t_quotient(structure, relation, wq):
     """The quotient-side operator with a weight-by-weight assembly loop.
 
-    Every copy adds each weight of the quotient form between the level-1
-    closure classes of the two blocks' first points, skipping a weight
-    whose two ends share a class; the sum is traced onto the classes of
-    the boundary blocks. No preservation check.
+    wq is a weight matrix in block order. An own union-find over the
+    level-1 copy map joins each copy's images of every block into closure
+    classes. Every copy adds each weight of wq between the classes of the
+    two blocks' first points, skipping a weight whose two ends share a
+    class; the sum is traced with pinv_schur_trace onto the classes of the
+    included boundary blocks. No preservation check.
     """
-    scheme = structure.scheme
-    block_idx = [[structure.index[a] for a in b] for b in relation.blocks]
-    class_of = scheme.closure(block_idx)
-    nclasses = max(class_of) + 1
-    wq = np.zeros((nclasses, nclasses))
-    for row in scheme.rows:
-        for (i, j), w in qform.weights.items():
-            ci = class_of[row[block_idx[i][0]]]
-            cj = class_of[row[block_idx[j][0]]]
-            if ci != cj:
-                wq[ci, cj] += w
-                wq[cj, ci] += w
-    boundary_classes = [class_of[scheme.marked[block[0]]]
+    copy_map, inclusion, num_ids = _level1_maps(structure)
+    parent = list(range(num_ids))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    index = {a: i for i, a in enumerate(structure.boundary)}
+    block_idx = [[index[a] for a in b] for b in relation.blocks]
+    for row in copy_map:
+        for block in block_idx:
+            for other in block[1:]:
+                parent[find(row[other])] = find(row[block[0]])
+    roots = sorted({find(x) for x in range(num_ids)})
+    class_of = {r: c for c, r in enumerate(roots)}
+    nclasses = len(roots)
+    big = np.zeros((nclasses, nclasses))
+    nb = len(block_idx)
+    for row in copy_map:
+        for i in range(nb):
+            for j in range(i + 1, nb):
+                ci = class_of[find(row[block_idx[i][0]])]
+                cj = class_of[find(row[block_idx[j][0]])]
+                if wq[i][j] and ci != cj:
+                    big[ci, cj] += wq[i][j]
+                    big[cj, ci] += wq[i][j]
+    boundary_classes = [class_of[find(inclusion[block[0]])]
                         for block in block_idx]
-    traced = _trace_matrix(wq, _split_ids(nclasses, boundary_classes))
-    return ConductanceForm.from_matrix(relation.blocks, traced)
+    return pinv_schur_trace(big, boundary_classes)
+
+
+def _return_centers(structure):
+    """The image under phi_n of the critical angle returning to each cell."""
+    ctx = structure.ctx
+    perm = kappa(ctx)
+    crits = critical_angles(ctx)
+    return [phi_n(crits[perm[i] - 1], ctx.n) for i in range(ctx.ring_size)]
+
+
+def block_star_form(structure, relation):
+    """Unit stars centered at the cell-return images, one per cell.
+
+    Each center gets a unit weight to every other point of its block. For
+    the candidate relations this is the constructed witness on the
+    relation side: its max stationary ratio is at most 1.
+    """
+    edges = [(c, x, 1.0) for c in _return_centers(structure)
+             for x in relation.block_containing(c) if x != c]
+    return ConductanceForm.from_edges(structure.boundary, edges)
+
+
+def block_cycle_form(structure, relation):
+    """Unit cycle through the blocks of the cell-return images, in cell order.
+
+    Constructed witness on the quotient side: its min stationary ratio is
+    at least 1 + 1/n in the single-pole case. Its vertices are the blocks
+    in canonical order.
+    """
+    seq = [relation.block_containing(c) for c in _return_centers(structure)]
+    if set(seq) != set(relation.blocks):
+        raise ValueError("cycle form undefined: some block contains no "
+                         "cell-return image")
+    ring = len(seq)
+    edges = [(seq[i], seq[(i + 1) % ring], 1.0) for i in range(ring)
+             if seq[i] != seq[(i + 1) % ring]]
+    out = ConductanceForm.from_edges(relation.blocks, edges)
+    if len(out.support_components()) != 1:
+        raise ValueError("cycle form undefined: blocks not connected by "
+                         "the cell cycle")
+    return out
+
+
+def rotation_perm(structure, l):
+    """Boundary index of each boundary angle rotated by l/(m+n), from
+    angles.rotate and structure.index. A boundary that is not closed under
+    the rotation raises KeyError."""
+    return [structure.index[rotate(structure.ctx, a, l)]
+            for a in structure.boundary]
+
+
+def rotation_average(structure, w):
+    """Average of a boundary weight matrix over all rotation pullbacks."""
+    ring = structure.ctx.ring_size
+    acc = np.zeros_like(w)
+    for l in range(ring):
+        perm = rotation_perm(structure, l)
+        acc[np.ix_(perm, perm)] += w
+    return acc / ring
+
+
+def quotient_weights(relation, vertices, w):
+    """A weight matrix on vertices pushed down to the relation's blocks:
+    the weight between two blocks is the sum over the pairs between them."""
+    block_of = {v: b for b, block in enumerate(relation.blocks)
+                for v in block}
+    nb = len(relation.blocks)
+    out = np.zeros((nb, nb))
+    for i, x in enumerate(vertices):
+        for j, y in enumerate(vertices):
+            if block_of[x] != block_of[y]:
+                out[block_of[x], block_of[y]] += w[i][j]
+    return out

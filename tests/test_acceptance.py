@@ -11,22 +11,35 @@ import numpy as np
 import pytest
 
 from fractal_renorm import (
-    Angle, ConductanceForm, Partition, build_J_plus_minus, build_gd_structure,
-    build_structure, block_cycle_form, block_star_form, circle_distance,
-    enumerate_preserved, existence_verdict, d_sub_j, gd_relation_rhos,
-    gd_solve, harmonic_extension, is_preserved, level_vertices, make_context,
-    per_cell_flows, phi_n, quotient_form, replicate, restrict_to_subset,
-    solve_eigenform, stationary_ratios, t_quotient, t_relation, trace,
-    uniqueness_certificate,
+    Angle, Partition, build_J_plus_minus, build_gd_structure,
+    build_structure, circle_distance, enumerate_preserved, existence_verdict,
+    gd_relation_rhos, gd_solve, is_preserved, level_vertices, make_context,
+    per_cell_flows, phi_n, solve_eigenform, uniqueness_certificate,
 )
-from fractal_renorm.relations import RATIO_TOL
+from fractal_renorm.networks import (_extension_matrix, _split_ids,
+                                     _trace_matrix)
+from fractal_renorm.relations import (RATIO_TOL, _block_traces,
+                                      _ratio_bounds, _side)
+from fractal_renorm.renorm import _boundary_matrix
 
-from _oracles import (family_eta, restriction_weights, gd_eta_m1, gd_rho_values,
-                      relaxed_trace_weights)
+from _oracles import (block_cycle_form, block_star_form, family_eta,
+                      restriction_weights, gd_eta_m1, gd_rho_values,
+                      quotient_weights, relaxed_trace_weights)
 
 
 def ms(n, m, theta, symmetrize=None):
     return build_structure(make_context(n, m, Fraction(theta)), symmetrize)
+
+
+def trace(w, boundary):
+    """The trace kernel onto the listed indices of a weight matrix."""
+    return _trace_matrix(w, _split_ids(len(w), boundary))
+
+
+def side_ratios(structure, relation, side, w):
+    """Extreme ratios of one step of a side's operator against w."""
+    plan = _side(structure, relation, side)
+    return _ratio_bounds(plan.op(w), w, plan.comp)
 
 
 def boundary_angle(structure, fraction):
@@ -57,13 +70,11 @@ def test_02_family_eta_and_triangle_weights():
               f"(want {expected_eta!r} +- 1e-9)")
         assert hs.eta == pytest.approx(expected_eta, abs=1e-9)
 
-        corners = [boundary_angle(s, f)
+        corners = [s.index[boundary_angle(s, f)]
                    for f in (Fraction(0), Fraction(l, m + n),
                              Fraction(m + l, m + n))]
-        tri = restrict_to_subset(s, hs, corners)
-        got = np.array([tri.weight(corners[0], corners[1]),
-                        tri.weight(corners[0], corners[2]),
-                        tri.weight(corners[1], corners[2])])
+        tri = trace(_boundary_matrix(s, hs.form), corners)
+        got = np.array([tri[0, 1], tri[0, 2], tri[1, 2]])
         want = np.array(restriction_weights(n, m, l), dtype=float)
         scale = got[2] / want[2]
         err = np.abs(got / scale - want).max()
@@ -84,9 +95,8 @@ def test_03_eta_inverse_and_halving_relation():
     assert is_preserved(s, opposite, require_g=True)
     assert opposite in enumerate_preserved(s, require_g=True)
 
-    dj = d_sub_j(s, hs.form, opposite)
-    lo, hi = stationary_ratios(t_relation(s, opposite, dj), dj,
-                               modulo=opposite)
+    dj = _block_traces(s, _boundary_matrix(s, hs.form), opposite)
+    lo, hi = side_ratios(s, opposite, "relation", dj)
     print(f"stationary ratios of the halving relation: ({lo!r}, {hi!r}) "
           f"(want 1/2 +- 1e-9)")
     assert lo == pytest.approx(0.5, abs=1e-9)
@@ -117,12 +127,10 @@ def test_05_candidate_relations_and_constructed_form_bounds():
         assert all(p in candidates for p in nontrivial)
 
         for rel in nontrivial:
-            star = block_star_form(s, rel)
-            _, hi = stationary_ratios(t_relation(s, rel, star), star,
-                                      modulo=rel)
-            cycle = block_cycle_form(s, rel)
-            lo, _ = stationary_ratios(t_quotient(s, rel, cycle), cycle,
-                                      modulo="constants")
+            star = _boundary_matrix(s, block_star_form(s, rel))
+            _, hi = side_ratios(s, rel, "relation", star)
+            cycle = block_cycle_form(s, rel).matrix()
+            lo, _ = side_ratios(s, rel, "quotient", cycle)
             print(f"  star max ratio = {hi!r} (want <= 1 + 1e-10), "
                   f"cycle min ratio = {lo!r} "
                   f"(want >= 1 + 1/{n} - 1e-10)")
@@ -190,13 +198,13 @@ def test_08_property_suites():
     for trial in range(8):
         nv = int(rng.integers(5, 8))
         verts = list(range(nv))
-        edges = [(i, j, float(rng.uniform(0.1, 2.0)))
-                 for i, j in combinations(verts, 2)]
-        form = ConductanceForm.from_edges(verts, edges)
-        nested = trace(trace(form, verts[:4]), verts[:3])
-        direct = trace(form, verts[:3])
-        assert np.abs(nested.matrix() - direct.matrix()).max() <= 1e-10
-        assert min(w for _, _, w in direct.pairs()) >= 0.0
+        w = np.zeros((nv, nv))
+        for i, j in combinations(verts, 2):
+            w[i, j] = w[j, i] = float(rng.uniform(0.1, 2.0))
+        nested = trace(trace(w, verts[:4]), verts[:3])
+        direct = trace(w, verts[:3])
+        assert np.abs(nested - direct).max() <= 1e-10
+        assert direct.min() >= 0.0
 
     # brute-force trace oracle on small instances
     worst = 0.0
@@ -205,14 +213,16 @@ def test_08_property_suites():
             verts = list(range(nv))
             edges = [(i, j, float(rng.uniform(0.2, 3.0)))
                      for i, j in combinations(verts, 2)]
-            form = ConductanceForm.from_edges(verts, edges)
+            w = np.zeros((nv, nv))
+            for i, j, x in edges:
+                w[i, j] = w[j, i] = x
             boundary = verts[:3]
-            got = trace(form, boundary)
+            got = trace(w, boundary)
             want = relaxed_trace_weights(
                 verts, {frozenset((i, j)): w for i, j, w in edges}, boundary)
             scale = max(abs(w) for w in want.values())
             for x, y in combinations(boundary, 2):
-                err = abs(got.weight(x, y) - want[frozenset((x, y))])
+                err = abs(got[x, y] - want[frozenset((x, y))])
                 worst = max(worst, err / scale)
     print(f"trace vs relaxation oracle: worst relative error = {worst:.3e} "
           f"(want <= 1e-8)")
@@ -224,11 +234,11 @@ def test_08_property_suites():
     worst_defect = 0.0
     for trial in range(100):
         s, hs = solved[trial % len(solved)]
-        lv1 = level_vertices(s, 1)
-        rep = replicate(s, hs.form)
-        data = {b: float(rng.standard_normal()) for b in lv1.boundary_ids}
-        ext = harmonic_extension(rep, tuple(data), data)
-        report = per_cell_flows(s, hs, ext.values)
+        scheme = s.scheme
+        data = rng.standard_normal(len(s.boundary))
+        ext = _extension_matrix(
+            scheme.assemble(_boundary_matrix(s, hs.form)), scheme.split, data)
+        report = per_cell_flows(s, hs, ext)
         worst_defect = max(worst_defect, report.conservation_defect,
                            report.matching_defect, report.scaling_defect)
     print(f"flow conservation/matching/scaling over 100 harmonics: "
@@ -273,12 +283,12 @@ def test_08_property_suites():
     s = ms(2, 1, "1/12")
     hs = solve_eigenform(s)
     bound = 1.0 / hs.eta - 1e-9
+    w = _boundary_matrix(s, hs.form)
     for rel in enumerate_preserved(s):
         if rel.block_count() < 2:
             continue
-        q = quotient_form(rel, hs.form)
-        lo, _ = stationary_ratios(t_quotient(s, rel, q), q,
-                                  modulo="constants")
+        q = quotient_weights(rel, s.boundary, w)
+        lo, _ = side_ratios(s, rel, "quotient", q)
         assert lo >= bound
     print(f"quotient ratio lower bound {bound!r} holds for every "
           f"preserved relation")

@@ -120,6 +120,49 @@ class TestExitCodes:
                      "--values", "1,0"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "2", "--m", "1", "--theta", "1/12"],
+        ["relations", "--n", "2", "--m", "1", "--theta", "1/12"],
+        ["resistance", "--n", "2", "--m", "1", "--theta", "1/12"],
+        ["flows", "--n", "2", "--m", "1", "--theta", "1/6",
+         "--values", "1,0,0"],
+        ["gd", "solve", "--n", "2", "--m", "1"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_negative_max_iter(self, argv, capsys):
+        assert main(argv + ["--max-iter", "-1"]) == 2
+        assert "max_iter must be nonnegative" in capsys.readouterr().err
+
+    def test_validate_negative_max_iter(self, tmp_path, capsys):
+        out = tmp_path / "h.json"
+        main(["solve", "--n", "2", "--m", "1", "--theta", "1/6",
+              "--out", str(out)])
+        report = load(out)
+        report["inputs"]["max_iter"] = -1
+        out.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["validate", str(out)]) == 4
+        assert "max_iter must be nonnegative" in capsys.readouterr().err
+
+    def test_k_max_zero(self, capsys):
+        code = main(["relations", "--n", "2", "--m", "1", "--theta", "1/12",
+                     "--k-max", "0"])
+        assert code == 2
+        assert "k_max must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_flows_nonfinite_values(self, bad, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        code = main(["flows", "--n", "2", "--m", "1", "--theta", "1/6",
+                     f"--values=1,{bad},0", "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_structure_file_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text("[]", encoding="utf-8")
+        assert main(["solve", "--structure", str(path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
     def test_version_flag(self):
         assert main(["--version"]) == 0
 

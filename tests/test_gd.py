@@ -10,10 +10,11 @@ from fractal_renorm import (
     ConductanceForm, NonConvergenceError, Partition, RELATION_PQ,
     RELATION_SIDES, build_gd_structure, cell_graph, enumerate_preserved,
     existence_verdict, gd_relation_rhos, gd_solve, gd_structure_to_json,
-    is_preserved, renorm_T, stationary_ratios, t_quotient,
+    is_preserved,
 )
 from fractal_renorm.gd import CORNER_ORDER, EXPLORE_ITER_CAP, FORM_VERTICES
-from fractal_renorm.relations import RATIO_TOL
+from fractal_renorm.relations import RATIO_TOL, _ratio_bounds, _side
+from fractal_renorm.renorm import _boundary_matrix
 
 from _oracles import gd_eta_m1, gd_rho_values, gd_solve_all_cells
 
@@ -136,11 +137,14 @@ class TestRenormT:
             FORM_VERTICES,
             [(x, y, 1.0 + 0.1 * i)
              for i, (x, y) in enumerate(combinations(FORM_VERTICES, 2))])
-        a = renorm_T(cell_graph(2, 1), form).matrix()
-        b = renorm_T(cell_graph(2, 1), form.scaled(3.0)).matrix()
+        scheme = cell_graph(2, 1).scheme
+        a = scheme.T(form.matrix())
+        b = scheme.T(3.0 * form.matrix())
         assert np.abs(b - 3.0 * a).max() < 1e-12
 
     def test_vertex_order_irrelevant(self):
+        # a form read in boundary order gives T the same matrix whatever
+        # order its vertices were listed in
         rng = np.random.default_rng(7)
         weights = {frozenset(p): float(rng.uniform(0.5, 2.0))
                    for p in combinations(FORM_VERTICES, 2)}
@@ -151,15 +155,14 @@ class TestRenormT:
         shuffled = ConductanceForm.from_edges(
             shuffled_vs, [(x, y, weights[frozenset((x, y))])
                           for x, y in combinations(shuffled_vs, 2)])
-        out_a = renorm_T(cell_graph(2, 1), direct)
-        out_b = renorm_T(cell_graph(2, 1), shuffled)
-        for x, y in combinations(FORM_VERTICES, 2):
-            assert out_a.weight(x, y) == pytest.approx(out_b.weight(x, y),
-                                                       abs=1e-12)
+        cell = cell_graph(2, 1)
+        out_a = cell.scheme.T(_boundary_matrix(cell, direct))
+        out_b = cell.scheme.T(_boundary_matrix(cell, shuffled))
+        assert np.abs(out_a - out_b).max() <= 1e-12
 
     def test_fixed_point_scaling(self):
         hs = gd_solve(2, 1)
-        traced = renorm_T(cell_graph(2, 1), hs.form).matrix()
+        traced = cell_graph(2, 1).scheme.T(hs.form.matrix())
         assert np.abs(hs.eta * traced - hs.form.matrix()).max() < 1e-10
 
 
@@ -247,32 +250,26 @@ class TestPreservation:
 
 
 class TestQuotient:
-    def unit(self, relation):
-        return ConductanceForm.from_edges(
-            relation.blocks, [(relation.blocks[0], relation.blocks[1], 1.0)])
+    # the quotient side on the two blocks: one unit weight between them
+    unit = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def image(self, n, m, relation, w):
+        return _side(cell_graph(n, m), relation, "quotient").op(w)[0, 1]
 
     def test_pq_quotient_weight(self):
         for n, m in [(2, 1), (3, 2), (2, 3)]:
-            q = t_quotient(cell_graph(n, m), RELATION_PQ, self.unit(RELATION_PQ))
-            assert q.weight(*RELATION_PQ.blocks) == pytest.approx(
-                1.0 / m + 1.0 / n, abs=1e-9)
+            assert self.image(n, m, RELATION_PQ, self.unit) == \
+                pytest.approx(1.0 / m + 1.0 / n, abs=1e-9)
 
     def test_sides_quotient_weight(self):
         for n, m in [(2, 1), (3, 2), (2, 3)]:
-            q = t_quotient(cell_graph(n, m), RELATION_SIDES, self.unit(RELATION_SIDES))
-            assert q.weight(*RELATION_SIDES.blocks) == pytest.approx(
-                m * n / (m + n), abs=1e-9)
+            assert self.image(n, m, RELATION_SIDES, self.unit) == \
+                pytest.approx(m * n / (m + n), abs=1e-9)
 
     def test_homogeneous(self):
-        q1 = t_quotient(cell_graph(2, 1), RELATION_PQ, self.unit(RELATION_PQ))
-        q7 = t_quotient(cell_graph(2, 1), RELATION_PQ,
-                           self.unit(RELATION_PQ).scaled(7.0))
-        assert q7.weight(*RELATION_PQ.blocks) == pytest.approx(
-            7.0 * q1.weight(*RELATION_PQ.blocks), abs=1e-9)
-
-    def test_wrong_vertices_rejected(self):
-        with pytest.raises(ValueError):
-            t_quotient(cell_graph(2, 1), RELATION_PQ, self.unit(RELATION_SIDES))
+        q1 = self.image(2, 1, RELATION_PQ, self.unit)
+        q7 = self.image(2, 1, RELATION_PQ, 7.0 * self.unit)
+        assert q7 == pytest.approx(7.0 * q1, abs=1e-9)
 
 
 class TestRhoTable:
@@ -297,14 +294,14 @@ class TestRhoTable:
 
     def test_achieving_forms_reproduce(self):
         table = gd_relation_rhos(2, 1)
+        cell = cell_graph(2, 1)
         for entry in (table.pq_pairs, table.side_pairs):
-            form = entry.best_over_form
-            _, hi = stationary_ratios(renorm_T(cell_graph(2, 1), form), form,
-                                      modulo=entry.relation)
+            comp = _side(cell, entry.relation, "relation").comp
+            w = _boundary_matrix(cell, entry.best_over_form)
+            _, hi = _ratio_bounds(cell.scheme.T(w), w, comp)
             assert hi == pytest.approx(entry.rho_over_relation, abs=1e-9)
-            form = entry.best_under_form
-            lo, _ = stationary_ratios(renorm_T(cell_graph(2, 1), form), form,
-                                      modulo=entry.relation)
+            w = _boundary_matrix(cell, entry.best_under_form)
+            lo, _ = _ratio_bounds(cell.scheme.T(w), w, comp)
             assert lo == pytest.approx(entry.rho_under_relation, abs=1e-9)
 
 

@@ -1,4 +1,9 @@
-"""Preserved relations: closures, candidates, operators, certificates."""
+"""Preserved relations: closures, candidates, operators, certificates.
+
+The relation and quotient operators are the sides' matrix operators,
+_side(structure, relation, side).op, and stationary ratios are
+_ratio_bounds of two weight matrices.
+"""
 
 from fractions import Fraction
 
@@ -7,18 +12,21 @@ import pytest
 
 from fractal_renorm import networks
 from fractal_renorm import (
-    Angle, CapExceededError, ConductanceForm, KappaUndefinedError,
-    KernelMismatchError, NotInvariantError, Partition, block_cycle_form,
-    block_star_form, build_J_plus_minus, build_structure, closure_at_level,
-    critical_angles, d_sub_j, energy, enumerate_preserved, harmonic_extension,
-    is_preserved, j1_closure, kappa, level_vertices, make_context,
-    partition_from_json, per_cell_flows, phi_n, quotient_form, renorm_T,
-    replicate, rho_search, rotation_invariant, sabot_verdict, solve_eigenform,
-    stationary_ratios, t_quotient, t_relation, uniqueness_certificate,
+    CapExceededError, ConductanceForm, GluingScheme, KappaUndefinedError,
+    KernelMismatchError, NotInvariantError, Partition, build_J_plus_minus,
+    build_structure, critical_angles, enumerate_preserved, is_preserved,
+    kappa, level_vertices, make_context, per_cell_flows, phi_n, rho_search,
+    rotation_invariant, sabot_verdict, solve_eigenform,
+    uniqueness_certificate,
 )
 from fractal_renorm.gd import RELATION_PQ, RELATION_SIDES, cell_graph
-from _oracles import (brute_force_preserved, gd_rho_values, loop_t_quotient,
-                      loop_t_relation)
+from fractal_renorm.networks import _extension_matrix
+from fractal_renorm.relations import (_block_traces, _complement,
+                                      _ratio_bounds, _side)
+from fractal_renorm.renorm import _boundary_matrix
+from _oracles import (block_cycle_form, block_star_form,
+                      brute_force_preserved, energy, gd_rho_values,
+                      loop_t_quotient, loop_t_relation, quotient_weights)
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -49,6 +57,51 @@ def one_block(structure):
     return Partition.from_blocks([list(structure.boundary)])
 
 
+def index_blocks(structure, relation):
+    return [[structure.index[a] for a in b] for b in relation.blocks]
+
+
+def closure_classes(structure, relation, level=1):
+    """Class of each level-k id under the per-copy images of the relation,
+    from GluingScheme.closure level by level."""
+    blocks = index_blocks(structure, relation)
+    for lvl in range(1, level + 1):
+        classes = GluingScheme.of_level(
+            level_vertices(structure, lvl)).closure(blocks)
+        groups = {}
+        for v, c in enumerate(classes):
+            groups.setdefault(c, []).append(v)
+        blocks = list(groups.values())
+    return classes
+
+
+def class_members(classes, v):
+    return {x for x, c in enumerate(classes) if c == classes[v]}
+
+
+def within_block_unit(structure, relation):
+    """Unit weight on every pair inside a block, in boundary order."""
+    nb = len(structure.boundary)
+    w = np.zeros((nb, nb))
+    for block in index_blocks(structure, relation):
+        for i in block:
+            for j in block:
+                if i != j:
+                    w[i, j] = 1.0
+    return w
+
+
+def block_unit(relation):
+    """Unit weight between every two blocks, in block order."""
+    nb = relation.block_count()
+    return np.ones((nb, nb)) - np.eye(nb)
+
+
+def quadratic(w, f):
+    """Energy of values f (in matrix order) under the weight matrix w."""
+    return float(f @ (np.diag(w.sum(axis=1)) - w) @ f)
+
+
 class TestPartition:
     def test_canonical_block_order(self):
         p = Partition.from_blocks([[3, 1], [2, 0]])
@@ -76,65 +129,62 @@ class TestPartition:
     def test_json_round_trip(self):
         s = ms(2, 1, "1/12")
         p = opposite_pairs(s)
-        assert partition_from_json(s, p.to_json()) == p
+        angles = by_fraction(s)
+        blocks = p.to_json()["blocks"]
+        assert Partition.from_blocks(
+            [[angles[Fraction(x)] for x in b] for b in blocks],
+            ground=s.boundary) == p
 
 
 class TestClosure:
     def test_j1_block_count_opposite_pairs(self):
         # n(n+1) closure classes at n = 2
         s = ms(2, 1, "1/12")
-        closure = j1_closure(s, opposite_pairs(s))
-        assert closure.block_count() == 6
-        assert closure.ground_set == frozenset(range(15))
+        closure = closure_classes(s, opposite_pairs(s))
+        assert len(set(closure)) == 6
+        assert len(closure) == 15
 
     def test_singletons_stay_split(self):
         s = ms(2, 1, "1/12")
-        closure = j1_closure(s, singletons(s))
-        assert closure.block_count() == 15
+        assert len(set(closure_classes(s, singletons(s)))) == 15
 
     def test_one_block_collapses(self):
         s = ms(2, 1, "1/12")
-        closure = j1_closure(s, one_block(s))
-        assert closure.block_count() == 1
+        assert len(set(closure_classes(s, one_block(s)))) == 1
 
     def test_levels_agree_on_included_ids(self):
         # deeper closures restrict to shallower ones along the inclusion
         s = ms(2, 1, "1/12")
+        lv2 = level_vertices(s, 2)
         for rel in (opposite_pairs(s), singletons(s), one_block(s)):
-            c1 = j1_closure(s, rel)
-            c2 = closure_at_level(s, rel, 2)
-            lv2 = level_vertices(s, 2)
-            for b in c1.blocks:
-                for x in b:
-                    for y in b:
-                        assert c2.same(lv2.inclusion[x], lv2.inclusion[y])
+            c1 = closure_classes(s, rel)
+            c2 = closure_classes(s, rel, level=2)
             for x in range(15):
                 for y in range(15):
-                    if c2.same(lv2.inclusion[x], lv2.inclusion[y]):
-                        assert c1.same(x, y)
+                    assert (c1[x] == c1[y]) == \
+                        (c2[lv2.inclusion[x]] == c2[lv2.inclusion[y]])
 
     def test_projection_compatibility(self):
         # related level-1 ids have related parent positions
         s = ms(2, 1, "1/12")
         lv1 = level_vertices(s, 1)
         rel = opposite_pairs(s)
-        closure = j1_closure(s, rel)
+        closure = closure_classes(s, rel)
         parent = {vid: v for vid, (_, v) in enumerate(lv1.representatives)}
-        for b in closure.blocks:
-            for x in b:
-                for y in b:
-                    assert rel.same(s.boundary[parent[x]],
-                                    s.boundary[parent[y]])
+        for x in range(15):
+            for y in class_members(closure, x):
+                assert rel.block_containing(s.boundary[parent[x]]) == \
+                    rel.block_containing(s.boundary[parent[y]])
 
     def test_merge_vertices_stay_apart(self):
         # no two junction images share a class for a nontrivial relation
         s = ms(2, 1, "1/12")
         lv1 = level_vertices(s, 1)
         merge_ids = [vid for _, _, vid in lv1.merges]
-        closure = j1_closure(s, opposite_pairs(s))
+        closure = closure_classes(s, opposite_pairs(s))
         for i, x in enumerate(merge_ids):
             for y in merge_ids[i + 1:]:
-                assert not closure.same(x, y)
+                assert closure[x] != closure[y]
 
     def test_block_structure_two_adjacent_copies(self):
         # each boundary block lands in two adjacent copy images of one block
@@ -143,7 +193,7 @@ class TestClosure:
         ring = ctx.ring_size
         rel = opposite_pairs(s)
         lv1 = level_vertices(s, 1)
-        closure = j1_closure(s, rel)
+        closure = closure_classes(s, rel)
         perm = kappa(ctx)
         inv = {perm[i - 1]: i for i in range(1, ring + 1)}
         crits = critical_angles(ctx)
@@ -151,7 +201,7 @@ class TestClosure:
         for i in range(1, ring + 1):
             block_i = rel.block_containing(centers[i - 1])
             seed = lv1.inclusion[s.index[block_i[0]]]
-            closure_block = set(closure.block_containing(seed))
+            closure_block = class_members(closure, seed)
             source = rel.block_containing(centers[inv[i] - 1])
             expected = {lv1.copy_map[i - 1][s.index[a]] for a in source}
             expected |= {lv1.copy_map[i % ring][s.index[a]] for a in source}
@@ -292,30 +342,32 @@ class TestOperators:
         s = ms(2, 1, "1/12")
         hs = solve_eigenform(s)
         rel = opposite_pairs(s)
-        dj = d_sub_j(s, hs.form, rel)
-        lo, hi = stationary_ratios(t_relation(s, rel, dj), dj, modulo=rel)
+        plan = _side(s, rel, "relation")
+        dj = _block_traces(s, _boundary_matrix(s, hs.form), rel)
+        lo, hi = _ratio_bounds(plan.op(dj), dj, plan.comp)
         assert lo == pytest.approx(0.5, abs=1e-9)
         assert hi == pytest.approx(0.5, abs=1e-9)
 
     def test_t_relation_zero_form(self):
+        # the zero form lies outside the cone: its support is all points
         s = ms(2, 1, "1/12")
-        rel = opposite_pairs(s)
-        zero = ConductanceForm.from_edges(s.boundary, [])
-        assert t_relation(s, rel, zero).mass() == 0.0
+        plan = _side(s, opposite_pairs(s), "relation")
+        with pytest.raises(KernelMismatchError):
+            plan.op(np.zeros((6, 6)))
 
     def test_t_relation_rejects_wrong_kernel(self):
         s = ms(2, 1, "1/12")
         rel = opposite_pairs(s)
-        vs = s.boundary
-        full = ConductanceForm.from_edges(
-            vs, [(x, y, 1.0) for i, x in enumerate(vs) for y in vs[i + 1:]])
+        plan = _side(s, rel, "relation")
+        full = np.ones((6, 6)) - np.eye(6)
         with pytest.raises(KernelMismatchError):
-            t_relation(s, rel, full)
+            plan.op(full)
         # one block's only pair left out: its support falls apart
-        split = ConductanceForm.from_edges(
-            vs, [(b[0], b[1], 1.0) for b in rel.blocks[1:]])
+        split = within_block_unit(s, rel)
+        first = index_blocks(s, rel)[0]
+        split[first[0], first[1]] = split[first[1], first[0]] = 0.0
         with pytest.raises(KernelMismatchError):
-            t_relation(s, rel, split)
+            plan.op(split)
 
     @pytest.mark.parametrize("structure", [
         ("ms", 2, 1, "1/12"), ("ms", 3, 1, "1/9"), ("ms", 2, 1, "1/48"),
@@ -328,21 +380,14 @@ class TestOperators:
         relations = [r for r in enumerate_preserved(s) if not r.is_trivial]
         assert relations
         for rel in relations:
-            blocks = rel.blocks
-            sides = (
-                (t_relation, loop_t_relation, ConductanceForm.from_edges(
-                    s.boundary, [(x, y, 1.0) for b in blocks
-                                 for i, x in enumerate(b) for y in b[i + 1:]])),
-                (t_quotient, loop_t_quotient, ConductanceForm.from_edges(
-                    blocks, [(x, y, 1.0) for i, x in enumerate(blocks)
-                             for y in blocks[i + 1:]])))
-            for op, oracle, form in sides:
+            sides = (("relation", loop_t_relation, within_block_unit(s, rel)),
+                     ("quotient", loop_t_quotient, block_unit(rel)))
+            for side, oracle, w in sides:
+                plan = _side(s, rel, side)
                 for _ in range(6):
-                    got, want = op(s, rel, form), oracle(s, rel, form)
-                    assert got.vertices == want.vertices
-                    assert np.abs(got.matrix() - want.matrix()).max() \
-                        <= 1e-12 * want.matrix().max()
-                    form = want.scaled(1.0 / want.mass())
+                    got, want = plan.op(w), oracle(s, rel, w)
+                    assert np.abs(got - want).max() <= 1e-12 * want.max()
+                    w = want / (want.sum() / 2.0)
 
     def test_quotient_rejects_a_class_named_twice(self):
         # in the (2, 1) cell, copy 0's images of p1 and q1 are copy 1's
@@ -353,34 +398,35 @@ class TestOperators:
         rel = Partition.from_blocks([["p0", "q0"], ["p1"], ["q1"]],
                                     ground=cell.boundary)
         assert not is_preserved(cell, rel)
-        unit = ConductanceForm.from_edges(
-            rel.blocks, [(x, y, 1.0) for i, x in enumerate(rel.blocks)
-                         for y in rel.blocks[i + 1:]])
-        assert loop_t_quotient(cell, rel, unit).mass() > 0
+        assert loop_t_quotient(cell, rel, block_unit(rel)).sum() > 0
         with pytest.raises(ValueError, match="not preserved"):
-            t_quotient(cell, rel, unit)
+            _side(cell, rel, "quotient")
 
     def test_d_sub_j_support(self):
         s = ms(2, 1, "1/12")
         hs = solve_eigenform(s)
         rel = opposite_pairs(s)
-        dj = d_sub_j(s, hs.form, rel)
-        comps = {frozenset(c) for c in dj.support_components()}
+        dj = _block_traces(s, _boundary_matrix(s, hs.form), rel)
+        comps = {frozenset(c) for c in ConductanceForm.from_matrix(
+            s.boundary, dj).support_components()}
         assert comps == {frozenset(b) for b in rel.blocks}
 
     def test_d_sub_j_rejects_trivial(self):
         s = ms(2, 1, "1/12")
-        hs = solve_eigenform(s)
+        w = _boundary_matrix(s, solve_eigenform(s).form)
         with pytest.raises(ValueError):
-            d_sub_j(s, hs.form, singletons(s))
+            _block_traces(s, w, singletons(s))
         with pytest.raises(ValueError):
-            d_sub_j(s, hs.form, one_block(s))
+            _block_traces(s, w, one_block(s))
 
     def test_quotient_form_collapses_blocks(self):
+        # quotient_weights is the reference the quotient tests push
+        # boundary forms down with
         s = ms(2, 1, "1/12")
         hs = solve_eigenform(s)
         rel = opposite_pairs(s)
-        q = quotient_form(rel, hs.form)
+        q = ConductanceForm.from_matrix(rel.blocks, quotient_weights(
+            rel, s.boundary, _boundary_matrix(s, hs.form)))
         assert tuple(q.vertices) == rel.blocks
         # energies agree on block-constant functions
         values = {rel.blocks[0]: 1.0, rel.blocks[1]: -1.0, rel.blocks[2]: 0.5}
@@ -390,27 +436,27 @@ class TestOperators:
     def test_t_quotient_cycle_bound(self):
         s = ms(2, 1, "1/12")
         rel = opposite_pairs(s)
-        cyc = block_cycle_form(s, rel)
-        lo, _ = stationary_ratios(t_quotient(s, rel, cyc), cyc,
-                                  modulo="constants")
+        plan = _side(s, rel, "quotient")
+        cyc = block_cycle_form(s, rel).matrix()
+        lo, _ = _ratio_bounds(plan.op(cyc), cyc, plan.comp)
         assert lo >= 1.5 - 1e-10
 
     def test_t_quotient_degenerate_inputs(self):
         s = ms(2, 1, "1/12")
         rel = opposite_pairs(s)
         with pytest.raises(ValueError):
-            t_quotient(s, one_block(s), ConductanceForm.from_edges(
-                one_block(s).blocks, []))
-        disconnected = ConductanceForm.from_edges(
-            rel.blocks, [(rel.blocks[0], rel.blocks[1], 1.0)])
-        with pytest.raises(ValueError):
-            t_quotient(s, rel, disconnected)
+            _side(s, one_block(s), "quotient")
+        disconnected = np.zeros((3, 3))
+        disconnected[0, 1] = disconnected[1, 0] = 1.0
+        with pytest.raises(KernelMismatchError):
+            _side(s, rel, "quotient").op(disconnected)
 
     def test_star_form_ratio_at_most_one(self):
         s = ms(2, 1, "1/12")
         rel = opposite_pairs(s)
-        star = block_star_form(s, rel)
-        _, hi = stationary_ratios(t_relation(s, rel, star), star, modulo=rel)
+        plan = _side(s, rel, "relation")
+        star = _boundary_matrix(s, block_star_form(s, rel))
+        _, hi = _ratio_bounds(plan.op(star), star, plan.comp)
         assert hi <= 1.0 + 1e-10
 
     def test_quotient_trace_bounded_by_full_trace(self):
@@ -419,29 +465,32 @@ class TestOperators:
         s = ms(2, 1, "1/12")
         hs = solve_eigenform(s)
         rel = opposite_pairs(s)
-        q = quotient_form(rel, hs.form)
-        tq = t_quotient(s, rel, q)
-        t_full = renorm_T(s, hs.form)
+        w = _boundary_matrix(s, hs.form)
+        tq = _side(s, rel, "quotient").op(quotient_weights(rel, s.boundary, w))
+        t_full = s.scheme.T(w)
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            values = {b: float(rng.standard_normal()) for b in rel.blocks}
-            lifted = {a: values[rel.block_containing(a)]
-                      for a in s.boundary}
-            assert energy(tq, values) >= energy(t_full, lifted) - 1e-12
+            values = rng.standard_normal(rel.block_count())
+            lifted = np.array([values[rel.blocks.index(
+                rel.block_containing(a))] for a in s.boundary])
+            assert quadratic(tq, values) >= quadratic(t_full, lifted) - 1e-12
+
+
+CONSTANTS3 = _complement(np.ones((3, 1)))
 
 
 class TestStationaryRatios:
     def test_proportional_forms(self):
         f = ConductanceForm.from_edges("abc", [("a", "b", 1.0),
                                                ("b", "c", 2.0)])
-        lo, hi = stationary_ratios(f.scaled(0.5), f, modulo="constants")
+        lo, hi = _ratio_bounds(0.5 * f.matrix(), f.matrix(), CONSTANTS3)
         assert lo == pytest.approx(0.5)
         assert hi == pytest.approx(0.5)
 
     def test_identical_forms(self):
         f = ConductanceForm.from_edges("abc", [("a", "b", 1.0),
                                                ("b", "c", 1.0)])
-        lo, hi = stationary_ratios(f, f, modulo="constants")
+        lo, hi = _ratio_bounds(f.matrix(), f.matrix(), CONSTANTS3)
         assert lo == pytest.approx(1.0)
         assert hi == pytest.approx(1.0)
 
@@ -450,7 +499,7 @@ class TestStationaryRatios:
                                                  ("b", "c", 3.0)])
         den = ConductanceForm.from_edges("abc", [("a", "b", 1.0),
                                                  ("b", "c", 1.0)])
-        lo, hi = stationary_ratios(num, den, modulo="constants")
+        lo, hi = _ratio_bounds(num.matrix(), den.matrix(), CONSTANTS3)
         assert lo == pytest.approx(1.0)
         assert hi == pytest.approx(3.0)
 
@@ -458,7 +507,7 @@ class TestStationaryRatios:
         num = ConductanceForm.from_edges("abc", [("a", "b", 1.0)])
         den = ConductanceForm.from_edges("abc", [("a", "b", 1.0)])
         with pytest.raises(ValueError):
-            stationary_ratios(num, den, modulo="constants")
+            _ratio_bounds(num.matrix(), den.matrix(), CONSTANTS3)
 
     @staticmethod
     def random_form(rng, verts, spread):
@@ -517,15 +566,15 @@ class TestStationaryRatios:
                 [verts[:cut[0]], verts[cut[0]:cut[1]], verts[cut[1]:]])
             maps = [{v: float(rng.standard_normal()) for v in verts}
                     for _ in range(2)]
-            for modulo, cols in (
-                    ("constants", np.ones((nv, 1))),
-                    (partition, np.array([[float(v in block)
-                                           for block in partition.blocks]
-                                          for v in verts])),
-                    (maps + [dict.fromkeys(verts, 1.0)],
-                     np.array([[mp[v] for mp in maps] + [1.0]
-                               for v in verts]))):
-                lo, hi = stationary_ratios(num, den, modulo=modulo)
+            for cols in (
+                    np.ones((nv, 1)),
+                    np.array([[float(v in block)
+                               for block in partition.blocks]
+                              for v in verts]),
+                    np.array([[mp[v] for mp in maps] + [1.0]
+                              for v in verts])):
+                lo, hi = _ratio_bounds(num.matrix(), den.matrix(),
+                                       _complement(cols))
                 ends, rayleigh, cond, comp = self.oracle(num, den, verts,
                                                          cols)
                 conds.append(cond)
@@ -552,20 +601,20 @@ class TestStationaryRatios:
         num = self.random_form(rng, verts, 2.0)
         den = ConductanceForm.from_edges(
             verts, [("v0", "v1", 2.0), ("v2", "v3", 0.5)])
-        for modulo in ("constants",
-                       Partition.from_blocks([["v0", "v2"], ["v1", "v3"]]),
-                       [{v: float(i) for i, v in enumerate(verts)}]):
+        for cols in (np.ones((4, 1)),
+                     np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0],
+                               [0.0, 1.0]]),
+                     np.arange(4.0)[:, None]):
             with pytest.raises(ValueError, match="degenerate"):
-                stationary_ratios(num, den, modulo=modulo)
-
+                _ratio_bounds(num.matrix(), den.matrix(), _complement(cols))
 
     def test_modulo_is_required_and_nonempty(self):
         f = ConductanceForm.from_edges("abc", [("a", "b", 1.0),
-                                               ("b", "c", 1.0)])
+                                               ("b", "c", 1.0)]).matrix()
         with pytest.raises(TypeError):
-            stationary_ratios(f, f)
-        with pytest.raises(ValueError, match="at least one value map"):
-            stationary_ratios(f, f, modulo=[])
+            _ratio_bounds(f, f)
+        with pytest.raises(ValueError, match="covers everything"):
+            _ratio_bounds(f, f, _complement(np.eye(3)))
 
 
 class TestRhoSearch:
@@ -602,18 +651,18 @@ class TestRhoSearch:
         for rel in enumerate_preserved(s):
             if rel.is_trivial:
                 continue
-            star = block_star_form(s, rel)
-            _, star_hi = stationary_ratios(t_relation(s, rel, star), star,
-                                           modulo=rel)
+            plan = _side(s, rel, "relation")
+            star = _boundary_matrix(s, block_star_form(s, rel))
+            _, star_hi = _ratio_bounds(plan.op(star), star, plan.comp)
             assert rho_search(s, rel, "relation").rho_over \
                 <= star_hi + 1e-9
             try:
-                cycle = block_cycle_form(s, rel)
+                cycle = block_cycle_form(s, rel).matrix()
             except ValueError:
                 continue  # some block holds no cell-return image
             cycles += 1
-            cycle_lo, _ = stationary_ratios(t_quotient(s, rel, cycle), cycle,
-                                            modulo="constants")
+            plan = _side(s, rel, "quotient")
+            cycle_lo, _ = _ratio_bounds(plan.op(cycle), cycle, plan.comp)
             assert rho_search(s, rel, "quotient").rho_under \
                 >= cycle_lo - 1e-9
         assert cycles == 2
@@ -625,24 +674,17 @@ class TestRhoSearch:
         for rel in enumerate_preserved(s):
             if rel.is_trivial:
                 continue
-            blocks = rel.blocks
-            sides = (
-                ("relation", t_relation, rel, ConductanceForm.from_edges(
-                    s.boundary, [(x, y, 1.0) for block in blocks
-                                 for i, x in enumerate(block)
-                                 for y in block[i + 1:]])),
-                ("quotient", t_quotient, "constants",
-                 ConductanceForm.from_edges(
-                     blocks, [(x, y, 1.0) for i, x in enumerate(blocks)
-                              for y in blocks[i + 1:]])))
-            for side, op, modulo, form in sides:
+            sides = (("relation", within_block_unit(s, rel)),
+                     ("quotient", block_unit(rel)))
+            for side, w in sides:
+                plan = _side(s, rel, side)
                 lows, highs = [], []
                 for _ in range(20):
-                    image = op(s, rel, form)
-                    lo, hi = stationary_ratios(image, form, modulo=modulo)
+                    image = plan.op(w)
+                    lo, hi = _ratio_bounds(image, w, plan.comp)
                     lows.append(lo)
                     highs.append(hi)
-                    form = image.scaled(1.0 / image.mass())
+                    w = image / (image.sum() / 2.0)
                 assert all(b <= a + 1e-10 for a, b in zip(highs, highs[1:]))
                 assert all(b >= a - 1e-10 for a, b in zip(lows, lows[1:]))
                 report = rho_search(s, rel, side)
@@ -695,16 +737,20 @@ class TestCertificates:
             assert cert.certified
 
 
+def extension(structure, hs, data):
+    """Level-1 values of the eigenform's copies extending boundary data."""
+    scheme = structure.scheme
+    return _extension_matrix(
+        scheme.assemble(_boundary_matrix(structure, hs.form)), scheme.split,
+        np.asarray(data, dtype=float))
+
+
 class TestFlowReport:
     def test_gasket_flows(self):
         s = ms(2, 1, "1/6")
         hs = solve_eigenform(s)
-        lv1 = level_vertices(s, 1)
-        rep = replicate(s, hs.form)
-        data = {lv1.boundary_ids[0]: 1.0, lv1.boundary_ids[1]: 0.0,
-                lv1.boundary_ids[2]: 0.0}
-        ext = harmonic_extension(rep, tuple(data), data)
-        report = per_cell_flows(s, hs, ext.values)
+        ext = extension(s, hs, [1.0, 0.0, 0.0])
+        report = per_cell_flows(s, hs, ext)
         flow = [report.boundary_flow[a] for a in s.boundary]
         assert flow[0] == pytest.approx(2.0 * abs(flow[1]), abs=1e-9)
         assert flow[1] == pytest.approx(flow[2], abs=1e-12)
@@ -740,14 +786,10 @@ class TestFlowReport:
     def test_random_harmonics_p1_p2_p3(self):
         s = ms(2, 1, "1/12")
         hs = solve_eigenform(s)
-        lv1 = level_vertices(s, 1)
-        rep = replicate(s, hs.form)
         rng = np.random.default_rng(42)
         for _ in range(10):
-            data = {b: float(rng.standard_normal())
-                    for b in lv1.boundary_ids}
-            ext = harmonic_extension(rep, tuple(data), data)
-            report = per_cell_flows(s, hs, ext.values)
+            ext = extension(s, hs, rng.standard_normal(len(s.boundary)))
+            report = per_cell_flows(s, hs, ext)
             scale = max(abs(v) for v in report.boundary_flow.values())
             assert report.conservation_defect <= 1e-9 * max(scale, 1.0)
             assert report.matching_defect <= 1e-9 * max(scale, 1.0)

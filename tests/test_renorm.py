@@ -1,4 +1,8 @@
-"""Replication, the trace operator, symmetrization, and the eigenform."""
+"""Gluing, the trace operator T, rotations, and the eigenform.
+
+T is structure.scheme.T on boundary weight matrices, the operator the
+solver iterates.
+"""
 
 from fractions import Fraction
 
@@ -6,12 +10,14 @@ import numpy as np
 import pytest
 
 from fractal_renorm import (
-    Angle, ConductanceForm, NonConvergenceError, NotInvariantError,
-    build_structure, energy, level_vertices, make_context, renorm_T,
-    replicate, restrict_to_subset, solve_eigenform, symmetrize,
+    Angle, ConductanceForm, NonConvergenceError, build_structure,
+    level_vertices, make_context, resistance_matrix, solve_eigenform,
     verify_harmonic_structure,
 )
-from _oracles import family_eta, restriction_weights
+from fractal_renorm.networks import _split_ids, _trace_matrix
+from fractal_renorm.renorm import _boundary_matrix
+from _oracles import (energy, family_eta, restriction_weights,
+                      rotation_average, rotation_perm)
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -29,35 +35,47 @@ def complete_unit(structure):
     return boundary_form(structure, lambda x, y: 1.0)
 
 
+def random_weights(structure, rng):
+    return _boundary_matrix(structure, boundary_form(
+        structure, lambda x, y: float(rng.uniform(0.5, 1.5))))
+
+
 def as_weight_array(structure, form):
     vs = structure.boundary
     return np.array([[form.weight(x, y) if x != y else 0.0 for y in vs]
                      for x in vs])
 
 
+def quadratic(w, f):
+    """Energy of values f (in matrix order) under the weight matrix w."""
+    return float(f @ (np.diag(w.sum(axis=1)) - w) @ f)
+
+
 class TestReplicate:
     def test_gasket_counts(self):
         s = ms(2, 1, "1/6")
-        rep = replicate(s, complete_unit(s))
-        assert len(tuple(rep.vertices)) == 6
-        pairs = list(rep.pairs())
-        assert len(pairs) == 9
-        assert all(w == pytest.approx(1.0) for _, _, w in pairs)
+        rep = s.scheme.assemble(as_weight_array(s, complete_unit(s)))
+        assert rep.shape == (6, 6)
+        pairs = ConductanceForm.from_matrix(tuple(range(6)), rep)
+        assert len(pairs.weights) == 9
+        assert all(w == pytest.approx(1.0) for w in pairs.weights.values())
 
     def test_vertex_count_2_1_12(self):
         s = ms(2, 1, "1/12")
-        assert len(tuple(replicate(s, complete_unit(s)).vertices)) == 15
+        assert s.scheme.assemble(as_weight_array(
+            s, complete_unit(s))).shape == (15, 15)
 
     def test_zero_form(self):
         s = ms(2, 1, "1/6")
-        rep = replicate(s, boundary_form(s, lambda x, y: 0.0))
-        assert rep.mass() == 0.0
+        assert s.scheme.assemble(np.zeros((3, 3))).sum() == 0.0
 
     def test_energy_identity(self):
         rng = np.random.default_rng(1)
         s = ms(2, 1, "1/12")
         form = boundary_form(s, lambda x, y: float(rng.uniform(0.5, 1.5)))
-        rep = replicate(s, form)
+        rep = ConductanceForm.from_matrix(
+            tuple(range(s.scheme.num_ids)),
+            s.scheme.assemble(_boundary_matrix(s, form)))
         lv1 = level_vertices(s, 1)
         f1 = {v: float(rng.standard_normal()) for v in rep.vertices}
         total = 0.0
@@ -70,76 +88,87 @@ class TestReplicate:
         s = ms(2, 1, "1/6")
         wrong = ConductanceForm.from_edges("ab", [("a", "b", 1.0)])
         with pytest.raises(ValueError):
-            replicate(s, wrong)
+            solve_eigenform(s, init=wrong)
 
 
 class TestRenormT:
     def test_gasket_reduction(self):
         s = ms(2, 1, "1/6")
-        traced = renorm_T(s, complete_unit(s))
-        for x, y, w in traced.pairs():
-            assert w == pytest.approx(0.6)
+        traced = s.scheme.T(as_weight_array(s, complete_unit(s)))
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert traced[i, j] == pytest.approx(0.6)
 
     def test_homogeneity(self):
         s = ms(2, 1, "1/12")
-        rng = np.random.default_rng(2)
-        form = boundary_form(s, lambda x, y: float(rng.uniform(0.5, 1.5)))
-        lhs = as_weight_array(s, renorm_T(s, form.scaled(7.0)))
-        rhs = 7.0 * as_weight_array(s, renorm_T(s, form))
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+        w = random_weights(s, np.random.default_rng(2))
+        assert np.allclose(s.scheme.T(7.0 * w), 7.0 * s.scheme.T(w),
+                           rtol=1e-12, atol=1e-12)
 
     def test_monotone_in_weights(self):
         s = ms(2, 1, "1/12")
         rng = np.random.default_rng(4)
         for _ in range(5):
-            form = boundary_form(s, lambda x, y: float(rng.uniform(0.5, 1.5)))
-            vs = s.boundary
-            x0, y0 = vs[0], vs[3]
-            bumped = ConductanceForm.from_edges(
-                vs, list(form.pairs()) + [(x0, y0, 0.5)])
-            ta, tb = renorm_T(s, form), renorm_T(s, bumped)
+            w = random_weights(s, rng)
+            bumped = w.copy()
+            bumped[0, 3] += 0.5
+            bumped[3, 0] += 0.5
+            ta, tb = s.scheme.T(w), s.scheme.T(bumped)
             for _ in range(5):
-                f = {v: float(rng.standard_normal()) for v in vs}
-                assert energy(tb, f) >= energy(ta, f) - 1e-10
+                f = rng.standard_normal(len(s.boundary))
+                assert quadratic(tb, f) >= quadratic(ta, f) - 1e-10
 
     def test_preserves_symmetry(self):
         s = ms(2, 2, "3/16")
-        sym = symmetrize(s, complete_unit(s))
-        traced = renorm_T(s, sym)
-        again = symmetrize(s, traced)
-        assert np.allclose(as_weight_array(s, traced),
-                           as_weight_array(s, again), atol=1e-12)
+        sym = rotation_average(s, as_weight_array(s, complete_unit(s)))
+        traced = s.scheme.T(sym)
+        assert np.allclose(traced, rotation_average(s, traced), atol=1e-12)
+
+    @pytest.mark.parametrize("n,m,theta", [
+        (2, 1, "1/12"), (2, 2, "3/16"), (3, 1, "1/9")])
+    def test_rotation_equivariance(self, n, m, theta):
+        # rotating the boundary by l/(m+n) shifts the copies by l and
+        # rotates inside each copy by n*l, so T(P_nl w) = P_l T(w)
+        s = ms(n, m, theta, symmetrize=True)
+        w = random_weights(s, np.random.default_rng(5))
+        for l in range(s.ctx.ring_size):
+            inner = rotation_perm(s, s.ctx.n * l)
+            rotated = np.zeros_like(w)
+            rotated[np.ix_(inner, inner)] = w
+            perm = rotation_perm(s, l)
+            want = np.zeros_like(w)
+            want[np.ix_(perm, perm)] = s.scheme.T(w)
+            assert np.abs(s.scheme.T(rotated) - want).max() \
+                <= 1e-12 * np.abs(want).max()
 
 
 class TestSymmetrize:
+    # rotation_average is the reference the symmetry tests above use
     def test_idempotent(self):
         s = ms(2, 1, "1/12")
-        rng = np.random.default_rng(6)
-        form = boundary_form(s, lambda x, y: float(rng.uniform(0.5, 1.5)))
-        once = symmetrize(s, form)
-        twice = symmetrize(s, once)
-        assert np.allclose(as_weight_array(s, once),
-                           as_weight_array(s, twice), atol=1e-13)
+        w = random_weights(s, np.random.default_rng(6))
+        once = rotation_average(s, w)
+        assert np.allclose(once, rotation_average(s, once), atol=1e-13)
 
     def test_orbit_average(self):
         s = ms(2, 1, "1/6")
         vs = s.boundary
         perturbed = ConductanceForm.from_edges(
             vs, [(vs[0], vs[1], 4.0), (vs[1], vs[2], 1.0), (vs[0], vs[2], 1.0)])
-        sym = symmetrize(s, perturbed)
-        for x, y, w in sym.pairs():
-            assert w == pytest.approx(2.0)
+        sym = rotation_average(s, as_weight_array(s, perturbed))
+        off = sym[~np.eye(3, dtype=bool)]
+        assert off == pytest.approx(np.full(6, 2.0))
 
     def test_mass_preserved(self):
         s = ms(2, 2, "3/16")
-        rng = np.random.default_rng(8)
-        form = boundary_form(s, lambda x, y: float(rng.uniform(0.5, 1.5)))
-        assert symmetrize(s, form).mass() == pytest.approx(form.mass())
+        w = random_weights(s, np.random.default_rng(8))
+        assert rotation_average(s, w).sum() == pytest.approx(w.sum())
 
     def test_requires_closed_boundary(self):
         s = ms(2, 2, "3/16", symmetrize=False)
-        with pytest.raises(NotInvariantError):
-            symmetrize(s, complete_unit(s))
+        assert not s.rotation_closed
+        with pytest.raises(KeyError):
+            rotation_average(s, as_weight_array(s, complete_unit(s)))
 
 
 class TestSolveEigenform:
@@ -170,7 +199,7 @@ class TestSolveEigenform:
     def test_init_scale_invariance(self):
         s = ms(2, 1, "1/12")
         base = solve_eigenform(s)
-        scaled = solve_eigenform(s, init=complete_unit(s).scaled(37.0))
+        scaled = solve_eigenform(s, init=boundary_form(s, lambda x, y: 37.0))
         assert scaled.eta == pytest.approx(base.eta, abs=1e-10)
         assert np.allclose(as_weight_array(s, scaled.form),
                            as_weight_array(s, base.form), atol=1e-10)
@@ -178,9 +207,8 @@ class TestSolveEigenform:
     def test_eigen_equation_residual(self):
         s = ms(2, 1, "1/12")
         hs = solve_eigenform(s)
-        traced = renorm_T(s, hs.form)
-        dev = np.abs(hs.eta * as_weight_array(s, traced)
-                     - as_weight_array(s, hs.form)).max()
+        w = as_weight_array(s, hs.form)
+        dev = np.abs(hs.eta * s.scheme.T(w) - w).max()
         assert dev <= 1e-10
 
     def test_nonconvergence_diagnostics(self):
@@ -213,47 +241,46 @@ class TestVerify:
     def test_rescaled_fixed_point_unchanged(self):
         s = ms(2, 1, "1/6")
         hs = solve_eigenform(s)
-        once = renorm_T(s, hs.form).scaled(hs.eta)
+        once = ConductanceForm.from_matrix(
+            s.boundary, hs.eta * s.scheme.T(as_weight_array(s, hs.form)))
         report = verify_harmonic_structure(s, once, hs.eta)
         assert report["ok"]
+
+
+def restrict(structure, hs, subset):
+    """_trace_matrix of the eigenform onto a subset of boundary angles."""
+    split = _split_ids(len(structure.boundary),
+                       [structure.index[a] for a in subset])
+    return ConductanceForm.from_matrix(
+        tuple(subset), _trace_matrix(_boundary_matrix(structure, hs.form),
+                                     split))
 
 
 class TestRestrict:
     def test_full_boundary_is_identity(self):
         s = ms(2, 1, "1/6")
         hs = solve_eigenform(s)
-        back = restrict_to_subset(s, hs, s.boundary)
+        back = restrict(s, hs, s.boundary)
         assert np.allclose(as_weight_array(s, back),
                            as_weight_array(s, hs.form), atol=1e-12)
 
     def test_two_points_give_resistance(self):
-        from fractal_renorm import effective_resistance
         s = ms(2, 1, "1/6")
         hs = solve_eigenform(s)
         p, q = s.boundary[0], s.boundary[1]
-        two = restrict_to_subset(s, hs, (p, q))
+        two = restrict(s, hs, (p, q))
         assert two.weight(p, q) == pytest.approx(
-            1.0 / effective_resistance(hs.form, p, q))
+            1.0 / resistance_matrix(hs.form, (p, q))[0, 1])
 
     def test_3_2_2_15_triangle_weights(self):
         s = ms(3, 2, "2/15")
         hs = solve_eigenform(s)
         pts = tuple(Angle.from_fraction(f, s.ctx.modulus)
                     for f in (Fraction(0), Fraction(2, 5), Fraction(4, 5)))
-        tri = restrict_to_subset(s, hs, pts)
+        tri = restrict(s, hs, pts)
         got = np.array([tri.weight(pts[0], pts[1]),
                         tri.weight(pts[0], pts[2]),
                         tri.weight(pts[1], pts[2])])
         want = np.array(restriction_weights(3, 2, 2))
         scale = got[2] / want[2]
         assert np.allclose(got, scale * want, atol=1e-8 * scale)
-
-    def test_bad_subset_rejected(self):
-        s = ms(2, 1, "1/6")
-        hs = solve_eigenform(s)
-        with pytest.raises(ValueError):
-            restrict_to_subset(s, hs, (s.boundary[0],))
-        with pytest.raises(ValueError):
-            restrict_to_subset(s, hs,
-                               (Angle.from_fraction(Fraction(1, 6), 6),
-                                s.boundary[0]))

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from fractal_renorm import (
-    Angle, ConductanceForm, DepthCapError, GluingScheme, InvalidMsError,
-    NotInvariantError, build_structure, cell_graph, enumerate_preserved, is_preserved,
-    level_size, level_vertices, levels_to_json, make_context, phi_n,
-    renorm_T, rotation_action, solve_eigenform, structure_from_json,
-    structure_to_json, t_quotient,
+    DepthCapError, GluingScheme, InvalidMsError, build_structure, cell_graph,
+    enumerate_preserved, is_preserved, level_size, level_vertices,
+    levels_to_json, make_context, phi_n, solve_eigenform,
+    structure_from_json, structure_to_json,
 )
+from fractal_renorm.relations import _side
+from fractal_renorm.renorm import _boundary_matrix
+from _oracles import rotation_perm
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -188,7 +190,7 @@ class TestGluingScheme:
 
     def test_built_once_per_structure(self, monkeypatch):
         calls = []
-        for name in ("structure", "renorm", "relations"):
+        for name in ("structure", "renorm"):
             module = sys.modules[f"fractal_renorm.{name}"]
             real = module.level_vertices
 
@@ -199,25 +201,25 @@ class TestGluingScheme:
             monkeypatch.setattr(module, "level_vertices", counted)
         s = ms(2, 1, "1/12")
         hs = solve_eigenform(s)
-        renorm_T(s, hs.form)
+        s.scheme.T(_boundary_matrix(s, hs.form))
         preserved = enumerate_preserved(s)
         relation = next(p for p in preserved if not p.is_trivial)
         assert is_preserved(s, relation)
-        blocks = relation.blocks
-        t_quotient(s, relation, ConductanceForm.from_edges(
-            blocks, [(a, b, 1.0) for i, a in enumerate(blocks)
-                     for b in blocks[i + 1:]]))
+        plan = _side(s, relation, "quotient")
+        plan.op(plan.start)
         assert calls == [1]
 
 
 class TestRotationAction:
+    # the boundary permutation of a rotation, from angles.rotate and the
+    # structure's index
     def test_identity(self):
         s = ms(2, 1, "1/12")
-        assert rotation_action(s, 0) == tuple(range(6))
+        assert rotation_perm(s, 0) == list(range(6))
 
     def test_2_1_12_shift(self):
         s = ms(2, 1, "1/12")
-        perm = rotation_action(s, 1)
+        perm = rotation_perm(s, 1)
         moved = {str(s.boundary[i]): str(s.boundary[perm[i]])
                  for i in range(6)}
         assert moved == {"0/1": "1/3", "1/3": "2/3", "2/3": "0/1",
@@ -225,8 +227,9 @@ class TestRotationAction:
 
     def test_not_invariant(self):
         s = ms(2, 2, "3/16", symmetrize=False)
-        with pytest.raises(NotInvariantError):
-            rotation_action(s, 1)
+        assert not s.rotation_closed
+        with pytest.raises(KeyError):
+            rotation_perm(s, 1)
 
     def test_level1_conjugacy(self):
         # rotating then including = shifting copies and rotating inside
@@ -234,8 +237,8 @@ class TestRotationAction:
         ring = s.ctx.ring_size
         lv1 = level_vertices(s, 1)
         for l in range(ring):
-            perm = rotation_action(s, l)
-            inner = rotation_action(s, s.ctx.n * l)
+            perm = rotation_perm(s, l)
+            inner = rotation_perm(s, s.ctx.n * l)
             for i, a in enumerate(s.boundary):
                 rotated_cell = (s.cells[a] - 1 + l) % ring
                 inner_pos = inner[s.index[phi_n(a, s.ctx.n)]]
