@@ -10,7 +10,7 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      DisconnectedError, InvalidMsError, KappaUndefinedError,
                      KernelMismatchError, NonConvergenceError,
                      NotAPermutationError, NotInvariantError, WorkbenchError)
-from .networks import ConductanceForm, flows, resistance_matrix
+from .networks import ConductanceForm, resistance_matrix
 from .structure import (GluedVertexSet, GluingScheme, MsStructure,
                         build_structure, level_size, level_vertices,
                         levels_to_json, structure_from_json,

@@ -99,7 +99,10 @@ def make_context(n: int, m: int, theta: AngleLike) -> AngleContext:
     if isinstance(theta, Angle):
         frac = theta.as_fraction()
     else:
-        frac = Fraction(theta)
+        try:
+            frac = Fraction(theta)
+        except ZeroDivisionError:
+            raise ValueError(f"theta {theta}: zero denominator") from None
     frac %= 1
     ring = m + n
     window = Fraction(1, ring)

@@ -21,7 +21,6 @@ import json
 import sys
 import time
 import warnings
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import __version__
@@ -63,7 +62,7 @@ def _load_structure(args):
         return structure_from_json(data)
     if args.n is None or args.m is None or args.theta is None:
         raise ValueError("give either --structure or all of --n/--m/--theta")
-    ctx = make_context(args.n, args.m, Fraction(args.theta))
+    ctx = make_context(args.n, args.m, args.theta)
     return build_structure(ctx, symmetrize=args.symmetrize)
 
 
@@ -252,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flows", help="per-cell flows of a harmonic function")
     _add_ctx_flags(p)
     p.add_argument("--values", type=str, required=True,
-                   help="comma-separated boundary values, in angle order")
+                   help="comma-separated boundary values, in angle order "
+                        "(write --values=-1,0,0 when the first is negative)")
     _add_common(p)
     _set_run(p, "flows",
              lambda a: {"values": a.values, "max_iter": a.max_iter})

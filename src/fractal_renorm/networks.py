@@ -20,9 +20,7 @@ inverse is the spectral pseudo-inverse with that relative rank cutoff.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import (Hashable, Iterable, Mapping, NamedTuple, Sequence,
-                    Tuple)
+from typing import Hashable, Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -62,30 +60,32 @@ class DisjointSet:
         return [index[self.find(x)] for x in range(len(self.parent))], len(roots)
 
 
-@dataclass(frozen=True, eq=False)
 class ConductanceForm:
-    """Immutable weighted graph on an ordered vertex tuple.
-
-    Weights are strictly positive; pairs with zero weight are simply absent.
-    Vertex ids can be any hashable values (angles, ints, strings), and the
-    tuple order fixes the canonical matrix indexing.
+    """Immutable weighted graph on an ordered tuple of hashable vertex ids:
+    one weight matrix in vertex order, symmetric, nonnegative and zero on
+    the diagonal, where a zero entry is an absent pair. Build forms with
+    from_edges or from_matrix; the constructor takes the matrix as it is
+    and makes it read-only.
     """
 
-    vertices: Tuple[Hashable, ...]
-    weights: Mapping[Tuple[int, int], float]
+    __slots__ = ("vertices", "index", "_matrix")
 
-    def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+    def __init__(self, vertices: Sequence[Hashable], matrix: np.ndarray):
+        self.vertices = tuple(vertices)
+        self.index = {v: i for i, v in enumerate(self.vertices)}
+        if len(self.index) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        object.__setattr__(self, "_index",
-                           {v: i for i, v in enumerate(self.vertices)})
+        if matrix.shape != (len(self.vertices),) * 2:
+            raise ValueError("the matrix does not match the vertex count")
+        matrix.flags.writeable = False
+        self._matrix = matrix
 
     @classmethod
     def from_edges(cls, vertices: Sequence[Hashable],
                    edges: Iterable[Tuple[Hashable, Hashable, float]]
                    ) -> "ConductanceForm":
         index = {v: i for i, v in enumerate(vertices)}
-        weights: dict[Tuple[int, int], float] = {}
+        mat = np.zeros((len(vertices),) * 2)
         for x, y, w in edges:
             if x == y:
                 raise ValueError(f"self-pair at vertex {x!r}")
@@ -96,62 +96,40 @@ class ConductanceForm:
                                  "listed vertex") from None
             if w < 0:
                 raise ValueError(f"negative weight {w} on pair ({x!r},{y!r})")
-            if i > j:
-                i, j = j, i
-            weights[(i, j)] = weights.get((i, j), 0.0) + float(w)
-        weights = {k: w for k, w in weights.items() if w > 0.0}
-        return cls(tuple(vertices), weights)
+            mat[i, j] += float(w)
+            mat[j, i] = mat[i, j]
+        mat[~(mat > 0.0)] = 0.0  # a nan weight is an absent pair
+        return cls(vertices, mat)
 
     @classmethod
     def from_matrix(cls, vertices: Sequence[Hashable],
                     matrix: np.ndarray) -> "ConductanceForm":
-        # one conversion to nested lists, then the positive pairs i < j in
-        # row-major order; much cheaper than indexing numpy scalars
+        """The symmetric part of matrix, off the diagonal, where positive."""
         mat = np.asarray(matrix, dtype=float)
-        sym = (0.5 * (mat + mat.T)).tolist()
-        return cls(tuple(vertices),
-                   {(i, j): w for i, row in enumerate(sym)
-                    for j, w in enumerate(row[i + 1:], i + 1) if w > 0.0})
-
-    @property
-    def index(self) -> Mapping[Hashable, int]:
-        return self._index
+        sym = 0.5 * (mat + mat.T)
+        sym[~(sym > 0.0) | np.eye(len(sym), dtype=bool)] = 0.0
+        return cls(vertices, sym)
 
     def weight(self, x: Hashable, y: Hashable) -> float:
-        i, j = self._index[x], self._index[y]
-        if i > j:
-            i, j = j, i
-        return self.weights.get((i, j), 0.0)
+        return float(self._matrix[self.index[x], self.index[y]])
 
     def pairs(self) -> Iterable[Tuple[Hashable, Hashable, float]]:
-        """Yield (x, y, w) over positive-weight pairs in index order."""
-        for (i, j) in sorted(self.weights):
-            yield self.vertices[i], self.vertices[j], self.weights[(i, j)]
+        """Yield (x, y, w) over positive-weight pairs in row-major order."""
+        rows = self._matrix.tolist()
+        for i, j in zip(*np.nonzero(np.triu(self._matrix))):
+            yield self.vertices[i], self.vertices[j], rows[i][j]
 
     def matrix(self) -> np.ndarray:
-        nv = len(self.vertices)
-        mat = np.zeros((nv, nv))
-        for (i, j), w in self.weights.items():
-            mat[i, j] = mat[j, i] = w
-        return mat
+        return self._matrix
 
     def mass(self) -> float:
         """Total conductance, one term per unordered pair."""
-        return float(sum(self.weights.values()))
-
-    def support_components(self) -> list[frozenset]:
-        """Connected components of the positive-weight graph."""
-        dsu = DisjointSet(len(self.vertices))
-        for (i, j) in self.weights:
-            dsu.union(i, j)
-        comps: dict[int, set] = {}
-        for i, v in enumerate(self.vertices):
-            comps.setdefault(dsu.find(i), set()).add(v)
-        return [frozenset(c) for c in comps.values()]
+        return float(self._matrix.sum()) / 2.0
 
     def __repr__(self) -> str:
         return (f"ConductanceForm({len(self.vertices)} vertices, "
-                f"{len(self.weights)} pairs, mass {self.mass():.6g})")
+                f"{np.count_nonzero(self._matrix) // 2} pairs, "
+                f"mass {self.mass():.6g})")
 
 
 def _laplacian(matrix: np.ndarray) -> np.ndarray:
@@ -241,14 +219,16 @@ def _extension_matrix(matrix: np.ndarray, split: _Split,
     return out
 
 
-def flows(form: ConductanceForm,
-          h: Mapping[Hashable, float]) -> dict[Hashable, float]:
-    """Net current out of each vertex: (L h)(x). Zero at harmonic vertices."""
-    verts = form.vertices
-    hv = np.array([h[v] for v in verts], dtype=float)
-    lap = _laplacian(form.matrix())
-    out = lap @ hv
-    return {v: float(out[i]) for i, v in enumerate(verts)}
+def _support_labels(matrix: np.ndarray) -> np.ndarray:
+    """Component of each vertex in the graph of a symmetric weight
+    matrix's positive entries, named by the component's least index."""
+    nv = len(matrix)
+    link = (matrix > 0) | np.eye(nv, dtype=bool)
+    labels, least = None, np.arange(nv)
+    while not np.array_equal(labels, least):
+        labels = least
+        least = np.where(link, labels, nv).min(axis=1, initial=nv)
+    return labels
 
 
 def resistance_matrix(form: ConductanceForm,
@@ -258,16 +238,12 @@ def resistance_matrix(form: ConductanceForm,
     Uses the Laplacian pseudo-inverse identity R(p,q) = M(p,p) + M(q,q) -
     2 M(p,q); requires the listed vertices to share one support component.
     """
-    comps = form.support_components()
-    for comp in comps:
-        if vertices[0] in comp:
-            outside = [v for v in vertices if v not in comp]
-            if outside:
-                raise DisconnectedError(
-                    f"vertices {outside!r} are separated from "
-                    f"{vertices[0]!r}")
-            break
     idx = [form.index[v] for v in vertices]
+    labels = _support_labels(form.matrix())[idx]
+    outside = [v for v, label in zip(vertices, labels) if label != labels[0]]
+    if outside:
+        raise DisconnectedError(f"vertices {outside!r} are separated from "
+                                f"{vertices[0]!r}")
     pinv = _psd_pinv(_laplacian(form.matrix()))[np.ix_(idx, idx)]
     diag = np.diag(pinv)
     return diag[:, None] + diag[None, :] - 2.0 * pinv

@@ -34,7 +34,7 @@ from .errors import (CapExceededError, KappaUndefinedError,
                      KernelMismatchError, NotAPermutationError,
                      NotInvariantError)
 from .networks import (ConductanceForm, DisjointSet, _laplacian, _split_ids,
-                       _trace_matrix, flows)
+                       _support_labels, _trace_matrix)
 from .renorm import HarmonicStructure, _boundary_matrix, cone_iteration
 from .structure import GluingScheme, MsStructure
 
@@ -328,8 +328,8 @@ class _Side:
 
     def check(self, w: np.ndarray) -> None:
         """KernelMismatch unless w's support components are the classes."""
-        link = (w > 0) | np.eye(len(w), dtype=bool)
-        reach = np.linalg.matrix_power(link, len(w))
+        labels = _support_labels(w)
+        reach = labels[:, None] == labels
         if (reach != self.same).any():
             comps, blocks = (
                 sorted({tuple(v for v, r in zip(self.vertices, row) if r)
@@ -566,7 +566,8 @@ def per_cell_flows(structure: MsStructure, hs: HarmonicStructure,
     """
     ctx = structure.ctx
     scheme = structure.scheme
-    w1 = scheme.assemble(_boundary_matrix(structure, hs.form))
+    w0 = _boundary_matrix(structure, hs.form)
+    w1 = scheme.assemble(w0)
     hvec = np.array([values[v] for v in range(scheme.num_ids)])
     net = _laplacian(w1) @ hvec
     included = set(scheme.marked)
@@ -581,14 +582,12 @@ def per_cell_flows(structure: MsStructure, hs: HarmonicStructure,
             f"input is not harmonic: interior flow residual {interior_resid:.3e} "
             f"exceeds {harmonic_tol:.1e} of scale {scale:.3e}")
 
-    boundary_values = {a: float(hvec[v])
-                       for a, v in zip(structure.boundary, scheme.marked)}
-    boundary_flow = flows(hs.form, boundary_values)
-    cell_flows = []
-    for row in scheme.rows:
-        cell_values = {a: float(hvec[row[structure.index[a]]])
-                       for a in structure.boundary}
-        cell_flows.append(flows(hs.form, cell_values))
+    # net current out of each boundary vertex of the form, (L h)(x), at
+    # the marked values and at each copy's values
+    lap = _laplacian(w0)
+    boundary_flow, *cell_flows = (
+        dict(zip(structure.boundary, (lap @ hvec[list(row)]).tolist()))
+        for row in (scheme.marked, *scheme.rows))
 
     ring = ctx.ring_size
     conservation = abs(sum(boundary_flow.values()))

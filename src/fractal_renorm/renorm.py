@@ -35,13 +35,8 @@ def _boundary_matrix(structure, form: ConductanceForm) -> np.ndarray:
     """Weight matrix of a boundary form, reindexed into boundary order."""
     if set(form.vertices) != set(structure.boundary):
         raise ValueError("form vertices do not match the structure boundary")
-    mat = form.matrix()
     order = [form.index[a] for a in structure.boundary]
-    return mat[np.ix_(order, order)]
-
-
-def _form_from_boundary_matrix(structure, mat: np.ndarray) -> ConductanceForm:
-    return ConductanceForm.from_matrix(structure.boundary, mat)
+    return form.matrix()[np.ix_(order, order)]
 
 
 @dataclass(frozen=True)
@@ -104,6 +99,8 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
     are spent. The start (step 0) is traced but not tested."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     scheme = structure.scheme
     nb = len(structure.boundary)
     if init is not None:
@@ -157,7 +154,7 @@ def solve_eigenform(structure, *, tol: float = DEFAULT_TOL,
                 f"Rayleigh {eta_rayleigh!r}",
                 iterations=run.iterations, residual=run.residual)
         return HarmonicStructure(
-            form=_form_from_boundary_matrix(structure, run.form),
+            form=ConductanceForm.from_matrix(structure.boundary, run.form),
             eta=run.eta, eta_rayleigh=eta_rayleigh,
             residual=run.residual, iterations=run.iterations)
 
@@ -167,7 +164,8 @@ def solve_eigenform(structure, *, tol: float = DEFAULT_TOL,
         if float(np.abs(history[-1] - history[-1 - p]).max()) <= 1e-9:
             period = p
             break
-    last = [_form_from_boundary_matrix(structure, h) for h in history[-3:]]
+    last = [ConductanceForm.from_matrix(structure.boundary, h)
+            for h in history[-3:]]
     raise NonConvergenceError(
         f"no convergence after {max_iter} iterations (residual "
         f"{run.residual:.3e}, last step {run.step:.3e}, tol {tol:.3e})",

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from typing import Mapping, Optional
 
 import numpy as np
@@ -75,16 +74,6 @@ def form_to_json(form: ConductanceForm) -> dict:
     }
 
 
-def _form_matrix_from_json(data: dict) -> tuple[list[str], np.ndarray]:
-    verts = list(data["vertices"])
-    index = {v: i for i, v in enumerate(verts)}
-    mat = np.zeros((len(verts), len(verts)))
-    for x, y, w in data["edges"]:
-        mat[index[x], index[y]] += float(w)
-        mat[index[y], index[x]] += float(w)
-    return verts, mat
-
-
 def structure_inputs(structure: MsStructure, **extra) -> dict:
     """Report inputs that _structure_from_inputs rebuilds the structure from."""
     ctx = structure.ctx
@@ -93,8 +82,7 @@ def structure_inputs(structure: MsStructure, **extra) -> dict:
 
 
 def _structure_from_inputs(inputs: dict) -> MsStructure:
-    ctx = make_context(int(inputs["n"]), int(inputs["m"]),
-                       Fraction(inputs["theta"]))
+    ctx = make_context(int(inputs["n"]), int(inputs["m"]), inputs["theta"])
     return build_structure(ctx, symmetrize=inputs.get("symmetrized"))
 
 
@@ -393,15 +381,16 @@ def _check_residual(report: dict, fresh: dict, errors: list[str]) -> None:
     structure = (cell_graph(int(inputs["n"]), int(inputs["m"]))
                  if fresh["kind"] == "gd_harmonic"
                  else _structure_from_inputs(inputs))
-    verts, mat = _form_matrix_from_json(harmonic["form"])
+    form = ConductanceForm.from_edges(harmonic["form"]["vertices"],
+                                      harmonic["form"]["edges"])
     expected = [str(a) for a in structure.boundary]
-    if sorted(verts) != sorted(expected):
+    if sorted(form.vertices) != sorted(expected):
         errors.append("embedded form vertices do not match the boundary")
         return
-    order = [verts.index(s) for s in expected]
+    order = [form.index[s] for s in expected]
     tol = float(harmonic["residual"]["tol"])
-    recomputed = structure.scheme.residual(mat[np.ix_(order, order)],
-                                           float(harmonic["eta"]["value"]))
+    w = form.matrix()[np.ix_(order, order)]
+    recomputed = structure.scheme.residual(w, float(harmonic["eta"]["value"]))
     if recomputed > 10.0 * max(tol, 1e-15):
         errors.append(f"recomputed residual {recomputed:.3e} exceeds 10x "
                       f"stated tolerance {tol:.1e}")

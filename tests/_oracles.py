@@ -33,9 +33,24 @@ def energy(form, f, g=None):
     fv = np.array([f[v] for v in verts], dtype=float)
     gv = fv if g is None else np.array([g[v] for v in verts], dtype=float)
     total = 0.0
-    for (i, j), w in form.weights.items():
+    for x, y, w in form.pairs():
+        i, j = form.index[x], form.index[y]
         total += w * (fv[i] - fv[j]) * (gv[i] - gv[j])
     return float(total)
+
+
+def support_components(vertices, w):
+    """Connected components of the positive pairs of a weight matrix w on
+    vertices, each vertex's neighbourhood merged with every component it
+    meets; the reference for the package's support labels."""
+    comps = []
+    for i, x in enumerate(vertices):
+        comp = {x} | {y for j, y in enumerate(vertices) if w[i][j] > 0}
+        for c in [c for c in comps if c & comp]:
+            comps.remove(c)
+            comp |= c
+        comps.append(comp)
+    return {frozenset(c) for c in comps}
 
 
 def relaxed_minimum_energy(vertices, weights, boundary_values,
@@ -408,7 +423,7 @@ def block_cycle_form(structure, relation):
     edges = [(seq[i], seq[(i + 1) % ring], 1.0) for i in range(ring)
              if seq[i] != seq[(i + 1) % ring]]
     out = ConductanceForm.from_edges(relation.blocks, edges)
-    if len(out.support_components()) != 1:
+    if len(support_components(relation.blocks, out.matrix())) != 1:
         raise ValueError("cycle form undefined: blocks not connected by "
                          "the cell cycle")
     return out

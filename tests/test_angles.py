@@ -60,6 +60,11 @@ class TestContext:
             ctx = make_context(2, 1, Fraction(1, 12) + 3)
         assert ctx.theta.as_fraction() == Fraction(1, 12)
 
+    def test_theta_text(self):
+        assert make_context(2, 1, "1/12") == make_context(2, 1, Fraction(1, 12))
+        with pytest.raises(ValueError, match="zero denominator"):
+            make_context(2, 1, "1/0")
+
     def test_parameter_bounds(self):
         with pytest.raises(ValueError):
             make_context(1, 1, Fraction(1, 12))

@@ -28,6 +28,16 @@ def set_flag(report: dict, flag: str, value: str) -> None:
     command[command.index(flag) + 1] = value
 
 
+# one run of each kind that solves for an eigenform
+SOLVING_RUNS = [
+    ["solve", "--n", "2", "--m", "1", "--theta", "1/12"],
+    ["relations", "--n", "2", "--m", "1", "--theta", "1/12"],
+    ["resistance", "--n", "2", "--m", "1", "--theta", "1/12"],
+    ["flows", "--n", "2", "--m", "1", "--theta", "1/6", "--values", "1,0,0"],
+    ["gd", "solve", "--n", "2", "--m", "1"],
+]
+
+
 def strip_wall_time(text: str) -> str:
     return re.sub(r'"wall_time_s": [0-9eE.+-]+', '"wall_time_s": 0', text)
 
@@ -46,6 +56,10 @@ class TestExitCodes:
 
     def test_missing_flags(self):
         assert main(["solve", "--n", "2"]) == 2
+
+    def test_zero_theta_denominator(self, capsys):
+        assert main(["solve", "--n", "2", "--m", "1", "--theta", "1/0"]) == 2
+        assert "zero denominator" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
@@ -120,17 +134,46 @@ class TestExitCodes:
                      "--values", "1,0"])
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--n", "2", "--m", "1", "--theta", "1/12"],
-        ["relations", "--n", "2", "--m", "1", "--theta", "1/12"],
-        ["resistance", "--n", "2", "--m", "1", "--theta", "1/12"],
-        ["flows", "--n", "2", "--m", "1", "--theta", "1/6",
-         "--values", "1,0,0"],
-        ["gd", "solve", "--n", "2", "--m", "1"],
-    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_flows_negative_first_value(self, tmp_path, capsys):
+        # a list that starts with a minus sign parses as a flag unless it
+        # is attached to --values with "="
+        argv = ["flows", "--n", "2", "--m", "1", "--theta", "1/6"]
+        assert main(argv + ["--values", "-1,0,0"]) == 2
+        out = tmp_path / "f.json"
+        assert main(argv + ["--values=-1,0,0", "--out", str(out)]) == 0
+        assert load(out)["inputs"]["values"] == "-1,0,0"
+        assert main(["validate", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv", SOLVING_RUNS,
+                             ids=lambda argv: " ".join(argv[:2]))
     def test_negative_max_iter(self, argv, capsys):
         assert main(argv + ["--max-iter", "-1"]) == 2
         assert "max_iter must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", SOLVING_RUNS,
+                             ids=lambda argv: " ".join(argv[:2]))
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol(self, argv, tol, capsys):
+        # rejected before the first step, not after --max-iter of them
+        assert main(argv + ["--tol", tol, "--max-iter", "50"]) == 2
+        assert "tol must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_structure_takes_any_tol(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["structure", "--n", "2", "--m", "1", "--theta", "1/6",
+                     "--tol", "-1", "--out", str(out)]) == 0
+        assert main(["validate", str(out)]) == 0
+
+    def test_validate_bad_solver_tol(self, tmp_path, capsys):
+        out = tmp_path / "h.json"
+        main(["solve", "--n", "2", "--m", "1", "--theta", "1/6",
+              "--out", str(out)])
+        report = load(out)
+        report["command"] += ["--tol", "-1"]
+        report["tolerances"]["solver_tol"] = -1.0
+        out.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["validate", str(out)]) == 4
+        assert "tol must be finite and nonnegative" in capsys.readouterr().err
 
     def test_validate_negative_max_iter(self, tmp_path, capsys):
         out = tmp_path / "h.json"

@@ -11,14 +11,16 @@ import pytest
 
 from fractal_renorm import (
     ConductanceForm, DisconnectedError, build_structure, enumerate_preserved,
-    flows, make_context, networks, resistance_matrix, solve_eigenform,
+    make_context, networks, resistance_matrix, solve_eigenform,
 )
 from fractal_renorm.networks import (INVERSE_COND_BOUND, _extension_matrix,
-                                     _interior_inverse, _split_ids,
+                                     _interior_inverse, _laplacian,
+                                     _split_ids, _support_labels,
                                      _trace_matrix)
 from fractal_renorm.relations import _block_traces
 from fractal_renorm.renorm import _boundary_matrix
-from _oracles import energy, pinv_schur_trace, relaxed_trace_weights
+from _oracles import (energy, pinv_schur_trace, relaxed_trace_weights,
+                      support_components)
 
 
 def trace(form, boundary):
@@ -34,6 +36,13 @@ def extension(form, boundary, data):
     values = _extension_matrix(form.matrix(), split,
                                np.array([data[v] for v in boundary]))
     return dict(zip(form.vertices, values.tolist()))
+
+
+def flows(form, h):
+    """Net current out of each vertex, _laplacian(form.matrix()) @ h."""
+    values = np.array([h[v] for v in form.vertices], dtype=float)
+    return dict(zip(form.vertices,
+                    (_laplacian(form.matrix()) @ values).tolist()))
 
 
 def unit_triangle():
@@ -73,10 +82,33 @@ class TestForm:
         with pytest.raises(ValueError):
             ConductanceForm.from_edges("ab", [("a", "a", 1.0)])
 
+    def test_nan_weight_is_an_absent_pair(self):
+        f = ConductanceForm.from_edges("ab", [("a", "b", float("nan"))])
+        assert list(f.pairs()) == [] and f.weight("a", "b") == 0.0
+
+    def test_unknown_endpoint_rejected(self):
+        with pytest.raises(ValueError, match="not a listed vertex"):
+            ConductanceForm.from_edges("ab", [("a", "c", 1.0)])
+
+    def test_duplicate_vertices_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            ConductanceForm.from_edges("aba", [("a", "b", 1.0)])
+
+    def test_matrix_is_read_only(self):
+        mat = unit_triangle().matrix()
+        with pytest.raises(ValueError):
+            mat[0, 1] = 2.0
+
+    def test_from_matrix_keeps_no_diagonal(self):
+        f = ConductanceForm.from_matrix("ab", [[5.0, 1.0], [3.0, np.nan]])
+        assert f.matrix().tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        assert f.mass() == 2.0
+
     def test_matrix_round_trip(self):
         f = unit_triangle()
         g = ConductanceForm.from_matrix(tuple(f.vertices), f.matrix())
-        assert g.weights == f.weights
+        assert np.array_equal(g.matrix(), f.matrix())
+        assert list(g.pairs()) == list(f.pairs())
 
     def test_from_matrix_matches_pair_loop(self):
         # symmetrized upper-triangle weights, positive ones only, in
@@ -85,20 +117,35 @@ class TestForm:
         for nv in (1, 2, 5, 12):
             mat = rng.uniform(-0.5, 2.0, (nv, nv))
             mat[rng.random((nv, nv)) < 0.3] = 0.0
-            want = {}
+            want = []
             for i in range(nv):
                 for j in range(i + 1, nv):
                     w = 0.5 * (mat[i, j] + mat[j, i])
                     if w > 0.0:
-                        want[(i, j)] = w
+                        want.append((i, j, w))
             got = ConductanceForm.from_matrix(tuple(range(nv)), mat)
-            assert list(got.weights.items()) == list(want.items())
+            assert list(got.pairs()) == want
 
     def test_support_components(self):
         f = ConductanceForm.from_edges(
             "abcd", [("a", "b", 1.0), ("c", "d", 0.0)])
-        comps = {frozenset(c) for c in f.support_components()}
+        labels = _support_labels(f.matrix()).tolist()
+        comps = {frozenset(v for v, c in zip(f.vertices, labels) if c == label)
+                 for label in labels}
         assert comps == {frozenset("ab"), frozenset("c"), frozenset("d")}
+
+    def test_support_labels_match_oracle(self):
+        # each vertex is labelled by the least index of its component
+        rng = np.random.default_rng(19)
+        for nv in (1, 4, 9, 16):
+            for density in (0.05, 0.15, 0.4):
+                w = np.triu(rng.random((nv, nv)) < density, 1) * 1.0
+                w = w + w.T
+                labels = _support_labels(w).tolist()
+                got = {frozenset(i for i, c in enumerate(labels) if c == label)
+                       for label in labels}
+                assert got == support_components(range(nv), w)
+                assert all(labels[i] == min(c) for c in got for i in c)
 
 
 class TestEnergy:

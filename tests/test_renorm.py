@@ -56,9 +56,10 @@ class TestReplicate:
         s = ms(2, 1, "1/6")
         rep = s.scheme.assemble(as_weight_array(s, complete_unit(s)))
         assert rep.shape == (6, 6)
-        pairs = ConductanceForm.from_matrix(tuple(range(6)), rep)
-        assert len(pairs.weights) == 9
-        assert all(w == pytest.approx(1.0) for w in pairs.weights.values())
+        weights = [w for _, _, w in ConductanceForm.from_matrix(
+            tuple(range(6)), rep).pairs()]
+        assert len(weights) == 9
+        assert all(w == pytest.approx(1.0) for w in weights)
 
     def test_vertex_count_2_1_12(self):
         s = ms(2, 1, "1/12")
@@ -210,6 +211,11 @@ class TestSolveEigenform:
         w = as_weight_array(s, hs.form)
         dev = np.abs(hs.eta * s.scheme.T(w) - w).max()
         assert dev <= 1e-10
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            solve_eigenform(ms(2, 1, "1/12"), tol=tol, max_iter=50)
 
     def test_nonconvergence_diagnostics(self):
         with pytest.raises(NonConvergenceError) as err:
