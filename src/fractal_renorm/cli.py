@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -123,7 +124,7 @@ def _rho_rows(results: dict) -> list:
         for key in ("pq_pairs", "side_pairs")]
 
 
-def _command_errors(parser: argparse.ArgumentParser, report: dict) -> list:
+def _command_errors(report: dict) -> list:
     """One line per report field that differs from what the report's own
     command sets it to, found by rebuilding the command's inputs as a run
     does. The structure's fields are not compared when the command reads
@@ -134,7 +135,7 @@ def _command_errors(parser: argparse.ArgumentParser, report: dict) -> list:
     try:
         with contextlib.redirect_stdout(messages), \
                 contextlib.redirect_stderr(messages):
-            flags = parser.parse_args(report["command"])
+            flags = build_parser().parse_args(report["command"])
     except SystemExit:
         last = (messages.getvalue().strip().splitlines() or [""])[-1]
         return [f"command: {shown!r} does not parse as a run: {last}"]
@@ -167,7 +168,7 @@ def _cmd_validate(args, started: float) -> int:
     report, details = read_report(args.path)
     if report is not None:
         details = (report_errors(report)
-                   + _command_errors(args.parser, report))
+                   + _command_errors(report))
     if details:
         for line in details:
             print(line, file=sys.stderr)
@@ -208,7 +209,9 @@ def _set_run(p: argparse.ArgumentParser, kind: str,
                    reads_structure=reads_structure, csv_rows=csv_rows)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="fractal-renorm",
         description="resistance-form renormalization workbench")
@@ -288,14 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return EXIT_OK if code == 0 else EXIT_INVALID_INPUT
     args.command_echo = list(argv)
-    args.parser = parser
     started = time.perf_counter()
     try:
         return args.handler(args, started)

@@ -48,15 +48,13 @@ class KernelMismatchError(WorkbenchError):
 class NonConvergenceError(WorkbenchError):
     """Fixed-point iteration failed to meet tolerance within the budget.
 
-    Carries diagnostics: the iteration count, the best residual seen, a
-    detected oscillation period (None when no short cycle was found), and
+    Carries diagnostics: the iteration count, the best residual seen and
     the last few normalized iterates.
     """
 
-    def __init__(self, message, *, iterations=0, residual=None, period=None,
+    def __init__(self, message, *, iterations=0, residual=None,
                  last_iterates=()):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
-        self.period = period
         self.last_iterates = tuple(last_iterates)

@@ -23,11 +23,10 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonConvergenceError
 from .networks import ConductanceForm, DisjointSet
 from .relations import Partition, is_preserved, rho_search
-from .renorm import (DEFAULT_MAX_ITER, DEFAULT_TOL, _normalized_iteration,
-                     _rayleigh_eta)
+from .renorm import (DEFAULT_MAX_ITER, DEFAULT_TOL, _no_convergence,
+                     _normalized_iteration, _rayleigh_eta)
 from .structure import GluingScheme
 
 CORNER_ORDER = ("pl", "ql", "pr", "qr")  # images of (p_k, q_k, p_k+1, q_k+1)
@@ -204,22 +203,20 @@ EXPLORE_ITER_CAP = 500  # iteration budget when no fixed point is expected
 def gd_solve(n: int, m: int, *, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER,
              init: Optional[ConductanceForm] = None) -> GdHarmonicStructure:
-    """Normalized fixed-point iteration on the four-corner form.
+    """Eigenform of the four-corner form.
 
-    The loop is the one solve_eigenform runs, stopping on the same
-    residual. Outside the existence regime the iteration is exploratory
-    and its budget is capped at EXPLORE_ITER_CAP steps; diagnostics record
-    how the weights behaved.
+    In the existence regime this is the Newton solve of solve_eigenform,
+    stopping on the same residual. Outside it the iteration is exploratory:
+    plain cone iteration, whose iterates the diagnostics describe, with
+    its budget capped at EXPLORE_ITER_CAP steps.
     """
     verdict = existence_verdict(n, m)
-    budget = max_iter if verdict == "exists_unique" \
-        else min(max_iter, EXPLORE_ITER_CAP)
-    run = _normalized_iteration(cell_graph(n, m), tol, budget, init)
-    if verdict == "exists_unique" and not run.converged:
-        raise NonConvergenceError(
-            f"no convergence after {max_iter} iterations "
-            f"(residual {run.residual:.3e}, tol {tol:.3e})",
-            iterations=run.iterations, residual=run.residual)
+    exists = verdict == "exists_unique"
+    budget = max_iter if exists else min(max_iter, EXPLORE_ITER_CAP)
+    cell = cell_graph(n, m)
+    run = _normalized_iteration(cell, tol, budget, init, newton=exists)
+    if exists and not run.converged:
+        raise _no_convergence(cell, run, budget, tol)
     w = run.form
     scale = float(np.abs(w).max())
     collapsed = [(FORM_VERTICES[i], FORM_VERTICES[j])

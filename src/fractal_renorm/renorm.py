@@ -29,6 +29,7 @@ from .structure import GluingScheme, MsStructure, level_vertices
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 ETA_AGREEMENT_TOL = 1e-9
+STALL_STEPS = 16  # steps without a new lowest residual that stop a solve
 
 
 def _boundary_matrix(structure, form: ConductanceForm) -> np.ndarray:
@@ -68,12 +69,13 @@ def _rayleigh_eta(w_now: np.ndarray, w_traced: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class _Run:
-    # the last iterate, its trace and eta, the last step, and the last few
-    # (iterate, eta) pairs, oldest first
+    # the last iterate, its trace and eta, the lowest residual reached, the
+    # last step, and the last few (iterate, eta) pairs, oldest first
     form: np.ndarray
     traced: np.ndarray
     eta: float
     residual: float
+    lowest: float
     step: float
     iterations: int
     converged: bool
@@ -92,85 +94,146 @@ def cone_iteration(op: Callable[[np.ndarray], np.ndarray], w: np.ndarray
         w = image / mass
 
 
+def _pair_jacobian(scheme: GluingScheme, w: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """Add dT_q/dw_p at w into out[q, p], over the pairs (a, b), a < b,
+    in row-major order, and return out. T is a Schur complement, so with
+    X the harmonic extension of the boundary basis and X_c its rows at
+    copy c, dT_ij/dw_p = -sum_c D_c[p,i]*D_c[p,j], D_c[p] = X_c[a] - X_c[b].
+    """
+    nb = len(w)
+    ia, ib = np.triu_indices(nb, 1)
+    ext = _extension_matrix(scheme.assemble(w), scheme.split, np.eye(nb))
+    for row in scheme.rows:
+        xt = ext[list(row)].T
+        diff = xt[:, ia] - xt[:, ib]  # diff[i, p] = D_c[p, i]
+        term = np.take(diff, ia, axis=0)
+        term *= np.take(diff, ib, axis=0)
+        out -= term
+    return out
+
+
+def _newton_step(scheme: GluingScheme, w: np.ndarray, traced: np.ndarray,
+                 eta: float) -> Optional[np.ndarray]:
+    """The Newton iterate of F(w, eta) = (eta*T(w) - w on the pairs,
+    sum of the pair weights - 1) from (w, eta), where traced = T(w), by
+    one solve of the bordered matrix [[eta*J - I, T(w)], [1, 0]]; None
+    when that matrix is singular or the iterate has a weight <= 0."""
+    ia, ib = np.triu_indices(len(w), 1)
+    npairs = len(ia)
+    system = np.zeros((npairs + 1, npairs + 1))
+    jac = _pair_jacobian(scheme, w, system[:npairs, :npairs])
+    jac *= eta
+    jac[np.diag_indices(npairs)] -= 1.0
+    system[:npairs, npairs] = traced[ia, ib]
+    system[npairs, :npairs] = 1.0
+    x = w[ia, ib]
+    try:
+        x = x + np.linalg.solve(system, np.append(x - eta * traced[ia, ib],
+                                                  1.0 - x.sum()))[:npairs]
+    except np.linalg.LinAlgError:
+        return None
+    out = np.zeros_like(w)
+    out[ia, ib] = x
+    return out + out.T if (x > 0).all() else None
+
+
 def _normalized_iteration(structure, tol: float, max_iter: int,
-                          init: Optional[ConductanceForm] = None) -> _Run:
-    """The iteration both solvers share: D -> T(D)/mass(T(D)), one trace
-    per step, until the relative residual is at most tol or max_iter steps
-    are spent. The start (step 0) is traced but not tested."""
+                          init: Optional[ConductanceForm] = None,
+                          newton: bool = True) -> _Run:
+    """The loop both solvers share, on iterates w of mass 1 with
+    eta = 1/mass(T(w)), until the relative residual of w (the start's too)
+    is at most tol or max_iter steps are spent. With newton, a step is the
+    _newton_step iterate when there is one and it lowers the residual, and
+    one cone_iteration step T(w)/mass(T(w)) otherwise; the loop also stops
+    when STALL_STEPS steps in a row bring no new lowest residual.
+    """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     scheme = structure.scheme
-    nb = len(structure.boundary)
     if init is not None:
         w = _boundary_matrix(structure, init)
         if w.sum() <= 0:
             raise ValueError("initial form has no positive weights")
     else:
-        w = np.ones((nb, nb)) - np.eye(nb)
-    w = w / (w.sum() / 2.0)
+        w = 1.0 - np.eye(len(structure.boundary))
 
+    def measured(w):
+        # w, T(w), eta and the residual of w; inf when T(w) has no mass
+        traced = scheme.T(w)
+        mass = traced.sum() / 2.0
+        if not mass > 0:
+            return w, traced, np.inf, np.inf
+        return w, traced, 1.0 / mass, scheme.residual(w, 1.0 / mass, traced)
+
+    w, traced, eta, residual = measured(w / (w.sum() / 2.0))
     history: deque = deque(maxlen=16)
-    delta, residual, previous = np.inf, np.inf, w
-    for iteration, (w, traced, tmass) in zip(range(max_iter + 1),
-                                             cone_iteration(scheme.T, w)):
-        if tmass <= 0:
-            raise NonConvergenceError("iteration collapsed to the zero form",
-                                      iterations=iteration)
-        eta = 1.0 / tmass
-        if iteration:
-            delta = float(np.abs(w - previous).max())
-            residual = scheme.residual(w, eta, traced)
-            history.append((w, eta))
-            if residual <= tol:
-                break
-        previous = w
+    lowest, stalled, delta, iteration = residual, 0, 0.0, 0
+    while eta < np.inf and residual > tol and iteration < max_iter \
+            and stalled < STALL_STEPS:
+        iteration += 1
+        cand = _newton_step(scheme, w, traced, eta) if newton else None
+        step = None if cand is None else measured(cand)
+        if step is None or not step[3] < residual:
+            step = measured(traced / (traced.sum() / 2.0))
+        delta = float(np.abs(step[0] - w).max())
+        w, traced, eta, residual = step
+        history.append((w, eta))
+        if residual < lowest:
+            lowest, stalled = residual, 0
+        elif newton:
+            stalled += 1
+    if eta == np.inf:
+        raise NonConvergenceError("iteration collapsed to the zero form",
+                                  iterations=iteration)
     return _Run(form=w, traced=traced, eta=eta, residual=residual,
-                step=delta, iterations=iteration, converged=residual <= tol,
-                history=tuple(history))
+                lowest=lowest, step=delta, iterations=iteration,
+                converged=residual <= tol, history=tuple(history))
+
+
+def _no_convergence(structure, run: _Run, max_iter: int,
+                    tol: float) -> NonConvergenceError:
+    """The error of a run that did not converge: it names the lowest
+    residual reached and carries the last three iterates. A cycle of
+    iterates brings no new lowest residual, so the stall stop ends it."""
+    why = (f"budget of {max_iter} spent" if run.iterations == max_iter
+           else f"{STALL_STEPS} steps without a new lowest residual")
+    return NonConvergenceError(
+        f"no convergence after {run.iterations} iterations ({why}; "
+        f"lowest residual {run.lowest:.3e}, last step {run.step:.3e}, "
+        f"tol {tol:.3e})",
+        iterations=run.iterations, residual=run.lowest,
+        last_iterates=[ConductanceForm.from_matrix(structure.boundary, h)
+                       for h, _ in run.history[-3:]])
 
 
 def solve_eigenform(structure, *, tol: float = DEFAULT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER,
                     init: Optional[ConductanceForm] = None) -> HarmonicStructure:
-    """Run the normalized fixed-point iteration to an eigenform.
+    """Solve eta*T(w) = w with mass(w) = 1 by Newton on (w, eta).
 
     Default initial guess: complete graph with unit weights (invariant
     under every vertex permutation, hence under the rotation action).
-    Stops at the first iterate whose relative residual
-    |eta*T(w) - w|max / |w|max is at most tol, so the returned residual is
-    the one report validation recomputes. Raises NonConvergence with that
-    residual and oscillation diagnostics if max_iter steps do not get
-    there.
+    The returned residual, |eta*T(w) - w|max / |w|max with
+    eta = 1/mass(T(w)), is the one report validation recomputes. Raises
+    NonConvergenceError when max_iter steps or a stall end the solve.
     """
     run = _normalized_iteration(structure, tol, max_iter, init)
-    if run.converged:
-        eta_rayleigh = _rayleigh_eta(run.form, run.traced)
-        if abs(run.eta - eta_rayleigh) > \
-                ETA_AGREEMENT_TOL * max(abs(run.eta), 1.0):
-            raise NonConvergenceError(
-                f"eta estimates disagree: mass ratio {run.eta!r} vs "
-                f"Rayleigh {eta_rayleigh!r}",
-                iterations=run.iterations, residual=run.residual)
-        return HarmonicStructure(
-            form=ConductanceForm.from_matrix(structure.boundary, run.form),
-            eta=run.eta, eta_rayleigh=eta_rayleigh,
-            residual=run.residual, iterations=run.iterations)
-
-    history = [w for w, _ in run.history]
-    period = None
-    for p in range(1, min(8, len(history) - 1) + 1):
-        if float(np.abs(history[-1] - history[-1 - p]).max()) <= 1e-9:
-            period = p
-            break
-    last = [ConductanceForm.from_matrix(structure.boundary, h)
-            for h in history[-3:]]
-    raise NonConvergenceError(
-        f"no convergence after {max_iter} iterations (residual "
-        f"{run.residual:.3e}, last step {run.step:.3e}, tol {tol:.3e})",
-        iterations=max_iter, residual=run.residual, period=period,
-        last_iterates=last)
+    if not run.converged:
+        raise _no_convergence(structure, run, max_iter, tol)
+    eta_rayleigh = _rayleigh_eta(run.form, run.traced)
+    if abs(run.eta - eta_rayleigh) > \
+            ETA_AGREEMENT_TOL * max(abs(run.eta), 1.0):
+        raise NonConvergenceError(
+            f"eta estimates disagree: mass ratio {run.eta!r} vs "
+            f"Rayleigh {eta_rayleigh!r}",
+            iterations=run.iterations, residual=run.residual)
+    return HarmonicStructure(
+        form=ConductanceForm.from_matrix(structure.boundary, run.form),
+        eta=run.eta, eta_rayleigh=eta_rayleigh,
+        residual=run.residual, iterations=run.iterations)
 
 
 def verify_harmonic_structure(structure: MsStructure, form: ConductanceForm,

@@ -323,6 +323,30 @@ def _glued_copies(copy_map, num_ids, weights):
     return big
 
 
+def power_eigenform(structure, tol=1e-14, max_iter=5000):
+    """Eigenform by plain power iteration w <- T(w)/mass(T(w)) from the
+    unit form, with T glued pair by pair and traced by pinv_schur_trace;
+    the reference for the package's Newton solver.
+
+    Stops at the first iterate whose relative residual
+    |eta*T(w) - w|max / |w|max is at most tol, eta = 1/mass(T(w)). Returns
+    (w, eta) with w in boundary order and of mass 1.
+    """
+    copy_map, inclusion, num_ids = _level1_maps(structure)
+    nb = len(inclusion)
+    w = (np.ones((nb, nb)) - np.eye(nb)) / (nb * (nb - 1) / 2.0)
+    for _ in range(max_iter):
+        traced = pinv_schur_trace(_glued_copies(copy_map, num_ids, w),
+                                  inclusion)
+        eta = 2.0 / traced.sum()
+        if np.abs(eta * traced - w).max() <= tol * np.abs(w).max():
+            return w, float(eta)
+        w = eta * traced
+    raise NonConvergenceError(
+        f"power iteration did not converge in {max_iter} steps",
+        iterations=max_iter)
+
+
 def loop_t_relation(structure, relation, w):
     """The relation-side operator with a pair-by-pair dust loop.
 

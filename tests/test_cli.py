@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from _oracles import dense_level_resistance
-from fractal_renorm import reports
+from fractal_renorm import cli, reports
 from fractal_renorm.cli import main, run
 from fractal_renorm.renorm import _boundary_matrix, solve_eigenform
 from fractal_renorm.reports import _structure_from_inputs
@@ -70,6 +70,17 @@ class TestExitCodes:
                      "--max-iter", "2"])
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_unreachable_tol_stops_on_stall(self, capsys):
+        # tol 0 lies below the rounding floor of the residual: the solve
+        # stops once 16 steps bring no new lowest residual
+        code = main(["solve", "--n", "2", "--m", "1", "--theta", "1/12",
+                     "--tol", "0"])
+        assert code == 3
+        err = capsys.readouterr().err
+        steps = int(re.search(r"after (\d+) iterations", err).group(1))
+        assert steps <= 100
+        assert re.search(r"lowest residual \d\.\d+e-\d+", err)
 
     def test_enumeration_cap(self, capsys):
         code = main(["relations", "--n", "2", "--m", "1", "--theta", "1/12",
@@ -221,6 +232,29 @@ class TestExitCodes:
         assert load(out)["results"]["existence"] == "critical_undetermined"
 
 
+class TestParserReuse:
+    """One parser serves every main call of a process."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_parsed_state_between_calls(self, tmp_path):
+        ctx = ["relations", "--n", "2", "--m", "1", "--theta", "1/12"]
+        recorded = []
+        for extra in (["--all"], []):
+            out = tmp_path / f"r{len(recorded)}.json"
+            assert main(ctx + extra + ["--out", str(out)]) == 0
+            recorded.append(load(out)["inputs"]["require_g"])
+        assert recorded == [False, True]
+
+    def test_help_version_and_bad_flag_exit_codes(self, capsys):
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            assert main(["--version"]) == 0
+            assert main(["solve", "--bogus"]) == 2
+        assert "--bogus" in capsys.readouterr().err
+
+
 class TestValidateCommand:
     """validate holds the inputs and tolerances to the report's command."""
 
@@ -357,6 +391,23 @@ class TestOutput:
         main(["gd", "solve", "--n", "2", "--m", "1", "--out", str(out)])
         assert abs(load(out)["results"]["harmonic"]["eta"]["value"]
                    - 5.0 / 3.0) < 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["gd", "solve", "--n", "2", "--m", "1", "--tol", "10"],
+        ["gd", "solve", "--n", "4", "--m", "4", "--max-iter", "0"]])
+    def test_gd_solve_without_a_step_is_plain_json(self, argv, tmp_path):
+        # no step taken: the last step is 0, not a nonstandard Infinity
+        out = tmp_path / "g.json"
+        assert main(argv + ["--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"nonstandard JSON constant {name}")
+
+        report = json.loads(out.read_text(encoding="utf-8"),
+                            parse_constant=reject)
+        assert report["results"]["harmonic"]["iterations"] == 0
+        assert report["results"]["diagnostics"]["last_step"] == 0.0
+        assert main(["validate", str(out)]) == 0
 
     def test_resistance_csv(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -224,7 +224,7 @@ class TestSolve:
     def test_mass_ratio_tail_tracks_eta(self):
         hs = gd_solve(3, 1)
         tail = hs.diagnostics["mass_ratio_tail"]
-        assert len(tail) == 5
+        assert len(tail) == min(5, hs.iterations)
         assert tail[-1] == pytest.approx(hs.eta, abs=1e-9)
 
 

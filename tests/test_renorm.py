@@ -14,10 +14,12 @@ from fractal_renorm import (
     level_vertices, make_context, resistance_matrix, solve_eigenform,
     verify_harmonic_structure,
 )
+from fractal_renorm.gd import cell_graph, gd_solve
 from fractal_renorm.networks import _split_ids, _trace_matrix
-from fractal_renorm.renorm import _boundary_matrix
-from _oracles import (energy, family_eta, restriction_weights,
-                      rotation_average, rotation_perm)
+from fractal_renorm.renorm import (_boundary_matrix, _newton_step,
+                                   _pair_jacobian)
+from _oracles import (energy, family_eta, power_eigenform,
+                      restriction_weights, rotation_average, rotation_perm)
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -222,6 +224,110 @@ class TestSolveEigenform:
             solve_eigenform(ms(2, 1, "1/12"), max_iter=2)
         assert err.value.iterations == 2
         assert err.value.last_iterates
+
+
+def pair_vector(w):
+    return w[np.triu_indices(len(w), 1)]
+
+
+def pair_matrix(x, nb):
+    w = np.zeros((nb, nb))
+    w[np.triu_indices(nb, 1)] = x
+    return w + w.T
+
+
+NEWTON_CASES = [("ms", 2, 1, "1/12"), ("ms", 2, 2, "3/16"), ("gd", 4, 3, None)]
+
+
+def newton_case(kind, n, m, theta):
+    return ms(n, m, theta) if kind == "ms" else cell_graph(n, m)
+
+
+class TestNewton:
+    @pytest.mark.parametrize("case", NEWTON_CASES)
+    def test_jacobian_matches_central_differences(self, case):
+        structure = newton_case(*case)
+        scheme, nb = structure.scheme, len(structure.boundary)
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.5, 1.5, nb * (nb - 1) // 2)
+        jac = _pair_jacobian(scheme, pair_matrix(x, nb),
+                             np.zeros((len(x), len(x))))
+        step = 1e-5
+        numeric = np.empty_like(jac)
+        for p in range(len(x)):
+            up, down = x.copy(), x.copy()
+            up[p] += step
+            down[p] -= step
+            numeric[:, p] = pair_vector(
+                scheme.T(pair_matrix(up, nb))
+                - scheme.T(pair_matrix(down, nb))) / (2 * step)
+        assert np.abs(jac - numeric).max() <= 1e-6 * np.abs(jac).max()
+
+    @pytest.mark.parametrize("case", NEWTON_CASES)
+    def test_jacobian_euler_identity(self, case):
+        # T is homogeneous of degree 1, so J(w) w = T(w)
+        structure = newton_case(*case)
+        scheme, nb = structure.scheme, len(structure.boundary)
+        x = np.random.default_rng(12).uniform(0.5, 1.5, nb * (nb - 1) // 2)
+        w = pair_matrix(x, nb)
+        jac = _pair_jacobian(scheme, w, np.zeros((len(x), len(x))))
+        traced = pair_vector(scheme.T(w))
+        assert np.abs(jac @ x - traced).max() <= 1e-12 * np.abs(traced).max()
+
+    @pytest.mark.parametrize("n,m,theta", [
+        (2, 1, "1/6"), (2, 3, "1/10"), (3, 1, "1/12"), (3, 1, "1/6"),
+        (3, 2, "1/15"), (3, 2, "2/15"), (2, 1, "1/24"), (2, 1, "1/48"),
+        (2, 1, "1/96"), (2, 1, "1/192")])
+    def test_agrees_with_power_iteration(self, n, m, theta):
+        s = ms(n, m, theta)
+        w, eta = power_eigenform(s)
+        hs = solve_eigenform(s)
+        assert abs(hs.eta - eta) <= 1e-12 * eta
+        assert np.abs(_boundary_matrix(s, hs.form) - w).max() <= 1e-10
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (4, 1), (4, 3)])
+    def test_gd_agrees_with_power_iteration(self, n, m):
+        w, eta = power_eigenform(cell_graph(n, m))
+        hs = gd_solve(n, m)
+        assert abs(hs.eta - eta) <= 1e-12 * eta
+        assert np.abs(hs.form.matrix() - w).max() <= 1e-10
+
+    def test_skewed_start_falls_back_and_converges(self):
+        s = ms(2, 1, "1/12")
+        scheme, nb = s.scheme, len(s.boundary)
+        spread = np.geomspace(1e-6, 1e6, nb * (nb - 1) // 2)
+        np.random.default_rng(0).shuffle(spread)
+        start = pair_matrix(spread, nb)
+        init = ConductanceForm.from_matrix(s.boundary, start)
+        # the first Newton iterate from the normalized start breaks the
+        # step rule, so the solve takes a cone step first
+        w = start / pair_vector(start).sum()
+        traced = scheme.T(w)
+        eta = 2.0 / traced.sum()
+        first = _newton_step(scheme, w, traced, eta)
+        assert first is None or scheme.residual(
+            first, 2.0 / scheme.T(first).sum()) >= scheme.residual(w, eta)
+        hs = solve_eigenform(s, init=init)
+        power, power_eta = power_eigenform(s)
+        assert abs(hs.eta - power_eta) <= 1e-12 * power_eta
+        assert np.abs(_boundary_matrix(s, hs.form) - power).max() <= 1e-10
+
+    def test_few_steps_from_the_unit_form(self):
+        # power iteration needs 157 steps at nb = 18 and 154 on GD (4,3)
+        assert solve_eigenform(ms(2, 1, "1/192")).iterations <= 8
+        assert gd_solve(4, 3).iterations <= 8
+
+    def test_converged_start_takes_no_step(self):
+        # the unit form is the eigenform of the gasket
+        hs = solve_eigenform(ms(2, 1, "1/6"))
+        assert hs.iterations == 0
+
+    def test_unreachable_tol_stalls(self):
+        with pytest.raises(NonConvergenceError, match="lowest residual") \
+                as err:
+            solve_eigenform(ms(2, 1, "1/12"), tol=0.0)
+        assert err.value.iterations < 100
+        assert 0.0 < err.value.residual < 1e-14
 
 
 class TestVerify:
