@@ -32,8 +32,8 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      NotAPermutationError, NotInvariantError)
 from .relations import DEFAULT_ENUM_CAP, DEFAULT_K_MAX
 from .renorm import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .reports import (BUILDERS, read_report, render_report, report_errors,
-                      structure_inputs)
+from .reports import (BUILDERS, render_report, structure_inputs,
+                      validate_report_details)
 from .structure import build_structure, structure_from_json
 
 EXIT_OK = 0
@@ -165,10 +165,7 @@ def _command_errors(report: dict) -> list:
 
 
 def _cmd_validate(args, started: float) -> int:
-    report, details = read_report(args.path)
-    if report is not None:
-        details = (report_errors(report)
-                   + _command_errors(report))
+    details = validate_report_details(args.path)
     if details:
         for line in details:
             print(line, file=sys.stderr)

@@ -7,10 +7,10 @@ conductances of physical resistors; a convention summing ordered pairs
 would double every value.
 
 Traces are Schur complements of the graph Laplacian onto a boundary, and
-harmonic extensions solve with the same interior block; both work on
-weight matrices and index splits, as the gluing schemes call them. That block is
-inverted directly when the inverse is finite and the product of the two
-Frobenius norms, an upper bound on the condition number, is at most
+harmonic extensions solve with the same interior block: _harmonic_split
+gives both from one inverse of it, as the gluing schemes call it. That
+block is inverted directly when the inverse is finite and the product of
+the two Frobenius norms, an upper bound on the condition number, is at most
 INVERSE_COND_BOUND: then no eigenvalue lies anywhere near the RANK_RTOL
 cutoff and the pseudo-inverse would truncate nothing. Otherwise (a
 singular block, as on a disconnected or floating interior or the
@@ -171,11 +171,10 @@ def _interior_inverse(lii: np.ndarray) -> np.ndarray:
 
 class _Split(NamedTuple):
     """Ids 0..nv-1 split into a boundary, in its given order, and the rest,
-    with the index grids of the Laplacian blocks a trace reads."""
+    with the index grids of the Laplacian blocks the interior solve reads."""
 
     boundary: np.ndarray
     interior: np.ndarray
-    bb: tuple
     bi: tuple
     ii: tuple
 
@@ -185,17 +184,21 @@ def _split_ids(nv: int, boundary_idx: Sequence[int]) -> _Split:
     keep = np.ones(nv, dtype=bool)
     keep[b] = False
     interior = np.flatnonzero(keep)
-    return _Split(b, interior, np.ix_(b, b), np.ix_(b, interior),
-                 np.ix_(interior, interior))
+    return _Split(b, interior, np.ix_(b, interior), np.ix_(interior, interior))
 
 
-def _trace_matrix(matrix: np.ndarray, split: _Split) -> np.ndarray:
-    """Schur complement of the Laplacian onto the boundary, as a weight matrix."""
+def _harmonic_split(matrix: np.ndarray, split: _Split
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The trace onto the boundary, as a weight matrix, and the harmonic
+    extension X of the boundary basis, so that X @ fb extends boundary
+    values fb; the trace is the Schur complement L_B X = L_BB + L_BI X_I."""
     lap = _laplacian(matrix)
-    schur = lap[split.bb]
+    ext = np.zeros((len(matrix), len(split.boundary)))
+    ext[split.boundary] = np.eye(len(split.boundary))
     if split.interior.size:
-        lbi = lap[split.bi]
-        schur = schur - lbi @ _interior_inverse(lap[split.ii]) @ lbi.T
+        ext[split.interior] = -_interior_inverse(lap[split.ii]) @ \
+            lap[split.bi].T
+    schur = lap[split.boundary] @ ext
     out = -0.5 * (schur + schur.T)
     np.fill_diagonal(out, 0.0)
     scale = float(np.abs(out).max()) if out.size else 0.0
@@ -203,20 +206,7 @@ def _trace_matrix(matrix: np.ndarray, split: _Split) -> np.ndarray:
     if worst < -NEGATIVE_WEIGHT_WARN * max(scale, 1.0):
         warnings.warn(f"traced weight {worst:.3e} clamped to zero "
                       f"(scale {scale:.3e}); result may be inaccurate")
-    return np.clip(out, 0.0, None)
-
-
-def _extension_matrix(matrix: np.ndarray, split: _Split,
-                      fb: np.ndarray) -> np.ndarray:
-    """Energy-minimizing values on all ids from boundary values fb (one
-    column per data set when fb is two-dimensional)."""
-    out = np.zeros((matrix.shape[0],) + fb.shape[1:])
-    out[split.boundary] = fb
-    if split.interior.size:
-        lap = _laplacian(matrix)
-        out[split.interior] = -_interior_inverse(lap[split.ii]) @ (
-            lap[split.bi].T @ fb)
-    return out
+    return np.clip(out, 0.0, None), ext
 
 
 def _support_labels(matrix: np.ndarray) -> np.ndarray:

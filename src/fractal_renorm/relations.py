@@ -33,8 +33,8 @@ from .angles import Angle, critical_angles, kappa, phi_n, rotate
 from .errors import (CapExceededError, KappaUndefinedError,
                      KernelMismatchError, NotAPermutationError,
                      NotInvariantError)
-from .networks import (ConductanceForm, DisjointSet, _laplacian, _split_ids,
-                       _support_labels, _trace_matrix)
+from .networks import (ConductanceForm, DisjointSet, _harmonic_split,
+                       _laplacian, _split_ids, _support_labels)
 from .renorm import HarmonicStructure, _boundary_matrix, cone_iteration
 from .structure import GluingScheme, MsStructure
 
@@ -510,7 +510,8 @@ def _block_traces(structure, w: np.ndarray, relation: Partition
                          "the zero form or the original form")
     out = np.zeros_like(w)
     for block in _index_blocks(structure, relation):
-        out[np.ix_(block, block)] = _trace_matrix(w, _split_ids(len(w), block))
+        out[np.ix_(block, block)] = _harmonic_split(
+            w, _split_ids(len(w), block))[0]
     _side(structure, relation, "relation").check(out)
     return out
 

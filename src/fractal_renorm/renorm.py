@@ -23,13 +23,14 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import NonConvergenceError
-from .networks import ConductanceForm, _extension_matrix, _laplacian
+from .networks import ConductanceForm, _laplacian
 from .structure import GluingScheme, MsStructure, level_vertices
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 ETA_AGREEMENT_TOL = 1e-9
 STALL_STEPS = 16  # steps without a new lowest residual that stop a solve
+NEWTON_MAX_PAIRS = 2048  # largest pair count with a Newton system (32 MiB)
 
 
 def _boundary_matrix(structure, form: ConductanceForm) -> np.ndarray:
@@ -94,16 +95,13 @@ def cone_iteration(op: Callable[[np.ndarray], np.ndarray], w: np.ndarray
         w = image / mass
 
 
-def _pair_jacobian(scheme: GluingScheme, w: np.ndarray,
+def _pair_jacobian(scheme: GluingScheme, ext: np.ndarray,
                    out: np.ndarray) -> np.ndarray:
-    """Add dT_q/dw_p at w into out[q, p], over the pairs (a, b), a < b,
-    in row-major order, and return out. T is a Schur complement, so with
-    X the harmonic extension of the boundary basis and X_c its rows at
-    copy c, dT_ij/dw_p = -sum_c D_c[p,i]*D_c[p,j], D_c[p] = X_c[a] - X_c[b].
-    """
-    nb = len(w)
-    ia, ib = np.triu_indices(nb, 1)
-    ext = _extension_matrix(scheme.assemble(w), scheme.split, np.eye(nb))
+    """Add dT_q/dw_p at w into out[q, p], over scheme.pairs, and return
+    out. T is a Schur complement, so with X = scheme.harmonic(w)[1] = ext
+    and X_c its rows at copy c, dT_ij/dw_(a,b) = -sum_c D[i]*D[j] where
+    D = X_c[a] - X_c[b]."""
+    ia, ib = scheme.pairs
     for row in scheme.rows:
         xt = ext[list(row)].T
         diff = xt[:, ia] - xt[:, ib]  # diff[i, p] = D_c[p, i]
@@ -114,15 +112,15 @@ def _pair_jacobian(scheme: GluingScheme, w: np.ndarray,
 
 
 def _newton_step(scheme: GluingScheme, w: np.ndarray, traced: np.ndarray,
-                 eta: float) -> Optional[np.ndarray]:
+                 ext: np.ndarray, eta: float) -> Optional[np.ndarray]:
     """The Newton iterate of F(w, eta) = (eta*T(w) - w on the pairs,
-    sum of the pair weights - 1) from (w, eta), where traced = T(w), by
-    one solve of the bordered matrix [[eta*J - I, T(w)], [1, 0]]; None
-    when that matrix is singular or the iterate has a weight <= 0."""
-    ia, ib = np.triu_indices(len(w), 1)
+    sum of the pair weights - 1) from (w, eta), where (traced, ext) =
+    scheme.harmonic(w), by one solve of the bordered matrix [[eta*J - I,
+    T(w)], [1, 0]]; None when it is singular or a weight comes out <= 0."""
+    ia, ib = scheme.pairs
     npairs = len(ia)
     system = np.zeros((npairs + 1, npairs + 1))
-    jac = _pair_jacobian(scheme, w, system[:npairs, :npairs])
+    jac = _pair_jacobian(scheme, ext, system[:npairs, :npairs])
     jac *= eta
     jac[np.diag_indices(npairs)] -= 1.0
     system[:npairs, npairs] = traced[ia, ib]
@@ -146,7 +144,10 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
     is at most tol or max_iter steps are spent. With newton, a step is the
     _newton_step iterate when there is one and it lowers the residual, and
     one cone_iteration step T(w)/mass(T(w)) otherwise; the loop also stops
-    when STALL_STEPS steps in a row bring no new lowest residual.
+    when STALL_STEPS steps in a row bring no new lowest residual. Above
+    NEWTON_MAX_PAIRS pairs the loop runs as without newton: no Newton
+    system is formed, and the stall stop is off, since cone steps may
+    raise the residual for longer than STALL_STEPS.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
@@ -161,25 +162,27 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
         w = 1.0 - np.eye(len(structure.boundary))
 
     def measured(w):
-        # w, T(w), eta and the residual of w; inf when T(w) has no mass
-        traced = scheme.T(w)
+        # w, scheme.harmonic(w), eta and the residual; inf at mass 0
+        traced, ext = scheme.harmonic(w)
         mass = traced.sum() / 2.0
         if not mass > 0:
-            return w, traced, np.inf, np.inf
-        return w, traced, 1.0 / mass, scheme.residual(w, 1.0 / mass, traced)
+            return w, traced, ext, np.inf, np.inf
+        return (w, traced, ext, 1.0 / mass,
+                scheme.residual(w, 1.0 / mass, traced))
 
-    w, traced, eta, residual = measured(w / (w.sum() / 2.0))
+    w, traced, ext, eta, residual = measured(w / (w.sum() / 2.0))
+    newton = newton and len(scheme.pairs[0]) <= NEWTON_MAX_PAIRS
     history: deque = deque(maxlen=16)
     lowest, stalled, delta, iteration = residual, 0, 0.0, 0
     while eta < np.inf and residual > tol and iteration < max_iter \
             and stalled < STALL_STEPS:
         iteration += 1
-        cand = _newton_step(scheme, w, traced, eta) if newton else None
+        cand = _newton_step(scheme, w, traced, ext, eta) if newton else None
         step = None if cand is None else measured(cand)
-        if step is None or not step[3] < residual:
+        if step is None or not step[4] < residual:
             step = measured(traced / (traced.sum() / 2.0))
         delta = float(np.abs(step[0] - w).max())
-        w, traced, eta, residual = step
+        w, traced, ext, eta, residual = step
         history.append((w, eta))
         if residual < lowest:
             lowest, stalled = residual, 0
@@ -244,8 +247,8 @@ def verify_harmonic_structure(structure: MsStructure, form: ConductanceForm,
     harmonic extension across levels: extending random level-1 data to
     level 2 and restricting to one copy must equal that copy's own
     extension of the same data, for every copy (copy_consistency is the
-    largest deviation). Both extensions solve with the interior blocks of
-    the assembled weight matrices, as traces do. The locality check
+    largest deviation). Both extensions are the X of the gluing schemes'
+    harmonic kernel, the one traces come from. The locality check
     exercises the gluing combinatorics, not the particular form.
     """
     scheme = structure.scheme
@@ -254,13 +257,11 @@ def verify_harmonic_structure(structure: MsStructure, form: ConductanceForm,
     mass_defect = abs(w0.sum() / 2.0 - 1.0)
 
     scheme2 = GluingScheme.of_level(level_vertices(structure, 2))
-    w1 = scheme.assemble(w0)
     probe = np.random.default_rng(seed).standard_normal(scheme.num_ids)
     # level 2 from the probe on its included level-1 ids; each level-1
     # copy from the probe at that copy's images of the marked vertices
-    ext2 = _extension_matrix(scheme2.assemble(w1), scheme2.split, probe)
-    local = _extension_matrix(w1, scheme.split,
-                              probe[np.asarray(scheme.rows)].T)
+    ext2 = scheme2.harmonic(scheme.assemble(w0))[1] @ probe
+    local = scheme.harmonic(w0)[1] @ probe[np.asarray(scheme.rows)].T
     nesting = float(np.abs(local - ext2[np.asarray(scheme2.rows)].T).max())
     return {
         "eigen_residual": eigen_residual,

@@ -16,12 +16,15 @@ by its path. A few checks then test stated values against each other
 (_CONSISTENCY): the eigen residual of the embedded form, the shape of a
 resistance metric, the structure's cover of its boundary, the gd vertex
 counts, the verdict and certificate rules, and the order of rho brackets.
+Last, the inputs and solver_tol must be what the report's own command
+gives (cli._command_errors). validate_report_details is that one
+validation, for fractal-renorm validate and the library alike.
 """
 from __future__ import annotations
 
 import json
 import math
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .angles import make_context
 from .errors import KappaUndefinedError, NonConvergenceError, WorkbenchError
 from .gd import build_gd_structure, cell_graph, gd_relation_rhos, gd_solve
 from .gd import gd_structure_to_json
-from .networks import ConductanceForm, _extension_matrix, resistance_matrix
+from .networks import ConductanceForm, resistance_matrix
 from .relations import (DEFAULT_K_MAX, DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
                         build_J_plus_minus, certificate_summary,
                         enumerate_preserved, per_cell_flows, sabot_verdict,
@@ -227,10 +230,8 @@ def flows_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"--values must be finite numbers, got {values}")
     hs = _solve(structure, inputs, solver_tol)
-    scheme = structure.scheme
-    w1 = scheme.assemble(_boundary_matrix(structure, hs.form))
-    report_flows = per_cell_flows(
-        structure, hs, _extension_matrix(w1, scheme.split, np.array(values)))
+    ext = structure.scheme.harmonic(_boundary_matrix(structure, hs.form))[1]
+    report_flows = per_cell_flows(structure, hs, ext @ np.array(values))
     return {
         "kind": "flows",
         "boundary_values": dict(zip([str(a) for a in structure.boundary],
@@ -493,18 +494,6 @@ def _envelope_errors(report) -> list[str]:
     return errors
 
 
-def read_report(path: str) -> tuple[Optional[dict], list[str]]:
-    """The report at path and no errors if it is JSON inside the envelope,
-    else None and what is wrong."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            return None, [f"not valid JSON: {exc}"]
-    errors = _envelope_errors(report)
-    return (None, errors) if errors else (report, [])
-
-
 def report_errors(report: dict) -> list[str]:
     """Rerun of the kind's builder on a report inside the envelope and a
     diff of every field; an empty list means valid."""
@@ -535,10 +524,19 @@ def report_errors(report: dict) -> list[str]:
 
 
 def validate_report_details(path: str) -> list[str]:
-    """Envelope check, rerun of the kind's builder and a diff of every
-    field; an empty list means valid."""
-    report, errors = read_report(path)
-    return errors if report is None else report_errors(report)
+    """The validation of a report file, as fractal-renorm validate runs it:
+    the envelope check, the rerun of the kind's builder with a diff of
+    every field, and the check of the inputs and solver_tol against the
+    report's own command. An empty list means valid."""
+    from .cli import _command_errors  # cli imports this module
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            report = json.load(fh)
+        except json.JSONDecodeError as exc:
+            return [f"not valid JSON: {exc}"]
+    return (_envelope_errors(report)
+            or report_errors(report) + _command_errors(report))
 
 
 def validate_report(path: str) -> bool:

@@ -19,9 +19,10 @@ from .angles import (Angle, AngleContext, cell_index, critical_angles,
                      make_context, phi_n, post_critical_set, rotate,
                      symmetrized_set, validate_ms)
 from .errors import DepthCapError, InvalidMsError
-from .networks import DisjointSet, _split_ids, _trace_matrix
+from .networks import DisjointSet, _harmonic_split, _split_ids
 
 DEFAULT_DEPTH_CAP = 12
+MAX_LEVEL_VERTICES = 1_000_000  # largest level level_vertices builds
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,18 @@ class GluingScheme:
         """The marked ids, the rest, and the Laplacian block grids."""
         return _split_ids(self.num_ids, self.marked)
 
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices (a, b), a < b, of the marked pairs in row-major order."""
+        return np.triu_indices(len(self.marked), 1)
+
+    def harmonic(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """T(w) and the extension X of the marked basis to all ids."""
+        return _harmonic_split(self.assemble(w), self.split)
+
     def T(self, w: np.ndarray) -> np.ndarray:
         """Trace of the assembled copies back onto the marked ids."""
-        return _trace_matrix(self.assemble(w), self.split)
+        return self.harmonic(w)[0]
 
     def residual(self, w: np.ndarray, eta: float,
                  traced: Optional[np.ndarray] = None) -> float:
@@ -236,8 +246,12 @@ def level_size(structure: MsStructure, k: int,
 
 def level_vertices(structure: MsStructure, k: int,
                    depth_cap: int = DEFAULT_DEPTH_CAP) -> GluedVertexSet:
-    """Build the level-k glued vertex set, refusing beyond the depth cap."""
-    _check_level(k, depth_cap)
+    """Build the level-k glued vertex set, refusing, before building
+    anything, a level beyond the depth cap or above MAX_LEVEL_VERTICES."""
+    size = level_size(structure, k, depth_cap)
+    if size > MAX_LEVEL_VERTICES:
+        raise DepthCapError(f"level {k} has {size} vertices, above the cap "
+                            f"of {MAX_LEVEL_VERTICES}")
     lv = _level_zero(structure)
     for _ in range(k):
         lv = _next_level(structure, lv)

@@ -16,8 +16,7 @@ from fractal_renorm import (
     gd_relation_rhos, gd_solve, is_preserved, level_vertices, make_context,
     per_cell_flows, phi_n, solve_eigenform, uniqueness_certificate,
 )
-from fractal_renorm.networks import (_extension_matrix, _split_ids,
-                                     _trace_matrix)
+from fractal_renorm.networks import _harmonic_split, _split_ids
 from fractal_renorm.relations import (RATIO_TOL, _block_traces,
                                       _ratio_bounds, _side)
 from fractal_renorm.renorm import _boundary_matrix
@@ -33,7 +32,7 @@ def ms(n, m, theta, symmetrize=None):
 
 def trace(w, boundary):
     """The trace kernel onto the listed indices of a weight matrix."""
-    return _trace_matrix(w, _split_ids(len(w), boundary))
+    return _harmonic_split(w, _split_ids(len(w), boundary))[0]
 
 
 def side_ratios(structure, relation, side, w):
@@ -234,10 +233,8 @@ def test_08_property_suites():
     worst_defect = 0.0
     for trial in range(100):
         s, hs = solved[trial % len(solved)]
-        scheme = s.scheme
         data = rng.standard_normal(len(s.boundary))
-        ext = _extension_matrix(
-            scheme.assemble(_boundary_matrix(s, hs.form)), scheme.split, data)
+        ext = s.scheme.harmonic(_boundary_matrix(s, hs.form))[1] @ data
         report = per_cell_flows(s, hs, ext)
         worst_defect = max(worst_defect, report.conservation_defect,
                            report.matching_defect, report.scaling_defect)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from _oracles import dense_level_resistance
-from fractal_renorm import cli, reports
+from fractal_renorm import cli, reports, structure
 from fractal_renorm.cli import main, run
 from fractal_renorm.renorm import _boundary_matrix, solve_eigenform
 from fractal_renorm.reports import _structure_from_inputs
@@ -139,6 +139,29 @@ class TestExitCodes:
         assert "depth cap" in capsys.readouterr().err
         assert main(ctx + ["--level", "-1"]) == 2
         assert "nonnegative" in capsys.readouterr().err
+
+    def test_level_over_the_vertex_cap(self, monkeypatch, tmp_path, capsys):
+        # level 12 of (3,2,1/15) passes the depth cap with 915,527,345
+        # vertices: it is refused before anything is built, as is the
+        # rerun of a report edited to it; resistance builds level 1 only
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a level was built")
+
+        ctx = ["--n", "3", "--m", "2", "--theta", "1/15"]
+        assert main(["resistance", *ctx, "--level", "12"]) == 0
+        out = tmp_path / "s.json"
+        assert main(["structure", *ctx, "--out", str(out)]) == 0
+        monkeypatch.setattr(structure, "_next_level", must_not_run)
+        capsys.readouterr()
+        assert main(["structure", *ctx, "--level", "12"]) == 3
+        assert "915527345 vertices" in capsys.readouterr().err
+        report = load(out)
+        report["inputs"]["level"] = 12
+        report["command"] += ["--level", "12"]
+        out.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["validate", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "915527345 vertices" in err[0]
 
     def test_flows_value_count(self, capsys):
         code = main(["flows", "--n", "2", "--m", "1", "--theta", "1/6",

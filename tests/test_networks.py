@@ -1,7 +1,7 @@
 """Resistance forms: energy, trace, extension, resistance, flows.
 
-Traces and extensions are the package's matrix kernels, _trace_matrix and
-_extension_matrix, read back as forms and values by the adapters below.
+Traces and extensions are the two halves of the package's matrix kernel,
+_harmonic_split, read back as forms and values by the adapters below.
 """
 
 from fractions import Fraction
@@ -13,28 +13,30 @@ from fractal_renorm import (
     ConductanceForm, DisconnectedError, build_structure, enumerate_preserved,
     make_context, networks, resistance_matrix, solve_eigenform,
 )
-from fractal_renorm.networks import (INVERSE_COND_BOUND, _extension_matrix,
+from fractal_renorm.networks import (INVERSE_COND_BOUND, _harmonic_split,
                                      _interior_inverse, _laplacian,
-                                     _split_ids, _support_labels,
-                                     _trace_matrix)
+                                     _split_ids, _support_labels)
 from fractal_renorm.relations import _block_traces
 from fractal_renorm.renorm import _boundary_matrix
 from _oracles import (energy, pinv_schur_trace, relaxed_trace_weights,
                       support_components)
 
 
-def trace(form, boundary):
-    """_trace_matrix of the form's matrix onto boundary, as a form."""
+def kernel(form, boundary):
+    """_harmonic_split of the form's matrix onto boundary: (trace, X)."""
     split = _split_ids(len(form.vertices), [form.index[v] for v in boundary])
+    return _harmonic_split(form.matrix(), split)
+
+
+def trace(form, boundary):
+    """The trace half of the kernel, as a form."""
     return ConductanceForm.from_matrix(tuple(boundary),
-                                       _trace_matrix(form.matrix(), split))
+                                       kernel(form, boundary)[0])
 
 
 def extension(form, boundary, data):
-    """_extension_matrix of boundary data, as a value per vertex."""
-    split = _split_ids(len(form.vertices), [form.index[v] for v in boundary])
-    values = _extension_matrix(form.matrix(), split,
-                               np.array([data[v] for v in boundary]))
+    """X @ data for the kernel's extension X, as a value per vertex."""
+    values = kernel(form, boundary)[1] @ np.array([data[v] for v in boundary])
     return dict(zip(form.vertices, values.tolist()))
 
 
@@ -267,7 +269,7 @@ def connected_weights(rng, nv, zero_fraction=0.3):
 
 
 def assert_matches_oracle(matrix, boundary):
-    got = _trace_matrix(matrix, _split_ids(len(matrix), boundary))
+    got = _harmonic_split(matrix, _split_ids(len(matrix), boundary))[0]
     want = pinv_schur_trace(matrix, boundary)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -321,7 +323,7 @@ class TestTraceKernel:
         _interior_inverse(lii)
         assert pinv_calls == [(2, 2)]
         assert_matches_oracle(w, [0, 1])
-        got = _trace_matrix(w, _split_ids(4, [0, 1]))[0, 1]
+        got = _harmonic_split(w, _split_ids(4, [0, 1]))[0][0, 1]
         assert got == pytest.approx(1.0 / (2.0 / eps + 1.0), rel=1e-9)
 
     def test_eigenform_solve_takes_no_pseudo_inverse(self, pinv_calls):
@@ -359,13 +361,16 @@ class TestHarmonicExtension:
         assert ext["c"] == 0.0 and ext["d"] == 0.0
 
     def test_two_dimensional_data_extends_columnwise(self):
+        # X extends the boundary basis, so X @ data extends each column
         f = gasket_level1()
-        split = _split_ids(6, [0, 1, 2])
+        ext = _harmonic_split(f.matrix(), _split_ids(6, [0, 1, 2]))[1]
+        assert np.array_equal(ext[:3], np.eye(3))
         data = np.array([[1.0, 2.0], [0.0, 2.0], [0.0, 2.0]])
-        both = _extension_matrix(f.matrix(), split, data)
-        for col in range(2):
-            one = _extension_matrix(f.matrix(), split, data[:, col])
-            assert np.array_equal(both[:, col], one)
+        both = ext @ data
+        assert np.array_equal(both[:3], data)
+        # midpoints ab, bc, ca of the two data sets
+        assert both[3:, 0].tolist() == pytest.approx([0.4, 0.2, 0.4])
+        assert both[3:, 1].tolist() == pytest.approx([2.0] * 3)
 
     def test_interior_vertices_have_zero_flow(self):
         rng = np.random.default_rng(9)

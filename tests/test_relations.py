@@ -20,7 +20,6 @@ from fractal_renorm import (
     uniqueness_certificate,
 )
 from fractal_renorm.gd import RELATION_PQ, RELATION_SIDES, cell_graph
-from fractal_renorm.networks import _extension_matrix
 from fractal_renorm.relations import (_block_traces, _complement,
                                       _ratio_bounds, _side)
 from fractal_renorm.renorm import _boundary_matrix
@@ -738,10 +737,8 @@ class TestCertificates:
 
 def extension(structure, hs, data):
     """Level-1 values of the eigenform's copies extending boundary data."""
-    scheme = structure.scheme
-    return _extension_matrix(
-        scheme.assemble(_boundary_matrix(structure, hs.form)), scheme.split,
-        np.asarray(data, dtype=float))
+    ext = structure.scheme.harmonic(_boundary_matrix(structure, hs.form))[1]
+    return ext @ np.asarray(data, dtype=float)
 
 
 class TestFlowReport:

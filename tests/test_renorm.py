@@ -14,8 +14,9 @@ from fractal_renorm import (
     level_vertices, make_context, resistance_matrix, solve_eigenform,
     verify_harmonic_structure,
 )
+from fractal_renorm import networks, renorm
 from fractal_renorm.gd import cell_graph, gd_solve
-from fractal_renorm.networks import _split_ids, _trace_matrix
+from fractal_renorm.networks import _harmonic_split, _split_ids
 from fractal_renorm.renorm import (_boundary_matrix, _newton_step,
                                    _pair_jacobian)
 from _oracles import (energy, family_eta, power_eigenform,
@@ -250,7 +251,7 @@ class TestNewton:
         scheme, nb = structure.scheme, len(structure.boundary)
         rng = np.random.default_rng(11)
         x = rng.uniform(0.5, 1.5, nb * (nb - 1) // 2)
-        jac = _pair_jacobian(scheme, pair_matrix(x, nb),
+        jac = _pair_jacobian(scheme, scheme.harmonic(pair_matrix(x, nb))[1],
                              np.zeros((len(x), len(x))))
         step = 1e-5
         numeric = np.empty_like(jac)
@@ -270,8 +271,9 @@ class TestNewton:
         scheme, nb = structure.scheme, len(structure.boundary)
         x = np.random.default_rng(12).uniform(0.5, 1.5, nb * (nb - 1) // 2)
         w = pair_matrix(x, nb)
-        jac = _pair_jacobian(scheme, w, np.zeros((len(x), len(x))))
-        traced = pair_vector(scheme.T(w))
+        traced, ext = scheme.harmonic(w)
+        jac = _pair_jacobian(scheme, ext, np.zeros((len(x), len(x))))
+        traced = pair_vector(traced)
         assert np.abs(jac @ x - traced).max() <= 1e-12 * np.abs(traced).max()
 
     @pytest.mark.parametrize("n,m,theta", [
@@ -302,15 +304,53 @@ class TestNewton:
         # the first Newton iterate from the normalized start breaks the
         # step rule, so the solve takes a cone step first
         w = start / pair_vector(start).sum()
-        traced = scheme.T(w)
+        traced, ext = scheme.harmonic(w)
         eta = 2.0 / traced.sum()
-        first = _newton_step(scheme, w, traced, eta)
+        first = _newton_step(scheme, w, traced, ext, eta)
         assert first is None or scheme.residual(
             first, 2.0 / scheme.T(first).sum()) >= scheme.residual(w, eta)
         hs = solve_eigenform(s, init=init)
         power, power_eta = power_eigenform(s)
         assert abs(hs.eta - power_eta) <= 1e-12 * power_eta
         assert np.abs(_boundary_matrix(s, hs.form) - power).max() <= 1e-10
+
+    @pytest.mark.parametrize("theta,steps", [("1/12", 4), ("1/192", 5)])
+    def test_one_interior_solve_per_step(self, theta, steps, monkeypatch):
+        # a Newton step reads the extension its iterate's trace made, and
+        # the pair indices are built once per scheme
+        counts = {"inverse": 0, "triu": 0}
+        inverse, triu = networks._interior_inverse, np.triu_indices
+
+        def counted_inverse(lii):
+            counts["inverse"] += 1
+            return inverse(lii)
+
+        def counted_triu(*args, **kwargs):
+            counts["triu"] += 1
+            return triu(*args, **kwargs)
+
+        s = ms(2, 1, theta)
+        monkeypatch.setattr(networks, "_interior_inverse", counted_inverse)
+        monkeypatch.setattr(np, "triu_indices", counted_triu)
+        assert solve_eigenform(s).iterations == steps
+        assert counts == {"inverse": 1 + steps, "triu": 1}
+
+    def test_large_boundary_takes_cone_steps(self, monkeypatch):
+        # above NEWTON_MAX_PAIRS pairs no Newton system is formed, and the
+        # stall stop is off: the residual of the cone steps here has a
+        # stretch of 3 steps without a new lowest value
+        def must_not_run(*args):
+            raise AssertionError("Newton system formed")
+
+        monkeypatch.setattr(renorm, "NEWTON_MAX_PAIRS", 0)
+        monkeypatch.setattr(renorm, "STALL_STEPS", 2)
+        monkeypatch.setattr(renorm, "_newton_step", must_not_run)
+        s = ms(2, 1, "1/192")
+        w, eta = power_eigenform(s)
+        hs = solve_eigenform(s)
+        assert hs.iterations > 100
+        assert abs(hs.eta - eta) <= 1e-12 * eta
+        assert np.abs(_boundary_matrix(s, hs.form) - w).max() <= 1e-10
 
     def test_few_steps_from_the_unit_form(self):
         # power iteration needs 157 steps at nb = 18 and 154 on GD (4,3)
@@ -360,12 +400,12 @@ class TestVerify:
 
 
 def restrict(structure, hs, subset):
-    """_trace_matrix of the eigenform onto a subset of boundary angles."""
+    """The trace kernel on the eigenform onto a subset of boundary angles."""
     split = _split_ids(len(structure.boundary),
                        [structure.index[a] for a in subset])
     return ConductanceForm.from_matrix(
-        tuple(subset), _trace_matrix(_boundary_matrix(structure, hs.form),
-                                     split))
+        tuple(subset), _harmonic_split(_boundary_matrix(structure, hs.form),
+                                       split)[0])
 
 
 class TestRestrict:

@@ -53,6 +53,25 @@ class TestRendering:
         assert load(path) == report
 
 
+class TestCommandCheck:
+    def test_edited_command_fails(self, tmp_path, capsys):
+        # validate_report is the validation fractal-renorm validate runs,
+        # the check of the report's own command included
+        path = make_report(tmp_path, "h.json",
+                           ["solve", "--n", "2", "--m", "1",
+                            "--theta", "1/12"])
+        report = load(path)
+        command = report["command"]
+        command[command.index("--theta") + 1] = "1/4"
+        command += ["--tol", "0.5"]
+        dump(path, report)
+        assert not validate_report(str(path))
+        assert [line.split(":")[0]
+                for line in validate_report_details(str(path))] == [
+            "inputs.theta", "tolerances.solver_tol"]
+        assert main(["validate", str(path)]) == 4
+
+
 class TestEnvelope:
     def test_solve_report_envelope(self, tmp_path):
         path = make_report(tmp_path, "solve.json",

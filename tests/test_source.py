@@ -34,3 +34,60 @@ def test_no_unused_module_imports():
              for path in sorted(SRC.glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level private names a module defines, with their lines:
+    functions, classes and assigned names starting with one underscore."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t)
+                       if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names that no module of sources reads."""
+    read = set().union(*map(read_names, sources.values()))
+    return [f"{module}: {name} (line {line})"
+            for module, source in sources.items()
+            for name, line in private_definitions(source).items()
+            if name not in read]
+
+
+def test_unread_private_names_are_found():
+    sources = {"a.py": "_A = 1\n_B = 2\ndef _f():\n    return _A\n",
+               "b.py": "from a import _f\nclass _C:\n    pass\n"}
+    assert unread_private_names(sources) == [
+        "a.py: _B (line 2)", "b.py: _C (line 2)"]
+
+
+def test_no_private_name_only_tests_read():
+    # a private helper the package no longer calls must go, not linger
+    # for the tests
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -12,6 +12,7 @@ from fractal_renorm import (
     levels_to_json, make_context, phi_n, solve_eigenform,
     structure_from_json, structure_to_json,
 )
+from fractal_renorm import structure
 from fractal_renorm.relations import _side
 from fractal_renorm.renorm import _boundary_matrix
 from _oracles import rotation_perm
@@ -159,6 +160,18 @@ class TestLevels:
         assert level_size(ms(2, 1, "1/12"), 8) == 29_526
         with pytest.raises(DepthCapError):
             level_size(ms(2, 1, "1/6"), 13)
+
+    def test_vertex_cap(self, monkeypatch):
+        # within the depth cap, yet far above MAX_LEVEL_VERTICES: the
+        # count is known, the level is refused before it is built
+        def must_not_run(*args):
+            raise AssertionError("a level was built")
+
+        s = ms(3, 2, "1/15")
+        monkeypatch.setattr(structure, "_next_level", must_not_run)
+        assert level_size(s, 12) == 915_527_345
+        with pytest.raises(DepthCapError, match="915527345 vertices"):
+            level_vertices(s, 12)
 
 
 class TestGluingScheme:
