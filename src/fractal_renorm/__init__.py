@@ -11,8 +11,8 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      KernelMismatchError, NonConvergenceError,
                      NotAPermutationError, NotInvariantError, WorkbenchError)
 from .networks import ConductanceForm, resistance_matrix
-from .structure import (GluedVertexSet, GluingScheme, MsStructure,
-                        build_structure, level_size, level_vertices,
+from .structure import (GluingScheme, MsStructure, build_structure,
+                        glue_copies, level_size, level_vertices,
                         levels_to_json, structure_from_json,
                         structure_to_json)
 from .renorm import (HarmonicStructure, solve_eigenform,

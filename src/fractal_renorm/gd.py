@@ -18,84 +18,71 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .networks import ConductanceForm, DisjointSet
+from .networks import ConductanceForm
 from .relations import Partition, is_preserved, rho_search
 from .renorm import (DEFAULT_MAX_ITER, DEFAULT_TOL, _no_convergence,
                      _normalized_iteration, _rayleigh_eta)
-from .structure import GluingScheme
+from .structure import GluingScheme, glue_copies
 
 CORNER_ORDER = ("pl", "ql", "pr", "qr")  # images of (p_k, q_k, p_k+1, q_k+1)
 FORM_VERTICES = ("p0", "q0", "p1", "q1")
 
 
-def _slot(sub: int, corner: int) -> int:
-    return sub * 4 + corner
+def _check_orders(n: int, m: int) -> None:
+    if n < 2 or m < 1:
+        raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
 
 
 @dataclass(frozen=True)
 class GdCellGraph:
-    """One cell's subdivision: slot ids, subcell images, corners, junctions.
+    """One cell's subdivision as a gluing scheme, with its junctions.
 
-    subcell_ids[k] lists the ids of subcell k's four corner images in
-    CORNER_ORDER. corners holds the ids of (p_cell, q_cell, p_cell+1,
-    q_cell+1). broken lists the junction indices k where the p-merge
-    between subcells k and k+1 is absent. boundary, index and scheme make
-    the cell a structure for the shared operators.
+    scheme.rows[k] lists the ids of subcell k's four corner images in
+    CORNER_ORDER, and scheme.marked holds the ids of (p_cell, q_cell,
+    p_cell+1, q_cell+1). broken lists the junction indices k where the
+    p-merge between subcells k and k+1 is absent. boundary, index and
+    scheme make the cell a structure for the shared operators.
     """
 
     n: int
     m: int
     cell: int
-    num_ids: int
-    subcell_ids: tuple[tuple[int, int, int, int], ...]
-    corners: tuple[int, int, int, int]
     broken: tuple[int, ...]
+    scheme: GluingScheme
 
     boundary = FORM_VERTICES
     index = {name: i for i, name in enumerate(FORM_VERTICES)}
 
-    @cached_property
-    def scheme(self) -> GluingScheme:
-        """One copy of the corner form per subcell, traced onto corners."""
-        return GluingScheme(self.subcell_ids, self.corners, self.num_ids)
-
 
 def cell_graph(n: int, m: int, cell: int = 0) -> GdCellGraph:
     """Build the within-cell gluing for one cell (0-based index)."""
-    if n < 2 or m < 1:
-        raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
+    _check_orders(n, m)
     ring = m + n
-    dsu = DisjointSet(4 * ring)
-    broken = []
+    pairs, broken = [], []
     for sub in range(ring):
         nxt = (sub + 1) % ring
-        dsu.union(_slot(sub, 3), _slot(nxt, 1))  # q-images always glued
-        junction = (sub + 1) % ring
-        if junction in ((n * (cell + 1)) % ring, (n * cell) % ring):
+        pairs.append(((sub, 3), (nxt, 1)))  # q-images always glued
+        if nxt in ((n * (cell + 1)) % ring, (n * cell) % ring):
             broken.append(sub)
         else:
-            dsu.union(_slot(sub, 2), _slot(nxt, 0))
-    ids, count = dsu.canonical_ids()
+            pairs.append(((sub, 2), (nxt, 0)))
+    rows, count = glue_copies(ring, 4, pairs)
     if count != 2 * ring + 2:
         raise AssertionError(f"cell vertex count {count} != 2*{ring}+2")
-    subcell_ids = tuple(tuple(ids[_slot(sub, c)] for c in range(4))
-                        for sub in range(ring))
     corners = (
-        ids[_slot((n * cell) % ring, 0)],
-        ids[_slot((n * cell - 1) % ring, 2)],
-        ids[_slot((n * (cell + 1) - 1) % ring, 2)],
-        ids[_slot((n * (cell + 1)) % ring, 0)],
+        rows[(n * cell) % ring][0],
+        rows[(n * cell - 1) % ring][2],
+        rows[(n * (cell + 1) - 1) % ring][2],
+        rows[(n * (cell + 1)) % ring][0],
     )
     if len(set(corners)) != 4:
         raise AssertionError("cell corners are not distinct")
-    return GdCellGraph(n=n, m=m, cell=cell, num_ids=count,
-                       subcell_ids=subcell_ids, corners=corners,
-                       broken=tuple(sorted(broken)))
+    return GdCellGraph(n=n, m=m, cell=cell, broken=tuple(broken),
+                       scheme=GluingScheme(rows, corners, count))
 
 
 @dataclass(frozen=True)
@@ -117,34 +104,31 @@ class GdStructure:
 def build_gd_structure(n: int, m: int) -> GdStructure:
     """Glue all cells; the vertex count comes out to 2(m+n)^2."""
     ring = m + n
-    cells = [cell_graph(n, m, cell) for cell in range(ring)]
-    size = cells[0].num_ids
+    cells = [cell_graph(n, m, cell).scheme for cell in range(ring)]
 
-    def slot(cell: int, sub: int, corner: int) -> int:
-        return cell * size + cells[cell].subcell_ids[sub][corner]
+    def slot(cell: int, sub: int, corner: int) -> tuple[int, int]:
+        return cell, cells[cell].rows[sub][corner]
 
-    dsu = DisjointSet(ring * size)
+    pairs = []
     for cell in range(ring):
         nxt_cell = (cell + 1) % ring
         right = (n * (cell + 1)) % ring
-        dsu.union(slot(cell, (right - 1) % ring, 2),
-                  slot(nxt_cell, right, 0))
-        dsu.union(slot(cell, right, 0),
-                  slot(nxt_cell, (right - 1) % ring, 2))
-    ids, count = dsu.canonical_ids()
+        pairs.append((slot(cell, (right - 1) % ring, 2),
+                      slot(nxt_cell, right, 0)))
+        pairs.append((slot(cell, right, 0),
+                      slot(nxt_cell, (right - 1) % ring, 2)))
+    rows, count = glue_copies(ring, cells[0].num_ids, pairs)
     if count != 2 * ring * ring:
         raise AssertionError(f"vertex count {count} != 2*{ring}^2")
-    corner_ids = {}
-    for cell in range(ring):
-        for sub in range(ring):
-            corner_ids[(sub, cell)] = tuple(ids[slot(cell, sub, c)]
-                                            for c in range(4))
+    corner_ids = {(sub, cell): tuple(rows[cell][v] for v in local)
+                  for cell in range(ring)
+                  for sub, local in enumerate(cells[cell].rows)}
     level1 = {}
     for j in range(ring):
         cell = (j - 1) % ring
         right = (n * j) % ring
-        level1[f"p{j}"] = ids[slot(cell, (right - 1) % ring, 2)]
-        level1[f"q{j}"] = ids[slot(cell, right, 0)]
+        level1[f"p{j}"] = rows[cell][cells[cell].rows[(right - 1) % ring][2]]
+        level1[f"q{j}"] = rows[cell][cells[cell].rows[right][0]]
     return GdStructure(n=n, m=m, num_vertices=count,
                        corner_ids=corner_ids, level1_ids=level1)
 
@@ -165,6 +149,7 @@ def gd_structure_to_json(gd: GdStructure) -> dict:
 
 def existence_verdict(n: int, m: int) -> str:
     """Sign test of 1/m + 1/n - 1/2; the boundary cases carry no verdict."""
+    _check_orders(n, m)
     crit = Fraction(1, m) + Fraction(1, n) - Fraction(1, 2)
     if crit > 0:
         return "exists_unique"

@@ -44,6 +44,7 @@ DEFAULT_MARGIN = 1e-6
 BRACKET_TOL = 1e-12   # relative width at which a rho bracket stops
 BRACKET_STEPS = 200   # step limit of a rho bracket
 RATIO_TOL = 1e-9      # tolerance of a reported rho value
+HARMONIC_TOL = 1e-9   # relative interior flow residual per_cell_flows accepts
 
 
 @dataclass(frozen=True)
@@ -517,8 +518,8 @@ def _block_traces(structure, w: np.ndarray, relation: Partition
 
 
 def uniqueness_certificate(structure: MsStructure, hs: HarmonicStructure,
-                           relation: Partition, k_max: int = DEFAULT_K_MAX,
-                           margin: float = DEFAULT_MARGIN) -> CertificateReport:
+                           relation: Partition, k_max: int = DEFAULT_K_MAX
+                           ) -> CertificateReport:
     """Check eta^k-scaled contraction of iterated block forms."""
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
@@ -532,10 +533,10 @@ def uniqueness_certificate(structure: MsStructure, hs: HarmonicStructure,
         ratio = _ratio_bounds(image, base, plan.comp)[1]
         trajectory.append(float(hs.eta ** k * scale * ratio))
         scale *= mass
-    certified_k, monotone = certificate_summary(trajectory, margin)
+    certified_k, monotone = certificate_summary(trajectory, DEFAULT_MARGIN)
     return CertificateReport(relation=relation,
                              certified=certified_k is not None,
-                             k=certified_k, margin=margin,
+                             k=certified_k, margin=DEFAULT_MARGIN,
                              trajectory=tuple(trajectory), monotone=monotone)
 
 
@@ -557,8 +558,7 @@ class FlowReport:
 
 
 def per_cell_flows(structure: MsStructure, hs: HarmonicStructure,
-                   values: Mapping[int, float],
-                   harmonic_tol: float = 1e-9) -> FlowReport:
+                   values: Mapping[int, float]) -> FlowReport:
     """Flows of a harmonic function given by its level-1 vertex values.
 
     The input must be harmonic at every non-boundary level-1 vertex of the
@@ -578,10 +578,10 @@ def per_cell_flows(structure: MsStructure, hs: HarmonicStructure,
     interior_resid = max((abs(float(net[v]))
                           for v in range(scheme.num_ids)
                           if v not in included), default=0.0)
-    if interior_resid > harmonic_tol * scale:
+    if interior_resid > HARMONIC_TOL * scale:
         raise ValueError(
             f"input is not harmonic: interior flow residual {interior_resid:.3e} "
-            f"exceeds {harmonic_tol:.1e} of scale {scale:.3e}")
+            f"exceeds {HARMONIC_TOL:.1e} of scale {scale:.3e}")
 
     # net current out of each boundary vertex of the form, (L h)(x), at
     # the marked values and at each copy's values

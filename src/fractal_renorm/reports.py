@@ -113,11 +113,11 @@ def _harmonic_block(hs, tol: float) -> dict:
 def structure_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     """The structure and its glued vertex set at inputs["level"]."""
     structure = _structure_from_inputs(inputs)
+    level = int(inputs["level"])
     return {
         "kind": "structure",
         "structure": structure_to_json(structure),
-        "levels": levels_to_json(level_vertices(structure,
-                                                int(inputs["level"]))),
+        "levels": levels_to_json(level_vertices(structure, level), level),
     }, {"exact_arithmetic": 0.0}
 
 

@@ -2,16 +2,17 @@
 
 The level-0 vertex set is the post-critical set (optionally closed under
 rotations). Level k arises from m+n copies of level k-1 glued along the
-images of the critical angles; vertices at every level are plain integer
-ids, with copy maps and inclusion maps recorded explicitly.
+images of the critical angles; each level is a GluingScheme of those
+copies, over plain integer ids, and glue_copies is the one gluing step
+that MS levels and graph-directed cells share.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .angles import (Angle, AngleContext, cell_index, critical_angles,
 from .errors import DepthCapError, InvalidMsError
 from .networks import DisjointSet, _harmonic_split, _split_ids
 
-DEFAULT_DEPTH_CAP = 12
+DEPTH_CAP = 12  # highest level level_size and level_vertices accept
 MAX_LEVEL_VERTICES = 1_000_000  # largest level level_vertices builds
 
 
@@ -30,18 +31,14 @@ class GluingScheme:
     """Copies of a marked vertex set glued into ids 0..num_ids-1.
 
     rows[c][v] is the glued id of marked vertex v in copy c; marked[v] is
-    the id that v itself is included as. An MS level-1 set and a GD cell
-    are both of this shape.
+    the id that v itself is included as. An MS level (copies of the level
+    below) and a GD cell (copies of the four-corner cell) are both of this
+    shape.
     """
 
     rows: tuple[tuple[int, ...], ...]
     marked: tuple[int, ...]
     num_ids: int
-
-    @classmethod
-    def of_level(cls, lv: "GluedVertexSet") -> "GluingScheme":
-        """Level k as copies of level k-1, included along lv.inclusion."""
-        return cls(lv.copy_map, lv.inclusion, lv.num_vertices)
 
     @cached_property
     def _index_grids(self) -> tuple:
@@ -124,7 +121,7 @@ class MsStructure:
     @cached_property
     def scheme(self) -> GluingScheme:
         """The level-1 gluing, built on first use and kept."""
-        return GluingScheme.of_level(level_vertices(self, 1))
+        return level_vertices(self, 1)
 
 
 def build_structure(ctx: AngleContext,
@@ -150,112 +147,81 @@ def build_structure(ctx: AngleContext,
                        cells=cells, symmetrized=symmetrize)
 
 
-@dataclass(frozen=True)
-class GluedVertexSet:
-    """Vertex ids of one refinement level with its maps.
+def glue_copies(copies: int, size: int, pairs: Iterable
+                ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Glue copies of the ids 0..size-1 and number the glued ids.
 
-    copy_map[i][v] is the level-k id of vertex v of level k-1 placed in copy
-    i (0-based copy index). inclusion[x] is the level-k id of level k-1
-    vertex x under the canonical inclusion. boundary_ids[b] tracks the
-    level-0 boundary all the way up. merges records, for each gluing angle
-    index i (0-based), the pair of (copy, parent vertex) slots identified
-    and the resulting id.
+    Each pair ((c, v), (d, u)) identifies vertex v of copy c with vertex u
+    of copy d. Returns rows, with rows[c][v] the glued id of vertex v of
+    copy c, and the number of glued ids; ids are numbered in order of their
+    least slot c*size + v.
     """
-
-    level: int
-    num_vertices: int
-    copy_map: tuple[tuple[int, ...], ...]
-    inclusion: tuple[int, ...]
-    boundary_ids: tuple[int, ...]
-    merges: tuple[tuple[tuple[int, int], tuple[int, int], int], ...]
-    representatives: tuple[tuple[int, int], ...] = field(repr=False, default=())
-
-
-def _level_zero(structure: MsStructure) -> GluedVertexSet:
-    nb = len(structure.boundary)
-    ident = tuple(range(nb))
-    return GluedVertexSet(level=0, num_vertices=nb, copy_map=(),
-                          inclusion=ident, boundary_ids=ident, merges=())
-
-
-def _glue_ids(structure: MsStructure, prev: GluedVertexSet) -> list[int]:
-    # level-(k-1) ids of the gluing angles, via the tracked boundary
-    return [prev.boundary_ids[structure.index[r]] for r in structure.glue_points]
-
-
-def _next_level(structure: MsStructure, prev: GluedVertexSet) -> GluedVertexSet:
-    ring = structure.ctx.ring_size
-    prev_n = prev.num_vertices
-    dsu = DisjointSet(ring * prev_n)
-    glue = _glue_ids(structure, prev)
-    for i in range(ring):
-        dsu.union(i * prev_n + glue[i], ((i + 1) % ring) * prev_n + glue[i])
+    dsu = DisjointSet(copies * size)
+    for (c, v), (d, u) in pairs:
+        dsu.union(c * size + v, d * size + u)
     ids, count = dsu.canonical_ids()
-    if count != ring * (prev_n - 1):
-        raise AssertionError(
-            f"glued vertex count {count} != {ring}*({prev_n}-1)")
-    copy_map = tuple(tuple(ids[i * prev_n + v] for v in range(prev_n))
-                     for i in range(ring))
-    merges = tuple(((i, glue[i]), ((i + 1) % ring, glue[i]),
-                    copy_map[i][glue[i]])
-                   for i in range(ring))
+    return tuple(tuple(ids[c * size:(c + 1) * size])
+                 for c in range(copies)), count
 
-    if prev.level == 0:
+
+def _next_level(structure: MsStructure, prev: GluingScheme,
+                boundary: Sequence[int]) -> GluingScheme:
+    """Level k from level k-1 (prev) and the level-(k-1) ids of the
+    level-0 boundary."""
+    ring = structure.ctx.ring_size
+    glue = [boundary[structure.index[r]] for r in structure.glue_points]
+    rows, count = glue_copies(ring, prev.num_ids,
+                              (((i, g), ((i + 1) % ring, g))
+                               for i, g in enumerate(glue)))
+    if count != ring * (prev.num_ids - 1):
+        raise AssertionError(
+            f"glued vertex count {count} != {ring}*({prev.num_ids}-1)")
+    if not prev.rows:
         ctx = structure.ctx
-        inclusion = tuple(
-            copy_map[structure.cells[a] - 1][structure.index[phi_n(a, ctx.n)]]
+        marked = tuple(
+            rows[structure.cells[a] - 1][structure.index[phi_n(a, ctx.n)]]
             for a in structure.boundary)
     else:
-        inclusion = tuple(
-            copy_map[j][prev.inclusion[v]]
-            for (j, v) in prev.representatives)
-    if len(set(inclusion)) != len(inclusion):
+        # an id x = prev.rows[j][v] goes where copy j puts prev.marked[v]
+        included = [0] * prev.num_ids
+        for row, new_row in zip(prev.rows, rows):
+            for v, x in enumerate(row):
+                included[x] = new_row[prev.marked[v]]
+        marked = tuple(included)
+    if len(set(marked)) != len(marked):
         raise AssertionError("inclusion map is not injective")
-
-    reps = [None] * count
-    for i in range(ring):
-        for v in range(prev_n):
-            if reps[copy_map[i][v]] is None:
-                reps[copy_map[i][v]] = (i, v)
-    boundary_ids = tuple(inclusion[b] for b in prev.boundary_ids)
-    return GluedVertexSet(level=prev.level + 1, num_vertices=count,
-                          copy_map=copy_map, inclusion=inclusion,
-                          boundary_ids=boundary_ids, merges=merges,
-                          representatives=tuple(reps))
+    return GluingScheme(rows, marked, count)
 
 
-def _check_level(k: int, depth_cap: int) -> None:
-    if k < 0:
-        raise ValueError(f"level must be nonnegative, got {k}")
-    if k > depth_cap:
-        raise DepthCapError(f"level {k} exceeds the depth cap {depth_cap}")
-
-
-def level_size(structure: MsStructure, k: int,
-               depth_cap: int = DEFAULT_DEPTH_CAP) -> int:
+def level_size(structure: MsStructure, k: int) -> int:
     """Vertex count of level k without building it.
 
     m+n copies of level k-1 glued at m+n points: N_k = (m+n)(N_{k-1} - 1).
     """
-    _check_level(k, depth_cap)
+    if k < 0:
+        raise ValueError(f"level must be nonnegative, got {k}")
+    if k > DEPTH_CAP:
+        raise DepthCapError(f"level {k} exceeds the depth cap {DEPTH_CAP}")
     size = len(structure.boundary)
     for _ in range(k):
         size = structure.ctx.ring_size * (size - 1)
     return size
 
 
-def level_vertices(structure: MsStructure, k: int,
-                   depth_cap: int = DEFAULT_DEPTH_CAP) -> GluedVertexSet:
-    """Build the level-k glued vertex set, refusing, before building
-    anything, a level beyond the depth cap or above MAX_LEVEL_VERTICES."""
-    size = level_size(structure, k, depth_cap)
+def level_vertices(structure: MsStructure, k: int) -> GluingScheme:
+    """Level k as the gluing of m+n copies of level k-1, refusing, before
+    building anything, a level beyond DEPTH_CAP or above
+    MAX_LEVEL_VERTICES. Level 0 is the boundary with no copies."""
+    size = level_size(structure, k)
     if size > MAX_LEVEL_VERTICES:
         raise DepthCapError(f"level {k} has {size} vertices, above the cap "
                             f"of {MAX_LEVEL_VERTICES}")
-    lv = _level_zero(structure)
+    boundary = tuple(range(len(structure.boundary)))
+    scheme = GluingScheme((), boundary, len(boundary))
     for _ in range(k):
-        lv = _next_level(structure, lv)
-    return lv
+        scheme = _next_level(structure, scheme, boundary)
+        boundary = tuple(scheme.marked[b] for b in boundary)
+    return scheme
 
 
 def structure_to_json(structure: MsStructure) -> dict:
@@ -282,14 +248,19 @@ def structure_from_json(data: dict) -> MsStructure:
     return structure
 
 
-def levels_to_json(lv: GluedVertexSet) -> dict:
+def levels_to_json(scheme: GluingScheme, level: int) -> dict:
+    """The level's id count, its inclusion and, for consecutive copies i
+    and i+1 (cyclically), the copy slots of the one id they share."""
+    ring = len(scheme.rows)
     merges = []
-    for (ca, pa), (cb, pb), vid in lv.merges:
-        merges.append([ca, pa, vid])
-        merges.append([cb, pb, vid])
+    for i, row in enumerate(scheme.rows):
+        nxt = scheme.rows[(i + 1) % ring]
+        (vid,) = set(row).intersection(nxt)
+        merges.append([i, row.index(vid), vid])
+        merges.append([(i + 1) % ring, nxt.index(vid), vid])
     return {
-        "level": lv.level,
-        "num_vertices": lv.num_vertices,
+        "level": level,
+        "num_vertices": scheme.num_ids,
         "merges": merges,
-        "inclusion": [[old, new] for old, new in enumerate(lv.inclusion)],
+        "inclusion": [[old, new] for old, new in enumerate(scheme.marked)],
     }

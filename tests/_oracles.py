@@ -16,7 +16,7 @@ import numpy as np
 
 from fractal_renorm.angles import critical_angles, kappa, phi_n, rotate
 from fractal_renorm.errors import NonConvergenceError
-from fractal_renorm.gd import GdCellGraph, cell_graph
+from fractal_renorm.gd import cell_graph
 from fractal_renorm.networks import ConductanceForm
 from fractal_renorm.relations import Partition, rotation_invariant
 from fractal_renorm.structure import level_vertices
@@ -188,11 +188,11 @@ def partitions_rgs(items):
 def preserved_by_closure(structure, relation):
     """Whether the level-1 closure of the relation restricts back to it.
 
-    Own union-find over level_vertices(structure, 1).copy_map, so the test
-    does not lean on the package's closure or preservation code.
+    Own union-find over the rows of level_vertices(structure, 1), so the
+    test does not lean on the package's closure or preservation code.
     """
     lv1 = level_vertices(structure, 1)
-    parent = list(range(lv1.num_vertices))
+    parent = list(range(lv1.num_ids))
 
     def find(x):
         while parent[x] != x:
@@ -200,11 +200,11 @@ def preserved_by_closure(structure, relation):
         return x
 
     index = {a: i for i, a in enumerate(structure.boundary)}
-    for row in lv1.copy_map:
+    for row in lv1.rows:
         for block in relation.blocks:
             for other in block[1:]:
                 parent[find(row[index[other]])] = find(row[index[block[0]]])
-    root = [find(lv1.inclusion[index[a]]) for a in structure.boundary]
+    root = [find(lv1.marked[index[a]]) for a in structure.boundary]
     block_of = {a: b for b, block in enumerate(relation.blocks) for a in block}
     nb = len(structure.boundary)
     return all((root[i] == root[j])
@@ -227,9 +227,10 @@ def dense_level_resistance(structure, weights, k):
     """Boundary resistances of the dense level-k network.
 
     weights is the level-0 weight matrix in boundary order. Its pairs are
-    copied down the copy_map of each level 1..k with plain loops, the
+    copied down the rows of each level 1..k with plain loops, the
     Laplacian of the result is pseudo-inverted by numpy, and
-    R(p,q) = G(p,p) + G(q,q) - 2 G(p,q) is read at boundary_ids. Neither
+    R(p,q) = G(p,p) + G(q,q) - 2 G(p,q) is read at the boundary's level-k
+    ids, the inclusions of levels 1..k composed. Neither
     the package's assembly nor its resistance code is used. Meant for
     k <= 3, where N_k stays in the hundreds.
     """
@@ -237,22 +238,23 @@ def dense_level_resistance(structure, weights, k):
     edges = {(i, j): float(weights[i][j])
              for i in range(nb) for j in range(i + 1, nb) if weights[i][j]}
     lv = level_vertices(structure, 0)
+    ids = list(range(nb))
     for level in range(1, k + 1):
         lv = level_vertices(structure, level)
+        ids = [lv.marked[i] for i in ids]
         glued = {}
-        for row in lv.copy_map:
+        for row in lv.rows:
             for (a, b), w in edges.items():
                 pair = (min(row[a], row[b]), max(row[a], row[b]))
                 glued[pair] = glued.get(pair, 0.0) + w
         edges = glued
-    lap = np.zeros((lv.num_vertices, lv.num_vertices))
+    lap = np.zeros((lv.num_ids, lv.num_ids))
     for (x, y), w in edges.items():
         lap[x, x] += w
         lap[y, y] += w
         lap[x, y] -= w
         lap[y, x] -= w
     green = np.linalg.pinv(lap, rcond=1e-10, hermitian=True)
-    ids = list(lv.boundary_ids)
     diag = np.diag(green)[ids]
     return diag[:, None] + diag[None, :] - 2.0 * green[np.ix_(ids, ids)]
 
@@ -281,11 +283,12 @@ def gd_solve_all_cells(n, m, *, tol=1e-12, max_iter=20_000, seed=1):
     for iteration in range(1, max_iter + 1):
         new_forms = []
         for graph in graphs:
-            big = np.zeros((graph.num_ids, graph.num_ids))
+            scheme = graph.scheme
+            big = np.zeros((scheme.num_ids, scheme.num_ids))
             for sub in range(ring):
-                idx = np.asarray(graph.subcell_ids[sub])
+                idx = np.asarray(scheme.rows[sub])
                 big[np.ix_(idx, idx)] += forms[sub]
-            new_forms.append(pinv_schur_trace(big, graph.corners))
+            new_forms.append(pinv_schur_trace(big, scheme.marked))
         total = sum(f.sum() / 2.0 for f in new_forms)
         eta = ring / total
         new_forms = [f * (ring / total) for f in new_forms]
@@ -300,21 +303,19 @@ def gd_solve_all_cells(n, m, *, tol=1e-12, max_iter=20_000, seed=1):
 
 
 def _level1_maps(structure):
-    """(copy_map, inclusion, number of ids) of the level-1 gluing: an MS
-    structure's level_vertices(structure, 1), or a graph-directed cell's
-    subcell images and corners."""
-    if isinstance(structure, GdCellGraph):
-        return structure.subcell_ids, structure.corners, structure.num_ids
-    lv1 = level_vertices(structure, 1)
-    return lv1.copy_map, lv1.inclusion, lv1.num_vertices
+    """(rows, marked, number of ids) of the level-1 gluing scheme: an MS
+    structure's level 1, or a graph-directed cell's subcell images and
+    corners."""
+    scheme = structure.scheme
+    return scheme.rows, scheme.marked, scheme.num_ids
 
 
-def _glued_copies(copy_map, num_ids, weights):
-    """One copy of weights per row of copy_map, pair by pair; weights
+def _glued_copies(rows, num_ids, weights):
+    """One copy of weights per row, pair by pair; weights
     whose ends land on one id are dropped."""
     big = np.zeros((num_ids, num_ids))
     nv = len(weights)
-    for row in copy_map:
+    for row in rows:
         for i in range(nv):
             for j in range(i + 1, nv):
                 if weights[i][j] and row[i] != row[j]:
@@ -332,12 +333,12 @@ def power_eigenform(structure, tol=1e-14, max_iter=5000):
     |eta*T(w) - w|max / |w|max is at most tol, eta = 1/mass(T(w)). Returns
     (w, eta) with w in boundary order and of mass 1.
     """
-    copy_map, inclusion, num_ids = _level1_maps(structure)
-    nb = len(inclusion)
+    rows, marked, num_ids = _level1_maps(structure)
+    nb = len(marked)
     w = (np.ones((nb, nb)) - np.eye(nb)) / (nb * (nb - 1) / 2.0)
     for _ in range(max_iter):
-        traced = pinv_schur_trace(_glued_copies(copy_map, num_ids, w),
-                                  inclusion)
+        traced = pinv_schur_trace(_glued_copies(rows, num_ids, w),
+                                  marked)
         eta = 2.0 / traced.sum()
         if np.abs(eta * traced - w).max() <= tol * np.abs(w).max():
             return w, float(eta)
@@ -351,14 +352,14 @@ def loop_t_relation(structure, relation, w):
     """The relation-side operator with a pair-by-pair dust loop.
 
     w is a weight matrix in boundary order. Glues its copies pair by pair
-    along the level-1 copy map, traces onto the inclusion with
+    along the level-1 copy map, traces onto the marked ids with
     pinv_schur_trace, then walks every boundary pair, looks up both blocks
     with Partition.block_containing and zeroes a weight between different
     blocks when it is at most 1e-11 of the largest weight. No cone check:
     the inputs are taken as valid.
     """
-    copy_map, inclusion, num_ids = _level1_maps(structure)
-    mat = pinv_schur_trace(_glued_copies(copy_map, num_ids, w), inclusion)
+    rows, marked, num_ids = _level1_maps(structure)
+    mat = pinv_schur_trace(_glued_copies(rows, num_ids, w), marked)
     scale = float(mat.max())
     vs = structure.boundary
     for i, x in enumerate(vs):
@@ -380,7 +381,7 @@ def loop_t_quotient(structure, relation, wq):
     class; the sum is traced with pinv_schur_trace onto the classes of the
     included boundary blocks. No preservation check.
     """
-    copy_map, inclusion, num_ids = _level1_maps(structure)
+    rows, marked, num_ids = _level1_maps(structure)
     parent = list(range(num_ids))
 
     def find(x):
@@ -390,7 +391,7 @@ def loop_t_quotient(structure, relation, wq):
 
     index = {a: i for i, a in enumerate(structure.boundary)}
     block_idx = [[index[a] for a in b] for b in relation.blocks]
-    for row in copy_map:
+    for row in rows:
         for block in block_idx:
             for other in block[1:]:
                 parent[find(row[other])] = find(row[block[0]])
@@ -399,7 +400,7 @@ def loop_t_quotient(structure, relation, wq):
     nclasses = len(roots)
     big = np.zeros((nclasses, nclasses))
     nb = len(block_idx)
-    for row in copy_map:
+    for row in rows:
         for i in range(nb):
             for j in range(i + 1, nb):
                 ci = class_of[find(row[block_idx[i][0]])]
@@ -407,7 +408,7 @@ def loop_t_quotient(structure, relation, wq):
                 if wq[i][j] and ci != cj:
                     big[ci, cj] += wq[i][j]
                     big[cj, ci] += wq[i][j]
-    boundary_classes = [class_of[find(inclusion[block[0]])]
+    boundary_classes = [class_of[find(marked[block[0]])]
                         for block in block_idx]
     return pinv_schur_trace(big, boundary_classes)
 

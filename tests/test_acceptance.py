@@ -254,7 +254,7 @@ def test_08_property_suites():
             break
         s = ms(n, m, theta)
         lv1 = level_vertices(s, 1)
-        assert lv1.num_vertices == (m + n) * (len(s.boundary) - 1)
+        assert lv1.num_ids == (m + n) * (len(s.boundary) - 1)
         checked += 1
     print(f"refined vertex count formula checked on {checked} contexts "
           f"(want 20)")

@@ -248,6 +248,26 @@ class TestExitCodes:
                      "--format", "csv"])
         assert code == 2
 
+    @pytest.mark.parametrize("sub", ["build", "solve", "rhos"])
+    @pytest.mark.parametrize("n, m", [("2", "0"), ("0", "1")])
+    def test_gd_orders_out_of_range(self, sub, n, m, capsys):
+        # checked before the existence sign test divides by m and n
+        assert main(["gd", sub, "--n", n, "--m", m]) == 2
+        err = capsys.readouterr().err
+        assert f"need n >= 2 and m >= 1, got n={n}, m={m}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("theta, tol", [("1/192", "1e-6"),
+                                            ("1/48", "1e-4"),
+                                            ("1/12", "1e-3")])
+    def test_loose_tol_solves_validate(self, theta, tol, tmp_path):
+        # eta and its Rayleigh estimate may differ by what the met
+        # residual allows
+        out = tmp_path / "h.json"
+        assert main(["solve", "--n", "2", "--m", "1", "--theta", theta,
+                     "--tol", tol, "--out", str(out)]) == 0
+        assert main(["validate", str(out)]) == 0
+
     def test_gd_critical_pair_still_succeeds(self, tmp_path):
         out = tmp_path / "crit.json"
         assert main(["gd", "solve", "--n", "4", "--m", "4",

@@ -47,18 +47,18 @@ class TestCellGraph:
     def test_vertex_count(self):
         for n, m in GRID:
             g = cell_graph(n, m)
-            assert g.num_ids == 2 * (m + n) + 2
+            assert g.scheme.num_ids == 2 * (m + n) + 2
 
     def test_corners_distinct(self):
         for n, m in GRID:
             for cell in range(m + n):
-                assert len(set(cell_graph(n, m, cell).corners)) == 4
+                assert len(set(cell_graph(n, m, cell).scheme.marked)) == 4
 
     def test_q_chain_always_glued(self):
         g = cell_graph(3, 2)
         ring = 5
         for sub in range(ring):
-            assert g.subcell_ids[sub][3] == g.subcell_ids[(sub + 1) % ring][1]
+            assert g.scheme.rows[sub][3] == g.scheme.rows[(sub + 1) % ring][1]
 
     def test_breaks_at_cell_endpoints(self):
         # the p-chain is cut exactly at the two junctions owned by the cell
@@ -66,7 +66,7 @@ class TestCellGraph:
         assert g.broken == (2, 4)
         ring = 5
         for sub in range(ring):
-            glued = g.subcell_ids[sub][2] == g.subcell_ids[(sub + 1) % ring][0]
+            glued = g.scheme.rows[sub][2] == g.scheme.rows[(sub + 1) % ring][0]
             assert glued == (sub not in g.broken)
 
     def test_every_cell_breaks_twice(self):
@@ -85,6 +85,11 @@ class TestGdStructure:
             build_gd_structure(1, 1)
         with pytest.raises(ValueError):
             build_gd_structure(2, 0)
+        # the existence sign test divides by m and n: checked first
+        for n, m in ((2, 0), (0, 1)):
+            for call in (existence_verdict, gd_solve, gd_relation_rhos):
+                with pytest.raises(ValueError, match="need n >= 2"):
+                    call(n, m)
 
     def test_level1_names(self):
         gd = build_gd_structure(2, 1)

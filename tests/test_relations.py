@@ -12,10 +12,11 @@ import pytest
 
 from fractal_renorm import networks
 from fractal_renorm import (
-    CapExceededError, ConductanceForm, GluingScheme, KappaUndefinedError,
+    CapExceededError, ConductanceForm, KappaUndefinedError,
     KernelMismatchError, NotInvariantError, Partition, build_J_plus_minus,
     build_structure, critical_angles, enumerate_preserved, is_preserved,
-    kappa, level_vertices, make_context, per_cell_flows, phi_n, rho_search,
+    kappa, level_vertices, levels_to_json, make_context, per_cell_flows,
+    phi_n, rho_search,
     rotation_invariant, sabot_verdict, solve_eigenform,
     uniqueness_certificate,
 )
@@ -66,8 +67,7 @@ def closure_classes(structure, relation, level=1):
     from GluingScheme.closure level by level."""
     blocks = index_blocks(structure, relation)
     for lvl in range(1, level + 1):
-        classes = GluingScheme.of_level(
-            level_vertices(structure, lvl)).closure(blocks)
+        classes = level_vertices(structure, lvl).closure(blocks)
         groups = {}
         for v, c in enumerate(classes):
             groups.setdefault(c, []).append(v)
@@ -162,7 +162,7 @@ class TestClosure:
             for x in range(15):
                 for y in range(15):
                     assert (c1[x] == c1[y]) == \
-                        (c2[lv2.inclusion[x]] == c2[lv2.inclusion[y]])
+                        (c2[lv2.marked[x]] == c2[lv2.marked[y]])
 
     def test_projection_compatibility(self):
         # related level-1 ids have related parent positions
@@ -170,7 +170,10 @@ class TestClosure:
         lv1 = level_vertices(s, 1)
         rel = opposite_pairs(s)
         closure = closure_classes(s, rel)
-        parent = {vid: v for vid, (_, v) in enumerate(lv1.representatives)}
+        parent = {}  # the vertex of each id in the first copy holding it
+        for row in lv1.rows:
+            for v, vid in enumerate(row):
+                parent.setdefault(vid, v)
         for x in range(15):
             for y in class_members(closure, x):
                 assert rel.block_containing(s.boundary[parent[x]]) == \
@@ -180,7 +183,8 @@ class TestClosure:
         # no two junction images share a class for a nontrivial relation
         s = ms(2, 1, "1/12")
         lv1 = level_vertices(s, 1)
-        merge_ids = [vid for _, _, vid in lv1.merges]
+        merges = levels_to_json(lv1, 1)["merges"]  # two slots per junction
+        merge_ids = [vid for _, _, vid in merges[::2]]
         closure = closure_classes(s, opposite_pairs(s))
         for i, x in enumerate(merge_ids):
             for y in merge_ids[i + 1:]:
@@ -200,11 +204,11 @@ class TestClosure:
         centers = [phi_n(crits[perm[i] - 1], ctx.n) for i in range(ring)]
         for i in range(1, ring + 1):
             block_i = rel.block_containing(centers[i - 1])
-            seed = lv1.inclusion[s.index[block_i[0]]]
+            seed = lv1.marked[s.index[block_i[0]]]
             closure_block = class_members(closure, seed)
             source = rel.block_containing(centers[inv[i] - 1])
-            expected = {lv1.copy_map[i - 1][s.index[a]] for a in source}
-            expected |= {lv1.copy_map[i % ring][s.index[a]] for a in source}
+            expected = {lv1.rows[i - 1][s.index[a]] for a in source}
+            expected |= {lv1.rows[i % ring][s.index[a]] for a in source}
             assert closure_block == expected
 
 
@@ -763,7 +767,7 @@ class TestFlowReport:
         s = ms(2, 1, "1/6")
         hs = solve_eigenform(s)
         lv1 = level_vertices(s, 1)
-        values = {v: 4.0 for v in range(lv1.num_vertices)}
+        values = {v: 4.0 for v in range(lv1.num_ids)}
         report = per_cell_flows(s, hs, values)
         assert all(abs(v) < 1e-12 for v in report.boundary_flow.values())
         assert report.active_critical == ()
@@ -775,7 +779,7 @@ class TestFlowReport:
         lv1 = level_vertices(s, 1)
         rng = np.random.default_rng(0)
         values = {v: float(rng.standard_normal())
-                  for v in range(lv1.num_vertices)}
+                  for v in range(lv1.num_ids)}
         with pytest.raises(ValueError):
             per_cell_flows(s, hs, values)
 

@@ -4,6 +4,7 @@ T is structure.scheme.T on boundary weight matrices, the operator the
 solver iterates.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,8 @@ from fractal_renorm import (
 from fractal_renorm import networks, renorm
 from fractal_renorm.gd import cell_graph, gd_solve
 from fractal_renorm.networks import _harmonic_split, _split_ids
-from fractal_renorm.renorm import (_boundary_matrix, _newton_step,
-                                   _pair_jacobian)
+from fractal_renorm.renorm import (_boundary_matrix, _eta_slack,
+                                   _newton_step, _pair_jacobian)
 from _oracles import (energy, family_eta, power_eigenform,
                       restriction_weights, rotation_average, rotation_perm)
 
@@ -83,7 +84,7 @@ class TestReplicate:
         lv1 = level_vertices(s, 1)
         f1 = {v: float(rng.standard_normal()) for v in rep.vertices}
         total = 0.0
-        for row in lv1.copy_map:
+        for row in lv1.rows:
             pullback = {a: f1[row[s.index[a]]] for a in s.boundary}
             total += energy(form, pullback)
         assert energy(rep, f1) == pytest.approx(total)
@@ -219,6 +220,29 @@ class TestSolveEigenform:
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be finite"):
             solve_eigenform(ms(2, 1, "1/12"), tol=tol, max_iter=50)
+
+    def test_eta_disagreement_raises(self, monkeypatch):
+        # at the default tol the residual allows no more than
+        # ETA_AGREEMENT_TOL, so a Rayleigh estimate off by 1e-6 is refused
+        real = renorm._rayleigh_eta
+        monkeypatch.setattr(renorm, "_rayleigh_eta",
+                            lambda w, t: real(w, t) * (1.0 + 1e-6))
+        with pytest.raises(NonConvergenceError,
+                           match="eta estimates disagree") as err:
+            solve_eigenform(ms(2, 1, "1/12"))
+        assert "np.float64" not in str(err.value)
+        assert re.search(r"mass ratio 1\.5\d+ vs Rayleigh 1\.5\d+",
+                         str(err.value))
+
+    def test_loose_tol_eta_within_the_residual_bound(self):
+        # a solve stopped at tol 1e-3 converges; its two eta estimates
+        # differ by more than ETA_AGREEMENT_TOL but within what the met
+        # residual allows on row 0
+        s = ms(2, 1, "1/12")
+        hs = solve_eigenform(s, tol=1e-3)
+        w = as_weight_array(s, hs.form)
+        gap = abs(hs.eta_rayleigh - hs.eta) / hs.eta
+        assert renorm.ETA_AGREEMENT_TOL < gap <= _eta_slack(w, hs.residual)
 
     def test_nonconvergence_diagnostics(self):
         with pytest.raises(NonConvergenceError) as err:

@@ -1,5 +1,6 @@
 """Report envelope rendering and validation, including tamper detection."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,7 +11,8 @@ from fractal_renorm import (
 )
 from fractal_renorm.cli import main
 from fractal_renorm.networks import ConductanceForm
-from fractal_renorm.reports import _diff
+from fractal_renorm.reports import (_diff, gd_structure_results,
+                                    structure_results)
 
 
 def make_report(tmp_path, name, argv):
@@ -51,6 +53,39 @@ class TestRendering:
         report = {"schema": "fr-1", "values": [1, 2, 3]}
         write_report(str(path), report)
         assert load(path) == report
+
+
+def digest(results: dict) -> str:
+    text = json.dumps(results, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestPinnedResults:
+    """Structure payloads pinned by the first 16 hex digits of the sha256
+    of their sorted JSON, so a change in how levels and cells are glued
+    cannot move a report's bytes unnoticed."""
+
+    @pytest.mark.parametrize("inputs, expected", [
+        *(({"n": 2, "m": 1, "theta": "1/12", "symmetrized": False,
+            "level": level}, pin)
+          for level, pin in enumerate(["dec9b28cd72a564d", "68d5e29e99c2035a",
+                                       "adde229a49a565f8", "82eb9f7b65e53e27",
+                                       "25409cf302942b61"])),
+        ({"n": 2, "m": 2, "theta": "3/16", "symmetrized": True, "level": 3},
+         "2c87f038c194bc79"),
+        ({"n": 3, "m": 1, "theta": "1/9", "level": 3}, "1c328f1bc1ad86b9"),
+        ({"n": 3, "m": 2, "theta": "1/15", "level": 2}, "524cd7b43cec78ea"),
+    ])
+    def test_structure_levels(self, inputs, expected):
+        assert digest(structure_results(inputs, None)[0]) == expected
+
+    @pytest.mark.parametrize("n, m, expected", [
+        (2, 1, "2d2d2a303df291d7"), (3, 2, "0a0172c1e467094a"),
+        (4, 3, "e1506d4b9e3aface"), (5, 5, "7116df19e795d662"),
+        (2, 5, "59f586a6bf3247a9")])
+    def test_gd_structure(self, n, m, expected):
+        assert digest(gd_structure_results({"n": n, "m": m}, None)[0]) \
+            == expected
 
 
 class TestCommandCheck:

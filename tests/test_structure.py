@@ -8,7 +8,7 @@ import pytest
 
 from fractal_renorm import (
     DepthCapError, GluingScheme, InvalidMsError, build_structure, cell_graph,
-    enumerate_preserved, is_preserved, level_size, level_vertices,
+    enumerate_preserved, glue_copies, is_preserved, level_size, level_vertices,
     levels_to_json, make_context, phi_n, solve_eigenform,
     structure_from_json, structure_to_json,
 )
@@ -71,25 +71,28 @@ class TestBuildStructure:
         # r_i is glued between copies i and i+1; its own cell can be any
         s = ms(2, 1, "1/12")
         lv1 = level_vertices(s, 1)
-        for i, ((ca, pa), (cb, pb), vid) in enumerate(lv1.merges):
+        merges = levels_to_json(lv1, 1)["merges"]
+        assert len(merges) == 2 * s.ctx.ring_size
+        for i in range(s.ctx.ring_size):
+            (ca, pa, vid), (cb, pb, vid_b) = merges[2 * i:2 * i + 2]
             assert ca == i and cb == (i + 1) % s.ctx.ring_size
             assert pa == pb == s.index[s.glue_points[i]]
-            assert lv1.copy_map[ca][pa] == lv1.copy_map[cb][pb] == vid
+            assert lv1.rows[ca][pa] == lv1.rows[cb][pb] == vid == vid_b
 
 
 class TestLevels:
     def test_counts(self):
-        assert level_vertices(ms(2, 1, "1/12"), 1).num_vertices == 15
+        assert level_vertices(ms(2, 1, "1/12"), 1).num_ids == 15
         s6 = ms(2, 1, "1/6")
-        assert level_vertices(s6, 1).num_vertices == 6
-        assert level_vertices(s6, 2).num_vertices == 15
+        assert level_vertices(s6, 1).num_ids == 6
+        assert level_vertices(s6, 2).num_ids == 15
 
     def test_level_zero_identity(self):
         s = ms(2, 1, "1/12")
         lv0 = level_vertices(s, 0)
-        assert lv0.num_vertices == len(s.boundary)
-        assert lv0.inclusion == tuple(range(6))
-        assert lv0.boundary_ids == tuple(range(6))
+        assert lv0.num_ids == len(s.boundary)
+        assert lv0.marked == tuple(range(6))
+        assert lv0.rows == ()
 
     def test_count_formula_several_contexts(self):
         for n, m, theta in [(2, 1, "1/12"), (2, 2, "3/16"), (3, 1, "1/12"),
@@ -97,40 +100,44 @@ class TestLevels:
             s = ms(n, m, theta)
             ring = s.ctx.ring_size
             nb = len(s.boundary)
-            assert level_vertices(s, 1).num_vertices == ring * (nb - 1)
+            assert level_vertices(s, 1).num_ids == ring * (nb - 1)
 
     def test_inclusion_injective_and_nested(self):
         s = ms(2, 1, "1/12")
         lv1 = level_vertices(s, 1)
         lv2 = level_vertices(s, 2)
-        assert len(set(lv1.inclusion)) == len(lv1.inclusion)
-        assert len(set(lv2.inclusion)) == len(lv2.inclusion)
-        # boundary tracking composes through the inclusion
-        assert lv1.boundary_ids == tuple(lv1.inclusion[b]
-                                         for b in range(len(s.boundary)))
-        assert lv2.boundary_ids == tuple(lv2.inclusion[b]
-                                         for b in lv1.boundary_ids)
+        assert len(set(lv1.marked)) == len(lv1.marked)
+        assert len(set(lv2.marked)) == len(lv2.marked)
+        # boundary tracking composes the inclusions: level k+1 glues its
+        # copies at the level-k ids of the glue points
+        boundary = range(len(s.boundary))
+        for k in range(1, 5):
+            level = level_vertices(s, k)
+            merges = levels_to_json(level, k)["merges"]
+            assert [pa for _, pa, _ in merges] == \
+                [boundary[s.index[r]] for r in s.glue_points for _ in "ab"]
+            boundary = [level.marked[b] for b in boundary]
 
     def test_inclusion_definition_level1(self):
         # x goes to position phi(x) of copy cell(x)
         s = ms(2, 1, "1/12")
         lv1 = level_vertices(s, 1)
         for i, a in enumerate(s.boundary):
-            expected = lv1.copy_map[s.cells[a] - 1][s.index[phi_n(a, 2)]]
-            assert lv1.inclusion[i] == expected
+            expected = lv1.rows[s.cells[a] - 1][s.index[phi_n(a, 2)]]
+            assert lv1.marked[i] == expected
 
     def test_removing_merge_vertices_disconnects(self):
         # the m+n junction images cut level 1 into the m+n cell interiors
         for n, m, theta in [(2, 1, "1/12"), (2, 2, "3/16"), (2, 1, "1/6")]:
             s = ms(n, m, theta)
             lv1 = level_vertices(s, 1)
-            cut = {vid for _, _, vid in lv1.merges}
-            adjacency = {v: set() for v in range(lv1.num_vertices)}
-            for row in lv1.copy_map:
+            cut = {vid for _, _, vid in levels_to_json(lv1, 1)["merges"]}
+            adjacency = {v: set() for v in range(lv1.num_ids)}
+            for row in lv1.rows:
                 alive = [v for v in row if v not in cut]
                 for x in alive:
                     adjacency[x].update(y for y in alive if y != x)
-            remaining = [v for v in range(lv1.num_vertices) if v not in cut]
+            remaining = [v for v in range(lv1.num_ids) if v not in cut]
             seen, components = set(), 0
             for start in remaining:
                 if start in seen:
@@ -156,7 +163,7 @@ class TestLevels:
         for n, m, theta in [(2, 1, "1/12"), (3, 1, "1/9"), (2, 3, "1/10")]:
             s = ms(n, m, theta)
             for k in range(4):
-                assert level_size(s, k) == level_vertices(s, k).num_vertices
+                assert level_size(s, k) == level_vertices(s, k).num_ids
         assert level_size(ms(2, 1, "1/12"), 8) == 29_526
         with pytest.raises(DepthCapError):
             level_size(ms(2, 1, "1/6"), 13)
@@ -190,16 +197,31 @@ class TestGluingScheme:
     def test_ms_scheme_is_the_level1_set(self):
         s = ms(2, 1, "1/12")
         lv1 = level_vertices(s, 1)
-        assert s.scheme.rows == lv1.copy_map
-        assert s.scheme.marked == lv1.inclusion == lv1.boundary_ids
-        assert s.scheme.num_ids == lv1.num_vertices
+        assert s.scheme == lv1  # rows, marked and num_ids
+        assert (len(lv1.rows), lv1.num_ids) == (3, 15)
 
     def test_gd_scheme_is_the_cell(self):
-        cell = cell_graph(3, 2)
-        assert cell.scheme.rows == cell.subcell_ids
-        assert cell.scheme.marked == cell.corners
-        assert cell.scheme.num_ids == cell.num_ids
+        # one row of four corner images per subcell; marked are the cell's
+        # corners (p_cell, q_cell, p_cell+1, q_cell+1), each the unglued
+        # p-corner image at one side of a broken junction
+        n, m, ring = 3, 2, 5
+        for c in range(ring):
+            cell = cell_graph(n, m, c)
+            rows = cell.scheme.rows
+            assert len(rows) == ring and all(len(r) == 4 for r in rows)
+            assert cell.scheme.marked == (
+                rows[(n * c) % ring][0], rows[(n * c - 1) % ring][2],
+                rows[(n * (c + 1) - 1) % ring][2], rows[(n * (c + 1)) % ring][0])
+            assert cell.scheme.num_ids == 2 * ring + 2
         assert cell.boundary == ("p0", "q0", "p1", "q1")
+
+    def test_glue_copies(self):
+        # three copies of a two-vertex path glued end to end into a cycle;
+        # ids follow the least slot c*size + v of each class
+        rows, count = glue_copies(3, 2, [((0, 1), (1, 0)), ((1, 1), (2, 0)),
+                                         ((2, 1), (0, 0))])
+        assert (rows, count) == (((0, 1), (1, 2), (2, 0)), 3)
+        assert glue_copies(2, 3, []) == (((0, 1, 2), (3, 4, 5)), 6)
 
     def test_built_once_per_structure(self, monkeypatch):
         calls = []
@@ -255,8 +277,8 @@ class TestRotationAction:
             for i, a in enumerate(s.boundary):
                 rotated_cell = (s.cells[a] - 1 + l) % ring
                 inner_pos = inner[s.index[phi_n(a, s.ctx.n)]]
-                assert lv1.inclusion[perm[i]] == \
-                    lv1.copy_map[rotated_cell][inner_pos]
+                assert lv1.marked[perm[i]] == \
+                    lv1.rows[rotated_cell][inner_pos]
 
 
 class TestJson:
@@ -278,7 +300,7 @@ class TestJson:
     def test_levels_payload_shape(self):
         s = ms(2, 1, "1/12")
         lv1 = level_vertices(s, 1)
-        data = levels_to_json(lv1)
+        data = levels_to_json(lv1, 1)
         assert data["level"] == 1
         assert data["num_vertices"] == 15
         assert len(data["merges"]) == 2 * s.ctx.ring_size
