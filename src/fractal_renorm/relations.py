@@ -29,7 +29,7 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .angles import Angle, critical_angles, kappa, phi_n, rotate
+from .angles import Angle, critical_angles, kappa, phi_n
 from .errors import (CapExceededError, KappaUndefinedError,
                      KernelMismatchError, NotAPermutationError,
                      NotInvariantError)
@@ -132,10 +132,11 @@ def _index_blocks(structure, relation: Partition) -> list[list[int]]:
 
 def rotation_invariant(structure: MsStructure, relation: Partition) -> bool:
     """True when rotating every block by one step permutes the blocks."""
-    block_sets = {frozenset(b) for b in relation.blocks}
-    return all(
-        frozenset(rotate(structure.ctx, a, 1) for a in b) in block_sets
-        for b in relation.blocks)
+    rot = structure.rotation
+    if rot is None:
+        return False
+    blocks = {frozenset(b) for b in _index_blocks(structure, relation)}
+    return all(frozenset(rot[i] for i in b) in blocks for b in blocks)
 
 
 def is_preserved(structure, relation: Partition,
@@ -169,7 +170,13 @@ def enumerate_preserved(structure, require_g: bool = False,
     Depth-first restricted-growth search over boundary indices, with one
     undoable union-find on the level-1 ids carrying the closure of the
     partial assignment. Point i joining block c unions row[first of c]
-    with row[i] in every copy; those unions are undone on backtrack.
+    with row[i] in every copy. Each root is labelled with the block of the
+    assigned points whose inclusions it holds (-1 for none); a union of
+    roots with different labels, or point i landing on a root labelled
+    with another block, fails the node. Unions and label changes share one
+    undo log. When the root of point i's inclusion is already labelled,
+    that block is the only choice that can pass, so it is the only one
+    tried.
 
     Pruning is sound because F(J), the level-1 closure of J restricted
     back to the boundary, is monotone in J, and a restricted-growth search
@@ -179,6 +186,16 @@ def enumerate_preserved(structure, require_g: bool = False,
     no completion is a fixed point. F is not extensive (F(J) >= J fails
     for most J), so closure-system shortcuts do not apply. A leaf is
     preserved exactly when "same root" equals "same block" on all points.
+
+    With require_g, a node is also pruned when an assigned pair (i, y)
+    and its image under some rotation r^k, both points of it assigned,
+    disagree on being related. The assigned codes never change below a
+    node, and every rotation-invariant relation has i ~ y exactly when
+    r^k(i) ~ r^k(y), so no pruned subtree holds a rotation-invariant leaf.
+    Checking the pairs through the new point i, against every k, covers
+    the pairs that became checkable at i, because an image pair through i
+    is checked from its own side with the inverse rotation. A leaf that
+    passes every check is rotation-invariant.
 
     Refuses boundaries larger than the cap. With require_g, only the
     rotation-invariant relations among the preserved ones are returned.
@@ -196,6 +213,8 @@ def enumerate_preserved(structure, require_g: bool = False,
     # union by size without path compression, so every union is undoable
     parent = list(range(scheme.num_ids))
     size = [1] * scheme.num_ids
+    label = [-1] * scheme.num_ids
+    # a root r that was merged away, or ~r for a root that was labelled
     undo_log: list[int] = []
 
     def find(x: int) -> int:
@@ -203,37 +222,52 @@ def enumerate_preserved(structure, require_g: bool = False,
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
+    def union(x: int, y: int) -> bool:
+        """Join the roots of x and y; False when their labels differ."""
         rx, ry = find(x), find(y)
         if rx == ry:
-            return
+            return True
+        lx, ly = label[rx], label[ry]
+        if lx != ly and lx >= 0 and ly >= 0:
+            return False
         if size[rx] < size[ry]:
-            rx, ry = ry, rx
+            rx, ry, lx, ly = ry, rx, ly, lx
         parent[ry] = rx
         size[rx] += size[ry]
         undo_log.append(ry)
+        if lx < 0 <= ly:
+            label[rx] = ly
+            undo_log.append(~rx)
+        return True
 
     def undo(mark: int) -> None:
         while len(undo_log) > mark:
-            ry = undo_log.pop()
-            size[parent[ry]] -= size[ry]
-            parent[ry] = ry
+            entry = undo_log.pop()
+            if entry < 0:
+                label[~entry] = -1
+            else:
+                size[parent[entry]] -= size[entry]
+                parent[entry] = entry
+
+    # checks[i]: (y, j, z) with j = r^k(i) and z = r^k(y), for y < i and
+    # every k with both images among the points assigned by node i
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(nb)]
+    if require_g:
+        power = list(range(nb))
+        for _ in range(structure.ctx.ring_size - 1):
+            power = [structure.rotation[p] for p in power]
+            for i in range(nb):
+                if power[i] <= i:
+                    checks[i] += [(y, power[i], power[y]) for y in range(i)
+                                  if power[y] <= i]
 
     code = [0] * nb
     first: list[int] = []  # least point of each block
     out = []
 
-    def separated(upto: int) -> bool:
-        """Assigned points in different blocks keep different roots."""
-        block_of_root: dict[int, int] = {}
-        for p in range(upto):
-            if block_of_root.setdefault(find(incl[p]), code[p]) != code[p]:
-                return False
-        return True
-
     def emit() -> None:
-        roots = [find(incl[p]) for p in range(nb)]
-        if any(roots[p] != roots[first[code[p]]] for p in range(nb)):
+        if any(find(incl[p]) != find(incl[first[code[p]]])
+               for p in range(nb)):
             return
         groups = [[] for _ in first]
         for p, c in enumerate(code):
@@ -244,24 +278,27 @@ def enumerate_preserved(structure, require_g: bool = False,
         if i == nb:
             emit()
             return
-        for c in range(len(first) + 1):
-            mark = len(undo_log)
+        root = find(incl[i])
+        forced = label[root]
+        opened = len(first)
+        for c in (forced,) if forced >= 0 else range(opened + 1):
             code[i] = c
-            opened = c == len(first)
-            if opened:
+            if checks[i] and not all((code[y] == c) == (code[j] == code[z])
+                                     for y, j, z in checks[i]):
+                continue
+            mark = len(undo_log)
+            if forced < 0:
+                label[root] = c
+                undo_log.append(~root)
+            if c == opened:
                 first.append(i)
-            else:
-                for row in rows:
-                    union(row[first[c]], row[i])
-            if separated(i + 1):
+                rec(i + 1)
+                first.pop()
+            elif all(union(row[first[c]], row[i]) for row in rows):
                 rec(i + 1)
             undo(mark)
-            if opened:
-                first.pop()
 
     rec(0)
-    if require_g:
-        out = [rel for rel in out if rotation_invariant(structure, rel)]
     return out
 
 
@@ -444,6 +481,13 @@ def rho_search(structure, relation: Partition, side: str) -> RhoReport:
     BRACKET_TOL relative, or after BRACKET_STEPS steps. An eigenvector on
     the boundary of the cone, which the iterates approach slowly, or
     iterates that cycle, leave a wider bracket.
+
+    An iterate can collapse towards a face of the cone until its form is
+    no longer positive definite on the complement, and the ratios of the
+    next step are undefined. The bracket then ends at the last step whose
+    denominator was positive definite: every m_k and M_k met so far is a
+    valid bound, so stopping early only leaves the bracket wider. Only a
+    degenerate first step raises.
     """
     _check_ground(structure, relation)
     plan = _side(structure, relation, side)
@@ -454,7 +498,13 @@ def rho_search(structure, relation: Partition, side: str) -> RhoReport:
     rho_over, rho_under = np.inf, -np.inf
     for step, (w, image, _) in zip(range(1, BRACKET_STEPS + 1),
                                    cone_iteration(plan.op, plan.start)):
-        lo, hi = _ratio_bounds(image, w, plan.comp)
+        try:
+            lo, hi = _ratio_bounds(image, w, plan.comp)
+        except ValueError:
+            if step == 1:
+                raise
+            step -= 1
+            break
         if hi < rho_over:
             rho_over, best_over = hi, w
         if lo > rho_under:

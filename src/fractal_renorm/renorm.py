@@ -252,12 +252,13 @@ def solve_eigenform(structure, *, tol: float = DEFAULT_TOL,
 
 
 def verify_harmonic_structure(structure: MsStructure, form: ConductanceForm,
-                              eta: float) -> dict:
+                              eta: float, tol: float = ETA_AGREEMENT_TOL
+                              ) -> dict:
     """Independent residual report for a claimed eigenform.
 
-    Checks the eigen equation, the mass normalization, and the locality of
-    harmonic extension across levels: extending random level-1 data to
-    level 2 and restricting to one copy must equal that copy's own
+    Checks the eigen equation (to tol), the mass normalization, and the
+    locality of harmonic extension across levels: extending random level-1
+    data to level 2 and restricting to one copy must equal that copy's own
     extension of the same data, for every copy (copy_consistency is the
     largest deviation). Both extensions are the X of the gluing schemes'
     harmonic kernel, the one traces come from. The locality check
@@ -279,5 +280,5 @@ def verify_harmonic_structure(structure: MsStructure, form: ConductanceForm,
         "eigen_residual": eigen_residual,
         "mass_defect": mass_defect,
         "copy_consistency": nesting,
-        "ok": bool(eigen_residual <= 1e-9 and nesting <= 1e-9),
+        "ok": bool(eigen_residual <= tol and nesting <= 1e-9),
     }

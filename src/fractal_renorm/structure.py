@@ -113,10 +113,17 @@ class MsStructure:
         object.__setattr__(self, "_index",
                            {a: i for i, a in enumerate(self.boundary)})
 
+    @cached_property
+    def rotation(self) -> Optional[tuple[int, ...]]:
+        """rotation[i] is the boundary index of boundary[i] rotated by
+        1/(m+n), or None when the boundary is not rotation-closed."""
+        rotated = [self.index.get(rotate(self.ctx, a, 1))
+                   for a in self.boundary]
+        return None if None in rotated else tuple(rotated)
+
     @property
     def rotation_closed(self) -> bool:
-        bset = set(self.boundary)
-        return all(rotate(self.ctx, a, 1) in bset for a in self.boundary)
+        return self.rotation is not None
 
     @cached_property
     def scheme(self) -> GluingScheme:

@@ -14,12 +14,13 @@ import math
 
 import numpy as np
 
-from fractal_renorm.angles import critical_angles, kappa, phi_n, rotate
+from fractal_renorm.angles import (critical_angles, kappa, make_context,
+                                   phi_n, rotate, validate_ms)
 from fractal_renorm.errors import NonConvergenceError
 from fractal_renorm.gd import cell_graph
 from fractal_renorm.networks import ConductanceForm
-from fractal_renorm.relations import Partition, rotation_invariant
-from fractal_renorm.structure import level_vertices
+from fractal_renorm.relations import Partition
+from fractal_renorm.structure import build_structure, level_vertices
 
 
 def energy(form, f, g=None):
@@ -219,8 +220,36 @@ def brute_force_preserved(structure, require_g=False):
     The pruned enumerator must return exactly this list, in this order.
     """
     return [cand for cand in partitions_rgs(structure.boundary)
-            if not (require_g and not rotation_invariant(structure, cand))
+            if not (require_g and not rotated_by_angles(structure, cand))
             and preserved_by_closure(structure, cand)]
+
+
+def rotated_by_angles(structure, relation):
+    """Whether rotating every angle by 1/(m+n) gives the same partition,
+    through angles.rotate rather than the structure's cached rotation."""
+    return Partition.from_blocks(
+        [[rotate(structure.ctx, a, 1) for a in b]
+         for b in relation.blocks]) == relation
+
+
+def valid_contexts(families, qmax, nbmax):
+    """(n, m, theta) for every theta = p/q in [0, 1/(m+n)) with q <= qmax
+    that passes validate_ms and gives at most nbmax boundary points; by
+    family, then q, then p."""
+    out = []
+    for n, m in families:
+        seen = set()
+        for q in range(1, qmax + 1):
+            for p in range(q):
+                theta = Fraction(p, q)
+                if theta >= Fraction(1, m + n) or theta in seen:
+                    continue
+                seen.add(theta)
+                ctx = make_context(n, m, theta)
+                if (validate_ms(ctx).valid
+                        and len(build_structure(ctx).boundary) <= nbmax):
+                    out.append((n, m, theta))
+    return out
 
 
 def dense_level_resistance(structure, weights, k):

@@ -14,7 +14,8 @@ from fractal_renorm import (
     Angle, Partition, build_J_plus_minus, build_gd_structure,
     build_structure, circle_distance, enumerate_preserved, existence_verdict,
     gd_relation_rhos, gd_solve, is_preserved, level_vertices, make_context,
-    per_cell_flows, phi_n, solve_eigenform, uniqueness_certificate,
+    per_cell_flows, phi_n, sabot_verdict, solve_eigenform,
+    uniqueness_certificate,
 )
 from fractal_renorm.networks import _harmonic_split, _split_ids
 from fractal_renorm.relations import (RATIO_TOL, _block_traces,
@@ -23,7 +24,8 @@ from fractal_renorm.renorm import _boundary_matrix
 
 from _oracles import (block_cycle_form, block_star_form, family_eta,
                       restriction_weights, gd_eta_m1, gd_rho_values,
-                      quotient_weights, relaxed_trace_weights)
+                      quotient_weights, relaxed_trace_weights,
+                      valid_contexts)
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -289,3 +291,21 @@ def test_08_property_suites():
         assert lo >= bound
     print(f"quotient ratio lower bound {bound!r} holds for every "
           f"preserved relation")
+
+
+def test_09_g_verdict_table():
+    # the paper's theorem over every valid theta with q <= 40 and at most
+    # 9 boundary points: each G-verdict is an exists-unique verdict
+    table = {}
+    for n, m, theta in valid_contexts([(2, 1), (3, 1), (2, 2), (3, 2)], 40,
+                                      9):
+        s = ms(n, m, theta)
+        verdict = sabot_verdict(
+            s, enumerate_preserved(s, require_g=True)).verdict
+        print(f"(n={n}, m={m}, theta={theta}): {verdict}")
+        assert verdict.endswith("_exists_unique"), (n, m, theta)
+        table.setdefault(verdict, []).append((n, m, theta))
+    counts = {verdict: len(cases) for verdict, cases in table.items()}
+    print(f"G-verdicts over {sum(counts.values())} theta: {counts}")
+    assert counts == {"criteria_hold_exists_unique": 4,
+                      "no_nontrivial_relations_exists_unique": 30}

@@ -267,6 +267,22 @@ class TestExitCodes:
         assert main(["solve", "--n", "2", "--m", "1", "--theta", theta,
                      "--tol", tol, "--out", str(out)]) == 0
         assert main(["validate", str(out)]) == 0
+        # the eigen equation is held to the tol the eta claim states
+        checks = load(out)["results"]["checks"]
+        assert checks["ok"] is True
+        assert checks["eigen_residual"]["tol"] == max(1e-9, float(tol) * 10)
+
+    @pytest.mark.parametrize("theta", ["1/72", "17/72"])
+    def test_all_relations_with_a_collapsing_bracket(self, theta, tmp_path):
+        # a quotient iterate collapses towards a face of the cone; its
+        # bracket ends at the last step with a positive definite form
+        out = tmp_path / "r.json"
+        assert main(["relations", "--all", "--n", "3", "--m", "1",
+                     "--theta", theta, "--out", str(out)]) == 0
+        assert main(["validate", str(out)]) == 0
+        results = load(out)["results"]
+        assert len(results["preserved"]) == 11
+        assert results["verdict"]["verdict"] == "inconclusive"
 
     def test_gd_critical_pair_still_succeeds(self, tmp_path):
         out = tmp_path / "crit.json"

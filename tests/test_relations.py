@@ -26,8 +26,11 @@ from fractal_renorm.relations import (_block_traces, _complement,
 from fractal_renorm.renorm import _boundary_matrix
 from _oracles import (block_cycle_form, block_star_form,
                       brute_force_preserved, energy, gd_rho_values,
-                      loop_t_quotient, loop_t_relation, quotient_weights,
-                      support_components)
+                      loop_t_quotient, loop_t_relation, partitions_rgs,
+                      quotient_weights, rotated_by_angles,
+                      support_components, valid_contexts)
+
+SWEEP_FAMILIES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -242,6 +245,15 @@ class TestPreserved:
                             ["5/6"])
         assert not rotation_invariant(s, skew)
 
+    @pytest.mark.parametrize("n,m,theta,symmetrize", [
+        (2, 1, "1/12", None), (3, 1, "1/9", None), (2, 2, "3/16", None),
+        (2, 2, "3/16", False)])
+    def test_rotation_invariant_matches_rotated_angles(self, n, m, theta,
+                                                        symmetrize):
+        s = ms(n, m, theta, symmetrize)
+        for rel in partitions_rgs(s.boundary):
+            assert rotation_invariant(s, rel) == rotated_by_angles(s, rel)
+
 
 class TestEnumeration:
     def test_2_1_12_g_relations(self):
@@ -278,6 +290,25 @@ class TestEnumeration:
         s = ms(2, 2, "3/16", symmetrize=False)
         with pytest.raises(NotInvariantError):
             enumerate_preserved(s, require_g=True)
+
+    def test_g_search_is_the_invariant_part_of_the_full_search(self):
+        # the rotation-consistency pruning drops no G-relation and keeps
+        # the RGS order of the full search
+        contexts = valid_contexts(SWEEP_FAMILIES, 60, 9)
+        assert len(contexts) == 43
+        for n, m, theta in contexts + [(2, 1, Fraction(1, 48))]:
+            s = ms(n, m, theta)
+            full = enumerate_preserved(s)
+            assert enumerate_preserved(s, require_g=True) == \
+                [rel for rel in full if rotated_by_angles(s, rel)], \
+                (n, m, theta)
+
+    def test_g_search_sound_above_the_default_cap(self):
+        s = ms(2, 1, "1/96")
+        assert len(s.boundary) == 15
+        found = enumerate_preserved(s, require_g=True, cap=15)
+        assert singletons(s) in found and one_block(s) in found
+        assert all(is_preserved(s, rel, require_g=True) for rel in found)
 
     def test_full_enumeration_includes_g_relations(self):
         s = ms(2, 1, "1/12")
@@ -716,6 +747,24 @@ class TestRhoSearch:
         report = rho_search(s, rel, "quotient")
         assert report.evaluations == 200
         assert built == [4, 4]
+
+    def test_bracket_ends_before_a_degenerate_iterate(self):
+        # the quotient iterate collapses towards a face of the cone; the
+        # bracket keeps the bounds met before its form degenerates
+        s = ms(3, 1, "1/72")
+        rel = partition_of(s, ["1/24", "3/8"], ["1/8", "19/24"], ["7/24"],
+                           ["13/24"], ["5/8"], ["7/8"])
+        assert is_preserved(s, rel)
+        report = rho_search(s, rel, "quotient")
+        assert report.evaluations == 79
+        assert 0.718 < report.rho_under < report.rho_over <= 1.0 + 1e-9
+        plan = _side(s, rel, "quotient")
+        w = plan.start
+        for _ in range(report.evaluations):
+            image = plan.op(w)
+            w = image / (image.sum() / 2.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            _ratio_bounds(plan.op(w), w, plan.comp)
 
 
 class TestCertificates:
