@@ -36,7 +36,7 @@ from .errors import (CapExceededError, KappaUndefinedError,
 from .networks import (ConductanceForm, DisjointSet, _harmonic_split,
                        _laplacian, _split_ids, _support_labels)
 from .renorm import HarmonicStructure, _boundary_matrix, cone_iteration
-from .structure import GluingScheme, MsStructure
+from .structure import GluingScheme, MsStructure, boundary_rotation
 
 DEFAULT_ENUM_CAP = 12
 DEFAULT_K_MAX = 8
@@ -132,7 +132,7 @@ def _index_blocks(structure, relation: Partition) -> list[list[int]]:
 
 def rotation_invariant(structure: MsStructure, relation: Partition) -> bool:
     """True when rotating every block by one step permutes the blocks."""
-    rot = structure.rotation
+    rot = boundary_rotation(structure)
     if rot is None:
         return False
     blocks = {frozenset(b) for b in _index_blocks(structure, relation)}
@@ -149,7 +149,7 @@ def is_preserved(structure, relation: Partition,
     """
     _check_ground(structure, relation)
     if require_g:
-        if not structure.rotation_closed:
+        if boundary_rotation(structure) is None:
             raise NotInvariantError(
                 "G-relations need a rotation-closed boundary; "
                 "build the structure with symmetrize=True")
@@ -204,7 +204,7 @@ def enumerate_preserved(structure, require_g: bool = False,
     if nb > cap:
         raise CapExceededError(
             f"boundary size {nb} exceeds enumeration cap {cap}")
-    if require_g and not structure.rotation_closed:
+    if require_g and boundary_rotation(structure) is None:
         raise NotInvariantError(
             "G-relations need a rotation-closed boundary")
     scheme = structure.scheme

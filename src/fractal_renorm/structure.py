@@ -121,14 +121,16 @@ class MsStructure:
                    for a in self.boundary]
         return None if None in rotated else tuple(rotated)
 
-    @property
-    def rotation_closed(self) -> bool:
-        return self.rotation is not None
-
     @cached_property
     def scheme(self) -> GluingScheme:
         """The level-1 gluing, built on first use and kept."""
         return level_vertices(self, 1)
+
+
+def boundary_rotation(structure) -> Optional[tuple[int, ...]]:
+    """structure.rotation, or None for a structure that has none (a
+    graph-directed cell); either way None means not rotation-closed."""
+    return getattr(structure, "rotation", None)
 
 
 def build_structure(ctx: AngleContext,

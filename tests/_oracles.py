@@ -288,6 +288,42 @@ def dense_level_resistance(structure, weights, k):
     return diag[:, None] + diag[None, :] - 2.0 * green[np.ix_(ids, ids)]
 
 
+def _extension(lap, known, values):
+    """Harmonic extension of values on the ids known to every id of the
+    Laplacian lap, by one dense solve on the rest."""
+    known_ids = set(known)
+    rest = [i for i in range(len(lap)) if i not in known_ids]
+    out = np.zeros(len(lap))
+    out[known] = values
+    out[rest] = np.linalg.solve(lap[np.ix_(rest, rest)],
+                                -lap[np.ix_(rest, known)] @ values)
+    return out
+
+
+def dense_copy_consistency(structure, weights, seed=0):
+    """The dense level-2 route to the locality of harmonic extension.
+
+    Random data on the level-1 ids is extended to level 2 through the
+    dense level-2 network, and each copy's image of the boundary data is
+    extended within level 1; returns the largest deviation between the
+    two on the copies. Both networks are glued pair by pair from weights
+    (level 0 in boundary order) and solved by numpy, so the package's
+    assembly and harmonic kernel are not used. Meant for nb <= 18.
+    """
+    lv1, lv2 = level_vertices(structure, 1), level_vertices(structure, 2)
+    net1 = _glued_copies(lv1.rows, lv1.num_ids, weights)
+    net2 = _glued_copies(lv2.rows, lv2.num_ids, net1)
+    lap1 = np.diag(net1.sum(axis=1)) - net1
+    lap2 = np.diag(net2.sum(axis=1)) - net2
+    probe = np.random.default_rng(seed).standard_normal(lv1.num_ids)
+    ext2 = _extension(lap2, list(lv2.marked), probe)
+    worst = 0.0
+    for row1, row2 in zip(lv1.rows, lv2.rows):
+        local = _extension(lap1, list(lv1.marked), probe[list(row1)])
+        worst = max(worst, float(np.abs(local - ext2[list(row2)]).max()))
+    return worst
+
+
 def gd_solve_all_cells(n, m, *, tol=1e-12, max_iter=20_000, seed=1):
     """Unreduced graph-directed iteration carrying one form per cell.
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from fractal_renorm import (
-    ConductanceForm, NonConvergenceError, Partition, RELATION_PQ,
-    RELATION_SIDES, build_gd_structure, cell_graph, enumerate_preserved,
-    existence_verdict, gd_relation_rhos, gd_solve, gd_structure_to_json,
-    is_preserved,
+    ConductanceForm, NonConvergenceError, NotInvariantError, Partition,
+    RELATION_PQ, RELATION_SIDES, build_gd_structure, cell_graph,
+    enumerate_preserved, existence_verdict, gd_relation_rhos, gd_solve,
+    gd_structure_to_json, is_preserved,
 )
 from fractal_renorm.gd import CORNER_ORDER, EXPLORE_ITER_CAP, FORM_VERTICES
 from fractal_renorm.relations import RATIO_TOL, _ratio_bounds, _side
@@ -252,6 +252,14 @@ class TestPreservation:
             assert Partition.from_blocks([list(FORM_VERTICES)]) in preserved
             # the pruned MS enumerator serves the cell, in RGS order
             assert enumerate_preserved(cell_graph(n, m)) == preserved
+
+    def test_g_relations_need_a_rotation(self):
+        # a cell has no rotation, so it is not rotation-closed
+        cell = cell_graph(2, 1)
+        with pytest.raises(NotInvariantError):
+            enumerate_preserved(cell, require_g=True)
+        with pytest.raises(NotInvariantError):
+            is_preserved(cell, RELATION_PQ, require_g=True)
 
 
 class TestQuotient:

@@ -18,10 +18,13 @@ from fractal_renorm import (
 from fractal_renorm import networks, renorm
 from fractal_renorm.gd import cell_graph, gd_solve
 from fractal_renorm.networks import _harmonic_split, _split_ids
+from fractal_renorm.structure import GluingScheme
 from fractal_renorm.renorm import (_boundary_matrix, _eta_slack,
-                                   _newton_step, _pair_jacobian)
-from _oracles import (energy, family_eta, power_eigenform,
-                      restriction_weights, rotation_average, rotation_perm)
+                                   _newton_step, _pair_jacobian,
+                                   _pair_orbits, _PairOrbits)
+from _oracles import (dense_copy_consistency, energy, family_eta,
+                      power_eigenform, restriction_weights, rotation_average,
+                      rotation_perm)
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -171,7 +174,7 @@ class TestSymmetrize:
 
     def test_requires_closed_boundary(self):
         s = ms(2, 2, "3/16", symmetrize=False)
-        assert not s.rotation_closed
+        assert s.rotation is None
         with pytest.raises(KeyError):
             rotation_average(s, as_weight_array(s, complete_unit(s)))
 
@@ -275,8 +278,8 @@ class TestNewton:
         scheme, nb = structure.scheme, len(structure.boundary)
         rng = np.random.default_rng(11)
         x = rng.uniform(0.5, 1.5, nb * (nb - 1) // 2)
-        jac = _pair_jacobian(scheme, scheme.harmonic(pair_matrix(x, nb))[1],
-                             np.zeros((len(x), len(x))))
+        jac = _pair_jacobian(scheme, _PairOrbits.build(scheme.pairs, None),
+                             scheme.harmonic(pair_matrix(x, nb))[1])
         step = 1e-5
         numeric = np.empty_like(jac)
         for p in range(len(x)):
@@ -296,7 +299,8 @@ class TestNewton:
         x = np.random.default_rng(12).uniform(0.5, 1.5, nb * (nb - 1) // 2)
         w = pair_matrix(x, nb)
         traced, ext = scheme.harmonic(w)
-        jac = _pair_jacobian(scheme, ext, np.zeros((len(x), len(x))))
+        jac = _pair_jacobian(scheme, _PairOrbits.build(scheme.pairs, None),
+                             ext)
         traced = pair_vector(traced)
         assert np.abs(jac @ x - traced).max() <= 1e-12 * np.abs(traced).max()
 
@@ -330,7 +334,8 @@ class TestNewton:
         w = start / pair_vector(start).sum()
         traced, ext = scheme.harmonic(w)
         eta = 2.0 / traced.sum()
-        first = _newton_step(scheme, w, traced, ext, eta)
+        first = _newton_step(scheme, _PairOrbits.build(scheme.pairs, None),
+                             w, traced, ext, eta)
         assert first is None or scheme.residual(
             first, 2.0 / scheme.T(first).sum()) >= scheme.residual(w, eta)
         hs = solve_eigenform(s, init=init)
@@ -394,6 +399,105 @@ class TestNewton:
         assert 0.0 < err.value.residual < 1e-14
 
 
+# the nine solves of the benchmark's verdict workload (both members of
+# each family pair), then two more, with their pinned step counts
+ORBIT_CASES = [
+    (2, 1, "1/6", 0), (3, 1, "1/12", 3), (3, 1, "1/6", 3), (3, 2, "1/15", 1),
+    (3, 2, "2/15", 1), (2, 3, "1/10", 4), (2, 1, "1/24", 5),
+    (2, 2, "3/16", 5), (2, 1, "1/48", 5), (2, 1, "1/96", 5),
+    (2, 1, "1/192", 5), (2, 1, "1/12", 4), (3, 1, "1/9", 4)]
+
+
+def newton_sizes(monkeypatch):
+    """Record the size of every linear system solved from here on."""
+    sizes, solve = [], np.linalg.solve
+
+    def spy(a, b):
+        sizes.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return sizes
+
+
+class TestOrbitSolve:
+    @pytest.mark.parametrize("n,m,theta,steps", ORBIT_CASES)
+    def test_agrees_with_cone_steps(self, n, m, theta, steps):
+        # the cone-only run forms no orbit table and no Newton system
+        s = ms(n, m, theta)
+        cone = renorm._normalized_iteration(s, 1e-14, 10_000, newton=False)
+        assert cone.converged
+        hs = solve_eigenform(s)
+        assert hs.iterations == steps
+        w = _boundary_matrix(s, hs.form)
+        assert abs(hs.eta - cone.eta) <= 1e-12
+        assert np.abs(w - cone.form).max() <= 1e-10
+        rot = list(s.rotation)
+        assert (w[np.ix_(rot, rot)] == w).all()
+
+    @pytest.mark.parametrize("n,m,theta", [(2, 1, "1/12"), (2, 2, "3/16"),
+                                           (3, 2, "1/15")])
+    def test_orbit_jacobian_matches_central_differences(self, n, m, theta):
+        s = ms(n, m, theta)
+        scheme, nb = s.scheme, len(s.boundary)
+        orbits = _pair_orbits(s, 1.0 - np.eye(nb))
+        ra, rb = orbits.ra, orbits.rb
+        x = np.random.default_rng(13).uniform(0.5, 1.5, len(ra))
+        jac = _pair_jacobian(scheme, orbits,
+                             scheme.harmonic(orbits.matrix(x, nb))[1])
+        step = 1e-5
+        numeric = np.empty_like(jac)
+        for o in range(len(x)):
+            up, down = x.copy(), x.copy()
+            up[o] += step
+            down[o] -= step
+            numeric[:, o] = (scheme.T(orbits.matrix(up, nb))
+                             - scheme.T(orbits.matrix(down, nb)))[ra, rb] \
+                / (2 * step)
+        assert np.abs(jac - numeric).max() <= 1e-6 * np.abs(jac).max()
+
+    @pytest.mark.parametrize("n,m,theta", [(2, 1, "1/12"), (2, 2, "3/16"),
+                                           (2, 1, "1/192")])
+    def test_orbits_partition_the_pairs(self, n, m, theta):
+        s = ms(n, m, theta)
+        nb = len(s.boundary)
+        unit = 1.0 - np.eye(nb)
+        orbits = _pair_orbits(s, unit)
+        assert _pair_orbits(s, unit) is orbits
+        found = set(zip(orbits.ia.tolist(), orbits.ib.tolist()))
+        assert found == {(a, b) for a in range(nb) for b in range(a + 1, nb)}
+        assert len(found) == len(orbits.ia) == orbits.sizes.sum()
+        rot = s.rotation
+        for start, size in zip(orbits.starts, orbits.sizes):
+            orbit = {(a, b) for a, b in zip(orbits.ia[start:start + size],
+                                            orbits.ib[start:start + size])}
+            assert {tuple(sorted((rot[a], rot[b]))) for a, b in orbit} \
+                == orbit
+            assert (orbits.ia[start], orbits.ib[start]) == min(orbit)
+
+    def test_system_size(self, monkeypatch):
+        # one unknown per orbit plus eta: 153 pairs in 51 orbits at
+        # nb = 18, and 6 singleton orbits on a cell, which has no rotation
+        sizes = newton_sizes(monkeypatch)
+        solve_eigenform(ms(2, 1, "1/192"))
+        assert set(sizes) == {52}
+        sizes.clear()
+        gd_solve(4, 3)
+        assert set(sizes) == {7}
+
+    def test_asymmetric_start_solves_on_pairs(self, monkeypatch):
+        s = ms(2, 1, "1/12")
+        nb = len(s.boundary)
+        start = pair_matrix(np.arange(1.0, 1.0 + nb * (nb - 1) // 2), nb)
+        sizes = newton_sizes(monkeypatch)
+        hs = solve_eigenform(s, init=ConductanceForm.from_matrix(s.boundary,
+                                                                 start))
+        assert sizes and set(sizes) == {nb * (nb - 1) // 2 + 1}
+        w, eta = power_eigenform(s)
+        assert abs(hs.eta - eta) <= 1e-12 * eta
+        assert np.abs(_boundary_matrix(s, hs.form) - w).max() <= 1e-10
+
+
 class TestVerify:
     def test_solved_structure_passes(self):
         s = ms(2, 1, "1/6")
@@ -421,6 +525,56 @@ class TestVerify:
             s.boundary, hs.eta * s.scheme.T(as_weight_array(s, hs.form)))
         report = verify_harmonic_structure(s, once, hs.eta)
         assert report["ok"]
+
+    @pytest.mark.parametrize("n,m,theta", [
+        (2, 1, "1/12"), (2, 1, "1/192"), (3, 1, "1/9"), (3, 2, "1/15"),
+        (2, 2, "3/16")])
+    def test_exact_check_agrees_with_dense_level_2(self, n, m, theta):
+        s = ms(n, m, theta)
+        hs = solve_eigenform(s)
+        report = verify_harmonic_structure(s, hs.form, hs.eta)
+        assert report["copy_consistency"] == 0.0
+        assert report["ok"]
+        assert dense_copy_consistency(
+            s, _boundary_matrix(s, hs.form)) <= 1e-9
+
+    @staticmethod
+    def corrupted_report(monkeypatch, corrupt):
+        # verify against a level 2 whose rows corrupt(rows) rewrites
+        s = ms(2, 1, "1/12")
+        hs = solve_eigenform(s)
+        level2 = level_vertices(s, 2)
+        rows = [list(row) for row in level2.rows]
+        corrupt(rows, s.scheme.marked, level2.marked)
+        bad = GluingScheme(tuple(map(tuple, rows)), level2.marked,
+                           level2.num_ids)
+        monkeypatch.setattr(renorm, "level_vertices",
+                            lambda structure, k: bad if k == 2
+                            else level_vertices(structure, k))
+        return verify_harmonic_structure(s, hs.form, hs.eta)
+
+    def test_misplaced_copy_detected(self, monkeypatch):
+        def swap(rows, marked1, marked2):
+            # copy 0 takes two boundary images in the wrong order
+            a, b = marked1[0], marked1[1]
+            rows[0][a], rows[0][b] = rows[0][b], rows[0][a]
+
+        report = self.corrupted_report(monkeypatch, swap)
+        assert report["copy_consistency"] == 2.0
+        assert not report["ok"]
+
+    def test_shared_interior_id_detected(self, monkeypatch):
+        def share(rows, marked1, marked2):
+            # copy 1 takes an interior id of copy 0 in place of its own
+            own = [u for u in range(len(rows[1]))
+                   if u not in marked1 and rows[1][u] not in marked2]
+            other = [x for x in rows[0] if x not in marked2]
+            rows[1][own[0]] = other[0]
+
+        report = self.corrupted_report(monkeypatch, share)
+        # one id now lies in two copies and the one it replaced in none
+        assert report["copy_consistency"] == 2.0
+        assert not report["ok"]
 
 
 def restrict(structure, hs, subset):

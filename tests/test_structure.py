@@ -262,7 +262,7 @@ class TestRotationAction:
 
     def test_not_invariant(self):
         s = ms(2, 2, "3/16", symmetrize=False)
-        assert not s.rotation_closed
+        assert s.rotation is None
         with pytest.raises(KeyError):
             rotation_perm(s, 1)
 
