@@ -32,7 +32,7 @@ from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
                      NotAPermutationError, NotInvariantError)
 from .relations import DEFAULT_ENUM_CAP, DEFAULT_K_MAX
 from .renorm import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .reports import (BUILDERS, render_report, structure_inputs,
+from .reports import (BUILDERS, SCHEMA, render_report, structure_inputs,
                       validate_report_details)
 from .structure import build_structure, structure_from_json
 
@@ -99,7 +99,7 @@ def _cmd_run(args, started: float) -> int:
     inputs = _run_inputs(args)
     results, tolerances = BUILDERS[args.kind](inputs, args.tol)
     report = {
-        "schema": "fr-1",
+        "schema": SCHEMA,
         "version": __version__,
         "command": list(args.command_echo),
         "wall_time_s": time.perf_counter() - started,

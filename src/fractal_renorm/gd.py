@@ -24,8 +24,8 @@ import numpy as np
 
 from .networks import ConductanceForm
 from .relations import Partition, is_preserved, rho_search
-from .renorm import (DEFAULT_MAX_ITER, DEFAULT_TOL, _no_convergence,
-                     _normalized_iteration, _rayleigh_eta)
+from .renorm import (DEFAULT_MAX_ITER, DEFAULT_TOL, _eta_bounds,
+                     _no_convergence, _normalized_iteration)
 from .structure import GluingScheme, glue_copies
 
 CORNER_ORDER = ("pl", "ql", "pr", "qr")  # images of (p_k, q_k, p_k+1, q_k+1)
@@ -166,7 +166,8 @@ class GdHarmonicStructure:
     holds the normalized eigenform. Otherwise the iteration is exploratory:
     converged reports what happened and diagnostics carries the collapse
     data (pairs whose weight fell below the support threshold, final step
-    size, mass-ratio trajectory tail).
+    size, mass-ratio trajectory tail). eta_bounds is _eta_bounds of the
+    last iterate, which encloses eta where the eigenform exists.
     """
 
     n: int
@@ -174,7 +175,7 @@ class GdHarmonicStructure:
     existence: str
     form: ConductanceForm
     eta: float
-    eta_rayleigh: float
+    eta_bounds: Optional[tuple[float, float]]
     residual: float
     iterations: int
     converged: bool
@@ -215,7 +216,7 @@ def gd_solve(n: int, m: int, *, tol: float = DEFAULT_TOL,
     return GdHarmonicStructure(
         n=n, m=m, existence=verdict,
         form=ConductanceForm.from_matrix(FORM_VERTICES, w),
-        eta=run.eta, eta_rayleigh=_rayleigh_eta(w, run.traced),
+        eta=run.eta, eta_bounds=_eta_bounds(cell.scheme, w, run.traced),
         residual=run.residual, iterations=run.iterations,
         converged=run.converged, diagnostics=diagnostics)
 

@@ -3,7 +3,7 @@
 Every CLI run emits one JSON report: a fixed envelope (schema tag,
 version, command echo, inputs, tolerances, wall time) around a results
 object tagged with its kind. Numeric claims are {"value": x, "tol": t}
-pairs.
+pairs; eta and eta_inverse are claims only where an enclosure backs them.
 
 BUILDERS maps each kind to the one function that lays out its results:
 builder(inputs, solver_tol) returns the results and tolerances blocks,
@@ -13,9 +13,10 @@ checks the envelope, reruns the kind's builder on the report's own inputs
 and solver_tol, and compares every field of the stated results and
 tolerances with the fresh ones (_diff): one line per differing leaf, named
 by its path. A few checks then test stated values against each other
-(_CONSISTENCY): the eigen residual of the embedded form, the shape of a
-resistance metric, the structure's cover of its boundary, the gd vertex
-counts, the verdict and certificate rules, and the order of rho brackets.
+(_CONSISTENCY): eta, its residual and its enclosure on the embedded
+form, the shape of a resistance metric, the structure's cover of its
+boundary, the gd vertex counts, the verdict and certificate rules, and
+the order of rho brackets.
 Last, the inputs and solver_tol must be what the report's own command
 gives (cli._command_errors). validate_report_details is that one
 validation, for fractal-renorm validate and the library alike.
@@ -37,14 +38,16 @@ from .relations import (DEFAULT_K_MAX, DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
                         build_J_plus_minus, certificate_summary,
                         enumerate_preserved, per_cell_flows, sabot_verdict,
                         uniqueness_certificate, verdict_rule)
-from .renorm import (DEFAULT_MAX_ITER, ETA_AGREEMENT_TOL, _boundary_matrix,
+from .renorm import (DEFAULT_MAX_ITER, _boundary_matrix, _eta_bounds,
                      solve_eigenform, verify_harmonic_structure)
 from .structure import (MsStructure, build_structure, level_size,
                         level_vertices, levels_to_json, structure_to_json)
 
+SCHEMA = "fr-2"  # the schema tag; it changes whenever what reports mean does
+
 # the envelope: each key a report must carry, with its rule; no other key
 ENVELOPE = {
-    "schema": (lambda v: v == "fr-1", 'must be "fr-1"'),
+    "schema": (lambda v: v == SCHEMA, f'must be "{SCHEMA}"'),
     "version": (lambda v: isinstance(v, str), "must be a string"),
     "command": (lambda v: isinstance(v, list)
                 and all(isinstance(a, str) for a in v),
@@ -71,9 +74,11 @@ def claim(value: float, tol: float) -> dict:
 
 
 def form_to_json(form: ConductanceForm) -> dict:
+    names = [str(v) for v in form.vertices]  # once per vertex, not per pair
+    label = dict(zip(form.vertices, names))
     return {
-        "vertices": [str(v) for v in form.vertices],
-        "edges": [[str(x), str(y), w] for x, y, w in form.pairs()],
+        "vertices": names,
+        "edges": [[label[x], label[y], w] for x, y, w in form.pairs()],
     }
 
 
@@ -98,11 +103,30 @@ def _solve(structure, inputs: dict, solver_tol):
                            max_iter=_max_iter(inputs))
 
 
+def _round_up(x: float) -> float:
+    """x rounded up to two significant figures."""
+    digits, exponent = f"{x:.1e}".split("e")
+    up = float(f"{x:.1e}")
+    return up if up >= x else float(f"{float(digits) + 0.1:.1f}e{exponent}")
+
+
+def _eta_claims(eta: float, bounds) -> dict:
+    """eta and eta_inverse, each a claim whose tol reaches the farther end
+    of its enclosure (from bounds, eta's), rounded up so that a rerun that
+    differs in the last bits states the same tol; plain numbers where
+    bounds is None."""
+    if bounds is None:
+        return {"eta": float(eta), "eta_inverse": 1.0 / float(eta)}
+    lower, upper = bounds
+    return {key: claim(v, _round_up(max(v - low, high - v)))
+            for key, v, low, high in (("eta", eta, lower, upper),
+                                      ("eta_inverse", 1.0 / eta,
+                                       1.0 / upper, 1.0 / lower))}
+
+
 def _harmonic_block(hs, tol: float) -> dict:
     return {
-        "eta": claim(hs.eta, tol * 10),
-        "eta_inverse": claim(1.0 / hs.eta, tol * 10),
-        "eta_rayleigh": claim(hs.eta_rayleigh, ETA_AGREEMENT_TOL),
+        **_eta_claims(hs.eta, hs.eta_bounds),
         "residual": claim(hs.residual, tol),
         "iterations": hs.iterations,
         "normalization": hs.normalization,
@@ -125,17 +149,17 @@ def harmonic_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     """The eigenform, eta and the independent checks of the solution."""
     structure = _structure_from_inputs(inputs)
     hs = _solve(structure, inputs, solver_tol)
-    # the eigen equation holds to the tol the eta claim states
-    eigen_tol = max(ETA_AGREEMENT_TOL, float(solver_tol) * 10)
-    checks = verify_harmonic_structure(structure, hs.form, hs.eta, eigen_tol)
+    tol = float(solver_tol)
+    checks = verify_harmonic_structure(structure, hs.form, hs.eta, tol)
     return {
         "kind": "harmonic",
         "structure": structure_to_json(structure),
-        "harmonic": _harmonic_block(hs, float(solver_tol)),
+        "harmonic": _harmonic_block(hs, tol),
+        # copy_consistency is an exact count
         "checks": {k: (v if isinstance(v, bool) else claim(
-            v, eigen_tol if k == "eigen_residual" else ETA_AGREEMENT_TOL))
+            v, 0.0 if k == "copy_consistency" else tol))
                    for k, v in checks.items()},
-    }, {"solver_tol": float(solver_tol), "eta_agreement": ETA_AGREEMENT_TOL}
+    }, {"solver_tol": tol}
 
 
 def _certificate_block(cert) -> dict:
@@ -216,7 +240,7 @@ def resistance_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
         "level": level,
         "vertices": [str(a) for a in structure.boundary],
         "matrix": [[float(x) for x in row] for row in matrix],
-        "eta": claim(hs.eta, float(solver_tol) * 10),
+        "eta": _eta_claims(hs.eta, hs.eta_bounds)["eta"],
     }, {"solver_tol": float(solver_tol), "resistance_tol": RESISTANCE_TOL}
 
 
@@ -275,7 +299,7 @@ def gd_harmonic_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
                                 for p in hs.diagnostics["collapsed_pairs"]],
             "mass_ratio_tail": list(hs.diagnostics["mass_ratio_tail"]),
         },
-    }, {"solver_tol": float(solver_tol), "eta_agreement": ETA_AGREEMENT_TOL}
+    }, {"solver_tol": float(solver_tol)}
 
 
 def gd_rhos_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
@@ -374,12 +398,13 @@ def _diff(path: str, got, want, errors: list[str]) -> None:
         errors.append(f"{path}: {_brief(got)}, recomputed {want!r}")
 
 
-def _check_residual(report: dict, fresh: dict, errors: list[str]) -> None:
-    """The eigen residual of the stated form at the stated eta, held to
-    10x the stated residual tol. Skipped only where the rerun did not
-    converge: an exploratory gd run has no eigen equation."""
-    if not fresh.get("converged", True):
-        return
+def _check_eta(report: dict, fresh: dict, errors: list[str]) -> None:
+    """The stated eta against one trace T(w) of the stated form w. It must
+    be 1/mass(T(w)), as the solver's is. Where the rerun converged (an
+    exploratory gd run has no eigen equation), the eigen residual must be
+    at most the stated residual tol. A claimed eta must lie in the form's
+    enclosure, and its tol must reach both ends; a form without one
+    encloses nothing."""
     inputs, harmonic = report["inputs"], report["results"]["harmonic"]
     structure = (cell_graph(int(inputs["n"]), int(inputs["m"]))
                  if fresh["kind"] == "gd_harmonic"
@@ -391,12 +416,26 @@ def _check_residual(report: dict, fresh: dict, errors: list[str]) -> None:
         errors.append("embedded form vertices do not match the boundary")
         return
     order = [form.index[s] for s in expected]
-    tol = float(harmonic["residual"]["tol"])
     w = form.matrix()[np.ix_(order, order)]
-    recomputed = structure.scheme.residual(w, float(harmonic["eta"]["value"]))
-    if recomputed > 10.0 * max(tol, 1e-15):
-        errors.append(f"recomputed residual {recomputed:.3e} exceeds 10x "
+    traced = structure.scheme.T(w)
+    stated = harmonic["eta"]
+    eta = float(stated["value"] if isinstance(stated, dict) else stated)
+    mass_ratio = 2.0 / float(traced.sum())
+    if not abs(eta - mass_ratio) <= FLOAT_AGREEMENT * mass_ratio:
+        errors.append(f"results.harmonic.eta.value: {eta!r}, the stated "
+                      f"form gives {mass_ratio!r}")
+    tol = float(harmonic["residual"]["tol"])
+    recomputed = structure.scheme.residual(w, eta, traced)
+    if fresh.get("converged", True) and recomputed > tol:
+        errors.append(f"recomputed residual {recomputed:.3e} exceeds the "
                       f"stated tolerance {tol:.1e}")
+    if isinstance(stated, dict):
+        low, high = _eta_bounds(structure.scheme, w, traced) or (0.0, np.inf)
+        tol = float(stated["tol"])
+        if not (low <= eta <= high and tol >= max(eta - low, high - eta)):
+            errors.append(f"eta {eta!r} with tol {tol!r} is not backed by "
+                          f"the enclosure [{low!r}, {high!r}] of the "
+                          "stated form")
 
 
 def _check_metric(report: dict, fresh: dict, errors: list[str]) -> None:
@@ -468,11 +507,11 @@ def _check_rho_order(report: dict, fresh: dict, errors: list[str]) -> None:
                           "rho_over_relation")
 
 
-_CONSISTENCY = {"structure": _check_cover, "harmonic": _check_residual,
+_CONSISTENCY = {"structure": _check_cover, "harmonic": _check_eta,
                 "relations": _check_verdict_rules,
                 "resistance": _check_metric,
                 "gd_structure": _check_gd_counts,
-                "gd_harmonic": _check_residual, "gd_rhos": _check_rho_order}
+                "gd_harmonic": _check_eta, "gd_rhos": _check_rho_order}
 
 # what a malformed or edited report can make a recomputation raise
 _REBUILD_ERRORS = (ArithmeticError, KeyError, TypeError, ValueError,

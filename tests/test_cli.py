@@ -261,16 +261,14 @@ class TestExitCodes:
                                             ("1/48", "1e-4"),
                                             ("1/12", "1e-3")])
     def test_loose_tol_solves_validate(self, theta, tol, tmp_path):
-        # eta and its Rayleigh estimate may differ by what the met
-        # residual allows
         out = tmp_path / "h.json"
         assert main(["solve", "--n", "2", "--m", "1", "--theta", theta,
                      "--tol", tol, "--out", str(out)]) == 0
         assert main(["validate", str(out)]) == 0
-        # the eigen equation is held to the tol the eta claim states
+        # the eigen equation is held to the run's own tol
         checks = load(out)["results"]["checks"]
         assert checks["ok"] is True
-        assert checks["eigen_residual"]["tol"] == max(1e-9, float(tol) * 10)
+        assert checks["eigen_residual"]["tol"] == float(tol)
 
     @pytest.mark.parametrize("theta", ["1/72", "17/72"])
     def test_all_relations_with_a_collapsing_bracket(self, theta, tmp_path):
@@ -289,6 +287,69 @@ class TestExitCodes:
         assert main(["gd", "solve", "--n", "4", "--m", "4",
                      "--out", str(out)]) == 0
         assert load(out)["results"]["existence"] == "critical_undetermined"
+
+
+class TestEtaClaims:
+    """The tol of an eta claim reaches the farther end of the enclosure
+    that the stated form gives."""
+
+    def run(self, tmp_path, argv):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(["validate", str(out)]) == 0
+        return load(out)
+
+    def test_loose_tol_claim_covers_the_tight_eta(self, tmp_path):
+        # the former claim of 10 * tol = 1e-8 did not cover this enclosure
+        argv = ["solve", "--n", "2", "--m", "1", "--theta", "1/48"]
+        loose = self.run(tmp_path, argv + ["--tol", "1e-9"])
+        eta = loose["results"]["harmonic"]["eta"]
+        tight = solve_eigenform(_structure_from_inputs(loose["inputs"]))
+        assert eta["tol"] > 1e-8
+        assert abs(eta["value"] - tight.eta) <= eta["tol"]
+
+    def test_tol_is_two_figures_rounded_up(self, tmp_path):
+        report = self.run(tmp_path, ["solve", "--n", "2", "--m", "1",
+                                     "--theta", "1/48", "--tol", "1e-9"])
+        harmonic = report["results"]["harmonic"]
+        for key in ("eta", "eta_inverse"):
+            tol = harmonic[key]["tol"]
+            assert float(f"{tol:.1e}") == tol
+
+    def test_critical_gd_run_states_its_wide_enclosure(self, tmp_path):
+        # (4,4) does not converge; its last iterate encloses eta loosely
+        report = self.run(tmp_path, ["gd", "solve", "--n", "4", "--m", "4"])
+        assert report["results"]["converged"] is False
+        assert report["results"]["harmonic"]["eta"]["tol"] >= 1e-3
+
+    def test_collapsed_gd_run_states_plain_numbers(self, tmp_path):
+        # (5,5) ends on a zero weight: no enclosure, so no claim, and no
+        # NaN or Infinity in the report
+        out = tmp_path / "r.json"
+        assert main(["gd", "solve", "--n", "5", "--m", "5",
+                     "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-finite JSON number {token}")
+
+        report = json.loads(out.read_text(encoding="utf-8"),
+                            parse_constant=refuse)
+        harmonic = report["results"]["harmonic"]
+        assert isinstance(harmonic["eta"], float)
+        assert harmonic["eta_inverse"] == 1.0 / harmonic["eta"]
+        assert main(["validate", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "3", "--m", "2", "--theta", "1/15"],
+        ["resistance", "--n", "3", "--m", "2", "--theta", "1/15"],
+        ["gd", "solve", "--n", "3", "--m", "1"]])
+    def test_claim_covers_the_closed_form(self, argv, tmp_path):
+        # eta = 2 on (3,2,1/15) and (2n+1)/(n+1) = 7/4 on gd (3,1)
+        results = self.run(tmp_path, argv)["results"]
+        eta = results["eta"] if "eta" in results else \
+            results["harmonic"]["eta"]
+        exact = 7 / 4 if argv[0] == "gd" else 2.0
+        assert abs(eta["value"] - exact) <= eta["tol"] <= 1e-12
 
 
 class TestParserReuse:

@@ -176,7 +176,8 @@ class TestSolve:
         for n in (2, 3, 4, 5):
             hs = gd_solve(n, 1)
             assert hs.eta == pytest.approx(gd_eta_m1(n), abs=1e-9)
-            assert hs.eta_rayleigh == pytest.approx(hs.eta, abs=1e-9)
+            lower, upper = hs.eta_bounds
+            assert lower <= hs.eta <= upper and upper - lower <= 1e-9
             assert hs.converged
             assert hs.existence == "exists_unique"
             assert hs.residual < 1e-9

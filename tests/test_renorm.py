@@ -4,7 +4,6 @@ T is structure.scheme.T on boundary weight matrices, the operator the
 solver iterates.
 """
 
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +18,11 @@ from fractal_renorm import networks, renorm
 from fractal_renorm.gd import cell_graph, gd_solve
 from fractal_renorm.networks import _harmonic_split, _split_ids
 from fractal_renorm.structure import GluingScheme
-from fractal_renorm.renorm import (_boundary_matrix, _eta_slack,
-                                   _newton_step, _pair_jacobian,
-                                   _pair_orbits, _PairOrbits)
+from fractal_renorm.renorm import (_boundary_matrix, _newton_step,
+                                   _pair_jacobian, _pair_orbits, _PairOrbits)
 from _oracles import (dense_copy_consistency, energy, family_eta,
-                      power_eigenform, restriction_weights, rotation_average,
-                      rotation_perm)
+                      gd_eta_m1, power_eigenform, restriction_weights,
+                      rotation_average, rotation_perm)
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -192,7 +190,8 @@ class TestSolveEigenform:
     def test_2_1_12_constant(self):
         hs = solve_eigenform(ms(2, 1, "1/12"))
         assert 1.0 / hs.eta == pytest.approx(0.64735, abs=1e-5)
-        assert abs(hs.eta - hs.eta_rayleigh) <= 1e-9 * hs.eta
+        lower, upper = hs.eta_bounds
+        assert lower <= hs.eta <= upper and upper - lower <= 1e-9 * hs.eta
 
     def test_3_2_2_15_exact_constant(self):
         hs = solve_eigenform(ms(3, 2, "2/15"))
@@ -223,29 +222,6 @@ class TestSolveEigenform:
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be finite"):
             solve_eigenform(ms(2, 1, "1/12"), tol=tol, max_iter=50)
-
-    def test_eta_disagreement_raises(self, monkeypatch):
-        # at the default tol the residual allows no more than
-        # ETA_AGREEMENT_TOL, so a Rayleigh estimate off by 1e-6 is refused
-        real = renorm._rayleigh_eta
-        monkeypatch.setattr(renorm, "_rayleigh_eta",
-                            lambda w, t: real(w, t) * (1.0 + 1e-6))
-        with pytest.raises(NonConvergenceError,
-                           match="eta estimates disagree") as err:
-            solve_eigenform(ms(2, 1, "1/12"))
-        assert "np.float64" not in str(err.value)
-        assert re.search(r"mass ratio 1\.5\d+ vs Rayleigh 1\.5\d+",
-                         str(err.value))
-
-    def test_loose_tol_eta_within_the_residual_bound(self):
-        # a solve stopped at tol 1e-3 converges; its two eta estimates
-        # differ by more than ETA_AGREEMENT_TOL but within what the met
-        # residual allows on row 0
-        s = ms(2, 1, "1/12")
-        hs = solve_eigenform(s, tol=1e-3)
-        w = as_weight_array(s, hs.form)
-        gap = abs(hs.eta_rayleigh - hs.eta) / hs.eta
-        assert renorm.ETA_AGREEMENT_TOL < gap <= _eta_slack(w, hs.residual)
 
     def test_nonconvergence_diagnostics(self):
         with pytest.raises(NonConvergenceError) as err:
@@ -496,6 +472,63 @@ class TestOrbitSolve:
         w, eta = power_eigenform(s)
         assert abs(hs.eta - eta) <= 1e-12 * eta
         assert np.abs(_boundary_matrix(s, hs.form) - w).max() <= 1e-10
+
+
+class TestEtaEnclosure:
+    """eta_bounds against closed forms, which share no code with the
+    solver, and the Collatz-Wielandt property away from the eigenform."""
+
+    @pytest.mark.parametrize("n,m,l", [(2, 1, 1), (2, 3, 1), (3, 1, 1),
+                                       (3, 1, 2), (3, 2, 1), (3, 2, 2)])
+    def test_family_eta_inside(self, n, m, l):
+        s = ms(n, m, Fraction(l, n * (m + n)))
+        lower, upper = solve_eigenform(s).eta_bounds
+        assert lower <= family_eta(n, m, l) <= upper
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gd_m1_eta_inside(self, n):
+        lower, upper = gd_solve(n, 1).eta_bounds
+        assert lower <= gd_eta_m1(n) <= upper
+
+    def test_3_2_1_15_eta_is_two(self):
+        lower, upper = solve_eigenform(ms(3, 2, "1/15")).eta_bounds
+        assert lower <= 2.0 <= upper
+
+    @pytest.mark.parametrize("n,m,theta,steps", ORBIT_CASES[:11])
+    def test_width_at_the_default_tol(self, n, m, theta, steps):
+        hs = solve_eigenform(ms(n, m, theta))
+        lower, upper = hs.eta_bounds
+        assert lower <= hs.eta <= upper
+        assert upper - lower <= 1e-12 * hs.eta
+
+    @pytest.mark.parametrize("kind,n,m,theta", NEWTON_CASES)
+    def test_any_positive_form_encloses_eta(self, kind, n, m, theta):
+        # far from the eigenform too: weights spread over four decades
+        s = newton_case(kind, n, m, theta)
+        eta = solve_eigenform(s).eta
+        rng = np.random.default_rng(17)
+        nb = len(s.boundary)
+        for _ in range(20):
+            w = np.triu(np.exp(rng.uniform(-4.6, 4.6, (nb, nb))), 1)
+            w = w + w.T
+            lower, upper = renorm._eta_bounds(s.scheme, w, s.scheme.T(w))
+            assert lower <= eta <= upper
+
+    def test_no_enclosure_without_positive_ratios(self):
+        s = ms(2, 1, "1/12")
+        unit = 1.0 - np.eye(len(s.boundary))
+        traced = s.scheme.T(unit)
+        assert renorm._eta_bounds(s.scheme, unit, traced) is not None
+        w, t = unit.copy(), traced.copy()
+        w[0, 1] = w[1, 0] = t[0, 1] = t[1, 0] = 0.0
+        assert renorm._eta_bounds(s.scheme, w, traced) is None  # r = inf
+        assert renorm._eta_bounds(s.scheme, unit, t) is None  # r = 0
+
+    def test_collapsed_gd_run_has_no_enclosure(self):
+        # the none regime: the exploratory iterate ends with a zero weight
+        hs = gd_solve(5, 5)
+        assert hs.existence == "none" and hs.eta_bounds is None
+        assert (hs.form.matrix()[np.triu_indices(4, 1)] == 0).any()
 
 
 class TestVerify:

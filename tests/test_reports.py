@@ -11,8 +11,9 @@ from fractal_renorm import (
 )
 from fractal_renorm.cli import main
 from fractal_renorm.networks import ConductanceForm
-from fractal_renorm.reports import (_diff, gd_structure_results,
-                                    structure_results)
+from fractal_renorm.renorm import solve_eigenform
+from fractal_renorm.reports import (_diff, _structure_from_inputs,
+                                    gd_structure_results, structure_results)
 
 
 def make_report(tmp_path, name, argv):
@@ -113,7 +114,7 @@ class TestEnvelope:
                            ["solve", "--n", "2", "--m", "1",
                             "--theta", "1/6"])
         report = load(path)
-        assert report["schema"] == "fr-1"
+        assert report["schema"] == "fr-2"
         assert report["command"][0] == "solve"
         assert report["wall_time_s"] >= 0
         assert report["results"]["kind"] == "harmonic"
@@ -164,7 +165,7 @@ class TestEnvelope:
         cases += [edited(**{key: KeyError}) for key in base]
         cases += [
             edited(annotation="hand-edited"),
-            edited(schema="fr-2"),
+            edited(schema="fr-3"),
             edited(version=1),
             edited(command="solve"),
             edited(command=["solve", 2]),
@@ -188,6 +189,24 @@ class TestEnvelope:
             assert main(["validate", str(path)]) == 4
             err = capsys.readouterr().err
             assert "schema: " in err and "Traceback" not in err
+
+    def test_schema_1_report_is_refused_by_its_tag(self, tmp_path):
+        # a report of the earlier layout: Rayleigh estimate, agreement
+        # tolerance and eta claims of tol 10*solver_tol
+        path = make_report(tmp_path, "old.json",
+                           ["solve", "--n", "2", "--m", "1",
+                            "--theta", "1/12"])
+        report = load(path)
+        harmonic = report["results"]["harmonic"]
+        for key in ("eta", "eta_inverse"):
+            harmonic[key]["tol"] = 1e-11
+        harmonic["eta_rayleigh"] = dict(harmonic["eta"], tol=1e-9)
+        report["tolerances"]["eta_agreement"] = 1e-9
+        report["schema"] = "fr-1"
+        dump(path, report)
+        assert validate_report_details(str(path)) == [
+            'schema: schema must be "fr-2"']
+        assert main(["validate", str(path)]) == 4
 
 
 class TestTamperDetection:
@@ -220,11 +239,19 @@ class TestTamperDetection:
                             "--theta", "1/12"])
         assert validate_report(str(path))
         base = load(path)
-        iterations = base["results"]["harmonic"]["iterations"]
+        harmonic = base["results"]["harmonic"]
+        iterations = harmonic["iterations"]
+        # an eta just above the enclosure of the stated form, which is
+        # the solved one
+        upper = solve_eigenform(
+            _structure_from_inputs(base["inputs"])).eta_bounds[1]
         edits = [("ok", ("checks", "ok"), False),
                  ("copy_consistency",
                   ("checks", "copy_consistency", "value"), 0.5),
-                 ("eta_rayleigh", ("harmonic", "eta_rayleigh", "value"), 99.0),
+                 ("eta.tol", ("harmonic", "eta", "tol"),
+                  harmonic["eta"]["tol"] / 2),
+                 ("not backed by the enclosure", ("harmonic", "eta", "value"),
+                  upper * (1 + 1e-15)),
                  ("iteration", ("harmonic", "iterations"), iterations + 1)]
         for word, keys, value in edits:
             report = json.loads(json.dumps(base))
@@ -233,8 +260,8 @@ class TestTamperDetection:
                 node = node[key]
             node[keys[-1]] = value
             dump(path, report)
-            assert any(word in line
-                       for line in validate_report_details(str(path)))
+            details = validate_report_details(str(path))
+            assert any(word in line for line in details), details
             assert main(["validate", str(path)]) == 4
 
     def test_harmonic_form_tamper(self, tmp_path):

@@ -91,3 +91,53 @@ def test_no_private_name_only_tests_read():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def constant_definitions(source: str) -> dict[str, int]:
+    """Module-level UPPER_CASE names a module assigns, with their lines."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for name in (n.id for t in nodes for n in ast.walk(t)
+                         if isinstance(n, ast.Name)):
+                if name.isupper():
+                    found[name] = node.lineno
+    return found
+
+
+def loaded_names(source: str) -> set[str]:
+    """Names a module's code reads: loaded names and attributes, not the
+    names it imports."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level constants that no module but __init__ reads."""
+    read = set().union(*(loaded_names(source)
+                         for module, source in sources.items()
+                         if module != "__init__.py"))
+    return [f"{module}: {name} (line {line})"
+            for module, source in sources.items()
+            for name, line in constant_definitions(source).items()
+            if name not in read]
+
+
+def test_unread_constants_are_found():
+    sources = {"a.py": "A_TOL = 1\nB_TOL = 2\nC = 3\nx = C\n",
+               "b.py": "from a import B_TOL\nimport a\ny = a.C\n",
+               "__init__.py": "from a import A_TOL\nz = A_TOL\n"}
+    assert unread_constants(sources) == ["a.py: A_TOL (line 1)",
+                                         "a.py: B_TOL (line 2)"]
+
+
+def test_every_constant_is_read():
+    # a constant that only __init__ re-exports, or that only an import
+    # names, is a leftover
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unread_constants(sources) == []
