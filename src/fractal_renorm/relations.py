@@ -38,7 +38,7 @@ from .networks import (ConductanceForm, DisjointSet, _harmonic_split,
 from .renorm import HarmonicStructure, _boundary_matrix, cone_iteration
 from .structure import GluingScheme, MsStructure, boundary_rotation
 
-DEFAULT_ENUM_CAP = 12
+DEFAULT_ENUM_CAP = 15
 DEFAULT_K_MAX = 8
 DEFAULT_MARGIN = 1e-6
 BRACKET_TOL = 1e-12   # relative width at which a rho bracket stops
@@ -187,6 +187,20 @@ def enumerate_preserved(structure, require_g: bool = False,
     for most J), so closure-system shortcuts do not apply. A leaf is
     preserved exactly when "same root" equals "same block" on all points.
 
+    The other half of the fixed-point condition, J within F(J), prunes too
+    when every level-1 id's slots (c, v) share one vertex index v, as in an
+    MS level, where glue_copies identifies vertex g of copy i only with
+    vertex g of copy i+1. The closure of J's per-copy images then joins
+    slot (c, v) only to slots (c', v') with v' ~_J v, so it never joins two
+    blocks. Write f(p) for the vertex index of p's inclusion, the boundary
+    index of phi_n(p): F(J) relates p and q only if f(p) ~_J f(q), so a
+    fixed point maps blocks into blocks, p ~_J q implying f(p) ~_J f(q).
+    Each pair is checked at the node that assigns the last of p, q, f(p)
+    and f(q); codes never change below a node, so a node where p and q
+    share a block but f(p) and f(q) do not has no fixed point below it. A
+    scheme with an id whose slots carry different vertex indices (a GD
+    cell) skips this check.
+
     With require_g, a node is also pruned when an assigned pair (i, y)
     and its image under some rotation r^k, both points of it assigned,
     disagree on being related. The assigned codes never change below a
@@ -197,9 +211,12 @@ def enumerate_preserved(structure, require_g: bool = False,
     is checked from its own side with the inverse rotation. A leaf that
     passes every check is rotation-invariant.
 
-    Refuses boundaries larger than the cap. With require_g, only the
-    rotation-invariant relations among the preserved ones are returned.
+    Refuses boundaries larger than the cap, and a cap below 1 as invalid
+    input (ValueError). With require_g, only the rotation-invariant
+    relations among the preserved ones are returned.
     """
+    if cap < 1:
+        raise ValueError(f"enumeration cap must be at least 1, got {cap}")
     nb = len(structure.boundary)
     if nb > cap:
         raise CapExceededError(
@@ -261,6 +278,21 @@ def enumerate_preserved(structure, require_g: bool = False,
                     checks[i] += [(y, power[i], power[y]) for y in range(i)
                                   if power[y] <= i]
 
+    # f[p]: the vertex index of p's inclusion, when every id's slots share
+    # one; images[d]: (p, q, f(p), f(q)) with d the last of the four
+    # assigned, skipping f(p) = f(q), which always passes
+    vertex_of: dict[int, int] = {}
+    uniform = all(vertex_of.setdefault(x, v) == v
+                  for row in rows for v, x in enumerate(row))
+    images: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nb)]
+    if uniform:
+        f = [vertex_of[x] for x in incl]
+        for q in range(nb):
+            for p in range(q):
+                if f[p] != f[q]:
+                    quad = (p, q, f[p], f[q])
+                    images[max(quad)].append(quad)
+
     code = [0] * nb
     first: list[int] = []  # least point of each block
     out = []
@@ -283,6 +315,9 @@ def enumerate_preserved(structure, require_g: bool = False,
         opened = len(first)
         for c in (forced,) if forced >= 0 else range(opened + 1):
             code[i] = c
+            if not all(code[p] != code[q] or code[fp] == code[fq]
+                       for p, q, fp, fq in images[i]):
+                continue
             if checks[i] and not all((code[y] == c) == (code[j] == code[z])
                                      for y, j, z in checks[i]):
                 continue

@@ -17,7 +17,7 @@ import numpy as np
 from fractal_renorm.angles import (critical_angles, kappa, make_context,
                                    phi_n, rotate, validate_ms)
 from fractal_renorm.errors import NonConvergenceError
-from fractal_renorm.gd import cell_graph
+from fractal_renorm.gd import GdCellGraph, cell_graph
 from fractal_renorm.networks import ConductanceForm
 from fractal_renorm.relations import Partition
 from fractal_renorm.structure import build_structure, level_vertices
@@ -189,10 +189,12 @@ def partitions_rgs(items):
 def preserved_by_closure(structure, relation):
     """Whether the level-1 closure of the relation restricts back to it.
 
-    Own union-find over the rows of level_vertices(structure, 1), so the
-    test does not lean on the package's closure or preservation code.
+    Own union-find over the rows of level_vertices(structure, 1), or of a
+    GD cell's own scheme, so the test does not lean on the package's
+    closure or preservation code.
     """
-    lv1 = level_vertices(structure, 1)
+    lv1 = (structure.scheme if isinstance(structure, GdCellGraph)
+           else level_vertices(structure, 1))
     parent = list(range(lv1.num_ids))
 
     def find(x):

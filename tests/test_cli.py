@@ -88,6 +88,12 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in capsys.readouterr().err
 
+    def test_enumeration_cap_below_one(self, capsys):
+        code = main(["relations", "--n", "2", "--m", "1", "--theta", "1/12",
+                     "--cap", "-1"])
+        assert code == 2
+        assert "cap must be at least 1" in capsys.readouterr().err
+
     def test_validate_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/report.json"]) == 2
 
@@ -281,6 +287,14 @@ class TestExitCodes:
         results = load(out)["results"]
         assert len(results["preserved"]) == 11
         assert results["verdict"]["verdict"] == "inconclusive"
+
+    @pytest.mark.parametrize("flags", [[], ["--all"]], ids=["g", "all"])
+    def test_relations_at_the_default_cap(self, flags, tmp_path):
+        # nb = 15, the largest boundary the default cap admits
+        out = tmp_path / "r.json"
+        assert main(["relations", *flags, "--n", "2", "--m", "1",
+                     "--theta", "1/96", "--out", str(out)]) == 0
+        assert main(["validate", str(out)]) == 0
 
     def test_gd_critical_pair_still_succeeds(self, tmp_path):
         out = tmp_path / "crit.json"

@@ -31,6 +31,12 @@ from _oracles import (block_cycle_form, block_star_form,
                       support_components, valid_contexts)
 
 SWEEP_FAMILIES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
+# the enumeration's brute-force oracle: every valid theta with q <= 40 and
+# nb <= 8 for the full search, and five of them for the G-search
+BRUTE_FORCE_CONTEXTS = [(n, m, str(theta)) for n, m, theta
+                        in valid_contexts(SWEEP_FAMILIES, 40, 8)]
+G_BRUTE_FORCE_CONTEXTS = [(2, 1, "1/12"), (2, 1, "1/6"), (3, 1, "1/9"),
+                          (2, 2, "3/16"), (2, 3, "1/10")]
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -277,14 +283,34 @@ class TestEnumeration:
         with pytest.raises(CapExceededError):
             enumerate_preserved(s, cap=5)
 
-    @pytest.mark.parametrize("n,m,theta", [
-        (2, 1, "1/12"), (2, 1, "1/6"), (3, 1, "1/9"), (2, 2, "3/16"),
-        (2, 3, "1/10")])
-    @pytest.mark.parametrize("require_g", [False, True])
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_invalid_input(self, cap):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            enumerate_preserved(ms(2, 1, "1/12"), cap=cap)
+
+    def test_brute_force_contexts(self):
+        assert len(BRUTE_FORCE_CONTEXTS) == 25
+        assert set(G_BRUTE_FORCE_CONTEXTS) <= set(BRUTE_FORCE_CONTEXTS)
+
+    @pytest.mark.parametrize(
+        "require_g,n,m,theta",
+        [(False, *c) for c in BRUTE_FORCE_CONTEXTS]
+        + [(True, *c) for c in G_BRUTE_FORCE_CONTEXTS])
     def test_matches_brute_force_in_order(self, n, m, theta, require_g):
         s = ms(n, m, theta)
         assert enumerate_preserved(s, require_g=require_g) == \
             brute_force_preserved(s, require_g=require_g)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (4, 3), (3, 6), (5, 5)])
+    def test_gd_cell_matches_brute_force(self, n, m):
+        # a GD cell glues vertex 3 of one copy to vertex 1 of the next, so
+        # its ids mix vertex indices and the block-image check is skipped
+        cell = cell_graph(n, m)
+        found = enumerate_preserved(cell)
+        assert found == brute_force_preserved(cell)
+        assert len(found) == 4
+        assert set(found) == {singletons(cell), one_block(cell),
+                              RELATION_PQ, RELATION_SIDES}
 
     def test_require_g_needs_closed_boundary(self):
         s = ms(2, 2, "3/16", symmetrize=False)
@@ -304,9 +330,9 @@ class TestEnumeration:
                 (n, m, theta)
 
     def test_g_search_sound_above_the_default_cap(self):
-        s = ms(2, 1, "1/96")
-        assert len(s.boundary) == 15
-        found = enumerate_preserved(s, require_g=True, cap=15)
+        s = ms(2, 1, "1/192")
+        assert len(s.boundary) == 18
+        found = enumerate_preserved(s, require_g=True, cap=18)
         assert singletons(s) in found and one_block(s) in found
         assert all(is_preserved(s, rel, require_g=True) for rel in found)
 
