@@ -22,10 +22,9 @@ from .relations import (CertificateReport, FlowReport, Partition,
                         build_J_plus_minus, enumerate_preserved, is_preserved,
                         per_cell_flows, rho_search, rotation_invariant,
                         sabot_verdict, uniqueness_certificate)
-from .gd import (GdCellGraph, GdHarmonicStructure, GdRhoEntry, GdRhoTable,
-                 GdStructure, RELATION_PQ, RELATION_SIDES, build_gd_structure,
-                 cell_graph, existence_verdict, gd_relation_rhos, gd_solve,
-                 gd_structure_to_json)
+from .gd import (GdCellGraph, GdHarmonicStructure, GdStructure, RELATION_PQ,
+                 RELATION_SIDES, build_gd_structure, cell_graph,
+                 existence_verdict, gd_solve, gd_structure_to_json)
 from .reports import (claim, form_to_json, render_report, validate_report,
                       validate_report_details, write_report)
 from .cli import main, run

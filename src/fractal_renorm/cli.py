@@ -127,9 +127,10 @@ def _rho_rows(results: dict) -> list:
 def _command_errors(report: dict) -> list:
     """One line per report field that differs from what the report's own
     command sets it to, found by rebuilding the command's inputs as a run
-    does. The structure's fields are not compared when the command reads
-    a --structure file, and a field the report does not record (one that
-    older reports lack) is left to the rerun."""
+    does, and one per inputs key that the command does not give or that
+    the report lacks. A command that reads a --structure file gives its
+    own flags' fields only; the structure's fields may accompany them and
+    are not compared."""
     shown = " ".join(report["command"])
     messages = io.StringIO()
     try:
@@ -151,8 +152,15 @@ def _command_errors(report: dict) -> list:
                       else _run_inputs(flags))
     except (*_INPUT_ERRORS, ArithmeticError) as exc:
         return [f"command: {shown!r} is not a run: {exc}"]
+    recorded = report["inputs"]
+    extra = set(recorded) - set(inputs)
+    if getattr(flags, "structure", None):
+        extra -= {"n", "m", "theta", "symmetrized"}
+    errors = [f"inputs.{key}: missing, the command gives {value!r}"
+              for key, value in inputs.items() if key not in recorded]
+    errors += [f"inputs.{key}: stated, the command does not give it"
+               for key in sorted(extra)]
     want = {"inputs": inputs, "tolerances": {"solver_tol": flags.tol}}
-    errors = []
     for block, fields in want.items():
         for key, value in fields.items():
             if key not in report[block]:

@@ -12,7 +12,7 @@ system. The cell from cell_graph carries a boundary, an index and a gluing
 scheme, so solve_eigenform, is_preserved, enumerate_preserved and
 rho_search take it as they take an MsStructure. This module
 keeps the construction, the existence dichotomy, the exploratory solve and
-the corner-relation rho table.
+the two corner relations.
 """
 from __future__ import annotations
 
@@ -23,9 +23,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .networks import ConductanceForm
-from .relations import Partition, is_preserved, rho_search
-from .renorm import (DEFAULT_MAX_ITER, DEFAULT_TOL, _eta_bounds,
-                     _no_convergence, _normalized_iteration)
+from .relations import Partition
+from .renorm import (DEFAULT_MAX_ITER, DEFAULT_TOL, HarmonicStructure,
+                     _eta_bounds, _no_convergence, _normalized_iteration)
 from .structure import GluingScheme, glue_copies
 
 CORNER_ORDER = ("pl", "ql", "pr", "qr")  # images of (p_k, q_k, p_k+1, q_k+1)
@@ -159,28 +159,21 @@ def existence_verdict(n: int, m: int) -> str:
 
 
 @dataclass(frozen=True)
-class GdHarmonicStructure:
+class GdHarmonicStructure(HarmonicStructure):
     """Solve outcome for the graph-directed model.
 
     When existence is "exists_unique" the iteration must converge and form
-    holds the normalized eigenform. Otherwise the iteration is exploratory:
-    converged reports what happened and diagnostics carries the collapse
-    data (pairs whose weight fell below the support threshold, final step
-    size, mass-ratio trajectory tail). eta_bounds is _eta_bounds of the
-    last iterate, which encloses eta where the eigenform exists.
+    holds the normalized eigenform, with eta_bounds its enclosure of eta.
+    Otherwise the iteration is exploratory: converged reports what
+    happened, diagnostics carries the collapse data (pairs whose weight
+    fell below the support threshold, final step size, mass-ratio
+    trajectory tail), and eta_bounds is None, since the enclosure needs a
+    positive eigenform that nothing shows to exist there.
     """
 
-    n: int
-    m: int
     existence: str
-    form: ConductanceForm
-    eta: float
-    eta_bounds: Optional[tuple[float, float]]
-    residual: float
-    iterations: int
     converged: bool
     diagnostics: Mapping[str, object]
-    normalization: str = "mass"
 
 
 EXPLORE_ITER_CAP = 500  # iteration budget when no fixed point is expected
@@ -214,10 +207,10 @@ def gd_solve(n: int, m: int, *, tol: float = DEFAULT_TOL,
         "mass_ratio_tail": [float(eta) for _, eta in run.history[-5:]],
     }
     return GdHarmonicStructure(
-        n=n, m=m, existence=verdict,
-        form=ConductanceForm.from_matrix(FORM_VERTICES, w),
-        eta=run.eta, eta_bounds=_eta_bounds(cell.scheme, w, run.traced),
-        residual=run.residual, iterations=run.iterations,
+        form=ConductanceForm.from_matrix(FORM_VERTICES, w), eta=run.eta,
+        eta_bounds=(_eta_bounds(cell.scheme, w, run.traced) if exists
+                    else None),
+        residual=run.residual, iterations=run.iterations, existence=verdict,
         converged=run.converged, diagnostics=diagnostics)
 
 
@@ -227,55 +220,3 @@ def _corner_partition(blocks: Sequence[Sequence[str]]) -> Partition:
 
 RELATION_PQ = _corner_partition((("p0", "q0"), ("p1", "q1")))
 RELATION_SIDES = _corner_partition((("p0", "p1"), ("q0", "q1")))
-
-
-@dataclass(frozen=True)
-class GdRhoEntry:
-    relation: Partition
-    rho_over_relation: float
-    rho_under_relation: float
-    rho_quotient: float          # sup = inf: the quotient space is a ray
-    basis_dim: int
-    evaluations: int
-    best_over_form: Optional[ConductanceForm] = None
-    best_under_form: Optional[ConductanceForm] = None
-
-
-@dataclass(frozen=True)
-class GdRhoTable:
-    n: int
-    m: int
-    pq_pairs: GdRhoEntry
-    side_pairs: GdRhoEntry
-
-    def values(self) -> tuple[float, float, float, float]:
-        """(rel max over pq, quot under pq, rel max over sides, quot under sides)."""
-        return (self.pq_pairs.rho_over_relation,
-                self.pq_pairs.rho_quotient,
-                self.side_pairs.rho_over_relation,
-                self.side_pairs.rho_quotient)
-
-
-def gd_relation_rhos(n: int, m: int) -> GdRhoTable:
-    """Rho table for the two corner relations from cone brackets.
-
-    Both sides go through rho_search. The quotient spaces are
-    one-dimensional, so their one-step bracket is exact
-    (weight-independent by homogeneity) and serves as both the upper and
-    the lower certificate.
-    """
-    cell = cell_graph(n, m)
-    entries = []
-    for relation in (RELATION_PQ, RELATION_SIDES):
-        if not is_preserved(cell, relation):
-            raise AssertionError(f"relation {relation} unexpectedly not "
-                                 "preserved")
-        rr = rho_search(cell, relation, "relation")
-        entries.append(GdRhoEntry(
-            relation=relation, rho_over_relation=rr.rho_over,
-            rho_under_relation=rr.rho_under,
-            rho_quotient=rho_search(cell, relation, "quotient").rho_over,
-            basis_dim=rr.basis_dim, evaluations=rr.evaluations,
-            best_over_form=rr.best_over, best_under_form=rr.best_under))
-    return GdRhoTable(n=n, m=m, pq_pairs=entries[0], side_pairs=entries[1])
-

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, ClassVar, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class HarmonicStructure:
     eta_bounds: Optional[tuple[float, float]]
     residual: float
     iterations: int
-    normalization: str = "mass"
+    normalization: ClassVar[str] = "mass"
 
 
 def _eta_bounds(scheme: GluingScheme, w: np.ndarray, traced: np.ndarray

@@ -31,15 +31,16 @@ import numpy as np
 
 from .angles import make_context
 from .errors import KappaUndefinedError, NonConvergenceError, WorkbenchError
-from .gd import build_gd_structure, cell_graph, gd_relation_rhos, gd_solve
-from .gd import gd_structure_to_json
+from .gd import (RELATION_PQ, RELATION_SIDES, build_gd_structure, cell_graph,
+                 gd_solve, gd_structure_to_json)
 from .networks import ConductanceForm, resistance_matrix
-from .relations import (DEFAULT_K_MAX, DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
+from .relations import (DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
                         build_J_plus_minus, certificate_summary,
-                        enumerate_preserved, per_cell_flows, sabot_verdict,
-                        uniqueness_certificate, verdict_rule)
-from .renorm import (DEFAULT_MAX_ITER, _boundary_matrix, _eta_bounds,
-                     solve_eigenform, verify_harmonic_structure)
+                        enumerate_preserved, is_preserved, per_cell_flows,
+                        rho_search, sabot_verdict, uniqueness_certificate,
+                        verdict_rule)
+from .renorm import (_boundary_matrix, _eta_bounds, solve_eigenform,
+                     verify_harmonic_structure)
 from .structure import (MsStructure, build_structure, level_size,
                         level_vertices, levels_to_json, structure_to_json)
 
@@ -91,16 +92,12 @@ def structure_inputs(structure: MsStructure, **extra) -> dict:
 
 def _structure_from_inputs(inputs: dict) -> MsStructure:
     ctx = make_context(int(inputs["n"]), int(inputs["m"]), inputs["theta"])
-    return build_structure(ctx, symmetrize=inputs.get("symmetrized"))
-
-
-def _max_iter(inputs: dict) -> int:
-    return int(inputs.get("max_iter", DEFAULT_MAX_ITER))
+    return build_structure(ctx, symmetrize=inputs["symmetrized"])
 
 
 def _solve(structure, inputs: dict, solver_tol):
     return solve_eigenform(structure, tol=float(solver_tol),
-                           max_iter=_max_iter(inputs))
+                           max_iter=int(inputs["max_iter"]))
 
 
 def _round_up(x: float) -> float:
@@ -179,6 +176,9 @@ def relations_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     of inputs["max_iter"] steps gives a solver_error and no certificates."""
     structure = _structure_from_inputs(inputs)
     require_g = bool(inputs["require_g"])
+    k_max = int(inputs["k_max"])
+    if k_max < 1:  # before enumerating: a run may reach no certificate
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     preserved = enumerate_preserved(structure, require_g,
                                     cap=int(inputs["cap"]))
     hs = solver_error = None
@@ -187,7 +187,6 @@ def relations_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     except NonConvergenceError as exc:
         solver_error = str(exc)
     verdict = sabot_verdict(structure, preserved)
-    k_max = int(inputs.get("k_max", DEFAULT_K_MAX))
     certificates = [] if hs is None else [
         _certificate_block(uniqueness_certificate(structure, hs, rel,
                                                   k_max=k_max))
@@ -286,7 +285,8 @@ def gd_harmonic_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     """The four-corner eigenform, or the capped exploratory run outside the
     existence regime, with diagnostics of how the weights behaved."""
     n, m = int(inputs["n"]), int(inputs["m"])
-    hs = gd_solve(n, m, tol=float(solver_tol), max_iter=_max_iter(inputs))
+    hs = gd_solve(n, m, tol=float(solver_tol),
+                  max_iter=int(inputs["max_iter"]))
     return {
         "kind": "gd_harmonic",
         "ctx": {"n": n, "m": m},
@@ -303,25 +303,33 @@ def gd_harmonic_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
 
 
 def gd_rhos_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
-    """The rho table of the two corner relations."""
+    """The rho table of the two corner relations: both sides through
+    rho_search. The quotient spaces are rays, so the quotient bracket is
+    exact after one step (weight-independent by homogeneity) and its
+    rho_over serves as both certificates."""
     n, m = int(inputs["n"]), int(inputs["m"])
-    table = gd_relation_rhos(n, m)
+    cell = cell_graph(n, m)
 
-    def entry(e):
+    def entry(relation):
+        if not is_preserved(cell, relation):
+            raise AssertionError(f"relation {relation} unexpectedly not "
+                                 "preserved")
+        rr = rho_search(cell, relation, "relation")
         return {
-            "relation": e.relation.to_json(),
-            "rho_over_relation": claim(e.rho_over_relation, RATIO_TOL),
-            "rho_under_relation": claim(e.rho_under_relation, RATIO_TOL),
-            "rho_quotient": claim(e.rho_quotient, RATIO_TOL),
-            "basis_dim": e.basis_dim,
-            "evaluations": e.evaluations,
+            "relation": relation.to_json(),
+            "rho_over_relation": claim(rr.rho_over, RATIO_TOL),
+            "rho_under_relation": claim(rr.rho_under, RATIO_TOL),
+            "rho_quotient": claim(
+                rho_search(cell, relation, "quotient").rho_over, RATIO_TOL),
+            "basis_dim": rr.basis_dim,
+            "evaluations": rr.evaluations,
         }
 
     return {
         "kind": "gd_rhos",
         "ctx": {"n": n, "m": m},
-        "pq_pairs": entry(table.pq_pairs),
-        "side_pairs": entry(table.side_pairs),
+        "pq_pairs": entry(RELATION_PQ),
+        "side_pairs": entry(RELATION_SIDES),
     }, {"ratio_tol": RATIO_TOL}
 
 

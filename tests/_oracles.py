@@ -158,8 +158,8 @@ def gd_eta_m1(n):
 def gd_rho_values(n, m):
     """The four-entry rho table for the two corner relations.
 
-    Order matches GdRhoTable.values(): pq max over M_J, pq quotient,
-    sides max over M_J, sides quotient.
+    Order: pq max over M_J, pq quotient, sides max over M_J, sides
+    quotient, the rho_over of rho_search on each relation and side.
     """
     return (0.5, 1.0 / m + 1.0 / n, 1.0 / n, (m * n) / (m + n))
 

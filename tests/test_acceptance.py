@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from fractal_renorm import (
-    Angle, Partition, build_J_plus_minus, build_gd_structure,
-    build_structure, circle_distance, enumerate_preserved, existence_verdict,
-    gd_relation_rhos, gd_solve, is_preserved, level_vertices, make_context,
-    per_cell_flows, phi_n, sabot_verdict, solve_eigenform,
-    uniqueness_certificate,
+    Angle, Partition, RELATION_PQ, RELATION_SIDES, build_J_plus_minus,
+    build_gd_structure, build_structure, cell_graph, circle_distance,
+    enumerate_preserved, existence_verdict, gd_solve, is_preserved,
+    level_vertices, make_context, per_cell_flows, phi_n, rho_search,
+    sabot_verdict, solve_eigenform, uniqueness_certificate,
 )
 from fractal_renorm.networks import _harmonic_split, _split_ids
 from fractal_renorm.relations import (RATIO_TOL, _block_traces,
@@ -183,8 +183,10 @@ def test_07_graph_directed_model():
         assert hs.eta == pytest.approx(gd_eta_m1(n), abs=1e-9)
 
     for n, m in [(2, 1), (3, 2), (2, 3)]:
-        table = gd_relation_rhos(n, m)
-        got = table.values()
+        cell = cell_graph(n, m)
+        got = [rho_search(cell, relation, side).rho_over
+               for relation in (RELATION_PQ, RELATION_SIDES)
+               for side in ("relation", "quotient")]
         want = gd_rho_values(n, m)
         print(f"gd rhos (n={n}, m={m}): {[f'{v:.4f}' for v in got]} "
               f"(want {[f'{v:.4f}' for v in want]} +- {RATIO_TOL})")

@@ -231,6 +231,16 @@ class TestExitCodes:
         assert code == 2
         assert "k_max must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--theta", "1/6", "--k-max", "-3"],
+        ["--theta", "1/12", "--k-max", "0", "--max-iter", "1"],
+    ], ids=["no-nontrivial-relation", "solver-error"])
+    def test_k_max_below_one_without_a_certificate(self, argv, capsys):
+        # neither context runs a certificate: (2,1,1/6) has no nontrivial
+        # relation, and one step does not solve (2,1,1/12)
+        assert main(["relations", "--n", "2", "--m", "1", *argv]) == 2
+        assert "k_max must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_flows_nonfinite_values(self, bad, tmp_path, capsys):
         out = tmp_path / "f.json"
@@ -330,11 +340,16 @@ class TestEtaClaims:
             tol = harmonic[key]["tol"]
             assert float(f"{tol:.1e}") == tol
 
-    def test_critical_gd_run_states_its_wide_enclosure(self, tmp_path):
-        # (4,4) does not converge; its last iterate encloses eta loosely
-        report = self.run(tmp_path, ["gd", "solve", "--n", "4", "--m", "4"])
-        assert report["results"]["converged"] is False
-        assert report["results"]["harmonic"]["eta"]["tol"] >= 1e-3
+    def test_critical_gd_run_states_plain_numbers(self, tmp_path):
+        # (4,4) and (3,6) do not converge, and nothing shows a positive
+        # eigenform there for the enclosure to rest on: no claim
+        for n, m in ((4, 4), (3, 6)):
+            report = self.run(tmp_path, ["gd", "solve", "--n", str(n),
+                                         "--m", str(m)])
+            assert report["results"]["converged"] is False
+            harmonic = report["results"]["harmonic"]
+            assert isinstance(harmonic["eta"], float)
+            assert harmonic["eta_inverse"] == 1.0 / harmonic["eta"]
 
     def test_collapsed_gd_run_states_plain_numbers(self, tmp_path):
         # (5,5) ends on a zero weight: no enclosure, so no claim, and no
@@ -452,6 +467,30 @@ class TestValidateCommand:
             code, err = self.validate_edited(out, capsys, edit)
             assert code == 4, field
             assert any(line.startswith(field) for line in err), (field, err)
+
+    @pytest.mark.parametrize("argv, edit, line", [
+        (["solve", "--n", "2", "--m", "1", "--theta", "1/6"],
+         lambda inputs: inputs.pop("max_iter"),
+         "inputs.max_iter: missing, the command gives 100000"),
+        (["solve", "--n", "2", "--m", "1", "--theta", "1/6"],
+         lambda inputs: inputs.pop("symmetrized"),
+         "inputs.symmetrized: missing, the command gives False"),
+        (["relations", "--n", "2", "--m", "1", "--theta", "1/6"],
+         lambda inputs: inputs.pop("k_max"),
+         "inputs.k_max: missing, the command gives 8"),
+        (["relations", "--n", "2", "--m", "1", "--theta", "1/6"],
+         lambda inputs: inputs.update(foo=1),
+         "inputs.foo: stated, the command does not give it"),
+    ], ids=["solve-max_iter", "solve-symmetrized", "relations-k_max",
+            "relations-foo"])
+    def test_inputs_are_exactly_the_command_s(self, argv, edit, line,
+                                              tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        code, err = self.validate_edited(out, capsys,
+                                         lambda r: edit(r["inputs"]))
+        assert code == 4
+        assert line in err
 
     @pytest.mark.parametrize("theta", [["--theta", "1/2"],
                                        ["--theta", "7/6"],

@@ -9,8 +9,8 @@ import pytest
 from fractal_renorm import (
     ConductanceForm, NonConvergenceError, NotInvariantError, Partition,
     RELATION_PQ, RELATION_SIDES, build_gd_structure, cell_graph,
-    enumerate_preserved, existence_verdict, gd_relation_rhos, gd_solve,
-    gd_structure_to_json, is_preserved,
+    enumerate_preserved, existence_verdict, gd_solve, gd_structure_to_json,
+    is_preserved, main, rho_search,
 )
 from fractal_renorm.gd import CORNER_ORDER, EXPLORE_ITER_CAP, FORM_VERTICES
 from fractal_renorm.relations import RATIO_TOL, _ratio_bounds, _side
@@ -80,16 +80,18 @@ class TestGdStructure:
         for n, m in GRID:
             assert build_gd_structure(n, m).num_vertices == 2 * (m + n) ** 2
 
-    def test_parameter_bounds(self):
+    def test_parameter_bounds(self, capsys):
         with pytest.raises(ValueError):
             build_gd_structure(1, 1)
         with pytest.raises(ValueError):
             build_gd_structure(2, 0)
         # the existence sign test divides by m and n: checked first
         for n, m in ((2, 0), (0, 1)):
-            for call in (existence_verdict, gd_solve, gd_relation_rhos):
+            for call in (existence_verdict, gd_solve):
                 with pytest.raises(ValueError, match="need n >= 2"):
                     call(n, m)
+        assert main(["gd", "rhos", "--n", "1", "--m", "1"]) == 2
+        assert "need n >= 2" in capsys.readouterr().err
 
     def test_level1_names(self):
         gd = build_gd_structure(2, 1)
@@ -289,34 +291,37 @@ class TestQuotient:
 class TestRhoTable:
     def test_values_against_closed_forms(self):
         for n, m in [(2, 1), (3, 2), (2, 3)]:
-            table = gd_relation_rhos(n, m)
-            expected = gd_rho_values(n, m)
-            for got, want in zip(table.values(), expected):
-                assert got == pytest.approx(want, abs=RATIO_TOL)
-            # the quotient spaces are rays, so those two are near-exact
-            assert table.pq_pairs.rho_quotient == pytest.approx(
-                expected[1], abs=1e-9)
-            assert table.side_pairs.rho_quotient == pytest.approx(
-                expected[3], abs=1e-9)
+            cell = cell_graph(n, m)
+            pq_over, pq_quotient, sides_over, sides_quotient = \
+                gd_rho_values(n, m)
+            for relation, over, quotient in (
+                    (RELATION_PQ, pq_over, pq_quotient),
+                    (RELATION_SIDES, sides_over, sides_quotient)):
+                got = rho_search(cell, relation, "relation").rho_over
+                assert got == pytest.approx(over, abs=RATIO_TOL)
+                # the quotient spaces are rays, so those are near-exact
+                got = rho_search(cell, relation, "quotient").rho_over
+                assert got == pytest.approx(quotient, abs=1e-9)
 
     def test_entry_internals(self):
-        table = gd_relation_rhos(2, 1)
-        for entry in (table.pq_pairs, table.side_pairs):
-            assert entry.basis_dim == 2
-            assert entry.evaluations > 0
-            assert entry.rho_under_relation <= entry.rho_over_relation + 1e-12
+        cell = cell_graph(2, 1)
+        for relation in (RELATION_PQ, RELATION_SIDES):
+            rr = rho_search(cell, relation, "relation")
+            assert rr.basis_dim == 2
+            assert rr.evaluations > 0
+            assert rr.rho_under <= rr.rho_over + 1e-12
 
     def test_achieving_forms_reproduce(self):
-        table = gd_relation_rhos(2, 1)
         cell = cell_graph(2, 1)
-        for entry in (table.pq_pairs, table.side_pairs):
-            comp = _side(cell, entry.relation, "relation").comp
-            w = _boundary_matrix(cell, entry.best_over_form)
+        for relation in (RELATION_PQ, RELATION_SIDES):
+            rr = rho_search(cell, relation, "relation")
+            comp = _side(cell, relation, "relation").comp
+            w = _boundary_matrix(cell, rr.best_over)
             _, hi = _ratio_bounds(cell.scheme.T(w), w, comp)
-            assert hi == pytest.approx(entry.rho_over_relation, abs=1e-9)
-            w = _boundary_matrix(cell, entry.best_under_form)
+            assert hi == pytest.approx(rr.rho_over, abs=1e-9)
+            w = _boundary_matrix(cell, rr.best_under)
             lo, _ = _ratio_bounds(cell.scheme.T(w), w, comp)
-            assert lo == pytest.approx(entry.rho_under_relation, abs=1e-9)
+            assert lo == pytest.approx(rr.rho_under, abs=1e-9)
 
 
 class TestAllCells:

@@ -74,8 +74,10 @@ class TestPinnedResults:
                                        "25409cf302942b61"])),
         ({"n": 2, "m": 2, "theta": "3/16", "symmetrized": True, "level": 3},
          "2c87f038c194bc79"),
-        ({"n": 3, "m": 1, "theta": "1/9", "level": 3}, "1c328f1bc1ad86b9"),
-        ({"n": 3, "m": 2, "theta": "1/15", "level": 2}, "524cd7b43cec78ea"),
+        ({"n": 3, "m": 1, "theta": "1/9", "symmetrized": False, "level": 3},
+         "1c328f1bc1ad86b9"),
+        ({"n": 3, "m": 2, "theta": "1/15", "symmetrized": False, "level": 2},
+         "524cd7b43cec78ea"),
     ])
     def test_structure_levels(self, inputs, expected):
         assert digest(structure_results(inputs, None)[0]) == expected
@@ -386,21 +388,21 @@ class TestTamperDetection:
         assert validate_report(str(path))
 
         report = json.loads(json.dumps(base))
-        report["results"]["harmonic"]["eta"]["value"] = 7.0
+        report["results"]["harmonic"]["eta"] = 7.0
         report["results"]["harmonic"]["form"]["edges"][0][2] = 99.0
         dump(path, report)
-        assert any("results.harmonic.eta.value: 7.0" in line
+        assert any("results.harmonic.eta: 7.0" in line
                    for line in validate_report_details(str(path)))
         assert main(["validate", str(path)]) == 4
 
         last = len(base["results"]["harmonic"]["form"]["edges"]) - 1
-        for edit, word in (("eta", "results.harmonic.eta.value"),
+        for edit, word in (("eta", "results.harmonic.eta"),
                            ("form", f"results.harmonic.form.edges[{last}][2]"),
                            ("tail", "results.diagnostics.mass_ratio_tail[0]")):
             report = json.loads(json.dumps(base))
             results = report["results"]
             if edit == "eta":
-                results["harmonic"]["eta"]["value"] += 1e-6
+                results["harmonic"]["eta"] += 1e-6
             elif edit == "form":
                 results["harmonic"]["form"]["edges"][-1][2] += 1e-6
             else:
@@ -818,12 +820,14 @@ class TestLeafEdits:
                 for c in report["results"]["certificates"]] == [3]
         assert validate_report_details(str(path)) == []
 
-        # a report written before max_iter and k_max were recorded reruns
-        # with the command-line defaults
+        # the defaults are recorded too, and a report without them fails
         path = make_report(tmp_path, "default.json", ctx)
         report = load(path)
         assert (report["inputs"]["max_iter"],
                 report["inputs"]["k_max"]) == (100_000, 8)
         del report["inputs"]["max_iter"], report["inputs"]["k_max"]
         dump(path, report)
-        assert validate_report_details(str(path)) == []
+        errors = validate_report_details(str(path))
+        for key, value in (("max_iter", 100_000), ("k_max", 8)):
+            assert f"inputs.{key}: missing, the command gives {value}" \
+                in errors

@@ -1,9 +1,14 @@
-"""Static checks of the package source."""
+"""Checks of the package source, and of the README against the package."""
 
 import ast
+import re
 from pathlib import Path
+from types import SimpleNamespace
+
+import fractal_renorm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fractal_renorm"
+README = SRC.parent.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -141,3 +146,40 @@ def test_every_constant_is_read():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(SRC.glob("*.py"))}
     assert unread_constants(sources) == []
+
+
+def readme_block(heading: str) -> str:
+    """The first python code block under a level-2 README heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"\n## {heading}\n"):]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_use_runs(capsys):
+    exec(compile(readme_block("Library use"), "README.md", "exec"), {})
+    assert "criteria_hold_exists_unique" in capsys.readouterr().out
+
+
+def unresolved_calls(text: str, package) -> list[str]:
+    """Backticked calls `name(` or `A.b(` in text that are not attributes
+    of package."""
+    missing = []
+    for name in re.findall(r"`([A-Za-z_][\w.]*)\(", text):
+        target = package
+        for part in name.split("."):
+            target = getattr(target, part, None)
+        if target is None:
+            missing.append(name)
+    return missing
+
+
+def test_unresolved_calls_are_found():
+    package = SimpleNamespace(f=len, A=SimpleNamespace(b=len))
+    text = "`f(x)`, `A.b(y)`, `A.c(z)`, `g(1)`, `f` and f(x)"
+    assert unresolved_calls(text, package) == ["A.c", "g"]
+
+
+def test_readme_calls_resolve():
+    # a call the README names must be one the package has
+    text = README.read_text(encoding="utf-8")
+    assert unresolved_calls(text, fractal_renorm) == []
