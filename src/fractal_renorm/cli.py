@@ -60,7 +60,11 @@ def _load_structure(args):
             data = data["results"]
         if "ctx" not in data and isinstance(data.get("structure"), dict):
             data = data["structure"]
-        return structure_from_json(data)
+        try:
+            return structure_from_json(data)
+        except KeyError as exc:
+            raise ValueError(f"{args.structure}: not an MS structure, "
+                             f"missing key {exc}") from exc
     if args.n is None or args.m is None or args.theta is None:
         raise ValueError("give either --structure or all of --n/--m/--theta")
     ctx = make_context(args.n, args.m, args.theta)

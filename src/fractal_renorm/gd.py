@@ -45,7 +45,8 @@ class GdCellGraph:
     CORNER_ORDER, and scheme.marked holds the ids of (p_cell, q_cell,
     p_cell+1, q_cell+1). broken lists the junction indices k where the
     p-merge between subcells k and k+1 is absent. boundary, index and
-    scheme make the cell a structure for the shared operators.
+    scheme make the cell a structure for the shared operators; it has no
+    rotation, so it is not rotation-closed.
     """
 
     n: int
@@ -56,6 +57,7 @@ class GdCellGraph:
 
     boundary = FORM_VERTICES
     index = {name: i for i, name in enumerate(FORM_VERTICES)}
+    rotation = None
 
 
 def cell_graph(n: int, m: int, cell: int = 0) -> GdCellGraph:
@@ -105,18 +107,10 @@ def build_gd_structure(n: int, m: int) -> GdStructure:
     """Glue all cells; the vertex count comes out to 2(m+n)^2."""
     ring = m + n
     cells = [cell_graph(n, m, cell).scheme for cell in range(ring)]
-
-    def slot(cell: int, sub: int, corner: int) -> tuple[int, int]:
-        return cell, cells[cell].rows[sub][corner]
-
-    pairs = []
-    for cell in range(ring):
-        nxt_cell = (cell + 1) % ring
-        right = (n * (cell + 1)) % ring
-        pairs.append((slot(cell, (right - 1) % ring, 2),
-                      slot(nxt_cell, right, 0)))
-        pairs.append((slot(cell, right, 0),
-                      slot(nxt_cell, (right - 1) % ring, 2)))
+    # the right corners (p, q) of cell c are the left ones of cell c+1
+    pairs = [((cell, cells[cell].marked[2 + k]),
+              ((cell + 1) % ring, cells[(cell + 1) % ring].marked[k]))
+             for cell in range(ring) for k in (0, 1)]
     rows, count = glue_copies(ring, cells[0].num_ids, pairs)
     if count != 2 * ring * ring:
         raise AssertionError(f"vertex count {count} != 2*{ring}^2")
@@ -126,9 +120,8 @@ def build_gd_structure(n: int, m: int) -> GdStructure:
     level1 = {}
     for j in range(ring):
         cell = (j - 1) % ring
-        right = (n * j) % ring
-        level1[f"p{j}"] = rows[cell][cells[cell].rows[(right - 1) % ring][2]]
-        level1[f"q{j}"] = rows[cell][cells[cell].rows[right][0]]
+        level1[f"p{j}"] = rows[cell][cells[cell].marked[2]]
+        level1[f"q{j}"] = rows[cell][cells[cell].marked[3]]
     return GdStructure(n=n, m=m, num_vertices=count,
                        corner_ids=corner_ids, level1_ids=level1)
 

@@ -36,7 +36,7 @@ from .errors import (CapExceededError, KappaUndefinedError,
 from .networks import (ConductanceForm, DisjointSet, _harmonic_split,
                        _laplacian, _split_ids, _support_labels)
 from .renorm import HarmonicStructure, _boundary_matrix, cone_iteration
-from .structure import GluingScheme, MsStructure, boundary_rotation
+from .structure import GluingScheme, MsStructure
 
 DEFAULT_ENUM_CAP = 15
 DEFAULT_K_MAX = 8
@@ -132,11 +132,21 @@ def _index_blocks(structure, relation: Partition) -> list[list[int]]:
 
 def rotation_invariant(structure: MsStructure, relation: Partition) -> bool:
     """True when rotating every block by one step permutes the blocks."""
-    rot = boundary_rotation(structure)
+    rot = structure.rotation
     if rot is None:
         return False
     blocks = {frozenset(b) for b in _index_blocks(structure, relation)}
     return all(frozenset(rot[i] for i in b) in blocks for b in blocks)
+
+
+def _require_rotation(structure) -> tuple[int, ...]:
+    """The boundary rotation, which G-relations need; NotInvariant when the
+    boundary is not rotation-closed."""
+    if structure.rotation is None:
+        raise NotInvariantError(
+            "G-relations need a rotation-closed boundary; "
+            "build the structure with symmetrize=True")
+    return structure.rotation
 
 
 def is_preserved(structure, relation: Partition,
@@ -149,10 +159,7 @@ def is_preserved(structure, relation: Partition,
     """
     _check_ground(structure, relation)
     if require_g:
-        if boundary_rotation(structure) is None:
-            raise NotInvariantError(
-                "G-relations need a rotation-closed boundary; "
-                "build the structure with symmetrize=True")
+        _require_rotation(structure)
         if not rotation_invariant(structure, relation):
             return False
     scheme = structure.scheme
@@ -187,29 +194,21 @@ def enumerate_preserved(structure, require_g: bool = False,
     for most J), so closure-system shortcuts do not apply. A leaf is
     preserved exactly when "same root" equals "same block" on all points.
 
-    The other half of the fixed-point condition, J within F(J), prunes too
-    when every level-1 id's slots (c, v) share one vertex index v, as in an
-    MS level, where glue_copies identifies vertex g of copy i only with
-    vertex g of copy i+1. The closure of J's per-copy images then joins
-    slot (c, v) only to slots (c', v') with v' ~_J v, so it never joins two
-    blocks. Write f(p) for the vertex index of p's inclusion, the boundary
-    index of phi_n(p): F(J) relates p and q only if f(p) ~_J f(q), so a
-    fixed point maps blocks into blocks, p ~_J q implying f(p) ~_J f(q).
-    Each pair is checked at the node that assigns the last of p, q, f(p)
-    and f(q); codes never change below a node, so a node where p and q
-    share a block but f(p) and f(q) do not has no fixed point below it. A
-    scheme with an id whose slots carry different vertex indices (a GD
-    cell) skips this check.
-
-    With require_g, a node is also pruned when an assigned pair (i, y)
-    and its image under some rotation r^k, both points of it assigned,
-    disagree on being related. The assigned codes never change below a
-    node, and every rotation-invariant relation has i ~ y exactly when
-    r^k(i) ~ r^k(y), so no pruned subtree holds a rotation-invariant leaf.
-    Checking the pairs through the new point i, against every k, covers
-    the pairs that became checkable at i, because an image pair through i
-    is checked from its own side with the inverse rotation. A leaf that
-    passes every check is rotation-invariant.
+    The search also prunes by implications. Each answer respects some maps
+    g of the boundary: p ~ q implies g(p) ~ g(q). One is f, with f(p) the
+    vertex index of p's inclusion (the boundary index of phi_n(p)), when
+    every level-1 id's slots (c, v) share one vertex index v, as in an MS
+    level, where glue_copies joins vertex v of copy i only to vertex v of
+    copy i+1. The closure of J's per-copy images then joins slot (c, v)
+    only to slots (c', v') with v' ~_J v, so F(J) relates p and q only if
+    f(p) ~_J f(q), and the half J within F(J) of the fixed-point condition
+    makes every fixed point map blocks into blocks. A GD cell, whose ids
+    mix vertex indices, has no f. With require_g the rotations r, ...,
+    r^(ring-1) are the others, by the definition of rotation invariance.
+    Each implication is checked at the node that assigns the last of p, q,
+    g(p) and g(q). Codes never change below a node, so a node that relates
+    p and q but not g(p) and g(q) has no answer below it, and a leaf that
+    passes every rotation check is rotation-invariant.
 
     Refuses boundaries larger than the cap, and a cap below 1 as invalid
     input (ValueError). With require_g, only the rotation-invariant
@@ -221,9 +220,8 @@ def enumerate_preserved(structure, require_g: bool = False,
     if nb > cap:
         raise CapExceededError(
             f"boundary size {nb} exceeds enumeration cap {cap}")
-    if require_g and boundary_rotation(structure) is None:
-        raise NotInvariantError(
-            "G-relations need a rotation-closed boundary")
+    if require_g:
+        rotation = _require_rotation(structure)
     scheme = structure.scheme
     rows = scheme.rows
     incl = scheme.marked
@@ -266,32 +264,27 @@ def enumerate_preserved(structure, require_g: bool = False,
                 size[parent[entry]] -= size[entry]
                 parent[entry] = entry
 
-    # checks[i]: (y, j, z) with j = r^k(i) and z = r^k(y), for y < i and
-    # every k with both images among the points assigned by node i
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(nb)]
-    if require_g:
-        power = list(range(nb))
-        for _ in range(structure.ctx.ring_size - 1):
-            power = [structure.rotation[p] for p in power]
-            for i in range(nb):
-                if power[i] <= i:
-                    checks[i] += [(y, power[i], power[y]) for y in range(i)
-                                  if power[y] <= i]
-
-    # f[p]: the vertex index of p's inclusion, when every id's slots share
-    # one; images[d]: (p, q, f(p), f(q)) with d the last of the four
-    # assigned, skipping f(p) = f(q), which always passes
+    # the maps g that every answer respects: f, when every id's slots share
+    # one vertex index, and with require_g the rotations; implied[d] holds
+    # (p, q, g(p), g(q)), p < q, with d the last of the four assigned,
+    # skipping g(p) = g(q), which always passes
+    maps = []
     vertex_of: dict[int, int] = {}
-    uniform = all(vertex_of.setdefault(x, v) == v
-                  for row in rows for v, x in enumerate(row))
-    images: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nb)]
-    if uniform:
-        f = [vertex_of[x] for x in incl]
+    if all(vertex_of.setdefault(x, v) == v
+           for row in rows for v, x in enumerate(row)):
+        maps.append([vertex_of[x] for x in incl])
+    if require_g:
+        power = rotation
+        for _ in range(structure.ctx.ring_size - 1):
+            maps.append(power)
+            power = [rotation[p] for p in power]
+    implied: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nb)]
+    for g in maps:
         for q in range(nb):
             for p in range(q):
-                if f[p] != f[q]:
-                    quad = (p, q, f[p], f[q])
-                    images[max(quad)].append(quad)
+                if g[p] != g[q]:
+                    quad = (p, q, g[p], g[q])
+                    implied[max(quad)].append(quad)
 
     code = [0] * nb
     first: list[int] = []  # least point of each block
@@ -315,11 +308,8 @@ def enumerate_preserved(structure, require_g: bool = False,
         opened = len(first)
         for c in (forced,) if forced >= 0 else range(opened + 1):
             code[i] = c
-            if not all(code[p] != code[q] or code[fp] == code[fq]
-                       for p, q, fp, fq in images[i]):
-                continue
-            if checks[i] and not all((code[y] == c) == (code[j] == code[z])
-                                     for y, j, z in checks[i]):
+            if not all(code[p] != code[q] or code[gp] == code[gq]
+                       for p, q, gp, gq in implied[i]):
                 continue
             mark = len(undo_log)
             if forced < 0:

@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .networks import ConductanceForm
-from .structure import (GluingScheme, MsStructure, boundary_rotation,
-                        level_vertices)
+from .structure import GluingScheme, MsStructure, level_vertices
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
@@ -160,7 +159,7 @@ def _pair_orbits(structure, w: np.ndarray) -> _PairOrbits:
     """The orbits of the structure's boundary pairs under its rotation,
     built on first use and kept on the structure; singletons, one per
     pair, when the structure has no rotation or w is not invariant."""
-    rotation = boundary_rotation(structure)
+    rotation = structure.rotation
     rot = None if rotation is None else list(rotation)
     if rot is None or not (w[rot][:, rot] == w).all():
         return _PairOrbits.build(structure.scheme.pairs, None)

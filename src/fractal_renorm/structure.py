@@ -127,12 +127,6 @@ class MsStructure:
         return level_vertices(self, 1)
 
 
-def boundary_rotation(structure) -> Optional[tuple[int, ...]]:
-    """structure.rotation, or None for a structure that has none (a
-    graph-directed cell); either way None means not rotation-closed."""
-    return getattr(structure, "rotation", None)
-
-
 def build_structure(ctx: AngleContext,
                     symmetrize: Optional[bool] = None) -> MsStructure:
     """Assemble the level-0 structure for a valid context.

@@ -256,6 +256,20 @@ class TestExitCodes:
         assert main(["solve", "--structure", str(path)]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    def test_structure_file_not_an_ms_structure(self, tmp_path, capsys):
+        # a gd build report has a ctx but no theta; the other has no ctx
+        gd = tmp_path / "gd.json"
+        assert main(["gd", "build", "--n", "2", "--m", "1",
+                     "--out", str(gd)]) == 0
+        other = tmp_path / "x.json"
+        other.write_text('{"results": {"kind": "x"}}', encoding="utf-8")
+        capsys.readouterr()
+        for path, key in ((gd, "'theta'"), (other, "'ctx'")):
+            assert main(["solve", "--structure", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert str(path) in err
+            assert f"not an MS structure, missing key {key}" in err
+
     def test_version_flag(self):
         assert main(["--version"]) == 0
 

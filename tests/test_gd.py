@@ -10,7 +10,7 @@ from fractal_renorm import (
     ConductanceForm, NonConvergenceError, NotInvariantError, Partition,
     RELATION_PQ, RELATION_SIDES, build_gd_structure, cell_graph,
     enumerate_preserved, existence_verdict, gd_solve, gd_structure_to_json,
-    is_preserved, main, rho_search,
+    is_preserved, main, rho_search, sabot_verdict,
 )
 from fractal_renorm.gd import CORNER_ORDER, EXPLORE_ITER_CAP, FORM_VERTICES
 from fractal_renorm.relations import RATIO_TOL, _ratio_bounds, _side
@@ -137,6 +137,17 @@ class TestExistence:
                         else "none")
             assert existence_verdict(n, m) == expected
 
+    def test_sabot_verdict_matches_the_dichotomy(self):
+        # Sabot's criterion on the enumerated cell relations reproduces the
+        # sign test; the critical pairs get no verdict either way
+        expected = {"exists_unique": "criteria_hold_exists_unique",
+                    "none": "nonexistence_certified",
+                    "critical_undetermined": "inconclusive"}
+        for n, m in GRID:
+            cell = cell_graph(n, m)
+            report = sabot_verdict(cell, enumerate_preserved(cell))
+            assert report.verdict == expected[existence_verdict(n, m)], (n, m)
+
 
 class TestRenormT:
     def test_homogeneous(self):
@@ -259,9 +270,11 @@ class TestPreservation:
     def test_g_relations_need_a_rotation(self):
         # a cell has no rotation, so it is not rotation-closed
         cell = cell_graph(2, 1)
-        with pytest.raises(NotInvariantError):
+        assert cell.rotation is None
+        hint = "build the structure with symmetrize=True"
+        with pytest.raises(NotInvariantError, match=hint):
             enumerate_preserved(cell, require_g=True)
-        with pytest.raises(NotInvariantError):
+        with pytest.raises(NotInvariantError, match=hint):
             is_preserved(cell, RELATION_PQ, require_g=True)
 
 

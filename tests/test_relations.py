@@ -244,6 +244,15 @@ class TestPreserved:
             is_preserved(s, Partition.from_blocks([[a] for a in s.boundary]),
                          require_g=True)
 
+    def test_require_g_rejects_preserved_relations_that_rotation_moves(self):
+        s = ms(2, 1, "1/12")
+        moved = [rel for rel in enumerate_preserved(s)
+                 if not rotated_by_angles(s, rel)]
+        assert len(moved) == 4
+        for rel in moved:
+            assert is_preserved(s, rel)
+            assert not is_preserved(s, rel, require_g=True)
+
     def test_rotation_invariance_filter(self):
         s = ms(2, 1, "1/12")
         assert rotation_invariant(s, opposite_pairs(s))
@@ -303,8 +312,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (4, 3), (3, 6), (5, 5)])
     def test_gd_cell_matches_brute_force(self, n, m):
-        # a GD cell glues vertex 3 of one copy to vertex 1 of the next, so
-        # its ids mix vertex indices and the block-image check is skipped
+        # a GD cell glues vertex 3 of one copy to vertex 1 of the next; its
+        # ids mix vertex indices, so the search has no block-image map f
         cell = cell_graph(n, m)
         found = enumerate_preserved(cell)
         assert found == brute_force_preserved(cell)
@@ -318,11 +327,12 @@ class TestEnumeration:
             enumerate_preserved(s, require_g=True)
 
     def test_g_search_is_the_invariant_part_of_the_full_search(self):
-        # the rotation-consistency pruning drops no G-relation and keeps
-        # the RGS order of the full search
+        # the rotation implications drop no G-relation and keep the RGS
+        # order of the full search
         contexts = valid_contexts(SWEEP_FAMILIES, 60, 9)
         assert len(contexts) == 43
-        for n, m, theta in contexts + [(2, 1, Fraction(1, 48))]:
+        for n, m, theta in contexts + [(2, 1, Fraction(1, 48)),
+                                       (2, 1, Fraction(1, 96))]:
             s = ms(n, m, theta)
             full = enumerate_preserved(s)
             assert enumerate_preserved(s, require_g=True) == \
