@@ -34,7 +34,7 @@ from .relations import DEFAULT_ENUM_CAP, DEFAULT_K_MAX
 from .renorm import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .reports import (BUILDERS, SCHEMA, render_report, structure_inputs,
                       validate_report_details)
-from .structure import build_structure, structure_from_json
+from .structure import structure_from_json, symmetrize_rule
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -48,27 +48,21 @@ _INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError,
 _BUDGET_ERRORS = (NonConvergenceError, CapExceededError, DepthCapError)
 
 
-def _load_structure(args):
-    if getattr(args, "structure", None):
-        with open(args.structure, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{args.structure}: a structure file must hold "
-                             "a JSON object")
-        # accept a full report envelope or the bare structure payload
-        if isinstance(data.get("results"), dict):
-            data = data["results"]
-        if "ctx" not in data and isinstance(data.get("structure"), dict):
-            data = data["structure"]
-        try:
-            return structure_from_json(data)
-        except KeyError as exc:
-            raise ValueError(f"{args.structure}: not an MS structure, "
-                             f"missing key {exc}") from exc
-    if args.n is None or args.m is None or args.theta is None:
-        raise ValueError("give either --structure or all of --n/--m/--theta")
-    ctx = make_context(args.n, args.m, args.theta)
-    return build_structure(ctx, symmetrize=args.symmetrize)
+def _load_structure(path: str):
+    """The MS structure of a report, its results or the bare payload."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a structure file must hold a JSON object")
+    if isinstance(data.get("results"), dict):
+        data = data["results"]
+    if "ctx" not in data and isinstance(data.get("structure"), dict):
+        data = data["structure"]
+    try:
+        return structure_from_json(data)
+    except (KeyError, TypeError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: not an MS structure, {what}") from exc
 
 
 def _emit(args, report: dict, csv_rows: Optional[list] = None) -> int:
@@ -90,11 +84,20 @@ def _emit(args, report: dict, csv_rows: Optional[list] = None) -> int:
 
 def _run_inputs(args) -> dict:
     """A run's report inputs: the structure's fields, when the kind reads a
-    structure, followed by the fields the subcommand's own flags set."""
+    structure, followed by the fields the subcommand's own flags set. Of
+    the structures, only a --structure file's is built here, to check it."""
     inputs = args.flag_inputs(args)
-    if args.reads_structure:
-        inputs = structure_inputs(_load_structure(args), **inputs)
-    return inputs
+    if not args.reads_structure:
+        return inputs
+    if args.structure:
+        s = _load_structure(args.structure)
+        ctx, symmetrized = s.ctx, s.symmetrized
+    elif args.n is None or args.m is None or args.theta is None:
+        raise ValueError("give either --structure or all of --n/--m/--theta")
+    else:
+        ctx = make_context(args.n, args.m, args.theta)
+        symmetrized = symmetrize_rule(ctx, args.symmetrize)
+    return structure_inputs(ctx, symmetrized, **inputs)
 
 
 def _cmd_run(args, started: float) -> int:
@@ -186,7 +189,7 @@ def _cmd_validate(args, started: float) -> int:
     return EXIT_OK
 
 
-def _add_ctx_flags(p: argparse.ArgumentParser, with_structure=True) -> None:
+def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--theta", type=str, default=None,
@@ -196,9 +199,8 @@ def _add_ctx_flags(p: argparse.ArgumentParser, with_structure=True) -> None:
                      default=None, help="close the boundary under rotations")
     sym.add_argument("--no-symmetrize", dest="symmetrize",
                      action="store_false")
-    if with_structure:
-        p.add_argument("--structure", type=str, default=None,
-                       help="read the structure from a JSON report instead")
+    p.add_argument("--structure", type=str, default=None,
+                   help="read the structure from a JSON report instead")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

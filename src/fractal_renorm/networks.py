@@ -6,21 +6,20 @@ the Dirichlet form  E(f) = sum over unordered pairs {x,y} of w_xy
 conductances of physical resistors; a convention summing ordered pairs
 would double every value.
 
-Traces are Schur complements of the graph Laplacian onto a boundary, and
-harmonic extensions solve with the same interior block: _harmonic_split
-gives both from one inverse of it, as the gluing schemes call it. That
-block is inverted directly when the inverse is finite and the product of
-the two Frobenius norms, an upper bound on the condition number, is at most
-INVERSE_COND_BOUND: then no eigenvalue lies anywhere near the RANK_RTOL
-cutoff and the pseudo-inverse would truncate nothing. Otherwise (a
-singular block, as on a disconnected or floating interior or the
-degenerate cones of the relation side, or an ill-conditioned one) the
-inverse is the spectral pseudo-inverse with that relative rank cutoff.
+Traces are Schur complements of the graph Laplacian onto a boundary;
+harmonic extensions solve with the same interior block. One kernel,
+GluingScheme.harmonic, gives both from one _interior_inverse of the block
+(its plan puts the marked ids first: one bincount assembles the copies,
+the blocks are slices). That inverse is direct when finite with the
+product of the two Frobenius norms, a bound on the condition number, at
+most INVERSE_COND_BOUND, so that the pseudo-inverse would truncate
+nothing at RANK_RTOL; otherwise (a singular block, as on a floating
+interior or the degenerate cones of the relation side, or an
+ill-conditioned one) it is the spectral pseudo-inverse with that cutoff.
 """
 from __future__ import annotations
 
-import warnings
-from typing import Hashable, Iterable, NamedTuple, Sequence, Tuple
+from typing import Hashable, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -145,8 +144,7 @@ def _psd_pinv(mat: np.ndarray) -> np.ndarray:
     if mat.size == 0:
         return mat
     vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    top = float(vals[-1]) if len(vals) else 0.0
-    cut = RANK_RTOL * max(top, 0.0)
+    cut = RANK_RTOL * max(float(vals[-1]), 0.0)
     inv = np.where(vals > cut, 1.0 / np.where(vals > cut, vals, 1.0), 0.0)
     return (vecs * inv) @ vecs.T
 
@@ -167,46 +165,6 @@ def _interior_inverse(lii: np.ndarray) -> np.ndarray:
     if np.linalg.norm(lii) * np.linalg.norm(inv) <= INVERSE_COND_BOUND:
         return inv
     return _psd_pinv(lii)
-
-
-class _Split(NamedTuple):
-    """Ids 0..nv-1 split into a boundary, in its given order, and the rest,
-    with the index grids of the Laplacian blocks the interior solve reads."""
-
-    boundary: np.ndarray
-    interior: np.ndarray
-    bi: tuple
-    ii: tuple
-
-
-def _split_ids(nv: int, boundary_idx: Sequence[int]) -> _Split:
-    b = np.asarray(boundary_idx, dtype=np.intp)
-    keep = np.ones(nv, dtype=bool)
-    keep[b] = False
-    interior = np.flatnonzero(keep)
-    return _Split(b, interior, np.ix_(b, interior), np.ix_(interior, interior))
-
-
-def _harmonic_split(matrix: np.ndarray, split: _Split
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The trace onto the boundary, as a weight matrix, and the harmonic
-    extension X of the boundary basis, so that X @ fb extends boundary
-    values fb; the trace is the Schur complement L_B X = L_BB + L_BI X_I."""
-    lap = _laplacian(matrix)
-    ext = np.zeros((len(matrix), len(split.boundary)))
-    ext[split.boundary] = np.eye(len(split.boundary))
-    if split.interior.size:
-        ext[split.interior] = -_interior_inverse(lap[split.ii]) @ \
-            lap[split.bi].T
-    schur = lap[split.boundary] @ ext
-    out = -0.5 * (schur + schur.T)
-    np.fill_diagonal(out, 0.0)
-    scale = float(np.abs(out).max()) if out.size else 0.0
-    worst = float(out.min()) if out.size else 0.0
-    if worst < -NEGATIVE_WEIGHT_WARN * max(scale, 1.0):
-        warnings.warn(f"traced weight {worst:.3e} clamped to zero "
-                      f"(scale {scale:.3e}); result may be inaccurate")
-    return np.clip(out, 0.0, None), ext
 
 
 def _support_labels(matrix: np.ndarray) -> np.ndarray:

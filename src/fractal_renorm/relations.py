@@ -33,8 +33,8 @@ from .angles import Angle, critical_angles, kappa, phi_n
 from .errors import (CapExceededError, KappaUndefinedError,
                      KernelMismatchError, NotAPermutationError,
                      NotInvariantError)
-from .networks import (ConductanceForm, DisjointSet, _harmonic_split,
-                       _laplacian, _split_ids, _support_labels)
+from .networks import (ConductanceForm, DisjointSet, _laplacian,
+                       _support_labels)
 from .renorm import HarmonicStructure, _boundary_matrix, cone_iteration
 from .structure import GluingScheme, MsStructure
 
@@ -456,16 +456,15 @@ def _ratio_bounds(num: np.ndarray, den: np.ndarray,
                          "no ratios to compute")
     ar = comp.T @ _laplacian(num) @ comp
     br = comp.T @ _laplacian(den) @ comp
-    ar = 0.5 * (ar + ar.T)
     br = 0.5 * (br + br.T)
-    bvals = np.linalg.eigvalsh(br)
+    bvals, bvecs = np.linalg.eigh(br)
     if bvals[0] <= 1e-12 * max(bvals[-1], 1e-300):
         raise ValueError("denominator form degenerate on the complement of "
                          "the modded-out space")
-    # Cholesky reduction to a standard problem, as LAPACK sygvd does:
-    # br = L L^T, and L^-1 ar L^-T has the generalized eigenvalues
-    chol = np.linalg.cholesky(br)
-    reduced = np.linalg.solve(chol, np.linalg.solve(chol, ar).T)
+    # whitening reduces it to a standard problem: with br = V diag(b) V^T
+    # and W = V diag(b)^-1/2, W^T ar W has the generalized eigenvalues
+    white = bvecs / np.sqrt(bvals)
+    reduced = white.T @ ar @ white
     vals = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
     return float(vals[0]), float(vals[-1])
 
@@ -586,8 +585,8 @@ def _block_traces(structure, w: np.ndarray, relation: Partition
                          "the zero form or the original form")
     out = np.zeros_like(w)
     for block in _index_blocks(structure, relation):
-        out[np.ix_(block, block)] = _harmonic_split(
-            w, _split_ids(len(w), block))[0]
+        one = GluingScheme((tuple(range(len(w))),), tuple(block), len(w))
+        out[np.ix_(block, block)] = one.T(w)
     _side(structure, relation, "relation").check(out)
     return out
 

@@ -160,8 +160,7 @@ def _pair_orbits(structure, w: np.ndarray) -> _PairOrbits:
     built on first use and kept on the structure; singletons, one per
     pair, when the structure has no rotation or w is not invariant."""
     rotation = structure.rotation
-    rot = None if rotation is None else list(rotation)
-    if rot is None or not (w[rot][:, rot] == w).all():
+    if rotation is None or not (w[np.ix_(rotation, rotation)] == w).all():
         return _PairOrbits.build(structure.scheme.pairs, None)
     cached = vars(structure).get("_pair_orbits")
     if cached is None:
@@ -199,8 +198,7 @@ def _newton_step(scheme: GluingScheme, orbits: _PairOrbits, w: np.ndarray,
     ra, rb = orbits.ra, orbits.rb
     k = len(ra)
     system = np.zeros((k + 1, k + 1))
-    system[:k, :k] = _pair_jacobian(scheme, orbits, ext)
-    system[:k, :k] *= eta
+    system[:k, :k] = eta * _pair_jacobian(scheme, orbits, ext)
     system[np.diag_indices(k)] -= 1.0
     system[:k, k] = traced[ra, rb]
     system[k, :k] = orbits.sizes

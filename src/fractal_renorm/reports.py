@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .angles import make_context
+from .angles import AngleContext, make_context
 from .errors import KappaUndefinedError, NonConvergenceError, WorkbenchError
 from .gd import (RELATION_PQ, RELATION_SIDES, build_gd_structure, cell_graph,
                  gd_solve, gd_structure_to_json)
@@ -83,11 +83,11 @@ def form_to_json(form: ConductanceForm) -> dict:
     }
 
 
-def structure_inputs(structure: MsStructure, **extra) -> dict:
-    """Report inputs that _structure_from_inputs rebuilds the structure from."""
-    ctx = structure.ctx
+def structure_inputs(ctx: AngleContext, symmetrized: bool, **extra) -> dict:
+    """Report inputs that _structure_from_inputs builds the structure of
+    ctx from, its boundary closed under rotations when symmetrized."""
     return {"n": ctx.n, "m": ctx.m, "theta": str(ctx.theta),
-            "symmetrized": structure.symmetrized, **extra}
+            "symmetrized": symmetrized, **extra}
 
 
 def _structure_from_inputs(inputs: dict) -> MsStructure:
@@ -142,9 +142,11 @@ def structure_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     }, {"exact_arithmetic": 0.0}
 
 
-def harmonic_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
-    """The eigenform, eta and the independent checks of the solution."""
-    structure = _structure_from_inputs(inputs)
+def harmonic_results(inputs: dict, solver_tol, structure=None
+                     ) -> tuple[dict, dict]:
+    """The eigenform, eta and the checks of the solution, on the inputs'
+    structure (built here when None)."""
+    structure = structure or _structure_from_inputs(inputs)
     hs = _solve(structure, inputs, solver_tol)
     tol = float(solver_tol)
     checks = verify_harmonic_structure(structure, hs.form, hs.eta, tol)
@@ -406,17 +408,18 @@ def _diff(path: str, got, want, errors: list[str]) -> None:
         errors.append(f"{path}: {_brief(got)}, recomputed {want!r}")
 
 
-def _check_eta(report: dict, fresh: dict, errors: list[str]) -> None:
-    """The stated eta against one trace T(w) of the stated form w. It must
-    be 1/mass(T(w)), as the solver's is. Where the rerun converged (an
-    exploratory gd run has no eigen equation), the eigen residual must be
-    at most the stated residual tol. A claimed eta must lie in the form's
-    enclosure, and its tol must reach both ends; a form without one
-    encloses nothing."""
+def _check_eta(report: dict, fresh: dict, errors: list[str],
+               structure=None) -> None:
+    """The stated eta against one trace T(w) of the stated form w, on the
+    rerun's structure (built when None). It must be 1/mass(T(w)), as the
+    solver's is. Where the rerun converged (an exploratory gd run has no
+    eigen equation), the eigen residual must be at most the stated residual
+    tol. A claimed eta must lie in the form's enclosure, and its tol must
+    reach both ends; a form without one encloses nothing."""
     inputs, harmonic = report["inputs"], report["results"]["harmonic"]
-    structure = (cell_graph(int(inputs["n"]), int(inputs["m"]))
-                 if fresh["kind"] == "gd_harmonic"
-                 else _structure_from_inputs(inputs))
+    structure = structure or (cell_graph(int(inputs["n"]), int(inputs["m"]))
+                              if fresh["kind"] == "gd_harmonic"
+                              else _structure_from_inputs(inputs))
     form = ConductanceForm.from_edges(harmonic["form"]["vertices"],
                                       harmonic["form"]["edges"])
     expected = [str(a) for a in structure.boundary]
@@ -554,8 +557,11 @@ def report_errors(report: dict) -> list[str]:
                for v in tolerances.values()):
         return ["tolerances must be finite numbers"]
     try:
+        # the rerun of a harmonic report and _check_eta share one structure
+        shared = ({"structure": _structure_from_inputs(report["inputs"])}
+                  if kind == "harmonic" else {})
         results, fresh_tolerances = BUILDERS[kind](
-            report["inputs"], tolerances.get("solver_tol"))
+            report["inputs"], tolerances.get("solver_tol"), **shared)
     except _REBUILD_ERRORS as exc:
         return [f"cannot recompute the {kind} results from the report's "
                 f"inputs: {exc}"]
@@ -564,7 +570,7 @@ def report_errors(report: dict) -> list[str]:
     _diff("tolerances", tolerances, fresh_tolerances, errors)
     if kind in _CONSISTENCY:
         try:
-            _CONSISTENCY[kind](report, results, errors)
+            _CONSISTENCY[kind](report, results, errors, **shared)
         except _MALFORMED as exc:
             if not errors:  # the diff names what is malformed
                 errors.append(f"cannot check the stated {kind} results: "

@@ -8,6 +8,7 @@ that MS levels and graph-directed cells share.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -16,11 +17,12 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import networks
 from .angles import (Angle, AngleContext, cell_index, critical_angles,
                      make_context, phi_n, post_critical_set, rotate,
                      symmetrized_set, validate_ms)
 from .errors import DepthCapError, InvalidMsError
-from .networks import DisjointSet, _harmonic_split, _split_ids
+from .networks import NEGATIVE_WEIGHT_WARN, DisjointSet
 
 DEPTH_CAP = 12  # highest level level_size and level_vertices accept
 MAX_LEVEL_VERTICES = 1_000_000  # largest level level_vertices builds
@@ -33,7 +35,7 @@ class GluingScheme:
     rows[c][v] is the glued id of marked vertex v in copy c; marked[v] is
     the id that v itself is included as. An MS level (copies of the level
     below) and a GD cell (copies of the four-corner cell) are both of this
-    shape.
+    shape, and so is one copy of all ids, which traces onto a subset.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -41,20 +43,28 @@ class GluingScheme:
     num_ids: int
 
     @cached_property
-    def _index_grids(self) -> tuple:
-        return tuple(np.ix_(row, row) for row in map(np.asarray, self.rows))
+    def _plan(self) -> tuple[np.ndarray, ...]:
+        """With the glued ids in plan order, the marked ids first and the
+        rest in id order: w.ravel()[source[k]] adds to entry flat[k] of the
+        flattened glued matrix, pos[x] is the position of id x, and eye
+        the extension of the marked basis to the marked ids."""
+        nv, marked = self.num_ids, self.marked
+        order = list(marked) + sorted(set(range(nv)) - set(marked))
+        pos = np.argsort(order, kind="stable")
+        rows = pos[np.array(self.rows, dtype=np.intp, ndmin=2)]
+        flat = (rows[:, :, None] * nv + rows[:, None, :]).ravel()
+        source = np.tile(np.arange(rows.shape[1] ** 2), len(self.rows))
+        return flat, source, pos, np.eye(len(marked))
+
+    def _assembled(self, w: np.ndarray) -> np.ndarray:
+        """The glued weight matrix in plan order; glued pairs add up."""
+        nv, (flat, source) = self.num_ids, self._plan[:2]
+        return np.bincount(flat, w.take(source), nv * nv).reshape(nv, nv)
 
     def assemble(self, w: np.ndarray) -> np.ndarray:
         """One copy of the marked weight matrix per row; glued pairs add up."""
-        out = np.zeros((self.num_ids, self.num_ids))
-        for grid in self._index_grids:
-            out[grid] += w
-        return out
-
-    @cached_property
-    def split(self):
-        """The marked ids, the rest, and the Laplacian block grids."""
-        return _split_ids(self.num_ids, self.marked)
+        pos = self._plan[2]
+        return self._assembled(w)[np.ix_(pos, pos)]
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -62,8 +72,27 @@ class GluingScheme:
         return np.triu_indices(len(self.marked), 1)
 
     def harmonic(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """T(w) and the extension X of the marked basis to all ids."""
-        return _harmonic_split(self.assemble(w), self.split)
+        """T(w) and the extension X of the marked basis to all ids (X @ fb
+        extends marked values fb). With A the glued copies in plan order, B
+        the marked ids and I the rest, X_I = L_II^-1 A_IB for the Laplacian
+        L, and T(w) = A_BB + A_BI X_I off the diagonal."""
+        nb = len(self.marked)
+        glued = self._assembled(w)
+        interior = glued[nb:, nb:]  # made L_II in place
+        interior[...] = np.diag(glued[nb:].sum(axis=1)) - interior
+        ext_i = networks._interior_inverse(interior) @ glued[nb:, :nb]
+        traced = glued[:nb, :nb] + glued[:nb, nb:] @ ext_i
+        traced = 0.5 * (traced + traced.T)
+        np.fill_diagonal(traced, 0.0)
+        worst = float(traced.min(initial=0.0))
+        if worst < 0.0:
+            scale = float(np.abs(traced).max())
+            if worst < -NEGATIVE_WEIGHT_WARN * max(scale, 1.0):
+                warnings.warn(f"traced weight {worst:.3e} clamped to zero (scale"
+                              f" {scale:.3e}); result may be inaccurate")
+            np.clip(traced, 0.0, None, out=traced)
+        pos, eye = self._plan[2:]
+        return traced, np.concatenate((eye, ext_i))[pos]
 
     def T(self, w: np.ndarray) -> np.ndarray:
         """Trace of the assembled copies back onto the marked ids."""
@@ -105,13 +134,9 @@ class MsStructure:
     cells: Mapping[Angle, int]
     symmetrized: bool
 
-    @property
+    @cached_property
     def index(self) -> Mapping[Angle, int]:
-        return self._index
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index",
-                           {a: i for i, a in enumerate(self.boundary)})
+        return {a: i for i, a in enumerate(self.boundary)}
 
     @cached_property
     def rotation(self) -> Optional[tuple[int, ...]]:
@@ -127,12 +152,16 @@ class MsStructure:
         return level_vertices(self, 1)
 
 
+def symmetrize_rule(ctx: AngleContext, symmetrize: Optional[bool]) -> bool:
+    """Whether build_structure(ctx, symmetrize) closes the boundary under
+    rotations: for None exactly when it must, when gcd(n, m+n) > 1."""
+    return gcd(ctx.n, ctx.ring_size) > 1 if symmetrize is None else symmetrize
+
+
 def build_structure(ctx: AngleContext,
                     symmetrize: Optional[bool] = None) -> MsStructure:
-    """Assemble the level-0 structure for a valid context.
-
-    symmetrize=None chooses automatically: the boundary is closed under
-    rotations exactly when it has to be, i.e. when gcd(n, m+n) > 1. An
+    """Assemble the level-0 structure for a valid context, its boundary
+    closed under rotations as symmetrize_rule(ctx, symmetrize) says. An
     invalid context (orbit meeting the critical angles) raises InvalidMs.
     """
     report = validate_ms(ctx)
@@ -141,8 +170,7 @@ def build_structure(ctx: AngleContext,
             f"orbit returns to the critical angles: {report.violations}",
             report=report)
     base = post_critical_set(ctx)
-    if symmetrize is None:
-        symmetrize = gcd(ctx.n, ctx.ring_size) > 1
+    symmetrize = symmetrize_rule(ctx, symmetrize)
     boundary = symmetrized_set(ctx, base) if symmetrize else base
     glue = tuple(phi_n(c, ctx.n) for c in critical_angles(ctx))
     cells = {a: cell_index(ctx, a) for a in boundary}
@@ -214,15 +242,17 @@ def level_size(structure: MsStructure, k: int) -> int:
 def level_vertices(structure: MsStructure, k: int) -> GluingScheme:
     """Level k as the gluing of m+n copies of level k-1, refusing, before
     building anything, a level beyond DEPTH_CAP or above
-    MAX_LEVEL_VERTICES. Level 0 is the boundary with no copies."""
+    MAX_LEVEL_VERTICES. Level 0 is the boundary with no copies; above
+    level 1 the glue starts from the structure's own level 1."""
     size = level_size(structure, k)
     if size > MAX_LEVEL_VERTICES:
         raise DepthCapError(f"level {k} has {size} vertices, above the cap "
                             f"of {MAX_LEVEL_VERTICES}")
     boundary = tuple(range(len(structure.boundary)))
     scheme = GluingScheme((), boundary, len(boundary))
-    for _ in range(k):
-        scheme = _next_level(structure, scheme, boundary)
+    for level in range(1, k + 1):
+        scheme = (structure.scheme if level == 1 and k > 1
+                  else _next_level(structure, scheme, boundary))
         boundary = tuple(scheme.marked[b] for b in boundary)
     return scheme
 
@@ -239,11 +269,17 @@ def structure_to_json(structure: MsStructure) -> dict:
 
 
 def structure_from_json(data: dict) -> MsStructure:
-    """Rebuild a structure from its JSON form and cross-check the payload."""
-    ctx = make_context(int(data["ctx"]["n"]), int(data["ctx"]["m"]),
-                       Fraction(data["ctx"]["theta"]))
+    """Rebuild a structure from its JSON form and cross-check the payload;
+    KeyError for a missing key, TypeError for a ctx or boundary misshapen."""
+    ctx = data["ctx"]
+    if not isinstance(ctx, dict):
+        raise TypeError(f"ctx must be an object, not {ctx!r}")
+    ctx = make_context(int(ctx["n"]), int(ctx["m"]), Fraction(ctx["theta"]))
     structure = build_structure(ctx, symmetrize=bool(data["symmetrized"]))
-    stated = [Fraction(a) for a in data["boundary"]]
+    boundary = data["boundary"]
+    if not isinstance(boundary, list):
+        raise TypeError(f"boundary must be a list of angles, not {boundary!r}")
+    stated = [Fraction(a) for a in boundary]
     actual = [a.as_fraction() for a in structure.boundary]
     if stated != actual:
         raise ValueError("boundary angles in payload do not match the "

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from fractal_renorm import (
-    Angle, Partition, RELATION_PQ, RELATION_SIDES, build_J_plus_minus,
-    build_gd_structure, build_structure, cell_graph, circle_distance,
+    Angle, GluingScheme, Partition, RELATION_PQ, RELATION_SIDES,
+    build_J_plus_minus, build_gd_structure, build_structure, cell_graph, circle_distance,
     enumerate_preserved, existence_verdict, gd_solve, is_preserved,
     level_vertices, make_context, per_cell_flows, phi_n, rho_search,
     sabot_verdict, solve_eigenform, uniqueness_certificate,
 )
-from fractal_renorm.networks import _harmonic_split, _split_ids
 from fractal_renorm.relations import (RATIO_TOL, _block_traces,
                                       _ratio_bounds, _side)
 from fractal_renorm.renorm import _boundary_matrix
@@ -33,8 +32,10 @@ def ms(n, m, theta, symmetrize=None):
 
 
 def trace(w, boundary):
-    """The trace kernel onto the listed indices of a weight matrix."""
-    return _harmonic_split(w, _split_ids(len(w), boundary))[0]
+    """The trace kernel onto the listed indices of a weight matrix, by a
+    one-copy scheme whose marked ids are those indices."""
+    return GluingScheme((tuple(range(len(w))),), tuple(boundary),
+                        len(w)).T(w)
 
 
 def side_ratios(structure, relation, side, w):

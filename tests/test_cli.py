@@ -270,6 +270,20 @@ class TestExitCodes:
             assert str(path) in err
             assert f"not an MS structure, missing key {key}" in err
 
+    @pytest.mark.parametrize("payload,what", [
+        ({"ctx": 5}, "ctx must be an object"),
+        ({"ctx": {"n": 2, "m": 1, "theta": "1/12"}, "symmetrized": False,
+          "boundary": 7}, "boundary must be a list"),
+    ], ids=["ctx", "boundary"])
+    def test_structure_file_of_the_wrong_shape(self, payload, what,
+                                               tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["solve", "--structure", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not an MS structure, {what}" in err
+        assert "Traceback" not in err
+
     def test_version_flag(self):
         assert main(["--version"]) == 0
 
@@ -325,6 +339,27 @@ class TestExitCodes:
         assert main(["gd", "solve", "--n", "4", "--m", "4",
                      "--out", str(out)]) == 0
         assert load(out)["results"]["existence"] == "critical_undetermined"
+
+
+class TestOneStructurePerCommand:
+    @pytest.mark.parametrize("sub", ["solve", "relations"])
+    def test_run_and_validate_each_build_once(self, sub, monkeypatch,
+                                              tmp_path):
+        # every MsStructure is made by build_structure
+        built = []
+        real = structure.MsStructure.__init__
+
+        def counted(self, **fields):
+            built.append(fields["ctx"])
+            real(self, **fields)
+
+        monkeypatch.setattr(structure.MsStructure, "__init__", counted)
+        out = tmp_path / "r.json"
+        assert main([sub, "--n", "2", "--m", "1", "--theta", "1/12",
+                     "--out", str(out)]) == 0
+        assert len(built) == 1
+        assert main(["validate", str(out)]) == 0
+        assert len(built) == 2
 
 
 class TestEtaClaims:

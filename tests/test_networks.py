@@ -1,7 +1,8 @@
 """Resistance forms: energy, trace, extension, resistance, flows.
 
 Traces and extensions are the two halves of the package's matrix kernel,
-_harmonic_split, read back as forms and values by the adapters below.
+GluingScheme.harmonic, read back as forms and values by the adapters below
+through a one-copy scheme whose marked ids are the boundary.
 """
 
 from fractions import Fraction
@@ -10,22 +11,30 @@ import numpy as np
 import pytest
 
 from fractal_renorm import (
-    ConductanceForm, DisconnectedError, build_structure, enumerate_preserved,
-    make_context, networks, resistance_matrix, solve_eigenform,
+    ConductanceForm, DisconnectedError, GluingScheme, build_structure,
+    enumerate_preserved, make_context, networks, resistance_matrix,
+    solve_eigenform,
 )
-from fractal_renorm.networks import (INVERSE_COND_BOUND, _harmonic_split,
-                                     _interior_inverse, _laplacian,
-                                     _split_ids, _support_labels)
-from fractal_renorm.relations import _block_traces
+from fractal_renorm.networks import (INVERSE_COND_BOUND, _interior_inverse,
+                                     _laplacian, _support_labels)
+from fractal_renorm.gd import cell_graph
+from fractal_renorm.relations import _block_traces, _side
 from fractal_renorm.renorm import _boundary_matrix
-from _oracles import (energy, pinv_schur_trace, relaxed_trace_weights,
-                      support_components)
+from _oracles import (_glued_copies, energy, pinv_schur_trace,
+                      relaxed_trace_weights, support_components)
+
+
+def one_copy(matrix, boundary):
+    """(trace, X) of a weight matrix onto the listed indices, by the
+    harmonic kernel of a one-copy scheme."""
+    nv = len(matrix)
+    return GluingScheme((tuple(range(nv)),), tuple(boundary),
+                        nv).harmonic(matrix)
 
 
 def kernel(form, boundary):
-    """_harmonic_split of the form's matrix onto boundary: (trace, X)."""
-    split = _split_ids(len(form.vertices), [form.index[v] for v in boundary])
-    return _harmonic_split(form.matrix(), split)
+    """The kernel on the form's matrix onto boundary: (trace, X)."""
+    return one_copy(form.matrix(), [form.index[v] for v in boundary])
 
 
 def trace(form, boundary):
@@ -269,7 +278,7 @@ def connected_weights(rng, nv, zero_fraction=0.3):
 
 
 def assert_matches_oracle(matrix, boundary):
-    got = _harmonic_split(matrix, _split_ids(len(matrix), boundary))[0]
+    got = one_copy(matrix, boundary)[0]
     want = pinv_schur_trace(matrix, boundary)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -323,13 +332,74 @@ class TestTraceKernel:
         _interior_inverse(lii)
         assert pinv_calls == [(2, 2)]
         assert_matches_oracle(w, [0, 1])
-        got = _harmonic_split(w, _split_ids(4, [0, 1]))[0][0, 1]
+        got = one_copy(w, [0, 1])[0][0, 1]
         assert got == pytest.approx(1.0 / (2.0 / eps + 1.0), rel=1e-9)
 
     def test_eigenform_solve_takes_no_pseudo_inverse(self, pinv_calls):
         s = build_structure(make_context(2, 1, Fraction(1, 192)))
         assert solve_eigenform(s).iterations > 0
         assert pinv_calls == []
+
+
+def assert_plan_matches_oracle(scheme, w):
+    """The scheme's (T, X) against the pseudo-inverse Schur complement of
+    the copies glued pair by pair, and X @ values harmonic at every id
+    outside the marked ones."""
+    traced, ext = scheme.harmonic(w)
+    glued = _glued_copies(scheme.rows, scheme.num_ids, w)
+    want = pinv_schur_trace(glued, scheme.marked)
+    assert np.abs(traced - want).max() <= 1e-12 * np.abs(want).max()
+    values = np.random.default_rng(3).uniform(-1.0, 1.0, len(scheme.marked))
+    h = ext @ values
+    assert np.array_equal(h[list(scheme.marked)], values)
+    interior = sorted(set(range(scheme.num_ids)) - set(scheme.marked))
+    flow = (np.diag(glued.sum(axis=1)) - glued) @ h
+    assert np.abs(flow[interior]).max() <= \
+        1e-12 * glued.sum(axis=1).max() * np.abs(values).max()
+
+
+def positive_weights(rng, nv):
+    w = np.triu(rng.uniform(0.1, 2.0, (nv, nv)), 1)
+    return w + w.T
+
+
+class TestTracePlan:
+    @pytest.mark.parametrize("theta,nb", [("1/6", 3), ("1/12", 6),
+                                          ("1/48", 12), ("1/192", 18)])
+    def test_ms_level_one(self, theta, nb, pinv_calls):
+        s = build_structure(make_context(2, 1, Fraction(theta)))
+        assert len(s.boundary) == nb
+        rng = np.random.default_rng(nb)
+        assert_plan_matches_oracle(s.scheme, positive_weights(rng, nb))
+        hs = solve_eigenform(s)
+        assert_plan_matches_oracle(s.scheme, _boundary_matrix(s, hs.form))
+        assert pinv_calls == []
+
+    def test_gd_cell(self):
+        cell = cell_graph(3, 2)
+        w = positive_weights(np.random.default_rng(32), 4)
+        assert_plan_matches_oracle(cell.scheme, w)
+
+    def test_quotient_side(self):
+        s = build_structure(make_context(2, 1, Fraction(1, 48)))
+        rel = next(r for r in enumerate_preserved(s, True)
+                   if not r.is_trivial)
+        plan = _side(s, rel, "quotient")
+        assert len(plan.scheme.rows) == 3 and plan.scheme.num_ids > \
+            len(plan.scheme.marked)
+        nb = len(plan.scheme.marked)
+        for w in (plan.start, positive_weights(np.random.default_rng(4), nb)):
+            assert_plan_matches_oracle(plan.scheme, w)
+
+    def test_relation_side_floating_interior(self, pinv_calls):
+        s = build_structure(make_context(2, 1, Fraction(1, 12)))
+        hs = solve_eigenform(s)
+        rel = next(r for r in enumerate_preserved(s, True)
+                   if not r.is_trivial)
+        w = _block_traces(s, _boundary_matrix(s, hs.form), rel)
+        pinv_calls.clear()
+        assert_plan_matches_oracle(s.scheme, w)
+        assert pinv_calls
 
 
 class TestHarmonicExtension:
@@ -363,7 +433,7 @@ class TestHarmonicExtension:
     def test_two_dimensional_data_extends_columnwise(self):
         # X extends the boundary basis, so X @ data extends each column
         f = gasket_level1()
-        ext = _harmonic_split(f.matrix(), _split_ids(6, [0, 1, 2]))[1]
+        ext = one_copy(f.matrix(), [0, 1, 2])[1]
         assert np.array_equal(ext[:3], np.eye(3))
         data = np.array([[1.0, 2.0], [0.0, 2.0], [0.0, 2.0]])
         both = ext @ data

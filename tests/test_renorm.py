@@ -14,9 +14,8 @@ from fractal_renorm import (
     level_vertices, make_context, resistance_matrix, solve_eigenform,
     verify_harmonic_structure,
 )
-from fractal_renorm import networks, renorm
+from fractal_renorm import networks, renorm, structure
 from fractal_renorm.gd import cell_graph, gd_solve
-from fractal_renorm.networks import _harmonic_split, _split_ids
 from fractal_renorm.structure import GluingScheme
 from fractal_renorm.renorm import (_boundary_matrix, _newton_step,
                                    _pair_jacobian, _pair_orbits, _PairOrbits)
@@ -571,6 +570,20 @@ class TestVerify:
         assert dense_copy_consistency(
             s, _boundary_matrix(s, hs.form)) <= 1e-9
 
+    def test_level_two_glues_the_structure_s_level_one(self, monkeypatch):
+        s = ms(2, 1, "1/12")
+        hs = solve_eigenform(s)
+        glued = []
+        real = structure._next_level
+
+        def counted(structure_, prev, boundary):
+            glued.append(prev)
+            return real(structure_, prev, boundary)
+
+        monkeypatch.setattr(structure, "_next_level", counted)
+        assert verify_harmonic_structure(s, hs.form, hs.eta)["ok"]
+        assert len(glued) == 1 and glued[0] is s.scheme
+
     @staticmethod
     def corrupted_report(monkeypatch, corrupt):
         # verify against a level 2 whose rows corrupt(rows) rewrites
@@ -612,11 +625,11 @@ class TestVerify:
 
 def restrict(structure, hs, subset):
     """The trace kernel on the eigenform onto a subset of boundary angles."""
-    split = _split_ids(len(structure.boundary),
-                       [structure.index[a] for a in subset])
+    nb = len(structure.boundary)
+    scheme = GluingScheme((tuple(range(nb)),),
+                          tuple(structure.index[a] for a in subset), nb)
     return ConductanceForm.from_matrix(
-        tuple(subset), _harmonic_split(_boundary_matrix(structure, hs.form),
-                                       split)[0])
+        tuple(subset), scheme.T(_boundary_matrix(structure, hs.form)))
 
 
 class TestRestrict:

@@ -148,6 +148,41 @@ def test_every_constant_is_read():
     assert unread_constants(sources) == []
 
 
+def linalg_calls(source: str, name: str) -> list[int]:
+    """Lines of the calls in source of a function name from a linalg
+    module, as np.linalg.name(...) or as a name imported from it."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").endswith("linalg")
+                for alias in node.names if alias.name == name}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and (
+                      isinstance(node.func, ast.Attribute)
+                      and node.func.attr == name
+                      and isinstance(node.func.value, ast.Attribute)
+                      and node.func.value.attr == "linalg"
+                      or isinstance(node.func, ast.Name)
+                      and node.func.id in imported))
+
+
+def test_linalg_calls_are_found():
+    source = ("import numpy as np\nfrom numpy.linalg import inv as i\n"
+              "np.linalg.inv(a)\nnp.linalg.pinv(a)\nx.inv(a)\ni(a)\n"
+              "inv(a)\n")
+    assert linalg_calls(source, "inv") == [3, 6]
+
+
+def test_direct_inverse_only_in_networks():
+    # the interior inverse, with its condition bound and fallback, is the
+    # one place that inverts a matrix directly
+    found = {path.name: linalg_calls(path.read_text(encoding="utf-8"), "inv")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == \
+        {"networks.py"}
+
+
 def readme_block(heading: str) -> str:
     """The first python code block under a level-2 README heading."""
     text = README.read_text(encoding="utf-8")
