@@ -26,14 +26,12 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .angles import make_context
-from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
-                     DisconnectedError, InvalidMsError, KappaUndefinedError,
-                     KernelMismatchError, NonConvergenceError,
-                     NotAPermutationError, NotInvariantError)
+from .errors import (CapExceededError, DepthCapError, NonConvergenceError,
+                     WorkbenchError)
 from .relations import DEFAULT_ENUM_CAP, DEFAULT_K_MAX
 from .renorm import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .reports import (BUILDERS, SCHEMA, render_report, structure_inputs,
-                      validate_report_details)
+                      subject, validate_report_details)
 from .structure import structure_from_json, symmetrize_rule
 
 EXIT_OK = 0
@@ -41,11 +39,9 @@ EXIT_INVALID_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INVARIANT = 4
 
-_INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError,
-                 InvalidMsError, CriticalAngleError, NotInvariantError,
-                 KappaUndefinedError, KernelMismatchError,
-                 NotAPermutationError, DisconnectedError)
 _BUDGET_ERRORS = (NonConvergenceError, CapExceededError, DepthCapError)
+# caught after _BUDGET_ERRORS, so WorkbenchError here is every other one
+_INPUT_ERRORS = (ValueError, KeyError, OSError, WorkbenchError)
 
 
 def _load_structure(path: str):
@@ -65,29 +61,12 @@ def _load_structure(path: str):
         raise ValueError(f"{path}: not an MS structure, {what}") from exc
 
 
-def _emit(args, report: dict, csv_rows: Optional[list] = None) -> int:
-    if getattr(args, "format", "json") == "csv":
-        if csv_rows is None:
-            raise ValueError("csv output is only available for rho tables "
-                             "and resistance matrices")
-        payload = "".join(",".join(row) + "\n" for row in csv_rows)
-    else:
-        payload = render_report(report)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    return EXIT_OK
-
-
 def _run_inputs(args) -> dict:
-    """A run's report inputs: the structure's fields, when the kind reads a
-    structure, followed by the fields the subcommand's own flags set. Of
+    """A run's report inputs: the structure's fields, when the subcommand
+    has the context flags, followed by the fields its own flags set. Of
     the structures, only a --structure file's is built here, to check it."""
     inputs = args.flag_inputs(args)
-    if not args.reads_structure:
+    if "structure" not in args:
         return inputs
     if args.structure:
         s = _load_structure(args.structure)
@@ -101,10 +80,14 @@ def _run_inputs(args) -> dict:
 
 
 def _cmd_run(args, started: float) -> int:
-    """Run the builder of the subcommand's kind on the inputs its flags
-    give and emit its report."""
+    """Build the subject of the subcommand's kind from the inputs its
+    flags give, run the kind's builder on it and emit its report."""
+    if args.format == "csv" and args.csv_rows is None:
+        raise ValueError("csv output is only available for rho tables "
+                         "and resistance matrices")
     inputs = _run_inputs(args)
-    results, tolerances = BUILDERS[args.kind](inputs, args.tol)
+    results, tolerances = BUILDERS[args.kind](subject(args.kind, inputs),
+                                              inputs, args.tol)
     report = {
         "schema": SCHEMA,
         "version": __version__,
@@ -114,8 +97,14 @@ def _cmd_run(args, started: float) -> int:
         "tolerances": tolerances,
         "results": results,
     }
-    return _emit(args, report,
-                 args.csv_rows(results) if args.csv_rows else None)
+    payload = ("".join(",".join(row) + "\n" for row in args.csv_rows(results))
+               if args.format == "csv" else render_report(report))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+    return EXIT_OK
 
 
 def _resistance_rows(results: dict) -> list:
@@ -212,12 +201,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _set_run(p: argparse.ArgumentParser, kind: str,
              flag_inputs: Callable[[argparse.Namespace], dict],
-             reads_structure: bool = True,
              csv_rows: Optional[Callable[[dict], list]] = None) -> None:
     """Make p a run that writes a kind report. flag_inputs gives the
     inputs its own flags set; validate rebuilds them the same way."""
     p.set_defaults(handler=_cmd_run, kind=kind, flag_inputs=flag_inputs,
-                   reads_structure=reads_structure, csv_rows=csv_rows)
+                   csv_rows=csv_rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,21 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
-    _set_run(p, "gd_structure", lambda a: {"n": a.n, "m": a.m},
-             reads_structure=False)
+    _set_run(p, "gd_structure", lambda a: {"n": a.n, "m": a.m})
     p = gdsub.add_parser("solve", help="solve the gd eigenform")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
     _set_run(p, "gd_harmonic",
-             lambda a: {"n": a.n, "m": a.m, "max_iter": a.max_iter},
-             reads_structure=False)
+             lambda a: {"n": a.n, "m": a.m, "max_iter": a.max_iter})
     p = gdsub.add_parser("rhos", help="rho table for the corner relations")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_common(p)
     _set_run(p, "gd_rhos", lambda a: {"n": a.n, "m": a.m},
-             reads_structure=False, csv_rows=_rho_rows)
+             csv_rows=_rho_rows)
 
     p = sub.add_parser("validate", help="validate a report file")
     p.add_argument("path", type=str)

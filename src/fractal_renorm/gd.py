@@ -172,20 +172,19 @@ class GdHarmonicStructure(HarmonicStructure):
 EXPLORE_ITER_CAP = 500  # iteration budget when no fixed point is expected
 
 
-def gd_solve(n: int, m: int, *, tol: float = DEFAULT_TOL,
+def gd_solve(cell: GdCellGraph, *, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER,
              init: Optional[ConductanceForm] = None) -> GdHarmonicStructure:
-    """Eigenform of the four-corner form.
+    """Eigenform of the four-corner form of a cell from cell_graph.
 
     In the existence regime this is the Newton solve of solve_eigenform,
     stopping on the same residual. Outside it the iteration is exploratory:
     plain cone iteration, whose iterates the diagnostics describe, with
     its budget capped at EXPLORE_ITER_CAP steps.
     """
-    verdict = existence_verdict(n, m)
+    verdict = existence_verdict(cell.n, cell.m)
     exists = verdict == "exists_unique"
     budget = max_iter if exists else min(max_iter, EXPLORE_ITER_CAP)
-    cell = cell_graph(n, m)
     run = _normalized_iteration(cell, tol, budget, init, newton=exists)
     if exists and not run.converged:
         raise _no_convergence(cell, run, budget, tol)

@@ -5,18 +5,22 @@ version, command echo, inputs, tolerances, wall time) around a results
 object tagged with its kind. Numeric claims are {"value": x, "tol": t}
 pairs; eta and eta_inverse are claims only where an enclosure backs them.
 
+subject(kind, inputs) builds what a report kind computes on from the
+report's inputs (the flags of the run): the MS structure, the four-corner
+gd cell or the glued gd structure. It is the one place that builds one.
 BUILDERS maps each kind to the one function that lays out its results:
-builder(inputs, solver_tol) returns the results and tolerances blocks,
-reading nothing but the report's inputs (the flags of the run) and its
-solver tolerance. The CLI writes what the builder returns. Validation
-checks the envelope, reruns the kind's builder on the report's own inputs
-and solver_tol, and compares every field of the stated results and
-tolerances with the fresh ones (_diff): one line per differing leaf, named
-by its path. A few checks then test stated values against each other
-(_CONSISTENCY): eta, its residual and its enclosure on the embedded
-form, the shape of a resistance metric, the structure's cover of its
-boundary, the gd vertex counts, the verdict and certificate rules, and
-the order of rho brackets.
+builder(subject, inputs, solver_tol) returns the results and tolerances
+blocks, reading nothing but the subject, the inputs and the solver
+tolerance. The CLI builds the subject once and writes what the builder
+returns. Validation checks the envelope, builds the subject once, reruns
+the kind's builder on it with the report's own inputs and solver_tol,
+and compares every field of the stated results and tolerances with the
+fresh ones (_diff): one line per differing leaf, named by its path. A
+few checks on the same subject then test stated values against each
+other (_CONSISTENCY): eta, its residual and its enclosure on the
+embedded form, the shape of a resistance metric, the structure's cover
+of its boundary, the gd vertex counts, the verdict and certificate
+rules, and the order of rho brackets.
 Last, the inputs and solver_tol must be what the report's own command
 gives (cli._command_errors). validate_report_details is that one
 validation, for fractal-renorm validate and the library alike.
@@ -31,16 +35,16 @@ import numpy as np
 
 from .angles import AngleContext, make_context
 from .errors import KappaUndefinedError, NonConvergenceError, WorkbenchError
-from .gd import (RELATION_PQ, RELATION_SIDES, build_gd_structure, cell_graph,
-                 gd_solve, gd_structure_to_json)
+from .gd import (RELATION_PQ, RELATION_SIDES, GdCellGraph, GdStructure,
+                 build_gd_structure, cell_graph, gd_solve,
+                 gd_structure_to_json)
 from .networks import ConductanceForm, resistance_matrix
 from .relations import (DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
                         build_J_plus_minus, certificate_summary,
                         enumerate_preserved, is_preserved, per_cell_flows,
                         rho_search, sabot_verdict, uniqueness_certificate,
                         verdict_rule)
-from .renorm import (_boundary_matrix, _eta_bounds, solve_eigenform,
-                     verify_harmonic_structure)
+from .renorm import _eta_bounds, solve_eigenform, verify_harmonic_structure
 from .structure import (MsStructure, build_structure, level_size,
                         level_vertices, levels_to_json, structure_to_json)
 
@@ -84,15 +88,23 @@ def form_to_json(form: ConductanceForm) -> dict:
 
 
 def structure_inputs(ctx: AngleContext, symmetrized: bool, **extra) -> dict:
-    """Report inputs that _structure_from_inputs builds the structure of
-    ctx from, its boundary closed under rotations when symmetrized."""
+    """Report inputs that subject builds the structure of ctx from, its
+    boundary closed under rotations when symmetrized."""
     return {"n": ctx.n, "m": ctx.m, "theta": str(ctx.theta),
             "symmetrized": symmetrized, **extra}
 
 
-def _structure_from_inputs(inputs: dict) -> MsStructure:
-    ctx = make_context(int(inputs["n"]), int(inputs["m"]), inputs["theta"])
-    return build_structure(ctx, symmetrize=inputs["symmetrized"])
+def subject(kind: str, inputs: dict):
+    """What a report kind computes on, built from the report's inputs: the
+    glued structure of all cells for gd_structure, the four-corner cell
+    for the other gd kinds, and the MS structure for the rest."""
+    n, m = int(inputs["n"]), int(inputs["m"])
+    if kind == "gd_structure":
+        return build_gd_structure(n, m)
+    if kind.startswith("gd_"):
+        return cell_graph(n, m)
+    return build_structure(make_context(n, m, inputs["theta"]),
+                           symmetrize=inputs["symmetrized"])
 
 
 def _solve(structure, inputs: dict, solver_tol):
@@ -131,9 +143,9 @@ def _harmonic_block(hs, tol: float) -> dict:
     }
 
 
-def structure_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+def structure_results(structure: MsStructure, inputs: dict, solver_tol
+                      ) -> tuple[dict, dict]:
     """The structure and its glued vertex set at inputs["level"]."""
-    structure = _structure_from_inputs(inputs)
     level = int(inputs["level"])
     return {
         "kind": "structure",
@@ -142,11 +154,9 @@ def structure_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     }, {"exact_arithmetic": 0.0}
 
 
-def harmonic_results(inputs: dict, solver_tol, structure=None
+def harmonic_results(structure: MsStructure, inputs: dict, solver_tol
                      ) -> tuple[dict, dict]:
-    """The eigenform, eta and the checks of the solution, on the inputs'
-    structure (built here when None)."""
-    structure = structure or _structure_from_inputs(inputs)
+    """The eigenform, eta and the checks of the solution."""
     hs = _solve(structure, inputs, solver_tol)
     tol = float(solver_tol)
     checks = verify_harmonic_structure(structure, hs.form, hs.eta, tol)
@@ -172,11 +182,11 @@ def _certificate_block(cert) -> dict:
     }
 
 
-def relations_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+def relations_results(structure: MsStructure, inputs: dict, solver_tol
+                      ) -> tuple[dict, dict]:
     """Preserved relations, the verdict with its rho brackets, and one
     uniqueness certificate per nontrivial relation; a solve that runs out
     of inputs["max_iter"] steps gives a solver_error and no certificates."""
-    structure = _structure_from_inputs(inputs)
     require_g = bool(inputs["require_g"])
     k_max = int(inputs["k_max"])
     if k_max < 1:  # before enumerating: a run may reach no certificate
@@ -223,7 +233,8 @@ def relations_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
                      "ratio_tol": RATIO_TOL}
 
 
-def resistance_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+def resistance_results(structure: MsStructure, inputs: dict, solver_tol
+                       ) -> tuple[dict, dict]:
     """The boundary resistances at inputs["level"].
 
     eta*T(D) = D gives T^k(D) = eta^-k D: the level-k network traced onto
@@ -231,7 +242,6 @@ def resistance_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     times the eigenform's (Kigami, Analysis on Fractals, 2001, ch. 2-3).
     Nothing of level k is built; the level is checked against the depth cap.
     """
-    structure = _structure_from_inputs(inputs)
     level = int(inputs["level"])
     level_size(structure, level)
     hs = _solve(structure, inputs, solver_tol)
@@ -245,20 +255,18 @@ def resistance_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     }, {"solver_tol": float(solver_tol), "resistance_tol": RESISTANCE_TOL}
 
 
-def flows_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
-    """The level-1 harmonic extension of the boundary values in
-    inputs["values"] (comma-separated, in angle order) and its per-cell
-    flows."""
-    structure = _structure_from_inputs(inputs)
+def flows_results(structure: MsStructure, inputs: dict, solver_tol
+                  ) -> tuple[dict, dict]:
+    """The per-cell flows of the level-1 harmonic extension of the boundary
+    values in inputs["values"] (comma-separated, in angle order)."""
     values = [float(tok) for tok in str(inputs["values"]).split(",")]
     if len(values) != len(structure.boundary):
         raise ValueError(f"--values needs {len(structure.boundary)} entries "
                          "(boundary order, sorted by angle)")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"--values must be finite numbers, got {values}")
-    hs = _solve(structure, inputs, solver_tol)
-    ext = structure.scheme.harmonic(_boundary_matrix(structure, hs.form))[1]
-    report_flows = per_cell_flows(structure, hs, ext @ np.array(values))
+    report_flows = per_cell_flows(
+        structure, _solve(structure, inputs, solver_tol), values)
     return {
         "kind": "flows",
         "boundary_values": dict(zip([str(a) for a in structure.boundary],
@@ -276,22 +284,22 @@ def flows_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     }, {"solver_tol": float(solver_tol), "flow_tol": FLOW_TOL}
 
 
-def gd_structure_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+def gd_structure_results(gd: GdStructure, inputs: dict, solver_tol
+                         ) -> tuple[dict, dict]:
     """The glued graph-directed structure of all m+n cells."""
-    gd = build_gd_structure(int(inputs["n"]), int(inputs["m"]))
     return ({**gd_structure_to_json(gd), "kind": "gd_structure"},
             {"exact_arithmetic": 0.0})
 
 
-def gd_harmonic_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+def gd_harmonic_results(cell: GdCellGraph, inputs: dict, solver_tol
+                        ) -> tuple[dict, dict]:
     """The four-corner eigenform, or the capped exploratory run outside the
     existence regime, with diagnostics of how the weights behaved."""
-    n, m = int(inputs["n"]), int(inputs["m"])
-    hs = gd_solve(n, m, tol=float(solver_tol),
+    hs = gd_solve(cell, tol=float(solver_tol),
                   max_iter=int(inputs["max_iter"]))
     return {
         "kind": "gd_harmonic",
-        "ctx": {"n": n, "m": m},
+        "ctx": {"n": cell.n, "m": cell.m},
         "existence": hs.existence,
         "converged": hs.converged,
         "harmonic": _harmonic_block(hs, float(solver_tol)),
@@ -304,13 +312,12 @@ def gd_harmonic_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
     }, {"solver_tol": float(solver_tol)}
 
 
-def gd_rhos_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
+def gd_rhos_results(cell: GdCellGraph, inputs: dict, solver_tol
+                    ) -> tuple[dict, dict]:
     """The rho table of the two corner relations: both sides through
     rho_search. The quotient spaces are rays, so the quotient bracket is
     exact after one step (weight-independent by homogeneity) and its
     rho_over serves as both certificates."""
-    n, m = int(inputs["n"]), int(inputs["m"])
-    cell = cell_graph(n, m)
 
     def entry(relation):
         if not is_preserved(cell, relation):
@@ -329,7 +336,7 @@ def gd_rhos_results(inputs: dict, solver_tol) -> tuple[dict, dict]:
 
     return {
         "kind": "gd_rhos",
-        "ctx": {"n": n, "m": m},
+        "ctx": {"n": cell.n, "m": cell.m},
         "pq_pairs": entry(RELATION_PQ),
         "side_pairs": entry(RELATION_SIDES),
     }, {"ratio_tol": RATIO_TOL}
@@ -408,18 +415,15 @@ def _diff(path: str, got, want, errors: list[str]) -> None:
         errors.append(f"{path}: {_brief(got)}, recomputed {want!r}")
 
 
-def _check_eta(report: dict, fresh: dict, errors: list[str],
-               structure=None) -> None:
+def _check_eta(report: dict, fresh: dict, structure,
+               errors: list[str]) -> None:
     """The stated eta against one trace T(w) of the stated form w, on the
-    rerun's structure (built when None). It must be 1/mass(T(w)), as the
-    solver's is. Where the rerun converged (an exploratory gd run has no
-    eigen equation), the eigen residual must be at most the stated residual
-    tol. A claimed eta must lie in the form's enclosure, and its tol must
-    reach both ends; a form without one encloses nothing."""
-    inputs, harmonic = report["inputs"], report["results"]["harmonic"]
-    structure = structure or (cell_graph(int(inputs["n"]), int(inputs["m"]))
-                              if fresh["kind"] == "gd_harmonic"
-                              else _structure_from_inputs(inputs))
+    rerun's structure or cell. It must be 1/mass(T(w)), as the solver's
+    is. Where the rerun converged (an exploratory gd run has no eigen
+    equation), the eigen residual must be at most the stated residual tol.
+    A claimed eta must lie in the form's enclosure, and its tol must reach
+    both ends; a form without one encloses nothing."""
+    harmonic = report["results"]["harmonic"]
     form = ConductanceForm.from_edges(harmonic["form"]["vertices"],
                                       harmonic["form"]["edges"])
     expected = [str(a) for a in structure.boundary]
@@ -449,7 +453,7 @@ def _check_eta(report: dict, fresh: dict, errors: list[str],
                           "stated form")
 
 
-def _check_metric(report: dict, fresh: dict, errors: list[str]) -> None:
+def _check_metric(report: dict, fresh: dict, built, errors: list[str]) -> None:
     """A resistance matrix has a zero diagonal, is nonnegative and
     symmetric."""
     matrix = np.array(report["results"]["matrix"], dtype=float)
@@ -463,7 +467,7 @@ def _check_metric(report: dict, fresh: dict, errors: list[str]) -> None:
         errors.append("resistance matrix must be symmetric")
 
 
-def _check_cover(report: dict, fresh: dict, errors: list[str]) -> None:
+def _check_cover(report: dict, fresh: dict, built, errors: list[str]) -> None:
     """The cells cover the boundary, and the glue points lie on it."""
     s = report["results"]["structure"]
     boundary = s.get("boundary", [])
@@ -473,7 +477,8 @@ def _check_cover(report: dict, fresh: dict, errors: list[str]) -> None:
         errors.append("glue points must be boundary angles")
 
 
-def _check_gd_counts(report: dict, fresh: dict, errors: list[str]) -> None:
+def _check_gd_counts(report: dict, fresh: dict, built,
+                     errors: list[str]) -> None:
     results = report["results"]
     ring = int(results["ctx"]["n"]) + int(results["ctx"]["m"])
     if results.get("num_vertices") != 2 * ring * ring:
@@ -482,7 +487,7 @@ def _check_gd_counts(report: dict, fresh: dict, errors: list[str]) -> None:
         errors.append("corner map table must have 4(m+n)^2 rows")
 
 
-def _check_verdict_rules(report: dict, fresh: dict,
+def _check_verdict_rules(report: dict, fresh: dict, built,
                          errors: list[str]) -> None:
     """criterion_met, the verdict and each certificate's certified, k and
     monotone must follow from the stated rho values and trajectories."""
@@ -509,7 +514,8 @@ def _check_verdict_rules(report: dict, fresh: dict,
                           "not follow from its trajectory")
 
 
-def _check_rho_order(report: dict, fresh: dict, errors: list[str]) -> None:
+def _check_rho_order(report: dict, fresh: dict, built,
+                     errors: list[str]) -> None:
     for key in ("pq_pairs", "side_pairs"):
         entry = report["results"][key]
         if float(entry["rho_under_relation"]["value"]) > \
@@ -557,11 +563,9 @@ def report_errors(report: dict) -> list[str]:
                for v in tolerances.values()):
         return ["tolerances must be finite numbers"]
     try:
-        # the rerun of a harmonic report and _check_eta share one structure
-        shared = ({"structure": _structure_from_inputs(report["inputs"])}
-                  if kind == "harmonic" else {})
+        built = subject(kind, report["inputs"])
         results, fresh_tolerances = BUILDERS[kind](
-            report["inputs"], tolerances.get("solver_tol"), **shared)
+            built, report["inputs"], tolerances.get("solver_tol"))
     except _REBUILD_ERRORS as exc:
         return [f"cannot recompute the {kind} results from the report's "
                 f"inputs: {exc}"]
@@ -570,7 +574,7 @@ def report_errors(report: dict) -> list[str]:
     _diff("tolerances", tolerances, fresh_tolerances, errors)
     if kind in _CONSISTENCY:
         try:
-            _CONSISTENCY[kind](report, results, errors, **shared)
+            _CONSISTENCY[kind](report, results, built, errors)
         except _MALFORMED as exc:
             if not errors:  # the diff names what is malformed
                 errors.append(f"cannot check the stated {kind} results: "

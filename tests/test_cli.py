@@ -5,16 +5,19 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _oracles import dense_level_resistance
-from fractal_renorm import cli, reports, structure
+from fractal_renorm import cli, gd, reports, structure
 from fractal_renorm.cli import main, run
+from fractal_renorm.errors import (CapExceededError, DepthCapError,
+                                   NonConvergenceError, WorkbenchError)
 from fractal_renorm.renorm import _boundary_matrix, solve_eigenform
-from fractal_renorm.reports import _structure_from_inputs
+from fractal_renorm.reports import subject
 
 
 def load(path):
@@ -36,6 +39,44 @@ SOLVING_RUNS = [
     ["flows", "--n", "2", "--m", "1", "--theta", "1/6", "--values", "1,0,0"],
     ["gd", "solve", "--n", "2", "--m", "1"],
 ]
+
+
+# one run of each report kind
+KIND_RUNS = {
+    "structure": ["structure", "--n", "2", "--m", "1", "--theta", "1/12",
+                  "--level", "2"],
+    "harmonic": SOLVING_RUNS[0],
+    "relations": SOLVING_RUNS[1],
+    "resistance": SOLVING_RUNS[2],
+    "flows": SOLVING_RUNS[3],
+    "gd_structure": ["gd", "build", "--n", "2", "--m", "1"],
+    "gd_harmonic": SOLVING_RUNS[4],
+    "gd_rhos": ["gd", "rhos", "--n", "2", "--m", "1"],
+}
+
+
+def count_builds(monkeypatch) -> Counter:
+    """Counts of the outermost calls of the three subject builders, on
+    every module of the package that binds them, so build_gd_structure's
+    own cell_graph calls are not counted."""
+    counts, depth = Counter(), [0]
+    modules = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == "fractal_renorm"]
+    for real in (structure.build_structure, gd.cell_graph,
+                 gd.build_gd_structure):
+        def counted(*args, _real=real, **kwargs):
+            if not depth[0]:
+                counts[_real.__name__] += 1
+            depth[0] += 1
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        for module in modules:
+            if getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, counted)
+    return counts
 
 
 def strip_wall_time(text: str) -> str:
@@ -292,6 +333,34 @@ class TestExitCodes:
                      "--format", "csv"])
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["structure", "harmonic", "relations",
+                                      "flows", "gd_structure",
+                                      "gd_harmonic"])
+    def test_csv_refused_before_any_work(self, kind, monkeypatch, capsys):
+        called = []
+        monkeypatch.setattr(cli, "subject", lambda *a: called.append(a))
+        for name in reports.BUILDERS:
+            monkeypatch.setitem(reports.BUILDERS, name,
+                                lambda *a: called.append(a))
+        assert main(KIND_RUNS[kind] + ["--format", "csv"]) == 2
+        assert "csv output is only available" in capsys.readouterr().err
+        assert called == []
+
+    @pytest.mark.parametrize("error", WorkbenchError.__subclasses__(),
+                             ids=lambda error: error.__name__)
+    def test_every_workbench_error_has_its_exit_code(self, error,
+                                                     monkeypatch, capsys):
+        def builder(*args):
+            raise error("raised in the builder")
+
+        monkeypatch.setitem(reports.BUILDERS, "gd_structure", builder)
+        budget = (NonConvergenceError, CapExceededError, DepthCapError)
+        assert main(KIND_RUNS["gd_structure"]) == (
+            3 if issubclass(error, budget) else 2)
+        err = capsys.readouterr().err
+        assert "error: raised in the builder" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("sub", ["build", "solve", "rhos"])
     @pytest.mark.parametrize("n, m", [("2", "0"), ("0", "1")])
     def test_gd_orders_out_of_range(self, sub, n, m, capsys):
@@ -361,6 +430,20 @@ class TestOneStructurePerCommand:
         assert main(["validate", str(out)]) == 0
         assert len(built) == 2
 
+    @pytest.mark.parametrize("kind", sorted(KIND_RUNS))
+    def test_each_kind_builds_its_subject_once(self, kind, monkeypatch,
+                                               tmp_path):
+        built = count_builds(monkeypatch)
+        builder = {"gd_structure": "build_gd_structure",
+                   "gd_harmonic": "cell_graph",
+                   "gd_rhos": "cell_graph"}.get(kind, "build_structure")
+        out = tmp_path / "r.json"
+        assert main(KIND_RUNS[kind] + ["--out", str(out)]) == 0
+        assert built == {builder: 1}
+        built.clear()
+        assert main(["validate", str(out)]) == 0
+        assert built == {builder: 1}
+
 
 class TestEtaClaims:
     """The tol of an eta claim reaches the farther end of the enclosure
@@ -377,7 +460,7 @@ class TestEtaClaims:
         argv = ["solve", "--n", "2", "--m", "1", "--theta", "1/48"]
         loose = self.run(tmp_path, argv + ["--tol", "1e-9"])
         eta = loose["results"]["harmonic"]["eta"]
-        tight = solve_eigenform(_structure_from_inputs(loose["inputs"]))
+        tight = solve_eigenform(subject("harmonic", loose["inputs"]))
         assert eta["tol"] > 1e-8
         assert abs(eta["value"] - tight.eta) <= eta["tol"]
 
@@ -659,7 +742,7 @@ class TestOutput:
             assert main(["resistance"] + ctx + ["--level", str(level),
                                                 "--out", str(out)]) == 0
             report = load(out)
-            structure = _structure_from_inputs(report["inputs"])
+            structure = subject("resistance", report["inputs"])
             weights = _boundary_matrix(structure,
                                        solve_eigenform(structure).form)
             want = dense_level_resistance(structure, weights, level)

@@ -87,7 +87,7 @@ class TestGdStructure:
             build_gd_structure(2, 0)
         # the existence sign test divides by m and n: checked first
         for n, m in ((2, 0), (0, 1)):
-            for call in (existence_verdict, gd_solve):
+            for call in (existence_verdict, cell_graph):
                 with pytest.raises(ValueError, match="need n >= 2"):
                     call(n, m)
         assert main(["gd", "rhos", "--n", "1", "--m", "1"]) == 2
@@ -179,7 +179,7 @@ class TestRenormT:
         assert np.abs(out_a - out_b).max() <= 1e-12
 
     def test_fixed_point_scaling(self):
-        hs = gd_solve(2, 1)
+        hs = gd_solve(cell_graph(2, 1))
         traced = cell_graph(2, 1).scheme.T(hs.form.matrix())
         assert np.abs(hs.eta * traced - hs.form.matrix()).max() < 1e-10
 
@@ -187,7 +187,7 @@ class TestRenormT:
 class TestSolve:
     def test_eta_m_equals_one(self):
         for n in (2, 3, 4, 5):
-            hs = gd_solve(n, 1)
+            hs = gd_solve(cell_graph(n, 1))
             assert hs.eta == pytest.approx(gd_eta_m1(n), abs=1e-9)
             lower, upper = hs.eta_bounds
             assert lower <= hs.eta <= upper and upper - lower <= 1e-9
@@ -198,17 +198,18 @@ class TestSolve:
             assert hs.diagnostics["collapsed_pairs"] == []
 
     def test_2_1_eta_inverse(self):
-        assert 1.0 / gd_solve(2, 1).eta == pytest.approx(0.6, abs=1e-9)
+        assert 1.0 / gd_solve(cell_graph(2, 1)).eta == pytest.approx(
+            0.6, abs=1e-9)
 
     def test_residual_within_stated_tolerance(self):
         # the reported residual is the one the loop stops on
         for n, m in [(2, 1), (4, 3), (2, 3), (5, 4)]:
-            hs = gd_solve(n, m)
+            hs = gd_solve(cell_graph(n, m))
             assert hs.converged
             assert hs.residual <= 1e-12
 
     def test_critical_runs_out_of_budget(self):
-        hs = gd_solve(4, 4)
+        hs = gd_solve(cell_graph(4, 4))
         assert hs.existence == "critical_undetermined"
         assert not hs.converged
         assert hs.iterations == EXPLORE_ITER_CAP
@@ -216,7 +217,7 @@ class TestSolve:
 
     def test_none_side_collapses_cross_pairs(self):
         for n, m in [(6, 6), (5, 4)]:
-            hs = gd_solve(n, m)
+            hs = gd_solve(cell_graph(n, m))
             assert hs.existence == "none"
             collapsed = {frozenset(p)
                          for p in hs.diagnostics["collapsed_pairs"]}
@@ -228,7 +229,7 @@ class TestSolve:
 
     def test_nonconvergence_raises_on_exists_side(self):
         with pytest.raises(NonConvergenceError) as err:
-            gd_solve(2, 1, max_iter=3)
+            gd_solve(cell_graph(2, 1), max_iter=3)
         assert err.value.iterations == 3
 
     def test_init_does_not_matter(self):
@@ -236,12 +237,12 @@ class TestSolve:
         init = ConductanceForm.from_edges(
             FORM_VERTICES, [(x, y, float(rng.uniform(0.2, 3.0)))
                             for x, y in combinations(FORM_VERTICES, 2)])
-        a = gd_solve(2, 1).form.matrix()
-        b = gd_solve(2, 1, init=init).form.matrix()
+        a = gd_solve(cell_graph(2, 1)).form.matrix()
+        b = gd_solve(cell_graph(2, 1), init=init).form.matrix()
         assert np.abs(a - b).max() < 1e-9
 
     def test_mass_ratio_tail_tracks_eta(self):
-        hs = gd_solve(3, 1)
+        hs = gd_solve(cell_graph(3, 1))
         tail = hs.diagnostics["mass_ratio_tail"]
         assert len(tail) == min(5, hs.iterations)
         assert tail[-1] == pytest.approx(hs.eta, abs=1e-9)
@@ -344,7 +345,7 @@ class TestAllCells:
         for a in forms:
             for b in forms:
                 assert np.abs(a - b).max() < 1e-9
-        reduced = gd_solve(2, 1).form.matrix()
+        reduced = gd_solve(cell_graph(2, 1)).form.matrix()
         assert np.abs(forms[0] - reduced).max() < 1e-9
 
     def test_3_2_agreement(self):
@@ -352,7 +353,8 @@ class TestAllCells:
         assert len(forms) == 5
         for a in forms:
             assert np.abs(a - forms[0]).max() < 1e-9
-        assert eta == pytest.approx(gd_solve(3, 2).eta, abs=1e-9)
+        assert eta == pytest.approx(gd_solve(cell_graph(3, 2)).eta,
+                                    abs=1e-9)
 
     def test_budget_exhaustion(self):
         with pytest.raises(NonConvergenceError):

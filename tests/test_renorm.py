@@ -293,7 +293,7 @@ class TestNewton:
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (4, 1), (4, 3)])
     def test_gd_agrees_with_power_iteration(self, n, m):
         w, eta = power_eigenform(cell_graph(n, m))
-        hs = gd_solve(n, m)
+        hs = gd_solve(cell_graph(n, m))
         assert abs(hs.eta - eta) <= 1e-12 * eta
         assert np.abs(hs.form.matrix() - w).max() <= 1e-10
 
@@ -359,7 +359,7 @@ class TestNewton:
     def test_few_steps_from_the_unit_form(self):
         # power iteration needs 157 steps at nb = 18 and 154 on GD (4,3)
         assert solve_eigenform(ms(2, 1, "1/192")).iterations <= 8
-        assert gd_solve(4, 3).iterations <= 8
+        assert gd_solve(cell_graph(4, 3)).iterations <= 8
 
     def test_converged_start_takes_no_step(self):
         # the unit form is the eigenform of the gasket
@@ -457,7 +457,7 @@ class TestOrbitSolve:
         solve_eigenform(ms(2, 1, "1/192"))
         assert set(sizes) == {52}
         sizes.clear()
-        gd_solve(4, 3)
+        gd_solve(cell_graph(4, 3))
         assert set(sizes) == {7}
 
     def test_asymmetric_start_solves_on_pairs(self, monkeypatch):
@@ -486,7 +486,7 @@ class TestEtaEnclosure:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_gd_m1_eta_inside(self, n):
-        lower, upper = gd_solve(n, 1).eta_bounds
+        lower, upper = gd_solve(cell_graph(n, 1)).eta_bounds
         assert lower <= gd_eta_m1(n) <= upper
 
     def test_3_2_1_15_eta_is_two(self):
@@ -525,7 +525,7 @@ class TestEtaEnclosure:
 
     def test_collapsed_gd_run_has_no_enclosure(self):
         # the none regime: the exploratory iterate ends with a zero weight
-        hs = gd_solve(5, 5)
+        hs = gd_solve(cell_graph(5, 5))
         assert hs.existence == "none" and hs.eta_bounds is None
         assert (hs.form.matrix()[np.triu_indices(4, 1)] == 0).any()
 

@@ -12,8 +12,8 @@ from fractal_renorm import (
 from fractal_renorm.cli import main
 from fractal_renorm.networks import ConductanceForm
 from fractal_renorm.renorm import solve_eigenform
-from fractal_renorm.reports import (_diff, _structure_from_inputs,
-                                    gd_structure_results, structure_results)
+from fractal_renorm.reports import (_diff, gd_structure_results,
+                                    structure_results, subject)
 
 
 def make_report(tmp_path, name, argv):
@@ -80,14 +80,17 @@ class TestPinnedResults:
          "524cd7b43cec78ea"),
     ])
     def test_structure_levels(self, inputs, expected):
-        assert digest(structure_results(inputs, None)[0]) == expected
+        built = subject("structure", inputs)
+        assert digest(structure_results(built, inputs, None)[0]) == expected
 
     @pytest.mark.parametrize("n, m, expected", [
         (2, 1, "2d2d2a303df291d7"), (3, 2, "0a0172c1e467094a"),
         (4, 3, "e1506d4b9e3aface"), (5, 5, "7116df19e795d662"),
         (2, 5, "59f586a6bf3247a9")])
     def test_gd_structure(self, n, m, expected):
-        assert digest(gd_structure_results({"n": n, "m": m}, None)[0]) \
+        inputs = {"n": n, "m": m}
+        built = subject("gd_structure", inputs)
+        assert digest(gd_structure_results(built, inputs, None)[0]) \
             == expected
 
 
@@ -246,7 +249,7 @@ class TestTamperDetection:
         # an eta just above the enclosure of the stated form, which is
         # the solved one
         upper = solve_eigenform(
-            _structure_from_inputs(base["inputs"])).eta_bounds[1]
+            subject("harmonic", base["inputs"])).eta_bounds[1]
         edits = [("ok", ("checks", "ok"), False),
                  ("copy_consistency",
                   ("checks", "copy_consistency", "value"), 0.5),

@@ -183,6 +183,42 @@ def test_direct_inverse_only_in_networks():
         {"networks.py"}
 
 
+def calls_outside(source: str, names: set[str], owner: str) -> list[str]:
+    """Calls of the given names, as name(...) or x.name(...), anywhere in
+    source but inside the module-level function owner, in line order."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == owner
+              for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) \
+                else getattr(func, "attr", None)
+            if name in names:
+                found.append((node.lineno, node.col_offset, name))
+    return [f"{name} (line {line})" for line, _, name in sorted(found)]
+
+
+def test_calls_outside_are_found():
+    source = ("def subject(k):\n    return build(k)\n"
+              "def other(k):\n    return build(k) + m.build(k) + keep(k)\n"
+              "build(1)\n")
+    assert calls_outside(source, {"build"}, "subject") == [
+        "build (line 4)", "build (line 4)", "build (line 5)"]
+
+
+def test_only_subject_builds_a_subject():
+    # what a report kind computes on is built in one place, so a run and
+    # a validate build it once
+    builders = {"build_structure", "cell_graph", "build_gd_structure"}
+    found = {name: calls_outside((SRC / name).read_text(encoding="utf-8"),
+                                 builders, "subject")
+             for name in ("reports.py", "cli.py")}
+    assert found == {"reports.py": [], "cli.py": []}
+
+
 def readme_block(heading: str) -> str:
     """The first python code block under a level-2 README heading."""
     text = README.read_text(encoding="utf-8")
