@@ -25,6 +25,5 @@ from .relations import (CertificateReport, FlowReport, Partition,
 from .gd import (GdCellGraph, GdHarmonicStructure, GdStructure, RELATION_PQ,
                  RELATION_SIDES, build_gd_structure, cell_graph,
                  existence_verdict, gd_solve, gd_structure_to_json)
-from .reports import (claim, form_to_json, render_report, validate_report,
-                      validate_report_details, write_report)
-from .cli import main, run
+from .reports import claim, form_to_json, render_report, write_report
+from .cli import main, run, validate_report, validate_report_details

@@ -4,9 +4,12 @@ Every subcommand but validate records its flags as the report's inputs,
 hands them with --tol to the kind's builder in reports.BUILDERS, and emits
 the envelope around the results and tolerances the builder returns: one
 JSON report (see reports.py), or CSV rows for the tabular kinds, to --out
-or stdout. validate reruns the same builder and compares every field,
-then rebuilds the inputs and the solver tolerance from the report's
-command the way the run does and requires each to match.
+or stdout. validate reparses the report's own command with the same
+parser and rebuilds the inputs and solver tolerance it gives the way the
+run does (_command_run); reports.report_errors then requires the stated
+ones to equal them before it reruns the builder on them and compares
+every field. validate_report_details is that one validation, for
+fractal-renorm validate and the library alike.
 Exit codes: 0 success, 2 invalid input, 3 non-convergence or a cap hit
 (such as a level past the depth cap), 4 internal invariant violation
 (including failed report validation). Reports are deterministic
@@ -30,8 +33,8 @@ from .errors import (CapExceededError, DepthCapError, NonConvergenceError,
                      WorkbenchError)
 from .relations import DEFAULT_ENUM_CAP, DEFAULT_K_MAX
 from .renorm import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .reports import (BUILDERS, SCHEMA, render_report, structure_inputs,
-                      subject, validate_report_details)
+from .reports import (BUILDERS, SCHEMA, _envelope_errors, render_report,
+                      report_errors, structure_inputs, subject)
 from .structure import structure_from_json, symmetrize_rule
 
 EXIT_OK = 0
@@ -56,7 +59,7 @@ def _load_structure(path: str):
         data = data["structure"]
     try:
         return structure_from_json(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"{path}: not an MS structure, {what}") from exc
 
@@ -120,13 +123,13 @@ def _rho_rows(results: dict) -> list:
         for key in ("pq_pairs", "side_pairs")]
 
 
-def _command_errors(report: dict) -> list:
-    """One line per report field that differs from what the report's own
-    command sets it to, found by rebuilding the command's inputs as a run
-    does, and one per inputs key that the command does not give or that
-    the report lacks. A command that reads a --structure file gives its
-    own flags' fields only; the structure's fields may accompany them and
-    are not compared."""
+def _command_run(report: dict) -> tuple[dict, float]:
+    """The inputs and solver_tol that the report's own command gives,
+    rebuilt as a run does; ValueError, with one 'command: ' line, for a
+    command that does not parse, writes another kind or is not a run. A
+    command that reads a --structure file gives its own flags' fields,
+    and the report's stated n, m, theta and symmetrized stand in for the
+    file's."""
     shown = " ".join(report["command"])
     messages = io.StringIO()
     try:
@@ -135,37 +138,50 @@ def _command_errors(report: dict) -> list:
             flags = build_parser().parse_args(report["command"])
     except SystemExit:
         last = (messages.getvalue().strip().splitlines() or [""])[-1]
-        return [f"command: {shown!r} does not parse as a run: {last}"]
+        raise ValueError(f"command: {shown!r} does not parse as a run: "
+                         f"{last}") from None
     kind = report["results"]["kind"]
     if getattr(flags, "kind", None) != kind:
-        return [f"command: {shown!r} does not write a {kind!r} report"]
+        raise ValueError(f"command: {shown!r} does not write a {kind!r} "
+                         "report")
+    if getattr(flags, "structure", None):
+        stated = report["inputs"]
+        return {key: stated[key] for key in ("n", "m", "theta", "symmetrized")
+                if key in stated} | flags.flag_inputs(flags), flags.tol
     try:
         # the run warned already when it reduced theta into its window
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            inputs = (flags.flag_inputs(flags)
-                      if getattr(flags, "structure", None)
-                      else _run_inputs(flags))
+            return _run_inputs(flags), flags.tol
     except (*_INPUT_ERRORS, ArithmeticError) as exc:
-        return [f"command: {shown!r} is not a run: {exc}"]
-    recorded = report["inputs"]
-    extra = set(recorded) - set(inputs)
-    if getattr(flags, "structure", None):
-        extra -= {"n", "m", "theta", "symmetrized"}
-    errors = [f"inputs.{key}: missing, the command gives {value!r}"
-              for key, value in inputs.items() if key not in recorded]
-    errors += [f"inputs.{key}: stated, the command does not give it"
-               for key in sorted(extra)]
-    want = {"inputs": inputs, "tolerances": {"solver_tol": flags.tol}}
-    for block, fields in want.items():
-        for key, value in fields.items():
-            if key not in report[block]:
-                continue
-            stated = report[block][key]
-            if type(stated) is not type(value) or stated != value:
-                errors.append(f"{block}.{key}: {stated!r}, the command "
-                              f"gives {value!r}")
-    return errors
+        raise ValueError(f"command: {shown!r} is not a run: {exc}") from None
+
+
+def validate_report_details(path: str) -> list[str]:
+    """The validation of a report file, as fractal-renorm validate runs it:
+    the envelope check, the derivation of the inputs and solver_tol from
+    the report's own command, and reports.report_errors on them. An empty
+    list means valid."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            report = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return [f"not valid JSON: {exc}"]
+    errors = _envelope_errors(report)
+    if errors:
+        return errors
+    kind = report["results"]["kind"]
+    if kind not in BUILDERS:
+        return [f"unknown result kind {kind!r}"]
+    try:
+        inputs, solver_tol = _command_run(report)
+    except ValueError as exc:
+        return [str(exc)]
+    return report_errors(report, inputs, solver_tol)
+
+
+def validate_report(path: str) -> bool:
+    return not validate_report_details(path)
 
 
 def _cmd_validate(args, started: float) -> int:

@@ -12,18 +12,16 @@ BUILDERS maps each kind to the one function that lays out its results:
 builder(subject, inputs, solver_tol) returns the results and tolerances
 blocks, reading nothing but the subject, the inputs and the solver
 tolerance. The CLI builds the subject once and writes what the builder
-returns. Validation checks the envelope, builds the subject once, reruns
-the kind's builder on it with the report's own inputs and solver_tol,
-and compares every field of the stated results and tolerances with the
-fresh ones (_diff): one line per differing leaf, named by its path. A
-few checks on the same subject then test stated values against each
-other (_CONSISTENCY): eta, its residual and its enclosure on the
-embedded form, the shape of a resistance metric, the structure's cover
-of its boundary, the gd vertex counts, the verdict and certificate
-rules, and the order of rho brackets.
-Last, the inputs and solver_tol must be what the report's own command
-gives (cli._command_errors). validate_report_details is that one
-validation, for fractal-renorm validate and the library alike.
+returns. report_errors validates a report against the inputs and solver
+tolerance its command gives (the CLI derives them): the stated inputs
+and solver_tol must equal them before anything is built. Only then does
+it build the subject once, rerun the kind's builder on it, and compare
+the stated results and tolerances with the fresh ones (_diff): one line
+per differing leaf, named by its path, with the tolerances required to
+be equal. A few checks on the same subject then test stated values
+against each other (_CONSISTENCY): eta, its residual and its enclosure
+on the embedded form, the shape of a resistance metric, the verdict and
+certificate rules, and the order of rho brackets.
 """
 from __future__ import annotations
 
@@ -367,14 +365,16 @@ def _brief(x) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _diff(path: str, got, want, errors: list[str]) -> None:
+def _diff(path: str, got, want, errors: list[str],
+          _agreement: float = FLOAT_AGREEMENT) -> None:
     """One line per leaf where a stated block differs from its rerun.
 
     Objects must have the same keys and lists the same length. A claim
     must carry the recomputed tol exactly, and its value must lie within
     that tol of the recomputed value; any other float must agree within
-    FLOAT_AGREEMENT relative; ints, strings, bools and null must be equal
-    and of the same type.
+    _agreement relative (0 for what a run is given: its inputs and
+    tolerances); ints, strings, bools and null must be equal and of the
+    same type.
     """
     if isinstance(want, dict):
         if not isinstance(got, dict):
@@ -396,7 +396,7 @@ def _diff(path: str, got, want, errors: list[str]) -> None:
                               f"recomputed {value!r}")
             return
         for key in sorted(set(want) & set(got)):
-            _diff(f"{path}.{key}", got[key], want[key], errors)
+            _diff(f"{path}.{key}", got[key], want[key], errors, _agreement)
     elif isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
             shown = (f"a list of {len(got)}" if isinstance(got, list)
@@ -405,11 +405,10 @@ def _diff(path: str, got, want, errors: list[str]) -> None:
                           f"{len(want)}")
             return
         for i, (g, w) in enumerate(zip(got, want)):
-            _diff(f"{path}[{i}]", g, w, errors)
+            _diff(f"{path}[{i}]", g, w, errors, _agreement)
     elif isinstance(want, float):
         if not (_is_number(got) and (got == want or abs(got - want)
-                                     <= FLOAT_AGREEMENT * max(1.0,
-                                                              abs(want)))):
+                                     <= _agreement * max(1.0, abs(want)))):
             errors.append(f"{path}: {_brief(got)}, recomputed {want!r}")
     elif type(got) is not type(want) or got != want:
         errors.append(f"{path}: {_brief(got)}, recomputed {want!r}")
@@ -467,26 +466,6 @@ def _check_metric(report: dict, fresh: dict, built, errors: list[str]) -> None:
         errors.append("resistance matrix must be symmetric")
 
 
-def _check_cover(report: dict, fresh: dict, built, errors: list[str]) -> None:
-    """The cells cover the boundary, and the glue points lie on it."""
-    s = report["results"]["structure"]
-    boundary = s.get("boundary", [])
-    if set(boundary) != set(s.get("cells", {})):
-        errors.append("cells mapping does not cover the boundary")
-    if not set(s.get("glue_points", [])) <= set(boundary):
-        errors.append("glue points must be boundary angles")
-
-
-def _check_gd_counts(report: dict, fresh: dict, built,
-                     errors: list[str]) -> None:
-    results = report["results"]
-    ring = int(results["ctx"]["n"]) + int(results["ctx"]["m"])
-    if results.get("num_vertices") != 2 * ring * ring:
-        errors.append("gd vertex count does not equal 2(m+n)^2")
-    if len(results.get("corner_maps", [])) != 4 * ring * ring:
-        errors.append("corner map table must have 4(m+n)^2 rows")
-
-
 def _check_verdict_rules(report: dict, fresh: dict, built,
                          errors: list[str]) -> None:
     """criterion_met, the verdict and each certificate's certified, k and
@@ -524,11 +503,9 @@ def _check_rho_order(report: dict, fresh: dict, built,
                           "rho_over_relation")
 
 
-_CONSISTENCY = {"structure": _check_cover, "harmonic": _check_eta,
-                "relations": _check_verdict_rules,
-                "resistance": _check_metric,
-                "gd_structure": _check_gd_counts,
-                "gd_harmonic": _check_eta, "gd_rhos": _check_rho_order}
+_CONSISTENCY = {"harmonic": _check_eta, "relations": _check_verdict_rules,
+                "resistance": _check_metric, "gd_harmonic": _check_eta,
+                "gd_rhos": _check_rho_order}
 
 # what a malformed or edited report can make a recomputation raise
 _REBUILD_ERRORS = (ArithmeticError, KeyError, TypeError, ValueError,
@@ -552,26 +529,30 @@ def _envelope_errors(report) -> list[str]:
     return errors
 
 
-def report_errors(report: dict) -> list[str]:
-    """Rerun of the kind's builder on a report inside the envelope and a
-    diff of every field; an empty list means valid."""
+def report_errors(report: dict, inputs: dict, solver_tol: float
+                  ) -> list[str]:
+    """Validation of a report inside the envelope against the inputs and
+    solver_tol its command gives; an empty list means valid. The stated
+    inputs, and the stated solver_tol if any, must equal those, or
+    nothing is built. Then the kind's builder reruns on them, its
+    tolerances must be stated exactly and its results within _diff's
+    rules, and the kind's consistency checks run."""
     kind = report["results"]["kind"]
-    if kind not in BUILDERS:
-        return [f"unknown result kind {kind!r}"]
-    tolerances = report["tolerances"]
-    if not all(_is_number(v) and math.isfinite(v)
-               for v in tolerances.values()):
-        return ["tolerances must be finite numbers"]
+    errors: list[str] = []
+    _diff("inputs", report["inputs"], inputs, errors, 0.0)
+    if "solver_tol" in report["tolerances"]:
+        _diff("tolerances.solver_tol", report["tolerances"]["solver_tol"],
+              solver_tol, errors, 0.0)
+    if errors:
+        return errors
     try:
-        built = subject(kind, report["inputs"])
-        results, fresh_tolerances = BUILDERS[kind](
-            built, report["inputs"], tolerances.get("solver_tol"))
+        built = subject(kind, inputs)
+        results, tolerances = BUILDERS[kind](built, inputs, solver_tol)
     except _REBUILD_ERRORS as exc:
         return [f"cannot recompute the {kind} results from the report's "
                 f"inputs: {exc}"]
-    errors: list[str] = []
     _diff("results", report["results"], results, errors)
-    _diff("tolerances", tolerances, fresh_tolerances, errors)
+    _diff("tolerances", report["tolerances"], tolerances, errors, 0.0)
     if kind in _CONSISTENCY:
         try:
             _CONSISTENCY[kind](report, results, built, errors)
@@ -580,23 +561,3 @@ def report_errors(report: dict) -> list[str]:
                 errors.append(f"cannot check the stated {kind} results: "
                               f"{exc}")
     return errors
-
-
-def validate_report_details(path: str) -> list[str]:
-    """The validation of a report file, as fractal-renorm validate runs it:
-    the envelope check, the rerun of the kind's builder with a diff of
-    every field, and the check of the inputs and solver_tol against the
-    report's own command. An empty list means valid."""
-    from .cli import _command_errors  # cli imports this module
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            return [f"not valid JSON: {exc}"]
-    return (_envelope_errors(report)
-            or report_errors(report) + _command_errors(report))
-
-
-def validate_report(path: str) -> bool:
-    return not validate_report_details(path)

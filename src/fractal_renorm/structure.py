@@ -270,16 +270,21 @@ def structure_to_json(structure: MsStructure) -> dict:
 
 def structure_from_json(data: dict) -> MsStructure:
     """Rebuild a structure from its JSON form and cross-check the payload;
-    KeyError for a missing key, TypeError for a ctx or boundary misshapen."""
+    KeyError for a missing key, TypeError for a ctx or boundary misshapen,
+    ValueError for an angle with a zero denominator or a boundary that
+    is not the context's."""
     ctx = data["ctx"]
     if not isinstance(ctx, dict):
         raise TypeError(f"ctx must be an object, not {ctx!r}")
-    ctx = make_context(int(ctx["n"]), int(ctx["m"]), Fraction(ctx["theta"]))
+    ctx = make_context(int(ctx["n"]), int(ctx["m"]), ctx["theta"])
     structure = build_structure(ctx, symmetrize=bool(data["symmetrized"]))
     boundary = data["boundary"]
     if not isinstance(boundary, list):
         raise TypeError(f"boundary must be a list of angles, not {boundary!r}")
-    stated = [Fraction(a) for a in boundary]
+    try:
+        stated = [Fraction(a) for a in boundary]
+    except ZeroDivisionError:
+        raise ValueError("a boundary angle has a zero denominator") from None
     actual = [a.as_fraction() for a in structure.boundary]
     if stated != actual:
         raise ValueError("boundary angles in payload do not match the "

@@ -264,7 +264,9 @@ class TestExitCodes:
         report["inputs"]["max_iter"] = -1
         out.write_text(json.dumps(report), encoding="utf-8")
         assert main(["validate", str(out)]) == 4
-        assert "max_iter must be nonnegative" in capsys.readouterr().err
+        # compared with the command's, never run
+        assert capsys.readouterr().err.splitlines() == [
+            "inputs.max_iter: -1, recomputed 100000"]
 
     def test_k_max_zero(self, capsys):
         code = main(["relations", "--n", "2", "--m", "1", "--theta", "1/12",
@@ -315,7 +317,12 @@ class TestExitCodes:
         ({"ctx": 5}, "ctx must be an object"),
         ({"ctx": {"n": 2, "m": 1, "theta": "1/12"}, "symmetrized": False,
           "boundary": 7}, "boundary must be a list"),
-    ], ids=["ctx", "boundary"])
+        ({"ctx": {"n": 2, "m": 1, "theta": "1/0"}, "symmetrized": False,
+          "boundary": []}, "theta 1/0: zero denominator"),
+        ({"ctx": {"n": 2, "m": 1, "theta": "1/12"}, "symmetrized": False,
+          "boundary": ["1/0"]},
+         "a boundary angle has a zero denominator"),
+    ], ids=["ctx", "boundary", "theta-1/0", "boundary-1/0"])
     def test_structure_file_of_the_wrong_shape(self, payload, what,
                                                tmp_path, capsys):
         path = tmp_path / "f.json"
@@ -559,8 +566,7 @@ class TestValidateCommand:
         code, err = self.validate_edited(
             out, capsys, lambda r: r["tolerances"].update(solver_tol=1e-11))
         assert code == 4
-        assert err == ["tolerances.solver_tol: 1e-11, the command gives "
-                       "1e-12"]
+        assert err == ["tolerances.solver_tol: 1e-11, recomputed 1e-12"]
 
     def test_recorded_flags_validate(self, tmp_path, capsys):
         runs = [
@@ -600,19 +606,34 @@ class TestValidateCommand:
             assert code == 4, field
             assert any(line.startswith(field) for line in err), (field, err)
 
+    def test_stated_inputs_are_compared_not_run(self, monkeypatch,
+                                                tmp_path, capsys):
+        # an edited level is named without building it
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a level was built")
+
+        out = tmp_path / "s.json"
+        assert main(["structure", "--n", "2", "--m", "1", "--theta", "1/6",
+                     "--level", "1", "--out", str(out)]) == 0
+        monkeypatch.setattr(structure, "_next_level", must_not_run)
+        code, err = self.validate_edited(
+            out, capsys, lambda r: r["inputs"].update(level=12))
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("inputs.level: 12"), err
+
     @pytest.mark.parametrize("argv, edit, line", [
         (["solve", "--n", "2", "--m", "1", "--theta", "1/6"],
          lambda inputs: inputs.pop("max_iter"),
-         "inputs.max_iter: missing, the command gives 100000"),
+         "inputs.max_iter: missing, recomputed 100000"),
         (["solve", "--n", "2", "--m", "1", "--theta", "1/6"],
          lambda inputs: inputs.pop("symmetrized"),
-         "inputs.symmetrized: missing, the command gives False"),
+         "inputs.symmetrized: missing, recomputed False"),
         (["relations", "--n", "2", "--m", "1", "--theta", "1/6"],
          lambda inputs: inputs.pop("k_max"),
-         "inputs.k_max: missing, the command gives 8"),
+         "inputs.k_max: missing, recomputed 8"),
         (["relations", "--n", "2", "--m", "1", "--theta", "1/6"],
          lambda inputs: inputs.update(foo=1),
-         "inputs.foo: stated, the command does not give it"),
+         "inputs.foo: stated, absent from the rerun"),
     ], ids=["solve-max_iter", "solve-symmetrized", "relations-k_max",
             "relations-foo"])
     def test_inputs_are_exactly_the_command_s(self, argv, edit, line,

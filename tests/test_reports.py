@@ -296,7 +296,7 @@ class TestTamperDetection:
         report["tolerances"]["solver_tol"] = float("inf")
         dump(path, report)
         details = validate_report_details(str(path))
-        assert any("finite" in line for line in details)
+        assert details == ["tolerances.solver_tol: inf, recomputed 1e-12"]
 
     def test_unknown_kind(self, tmp_path):
         path = make_report(tmp_path, "h5.json",
@@ -322,6 +322,15 @@ class TestTamperDetection:
         path.write_text("{not json", encoding="utf-8")
         details = validate_report_details(str(path))
         assert any("not valid JSON" in line for line in details)
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"schema": "fr-2 \u00e9"}'.encode("latin-1"))
+        details = validate_report_details(str(path))
+        assert len(details) == 1 and "not valid JSON" in details[0]
+        assert not validate_report(str(path))
+        assert main(["validate", str(path)]) == 4
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_resistance_tampers(self, tmp_path):
         path = make_report(tmp_path, "r.json",
@@ -433,13 +442,13 @@ class TestTamperDetection:
         report = json.loads(json.dumps(base))
         report["results"]["structure"]["glue_points"].append("7/8")
         dump(path, report)
-        assert any("glue points" in line
+        assert any(line.startswith("results.structure.glue_points: ")
                    for line in validate_report_details(str(path)))
 
         report = json.loads(json.dumps(base))
         report["results"]["structure"]["cells"].popitem()
         dump(path, report)
-        assert any("cells" in line
+        assert any(line.startswith("results.structure.cells.")
                    for line in validate_report_details(str(path)))
 
         path = make_report(tmp_path, "s2.json",
@@ -466,13 +475,13 @@ class TestTamperDetection:
         report = json.loads(json.dumps(base))
         report["results"]["num_vertices"] = 17
         dump(path, report)
-        assert any("2(m+n)^2" in line
+        assert any(line.startswith("results.num_vertices: 17, ")
                    for line in validate_report_details(str(path)))
 
         report = json.loads(json.dumps(base))
         report["results"]["corner_maps"].pop()
         dump(path, report)
-        assert any("corner map" in line
+        assert any(line.startswith("results.corner_maps: ")
                    for line in validate_report_details(str(path)))
 
     def test_relations_tampers(self, tmp_path):
@@ -724,9 +733,26 @@ class TestLeafEdits:
             if dotted == "results.kind":
                 assert "unknown result kind" in err
             else:
-                # an edited solver_tol is named by the command check
+                # an edited solver_tol is named against the command's --tol
                 assert any(line.startswith(f"{dotted}: ")
                            for line in err.splitlines()), (dotted, err)
+
+    @pytest.mark.parametrize("kind,argv", SWEEP_RUNS,
+                             ids=[kind for kind, _ in SWEEP_RUNS])
+    def test_small_tolerance_edits_fail(self, kind, argv, tmp_path, capsys):
+        # tolerances are what a run is given: an edit inside the float
+        # agreement of results fails too
+        path = make_report(tmp_path, f"{kind}.json", argv)
+        base = load(path)
+        for key, value in base["tolerances"].items():
+            report = json.loads(json.dumps(base))
+            report["tolerances"][key] = value * 2 if value else 1e-10
+            dump(path, report)
+            capsys.readouterr()
+            assert main(["validate", str(path)]) == 4, key
+            err = capsys.readouterr().err.splitlines()
+            assert any(line.startswith(f"tolerances.{key}: ")
+                       for line in err), (key, err)
 
     def test_edits_of_unchecked_fields_fail(self, tmp_path, capsys):
         # fields that earlier per-kind checks did not compare
@@ -832,5 +858,4 @@ class TestLeafEdits:
         dump(path, report)
         errors = validate_report_details(str(path))
         for key, value in (("max_iter", 100_000), ("k_max", 8)):
-            assert f"inputs.{key}: missing, the command gives {value}" \
-                in errors
+            assert f"inputs.{key}: missing, recomputed {value}" in errors

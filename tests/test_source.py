@@ -219,6 +219,39 @@ def test_only_subject_builds_a_subject():
     assert found == {"reports.py": [], "cli.py": []}
 
 
+def imports_of(source: str, module: str) -> list[int]:
+    """Lines of the imports in a package module's source that import the
+    sibling module, relatively or by the package's name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module.split(".") if node.module else []
+            names = [base + [alias.name] for alias in node.names]
+        else:
+            continue
+        if any(module in parts[:2] for parts in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_imports_of_are_found():
+    source = ("from .cli import main\nfrom . import cli\n"
+              "import fractal_renorm.cli\nfrom fractal_renorm import cli\n"
+              "from .reports import cli_rows\nimport click\n")
+    assert imports_of(source, "cli") == [1, 2, 3, 4]
+
+
+def test_only_the_entry_points_import_cli():
+    # the command line sits on top of the library: a module it imports
+    # that imports it back makes a cycle
+    found = {path.name: imports_of(path.read_text(encoding="utf-8"), "cli")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == \
+        {"__init__.py", "__main__.py"}
+
+
 def readme_block(heading: str) -> str:
     """The first python code block under a level-2 README heading."""
     text = README.read_text(encoding="utf-8")
