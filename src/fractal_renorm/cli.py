@@ -50,7 +50,10 @@ _INPUT_ERRORS = (ValueError, KeyError, OSError, WorkbenchError)
 def _load_structure(path: str):
     """The MS structure of a report, its results or the bare payload."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: not an MS structure, {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a structure file must hold a JSON object")
     if isinstance(data.get("results"), dict):

@@ -38,7 +38,7 @@ from .networks import (ConductanceForm, DisjointSet, _laplacian,
 from .renorm import HarmonicStructure, _boundary_matrix, cone_iteration
 from .structure import GluingScheme, MsStructure
 
-DEFAULT_ENUM_CAP = 15
+DEFAULT_ENUM_CAP = 21
 DEFAULT_K_MAX = 8
 DEFAULT_MARGIN = 1e-6
 BRACKET_TOL = 1e-12   # relative width at which a rho bracket stops
@@ -169,20 +169,38 @@ def is_preserved(structure, relation: Partition,
     return Partition.from_blocks(groups.values()) == relation
 
 
+def _image_first(f: Sequence[int]) -> list[int]:
+    """The points of a self-map f of range(len(f)), each after its image
+    but for one point per cycle: each cycle walked backwards from its
+    least point, then the other points breadth first by preimages."""
+    periodic = set(range(len(f)))
+    for _ in f:
+        periodic = {f[p] for p in periodic}
+    order: list[int] = []
+    for p in sorted(periodic):
+        while p not in order:
+            order.append(p)
+            p = next(q for q in periodic if f[q] == p)
+    for p in order:  # the list grows as it is walked
+        order += [q for q, fq in enumerate(f)
+                  if fq == p and q not in periodic]
+    return order
+
+
 def enumerate_preserved(structure, require_g: bool = False,
                         cap: int = DEFAULT_ENUM_CAP) -> list[Partition]:
     """All preserved relations (including the two trivial ones), in RGS order.
 
-    Depth-first restricted-growth search over boundary indices, with one
-    undoable union-find on the level-1 ids carrying the closure of the
-    partial assignment. Point i joining block c unions row[first of c]
-    with row[i] in every copy. Each root is labelled with the block of the
-    assigned points whose inclusions it holds (-1 for none); a union of
-    roots with different labels, or point i landing on a root labelled
-    with another block, fails the node. Unions and label changes share one
-    undo log. When the root of point i's inclusion is already labelled,
-    that block is the only choice that can pass, so it is the only one
-    tried.
+    Depth-first restricted-growth search over the boundary points in a
+    visiting order, with one undoable union-find on the level-1 ids
+    carrying the closure of the partial assignment. Point i joining block
+    c unions row[first of c] with row[i] in every copy. Each root is
+    labelled with the block of the assigned points whose inclusions it
+    holds (-1 for none); a union of roots with different labels, or point
+    i landing on a root labelled with another block, fails the node.
+    Unions and label changes share one undo log. When the root of point
+    i's inclusion is already labelled, that block is the only choice that
+    can pass, so it is the only one tried.
 
     Pruning is sound because F(J), the level-1 closure of J restricted
     back to the boundary, is monotone in J, and a restricted-growth search
@@ -201,13 +219,25 @@ def enumerate_preserved(structure, require_g: bool = False,
     copy i+1. The closure of J's per-copy images then joins slot (c, v)
     only to slots (c', v') with v' ~_J v, so F(J) relates p and q only if
     f(p) ~_J f(q), and the half J within F(J) of the fixed-point condition
-    makes every fixed point map blocks into blocks. A GD cell, whose ids
-    mix vertex indices, has no f. With require_g the rotations r, ...,
-    r^(ring-1) are the others, by the definition of rotation invariance.
-    Each implication is checked at the node that assigns the last of p, q,
-    g(p) and g(q). Codes never change below a node, so a node that relates
-    p and q but not g(p) and g(q) has no answer below it, and a leaf that
-    passes every rotation check is rotation-invariant.
+    makes every fixed point map blocks into blocks. With require_g the
+    rotations r, ..., r^(ring-1) are the others, by the definition of
+    rotation invariance. Each implication is checked at the node that
+    assigns the last of p, q, g(p) and g(q) in the visiting order. Codes
+    never change below a node, so a node that relates p and q but not g(p)
+    and g(q) has no answer below it, and a leaf that passes every rotation
+    check is rotation-invariant. An implication whose last point is p or q
+    cannot fail where that point opens a block, so it is checked only
+    where the point joins one.
+
+    The visiting order is image-first when f exists: the periodic points
+    of f first, each cycle walked backwards from its least point, then
+    their preimages breadth first. So f(p) is assigned before p for all
+    but one point per cycle, and for such p and q the check by f fires as
+    soon as both are assigned rather than with the last of four points. A GD
+    cell, whose ids mix vertex indices, has no f and is searched in
+    boundary order. Each partition is visited once whatever the order,
+    and the answers are sorted back into the RGS order of their codes on
+    boundary indices 0, 1, ..., nb-1.
 
     Refuses boundaries larger than the cap, and a cap below 1 as invalid
     input (ValueError). With require_g, only the rotation-invariant
@@ -231,27 +261,25 @@ def enumerate_preserved(structure, require_g: bool = False,
     # a root r that was merged away, or ~r for a root that was labelled
     undo_log: list[int] = []
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     def union(x: int, y: int) -> bool:
         """Join the roots of x and y; False when their labels differ."""
-        rx, ry = find(x), find(y)
-        if rx == ry:
+        while parent[x] != x:
+            x = parent[x]
+        while parent[y] != y:
+            y = parent[y]
+        if x == y:
             return True
-        lx, ly = label[rx], label[ry]
+        lx, ly = label[x], label[y]
         if lx != ly and lx >= 0 and ly >= 0:
             return False
-        if size[rx] < size[ry]:
-            rx, ry, lx, ly = ry, rx, ly, lx
-        parent[ry] = rx
-        size[rx] += size[ry]
-        undo_log.append(ry)
+        if size[x] < size[y]:
+            x, y, lx, ly = y, x, ly, lx
+        parent[y] = x
+        size[x] += size[y]
+        undo_log.append(y)
         if lx < 0 <= ly:
-            label[rx] = ly
-            undo_log.append(~rx)
+            label[x] = ly
+            undo_log.append(~x)
         return True
 
     def undo(mark: int) -> None:
@@ -264,66 +292,93 @@ def enumerate_preserved(structure, require_g: bool = False,
                 parent[entry] = entry
 
     # the maps g that every answer respects: f, when every id's slots share
-    # one vertex index, and with require_g the rotations; implied[d] holds
-    # (p, q, g(p), g(q)), p < q, with d the last of the four assigned,
-    # skipping g(p) = g(q), which always passes
+    # one vertex index, and with require_g the rotations
     maps = []
     vertex_of: dict[int, int] = {}
     if all(vertex_of.setdefault(x, v) == v
            for row in rows for v, x in enumerate(row)):
         maps.append([vertex_of[x] for x in incl])
+    order = _image_first(maps[0]) if maps else list(range(nb))
     if require_g:
         power = rotation
         for _ in range(structure.ctx.ring_size - 1):
             maps.append(power)
             power = [rotation[p] for p in power]
-    implied: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nb)]
+    # joining[k] holds the (p, q, g(p), g(q)), p < q, whose last point in
+    # the visiting order is order[k], skipping g(p) = g(q), which always
+    # passes; opening[k] those of them whose last point is neither p nor q,
+    # the only ones that can fail when order[k] opens a block
+    position = [0] * nb
+    for k, p in enumerate(order):
+        position[p] = k
+    joining: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nb)]
+    opening: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nb)]
     for g in maps:
         for q in range(nb):
             for p in range(q):
-                if g[p] != g[q]:
-                    quad = (p, q, g[p], g[q])
-                    implied[max(quad)].append(quad)
+                gp, gq = g[p], g[q]
+                if gp != gq:
+                    quad = (p, q, gp, gq)
+                    k = max(position[p], position[q], position[gp],
+                            position[gq])
+                    joining[k].append(quad)
+                    if order[k] != p and order[k] != q:
+                        opening[k].append(quad)
 
     code = [0] * nb
-    first: list[int] = []  # least point of each block
-    out = []
+    first: list[int] = []  # first visited point of each block
+    found: dict[tuple[int, ...], Partition] = {}  # by RGS code
 
     def emit() -> None:
-        if any(find(incl[p]) != find(incl[first[code[p]]])
-               for p in range(nb)):
-            return
-        groups = [[] for _ in first]
+        for p in range(nb):
+            x, y = incl[p], incl[first[code[p]]]
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
+            if x != y:
+                return
+        rgs: dict[int, int] = {}
+        groups: list[list] = [[] for _ in first]
         for p, c in enumerate(code):
-            groups[c].append(structure.boundary[p])
-        out.append(Partition.from_blocks(groups))
+            groups[rgs.setdefault(c, len(rgs))].append(structure.boundary[p])
+        key = tuple(rgs[c] for c in code)
+        found[key] = Partition.from_blocks(groups)
 
-    def rec(i: int) -> None:
-        if i == nb:
+    def rec(k: int) -> None:
+        if k == nb:
             emit()
             return
-        root = find(incl[i])
+        i = order[k]
+        root = incl[i]
+        while parent[root] != root:
+            root = parent[root]
         forced = label[root]
         opened = len(first)
         for c in (forced,) if forced >= 0 else range(opened + 1):
             code[i] = c
-            if not all(code[p] != code[q] or code[gp] == code[gq]
-                       for p, q, gp, gq in implied[i]):
-                continue
-            mark = len(undo_log)
-            if forced < 0:
-                label[root] = c
-                undo_log.append(~root)
-            if c == opened:
-                first.append(i)
-                rec(i + 1)
-                first.pop()
-            elif all(union(row[first[c]], row[i]) for row in rows):
-                rec(i + 1)
-            undo(mark)
+            for p, q, gp, gq in opening[k] if c == opened else joining[k]:
+                if code[p] == code[q] and code[gp] != code[gq]:
+                    break
+            else:
+                mark = len(undo_log)
+                if forced < 0:
+                    label[root] = c
+                    undo_log.append(~root)
+                if c == opened:
+                    first.append(i)
+                    rec(k + 1)
+                    first.pop()
+                else:
+                    for row in rows:
+                        if not union(row[first[c]], row[i]):
+                            break
+                    else:
+                        rec(k + 1)
+                undo(mark)
 
     rec(0)
-    return out
+    return [found[key] for key in sorted(found)]
 
 
 def build_J_plus_minus(structure: MsStructure) -> tuple[Partition, Partition]:

@@ -226,6 +226,117 @@ def brute_force_preserved(structure, require_g=False):
             and preserved_by_closure(structure, cand)]
 
 
+def boundary_order_preserved(structure, require_g=False):
+    """Preserved relations by the pruned search in boundary order.
+
+    The package's search before it visited points image-first, kept as
+    the reference up to nb = 15: a depth-first restricted-growth search
+    over boundary indices 0, 1, ..., with one undoable union-find on the
+    level-1 ids carrying the closure of the partial assignment, root
+    labels naming the block whose inclusions a root holds, and each
+    implication (p, q, g(p), g(q)) checked at the node that assigns the
+    largest of the four indices. Its answers come out in RGS order.
+    """
+    nb = len(structure.boundary)
+    scheme = structure.scheme
+    rows = scheme.rows
+    incl = scheme.marked
+    parent = list(range(scheme.num_ids))
+    size = [1] * scheme.num_ids
+    label = [-1] * scheme.num_ids
+    undo_log = []
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return True
+        lx, ly = label[rx], label[ry]
+        if lx != ly and lx >= 0 and ly >= 0:
+            return False
+        if size[rx] < size[ry]:
+            rx, ry, lx, ly = ry, rx, ly, lx
+        parent[ry] = rx
+        size[rx] += size[ry]
+        undo_log.append(ry)
+        if lx < 0 <= ly:
+            label[rx] = ly
+            undo_log.append(~rx)
+        return True
+
+    def undo(mark):
+        while len(undo_log) > mark:
+            entry = undo_log.pop()
+            if entry < 0:
+                label[~entry] = -1
+            else:
+                size[parent[entry]] -= size[entry]
+                parent[entry] = entry
+
+    maps = []
+    vertex_of = {}
+    if all(vertex_of.setdefault(x, v) == v
+           for row in rows for v, x in enumerate(row)):
+        maps.append([vertex_of[x] for x in incl])
+    if require_g:
+        rotation = structure.rotation
+        power = rotation
+        for _ in range(structure.ctx.ring_size - 1):
+            maps.append(power)
+            power = [rotation[p] for p in power]
+    implied = [[] for _ in range(nb)]
+    for g in maps:
+        for q in range(nb):
+            for p in range(q):
+                if g[p] != g[q]:
+                    quad = (p, q, g[p], g[q])
+                    implied[max(quad)].append(quad)
+
+    code = [0] * nb
+    first = []
+    out = []
+
+    def emit():
+        if any(find(incl[p]) != find(incl[first[code[p]]])
+               for p in range(nb)):
+            return
+        groups = [[] for _ in first]
+        for p, c in enumerate(code):
+            groups[c].append(structure.boundary[p])
+        out.append(Partition.from_blocks(groups))
+
+    def rec(i):
+        if i == nb:
+            emit()
+            return
+        root = find(incl[i])
+        forced = label[root]
+        opened = len(first)
+        for c in (forced,) if forced >= 0 else range(opened + 1):
+            code[i] = c
+            if not all(code[p] != code[q] or code[gp] == code[gq]
+                       for p, q, gp, gq in implied[i]):
+                continue
+            mark = len(undo_log)
+            if forced < 0:
+                label[root] = c
+                undo_log.append(~root)
+            if c == opened:
+                first.append(i)
+                rec(i + 1)
+                first.pop()
+            elif all(union(row[first[c]], row[i]) for row in rows):
+                rec(i + 1)
+            undo(mark)
+
+    rec(0)
+    return out
+
+
 def rotated_by_angles(structure, relation):
     """Whether rotating every angle by 1/(m+n) gives the same partition,
     through angles.rotate rather than the structure's cached rotation."""

@@ -4,6 +4,7 @@ Each test prints the measured values next to the demanded tolerances, so a
 verbose run doubles as a numeric report.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,8 +18,8 @@ from fractal_renorm import (
     level_vertices, make_context, per_cell_flows, phi_n, rho_search,
     sabot_verdict, solve_eigenform, uniqueness_certificate,
 )
-from fractal_renorm.relations import (RATIO_TOL, _block_traces,
-                                      _ratio_bounds, _side)
+from fractal_renorm.relations import (DEFAULT_ENUM_CAP, RATIO_TOL,
+                                      _block_traces, _ratio_bounds, _side)
 from fractal_renorm.renorm import _boundary_matrix
 
 from _oracles import (block_cycle_form, block_star_form, family_eta,
@@ -310,3 +311,29 @@ def test_09_g_verdict_table():
     print(f"G-verdicts over {sum(counts.values())} theta: {counts}")
     assert counts == {"criteria_hold_exists_unique": 4,
                       "no_nontrivial_relations_exists_unique": 30}
+
+
+def test_10_g_verdict_table_above_the_old_cap():
+    # every valid (2,1) theta with q <= 100 and 10 to 42 boundary points:
+    # each G-verdict is an exists-unique verdict. Up to the default
+    # enumeration cap the search runs with its default cap; above it the
+    # cap is raised to 42, where the G-search still takes under 0.05 s
+    counts = Counter()
+    for n, m, theta in valid_contexts([(2, 1)], 100, 42):
+        s = ms(n, m, theta)
+        nb = len(s.boundary)
+        if nb < 10:
+            continue
+        if nb <= DEFAULT_ENUM_CAP:
+            part, found = "default cap", enumerate_preserved(s, True)
+        else:
+            part, found = "cap 42", enumerate_preserved(s, True, cap=42)
+        verdict = sabot_verdict(s, found).verdict
+        print(f"(n={n}, m={m}, theta={theta}, nb={nb}): {verdict}")
+        assert verdict.endswith("_exists_unique"), (n, m, theta)
+        counts[part, verdict] += 1
+    print(f"G-verdicts over {sum(counts.values())} theta: {dict(counts)}")
+    assert counts == {
+        ("default cap", "criteria_hold_exists_unique"): 15,
+        ("default cap", "no_nontrivial_relations_exists_unique"): 100,
+        ("cap 42", "no_nontrivial_relations_exists_unique"): 110}

@@ -322,11 +322,15 @@ class TestExitCodes:
         ({"ctx": {"n": 2, "m": 1, "theta": "1/12"}, "symmetrized": False,
           "boundary": ["1/0"]},
          "a boundary angle has a zero denominator"),
-    ], ids=["ctx", "boundary", "theta-1/0", "boundary-1/0"])
+        (b'{"ctx" 5}', "Expecting ':' delimiter"),
+        (b'{"ctx": "\xe9"}', "'utf-8' codec can't decode byte 0xe9"),
+    ], ids=["ctx", "boundary", "theta-1/0", "boundary-1/0", "not-json",
+            "not-utf8"])
     def test_structure_file_of_the_wrong_shape(self, payload, what,
                                                tmp_path, capsys):
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_bytes(payload if isinstance(payload, bytes)
+                         else json.dumps(payload).encode("utf-8"))
         assert main(["solve", "--structure", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: not an MS structure, {what}" in err

@@ -21,14 +21,15 @@ from fractal_renorm import (
     uniqueness_certificate,
 )
 from fractal_renorm.gd import RELATION_PQ, RELATION_SIDES, cell_graph
-from fractal_renorm.relations import (_block_traces, _complement,
+from fractal_renorm.relations import (DEFAULT_ENUM_CAP, _block_traces,
+                                      _complement, _image_first,
                                       _ratio_bounds, _side)
 from fractal_renorm.renorm import _boundary_matrix
 from _oracles import (block_cycle_form, block_star_form,
-                      brute_force_preserved, energy, gd_rho_values,
-                      loop_t_quotient, loop_t_relation, partitions_rgs,
-                      quotient_weights, rotated_by_angles,
-                      support_components, valid_contexts)
+                      boundary_order_preserved, brute_force_preserved,
+                      energy, gd_rho_values, loop_t_quotient,
+                      loop_t_relation, partitions_rgs, quotient_weights,
+                      rotated_by_angles, support_components, valid_contexts)
 
 SWEEP_FAMILIES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
 # the enumeration's brute-force oracle: every valid theta with q <= 40 and
@@ -37,6 +38,7 @@ BRUTE_FORCE_CONTEXTS = [(n, m, str(theta)) for n, m, theta
                         in valid_contexts(SWEEP_FAMILIES, 40, 8)]
 G_BRUTE_FORCE_CONTEXTS = [(2, 1, "1/12"), (2, 1, "1/6"), (3, 1, "1/9"),
                           (2, 2, "3/16"), (2, 3, "1/10")]
+GD_CELLS = [(2, 1), (3, 1), (4, 3), (3, 6), (5, 5)]
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -310,7 +312,32 @@ class TestEnumeration:
         assert enumerate_preserved(s, require_g=require_g) == \
             brute_force_preserved(s, require_g=require_g)
 
-    @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (4, 3), (3, 6), (5, 5)])
+    def test_matches_the_boundary_order_search_in_order(self):
+        # image-first visiting changes neither the answers nor their order
+        contexts = valid_contexts(SWEEP_FAMILIES, 60, 12)
+        assert len(contexts) == 104
+        for n, m, theta in contexts:
+            s = ms(n, m, theta)
+            for require_g in (False, True):
+                assert enumerate_preserved(s, require_g) == \
+                    boundary_order_preserved(s, require_g), \
+                    (n, m, theta, require_g)
+        for n, m in GD_CELLS:
+            cell = cell_graph(n, m)
+            assert enumerate_preserved(cell) == boundary_order_preserved(cell)
+
+    @pytest.mark.parametrize("f,order", [
+        ([1, 2, 0, 0, 3, 3], [0, 2, 1, 3, 4, 5]),
+        ([0, 0, 1, 1], [0, 1, 2, 3]),
+        ([1, 0, 3, 2], [0, 1, 2, 3]),
+        ([2, 3, 4, 0, 1], [0, 3, 1, 4, 2]),
+        ([4, 4, 1, 1, 4], [4, 0, 1, 2, 3]),
+    ])
+    def test_image_first_order(self, f, order):
+        # each point comes after its image, but for one point per cycle
+        assert _image_first(f) == order
+
+    @pytest.mark.parametrize("n,m", GD_CELLS)
     def test_gd_cell_matches_brute_force(self, n, m):
         # a GD cell glues vertex 3 of one copy to vertex 1 of the next; its
         # ids mix vertex indices, so the search has no block-image map f
@@ -340,9 +367,10 @@ class TestEnumeration:
                 (n, m, theta)
 
     def test_g_search_sound_above_the_default_cap(self):
-        s = ms(2, 1, "1/192")
-        assert len(s.boundary) == 18
-        found = enumerate_preserved(s, require_g=True, cap=18)
+        # phi_2 permutes this boundary, so every point lies on a cycle
+        s = ms(2, 1, "1/22")
+        assert len(s.boundary) == 30 > DEFAULT_ENUM_CAP
+        found = enumerate_preserved(s, require_g=True, cap=30)
         assert singletons(s) in found and one_block(s) in found
         assert all(is_preserved(s, rel, require_g=True) for rel in found)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import fractal_renorm
+from fractal_renorm import cli, relations
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fractal_renorm"
 README = SRC.parent.parent / "README.md"
@@ -287,3 +288,13 @@ def test_readme_calls_resolve():
     # a call the README names must be one the package has
     text = README.read_text(encoding="utf-8")
     assert unresolved_calls(text, fractal_renorm) == []
+
+
+def test_readme_cap_default_is_the_package_one():
+    # the README states the default cap that the search and the parser use
+    stated = re.findall(r"`--cap` \(default (\d+)\)",
+                        README.read_text(encoding="utf-8"))
+    args = cli.build_parser().parse_args(
+        ["relations", "--n", "2", "--m", "1", "--theta", "1/12"])
+    assert [int(cap) for cap in stated] == [relations.DEFAULT_ENUM_CAP] \
+        == [args.cap]
