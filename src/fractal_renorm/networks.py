@@ -8,14 +8,14 @@ would double every value.
 
 Traces are Schur complements of the graph Laplacian onto a boundary;
 harmonic extensions solve with the same interior block. One kernel,
-GluingScheme.harmonic, gives both from one _interior_inverse of the block
-(its plan puts the marked ids first: one bincount assembles the copies,
-the blocks are slices). That inverse is direct when finite with the
-product of the two Frobenius norms, a bound on the condition number, at
-most INVERSE_COND_BOUND, so that the pseudo-inverse would truncate
-nothing at RANK_RTOL; otherwise (a singular block, as on a floating
-interior or the degenerate cones of the relation side, or an
-ill-conditioned one) it is the spectral pseudo-inverse with that cutoff.
+GluingScheme.harmonic, gives both by one rule: an interior id that no
+positive weight links to a boundary id carries no current and extends by
+0, and the rest is one solve with the interior block, which is then
+nonsingular (the trace of a disconnected network is the direct sum over
+its components). Which ids are left out depends only on the support, so
+the plan that says so is built once per support pattern. A resistance
+matrix is a solve with one vertex grounded. Nothing is pseudo-inverted;
+tests/_oracles.pinv_schur_trace stays the reference.
 """
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import DisconnectedError
 
-RANK_RTOL = 1e-12          # relative eigenvalue cutoff for pseudo-inverses
-INVERSE_COND_BOUND = 1e6   # largest |A|_F |A^-1|_F of a direct inverse used
 NEGATIVE_WEIGHT_WARN = 1e-12  # relative size of traced weights clamped silently
 
 
@@ -135,38 +133,6 @@ def _laplacian(matrix: np.ndarray) -> np.ndarray:
     return np.diag(matrix.sum(axis=1)) - matrix
 
 
-def _psd_pinv(mat: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse of a symmetric PSD matrix via its eigendecomposition.
-
-    Eigenvalues below RANK_RTOL times the largest are treated as exact
-    zeros, which is what makes traces over disconnected interiors correct.
-    """
-    if mat.size == 0:
-        return mat
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    cut = RANK_RTOL * max(float(vals[-1]), 0.0)
-    inv = np.where(vals > cut, 1.0 / np.where(vals > cut, vals, 1.0), 0.0)
-    return (vecs * inv) @ vecs.T
-
-
-def _interior_inverse(lii: np.ndarray) -> np.ndarray:
-    """Inverse of an interior Laplacian block, direct where that is safe.
-
-    |A|_F |A^-1|_F bounds cond_2(A) from above, so an accepted inverse has
-    every eigenvalue above 1/INVERSE_COND_BOUND of the largest and equals
-    the pseudo-inverse up to rounding. A singular, nonfinite or
-    ill-conditioned result falls back to _psd_pinv.
-    """
-    try:
-        inv = np.linalg.inv(lii)
-    except np.linalg.LinAlgError:
-        return _psd_pinv(lii)
-    # a nonfinite inverse gives a nan or inf product and fails the bound
-    if np.linalg.norm(lii) * np.linalg.norm(inv) <= INVERSE_COND_BOUND:
-        return inv
-    return _psd_pinv(lii)
-
-
 def _support_labels(matrix: np.ndarray) -> np.ndarray:
     """Component of each vertex in the graph of a symmetric weight
     matrix's positive entries, named by the component's least index."""
@@ -183,15 +149,22 @@ def resistance_matrix(form: ConductanceForm,
                       vertices: Sequence[Hashable]) -> np.ndarray:
     """All pairwise effective resistances among the given vertices.
 
-    Uses the Laplacian pseudo-inverse identity R(p,q) = M(p,p) + M(q,q) -
-    2 M(p,q); requires the listed vertices to share one support component.
+    G solves the Laplacian on the support component of the first listed
+    vertex, grounded there, for unit currents at the listed vertices, and
+    R(p,q) = G(p,p) + G(q,q) - G(p,q) - G(q,p); requires the listed
+    vertices to share that component.
     """
     idx = [form.index[v] for v in vertices]
-    labels = _support_labels(form.matrix())[idx]
-    outside = [v for v, label in zip(vertices, labels) if label != labels[0]]
+    labels = _support_labels(form.matrix())
+    outside = [v for v, i in zip(vertices, idx) if labels[i] != labels[idx[0]]]
     if outside:
         raise DisconnectedError(f"vertices {outside!r} are separated from "
                                 f"{vertices[0]!r}")
-    pinv = _psd_pinv(_laplacian(form.matrix()))[np.ix_(idx, idx)]
-    diag = np.diag(pinv)
-    return diag[:, None] + diag[None, :] - 2.0 * pinv
+    rest = np.flatnonzero(labels == labels[idx[0]])
+    rest = rest[rest != idx[0]]
+    green = np.zeros((len(labels), len(idx)))
+    green[rest] = np.linalg.solve(_laplacian(form.matrix())[np.ix_(rest, rest)],
+                                  (rest[:, None] == idx) * 1.0)
+    green = green[idx]
+    diag = np.diag(green)
+    return diag[:, None] + diag[None, :] - (green + green.T)

@@ -457,12 +457,7 @@ class _Side:
 
     def op(self, w: np.ndarray) -> np.ndarray:
         self.check(w)
-        image = self.scheme.T(w)
-        # weights between classes are exact zeros for a preserved relation
-        # but for eps-level Schur dust, which would corrupt the support;
-        # only dust is cleared, anything larger fails the next check
-        image[~self.same & (image <= 1e-11 * image.max())] = 0.0
-        return image
+        return self.scheme.T(w)
 
 
 def _side(structure, relation: Partition, side: str) -> _Side:

@@ -42,29 +42,51 @@ class GluingScheme:
     marked: tuple[int, ...]
     num_ids: int
 
-    @cached_property
-    def _plan(self) -> tuple[np.ndarray, ...]:
-        """With the glued ids in plan order, the marked ids first and the
-        rest in id order: w.ravel()[source[k]] adds to entry flat[k] of the
-        flattened glued matrix, pos[x] is the position of id x, and eye
-        the extension of the marked basis to the marked ids."""
-        nv, marked = self.num_ids, self.marked
-        order = list(marked) + sorted(set(range(nv)) - set(marked))
-        pos = np.argsort(order, kind="stable")
-        rows = pos[np.array(self.rows, dtype=np.intp, ndmin=2)]
-        flat = (rows[:, :, None] * nv + rows[:, None, :]).ravel()
-        source = np.tile(np.arange(rows.shape[1] ** 2), len(self.rows))
-        return flat, source, pos, np.eye(len(marked))
+    def _plan(self, w: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The plan of w's support pattern, built on the first call with
+        that pattern and kept on the scheme in _plans, by its bytes."""
+        support = w > 0
+        key = support.tobytes()
+        plans = vars(self).setdefault("_plans", {})
+        if key not in plans:
+            plans[key] = self._build_plan(support)
+        return plans[key]
 
-    def _assembled(self, w: np.ndarray) -> np.ndarray:
-        """The glued weight matrix in plan order; glued pairs add up."""
-        nv, (flat, source) = self.num_ids, self._plan[:2]
-        return np.bincount(flat, w.take(source), nv * nv).reshape(nv, nv)
+    def _build_plan(self, support: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Plan order puts the marked ids first, then the live ids (those
+        the support links to a marked id) and the floating rest, each in
+        id order: w.ravel()[source[k]] adds to entry flat[k] of the
+        flattened glued matrix on the first size ids, the marked and live
+        ones, and pos[x] is the position of id x. A floating id carries no
+        current, so it is left out and extends by 0."""
+        nv, marked = self.num_ids, list(self.marked)
+        rows = np.reshape(np.array(self.rows, dtype=np.intp),
+                          (len(self.rows), len(support)))
+        a, b = np.nonzero(support)
+        link = np.zeros((nv, nv), dtype=bool)
+        link[rows[:, a], rows[:, b]] = True
+        labels = networks._support_labels(link)
+        reached = np.zeros(nv, dtype=bool)
+        reached[labels[marked]] = True
+        rank = np.where(reached[labels], 1, 2)  # 1 live, 2 floating
+        rank[marked] = 0
+        order = np.argsort(rank, kind="stable")
+        order[:len(marked)] = marked
+        pos = np.argsort(order)
+        size = int((rank < 2).sum())
+        ends = pos[rows[:, a]], pos[rows[:, b]]
+        keep = (ends[0] < size).ravel()
+        flat = (ends[0] * size + ends[1]).ravel()[keep]
+        source = np.tile(a * len(support) + b, len(rows))[keep]
+        return flat, source, pos, size
 
     def assemble(self, w: np.ndarray) -> np.ndarray:
         """One copy of the marked weight matrix per row; glued pairs add up."""
-        pos = self._plan[2]
-        return self._assembled(w)[np.ix_(pos, pos)]
+        nv, rows = self.num_ids, np.reshape(np.array(self.rows, dtype=np.intp),
+                                            (len(self.rows), len(w)))
+        flat = (rows[:, :, None] * nv + rows[:, None, :]).ravel()
+        return np.bincount(flat, np.tile(w.ravel(), len(rows)),
+                           nv * nv).reshape(nv, nv)
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -74,13 +96,18 @@ class GluingScheme:
     def harmonic(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """T(w) and the extension X of the marked basis to all ids (X @ fb
         extends marked values fb). With A the glued copies in plan order, B
-        the marked ids and I the rest, X_I = L_II^-1 A_IB for the Laplacian
-        L, and T(w) = A_BB + A_BI X_I off the diagonal."""
+        the marked ids and I the live ones, X_I solves L_II X_I = A_IB for
+        the Laplacian L, and T(w) = A_BB + A_BI X_I off the diagonal.
+        Every live component holds a marked id, so L_II is nonsingular;
+        the plan is kept per support of w, whose positive entries are the
+        pairs."""
         nb = len(self.marked)
-        glued = self._assembled(w)
+        flat, source, pos, size = self._plan(w)
+        glued = np.bincount(flat, w.take(source), size * size
+                            ).reshape(size, size)
         interior = glued[nb:, nb:]  # made L_II in place
         interior[...] = np.diag(glued[nb:].sum(axis=1)) - interior
-        ext_i = networks._interior_inverse(interior) @ glued[nb:, :nb]
+        ext_i = np.linalg.solve(interior, glued[nb:, :nb])
         traced = glued[:nb, :nb] + glued[:nb, nb:] @ ext_i
         traced = 0.5 * (traced + traced.T)
         np.fill_diagonal(traced, 0.0)
@@ -91,8 +118,8 @@ class GluingScheme:
                 warnings.warn(f"traced weight {worst:.3e} clamped to zero (scale"
                               f" {scale:.3e}); result may be inaccurate")
             np.clip(traced, 0.0, None, out=traced)
-        pos, eye = self._plan[2:]
-        return traced, np.concatenate((eye, ext_i))[pos]
+        floating = np.zeros((len(pos) - size, nb))
+        return traced, np.concatenate((np.eye(nb), ext_i, floating))[pos]
 
     def T(self, w: np.ndarray) -> np.ndarray:
         """Trace of the assembled copies back onto the marked ids."""

@@ -24,7 +24,7 @@ from fractal_renorm.gd import RELATION_PQ, RELATION_SIDES, cell_graph
 from fractal_renorm.relations import (DEFAULT_ENUM_CAP, _block_traces,
                                       _complement, _image_first,
                                       _ratio_bounds, _side)
-from fractal_renorm.renorm import _boundary_matrix
+from fractal_renorm.renorm import _boundary_matrix, cone_iteration
 from _oracles import (block_cycle_form, block_star_form,
                       boundary_order_preserved, brute_force_preserved,
                       energy, gd_rho_values, loop_t_quotient,
@@ -488,6 +488,24 @@ class TestOperators:
                     assert np.abs(got - want).max() <= 1e-12 * want.max()
                     w = want / (want.sum() / 2.0)
 
+    def test_relation_side_weights_between_classes_are_exact_zeros(self):
+        # a class that holds no marked id is left out of the trace, so no
+        # rounding lands between the classes; every nontrivial relation,
+        # 20 cone steps each
+        cases = [(ms(*args), [r for r in enumerate_preserved(ms(*args))
+                              if not r.is_trivial])
+                 for args in [(2, 1, "1/12"), (3, 1, "1/9"), (2, 1, "1/48")]]
+        cases.append((cell_graph(2, 1), [RELATION_PQ, RELATION_SIDES]))
+        traces = 0
+        for s, relations in cases:
+            for rel in relations:
+                plan = _side(s, rel, "relation")
+                for _, (w, _, _) in zip(range(20),
+                                        cone_iteration(plan.op, plan.start)):
+                    assert (plan.scheme.T(w)[~plan.same] == 0.0).all()
+                    traces += 1
+        assert traces == 460
+
     def test_quotient_rejects_a_class_named_twice(self):
         # in the (2, 1) cell, copy 0's images of p1 and q1 are copy 1's
         # images of p0 and q0, which the block {p0, q0} joins; so {p1} and
@@ -728,6 +746,20 @@ class TestRhoSearch:
         rel = opposite_pairs(s)
         report = rho_search(s, rel, "quotient")
         assert report.rho_under >= 1.5 - 1e-6
+
+    def test_plans_are_kept_per_support(self):
+        # the eigenform's iterates share one support, and so do the
+        # relation side's; a repeated call builds no plan
+        s = ms(2, 1, "1/12")
+        rel = opposite_pairs(s)
+        solve_eigenform(s)
+        plans = s.scheme._plans
+        assert len(plans) == 1
+        rho_search(s, rel, "relation")
+        assert len(plans) == 2
+        solve_eigenform(s)
+        rho_search(s, rel, "relation")
+        assert len(plans) == 2
 
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 3), (2, 3)])
     def test_bracket_contains_gd_closed_forms(self, n, m):

@@ -175,13 +175,15 @@ def test_linalg_calls_are_found():
     assert linalg_calls(source, "inv") == [3, 6]
 
 
-def test_direct_inverse_only_in_networks():
-    # the interior inverse, with its condition bound and fallback, is the
-    # one place that inverts a matrix directly
-    found = {path.name: linalg_calls(path.read_text(encoding="utf-8"), "inv")
-             for path in sorted(SRC.glob("*.py"))}
-    assert {name for name, lines in found.items() if lines} == \
-        {"networks.py"}
+def test_no_inverse_in_source():
+    # a trace or a resistance is a solve: no module inverts a matrix or
+    # takes a pseudo-inverse
+    found = {f"{path.name}: {name}": lines
+             for path in sorted(SRC.glob("*.py"))
+             for name in ("inv", "pinv")
+             if (lines := linalg_calls(path.read_text(encoding="utf-8"),
+                                       name))}
+    assert found == {}
 
 
 def calls_outside(source: str, names: set[str], owner: str) -> list[str]:
