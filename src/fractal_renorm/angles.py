@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .errors import CriticalAngleError, NotAPermutationError
@@ -19,25 +20,35 @@ from .errors import CriticalAngleError, NotAPermutationError
 AngleLike = Union["Angle", Fraction, int, str]
 
 
-@dataclass(frozen=True, order=True)
-class Angle:
+class Angle(tuple):
     """A point residue/modulus of the circle R/Z.
 
-    Ordering is by residue, which matches circular order on [0, 1) when the
-    moduli agree. Equality is exact: the same point represented at two
-    different moduli compares unequal, and mixing moduli in arithmetic is an
-    error rather than an implicit rescale.
+    An Angle is the tuple (residue, modulus): it equals the plain tuple
+    (residue, modulus), and hashes and sorts as that tuple does. Ordering
+    is by residue, which matches circular order on [0, 1) when the moduli
+    agree. Equality is exact: the same point represented at two different
+    moduli compares unequal, and mixing moduli in arithmetic is an error
+    rather than an implicit rescale.
     """
 
-    residue: int
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus <= 0:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if not 0 <= self.residue < self.modulus:
+    def __new__(cls, residue: int, modulus: int) -> "Angle":
+        if modulus <= 0:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        if not 0 <= residue < modulus:
             raise ValueError(
-                f"residue {self.residue} out of range for modulus {self.modulus}")
+                f"residue {residue} out of range for modulus {modulus}")
+        return tuple.__new__(cls, (residue, modulus))
+
+    residue = property(itemgetter(0))
+    modulus = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Angle(residue={self[0]!r}, modulus={self[1]!r})"
 
     @classmethod
     def from_fraction(cls, value: Union[Fraction, int, str], modulus: int) -> "Angle":

@@ -25,6 +25,7 @@ gd.cell_graph alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -187,6 +188,113 @@ def _image_first(f: Sequence[int]) -> list[int]:
     return order
 
 
+def _implications(g: Sequence[int]) -> list[tuple[int, ...]]:
+    """p ~ q => g(p) ~ g(q), as (p, q, g(p), g(q), g(q)), for each pair
+    p < q that g does not join."""
+    return [(p, q, g[p], g[q], g[q]) for q in range(len(g)) for p in range(q)
+            if g[p] != g[q]]
+
+
+class _SearchPlan:
+    """The search of enumerate_preserved on one structure, built once and
+    kept for both modes. Points are numbered by their visiting position:
+    point k is boundary[order[k]], the search assigns it at depth k, and
+    rows and incl are the scheme's rows and inclusion in that numbering.
+
+    An implication (p, q, h, a, b), p < q, says that no relation with
+    p ~ q but neither h ~ a nor h ~ b is preserved. buckets(require_g)
+    files each under the last of its points, k: joining[k] holds them
+    all, and opening[k] those with q != k, the only ones that can fail
+    where k opens a block, which relates k to no other point. answers
+    keeps each answer by its RGS code, for both modes.
+    """
+
+    def __init__(self, structure):
+        scheme = structure.scheme
+        nb = len(scheme.marked)
+        vertex_of: dict[int, int] = {}
+        f = None
+        if all(vertex_of.setdefault(x, v) == v
+               for row in scheme.rows for v, x in enumerate(row)):
+            f = [vertex_of[x] for x in scheme.marked]
+        self.order = _image_first(f) if f else list(range(nb))
+        self.position = [0] * nb
+        for k, p in enumerate(self.order):
+            self.position[p] = k
+        self.rows = [[row[p] for p in self.order] for row in scheme.rows]
+        self.incl = [scheme.marked[p] for p in self.order]
+        self.answers: dict[tuple[int, ...], Partition] = {}
+        self._buckets = {False: ([[] for _ in self.order],
+                                 [[] for _ in self.order])}
+        if f:
+            f = self._renumbered(f)
+            self._add(False, _implications(f) + self._arc_implications(f))
+
+    def _renumbered(self, g: Sequence[int]) -> list[int]:
+        """A self-map of the boundary indices, in visiting positions."""
+        return [self.position[g[p]] for p in self.order]
+
+    def _arc_implications(self, f: list[int]) -> list[tuple[int, ...]]:
+        """(p, q, h, a, b) for p and q in different copies, h the first of
+        f(p) and f(q), and glue vertices a and b, one from each of the two
+        ring arcs between those copies; a glue vertex x on both arcs gives
+        (p, q, h, x, x) alone. Glue vertices equal to f(p) or f(q) are
+        left out: the block of f(p) holds them, so an arc of only such
+        vertices always joins the two copies."""
+        rows, ring, nb = self.rows, len(self.rows), len(f)
+        glue = []  # glue[c] is the vertex that copies c and c+1 share
+        for row, nxt in zip(rows, rows[1:] + rows[:1]):
+            (v,) = [v for v in range(nb) if row[v] == nxt[v]]
+            glue.append(v)
+        copy = [next(c for c, row in enumerate(rows) if x in row)
+                for x in self.incl]
+        pairs = {}  # the (a, b) of copies c < d
+        for d in range(ring):
+            for c in range(d):
+                one = set(glue[c:d])
+                other = set(glue[d:] + glue[:c])
+                pairs[c, d] = [(x, x) for x in sorted(one & other)] + [
+                    (a, b) for a in sorted(one - other)
+                    for b in sorted(other - one)]
+        out = []
+        for q in range(nb):
+            for p in range(q):
+                c, d = copy[p], copy[q]
+                if c != d:
+                    h, t = (f[p], f[q]) if f[p] < f[q] else (f[q], f[p])
+                    out += [(p, q, h, a, b) for a, b in pairs[
+                        (c, d) if c < d else (d, c)]
+                            if a != h and a != t and b != h and b != t]
+        return out
+
+    def _add(self, require_g: bool, implications: list) -> None:
+        joining, opening = self._buckets[require_g]
+        for imp in implications:
+            k = max(imp)
+            joining[k].append(imp)
+            if k != imp[1]:
+                opening[k].append(imp)
+
+    def buckets(self, structure, require_g: bool) -> tuple[list, list]:
+        """joining and opening of one mode; the G search adds, on its
+        first run, p ~ q => r(p) ~ r(q) for each rotation r."""
+        if require_g not in self._buckets:
+            self._buckets[True] = tuple([list(b) for b in lists]
+                                        for lists in self._buckets[False])
+            rotation = power = self._renumbered(structure.rotation)
+            for _ in range(structure.ctx.ring_size - 1):
+                self._add(True, _implications(power))
+                power = [rotation[p] for p in power]
+        return self._buckets[require_g]
+
+
+def _search_plan(structure) -> _SearchPlan:
+    """The search plan of a structure, built on first use and kept."""
+    if "_search_plan" not in vars(structure):
+        vars(structure)["_search_plan"] = _SearchPlan(structure)
+    return vars(structure)["_search_plan"]
+
+
 def enumerate_preserved(structure, require_g: bool = False,
                         cap: int = DEFAULT_ENUM_CAP) -> list[Partition]:
     """All preserved relations (including the two trivial ones), in RGS order.
@@ -211,33 +319,38 @@ def enumerate_preserved(structure, require_g: bool = False,
     for most J), so closure-system shortcuts do not apply. A leaf is
     preserved exactly when "same root" equals "same block" on all points.
 
-    The search also prunes by implications. Each answer respects some maps
-    g of the boundary: p ~ q implies g(p) ~ g(q). One is f, with f(p) the
-    vertex index of p's inclusion (the boundary index of phi_n(p)), when
-    every level-1 id's slots (c, v) share one vertex index v, as in an MS
-    level, where glue_copies joins vertex v of copy i only to vertex v of
-    copy i+1. The closure of J's per-copy images then joins slot (c, v)
-    only to slots (c', v') with v' ~_J v, so F(J) relates p and q only if
-    f(p) ~_J f(q), and the half J within F(J) of the fixed-point condition
-    makes every fixed point map blocks into blocks. With require_g the
-    rotations r, ..., r^(ring-1) are the others, by the definition of
-    rotation invariance. Each implication is checked at the node that
-    assigns the last of p, q, g(p) and g(q) in the visiting order. Codes
-    never change below a node, so a node that relates p and q but not g(p)
-    and g(q) has no answer below it, and a leaf that passes every rotation
-    check is rotation-invariant. An implication whose last point is p or q
-    cannot fail where that point opens a block, so it is checked only
-    where the point joins one.
+    The search also prunes by implications that every answer satisfies,
+    each checked at the node that assigns the last of its points (see
+    _SearchPlan): codes never change below a node, so a node that breaks
+    one has no answer below it. On an MS level glue_copies joins vertex
+    g_c of copy c to vertex g_c of copy c+1 and nothing else, so the
+    copies form a ring, copies c and c+1 share exactly one id, and every
+    id's slots (c, v) share one vertex index v. The closure of J's
+    per-copy images therefore joins slot (c, v) to slot (d, u) exactly
+    when u ~_J v and one of the two ring arcs from c to d (the empty one
+    when c = d) has every g_e in v's block: within a copy it joins J's
+    blocks, and it crosses from copy e to e+1 only at g_e, into the same
+    block. With f(p) the vertex index of p's inclusion (the boundary
+    index of phi_n(p)) and c(p) its copy, F(J) relates p and q exactly
+    when f(p) ~_J f(q) and an arc from c(p) to c(q) lies in f(p)'s block.
+    So the half J <= F(J) of the fixed-point condition is two
+    implications: p ~ q implies f(p) ~ f(q), which makes every answer map
+    blocks into blocks, and p ~ q implies such an arc, which fails when
+    each arc holds a glue vertex outside f(p)'s block. With them, every
+    leaf that the labels pass is an answer. With require_g the rotations
+    r, ..., r^(ring-1) give p ~ q => r(p) ~ r(q), so a leaf that passes
+    them is rotation-invariant. A GD cell, whose ids mix vertex indices,
+    has no f and no such implications, and relies on the leaf test.
 
     The visiting order is image-first when f exists: the periodic points
     of f first, each cycle walked backwards from its least point, then
     their preimages breadth first. So f(p) is assigned before p for all
     but one point per cycle, and for such p and q the check by f fires as
-    soon as both are assigned rather than with the last of four points. A GD
-    cell, whose ids mix vertex indices, has no f and is searched in
-    boundary order. Each partition is visited once whatever the order,
-    and the answers are sorted back into the RGS order of their codes on
-    boundary indices 0, 1, ..., nb-1.
+    soon as both are assigned rather than with the last of four points. A
+    GD cell is searched in boundary order. Each partition is visited once
+    whatever the order, and the answers are sorted back into the RGS order
+    of their codes on boundary indices 0, 1, ..., nb-1. The order and the
+    implications are kept on the structure, for both modes.
 
     Refuses boundaries larger than the cap, and a cap below 1 as invalid
     input (ValueError). With require_g, only the rotation-invariant
@@ -250,14 +363,15 @@ def enumerate_preserved(structure, require_g: bool = False,
         raise CapExceededError(
             f"boundary size {nb} exceeds enumeration cap {cap}")
     if require_g:
-        rotation = _require_rotation(structure)
-    scheme = structure.scheme
-    rows = scheme.rows
-    incl = scheme.marked
+        _require_rotation(structure)
+    plan = _search_plan(structure)
+    joining, opening = plan.buckets(structure, require_g)
+    rows, incl = plan.rows, plan.incl
+    num_ids = structure.scheme.num_ids
     # union by size without path compression, so every union is undoable
-    parent = list(range(scheme.num_ids))
-    size = [1] * scheme.num_ids
-    label = [-1] * scheme.num_ids
+    parent = list(range(num_ids))
+    size = [1] * num_ids
+    label = [-1] * num_ids
     # a root r that was merged away, or ~r for a root that was labelled
     undo_log: list[int] = []
 
@@ -291,43 +405,9 @@ def enumerate_preserved(structure, require_g: bool = False,
                 size[parent[entry]] -= size[entry]
                 parent[entry] = entry
 
-    # the maps g that every answer respects: f, when every id's slots share
-    # one vertex index, and with require_g the rotations
-    maps = []
-    vertex_of: dict[int, int] = {}
-    if all(vertex_of.setdefault(x, v) == v
-           for row in rows for v, x in enumerate(row)):
-        maps.append([vertex_of[x] for x in incl])
-    order = _image_first(maps[0]) if maps else list(range(nb))
-    if require_g:
-        power = rotation
-        for _ in range(structure.ctx.ring_size - 1):
-            maps.append(power)
-            power = [rotation[p] for p in power]
-    # joining[k] holds the (p, q, g(p), g(q)), p < q, whose last point in
-    # the visiting order is order[k], skipping g(p) = g(q), which always
-    # passes; opening[k] those of them whose last point is neither p nor q,
-    # the only ones that can fail when order[k] opens a block
-    position = [0] * nb
-    for k, p in enumerate(order):
-        position[p] = k
-    joining: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nb)]
-    opening: list[list[tuple[int, int, int, int]]] = [[] for _ in range(nb)]
-    for g in maps:
-        for q in range(nb):
-            for p in range(q):
-                gp, gq = g[p], g[q]
-                if gp != gq:
-                    quad = (p, q, gp, gq)
-                    k = max(position[p], position[q], position[gp],
-                            position[gq])
-                    joining[k].append(quad)
-                    if order[k] != p and order[k] != q:
-                        opening[k].append(quad)
-
     code = [0] * nb
     first: list[int] = []  # first visited point of each block
-    found: dict[tuple[int, ...], Partition] = {}  # by RGS code
+    found: list[tuple[int, ...]] = []  # RGS codes of the answers
 
     def emit() -> None:
         for p in range(nb):
@@ -339,26 +419,27 @@ def enumerate_preserved(structure, require_g: bool = False,
             if x != y:
                 return
         rgs: dict[int, int] = {}
-        groups: list[list] = [[] for _ in first]
-        for p, c in enumerate(code):
-            groups[rgs.setdefault(c, len(rgs))].append(structure.boundary[p])
-        key = tuple(rgs[c] for c in code)
-        found[key] = Partition.from_blocks(groups)
+        key = tuple(rgs.setdefault(code[k], len(rgs)) for k in plan.position)
+        if key not in plan.answers:
+            groups: list[list] = [[] for _ in first]
+            for a, b in zip(structure.boundary, key):
+                groups[b].append(a)
+            plan.answers[key] = Partition.from_blocks(groups)
+        found.append(key)
 
     def rec(k: int) -> None:
         if k == nb:
             emit()
             return
-        i = order[k]
-        root = incl[i]
+        root = incl[k]
         while parent[root] != root:
             root = parent[root]
         forced = label[root]
         opened = len(first)
         for c in (forced,) if forced >= 0 else range(opened + 1):
-            code[i] = c
-            for p, q, gp, gq in opening[k] if c == opened else joining[k]:
-                if code[p] == code[q] and code[gp] != code[gq]:
+            code[k] = c
+            for p, q, h, a, b in opening[k] if c == opened else joining[k]:
+                if code[p] == code[q] and code[a] != code[h] != code[b]:
                     break
             else:
                 mark = len(undo_log)
@@ -366,19 +447,19 @@ def enumerate_preserved(structure, require_g: bool = False,
                     label[root] = c
                     undo_log.append(~root)
                 if c == opened:
-                    first.append(i)
+                    first.append(k)
                     rec(k + 1)
                     first.pop()
                 else:
                     for row in rows:
-                        if not union(row[first[c]], row[i]):
+                        if not union(row[first[c]], row[k]):
                             break
                     else:
                         rec(k + 1)
                 undo(mark)
 
     rec(0)
-    return [found[key] for key in sorted(found)]
+    return [plan.answers[key] for key in sorted(found)]
 
 
 def build_J_plus_minus(structure: MsStructure) -> tuple[Partition, Partition]:
@@ -442,18 +523,37 @@ class _Side:
         self.same = cols @ cols.T > 0
         self.comp = _complement(cols)
         self.start = (self.same & ~np.eye(len(cols), dtype=bool)) * 1.0
+        self._mismatch: dict[bytes, Optional[str]] = {}
 
     def check(self, w: np.ndarray) -> None:
-        """KernelMismatch unless w's support components are the classes."""
+        """KernelMismatch unless w's support components are the classes.
+        The outcome depends only on the support of w, so it is kept per
+        support pattern, by its bytes, as GluingScheme._plan keeps plans."""
+        key = (w > 0).tobytes()
+        if key not in self._mismatch:
+            self._mismatch[key] = self._kernel_mismatch(w)
+        if self._mismatch[key] is not None:
+            raise KernelMismatchError(self._mismatch[key])
+
+    def _kernel_mismatch(self, w: np.ndarray) -> Optional[str]:
         labels = _support_labels(w)
         reach = labels[:, None] == labels
-        if (reach != self.same).any():
-            comps, blocks = (
-                sorted({tuple(v for v, r in zip(self.vertices, row) if r)
-                        for row in mask}) for mask in (reach, self.same))
-            raise KernelMismatchError(
-                "form kernel does not match the relation: support "
+        if not (reach != self.same).any():
+            return None
+        comps, blocks = (
+            sorted({tuple(v for v, r in zip(self.vertices, row) if r)
+                    for row in mask}) for mask in (reach, self.same))
+        return ("form kernel does not match the relation: support "
                 f"components {comps} vs blocks {blocks}")
+
+    @cached_property
+    def class_schemes(self) -> list[tuple[list[int], GluingScheme]]:
+        """Each class, with the one-copy scheme that traces onto it."""
+        ids = tuple(range(len(self.same)))
+        classes = dict.fromkeys(tuple(np.flatnonzero(row).tolist())
+                                for row in self.same)
+        return [(list(c), GluingScheme((ids,), c, len(ids)))
+                for c in classes]
 
     def op(self, w: np.ndarray) -> np.ndarray:
         self.check(w)
@@ -632,11 +732,11 @@ def _block_traces(structure, w: np.ndarray, relation: Partition
     if relation.is_trivial:
         raise ValueError("trivial relation rejected: its block traces give "
                          "the zero form or the original form")
+    side = _side(structure, relation, "relation")
     out = np.zeros_like(w)
-    for block in _index_blocks(structure, relation):
-        one = GluingScheme((tuple(range(len(w))),), tuple(block), len(w))
+    for block, one in side.class_schemes:
         out[np.ix_(block, block)] = one.T(w)
-    _side(structure, relation, "relation").check(out)
+    side.check(out)
     return out
 
 

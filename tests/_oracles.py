@@ -10,7 +10,9 @@ through.
 """
 
 from fractions import Fraction
+import functools
 import math
+import sys
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from fractal_renorm.angles import (critical_angles, kappa, make_context,
                                    phi_n, rotate, validate_ms)
 from fractal_renorm.errors import NonConvergenceError
 from fractal_renorm.gd import GdCellGraph, cell_graph
+from fractal_renorm import relations
 from fractal_renorm.networks import ConductanceForm
 from fractal_renorm.relations import Partition
 from fractal_renorm.structure import build_structure, level_vertices
@@ -335,6 +338,66 @@ def boundary_order_preserved(structure, require_g=False):
 
     rec(0)
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def _glue_arcs(structure):
+    """For the glue-arc rule: the boundary index of phi_n(a) and the cell
+    of each boundary angle a, and arcs[c][d], the boundary indices of the
+    glue points on the arc of the ring of cells from cell c to cell d."""
+    ctx, index = structure.ctx, structure.index
+    ring = ctx.ring_size
+    glue = [index[g] for g in structure.glue_points]
+    arcs = [[[glue[e % ring] for e in range(c, d + ring * (d < c))]
+             for d in range(ring)] for c in range(ring)]
+    return ([index[phi_n(a, ctx.n)] for a in structure.boundary],
+            [structure.cells[a] - 1 for a in structure.boundary], arcs)
+
+
+def glue_arc_preserved(structure, relation):
+    """Whether F(J) = J, with F(J), the level-1 closure of J restricted to
+    the boundary, by the glue-arc rule read off the MS structure's
+    angles: a and a' are related exactly when phi_n(a) ~_J phi_n(a') and
+    one of the two arcs of the ring of cells from the cell of a to that of
+    a' has every glue point (the image of the critical angle between two
+    cells) in phi_n(a)'s block."""
+    f, cell, arcs = _glue_arcs(structure)
+    index = structure.index
+    block = [0] * len(index)
+    for b, members in enumerate(relation.blocks):
+        for a in members:
+            block[index[a]] = b
+
+    def related(p, q):
+        here = block[f[p]]
+        return block[f[q]] == here and any(
+            all(block[g] == here for g in arc)
+            for arc in (arcs[cell[p]][cell[q]], arcs[cell[q]][cell[p]]))
+
+    return all(related(p, q) == (block[p] == block[q])
+               for q in range(len(block)) for p in range(q))
+
+
+def search_counts(structure, require_g=False, cap=None):
+    """enumerate_preserved's answers with the nodes and leaves its search
+    visited: a profile hook counts the calls of its recursion (nodes) and
+    of its leaf test (leaves)."""
+    counts = {"rec": 0, "emit": 0}
+    source = relations.__file__
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name in counts
+                and code.co_filename == source):
+            counts[code.co_name] += 1
+
+    kwargs = {} if cap is None else {"cap": cap}
+    sys.setprofile(hook)
+    try:
+        found = relations.enumerate_preserved(structure, require_g, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return found, counts["rec"], counts["emit"]
 
 
 def rotated_by_angles(structure, relation):

@@ -1,6 +1,8 @@
 """Exact circle arithmetic: contexts, orbits, cells, kappa."""
 
+import copy
 from fractions import Fraction
+import pickle
 import warnings
 
 import pytest
@@ -35,6 +37,25 @@ class TestAngleBasics:
         a = Angle.from_fraction(Fraction(1, 6), 12)
         b = Angle.from_fraction(Fraction(1, 2), 12)
         assert a < b
+
+    @pytest.mark.parametrize("residue,modulus", [(6, 6), (-1, 6), (0, 0)])
+    def test_out_of_range_rejected(self, residue, modulus):
+        with pytest.raises(ValueError):
+            Angle(residue, modulus)
+
+    def test_is_the_plain_tuple(self):
+        a = Angle(5, 12)
+        assert a == (5, 12) and hash(a) == hash((5, 12))
+        assert sorted([Angle(7, 12), a, Angle(5, 10)]) == \
+            [(5, 10), (5, 12), (7, 12)]
+        assert repr(a) == "Angle(residue=5, modulus=12)"
+        assert (a.residue, a.modulus) == (5, 12)
+
+    def test_copy_round_trip(self):
+        a = Angle(5, 12)
+        for b in (copy.copy(a), copy.deepcopy(a),
+                  pickle.loads(pickle.dumps(a))):
+            assert type(b) is Angle and b == a and str(b) == "5/12"
 
     def test_wraparound_normalized(self):
         assert Angle.from_fraction(Fraction(13, 12), 12).residue == 1

@@ -677,6 +677,29 @@ class TestValidateCommand:
         assert main(["validate", str(out)]) == 0
 
 
+    @pytest.mark.parametrize("edit, line", [
+        (lambda r: r["inputs"].update(theta="1/12"),
+         "results.structure.ctx.theta: '1/6', inputs state '1/12'"),
+        (lambda r: r["results"]["structure"].update(symmetrized=True),
+         "results.structure.symmetrized: True, inputs state False"),
+    ], ids=["inputs-theta", "results-symmetrized"])
+    def test_structure_file_context_is_checked_before_a_rerun(
+            self, edit, line, tmp_path, capsys, monkeypatch):
+        # a --structure run states the file's context as its inputs; the
+        # structure in its results must agree before anything is built
+        struct = tmp_path / "s.json"
+        out = tmp_path / "h.json"
+        assert main(["structure", "--n", "2", "--m", "1", "--theta", "1/6",
+                     "--out", str(struct)]) == 0
+        assert main(["solve", "--structure", str(struct),
+                     "--out", str(out)]) == 0
+        counts = count_builds(monkeypatch)
+        code, err = self.validate_edited(out, capsys, edit)
+        assert code == 4
+        assert err == [line]
+        assert not counts
+
+
 class TestOutput:
     def test_stdout_default(self, capsys):
         assert main(["structure", "--n", "2", "--m", "1",

@@ -20,16 +20,19 @@ from fractal_renorm import (
     rotation_invariant, sabot_verdict, solve_eigenform,
     uniqueness_certificate,
 )
+from fractal_renorm import relations
 from fractal_renorm.gd import RELATION_PQ, RELATION_SIDES, cell_graph
 from fractal_renorm.relations import (DEFAULT_ENUM_CAP, _block_traces,
                                       _complement, _image_first,
-                                      _ratio_bounds, _side)
+                                      _ratio_bounds, _search_plan, _side)
 from fractal_renorm.renorm import _boundary_matrix, cone_iteration
+from fractal_renorm.structure import GluingScheme
 from _oracles import (block_cycle_form, block_star_form,
                       boundary_order_preserved, brute_force_preserved,
-                      energy, gd_rho_values, loop_t_quotient,
-                      loop_t_relation, partitions_rgs, quotient_weights,
-                      rotated_by_angles, support_components, valid_contexts)
+                      energy, gd_rho_values, glue_arc_preserved,
+                      loop_t_quotient, loop_t_relation, partitions_rgs,
+                      quotient_weights, rotated_by_angles, search_counts,
+                      support_components, valid_contexts)
 
 SWEEP_FAMILIES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
 # the enumeration's brute-force oracle: every valid theta with q <= 40 and
@@ -326,6 +329,49 @@ class TestEnumeration:
             cell = cell_graph(n, m)
             assert enumerate_preserved(cell) == boundary_order_preserved(cell)
 
+    def test_glue_arc_rule_is_the_closure(self):
+        # F(J) relates p and q exactly when f(p) ~ f(q) and one ring arc
+        # between their copies has every glue vertex in f(p)'s block
+        checked = 0
+        for n, m, theta in BRUTE_FORCE_CONTEXTS:
+            s = ms(n, m, theta)
+            for rel in partitions_rgs(s.boundary):
+                assert glue_arc_preserved(s, rel) == is_preserved(s, rel), \
+                    (n, m, theta, rel)
+                checked += 1
+        assert checked == 42_552
+
+    def test_leaves_are_answers(self):
+        # with the glue-arc implications every leaf that the closure
+        # labels pass is preserved
+        for n, m, theta in valid_contexts(SWEEP_FAMILIES, 60, 12):
+            s = ms(n, m, theta)
+            for require_g in (False, True):
+                found, _, leaves = search_counts(s, require_g)
+                assert leaves == len(found), (n, m, theta, require_g)
+
+    @pytest.mark.parametrize("n,m,theta,nodes,before", [
+        (3, 1, "1/9", (65, 25), (122, 32)),
+        (2, 2, "3/16", (37, 22), (92, 30)),
+        (2, 1, "1/42", (42, 28), (78, 34)),
+    ])
+    def test_node_counts(self, n, m, theta, nodes, before):
+        # before: the search with the f and rotation implications alone
+        s = ms(n, m, theta)
+        counted = tuple(search_counts(s, require_g)[1]
+                        for require_g in (False, True))
+        assert counted == nodes
+        assert all(now <= was for now, was in zip(counted, before))
+
+    def test_full_search_at_boundary_size_24(self):
+        # 477,732 nodes, 251,291 of them failing leaves, without the
+        # glue-arc implications
+        s = ms(2, 2, "1/72")
+        assert len(s.boundary) == 24
+        found, nodes, leaves = search_counts(s, cap=24)
+        assert found == [one_block(s), singletons(s)]
+        assert nodes <= 1_000 and leaves == 2
+
     @pytest.mark.parametrize("f,order", [
         ([1, 2, 0, 0, 3, 3], [0, 2, 1, 3, 4, 5]),
         ([0, 0, 1, 1], [0, 1, 2, 3]),
@@ -347,6 +393,24 @@ class TestEnumeration:
         assert len(found) == 4
         assert set(found) == {singletons(cell), one_block(cell),
                               RELATION_PQ, RELATION_SIDES}
+
+    @pytest.mark.parametrize("n,m", GD_CELLS)
+    def test_gd_cell_has_no_implications(self, n, m):
+        # no f, so neither f nor glue-arc implications: the boundary-order
+        # search with the leaf test alone
+        cell = cell_graph(n, m)
+        plan = _search_plan(cell)
+        assert plan.order == [0, 1, 2, 3]
+        joining, opening = plan.buckets(cell, False)
+        assert joining == opening == [[], [], [], []]
+
+    def test_plan_is_kept_for_both_modes(self):
+        s = ms(2, 1, "1/12")
+        full = enumerate_preserved(s)
+        plan = _search_plan(s)
+        g_only = enumerate_preserved(s, require_g=True)
+        assert _search_plan(s) is plan
+        assert all(any(rel is other for other in full) for rel in g_only)
 
     def test_require_g_needs_closed_boundary(self):
         s = ms(2, 2, "3/16", symmetrize=False)
@@ -467,6 +531,26 @@ class TestOperators:
         split[first[0], first[1]] = split[first[1], first[0]] = 0.0
         with pytest.raises(KernelMismatchError):
             plan.op(split)
+
+    def test_kernel_check_is_kept_per_support(self, monkeypatch):
+        # a mismatching support raises on every call, from one computation
+        s = ms(2, 1, "1/12")
+        rel = opposite_pairs(s)
+        plan = _side(s, rel, "relation")
+        calls = []
+        real = relations._support_labels
+        monkeypatch.setattr(relations, "_support_labels",
+                            lambda w: calls.append(w) or real(w))
+        good = within_block_unit(s, rel)
+        plan.check(good)
+        plan.check(2.0 * good)
+        assert len(calls) == 1
+        full = np.ones((6, 6)) - np.eye(6)
+        for _ in range(2):
+            with pytest.raises(KernelMismatchError,
+                               match="support components"):
+                plan.check(full)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("structure", [
         ("ms", 2, 1, "1/12"), ("ms", 3, 1, "1/9"), ("ms", 2, 1, "1/48"),
@@ -872,6 +956,22 @@ class TestCertificates:
         assert cert.k == 1
         assert cert.trajectory[0] == pytest.approx(hs.eta * 0.5, abs=1e-6)
         assert cert.monotone
+
+    def test_block_schemes_are_kept(self, monkeypatch):
+        # the one-copy block schemes of D_J and their plans are built on
+        # the first certificate only
+        s = ms(2, 1, "1/12")
+        hs = solve_eigenform(s)
+        rel = opposite_pairs(s)
+        built = []
+        real = GluingScheme._build_plan
+        monkeypatch.setattr(GluingScheme, "_build_plan",
+                            lambda self, support: built.append(self)
+                            or real(self, support))
+        first = uniqueness_certificate(s, hs, rel)
+        assert len(built) == 4  # three blocks and the relation side
+        assert uniqueness_certificate(s, hs, rel) == first
+        assert len(built) == 4
 
     def test_trajectory_monotone_for_all_nontrivial(self):
         s = ms(2, 1, "1/12")
