@@ -9,7 +9,8 @@ parser and rebuilds the inputs and solver tolerance it gives the way the
 run does (_command_run); reports.report_errors then requires the stated
 ones to equal them before it reruns the builder on them and compares
 every field. validate_report_details is that one validation, for
-fractal-renorm validate and the library alike.
+fractal-renorm validate and the library alike. main replaces --structure
+FILE by the context flags it stands for, so no report's command reads a file.
 Exit codes: 0 success, 2 invalid input, 3 non-convergence or a cap hit
 (such as a level past the depth cap), 4 internal invariant violation
 (including failed report validation). Reports are deterministic
@@ -69,20 +70,15 @@ def _load_structure(path: str):
 
 def _run_inputs(args) -> dict:
     """A run's report inputs: the structure's fields, when the subcommand
-    has the context flags, followed by the fields its own flags set. Of
-    the structures, only a --structure file's is built here, to check it."""
+    has the context flags, followed by the fields its own flags set."""
     inputs = args.flag_inputs(args)
-    if "structure" not in args:
+    if "theta" not in args:
         return inputs
-    if args.structure:
-        s = _load_structure(args.structure)
-        ctx, symmetrized = s.ctx, s.symmetrized
-    elif args.n is None or args.m is None or args.theta is None:
+    if args.n is None or args.m is None or args.theta is None:
         raise ValueError("give either --structure or all of --n/--m/--theta")
-    else:
-        ctx = make_context(args.n, args.m, args.theta)
-        symmetrized = symmetrize_rule(ctx, args.symmetrize)
-    return structure_inputs(ctx, symmetrized, **inputs)
+    ctx = make_context(args.n, args.m, args.theta)
+    return structure_inputs(ctx, symmetrize_rule(ctx, args.symmetrize),
+                            **inputs)
 
 
 def _cmd_run(args, started: float) -> int:
@@ -129,10 +125,7 @@ def _rho_rows(results: dict) -> list:
 def _command_run(report: dict) -> tuple[dict, float]:
     """The inputs and solver_tol that the report's own command gives,
     rebuilt as a run does; ValueError, with one 'command: ' line, for a
-    command that does not parse, writes another kind or is not a run. A
-    command that reads a --structure file gives its own flags' fields,
-    and the report's stated n, m, theta and symmetrized stand in for the
-    file's."""
+    command that does not parse, writes another kind or is not a run."""
     shown = " ".join(report["command"])
     messages = io.StringIO()
     try:
@@ -147,10 +140,6 @@ def _command_run(report: dict) -> tuple[dict, float]:
     if getattr(flags, "kind", None) != kind:
         raise ValueError(f"command: {shown!r} does not write a {kind!r} "
                          "report")
-    if getattr(flags, "structure", None):
-        stated = report["inputs"]
-        return {key: stated[key] for key in ("n", "m", "theta", "symmetrized")
-                if key in stated} | flags.flag_inputs(flags), flags.tol
     try:
         # the run warned already when it reduced theta into its window
         with warnings.catch_warnings():
@@ -198,17 +187,17 @@ def _cmd_validate(args, started: float) -> int:
 
 
 def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--theta", type=str, default=None,
-                   help="base angle as p/q")
-    sym = p.add_mutually_exclusive_group()
+    ctx = p.add_argument_group("context", "--structure FILE stands for "
+                               "these flags, read from a report in FILE")
+    ctx.add_argument("--n", type=int, default=None)
+    ctx.add_argument("--m", type=int, default=None)
+    ctx.add_argument("--theta", type=str, default=None,
+                     help="base angle as p/q")
+    sym = ctx.add_mutually_exclusive_group()
     sym.add_argument("--symmetrize", dest="symmetrize", action="store_true",
                      default=None, help="close the boundary under rotations")
     sym.add_argument("--no-symmetrize", dest="symmetrize",
                      action="store_false")
-    p.add_argument("--structure", type=str, default=None,
-                   help="read the structure from a JSON report instead")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -304,18 +293,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _expand_structure(argv: list) -> list:
+    """argv with --structure FILE, or --structure=FILE, replaced by the
+    context flags of the MS structure in FILE; ValueError for no FILE, or
+    for a token beside it that argparse may read as a context flag."""
+    at = next((i for i, token in enumerate(argv) if token == "--structure"
+               or token.startswith("--structure=")), None)
+    if at is None:
+        return argv
+    _, given, path = argv[at].partition("=")
+    if not given and at + 1 == len(argv):
+        raise ValueError("argument --structure: expected one argument")
+    head, tail = argv[:at], argv[at + (1 if given else 2):]
+    names = [token.partition("=")[0] for token in head + tail]
+    if any(len(name) > 2 and flag.startswith(name) for name in names
+           for flag in ("--n", "--m", "--theta", "--symmetrize",
+                        "--no-symmetrize", "--structure")):
+        raise ValueError("give either --structure or all of --n/--m/--theta")
+    s = _load_structure(path if given else argv[at + 1])
+    return head + ["--n", str(s.ctx.n), "--m", str(s.ctx.m),
+                   "--theta", str(s.ctx.theta),
+                   "--symmetrize" if s.symmetrized else "--no-symmetrize",
+                   *tail]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        args = build_parser().parse_args(list(argv))
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return EXIT_OK if code == 0 else EXIT_INVALID_INPUT
-    args.command_echo = list(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     try:
+        argv = _expand_structure(argv)
+        args = build_parser().parse_args(argv)
+        args.command_echo = argv
         return args.handler(args, started)
+    except SystemExit as exc:  # argparse: --help, --version or a bad flag
+        code = exc.code if isinstance(exc.code, int) else 2
+        return EXIT_OK if code == 0 else EXIT_INVALID_INPUT
     except _BUDGET_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

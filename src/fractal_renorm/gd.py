@@ -22,11 +22,12 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .errors import DepthCapError
 from .networks import ConductanceForm
 from .relations import Partition
 from .renorm import (DEFAULT_MAX_ITER, DEFAULT_TOL, HarmonicStructure,
                      _eta_bounds, _no_convergence, _normalized_iteration)
-from .structure import GluingScheme, glue_copies
+from .structure import MAX_LEVEL_VERTICES, GluingScheme, glue_copies
 
 CORNER_ORDER = ("pl", "ql", "pr", "qr")  # images of (p_k, q_k, p_k+1, q_k+1)
 FORM_VERTICES = ("p0", "q0", "p1", "q1")
@@ -104,8 +105,13 @@ class GdStructure:
 
 
 def build_gd_structure(n: int, m: int) -> GdStructure:
-    """Glue all cells; the vertex count comes out to 2(m+n)^2."""
+    """Glue all cells; the vertex count comes out to 2(m+n)^2, and one
+    above MAX_LEVEL_VERTICES is refused before any cell is built."""
+    _check_orders(n, m)
     ring = m + n
+    if 2 * ring * ring > MAX_LEVEL_VERTICES:
+        raise DepthCapError(f"the gd structure has {2 * ring * ring} "
+                            f"vertices, above the cap of {MAX_LEVEL_VERTICES}")
     cells = [cell_graph(n, m, cell).scheme for cell in range(ring)]
     # the right corners (p, q) of cell c are the left ones of cell c+1
     pairs = [((cell, cells[cell].marked[2 + k]),

@@ -529,30 +529,12 @@ def _envelope_errors(report) -> list[str]:
     return errors
 
 
-def _stated_structure_errors(results: dict, inputs: dict) -> list[str]:
-    """One line per context field where the structure that the results
-    carry (the structure and harmonic kinds) differs from the inputs. A
-    run from a --structure file states the file's context as its inputs,
-    so this is what ties them to the results before anything is built."""
-    stated = results.get("structure")
-    if not isinstance(stated, dict):
-        return []
-    ctx = stated.get("ctx")
-    fields = {f"ctx.{key}": (ctx.get(key) if isinstance(ctx, dict) else None,
-                             inputs.get(key)) for key in ("n", "m", "theta")}
-    fields["symmetrized"] = stated.get("symmetrized"), inputs.get("symmetrized")
-    return [f"results.structure.{name}: {_brief(got)}, inputs state "
-            f"{_brief(want)}" for name, (got, want) in fields.items()
-            if type(got) is not type(want) or got != want]
-
-
 def report_errors(report: dict, inputs: dict, solver_tol: float
                   ) -> list[str]:
     """Validation of a report inside the envelope against the inputs and
     solver_tol its command gives; an empty list means valid. The stated
     inputs, and the stated solver_tol if any, must equal those, or
-    nothing is built, and so must the context of a structure that the
-    results carry. Then the kind's builder reruns on them, its
+    nothing is built. Then the kind's builder reruns on them, its
     tolerances must be stated exactly and its results within _diff's
     rules, and the kind's consistency checks run."""
     kind = report["results"]["kind"]
@@ -561,9 +543,6 @@ def report_errors(report: dict, inputs: dict, solver_tol: float
     if "solver_tol" in report["tolerances"]:
         _diff("tolerances.solver_tol", report["tolerances"]["solver_tol"],
               solver_tol, errors, 0.0)
-    if errors:
-        return errors
-    errors = _stated_structure_errors(report["results"], inputs)
     if errors:
         return errors
     try:

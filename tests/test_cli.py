@@ -55,6 +55,23 @@ KIND_RUNS = {
 }
 
 
+# the runs of the MS kinds that take --structure, split around the context
+STRUCTURE_RUNS = {
+    "solve": (["solve"], []),
+    "resistance": (["resistance"], ["--level", "2"]),
+    "flows": (["flows"], ["--values", "1,0,0"]),
+    "relations": (["relations"], []),
+}
+
+
+def structure_file(tmp_path) -> Path:
+    """The (2,1,1/6) structure report, written for --structure."""
+    path = tmp_path / "s.json"
+    assert main(["structure", "--n", "2", "--m", "1", "--theta", "1/6",
+                 "--out", str(path)]) == 0
+    return path
+
+
 def count_builds(monkeypatch) -> Counter:
     """Counts of the outermost calls of the three subject builders, on
     every module of the package that binds them, so build_gd_structure's
@@ -335,6 +352,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path}: not an MS structure, {what}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "3"], ["--theta=1/12"], ["--no-symmetrize"], ["--the", "1/12"],
+        ["--structure", "s.json"],
+    ], ids=["n", "theta=", "no-symmetrize", "abbreviated", "structure"])
+    def test_structure_beside_a_context_flag_is_refused(self, flags,
+                                                        tmp_path, capsys):
+        # --structure stands for all the context flags, so one more is
+        # ambiguous: refused before the file is read
+        struct = structure_file(tmp_path)
+        out = tmp_path / "h.json"
+        assert main(["solve", "--structure", str(struct), *flags,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: give either --structure or all of --n/--m/--theta\n")
+        assert not out.exists()
+
+    def test_structure_without_a_file(self, capsys):
+        assert main(["solve", "--structure"]) == 2
+        err = capsys.readouterr().err
+        assert "--structure: expected one argument" in err
+        assert "Traceback" not in err
+
+    def test_gd_build_over_the_vertex_cap(self, monkeypatch, capsys):
+        # 2(m+n)^2 = 1,002,528 vertices: refused before any cell is built
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a cell was built")
+
+        monkeypatch.setattr(gd, "cell_graph", must_not_run)
+        assert main(["gd", "build", "--n", "700", "--m", "8"]) == 3
+        assert "1002528 vertices" in capsys.readouterr().err
 
     def test_version_flag(self):
         assert main(["--version"]) == 0
@@ -665,38 +713,62 @@ class TestValidateCommand:
         assert main(["validate", str(out)]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_context_from_a_structure_file_is_not_compared(self, tmp_path,
-                                                          capsys):
-        struct = tmp_path / "s.json"
-        out = tmp_path / "h.json"
-        assert main(["structure", "--n", "2", "--m", "1", "--theta", "1/6",
-                     "--out", str(struct)]) == 0
-        assert main(["solve", "--structure", str(struct), "--n", "3",
+    @pytest.mark.parametrize("kind", list(STRUCTURE_RUNS))
+    def test_structure_run_records_its_context(self, kind, tmp_path):
+        # the command names the context flags the file stands for, so it
+        # validates and reruns without the file
+        struct = structure_file(tmp_path)
+        out = tmp_path / "r.json"
+        head, tail = STRUCTURE_RUNS[kind]
+        assert main([*head, "--structure", str(struct), *tail,
                      "--out", str(out)]) == 0
-        assert load(out)["inputs"]["n"] == 2
+        first = out.read_text(encoding="utf-8")
+        command = json.loads(first)["command"]
+        assert command == [*head, "--n", "2", "--m", "1", "--theta", "1/6",
+                           "--no-symmetrize", *tail, "--out", str(out)]
+        struct.unlink()
         assert main(["validate", str(out)]) == 0
+        assert main(command) == 0
+        assert strip_wall_time(out.read_text(encoding="utf-8")) == \
+            strip_wall_time(first)
 
-
-    @pytest.mark.parametrize("edit, line", [
-        (lambda r: r["inputs"].update(theta="1/12"),
-         "results.structure.ctx.theta: '1/6', inputs state '1/12'"),
-        (lambda r: r["results"]["structure"].update(symmetrized=True),
-         "results.structure.symmetrized: True, inputs state False"),
-    ], ids=["inputs-theta", "results-symmetrized"])
+    @pytest.mark.parametrize("kind, edit, line", [
+        *[(kind, lambda r: r["inputs"].update(theta="1/1000"),
+           "inputs.theta: '1/1000', recomputed '1/6'")
+          for kind in STRUCTURE_RUNS],
+        ("solve", lambda r: r["results"]["structure"].update(symmetrized=True),
+         "results.structure.symmetrized: True, recomputed False"),
+    ], ids=["inputs-theta", "inputs-theta-resistance", "inputs-theta-flows",
+            "inputs-theta-relations", "results-symmetrized"])
     def test_structure_file_context_is_checked_before_a_rerun(
-            self, edit, line, tmp_path, capsys, monkeypatch):
-        # a --structure run states the file's context as its inputs; the
-        # structure in its results must agree before anything is built
-        struct = tmp_path / "s.json"
-        out = tmp_path / "h.json"
-        assert main(["structure", "--n", "2", "--m", "1", "--theta", "1/6",
-                     "--out", str(struct)]) == 0
-        assert main(["solve", "--structure", str(struct),
-                     "--out", str(out)]) == 0
+            self, kind, edit, line, tmp_path, capsys, monkeypatch):
+        # a --structure run records its context as flags, so an edited
+        # input is named before anything is built, and an edited result
+        # by the rerun of the recorded context
+        head, tail = STRUCTURE_RUNS[kind]
+        out = tmp_path / "r.json"
+        assert main([*head, "--structure", str(structure_file(tmp_path)),
+                     *tail, "--out", str(out)]) == 0
         counts = count_builds(monkeypatch)
         code, err = self.validate_edited(out, capsys, edit)
         assert code == 4
         assert err == [line]
+        assert counts == (Counter() if line.startswith("inputs.")
+                          else Counter(build_structure=1))
+
+    def test_command_naming_a_structure_file_fails(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a report written when a command could read a file: validate
+        # reads none, so the command does not parse as a run
+        struct = structure_file(tmp_path)
+        out = tmp_path / "h.json"
+        assert main(["solve", "--structure", str(struct),
+                     "--out", str(out)]) == 0
+        counts = count_builds(monkeypatch)
+        code, err = self.validate_edited(out, capsys, lambda r: r.update(
+            command=["solve", "--structure", str(struct), "--out", str(out)]))
+        assert code == 4
+        assert len(err) == 1 and err[0].startswith("command: "), err
         assert not counts
 
 
@@ -731,6 +803,21 @@ class TestOutput:
         assert main(["solve", "--structure", str(s_path),
                      "--out", str(via)]) == 0
         assert load(direct)["results"] == load(via)["results"]
+
+    def test_structure_equals_form(self, tmp_path, capsys):
+        struct = structure_file(tmp_path)
+        capsys.readouterr()
+        reports = []
+        for flag in (["--structure", str(struct)], [f"--structure={struct}"]):
+            assert main(["solve", *flag]) == 0
+            reports.append(strip_wall_time(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("sub", ["structure", "solve", "relations",
+                                     "resistance", "flows"])
+    def test_help_names_the_structure_file(self, sub, capsys):
+        assert main([sub, "--help"]) == 0
+        assert "--structure FILE" in capsys.readouterr().out
 
     def test_solve_eta_inverse_value(self, tmp_path):
         out = tmp_path / "h.json"
