@@ -3,15 +3,16 @@
 Angles live on the circle R/Z. For a parameter pair (n, m) with base angle
 theta, every set this package cares about stays on the finite lattice
 {0, 1/M, ..., (M-1)/M} where M = lcm(den(theta), m + n), so angles are stored
-as integer residues modulo M and all dynamics is integer arithmetic. No
-floating point enters before network computations.
+as integer residues modulo M; all dynamics is integer arithmetic, Angles are
+made only for results, and floats enter only in network computations.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import count
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Union
 
@@ -62,8 +63,8 @@ class Angle(tuple):
         return Fraction(self.residue, self.modulus)
 
     def __str__(self) -> str:
-        frac = self.as_fraction()
-        return f"{frac.numerator}/{frac.denominator}"
+        g = gcd(self[0], self[1])  # gcd(0, M) is M: zero prints 0/1
+        return f"{self[0] // g}/{self[1] // g}"
 
 
 def parse_angle(text: str, modulus: int) -> Angle:
@@ -108,23 +109,24 @@ def make_context(n: int, m: int, theta: AngleLike) -> AngleContext:
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     if isinstance(theta, Angle):
-        frac = theta.as_fraction()
+        num, den = theta
     else:
-        try:
-            frac = Fraction(theta)
+        try:  # only text and other numbers are parsed
+            frac = (theta if isinstance(theta, (int, Fraction))
+                    else Fraction(theta))
         except ZeroDivisionError:
             raise ValueError(f"theta {theta}: zero denominator") from None
-    frac %= 1
+        num, den = frac.numerator, frac.denominator
     ring = m + n
-    window = Fraction(1, ring)
-    if frac >= window:
-        reduced = frac % window
+    num %= den
+    if num * ring >= den:  # theta mod 1/ring is (num*ring mod den)/(den*ring)
+        reduced = num * ring % den
         warnings.warn(
-            f"theta {frac} reduced to canonical representative {reduced} "
-            f"in [0, 1/{ring})")
-        frac = reduced
-    modulus = lcm(frac.denominator, ring)
-    return AngleContext(n=n, m=m, theta=Angle(int(frac * modulus), modulus),
+            f"theta {Fraction(num, den)} reduced to canonical representative "
+            f"{Fraction(reduced, den * ring)} in [0, 1/{ring})")
+        num, den = reduced, den * ring
+    modulus = lcm(den // gcd(num, den), ring)
+    return AngleContext(n=n, m=m, theta=Angle(num * modulus // den, modulus),
                         modulus=modulus)
 
 
@@ -156,19 +158,6 @@ def critical_angles(ctx: AngleContext) -> tuple[Angle, ...]:
     return tuple(rotate(ctx, ctx.theta, i) for i in range(1, ctx.ring_size + 1))
 
 
-def post_critical_set(ctx: AngleContext) -> tuple[Angle, ...]:
-    """Forward orbit of the images of the critical angles, sorted.
-
-    The orbit is finite because everything lives on the modulus lattice.
-    """
-    frontier = {phi_n(c, ctx.n) for c in critical_angles(ctx)}
-    seen: set[Angle] = set()
-    while frontier:
-        seen |= frontier
-        frontier = {phi_n(a, ctx.n) for a in frontier} - seen
-    return tuple(sorted(seen))
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     """Outcome of the separation check between orbit and critical angles.
@@ -184,26 +173,43 @@ class ValidityReport:
         return self.valid
 
 
+def critical_orbits(ctx: AngleContext) -> tuple[ValidityReport, list[int]]:
+    """validate_ms's report and the sorted post-critical residues, from one
+    walk of the critical orbits. Orbit i stops where it repeats or, while
+    no orbit has met a critical angle, where it joins an earlier orbit;
+    its first critical hit is the violation (i, k, j)."""
+    modulus, n = ctx.modulus, ctx.n
+    crit = {(ctx.theta[0] + i * ctx.step) % modulus: i
+            for i in range(1, ctx.ring_size + 1)}
+    post: set[int] = set()
+    violations = []
+    for a, i in crit.items():
+        seen: set[int] = set()
+        for k in count(1):
+            a = a * n % modulus
+            if a in seen or not violations and a in post:
+                break
+            if a in crit and (not violations or violations[-1][0] != i):
+                violations.append((i, k, crit[a]))
+            seen.add(a)
+        post |= seen
+    return ValidityReport(not violations, tuple(violations)), sorted(post)
+
+
+def post_critical_set(ctx: AngleContext) -> tuple[Angle, ...]:
+    """Forward orbit of the images of the critical angles, sorted.
+
+    The orbit is finite because everything lives on the modulus lattice.
+    """
+    return tuple(Angle(r, ctx.modulus) for r in critical_orbits(ctx)[1])
+
+
 def validate_ms(ctx: AngleContext) -> ValidityReport:
     """Check that the forward orbit never returns to a critical angle.
 
     Always returns a report; an invalid context is a result, not an error.
     """
-    crits = critical_angles(ctx)
-    crit_index = {c: i + 1 for i, c in enumerate(crits)}
-    violations = []
-    for i, c in enumerate(crits, start=1):
-        a = c
-        seen = set()
-        for k in range(1, ctx.modulus + 1):
-            a = phi_n(a, ctx.n)
-            if a in crit_index:
-                violations.append((i, k, crit_index[a]))
-                break
-            if a in seen:
-                break
-            seen.add(a)
-    return ValidityReport(valid=not violations, violations=tuple(violations))
+    return critical_orbits(ctx)[0]
 
 
 def cell_index(ctx: AngleContext, a: Angle) -> int:
@@ -223,13 +229,10 @@ def kappa(ctx: AngleContext) -> tuple[int, ...]:
 
     Returned as a tuple K with K[i-1] = kappa(i), 1-based values.
     """
-    ring = ctx.ring_size
-    crits = critical_angles(ctx)
     inverse: dict[int, int] = {}
-    for j, c in enumerate(crits, start=1):
-        image = phi_n(c, ctx.n)
+    for j, c in enumerate(critical_angles(ctx), start=1):
         try:
-            cell = cell_index(ctx, image)
+            cell = cell_index(ctx, phi_n(c, ctx.n))
         except CriticalAngleError as exc:
             raise NotAPermutationError(
                 f"image of critical angle {j} is itself critical; "
@@ -239,13 +242,11 @@ def kappa(ctx: AngleContext) -> tuple[int, ...]:
                 f"critical angles {inverse[cell]} and {j} both map into "
                 f"cell {cell}")
         inverse[cell] = j
-    return tuple(inverse[i] for i in range(1, ring + 1))
+    return tuple(inverse[i] for i in range(1, ctx.ring_size + 1))
 
 
 def symmetrized_set(ctx: AngleContext, angles: Iterable[Angle]) -> tuple[Angle, ...]:
     """Closure of a set of angles under all rotations by l/(m+n), sorted."""
-    out: set[Angle] = set()
-    for a in angles:
-        for l in range(ctx.ring_size):
-            out.add(rotate(ctx, a, l))
-    return tuple(sorted(out))
+    return tuple(Angle(r, ctx.modulus) for r in sorted(
+        {(a.residue + l * ctx.step) % ctx.modulus
+         for a in angles for l in range(ctx.ring_size)}))

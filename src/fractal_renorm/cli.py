@@ -318,25 +318,30 @@ def _expand_structure(argv: list) -> list:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; each warning it raises is one 'warning: ' line."""
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
-    try:
-        argv = _expand_structure(argv)
-        args = build_parser().parse_args(argv)
-        args.command_echo = argv
-        return args.handler(args, started)
-    except SystemExit as exc:  # argparse: --help, --version or a bad flag
-        code = exc.code if isinstance(exc.code, int) else 2
-        return EXIT_OK if code == 0 else EXIT_INVALID_INPUT
-    except _BUDGET_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except AssertionError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # a fresh registry for this run
+        warnings.showwarning = lambda message, *_: print(
+            f"warning: {message}", file=sys.stderr)
+        try:
+            argv = _expand_structure(argv)
+            args = build_parser().parse_args(argv)
+            args.command_echo = argv
+            return args.handler(args, started)
+        except SystemExit as exc:  # argparse: --help, --version or a bad flag
+            code = exc.code if isinstance(exc.code, int) else 2
+            return EXIT_OK if code == 0 else EXIT_INVALID_INPUT
+        except _BUDGET_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
+        except _INPUT_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID_INPUT
+        except AssertionError as exc:
+            print(f"internal invariant violation: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
 
 
 run = main

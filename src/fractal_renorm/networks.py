@@ -19,6 +19,7 @@ tests/_oracles.pinv_schur_trace stays the reference.
 """
 from __future__ import annotations
 
+from itertools import count
 from typing import Hashable, Iterable, Sequence, Tuple
 
 import numpy as np
@@ -52,9 +53,11 @@ class DisjointSet:
 
     def canonical_ids(self) -> tuple[list[int], int]:
         """Map each element to a dense id, numbered in root order."""
-        roots = sorted({self.find(x) for x in range(len(self.parent))})
-        index = {r: i for i, r in enumerate(roots)}
-        return [index[self.find(x)] for x in range(len(self.parent))], len(roots)
+        ids: list[int] = []
+        fresh = count()  # a root is least in its class, parents come first
+        for x, p in enumerate(self.parent):
+            ids.append(ids[p] if p < x else next(fresh))
+        return ids, next(fresh)
 
 
 class ConductanceForm:

@@ -174,9 +174,9 @@ def _image_first(f: Sequence[int]) -> list[int]:
     """The points of a self-map f of range(len(f)), each after its image
     but for one point per cycle: each cycle walked backwards from its
     least point, then the other points breadth first by preimages."""
-    periodic = set(range(len(f)))
-    for _ in f:
-        periodic = {f[p] for p in periodic}
+    periodic = set(f)
+    while len(image := {f[p] for p in periodic}) < len(periodic):
+        periodic = image
     order: list[int] = []
     for p in sorted(periodic):
         while p not in order:
@@ -188,11 +188,12 @@ def _image_first(f: Sequence[int]) -> list[int]:
     return order
 
 
-def _implications(g: Sequence[int]) -> list[tuple[int, ...]]:
-    """p ~ q => g(p) ~ g(q), as (p, q, g(p), g(q), g(q)), for each pair
-    p < q that g does not join."""
-    return [(p, q, g[p], g[q], g[q]) for q in range(len(g)) for p in range(q)
-            if g[p] != g[q]]
+def _implications(g: Sequence[int]) -> list[tuple]:
+    """p ~ q => g(p) ~ g(q), as (k, (p, q, g(p), g(q), g(q))) with k the
+    last of its points, for each pair p < q that g does not join."""
+    return [(gp if gp > top else top, (p, q, gp, gq, gq))
+            for q, gq in enumerate(g) for top in [q if q > gq else gq]
+            for p, gp in enumerate(g[:q]) if gp != gq]
 
 
 class _SearchPlan:
@@ -203,25 +204,27 @@ class _SearchPlan:
 
     An implication (p, q, h, a, b), p < q, says that no relation with
     p ~ q but neither h ~ a nor h ~ b is preserved. buckets(require_g)
-    files each under the last of its points, k: joining[k] holds them
-    all, and opening[k] those with q != k, the only ones that can fail
-    where k opens a block, which relates k to no other point. answers
-    keeps each answer by its RGS code, for both modes.
+    files each under the last of its points, k, generated with it:
+    joining[k] holds them all, and opening[k] those with q != k, the only
+    ones that can fail where k opens a block, which relates k to no other
+    point. answers keeps each answer by its RGS code, for both modes.
     """
 
     def __init__(self, structure):
         scheme = structure.scheme
-        nb = len(scheme.marked)
-        vertex_of: dict[int, int] = {}
+        rows, nb = scheme.rows, len(scheme.marked)
+        # an id's vertex in its first copy
+        vertex_of = {x: v for row in reversed(rows) for v, x in enumerate(row)}
+        identity = list(range(nb))
         f = None
-        if all(vertex_of.setdefault(x, v) == v
-               for row in scheme.rows for v, x in enumerate(row)):
+        if all(list(map(vertex_of.__getitem__, row)) == identity
+               for row in rows):
             f = [vertex_of[x] for x in scheme.marked]
-        self.order = _image_first(f) if f else list(range(nb))
+        self.order = _image_first(f) if f else identity
         self.position = [0] * nb
         for k, p in enumerate(self.order):
             self.position[p] = k
-        self.rows = [[row[p] for p in self.order] for row in scheme.rows]
+        self.rows = [[row[p] for p in self.order] for row in rows]
         self.incl = [scheme.marked[p] for p in self.order]
         self.answers: dict[tuple[int, ...], Partition] = {}
         self._buckets = {False: ([[] for _ in self.order],
@@ -234,43 +237,38 @@ class _SearchPlan:
         """A self-map of the boundary indices, in visiting positions."""
         return [self.position[g[p]] for p in self.order]
 
-    def _arc_implications(self, f: list[int]) -> list[tuple[int, ...]]:
-        """(p, q, h, a, b) for p and q in different copies, h the first of
-        f(p) and f(q), and glue vertices a and b, one from each of the two
-        ring arcs between those copies; a glue vertex x on both arcs gives
-        (p, q, h, x, x) alone. Glue vertices equal to f(p) or f(q) are
-        left out: the block of f(p) holds them, so an arc of only such
-        vertices always joins the two copies."""
-        rows, ring, nb = self.rows, len(self.rows), len(f)
-        glue = []  # glue[c] is the vertex that copies c and c+1 share
-        for row, nxt in zip(rows, rows[1:] + rows[:1]):
-            (v,) = [v for v in range(nb) if row[v] == nxt[v]]
-            glue.append(v)
-        copy = [next(c for c, row in enumerate(rows) if x in row)
-                for x in self.incl]
-        pairs = {}  # the (a, b) of copies c < d
+    def _arc_implications(self, f: list[int]) -> list[tuple]:
+        """(k, (p, q, h, a, b)), k the last point, for p and q in
+        different copies, h the first of f(p) and f(q), and glue vertices
+        a and b, one from each of the two ring arcs between those copies;
+        a glue vertex x on both arcs gives (p, q, h, x, x) alone. Glue
+        vertices equal to f(p) or f(q) are left out: the block of f(p)
+        holds them, so an arc of only such vertices joins the copies."""
+        rows, ring = self.rows, len(self.rows)
+        # glue[c] is the vertex that copies c and c+1 share
+        glue = [row.index(x) for row, nxt in zip(rows, rows[1:] + rows[:1])
+                for (x,) in [set(row).intersection(nxt)]]
+        copy_of = {x: c for c in reversed(range(ring)) for x in rows[c]}
+        copy = [copy_of[x] for x in self.incl]  # each id's first copy
+        pairs = {}  # (a, b, the last of a and b) for copies c and d
         for d in range(ring):
             for c in range(d):
-                one = set(glue[c:d])
-                other = set(glue[d:] + glue[:c])
-                pairs[c, d] = [(x, x) for x in sorted(one & other)] + [
-                    (a, b) for a in sorted(one - other)
-                    for b in sorted(other - one)]
-        out = []
-        for q in range(nb):
-            for p in range(q):
-                c, d = copy[p], copy[q]
-                if c != d:
-                    h, t = (f[p], f[q]) if f[p] < f[q] else (f[q], f[p])
-                    out += [(p, q, h, a, b) for a, b in pairs[
-                        (c, d) if c < d else (d, c)]
-                            if a != h and a != t and b != h and b != t]
-        return out
+                one, other = set(glue[c:d]), set(glue[d:] + glue[:c])
+                pairs[c, d] = pairs[d, c] = [
+                    (x, x, x) for x in one & other] + [
+                    (a, b, a if a > b else b)
+                    for a in one - other for b in other - one]
+        return [(top if top > last else last, (p, q, h, a, b))
+                for q, (d, fq) in enumerate(zip(copy, f))
+                for p, c, fp in zip(range(q), copy, f) if c != d
+                for h, t in [(fp, fq) if fp < fq else (fq, fp)]
+                for top in [q if q > h else h]
+                for a, b, last in pairs[c, d]
+                if a != h and a != t and b != h and b != t]
 
     def _add(self, require_g: bool, implications: list) -> None:
         joining, opening = self._buckets[require_g]
-        for imp in implications:
-            k = max(imp)
+        for k, imp in implications:
             joining[k].append(imp)
             if k != imp[1]:
                 opening[k].append(imp)
@@ -396,15 +394,6 @@ def enumerate_preserved(structure, require_g: bool = False,
             undo_log.append(~x)
         return True
 
-    def undo(mark: int) -> None:
-        while len(undo_log) > mark:
-            entry = undo_log.pop()
-            if entry < 0:
-                label[~entry] = -1
-            else:
-                size[parent[entry]] -= size[entry]
-                parent[entry] = entry
-
     code = [0] * nb
     first: list[int] = []  # first visited point of each block
     found: list[tuple[int, ...]] = []  # RGS codes of the answers
@@ -456,7 +445,13 @@ def enumerate_preserved(structure, require_g: bool = False,
                             break
                     else:
                         rec(k + 1)
-                undo(mark)
+                while len(undo_log) > mark:  # undo
+                    entry = undo_log.pop()
+                    if entry < 0:
+                        label[~entry] = -1
+                    else:
+                        size[parent[entry]] -= size[entry]
+                        parent[entry] = entry
 
     rec(0)
     return [plan.answers[key] for key in sorted(found)]
@@ -476,29 +471,15 @@ def build_J_plus_minus(structure: MsStructure) -> tuple[Partition, Partition]:
     except NotAPermutationError as exc:
         raise KappaUndefinedError(str(exc)) from exc
     crits = critical_angles(ctx)
-    ring = ctx.ring_size
-
-    def images(shift: int) -> set[frozenset]:
-        gens = set()
-        for i in range(1, ring + 1):
-            c = crits[(i - 1 + shift) % ring]
-            x = phi_n(crits[perm[i - 1] - 1], ctx.n)
-            if c != x:
-                gens.add(frozenset((c, x)))
-        return gens
-
     results = []
     for shift in (0, -1):
-        edges = images(shift)
-        frontier = set(edges)
-        while frontier:
-            step = set()
-            for e in frontier:
-                image = frozenset(phi_n(a, ctx.n) for a in e)
-                if len(image) == 2 and image not in edges:
-                    step.add(image)
-            edges |= step
-            frontier = step
+        new = {frozenset((crits[(i + shift) % len(perm)],
+                          phi_n(crits[k - 1], ctx.n)))
+               for i, k in enumerate(perm)}
+        edges: set[frozenset] = set()
+        while new := {e for e in new if len(e) == 2} - edges:
+            edges |= new
+            new = {frozenset(phi_n(a, ctx.n) for a in e) for e in new}
         nodes = sorted(set(structure.boundary)
                        | {a for e in edges for a in e})
         relation = Partition.from_pairs(nodes, [tuple(e) for e in edges])

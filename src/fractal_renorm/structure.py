@@ -1,10 +1,13 @@
 """Cell structure on the post-critical set and its glued refinements.
 
 The level-0 vertex set is the post-critical set (optionally closed under
-rotations). Level k arises from m+n copies of level k-1 glued along the
-images of the critical angles; each level is a GluingScheme of those
-copies, over plain integer ids, and glue_copies is the one gluing step
-that MS levels and graph-directed cells share.
+rotations), built on residues mod the context's modulus: Angle objects
+are made once, for the boundary, glue points and cell keys, and the
+rotation and level-1 inclusion look residues up in slot. Level k arises
+from m+n copies of level k-1 glued along the images of the critical
+angles; each level is a GluingScheme of those copies, over plain integer
+ids, and glue_copies is the one gluing step that MS levels and
+graph-directed cells share.
 """
 from __future__ import annotations
 
@@ -18,9 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import networks
-from .angles import (Angle, AngleContext, cell_index, critical_angles,
-                     make_context, phi_n, post_critical_set, rotate,
-                     symmetrized_set, validate_ms)
+from .angles import Angle, AngleContext, critical_orbits, make_context
 from .errors import DepthCapError, InvalidMsError
 from .networks import NEGATIVE_WEIGHT_WARN, DisjointSet
 
@@ -150,9 +151,10 @@ class GluingScheme:
 class MsStructure:
     """Level-0 data: boundary angles, gluing angles, and cell membership.
 
-    boundary is sorted by circle position. glue_points[i] is the image of
-    the i-th critical angle (1-based i, stored 0-based); these are the
-    angles along which adjacent copies are glued at the next level.
+    boundary is sorted by circle position, and cells is keyed in its
+    order. glue_points[i] is the image of the i-th critical angle (1-based
+    i, stored 0-based); these are the angles along which adjacent copies
+    are glued at the next level.
     """
 
     ctx: AngleContext
@@ -166,11 +168,16 @@ class MsStructure:
         return {a: i for i, a in enumerate(self.boundary)}
 
     @cached_property
+    def slot(self) -> Mapping[int, int]:
+        """The boundary index of each boundary residue."""
+        return {a[0]: i for i, a in enumerate(self.boundary)}
+
+    @cached_property
     def rotation(self) -> Optional[tuple[int, ...]]:
         """rotation[i] is the boundary index of boundary[i] rotated by
         1/(m+n), or None when the boundary is not rotation-closed."""
-        rotated = [self.index.get(rotate(self.ctx, a, 1))
-                   for a in self.boundary]
+        slot, step, modulus = self.slot, self.ctx.step, self.ctx.modulus
+        rotated = [slot.get((r + step) % modulus) for r, _ in self.boundary]
         return None if None in rotated else tuple(rotated)
 
     @cached_property
@@ -191,16 +198,21 @@ def build_structure(ctx: AngleContext,
     closed under rotations as symmetrize_rule(ctx, symmetrize) says. An
     invalid context (orbit meeting the critical angles) raises InvalidMs.
     """
-    report = validate_ms(ctx)
+    report, base = critical_orbits(ctx)
     if not report.valid:
         raise InvalidMsError(
             f"orbit returns to the critical angles: {report.violations}",
             report=report)
-    base = post_critical_set(ctx)
     symmetrize = symmetrize_rule(ctx, symmetrize)
-    boundary = symmetrized_set(ctx, base) if symmetrize else base
-    glue = tuple(phi_n(c, ctx.n) for c in critical_angles(ctx))
-    cells = {a: cell_index(ctx, a) for a in boundary}
+    modulus, step, t = ctx.modulus, ctx.step, ctx.theta[0]
+    if symmetrize:  # closed under the rotations by step
+        base = sorted({(r + l * step) % modulus
+                       for r in base for l in range(ctx.ring_size)})
+    boundary = tuple(Angle(r, modulus) for r in base)
+    glue = tuple(Angle((t + i * step) * ctx.n % modulus, modulus)
+                 for i in range(1, ctx.ring_size + 1))
+    # a valid orbit misses the critical angles, so no offset is 0 mod step
+    cells = {a: (a[0] - t) % modulus // step + 1 for a in boundary}
     return MsStructure(ctx=ctx, boundary=boundary, glue_points=glue,
                        cells=cells, symmetrized=symmetrize)
 
@@ -226,19 +238,17 @@ def _next_level(structure: MsStructure, prev: GluingScheme,
                 boundary: Sequence[int]) -> GluingScheme:
     """Level k from level k-1 (prev) and the level-(k-1) ids of the
     level-0 boundary."""
-    ring = structure.ctx.ring_size
-    glue = [boundary[structure.index[r]] for r in structure.glue_points]
+    ctx, slot, ring = structure.ctx, structure.slot, structure.ctx.ring_size
+    glue = [boundary[slot[r]] for r, _ in structure.glue_points]
     rows, count = glue_copies(ring, prev.num_ids,
                               (((i, g), ((i + 1) % ring, g))
                                for i, g in enumerate(glue)))
     if count != ring * (prev.num_ids - 1):
         raise AssertionError(
             f"glued vertex count {count} != {ring}*({prev.num_ids}-1)")
-    if not prev.rows:
-        ctx = structure.ctx
-        marked = tuple(
-            rows[structure.cells[a] - 1][structure.index[phi_n(a, ctx.n)]]
-            for a in structure.boundary)
+    if not prev.rows:  # boundary point a goes to phi_n(a) in its cell
+        marked = tuple(rows[cell - 1][slot[a[0] * ctx.n % ctx.modulus]]
+                       for a, cell in structure.cells.items())
     else:
         # an id x = prev.rows[j][v] goes where copy j puts prev.marked[v]
         included = [0] * prev.num_ids

@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from fractal_renorm.angles import (critical_angles, kappa, make_context,
-                                   phi_n, rotate, validate_ms)
+from fractal_renorm.angles import (Angle, critical_angles, kappa,
+                                   make_context, phi_n, rotate, validate_ms)
 from fractal_renorm.errors import NonConvergenceError
 from fractal_renorm.gd import GdCellGraph, cell_graph
 from fractal_renorm import relations
@@ -406,6 +406,87 @@ def rotated_by_angles(structure, relation):
     return Partition.from_blocks(
         [[rotate(structure.ctx, a, 1) for a in b]
          for b in relation.blocks]) == relation
+
+
+def fraction_context(n, m, theta):
+    """make_context by Fraction arithmetic: (n, m, theta as an Angle,
+    modulus) and the text of its reduction warning, or None."""
+    frac = (theta.as_fraction() if isinstance(theta, Angle)
+            else Fraction(theta)) % 1
+    window, message = Fraction(1, m + n), None
+    if frac >= window:
+        message = (f"theta {frac} reduced to canonical representative "
+                   f"{frac % window} in [0, 1/{m + n})")
+        frac %= window
+    modulus = math.lcm(frac.denominator, m + n)
+    return (n, m, Angle(int(frac * modulus), modulus), modulus), message
+
+
+def angle_structure(ctx, symmetrize=None):
+    """build_structure, its level-1 scheme and its rotation along the route
+    of Angle objects: each critical orbit walked by phi_n, the orbit's
+    frontier closed, the boundary closed by rotate, cells by their offset
+    from theta, and the ring of copies glued by a union-find on (copy,
+    vertex) slots numbered by their least slot. Returns (violations,
+    post-critical set, fields), fields None for an invalid context and
+    otherwise a dict of the structure's fields, the scheme's rows, marked
+    and num_ids, and the rotation."""
+    ring, crits = ctx.ring_size, critical_angles(ctx)
+    crit_index = {c: i for i, c in enumerate(crits, start=1)}
+    violations = []
+    for i, c in enumerate(crits, start=1):
+        a, seen = c, set()
+        for k in range(1, ctx.modulus + 1):
+            a = phi_n(a, ctx.n)
+            if a in crit_index:
+                violations.append((i, k, crit_index[a]))
+                break
+            if a in seen:
+                break
+            seen.add(a)
+    frontier, post = {phi_n(c, ctx.n) for c in crits}, set()
+    while frontier:
+        post |= frontier
+        frontier = {phi_n(a, ctx.n) for a in frontier} - post
+    post = tuple(sorted(post))
+    if violations:
+        return tuple(violations), post, None
+    if symmetrize is None:
+        symmetrize = math.gcd(ctx.n, ring) > 1
+    boundary = post
+    if symmetrize:
+        boundary = tuple(sorted({rotate(ctx, a, l) for a in post
+                                 for l in range(ring)}))
+    index = {a: i for i, a in enumerate(boundary)}
+    cells = {}
+    for a in boundary:
+        offset = (a.residue - ctx.theta.residue) % ctx.modulus
+        assert offset % ctx.step, f"{a} is critical"
+        cells[a] = offset // ctx.step + 1
+    glue = tuple(phi_n(c, ctx.n) for c in crits)
+    nb = len(boundary)
+    parent = list(range(ring * nb))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, g in enumerate(glue):
+        x, y = find(i * nb + index[g]), find((i + 1) % ring * nb + index[g])
+        parent[max(x, y)] = min(x, y)
+    roots = sorted({find(x) for x in range(ring * nb)})
+    number = {r: j for j, r in enumerate(roots)}
+    rows = tuple(tuple(number[find(c * nb + v)] for v in range(nb))
+                 for c in range(ring))
+    rotated = [index.get(rotate(ctx, a, 1)) for a in boundary]
+    return (), post, {
+        "boundary": boundary, "glue_points": glue, "cells": cells,
+        "symmetrized": symmetrize, "rows": rows,
+        "marked": tuple(rows[cells[a] - 1][index[phi_n(a, ctx.n)]]
+                        for a in boundary),
+        "num_ids": len(roots),
+        "rotation": None if None in rotated else tuple(rotated)}
 
 
 def valid_contexts(families, qmax, nbmax):

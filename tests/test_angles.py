@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from _oracles import fraction_context
 from fractal_renorm import (
     Angle, CriticalAngleError, NotAPermutationError, cell_index,
     circle_distance, critical_angles, kappa, make_context, parse_angle,
@@ -96,6 +97,40 @@ class TestContext:
         # denominator 16 and ring 4 share a factor
         ctx = make_context(2, 2, Fraction(3, 16))
         assert ctx.modulus == 16
+
+
+class TestContextParity:
+    """make_context on numerator and denominator against Fraction
+    arithmetic, warning text included."""
+
+    @staticmethod
+    def inputs(q):
+        # theta from -1 to 2 in steps of 1/q, in every accepted form
+        for p in range(-q, 2 * q + 1):
+            yield from (Fraction(p, q), f"{p}/{q}", Angle(p % q, q))
+            if p % q == 0:
+                yield p // q
+        yield from ("0.25", "-0.125", "1.5", "0.3", f"{1 / q:.6f}")
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (2, 2), (3, 2),
+                                     (2, 3), (4, 1)])
+    def test_matches_fraction_arithmetic(self, n, m):
+        for q in range(1, 25):
+            for theta in self.inputs(q):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    ctx = make_context(n, m, theta)
+                want, message = fraction_context(n, m, theta)
+                assert (ctx.n, ctx.m, ctx.theta, ctx.modulus) == want, theta
+                assert type(ctx.theta) is Angle
+                assert [str(w.message) for w in caught] == \
+                    ([message] if message else []), theta
+
+    def test_warning_text(self):
+        with pytest.warns(UserWarning) as caught:
+            make_context(2, 1, "-1/12")
+        assert str(caught[0].message) == ("theta 11/12 reduced to canonical "
+                                          "representative 1/4 in [0, 1/3)")
 
 
 class TestPhiAndDistance:

@@ -701,7 +701,6 @@ class TestValidateCommand:
                                        ["--theta", "7/6"],
                                        ["--theta=-1/6"]],
                              ids=["1/2", "7/6", "-1/6"])
-    @pytest.mark.filterwarnings("ignore:theta .* reduced")
     def test_reduced_theta_validates(self, theta, tmp_path, capsys):
         # the run records theta reduced into [0, 1/(m+n)), and so does
         # the rebuild from its command
@@ -770,6 +769,28 @@ class TestValidateCommand:
         assert code == 4
         assert len(err) == 1 and err[0].startswith("command: "), err
         assert not counts
+
+
+class TestWarnings:
+    def test_one_line_per_warning_on_every_run(self, tmp_path, capsys):
+        # neither Python's file:line format nor once per process
+        out = tmp_path / "s.json"
+        argv = ["structure", "--n", "2", "--m", "1", "--theta", "5/12",
+                "--out", str(out)]
+        for _ in range(2):
+            assert main(argv) == 0
+            assert capsys.readouterr().err == (
+                "warning: theta 5/12 reduced to canonical representative "
+                "1/12 in [0, 1/3)\n")
+
+    def test_a_warning_beside_an_error(self, capsys):
+        # 1/3 reduces to 0, whose orbit meets the critical angles
+        assert main(["solve", "--n", "2", "--m", "1", "--theta", "1/3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == ("warning: theta 1/3 reduced to canonical "
+                          "representative 0 in [0, 1/3)")
+        assert err[1].startswith("error: orbit returns to the critical")
+        assert len(err) == 2
 
 
 class TestOutput:

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from fractal_renorm import (
-    DepthCapError, GluingScheme, InvalidMsError, build_structure, cell_graph,
-    enumerate_preserved, glue_copies, is_preserved, level_size, level_vertices,
-    levels_to_json, make_context, phi_n, solve_eigenform,
-    structure_from_json, structure_to_json,
+    Angle, DepthCapError, GluingScheme, InvalidMsError, build_structure,
+    cell_graph, enumerate_preserved, glue_copies, is_preserved, level_size,
+    level_vertices, levels_to_json, make_context, phi_n, post_critical_set,
+    solve_eigenform, structure_from_json, structure_to_json, validate_ms,
 )
-from fractal_renorm import structure
-from fractal_renorm.relations import _side
+from fractal_renorm import relations, structure
+from fractal_renorm.relations import _search_plan, _side
 from fractal_renorm.renorm import _boundary_matrix
-from _oracles import rotation_perm
+from _oracles import angle_structure, rotation_perm
+
+FAMILIES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 1)]
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -78,6 +80,58 @@ class TestBuildStructure:
             assert ca == i and cb == (i + 1) % s.ctx.ring_size
             assert pa == pb == s.index[s.glue_points[i]]
             assert lv1.rows[ca][pa] == lv1.rows[cb][pb] == vid == vid_b
+
+
+class TestAngleRoute:
+    """The residue build against the route of Angle objects it replaced."""
+
+    @pytest.mark.parametrize("n,m", FAMILIES)
+    def test_every_context_matches_the_angle_route(self, n, m):
+        # every p/q in [0, 1/(m+n)) with q <= 40, valid or not
+        thetas = {Fraction(p, q) for q in range(1, 41) for p in range(q)
+                  if Fraction(p, q) < Fraction(1, m + n)}
+        for theta in sorted(thetas):
+            ctx = make_context(n, m, theta)
+            violations, post, _ = angle_structure(ctx)
+            assert validate_ms(ctx).violations == violations
+            assert validate_ms(ctx).valid == (not violations)
+            assert post_critical_set(ctx) == post
+            for symmetrize in (None, True, False):
+                want = angle_structure(ctx, symmetrize)[2]
+                if want is None:
+                    with pytest.raises(InvalidMsError) as err:
+                        build_structure(ctx, symmetrize)
+                    assert err.value.report.violations == violations
+                    continue
+                s = build_structure(ctx, symmetrize)
+                got = {"boundary": s.boundary, "glue_points": s.glue_points,
+                       "cells": s.cells, "symmetrized": s.symmetrized,
+                       "rows": s.scheme.rows, "marked": s.scheme.marked,
+                       "num_ids": s.scheme.num_ids, "rotation": s.rotation}
+                assert got == want, (n, m, theta, symmetrize)
+                # the cells are keyed in boundary order, by the same Angles
+                assert list(s.cells) == list(s.boundary)
+                assert {type(a) for a in s.boundary + s.glue_points} \
+                    == {Angle}
+
+    def test_no_angle_route_in_a_build_or_a_search(self, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("an Angle-route function ran")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fractal_renorm":
+                for func in ("phi_n", "rotate", "cell_index",
+                             "symmetrized_set"):
+                    if hasattr(module, func):
+                        monkeypatch.setattr(module, func, must_not_run)
+        for n, m, theta in [(2, 1, "1/12"), (2, 2, "3/16"), (3, 1, "1/9"),
+                            (2, 1, "1/24"), (3, 2, "1/15"), (2, 1, "1/6")]:
+            s = ms(n, m, theta)
+            assert s.scheme.num_ids and s.rotation is not None
+            plan = _search_plan(s)
+            assert plan.buckets(s, True) is not plan.buckets(s, False)
+            assert relations.enumerate_preserved(s, require_g=True)
+            assert relations.enumerate_preserved(s)
 
 
 class TestLevels:
