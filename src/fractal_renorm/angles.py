@@ -150,12 +150,18 @@ def rotate(ctx: AngleContext, a: Angle, l: int) -> Angle:
     return Angle((a.residue + l * ctx.step) % ctx.modulus, ctx.modulus)
 
 
+def critical_residues(ctx: AngleContext) -> list[int]:
+    """The residues of the critical angles, in critical_angles' order."""
+    return [(ctx.theta[0] + i * ctx.step) % ctx.modulus
+            for i in range(1, ctx.ring_size + 1)]
+
+
 def critical_angles(ctx: AngleContext) -> tuple[Angle, ...]:
     """The m+n critical angles c_i = theta + i/(m+n), i = 1..m+n.
 
     Index m+n wraps to theta itself, so the tuple ends with theta.
     """
-    return tuple(rotate(ctx, ctx.theta, i) for i in range(1, ctx.ring_size + 1))
+    return tuple(Angle(r, ctx.modulus) for r in critical_residues(ctx))
 
 
 @dataclass(frozen=True)
@@ -179,8 +185,7 @@ def critical_orbits(ctx: AngleContext) -> tuple[ValidityReport, list[int]]:
     no orbit has met a critical angle, where it joins an earlier orbit;
     its first critical hit is the violation (i, k, j)."""
     modulus, n = ctx.modulus, ctx.n
-    crit = {(ctx.theta[0] + i * ctx.step) % modulus: i
-            for i in range(1, ctx.ring_size + 1)}
+    crit = {r: i for i, r in enumerate(critical_residues(ctx), start=1)}
     post: set[int] = set()
     violations = []
     for a, i in crit.items():
@@ -212,16 +217,20 @@ def validate_ms(ctx: AngleContext) -> ValidityReport:
     return critical_orbits(ctx)[0]
 
 
+def cell_of(ctx: AngleContext, residue: int) -> int:
+    """cell_index of the angle with this residue, which is not critical."""
+    return (residue - ctx.theta[0]) % ctx.modulus // ctx.step + 1
+
+
 def cell_index(ctx: AngleContext, a: Angle) -> int:
     """Index in 1..m+n of the open arc (c_{i-1}, c_i) containing a."""
     if a.modulus != ctx.modulus:
         raise ValueError(f"angle modulus {a.modulus} differs from context "
                          f"modulus {ctx.modulus}")
-    offset = (a.residue - ctx.theta.residue) % ctx.modulus
-    if offset % ctx.step == 0:
+    if (a.residue - ctx.theta.residue) % ctx.step == 0:
         raise CriticalAngleError(
             f"angle {a} is a critical angle; it lies on a cell boundary")
-    return offset // ctx.step + 1
+    return cell_of(ctx, a.residue)
 
 
 def kappa(ctx: AngleContext) -> tuple[int, ...]:
@@ -229,10 +238,13 @@ def kappa(ctx: AngleContext) -> tuple[int, ...]:
 
     Returned as a tuple K with K[i-1] = kappa(i), 1-based values.
     """
+    ring = ctx.ring_size
+    crits = critical_angles(ctx)
     inverse: dict[int, int] = {}
-    for j, c in enumerate(critical_angles(ctx), start=1):
+    for j, c in enumerate(crits, start=1):
+        image = phi_n(c, ctx.n)
         try:
-            cell = cell_index(ctx, phi_n(c, ctx.n))
+            cell = cell_index(ctx, image)
         except CriticalAngleError as exc:
             raise NotAPermutationError(
                 f"image of critical angle {j} is itself critical; "
@@ -242,11 +254,16 @@ def kappa(ctx: AngleContext) -> tuple[int, ...]:
                 f"critical angles {inverse[cell]} and {j} both map into "
                 f"cell {cell}")
         inverse[cell] = j
-    return tuple(inverse[i] for i in range(1, ctx.ring_size + 1))
+    return tuple(inverse[i] for i in range(1, ring + 1))
+
+
+def rotation_closure(ctx: AngleContext, residues: Iterable[int]) -> list[int]:
+    """Closure of a set of residues under all rotations by l/(m+n), sorted."""
+    return sorted({(r + l * ctx.step) % ctx.modulus
+                   for r in residues for l in range(ctx.ring_size)})
 
 
 def symmetrized_set(ctx: AngleContext, angles: Iterable[Angle]) -> tuple[Angle, ...]:
     """Closure of a set of angles under all rotations by l/(m+n), sorted."""
-    return tuple(Angle(r, ctx.modulus) for r in sorted(
-        {(a.residue + l * ctx.step) % ctx.modulus
-         for a in angles for l in range(ctx.ring_size)}))
+    return tuple(Angle(r, ctx.modulus)
+                 for r in rotation_closure(ctx, (a[0] for a in angles)))

@@ -322,7 +322,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     with warnings.catch_warnings():
-        warnings.simplefilter("default")  # a fresh registry for this run
         warnings.showwarning = lambda message, *_: print(
             f"warning: {message}", file=sys.stderr)
         try:

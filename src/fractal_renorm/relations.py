@@ -471,15 +471,29 @@ def build_J_plus_minus(structure: MsStructure) -> tuple[Partition, Partition]:
     except NotAPermutationError as exc:
         raise KappaUndefinedError(str(exc)) from exc
     crits = critical_angles(ctx)
+    ring = ctx.ring_size
+
+    def images(shift: int) -> set[frozenset]:
+        gens = set()
+        for i in range(1, ring + 1):
+            c = crits[(i - 1 + shift) % ring]
+            x = phi_n(crits[perm[i - 1] - 1], ctx.n)
+            if c != x:
+                gens.add(frozenset((c, x)))
+        return gens
+
     results = []
     for shift in (0, -1):
-        new = {frozenset((crits[(i + shift) % len(perm)],
-                          phi_n(crits[k - 1], ctx.n)))
-               for i, k in enumerate(perm)}
-        edges: set[frozenset] = set()
-        while new := {e for e in new if len(e) == 2} - edges:
-            edges |= new
-            new = {frozenset(phi_n(a, ctx.n) for a in e) for e in new}
+        edges = images(shift)
+        frontier = set(edges)
+        while frontier:
+            step = set()
+            for e in frontier:
+                image = frozenset(phi_n(a, ctx.n) for a in e)
+                if len(image) == 2 and image not in edges:
+                    step.add(image)
+            edges |= step
+            frontier = step
         nodes = sorted(set(structure.boundary)
                        | {a for e in edges for a in e})
         relation = Partition.from_pairs(nodes, [tuple(e) for e in edges])

@@ -21,7 +21,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import networks
-from .angles import Angle, AngleContext, critical_orbits, make_context
+from .angles import (Angle, AngleContext, cell_of, critical_orbits,
+                     critical_residues, make_context, rotation_closure)
 from .errors import DepthCapError, InvalidMsError
 from .networks import NEGATIVE_WEIGHT_WARN, DisjointSet
 
@@ -204,15 +205,13 @@ def build_structure(ctx: AngleContext,
             f"orbit returns to the critical angles: {report.violations}",
             report=report)
     symmetrize = symmetrize_rule(ctx, symmetrize)
-    modulus, step, t = ctx.modulus, ctx.step, ctx.theta[0]
-    if symmetrize:  # closed under the rotations by step
-        base = sorted({(r + l * step) % modulus
-                       for r in base for l in range(ctx.ring_size)})
-    boundary = tuple(Angle(r, modulus) for r in base)
-    glue = tuple(Angle((t + i * step) * ctx.n % modulus, modulus)
-                 for i in range(1, ctx.ring_size + 1))
-    # a valid orbit misses the critical angles, so no offset is 0 mod step
-    cells = {a: (a[0] - t) % modulus // step + 1 for a in boundary}
+    if symmetrize:
+        base = rotation_closure(ctx, base)
+    boundary = tuple(Angle(r, ctx.modulus) for r in base)
+    glue = tuple(Angle(r * ctx.n % ctx.modulus, ctx.modulus)
+                 for r in critical_residues(ctx))
+    # a valid orbit misses the critical angles, so each point has a cell
+    cells = {a: cell_of(ctx, a[0]) for a in boundary}
     return MsStructure(ctx=ctx, boundary=boundary, glue_points=glue,
                        cells=cells, symmetrized=symmetrize)
 

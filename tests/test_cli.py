@@ -701,6 +701,7 @@ class TestValidateCommand:
                                        ["--theta", "7/6"],
                                        ["--theta=-1/6"]],
                              ids=["1/2", "7/6", "-1/6"])
+    @pytest.mark.filterwarnings("ignore:theta .* reduced")
     def test_reduced_theta_validates(self, theta, tmp_path, capsys):
         # the run records theta reduced into [0, 1/(m+n)), and so does
         # the rebuild from its command
@@ -771,6 +772,7 @@ class TestValidateCommand:
         assert not counts
 
 
+@pytest.mark.filterwarnings("default:theta .* reduced")
 class TestWarnings:
     def test_one_line_per_warning_on_every_run(self, tmp_path, capsys):
         # neither Python's file:line format nor once per process
