@@ -2,14 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .angles import (Angle, AngleContext, ValidityReport, circle_distance,
-                     critical_angles, cell_index, kappa, make_context,
-                     parse_angle, phi_n, post_critical_set, rotate,
-                     symmetrized_set, validate_ms)
-from .errors import (CapExceededError, CriticalAngleError, DepthCapError,
-                     DisconnectedError, InvalidMsError, KappaUndefinedError,
-                     KernelMismatchError, NonConvergenceError,
-                     NotAPermutationError, NotInvariantError, WorkbenchError)
+from .angles import Angle, AngleContext, ValidityReport, kappa, make_context
+from .errors import (CapExceededError, DepthCapError, DisconnectedError,
+                     InvalidMsError, KappaUndefinedError, KernelMismatchError,
+                     NonConvergenceError, NotInvariantError, WorkbenchError)
 from .networks import ConductanceForm, resistance_matrix
 from .structure import (GluingScheme, MsStructure, build_structure,
                         glue_copies, level_size, level_vertices,
@@ -25,5 +21,5 @@ from .relations import (CertificateReport, FlowReport, Partition,
 from .gd import (GdCellGraph, GdHarmonicStructure, GdStructure, RELATION_PQ,
                  RELATION_SIDES, build_gd_structure, cell_graph,
                  existence_verdict, gd_solve, gd_structure_to_json)
-from .reports import claim, form_to_json, render_report, write_report
-from .cli import main, run, validate_report, validate_report_details
+from .reports import claim, form_to_json, render_report
+from .cli import main, validate_report_details

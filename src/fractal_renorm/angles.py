@@ -16,7 +16,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Union
 
-from .errors import CriticalAngleError, NotAPermutationError
+from .errors import KappaUndefinedError
 
 AngleLike = Union["Angle", Fraction, int, str]
 
@@ -65,11 +65,6 @@ class Angle(tuple):
     def __str__(self) -> str:
         g = gcd(self[0], self[1])  # gcd(0, M) is M: zero prints 0/1
         return f"{self[0] // g}/{self[1] // g}"
-
-
-def parse_angle(text: str, modulus: int) -> Angle:
-    """Parse "p/q" (lowest terms or not) onto the lattice of a given modulus."""
-    return Angle.from_fraction(Fraction(text), modulus)
 
 
 @dataclass(frozen=True)
@@ -130,38 +125,12 @@ def make_context(n: int, m: int, theta: AngleLike) -> AngleContext:
                         modulus=modulus)
 
 
-def phi_n(a: Angle, n: int) -> Angle:
-    """Apply the degree-n circle map [x] -> [n x]."""
-    return Angle((a.residue * n) % a.modulus, a.modulus)
-
-
-def circle_distance(a: Angle, b: Angle) -> Fraction:
-    """Shorter arc length between two lattice points, as an exact Fraction."""
-    if a.modulus != b.modulus:
-        raise ValueError(
-            f"modulus mismatch: {a.modulus} != {b.modulus}; "
-            "re-lattice one side before comparing")
-    diff = (a.residue - b.residue) % a.modulus
-    return Fraction(min(diff, a.modulus - diff), a.modulus)
-
-
-def rotate(ctx: AngleContext, a: Angle, l: int) -> Angle:
-    """Rotate by l/(m+n); these rotations generate the symmetry group."""
-    return Angle((a.residue + l * ctx.step) % ctx.modulus, ctx.modulus)
-
-
 def critical_residues(ctx: AngleContext) -> list[int]:
-    """The residues of the critical angles, in critical_angles' order."""
+    """The residues of the m+n critical angles c_i = theta + i/(m+n),
+    i = 1..m+n. Index m+n wraps to theta itself, so the list ends with
+    theta's residue."""
     return [(ctx.theta[0] + i * ctx.step) % ctx.modulus
             for i in range(1, ctx.ring_size + 1)]
-
-
-def critical_angles(ctx: AngleContext) -> tuple[Angle, ...]:
-    """The m+n critical angles c_i = theta + i/(m+n), i = 1..m+n.
-
-    Index m+n wraps to theta itself, so the tuple ends with theta.
-    """
-    return tuple(Angle(r, ctx.modulus) for r in critical_residues(ctx))
 
 
 @dataclass(frozen=True)
@@ -180,10 +149,12 @@ class ValidityReport:
 
 
 def critical_orbits(ctx: AngleContext) -> tuple[ValidityReport, list[int]]:
-    """validate_ms's report and the sorted post-critical residues, from one
-    walk of the critical orbits. Orbit i stops where it repeats or, while
-    no orbit has met a critical angle, where it joins an earlier orbit;
-    its first critical hit is the violation (i, k, j)."""
+    """Whether the forward orbits of the critical angles avoid them (an
+    invalid context is a report, not an error), and the sorted
+    post-critical residues, from one walk of the critical orbits. Orbit i
+    stops where it repeats or, while no orbit has met a critical angle,
+    where it joins an earlier orbit; its first critical hit is the
+    violation (i, k, j)."""
     modulus, n = ctx.modulus, ctx.n
     crit = {r: i for i, r in enumerate(critical_residues(ctx), start=1)}
     post: set[int] = set()
@@ -201,69 +172,35 @@ def critical_orbits(ctx: AngleContext) -> tuple[ValidityReport, list[int]]:
     return ValidityReport(not violations, tuple(violations)), sorted(post)
 
 
-def post_critical_set(ctx: AngleContext) -> tuple[Angle, ...]:
-    """Forward orbit of the images of the critical angles, sorted.
-
-    The orbit is finite because everything lives on the modulus lattice.
-    """
-    return tuple(Angle(r, ctx.modulus) for r in critical_orbits(ctx)[1])
-
-
-def validate_ms(ctx: AngleContext) -> ValidityReport:
-    """Check that the forward orbit never returns to a critical angle.
-
-    Always returns a report; an invalid context is a result, not an error.
-    """
-    return critical_orbits(ctx)[0]
-
-
 def cell_of(ctx: AngleContext, residue: int) -> int:
-    """cell_index of the angle with this residue, which is not critical."""
+    """Index in 1..m+n of the open arc (c_{i-1}, c_i) that holds the
+    angle with this residue, which is not critical."""
     return (residue - ctx.theta[0]) % ctx.modulus // ctx.step + 1
 
 
-def cell_index(ctx: AngleContext, a: Angle) -> int:
-    """Index in 1..m+n of the open arc (c_{i-1}, c_i) containing a."""
-    if a.modulus != ctx.modulus:
-        raise ValueError(f"angle modulus {a.modulus} differs from context "
-                         f"modulus {ctx.modulus}")
-    if (a.residue - ctx.theta.residue) % ctx.step == 0:
-        raise CriticalAngleError(
-            f"angle {a} is a critical angle; it lies on a cell boundary")
-    return cell_of(ctx, a.residue)
-
-
 def kappa(ctx: AngleContext) -> tuple[int, ...]:
-    """The permutation kappa with cell_index(phi_n(c_kappa(i))) == i.
-
-    Returned as a tuple K with K[i-1] = kappa(i), 1-based values.
+    """The permutation kappa: the image of c_kappa(i) under the angle map
+    lies in cell i. Returned as a tuple K with K[i-1] = kappa(i), 1-based
+    values; KappaUndefined when an image is critical or two images share
+    a cell.
     """
-    ring = ctx.ring_size
-    crits = critical_angles(ctx)
     inverse: dict[int, int] = {}
-    for j, c in enumerate(crits, start=1):
-        image = phi_n(c, ctx.n)
-        try:
-            cell = cell_index(ctx, image)
-        except CriticalAngleError as exc:
-            raise NotAPermutationError(
+    for j, c in enumerate(critical_residues(ctx), start=1):
+        image = c * ctx.n % ctx.modulus
+        if (image - ctx.theta[0]) % ctx.step == 0:
+            raise KappaUndefinedError(
                 f"image of critical angle {j} is itself critical; "
-                "no containing cell") from exc
+                "no containing cell")
+        cell = cell_of(ctx, image)
         if cell in inverse:
-            raise NotAPermutationError(
+            raise KappaUndefinedError(
                 f"critical angles {inverse[cell]} and {j} both map into "
                 f"cell {cell}")
         inverse[cell] = j
-    return tuple(inverse[i] for i in range(1, ring + 1))
+    return tuple(inverse[i] for i in range(1, ctx.ring_size + 1))
 
 
 def rotation_closure(ctx: AngleContext, residues: Iterable[int]) -> list[int]:
     """Closure of a set of residues under all rotations by l/(m+n), sorted."""
     return sorted({(r + l * ctx.step) % ctx.modulus
                    for r in residues for l in range(ctx.ring_size)})
-
-
-def symmetrized_set(ctx: AngleContext, angles: Iterable[Angle]) -> tuple[Angle, ...]:
-    """Closure of a set of angles under all rotations by l/(m+n), sorted."""
-    return tuple(Angle(r, ctx.modulus)
-                 for r in rotation_closure(ctx, (a[0] for a in angles)))

@@ -172,10 +172,6 @@ def validate_report_details(path: str) -> list[str]:
     return report_errors(report, inputs, solver_tol)
 
 
-def validate_report(path: str) -> bool:
-    return not validate_report_details(path)
-
-
 def _cmd_validate(args, started: float) -> int:
     details = validate_report_details(args.path)
     if details:
@@ -341,9 +337,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except AssertionError as exc:
             print(f"internal invariant violation: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
-
-
-run = main
 
 
 if __name__ == "__main__":

@@ -5,14 +5,6 @@ class WorkbenchError(Exception):
     """Base class for domain errors raised by this package."""
 
 
-class CriticalAngleError(WorkbenchError):
-    """An angle sits on a cell boundary, so it has no containing cell."""
-
-
-class NotAPermutationError(WorkbenchError):
-    """The cell-return map failed to be a bijection on cell indices."""
-
-
 class InvalidMsError(WorkbenchError):
     """The forward orbit of the critical angles meets the critical angles."""
 

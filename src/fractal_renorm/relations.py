@@ -30,10 +30,8 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .angles import Angle, critical_angles, kappa, phi_n
-from .errors import (CapExceededError, KappaUndefinedError,
-                     KernelMismatchError, NotAPermutationError,
-                     NotInvariantError)
+from .angles import Angle, critical_residues, kappa
+from .errors import CapExceededError, KernelMismatchError, NotInvariantError
 from .networks import (ConductanceForm, DisjointSet, _laplacian,
                        _support_labels)
 from .renorm import HarmonicStructure, _boundary_matrix, cone_iteration
@@ -68,32 +66,12 @@ class Partition:
             raise ValueError("blocks do not cover the ground set exactly")
         return cls(canon)
 
-    @classmethod
-    def from_pairs(cls, ground: Iterable[Hashable],
-                   pairs: Iterable[tuple[Hashable, Hashable]]) -> "Partition":
-        """Finest partition relating every given pair."""
-        items = sorted(set(ground))
-        index = {x: i for i, x in enumerate(items)}
-        dsu = DisjointSet(len(items))
-        for x, y in pairs:
-            dsu.union(index[x], index[y])
-        groups: dict[int, list] = {}
-        for x, i in index.items():
-            groups.setdefault(dsu.find(i), []).append(x)
-        return cls.from_blocks(groups.values())
-
     @property
     def ground_set(self) -> frozenset:
         return frozenset(x for b in self.blocks for x in b)
 
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def block_containing(self, x: Hashable) -> tuple[Hashable, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(f"{x!r} is not in the ground set")
 
     @property
     def is_trivial_zero(self) -> bool:
@@ -111,11 +89,6 @@ class Partition:
         """True when every block here sits inside a block of the other."""
         return all(any(set(b) <= set(c) for c in other.blocks)
                    for b in self.blocks)
-
-    def restricted(self, subset: Iterable[Hashable]) -> "Partition":
-        keep = set(subset)
-        return Partition.from_blocks(
-            [tuple(x for x in b if x in keep) for b in self.blocks])
 
     def to_json(self) -> dict:
         return {"blocks": [[str(x) for x in b] for b in self.blocks]}
@@ -462,42 +435,29 @@ def build_J_plus_minus(structure: MsStructure) -> tuple[Partition, Partition]:
 
     Generators pair each critical angle (plus-side) or its predecessor
     (minus-side) with the image of the critical angle returning to its
-    cell; the generating pairs are closed under the angle map before taking
-    connected components over the boundary.
+    cell. Each generating pair is joined, with its images under the angle
+    map up to the first that repeats or is a single point, in one
+    union-find on the boundary residues (by slot) and the critical ones;
+    its classes on the boundary are the relation. KappaUndefined when the
+    cell-return map is not a permutation.
     """
-    ctx = structure.ctx
-    try:
-        perm = kappa(ctx)
-    except NotAPermutationError as exc:
-        raise KappaUndefinedError(str(exc)) from exc
-    crits = critical_angles(ctx)
-    ring = ctx.ring_size
-
-    def images(shift: int) -> set[frozenset]:
-        gens = set()
-        for i in range(1, ring + 1):
-            c = crits[(i - 1 + shift) % ring]
-            x = phi_n(crits[perm[i - 1] - 1], ctx.n)
-            if c != x:
-                gens.add(frozenset((c, x)))
-        return gens
-
+    ctx, nb = structure.ctx, len(structure.boundary)
+    n, modulus = ctx.n, ctx.modulus
+    crits = critical_residues(ctx)
+    ids = {**structure.slot, **{c: nb + i for i, c in enumerate(crits)}}
+    images = [crits[j - 1] * n % modulus for j in kappa(ctx)]
     results = []
-    for shift in (0, -1):
-        edges = images(shift)
-        frontier = set(edges)
-        while frontier:
-            step = set()
-            for e in frontier:
-                image = frozenset(phi_n(a, ctx.n) for a in e)
-                if len(image) == 2 and image not in edges:
-                    step.add(image)
-            edges |= step
-            frontier = step
-        nodes = sorted(set(structure.boundary)
-                       | {a for e in edges for a in e})
-        relation = Partition.from_pairs(nodes, [tuple(e) for e in edges])
-        results.append(relation.restricted(structure.boundary))
+    for shift in (0, -1):  # crits[-1] is theta, the predecessor of c_1
+        dsu, seen = DisjointSet(len(ids)), set()
+        for c, x in zip(crits[shift:] + crits[:shift], images):
+            while c != x and (c, x) not in seen:
+                seen.add((c, x))
+                dsu.union(ids[c], ids[x])
+                c, x = c * n % modulus, x * n % modulus
+        groups: dict[int, list] = {}
+        for i, a in enumerate(structure.boundary):
+            groups.setdefault(dsu.find(i), []).append(a)
+        results.append(Partition.from_blocks(groups.values()))
     return results[0], results[1]
 
 
@@ -704,17 +664,6 @@ class CertificateReport:
     monotone: bool
 
 
-def certificate_summary(trajectory: Sequence[float],
-                        margin: float) -> tuple[Optional[int], bool]:
-    """First k with trajectory[k-1] < 1 - margin, and whether it decreases."""
-    certified_k = next((k for k, r in enumerate(trajectory, start=1)
-                        if r < 1.0 - margin), None)
-    scale = max(abs(t) for t in trajectory)
-    monotone = all(trajectory[i + 1] <= trajectory[i] + 1e-12 * scale
-                   for i in range(len(trajectory) - 1))
-    return certified_k, monotone
-
-
 def _block_traces(structure, w: np.ndarray, relation: Partition
                   ) -> np.ndarray:
     """D_J: the sum of the traces of w onto each block, the canonical
@@ -738,7 +687,10 @@ def _block_traces(structure, w: np.ndarray, relation: Partition
 def uniqueness_certificate(structure: MsStructure, hs: HarmonicStructure,
                            relation: Partition, k_max: int = DEFAULT_K_MAX
                            ) -> CertificateReport:
-    """Check eta^k-scaled contraction of iterated block forms."""
+    """Check eta^k-scaled contraction of iterated block forms: certified
+    at the first k whose entry is below 1 - DEFAULT_MARGIN, and monotone
+    when no entry exceeds the one before by more than 1e-12 of the
+    largest."""
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     base = _block_traces(structure, _boundary_matrix(structure, hs.form),
@@ -751,7 +703,11 @@ def uniqueness_certificate(structure: MsStructure, hs: HarmonicStructure,
         ratio = _ratio_bounds(image, base, plan.comp)[1]
         trajectory.append(float(hs.eta ** k * scale * ratio))
         scale *= mass
-    certified_k, monotone = certificate_summary(trajectory, DEFAULT_MARGIN)
+    certified_k = next((k for k, r in enumerate(trajectory, start=1)
+                        if r < 1.0 - DEFAULT_MARGIN), None)
+    largest = max(abs(t) for t in trajectory)
+    monotone = all(b <= a + 1e-12 * largest
+                   for a, b in zip(trajectory, trajectory[1:]))
     return CertificateReport(relation=relation,
                              certified=certified_k is not None,
                              k=certified_k, margin=DEFAULT_MARGIN,
@@ -802,9 +758,10 @@ def per_cell_flows(structure: MsStructure, hs: HarmonicStructure,
         total = cell_flows[i][r] + cell_flows[(i + 1) % ring][r]
         matching = max(matching, abs(total))
         junction.append(abs(cell_flows[i][r]))
-    scaling = 0.0
+    scaling, slot = 0.0, structure.slot
     for a in structure.boundary:
-        inner = cell_flows[structure.cells[a] - 1][phi_n(a, ctx.n)]
+        image = structure.boundary[slot[a[0] * ctx.n % ctx.modulus]]
+        inner = cell_flows[structure.cells[a] - 1][image]
         scaling = max(scaling, abs(boundary_flow[a] - hs.eta * inner))
 
     # floored at the matvec noise, so the rounding-level flows of a
@@ -815,9 +772,9 @@ def per_cell_flows(structure: MsStructure, hs: HarmonicStructure,
     threshold = 1e-9 * flow_scale
     active_boundary = tuple(a for a in structure.boundary
                             if abs(boundary_flow[a]) > threshold)
-    crits = critical_angles(ctx)
-    active_critical = tuple(crits[i] for i in range(ring)
-                            if junction[i] > threshold)
+    active_critical = tuple(Angle(c, ctx.modulus) for c, flow
+                            in zip(critical_residues(ctx), junction)
+                            if flow > threshold)
     return FlowReport(boundary_flow=boundary_flow,
                       cell_flows=tuple(cell_flows),
                       active_boundary=active_boundary,

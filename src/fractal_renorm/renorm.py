@@ -225,7 +225,9 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
     rotation-invariant start every Newton iterate is exactly invariant.
     Above NEWTON_MAX_PAIRS pairs the loop runs as without newton: no
     Newton system is formed, and the stall stop is off, since cone steps
-    may raise the residual for longer than STALL_STEPS.
+    may raise the residual for longer than STALL_STEPS. A collapse to the
+    zero form, or to weights so small that the trace's interior block is
+    singular, raises NonConvergence.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
@@ -241,18 +243,25 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
 
     def measured(w):
         # w, scheme.harmonic(w), eta and the residual; inf at mass 0
-        traced, ext = scheme.harmonic(w)
+        try:
+            traced, ext = scheme.harmonic(w)
+        except np.linalg.LinAlgError:
+            raise NonConvergenceError(
+                f"step {iteration}: the interior block of the trace became "
+                "singular as the weights collapsed",
+                iterations=iteration) from None
         mass = traced.sum() / 2.0
         if not mass > 0:
             return w, traced, ext, np.inf, np.inf
         return (w, traced, ext, 1.0 / mass,
                 scheme.residual(w, 1.0 / mass, traced))
 
+    iteration = 0
     w, traced, ext, eta, residual = measured(w / (w.sum() / 2.0))
     newton = newton and len(scheme.pairs[0]) <= NEWTON_MAX_PAIRS
     orbits = _pair_orbits(structure, w) if newton else None
     history: deque = deque(maxlen=16)
-    lowest, stalled, delta, iteration = residual, 0, 0.0, 0
+    lowest, stalled, delta = residual, 0, 0.0
     while eta < np.inf and residual > tol and iteration < max_iter \
             and stalled < STALL_STEPS:
         iteration += 1

@@ -18,10 +18,11 @@ and solver_tol must equal them before anything is built. Only then does
 it build the subject once, rerun the kind's builder on it, and compare
 the stated results and tolerances with the fresh ones (_diff): one line
 per differing leaf, named by its path, with the tolerances required to
-be equal. A few checks on the same subject then test stated values
-against each other (_CONSISTENCY): eta, its residual and its enclosure
-on the embedded form, the shape of a resistance metric, the verdict and
-certificate rules, and the order of rho brackets.
+be equal. Every rule that derives a stated value from others (a verdict
+from its rho brackets, a metric's symmetry) is thereby held too, since
+the rerun derives it. The one check _diff cannot make is on the
+embedded eigenform itself (_CONSISTENCY): eta, its residual and its
+enclosure recomputed from the stated form, on the same subject.
 """
 from __future__ import annotations
 
@@ -38,10 +39,9 @@ from .gd import (RELATION_PQ, RELATION_SIDES, GdCellGraph, GdStructure,
                  gd_structure_to_json)
 from .networks import ConductanceForm, resistance_matrix
 from .relations import (DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
-                        build_J_plus_minus, certificate_summary,
-                        enumerate_preserved, is_preserved, per_cell_flows,
-                        rho_search, sabot_verdict, uniqueness_certificate,
-                        verdict_rule)
+                        build_J_plus_minus, enumerate_preserved, is_preserved,
+                        per_cell_flows, rho_search, sabot_verdict,
+                        uniqueness_certificate)
 from .renorm import _eta_bounds, solve_eigenform, verify_harmonic_structure
 from .structure import (MsStructure, build_structure, level_size,
                         level_vertices, levels_to_json, structure_to_json)
@@ -351,11 +351,6 @@ def render_report(report: Mapping) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(path: str, report: Mapping) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report(report))
-
-
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -452,60 +447,7 @@ def _check_eta(report: dict, fresh: dict, structure,
                           "stated form")
 
 
-def _check_metric(report: dict, fresh: dict, built, errors: list[str]) -> None:
-    """A resistance matrix has a zero diagonal, is nonnegative and
-    symmetric."""
-    matrix = np.array(report["results"]["matrix"], dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("the resistance matrix is not square")
-    if np.abs(np.diag(matrix)).max() > 1e-12:
-        errors.append("resistance matrix diagonal must be zero")
-    if matrix.min() < -1e-12:
-        errors.append("resistance matrix must be nonnegative")
-    elif np.abs(matrix - matrix.T).max() > 1e-9:
-        errors.append("resistance matrix must be symmetric")
-
-
-def _check_verdict_rules(report: dict, fresh: dict, built,
-                         errors: list[str]) -> None:
-    """criterion_met, the verdict and each certificate's certified, k and
-    monotone must follow from the stated rho values and trajectories."""
-    results = report["results"]
-    verdict = results["verdict"]
-    rhos = []
-    for i, w in enumerate(verdict["witnesses"]):
-        values = tuple(float(w[key]["value"]) for key in RHO_KEYS)
-        if w["criterion_met"] != (values[3] - values[0] > 0):
-            errors.append(f"witness {i}: criterion_met does not match "
-                          "rho_under_quotient - rho_over_relation > 0")
-        rhos.append(values)
-    derived, _ = verdict_rule(rhos, bool(verdict["ordered_pairs"]))
-    if verdict["verdict"] != derived:
-        errors.append(f"verdict {verdict['verdict']!r} does not follow "
-                      f"from the witnesses (expected {derived!r})")
-    for i, cert in enumerate(results["certificates"]):
-        k, monotone = certificate_summary(
-            [float(t["value"]) for t in cert["trajectory"]],
-            float(cert["margin"]))
-        if (cert["certified"], cert["k"], cert["monotone"]) != \
-                (k is not None, k, monotone):
-            errors.append(f"certificate {i}: certified, k or monotone do "
-                          "not follow from its trajectory")
-
-
-def _check_rho_order(report: dict, fresh: dict, built,
-                     errors: list[str]) -> None:
-    for key in ("pq_pairs", "side_pairs"):
-        entry = report["results"][key]
-        if float(entry["rho_under_relation"]["value"]) > \
-                float(entry["rho_over_relation"]["value"]) + RATIO_TOL:
-            errors.append(f"{key}: rho_under_relation exceeds "
-                          "rho_over_relation")
-
-
-_CONSISTENCY = {"harmonic": _check_eta, "relations": _check_verdict_rules,
-                "resistance": _check_metric, "gd_harmonic": _check_eta,
-                "gd_rhos": _check_rho_order}
+_CONSISTENCY = {"harmonic": _check_eta, "gd_harmonic": _check_eta}
 
 # what a malformed or edited report can make a recomputation raise
 _REBUILD_ERRORS = (ArithmeticError, KeyError, TypeError, ValueError,

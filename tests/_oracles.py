@@ -16,9 +16,8 @@ import sys
 
 import numpy as np
 
-from fractal_renorm.angles import (Angle, critical_angles, kappa,
-                                   make_context, phi_n, rotate, validate_ms)
-from fractal_renorm.errors import NonConvergenceError
+from fractal_renorm.angles import Angle, critical_orbits, make_context
+from fractal_renorm.errors import KappaUndefinedError, NonConvergenceError
 from fractal_renorm.gd import GdCellGraph, cell_graph
 from fractal_renorm import relations
 from fractal_renorm.networks import ConductanceForm
@@ -402,10 +401,108 @@ def search_counts(structure, require_g=False, cap=None):
 
 def rotated_by_angles(structure, relation):
     """Whether rotating every angle by 1/(m+n) gives the same partition,
-    through angles.rotate rather than the structure's cached rotation."""
+    through rotate rather than the structure's cached rotation."""
     return Partition.from_blocks(
         [[rotate(structure.ctx, a, 1) for a in b]
          for b in relation.blocks]) == relation
+
+
+def phi_n(a, n):
+    """The degree-n circle map [x] -> [n x] on an Angle."""
+    return Angle(a.residue * n % a.modulus, a.modulus)
+
+
+def rotate(ctx, a, l):
+    """An Angle rotated by l/(m+n)."""
+    return Angle((a.residue + l * ctx.step) % ctx.modulus, ctx.modulus)
+
+
+def critical_angles(ctx):
+    """The critical Angles c_i = theta + i/(m+n), i = 1..m+n, so that
+    c_(m+n) is theta."""
+    return tuple(rotate(ctx, ctx.theta, i)
+                 for i in range(1, ctx.ring_size + 1))
+
+
+def circle_distance(a, b):
+    """The shorter arc between two Angles of one modulus, as a Fraction;
+    ValueError for two moduli."""
+    if a.modulus != b.modulus:
+        raise ValueError(f"modulus mismatch: {a.modulus} != {b.modulus}")
+    diff = (a.residue - b.residue) % a.modulus
+    return Fraction(min(diff, a.modulus - diff), a.modulus)
+
+
+def block_containing(relation, x):
+    """The block of a Partition that holds x."""
+    return next(b for b in relation.blocks if x in b)
+
+
+def partition_from_pairs(ground, pairs):
+    """The finest Partition of ground that relates every given pair, by a
+    union-find on the elements themselves."""
+    parent = {x: x for x in ground}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        parent[find(x)] = find(y)
+    groups = {}
+    for x in parent:
+        groups.setdefault(find(x), []).append(x)
+    return Partition.from_blocks(groups.values())
+
+
+def angle_kappa(ctx):
+    """kappa along the route of Angle objects: each critical angle mapped
+    by phi_n, and the cell of its image read off the offset from theta;
+    KappaUndefinedError, with the package's messages, when an image is
+    critical or two images share a cell."""
+    inverse = {}
+    for j, c in enumerate(critical_angles(ctx), start=1):
+        offset = (phi_n(c, ctx.n).residue - ctx.theta.residue) % ctx.modulus
+        if offset % ctx.step == 0:
+            raise KappaUndefinedError(
+                f"image of critical angle {j} is itself critical; "
+                "no containing cell")
+        cell = offset // ctx.step + 1
+        if cell in inverse:
+            raise KappaUndefinedError(
+                f"critical angles {inverse[cell]} and {j} both map into "
+                f"cell {cell}")
+        inverse[cell] = j
+    return tuple(inverse[i] for i in range(1, ctx.ring_size + 1))
+
+
+def angle_J_plus_minus(structure):
+    """build_J_plus_minus along the route of Angle objects: the generating
+    pairs as two-element sets, their images under phi_n added while they
+    are new and still two-element, the finest partition of the boundary
+    and the pairs' points that relates them, and that partition restricted
+    to the boundary."""
+    ctx = structure.ctx
+    ring, crits, perm = ctx.ring_size, critical_angles(ctx), angle_kappa(ctx)
+    boundary = set(structure.boundary)
+    results = []
+    for shift in (0, -1):
+        edges = {e for i in range(ring)
+                 for e in [frozenset((crits[(i + shift) % ring],
+                                      phi_n(crits[perm[i] - 1], ctx.n)))]
+                 if len(e) == 2}
+        frontier = edges
+        while frontier:
+            frontier = {image for e in frontier
+                        for image in [frozenset(phi_n(a, ctx.n) for a in e)]
+                        if len(image) == 2} - edges
+            edges = edges | frontier
+        joined = partition_from_pairs(
+            boundary.union(*edges), [tuple(e) for e in edges])
+        results.append(Partition.from_blocks(
+            [[a for a in b if a in boundary] for b in joined.blocks]))
+    return results[0], results[1]
 
 
 def fraction_context(n, m, theta):
@@ -491,8 +588,8 @@ def angle_structure(ctx, symmetrize=None):
 
 def valid_contexts(families, qmax, nbmax):
     """(n, m, theta) for every theta = p/q in [0, 1/(m+n)) with q <= qmax
-    that passes validate_ms and gives at most nbmax boundary points; by
-    family, then q, then p."""
+    that critical_orbits finds valid and gives at most nbmax boundary
+    points; by family, then q, then p."""
     out = []
     for n, m in families:
         seen = set()
@@ -503,7 +600,7 @@ def valid_contexts(families, qmax, nbmax):
                     continue
                 seen.add(theta)
                 ctx = make_context(n, m, theta)
-                if (validate_ms(ctx).valid
+                if (critical_orbits(ctx)[0].valid
                         and len(build_structure(ctx).boundary) <= nbmax):
                     out.append((n, m, theta))
     return out
@@ -676,7 +773,7 @@ def loop_t_relation(structure, relation, w):
     w is a weight matrix in boundary order. Glues its copies pair by pair
     along the level-1 copy map, traces onto the marked ids with
     pinv_schur_trace, then walks every boundary pair, looks up both blocks
-    with Partition.block_containing and zeroes a weight between different
+    with block_containing and zeroes a weight between different
     blocks when it is at most 1e-11 of the largest weight. No cone check:
     the inputs are taken as valid.
     """
@@ -685,9 +782,9 @@ def loop_t_relation(structure, relation, w):
     scale = float(mat.max())
     vs = structure.boundary
     for i, x in enumerate(vs):
-        bx = relation.block_containing(x)
+        bx = block_containing(relation, x)
         for j in range(i + 1, len(vs)):
-            if relation.block_containing(vs[j]) is not bx \
+            if block_containing(relation, vs[j]) is not bx \
                     and mat[i, j] <= 1e-11 * scale:
                 mat[i, j] = mat[j, i] = 0.0
     return mat
@@ -738,7 +835,7 @@ def loop_t_quotient(structure, relation, wq):
 def _return_centers(structure):
     """The image under phi_n of the critical angle returning to each cell."""
     ctx = structure.ctx
-    perm = kappa(ctx)
+    perm = angle_kappa(ctx)
     crits = critical_angles(ctx)
     return [phi_n(crits[perm[i] - 1], ctx.n) for i in range(ctx.ring_size)]
 
@@ -751,7 +848,7 @@ def block_star_form(structure, relation):
     relation side: its max stationary ratio is at most 1.
     """
     edges = [(c, x, 1.0) for c in _return_centers(structure)
-             for x in relation.block_containing(c) if x != c]
+             for x in block_containing(relation, c) if x != c]
     return ConductanceForm.from_edges(structure.boundary, edges)
 
 
@@ -762,7 +859,7 @@ def block_cycle_form(structure, relation):
     at least 1 + 1/n in the single-pole case. Its vertices are the blocks
     in canonical order.
     """
-    seq = [relation.block_containing(c) for c in _return_centers(structure)]
+    seq = [block_containing(relation, c) for c in _return_centers(structure)]
     if set(seq) != set(relation.blocks):
         raise ValueError("cycle form undefined: some block contains no "
                          "cell-return image")
@@ -778,7 +875,7 @@ def block_cycle_form(structure, relation):
 
 def rotation_perm(structure, l):
     """Boundary index of each boundary angle rotated by l/(m+n), from
-    angles.rotate and structure.index. A boundary that is not closed under
+    rotate and structure.index. A boundary that is not closed under
     the rotation raises KeyError."""
     return [structure.index[rotate(structure.ctx, a, l)]
             for a in structure.boundary]

@@ -13,19 +13,19 @@ import pytest
 
 from fractal_renorm import (
     Angle, GluingScheme, Partition, RELATION_PQ, RELATION_SIDES,
-    build_J_plus_minus, build_gd_structure, build_structure, cell_graph, circle_distance,
+    build_J_plus_minus, build_gd_structure, build_structure, cell_graph,
     enumerate_preserved, existence_verdict, gd_solve, is_preserved,
-    level_vertices, make_context, per_cell_flows, phi_n, rho_search,
+    level_vertices, make_context, per_cell_flows, rho_search,
     sabot_verdict, solve_eigenform, uniqueness_certificate,
 )
 from fractal_renorm.relations import (DEFAULT_ENUM_CAP, RATIO_TOL,
                                       _block_traces, _ratio_bounds, _side)
 from fractal_renorm.renorm import _boundary_matrix
 
-from _oracles import (block_cycle_form, block_star_form, family_eta,
-                      restriction_weights, gd_eta_m1, gd_rho_values,
-                      quotient_weights, relaxed_trace_weights,
-                      valid_contexts)
+from _oracles import (block_cycle_form, block_star_form, circle_distance,
+                      family_eta, restriction_weights, gd_eta_m1,
+                      gd_rho_values, phi_n, quotient_weights,
+                      relaxed_trace_weights, valid_contexts)
 
 
 def ms(n, m, theta, symmetrize=None):

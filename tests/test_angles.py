@@ -7,25 +7,24 @@ import warnings
 
 import pytest
 
-from _oracles import fraction_context
-from fractal_renorm import (
-    Angle, CriticalAngleError, NotAPermutationError, cell_index,
-    circle_distance, critical_angles, kappa, make_context, parse_angle,
-    phi_n, post_critical_set, rotate, symmetrized_set, validate_ms,
-)
+from _oracles import circle_distance, fraction_context, phi_n, rotate
+from fractal_renorm import (Angle, KappaUndefinedError, build_structure,
+                            kappa, make_context)
+from fractal_renorm.angles import (cell_of, critical_orbits,
+                                   critical_residues, rotation_closure)
 
 
-def angles_of(ctx, *fracs):
-    return tuple(Angle.from_fraction(Fraction(f), ctx.modulus) for f in fracs)
+def residues_of(ctx, *fracs):
+    return [Angle.from_fraction(Fraction(f), ctx.modulus)[0] for f in fracs]
 
 
-def fractions_of(angles):
-    return sorted(a.as_fraction() for a in angles)
+def fractions_of(ctx, residues):
+    return sorted(Fraction(r, ctx.modulus) for r in residues)
 
 
 class TestAngleBasics:
     def test_round_trip_string(self):
-        a = parse_angle("5/6", 12)
+        a = Angle.from_fraction("5/6", 12)
         assert a.residue == 10 and a.modulus == 12
         assert str(a) == "5/6"
         assert Angle.from_fraction(str(a), 12) == a
@@ -134,11 +133,19 @@ class TestContextParity:
 
 
 class TestPhiAndDistance:
+    """The circle map in the package is the images of the critical angles,
+    the glue points; phi_n, rotate and circle_distance are the Angle-route
+    references of the oracles."""
+
     def test_values(self):
+        # glue point i is the image of critical angle i
+        for theta, images in [("1/12", ["5/6", "1/2", "1/6"]),
+                              ("3/16", ["7/8", "3/8", "7/8", "3/8"])]:
+            ctx = make_context(2, len(images) - 2, theta)
+            assert [str(a) for a in build_structure(ctx).glue_points] \
+                == images
         assert phi_n(Angle.from_fraction(Fraction(1, 12), 12), 2) \
             == Angle.from_fraction(Fraction(1, 6), 12)
-        assert phi_n(Angle.from_fraction(Fraction(3, 16), 16), 2) \
-            == Angle.from_fraction(Fraction(3, 8), 16)
 
     def test_semigroup(self):
         a = Angle.from_fraction(Fraction(7, 60), 60)
@@ -169,35 +176,35 @@ class TestPhiAndDistance:
 class TestCriticalOrbit:
     def test_critical_angles_end_with_theta(self):
         ctx = make_context(2, 1, Fraction(1, 12))
-        assert fractions_of(critical_angles(ctx)) == \
+        assert fractions_of(ctx, critical_residues(ctx)) == \
             [Fraction(1, 12), Fraction(5, 12), Fraction(3, 4)]
-        assert critical_angles(ctx)[-1] == ctx.theta
+        assert critical_residues(ctx)[-1] == ctx.theta.residue
 
     def test_post_critical_2_1_12(self):
         ctx = make_context(2, 1, Fraction(1, 12))
-        assert fractions_of(post_critical_set(ctx)) == [
+        assert fractions_of(ctx, critical_orbits(ctx)[1]) == [
             Fraction(0), Fraction(1, 6), Fraction(1, 3),
             Fraction(1, 2), Fraction(2, 3), Fraction(5, 6)]
 
     def test_post_critical_2_2_316(self):
         ctx = make_context(2, 2, Fraction(3, 16))
-        assert fractions_of(post_critical_set(ctx)) == [
+        assert fractions_of(ctx, critical_orbits(ctx)[1]) == [
             Fraction(0), Fraction(3, 8), Fraction(1, 2),
             Fraction(3, 4), Fraction(7, 8)]
 
     def test_validity(self):
-        assert validate_ms(make_context(2, 1, Fraction(1, 12)))
+        assert critical_orbits(make_context(2, 1, Fraction(1, 12)))[0]
         with pytest.warns(UserWarning):
             # 1/3 reduces to the canonical representative 0, which is invalid
             ctx = make_context(2, 1, Fraction(1, 3))
-        report = validate_ms(ctx)
+        report = critical_orbits(ctx)[0]
         assert not report.valid
         assert report.violations
         i, k, j = report.violations[0]
-        crits = critical_angles(ctx)
+        crits = critical_residues(ctx)
         a = crits[i - 1]
         for _ in range(k):
-            a = phi_n(a, ctx.n)
+            a = a * ctx.n % ctx.modulus
         assert a == crits[j - 1]
 
     def test_family_post_critical_sets(self):
@@ -205,22 +212,17 @@ class TestCriticalOrbit:
         for n, m, l in [(2, 1, 1), (2, 3, 1), (3, 2, 2), (3, 1, 1), (3, 1, 2)]:
             ctx = make_context(n, m, Fraction(l, n * (m + n)))
             ring = m + n
-            assert fractions_of(post_critical_set(ctx)) == \
+            assert fractions_of(ctx, critical_orbits(ctx)[1]) == \
                 [Fraction(k, ring) for k in range(ring)]
 
 
 class TestCellsAndKappa:
     def test_cell_index_2_1_12(self):
         ctx = make_context(2, 1, Fraction(1, 12))
-        zero, sixth, half = angles_of(ctx, 0, Fraction(1, 6), Fraction(1, 2))
-        assert cell_index(ctx, zero) == 3
-        assert cell_index(ctx, sixth) == 1
-        assert cell_index(ctx, half) == 2
-
-    def test_cell_index_rejects_critical(self):
-        ctx = make_context(2, 1, Fraction(1, 12))
-        with pytest.raises(CriticalAngleError):
-            cell_index(ctx, Angle.from_fraction(Fraction(5, 12), 12))
+        zero, sixth, half = residues_of(ctx, 0, Fraction(1, 6), Fraction(1, 2))
+        assert cell_of(ctx, zero) == 3
+        assert cell_of(ctx, sixth) == 1
+        assert cell_of(ctx, half) == 2
 
     def test_kappa_2_1_12(self):
         assert kappa(make_context(2, 1, Fraction(1, 12))) == (3, 2, 1)
@@ -232,10 +234,11 @@ class TestCellsAndKappa:
         for n, m, theta in [(2, 1, Fraction(1, 12)), (3, 1, Fraction(1, 12)),
                             (4, 1, Fraction(1, 30)), (2, 1, Fraction(1, 6))]:
             ctx = make_context(n, m, theta)
-            crits = critical_angles(ctx)
+            crits = critical_residues(ctx)
             k = kappa(ctx)
             for i in range(1, ctx.ring_size + 1):
-                assert cell_index(ctx, phi_n(crits[k[i - 1] - 1], n)) == i
+                image = crits[k[i - 1] - 1] * n % ctx.modulus
+                assert cell_of(ctx, image) == i
 
     def test_kappa_inverse_adjacent_cells(self):
         # m = 1: kappa^{-1}(i-1) - 1 = kappa^{-1}(i) mod (m+n)
@@ -252,17 +255,17 @@ class TestCellsAndKappa:
     def test_kappa_undefined_when_image_critical(self):
         # theta = 0 sends the critical angle at 0 to itself
         ctx = make_context(2, 1, 0)
-        with pytest.raises(NotAPermutationError):
+        with pytest.raises(KappaUndefinedError, match="is itself critical"):
             kappa(ctx)
 
 
 class TestSymmetrizedSet:
     def test_rotation_closure(self):
         ctx = make_context(2, 2, Fraction(3, 16))
-        closed = symmetrized_set(ctx, post_critical_set(ctx))
-        assert fractions_of(closed) == [Fraction(k, 8) for k in range(8)]
+        closed = rotation_closure(ctx, critical_orbits(ctx)[1])
+        assert fractions_of(ctx, closed) == [Fraction(k, 8) for k in range(8)]
 
     def test_already_closed_fixed_point(self):
         ctx = make_context(2, 1, Fraction(1, 12))
-        base = post_critical_set(ctx)
-        assert set(symmetrized_set(ctx, base)) == set(base)
+        base = critical_orbits(ctx)[1]
+        assert rotation_closure(ctx, base) == base

@@ -13,7 +13,7 @@ import pytest
 
 from _oracles import dense_level_resistance
 from fractal_renorm import cli, gd, reports, structure
-from fractal_renorm.cli import main, run
+from fractal_renorm.cli import main
 from fractal_renorm.errors import (CapExceededError, DepthCapError,
                                    NonConvergenceError, WorkbenchError)
 from fractal_renorm.renorm import _boundary_matrix, solve_eigenform
@@ -139,6 +139,19 @@ class TestExitCodes:
         steps = int(re.search(r"after (\d+) iterations", err).group(1))
         assert steps <= 100
         assert re.search(r"lowest residual \d\.\d+e-\d+", err)
+
+    def test_collapse_to_a_singular_trace(self, tmp_path, capsys):
+        # outside the existence regime, tol 0 drives (6,4)'s weights down
+        # until the trace's interior block is singular: a non-convergence
+        out = tmp_path / "r.json"
+        code = main(["gd", "solve", "--n", "6", "--m", "4", "--tol", "0",
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == [
+            "error: step 267: the interior block of the trace became "
+            "singular as the weights collapsed"]
+        assert not out.exists()
 
     def test_enumeration_cap(self, capsys):
         code = main(["relations", "--n", "2", "--m", "1", "--theta", "1/12",
@@ -933,9 +946,6 @@ class TestOutput:
         assert main(["structure", "--n", "2", "--m", "1", "--theta", "1/6",
                      "--level", "2", "--out", str(out)]) == 0
         assert load(out)["results"]["levels"]["level"] == 2
-
-    def test_run_alias(self):
-        assert run is main
 
 
 class TestImportFootprint:

@@ -14,9 +14,8 @@ from fractal_renorm import networks
 from fractal_renorm import (
     CapExceededError, ConductanceForm, KappaUndefinedError,
     KernelMismatchError, NotInvariantError, Partition, build_J_plus_minus,
-    build_structure, critical_angles, enumerate_preserved, is_preserved,
-    kappa, level_vertices, levels_to_json, make_context, per_cell_flows,
-    phi_n, rho_search,
+    build_structure, enumerate_preserved, is_preserved, kappa,
+    level_vertices, levels_to_json, make_context, per_cell_flows, rho_search,
     rotation_invariant, sabot_verdict, solve_eigenform,
     uniqueness_certificate,
 )
@@ -27,12 +26,14 @@ from fractal_renorm.relations import (DEFAULT_ENUM_CAP, _block_traces,
                                       _ratio_bounds, _search_plan, _side)
 from fractal_renorm.renorm import _boundary_matrix, cone_iteration
 from fractal_renorm.structure import GluingScheme
-from _oracles import (block_cycle_form, block_star_form,
+from _oracles import (angle_J_plus_minus, block_containing,
+                      block_cycle_form, block_star_form,
                       boundary_order_preserved, brute_force_preserved,
-                      energy, gd_rho_values, glue_arc_preserved,
-                      loop_t_quotient, loop_t_relation, partitions_rgs,
-                      quotient_weights, rotated_by_angles, search_counts,
-                      support_components, valid_contexts)
+                      circle_distance, critical_angles, energy,
+                      gd_rho_values, glue_arc_preserved, loop_t_quotient,
+                      loop_t_relation, partition_from_pairs, partitions_rgs,
+                      phi_n, quotient_weights, rotated_by_angles,
+                      search_counts, support_components, valid_contexts)
 
 SWEEP_FAMILIES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
 # the enumeration's brute-force oracle: every valid theta with q <= 40 and
@@ -122,7 +123,8 @@ class TestPartition:
         assert p.blocks == ((0, 2), (1, 3))
 
     def test_from_pairs(self):
-        p = Partition.from_pairs(range(4), [(0, 1), (1, 2)])
+        # the oracle's, which the Angle route of the candidates joins with
+        p = partition_from_pairs(range(4), [(0, 1), (1, 2)])
         assert p.blocks == ((0, 1, 2), (3,))
 
     def test_overlap_rejected(self):
@@ -190,8 +192,8 @@ class TestClosure:
                 parent.setdefault(vid, v)
         for x in range(15):
             for y in class_members(closure, x):
-                assert rel.block_containing(s.boundary[parent[x]]) == \
-                    rel.block_containing(s.boundary[parent[y]])
+                assert block_containing(rel, s.boundary[parent[x]]) == \
+                    block_containing(rel, s.boundary[parent[y]])
 
     def test_merge_vertices_stay_apart(self):
         # no two junction images share a class for a nontrivial relation
@@ -217,10 +219,10 @@ class TestClosure:
         crits = critical_angles(ctx)
         centers = [phi_n(crits[perm[i] - 1], ctx.n) for i in range(ring)]
         for i in range(1, ring + 1):
-            block_i = rel.block_containing(centers[i - 1])
+            block_i = block_containing(rel, centers[i - 1])
             seed = lv1.marked[s.index[block_i[0]]]
             closure_block = class_members(closure, seed)
-            source = rel.block_containing(centers[inv[i] - 1])
+            source = block_containing(rel, centers[inv[i] - 1])
             expected = {lv1.rows[i - 1][s.index[a]] for a in source}
             expected |= {lv1.rows[i % ring][s.index[a]] for a in source}
             assert closure_block == expected
@@ -459,7 +461,6 @@ class TestEnumeration:
                 for block in rel.blocks:
                     for i, x in enumerate(block):
                         for y in block[i + 1:]:
-                            from fractal_renorm import circle_distance
                             assert circle_distance(x, y) < bound
 
 
@@ -489,7 +490,7 @@ class TestCandidates:
         crits = critical_angles(ctx)
         for i in range(ctx.ring_size):
             center = phi_n(crits[perm[i] - 1], ctx.n)
-            assert center in plus.block_containing(center)
+            assert center in block_containing(plus, center)
 
     def test_nontrivial_g_relations_come_from_candidates(self):
         for n, theta in [(2, "1/12"), (3, "1/12")]:
@@ -498,6 +499,24 @@ class TestCandidates:
             for rel in enumerate_preserved(s, require_g=True):
                 if not rel.is_trivial:
                     assert rel in candidates
+
+    def test_every_context_matches_the_angle_route(self):
+        # every valid theta with q <= 60 and nb <= 60: the same two
+        # partitions, or KappaUndefinedError with the same message
+        defined = undefined = 0
+        for n, m, theta in valid_contexts(SWEEP_FAMILIES + [(4, 1)], 60, 60):
+            s = ms(n, m, theta)
+            try:
+                want = angle_J_plus_minus(s)
+            except KappaUndefinedError as exc:
+                with pytest.raises(KappaUndefinedError) as got:
+                    build_J_plus_minus(s)
+                assert str(got.value) == str(exc), (n, m, theta)
+                undefined += 1
+            else:
+                assert build_J_plus_minus(s) == want, (n, m, theta)
+                defined += 1
+        assert (defined, undefined) == (342, 23)
 
 
 class TestOperators:
@@ -630,7 +649,7 @@ class TestOperators:
         assert tuple(q.vertices) == rel.blocks
         # energies agree on block-constant functions
         values = {rel.blocks[0]: 1.0, rel.blocks[1]: -1.0, rel.blocks[2]: 0.5}
-        lifted = {a: values[rel.block_containing(a)] for a in s.boundary}
+        lifted = {a: values[block_containing(rel, a)] for a in s.boundary}
         assert energy(q, values) == pytest.approx(energy(hs.form, lifted))
 
     def test_t_quotient_cycle_bound(self):
@@ -672,7 +691,7 @@ class TestOperators:
             rng = np.random.default_rng(seed)
             values = rng.standard_normal(rel.block_count())
             lifted = np.array([values[rel.blocks.index(
-                rel.block_containing(a))] for a in s.boundary])
+                block_containing(rel, a))] for a in s.boundary])
             assert quadratic(tq, values) >= quadratic(t_full, lifted) - 1e-12
 
 

@@ -6,8 +6,7 @@ import json
 import pytest
 
 from fractal_renorm import (
-    claim, form_to_json, render_report, validate_report,
-    validate_report_details, write_report,
+    claim, form_to_json, render_report, validate_report_details,
 )
 from fractal_renorm.cli import main
 from fractal_renorm.networks import ConductanceForm
@@ -52,7 +51,7 @@ class TestRendering:
     def test_write_round_trip(self, tmp_path):
         path = tmp_path / "r.json"
         report = {"schema": "fr-1", "values": [1, 2, 3]}
-        write_report(str(path), report)
+        path.write_text(render_report(report), encoding="utf-8")
         assert load(path) == report
 
 
@@ -96,8 +95,8 @@ class TestPinnedResults:
 
 class TestCommandCheck:
     def test_edited_command_fails(self, tmp_path, capsys):
-        # validate_report is the validation fractal-renorm validate runs,
-        # the check of the report's own command included
+        # validate_report_details is the validation fractal-renorm
+        # validate runs, the check of the report's own command included
         path = make_report(tmp_path, "h.json",
                            ["solve", "--n", "2", "--m", "1",
                             "--theta", "1/12"])
@@ -106,7 +105,7 @@ class TestCommandCheck:
         command[command.index("--theta") + 1] = "1/4"
         command += ["--tol", "0.5"]
         dump(path, report)
-        assert not validate_report(str(path))
+        assert validate_report_details(str(path))
         assert [line.split(":")[0]
                 for line in validate_report_details(str(path))] == [
             "inputs.theta", "tolerances.solver_tol"]
@@ -147,7 +146,7 @@ class TestEnvelope:
             report = load(path)
             assert report["results"]["kind"] == kind
             assert validate_report_details(str(path)) == []
-            assert validate_report(str(path))
+            assert not validate_report_details(str(path))
 
     def test_envelope_rule_tampers(self, tmp_path, capsys):
         # one edit per envelope rule: each fails with a schema line and
@@ -224,7 +223,7 @@ class TestTamperDetection:
         dump(path, report)
         details = validate_report_details(str(path))
         assert any("residual" in line for line in details)
-        assert not validate_report(str(path))
+        assert validate_report_details(str(path))
 
     def test_harmonic_converged_flag_does_not_skip_recheck(self, tmp_path):
         # only an exploratory gd run may skip the residual recheck
@@ -242,7 +241,7 @@ class TestTamperDetection:
         path = make_report(tmp_path, "hc.json",
                            ["solve", "--n", "2", "--m", "1",
                             "--theta", "1/12"])
-        assert validate_report(str(path))
+        assert not validate_report_details(str(path))
         base = load(path)
         harmonic = base["results"]["harmonic"]
         iterations = harmonic["iterations"]
@@ -276,7 +275,7 @@ class TestTamperDetection:
         report = load(path)
         report["results"]["harmonic"]["form"]["edges"][0][2] *= 1.05
         dump(path, report)
-        assert not validate_report(str(path))
+        assert validate_report_details(str(path))
 
     def test_missing_tolerances(self, tmp_path):
         path = make_report(tmp_path, "h3.json",
@@ -315,7 +314,7 @@ class TestTamperDetection:
         report = load(path)
         report["annotation"] = "hand-edited"
         dump(path, report)
-        assert not validate_report(str(path))
+        assert validate_report_details(str(path))
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -328,7 +327,7 @@ class TestTamperDetection:
         path.write_bytes('{"schema": "fr-2 \u00e9"}'.encode("latin-1"))
         details = validate_report_details(str(path))
         assert len(details) == 1 and "not valid JSON" in details[0]
-        assert not validate_report(str(path))
+        assert validate_report_details(str(path))
         assert main(["validate", str(path)]) == 4
         assert "not valid JSON" in capsys.readouterr().err
 
@@ -336,7 +335,7 @@ class TestTamperDetection:
         path = make_report(tmp_path, "r.json",
                            ["resistance", "--n", "2", "--m", "1",
                             "--theta", "1/12", "--level", "2"])
-        assert validate_report(str(path))
+        assert not validate_report_details(str(path))
         base = load(path)
 
         # one pair tripled and eta edited, also with the stated tol raised
@@ -370,19 +369,23 @@ class TestTamperDetection:
         report["results"]["matrix"][0][1] = -0.5
         report["results"]["matrix"][1][0] = -0.5
         dump(path, report)
-        assert any("nonnegative" in line
-                   for line in validate_report_details(str(path)))
+        details = validate_report_details(str(path))
+        for entry in ("[0][1]", "[1][0]"):
+            assert any(line.startswith(f"results.matrix{entry}: -0.5, "
+                                       "recomputed ") for line in details)
 
+        # an asymmetric edit is named by the one entry it moved
         report = json.loads(json.dumps(base))
         report["results"]["matrix"][0][1] += 1.0
         dump(path, report)
-        assert any("symmetric" in line
-                   for line in validate_report_details(str(path)))
+        assert [line.split(":")[0]
+                for line in validate_report_details(str(path))] == \
+            ["results.matrix[0][1]"]
 
         report = json.loads(json.dumps(base))
         report["results"]["matrix"][0][0] = 0.3
         dump(path, report)
-        assert any("diagonal" in line
+        assert any(line.startswith("results.matrix[0][0]: 0.3, recomputed ")
                    for line in validate_report_details(str(path)))
 
         report = json.loads(json.dumps(base))
@@ -397,7 +400,7 @@ class TestTamperDetection:
                            ["gd", "solve", "--n", "4", "--m", "4"])
         base = load(path)
         assert base["results"]["converged"] is False
-        assert validate_report(str(path))
+        assert not validate_report_details(str(path))
 
         report = json.loads(json.dumps(base))
         report["results"]["harmonic"]["eta"] = 7.0
@@ -454,7 +457,7 @@ class TestTamperDetection:
         path = make_report(tmp_path, "s2.json",
                            ["structure", "--n", "2", "--m", "1",
                             "--theta", "1/12", "--level", "2"])
-        assert validate_report(str(path))
+        assert not validate_report_details(str(path))
         base = load(path)
         for edit in ("num_vertices", "merges"):
             report = json.loads(json.dumps(base))
@@ -488,7 +491,7 @@ class TestTamperDetection:
         path = make_report(tmp_path, "rel.json",
                            ["relations", "--n", "2", "--m", "1",
                             "--theta", "1/12"])
-        assert validate_report(str(path))
+        assert not validate_report_details(str(path))
         base = load(path)
 
         report = json.loads(json.dumps(base))
@@ -497,8 +500,12 @@ class TestTamperDetection:
             "rho_over_relation"]["value"] = 99.0
         dump(path, report)
         details = validate_report_details(str(path))
-        assert any("criterion_met" in line for line in details)
-        assert any("does not follow" in line for line in details)
+        assert any(line.startswith("results.verdict.verdict: "
+                                   "'nonexistence_certified', recomputed ")
+                   for line in details)
+        assert any(line.startswith("results.verdict.witnesses[0]"
+                                   ".rho_over_relation.value: 99.0")
+                   for line in details)
 
         # an edited rho value is caught by rerunning the bracket, also when
         # the edit keeps criterion_met and the verdict consistent and when
@@ -525,7 +532,8 @@ class TestTamperDetection:
         report = json.loads(json.dumps(base))
         report["results"]["certificates"][0]["certified"] = False
         dump(path, report)
-        assert any("certificate 0" in line
+        assert any(line.startswith("results.certificates[0].certified: "
+                                   "False, recomputed True")
                    for line in validate_report_details(str(path)))
 
         # trajectories are rerun: halving every value keeps certified, k
@@ -572,7 +580,7 @@ class TestTamperDetection:
         path = make_report(tmp_path, "f.json",
                            ["flows", "--n", "2", "--m", "1", "--theta",
                             "1/12", "--values", "1,0,0,0.5,0,0"])
-        assert validate_report(str(path))
+        assert not validate_report_details(str(path))
         base = load(path)
 
         report = json.loads(json.dumps(base))
@@ -594,7 +602,7 @@ class TestTamperDetection:
         report = load(path)
         report["results"]["harmonic"]["eta"]["value"] *= 1.01
         dump(path, report)
-        assert not validate_report(str(path))
+        assert validate_report_details(str(path))
 
         # an unconverged exploratory run has no eigen equation; its rerun
         # for the stated iterations matches
@@ -602,12 +610,12 @@ class TestTamperDetection:
                             ["gd", "solve", "--n", "4", "--m", "4"])
         report2 = load(path2)
         assert report2["results"]["converged"] is False
-        assert validate_report(str(path2))
+        assert not validate_report_details(str(path2))
 
     def test_gd_rhos_tampers(self, tmp_path):
         path = make_report(tmp_path, "gr.json",
                            ["gd", "rhos", "--n", "2", "--m", "1"])
-        assert validate_report(str(path))
+        assert not validate_report_details(str(path))
         base = load(path)
 
         report = json.loads(json.dumps(base))
@@ -649,11 +657,14 @@ class TestTamperDetection:
         report = json.loads(json.dumps(base))
         report["results"]["side_pairs"]["rho_under_relation"]["value"] = 5.0
         dump(path, report)
-        assert any("rho_under_relation exceeds" in line
+        assert any(line.startswith("results.side_pairs.rho_under_relation"
+                                   ".value: 5.0, recomputed ")
                    for line in validate_report_details(str(path)))
+        # with the tol raised to cover the edit, the tol is named
         report["results"]["side_pairs"]["rho_under_relation"]["tol"] = 100.0
         dump(path, report)
-        assert any("rho_under_relation exceeds" in line
+        assert any(line.startswith("results.side_pairs.rho_under_relation"
+                                   ".tol: 100.0, recomputed ")
                    for line in validate_report_details(str(path)))
 
 

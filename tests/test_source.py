@@ -99,6 +99,69 @@ def test_no_private_name_only_tests_read():
     assert unread_private_names(sources) == []
 
 
+def public_definitions(source: str) -> dict[str, int]:
+    """Module-level public functions, classes and aliases (a name bound
+    to another name) a module defines, with their lines."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found.update((name, node.lineno) for name in targets
+                     if not name.startswith("_"))
+    return found
+
+
+def names_read_from(source: str, own: bool) -> set[str]:
+    """Names a module can read of a module-level definition: attributes
+    and imported names, and, in the defining module itself (own), loaded
+    names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif own and isinstance(node, ast.Name) \
+                and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return read
+
+
+def init_only_public_names(sources: dict[str, str]) -> list[str]:
+    """Module-level public names that no module but __init__ reads."""
+    found = []
+    for module, source in sources.items():
+        read = set().union(*(names_read_from(other, other_module == module)
+                             for other_module, other in sources.items()
+                             if other_module != "__init__.py"))
+        found += [f"{module}: {name} (line {line})"
+                  for name, line in public_definitions(source).items()
+                  if name not in read]
+    return found
+
+
+def test_init_only_public_names_are_found():
+    sources = {"a.py": ("def f():\n    return g()\ndef g():\n    pass\n"
+                        "def h():\n    pass\nclass C:\n    pass\n"
+                        "alias = h\nLIMIT = 3\n"),
+               "b.py": "from a import C\ndef run(x):\n    return x.h\n",
+               "__init__.py": "from a import f, alias\nfrom b import run\n"}
+    assert init_only_public_names(sources) == [
+        "a.py: f (line 1)", "a.py: alias (line 9)", "b.py: run (line 2)"]
+
+
+def test_no_public_name_only_init_reads():
+    # a public function the package no longer calls must go, not linger
+    # as an export for the tests
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert init_only_public_names(sources) == []
+
+
 def constant_definitions(source: str) -> dict[str, int]:
     """Module-level UPPER_CASE names a module assigns, with their lines."""
     found = {}

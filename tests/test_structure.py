@@ -1,5 +1,6 @@
 """Glued level sets: counts, merges, inclusion, rotations, JSON."""
 
+import contextlib
 import sys
 from fractions import Fraction
 
@@ -7,15 +8,16 @@ import numpy as np
 import pytest
 
 from fractal_renorm import (
-    Angle, DepthCapError, GluingScheme, InvalidMsError, build_structure,
-    cell_graph, enumerate_preserved, glue_copies, is_preserved, level_size,
-    level_vertices, levels_to_json, make_context, phi_n, post_critical_set,
-    solve_eigenform, structure_from_json, structure_to_json, validate_ms,
+    Angle, DepthCapError, GluingScheme, InvalidMsError, KappaUndefinedError,
+    build_structure, cell_graph, enumerate_preserved, glue_copies,
+    is_preserved, level_size, level_vertices, levels_to_json, make_context,
+    solve_eigenform, structure_from_json, structure_to_json,
 )
 from fractal_renorm import relations, structure
+from fractal_renorm.angles import critical_orbits
 from fractal_renorm.relations import _search_plan, _side
 from fractal_renorm.renorm import _boundary_matrix
-from _oracles import angle_structure, rotation_perm
+from _oracles import angle_structure, phi_n, rotation_perm
 
 FAMILIES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 1)]
 
@@ -93,9 +95,10 @@ class TestAngleRoute:
         for theta in sorted(thetas):
             ctx = make_context(n, m, theta)
             violations, post, _ = angle_structure(ctx)
-            assert validate_ms(ctx).violations == violations
-            assert validate_ms(ctx).valid == (not violations)
-            assert post_critical_set(ctx) == post
+            report, residues = critical_orbits(ctx)
+            assert report.violations == violations
+            assert report.valid == (not violations)
+            assert residues == [a.residue for a in post]
             for symmetrize in (None, True, False):
                 want = angle_structure(ctx, symmetrize)[2]
                 if want is None:
@@ -115,23 +118,32 @@ class TestAngleRoute:
                     == {Angle}
 
     def test_no_angle_route_in_a_build_or_a_search(self, monkeypatch):
-        def must_not_run(*args):
-            raise AssertionError("an Angle-route function ran")
+        # Angles are made once, for the boundary and glue points a build
+        # returns: none for the scheme, the rotation, the search or the
+        # candidate relations
+        made = []
+        new = Angle.__new__
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "fractal_renorm":
-                for func in ("phi_n", "rotate", "cell_index",
-                             "symmetrized_set"):
-                    if hasattr(module, func):
-                        monkeypatch.setattr(module, func, must_not_run)
+        def counted(cls, residue, modulus):
+            made.append(residue)
+            return new(cls, residue, modulus)
+
+        monkeypatch.setattr(Angle, "__new__", counted)
         for n, m, theta in [(2, 1, "1/12"), (2, 2, "3/16"), (3, 1, "1/9"),
                             (2, 1, "1/24"), (3, 2, "1/15"), (2, 1, "1/6")]:
-            s = ms(n, m, theta)
+            ctx = make_context(n, m, Fraction(theta))
+            made.clear()
+            s = build_structure(ctx)
+            assert len(made) == len(s.boundary) + len(s.glue_points)
+            made.clear()
             assert s.scheme.num_ids and s.rotation is not None
             plan = _search_plan(s)
             assert plan.buckets(s, True) is not plan.buckets(s, False)
             assert relations.enumerate_preserved(s, require_g=True)
             assert relations.enumerate_preserved(s)
+            with contextlib.suppress(KappaUndefinedError):
+                relations.build_J_plus_minus(s)
+            assert made == []
 
 
 class TestLevels:
