@@ -1,16 +1,18 @@
 """Command-line front end: parses flags, writes reports, maps exit codes.
 
-Every subcommand but validate records its flags as the report's inputs,
-hands them with --tol to the kind's builder in reports.BUILDERS, and emits
-the envelope around the results and tolerances the builder returns: one
-JSON report (see reports.py), or CSV rows for the tabular kinds, to --out
-or stdout. validate reparses the report's own command with the same
-parser and rebuilds the inputs and solver tolerance it gives the way the
-run does (_command_run); reports.report_errors then requires the stated
-ones to equal them before it reruns the builder on them and compares
-every field. validate_report_details is that one validation, for
-fractal-renorm validate and the library alike. main replaces --structure
-FILE by the context flags it stands for, so no report's command reads a file.
+Every subcommand but validate takes only the flags its run reads (--tol
+and --max-iter where it solves, --format where its results have a
+table), records them as the report's inputs, hands them with --tol to
+the kind's builder in reports.BUILDERS, and emits the envelope around
+the results and tolerances the builder returns: one JSON report (see
+reports.py), or CSV rows, to --out or stdout. validate reparses the
+report's own command with the same parser and rebuilds the inputs and
+solver tolerance it gives the way the run does (_command_run);
+reports.report_errors then requires the stated ones to equal them
+before it reruns the builder on them and compares every field.
+validate_report_details is that one validation, for fractal-renorm
+validate and the library alike. main replaces --structure FILE by the
+context flags it stands for, so no report's command reads a file.
 Exit codes: 0 success, 2 invalid input, 3 non-convergence or a cap hit
 (such as a level past the depth cap), 4 internal invariant violation
 (including failed report validation). Reports are deterministic
@@ -68,28 +70,27 @@ def _load_structure(path: str):
         raise ValueError(f"{path}: not an MS structure, {what}") from exc
 
 
-def _run_inputs(args) -> dict:
-    """A run's report inputs: the structure's fields, when the subcommand
-    has the context flags, followed by the fields its own flags set."""
+def _run_inputs(args) -> tuple[dict, Optional[float]]:
+    """A run's report inputs, the structure's fields when the subcommand
+    has the context flags followed by the fields its own flags set, and
+    its --tol, or None for a run that does not solve."""
     inputs = args.flag_inputs(args)
+    solver_tol = getattr(args, "tol", None)
     if "theta" not in args:
-        return inputs
+        return inputs, solver_tol
     if args.n is None or args.m is None or args.theta is None:
         raise ValueError("give either --structure or all of --n/--m/--theta")
     ctx = make_context(args.n, args.m, args.theta)
     return structure_inputs(ctx, symmetrize_rule(ctx, args.symmetrize),
-                            **inputs)
+                            **inputs), solver_tol
 
 
 def _cmd_run(args, started: float) -> int:
     """Build the subject of the subcommand's kind from the inputs its
     flags give, run the kind's builder on it and emit its report."""
-    if args.format == "csv" and args.csv_rows is None:
-        raise ValueError("csv output is only available for rho tables "
-                         "and resistance matrices")
-    inputs = _run_inputs(args)
+    inputs, solver_tol = _run_inputs(args)
     results, tolerances = BUILDERS[args.kind](subject(args.kind, inputs),
-                                              inputs, args.tol)
+                                              inputs, solver_tol)
     report = {
         "schema": SCHEMA,
         "version": __version__,
@@ -100,7 +101,8 @@ def _cmd_run(args, started: float) -> int:
         "results": results,
     }
     payload = ("".join(",".join(row) + "\n" for row in args.csv_rows(results))
-               if args.format == "csv" else render_report(report))
+               if getattr(args, "format", "json") == "csv"
+               else render_report(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -122,7 +124,7 @@ def _rho_rows(results: dict) -> list:
         for key in ("pq_pairs", "side_pairs")]
 
 
-def _command_run(report: dict) -> tuple[dict, float]:
+def _command_run(report: dict) -> tuple[dict, Optional[float]]:
     """The inputs and solver_tol that the report's own command gives,
     rebuilt as a run does; ValueError, with one 'command: ' line, for a
     command that does not parse, writes another kind or is not a run."""
@@ -144,7 +146,7 @@ def _command_run(report: dict) -> tuple[dict, float]:
         # the run warned already when it reduced theta into its window
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return _run_inputs(flags), flags.tol
+            return _run_inputs(flags)
     except (*_INPUT_ERRORS, ArithmeticError) as exc:
         raise ValueError(f"command: {shown!r} is not a run: {exc}") from None
 
@@ -196,18 +198,20 @@ def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
                      action="store_false")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-
 def _set_run(p: argparse.ArgumentParser, kind: str,
              flag_inputs: Callable[[argparse.Namespace], dict],
+             solves: bool = False,
              csv_rows: Optional[Callable[[dict], list]] = None) -> None:
-    """Make p a run that writes a kind report. flag_inputs gives the
-    inputs its own flags set; validate rebuilds them the same way."""
+    """Make p a run that writes a kind report to --out, with --tol and
+    --max-iter when it solves and --format when its results have a table.
+    flag_inputs gives the inputs its own flags set; validate rebuilds
+    them the same way."""
+    if solves:
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--out", type=str, default=None)
+    if csv_rows is not None:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(handler=_cmd_run, kind=kind, flag_inputs=flag_inputs,
                    csv_rows=csv_rows)
 
@@ -224,13 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("structure", help="build and export a structure")
     _add_ctx_flags(p)
     p.add_argument("--level", type=int, default=1)
-    _add_common(p)
     _set_run(p, "structure", lambda a: {"level": a.level})
 
     p = sub.add_parser("solve", help="solve for the eigenform")
     _add_ctx_flags(p)
-    _add_common(p)
-    _set_run(p, "harmonic", lambda a: {"max_iter": a.max_iter})
+    _set_run(p, "harmonic", lambda a: {"max_iter": a.max_iter},
+             solves=True)
 
     p = sub.add_parser("relations",
                        help="enumerate preserved relations and verdict")
@@ -240,46 +243,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true",
                    help="enumerate all relations, not only rotation-"
                         "invariant ones")
-    _add_common(p)
     _set_run(p, "relations", lambda a: {
         "cap": a.cap, "require_g": not a.all, "k_max": a.k_max,
-        "max_iter": a.max_iter})
+        "max_iter": a.max_iter}, solves=True)
 
     p = sub.add_parser("resistance",
                        help="pairwise boundary resistances at a level")
     _add_ctx_flags(p)
     p.add_argument("--level", type=int, default=1)
-    _add_common(p)
     _set_run(p, "resistance",
              lambda a: {"level": a.level, "max_iter": a.max_iter},
-             csv_rows=_resistance_rows)
+             solves=True, csv_rows=_resistance_rows)
 
     p = sub.add_parser("flows", help="per-cell flows of a harmonic function")
     _add_ctx_flags(p)
     p.add_argument("--values", type=str, required=True,
                    help="comma-separated boundary values, in angle order "
                         "(write --values=-1,0,0 when the first is negative)")
-    _add_common(p)
     _set_run(p, "flows",
-             lambda a: {"values": a.values, "max_iter": a.max_iter})
+             lambda a: {"values": a.values, "max_iter": a.max_iter},
+             solves=True)
 
     gd = sub.add_parser("gd", help="graph-directed model")
     gdsub = gd.add_subparsers(dest="gd_subcommand", required=True)
     p = gdsub.add_parser("build", help="build the gd structure")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
     _set_run(p, "gd_structure", lambda a: {"n": a.n, "m": a.m})
     p = gdsub.add_parser("solve", help="solve the gd eigenform")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
     _set_run(p, "gd_harmonic",
-             lambda a: {"n": a.n, "m": a.m, "max_iter": a.max_iter})
+             lambda a: {"n": a.n, "m": a.m, "max_iter": a.max_iter},
+             solves=True)
     p = gdsub.add_parser("rhos", help="rho table for the corner relations")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
     _set_run(p, "gd_rhos", lambda a: {"n": a.n, "m": a.m},
              csv_rows=_rho_rows)
 

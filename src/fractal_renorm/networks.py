@@ -26,8 +26,6 @@ import numpy as np
 
 from .errors import DisconnectedError
 
-NEGATIVE_WEIGHT_WARN = 1e-12  # relative size of traced weights clamped silently
-
 
 class DisjointSet:
     """Union-find with path compression; roots chosen as smallest members."""

@@ -789,18 +789,7 @@ class RelationWitness:
     relation: Partition
     relation_rhos: RhoReport
     quotient_rhos: RhoReport
-    separation: float
     criterion_met: bool
-
-    @property
-    def rhos(self) -> tuple[float, float, float, float]:
-        """The four rho values, in the order of RHO_KEYS."""
-        return (self.relation_rhos.rho_over, self.relation_rhos.rho_under,
-                self.quotient_rhos.rho_over, self.quotient_rhos.rho_under)
-
-
-RHO_KEYS = ("rho_over_relation", "rho_under_relation", "rho_over_quotient",
-            "rho_under_quotient")
 
 
 @dataclass(frozen=True)
@@ -809,66 +798,44 @@ class VerdictReport:
 
     verdict is one of: no_nontrivial_relations_exists_unique,
     criteria_hold_exists_unique, nonexistence_certified, inconclusive.
+    ordered_pairs holds the pairs (a, b) of distinct witnessed relations
+    where a refines b.
     """
 
     verdict: str
     witnesses: tuple[RelationWitness, ...]
     ordered_pairs: tuple[tuple[Partition, Partition], ...]
-    nonexistence_witness: Optional[tuple[Partition, Partition]]
-
-
-def nested_pairs(relations: Sequence[Partition]
-                 ) -> tuple[tuple[Partition, Partition], ...]:
-    """Ordered pairs (a, b) of distinct relations where a refines b."""
-    return tuple((a, b) for a in relations for b in relations
-                 if a != b and a.refines(b))
-
-
-def verdict_rule(rhos: Sequence[tuple[float, float, float, float]],
-                 nested: bool) -> tuple[str, Optional[tuple[int, int]]]:
-    """The verdict from the rho certificates of the nontrivial relations.
-
-    rhos[i] holds the values named in RHO_KEYS for the i-th relation
-    (RelationWitness.rhos); nested says whether two of them are strictly
-    nested. Also returns the first index pair (a, b) whose quotient-side
-    upper certificate of a sits below the relation-side lower certificate
-    of b (the nonexistence witness).
-    """
-    if not rhos:
-        return "no_nontrivial_relations_exists_unique", None
-    for a, (_, _, over_quotient, _) in enumerate(rhos):
-        for b, (_, under_relation, _, _) in enumerate(rhos):
-            if over_quotient < under_relation:
-                return "nonexistence_certified", (a, b)
-    if all(under_quotient - over_relation > 0
-           for over_relation, _, _, under_quotient in rhos) and not nested:
-        return "criteria_hold_exists_unique", None
-    return "inconclusive", None
 
 
 def sabot_verdict(structure, enumerated: Sequence[Partition]
                   ) -> VerdictReport:
     """Combine enumeration and rho brackets into a verdict.
 
-    Uniqueness requires the relation-side upper certificate to sit below
-    the quotient-side lower certificate for every nontrivial relation, and
-    no two nontrivial relations to be strictly nested. Nonexistence is
-    certified when some quotient-side upper certificate sits below some
-    relation-side lower certificate.
+    Nonexistence is certified when some quotient-side upper certificate
+    sits below some relation-side lower certificate. Otherwise uniqueness
+    requires the relation-side upper certificate to sit below the
+    quotient-side lower certificate for every nontrivial relation, and no
+    two nontrivial relations to be strictly nested. With no nontrivial
+    relation the eigenform exists and is unique.
     """
     witnesses = []
     for rel in (rel for rel in enumerated if not rel.is_trivial):
         rr = rho_search(structure, rel, "relation")
         qr = rho_search(structure, rel, "quotient")
-        sep = qr.rho_under - rr.rho_over
-        witnesses.append(RelationWitness(relation=rel, relation_rhos=rr,
-                                         quotient_rhos=qr, separation=sep,
-                                         criterion_met=sep > 0))
-
-    ordered = nested_pairs([w.relation for w in witnesses])
-    verdict, pair = verdict_rule([w.rhos for w in witnesses], bool(ordered))
-    nonexistence = None if pair is None else (witnesses[pair[0]].relation,
-                                              witnesses[pair[1]].relation)
+        witnesses.append(RelationWitness(
+            relation=rel, relation_rhos=rr, quotient_rhos=qr,
+            criterion_met=qr.rho_under - rr.rho_over > 0))
+    rels = [w.relation for w in witnesses]
+    ordered = tuple((a, b) for a in rels for b in rels
+                    if a != b and a.refines(b))
+    if not witnesses:
+        verdict = "no_nontrivial_relations_exists_unique"
+    elif any(a.quotient_rhos.rho_over < b.relation_rhos.rho_under
+             for a in witnesses for b in witnesses):
+        verdict = "nonexistence_certified"
+    elif all(w.criterion_met for w in witnesses) and not ordered:
+        verdict = "criteria_hold_exists_unique"
+    else:
+        verdict = "inconclusive"
     return VerdictReport(verdict=verdict, witnesses=tuple(witnesses),
-                         ordered_pairs=ordered,
-                         nonexistence_witness=nonexistence)
+                         ordered_pairs=ordered)

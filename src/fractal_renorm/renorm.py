@@ -155,20 +155,6 @@ class _PairOrbits:
         return out + out.T
 
 
-def _pair_orbits(structure, w: np.ndarray) -> _PairOrbits:
-    """The orbits of the structure's boundary pairs under its rotation,
-    built on first use and kept on the structure; singletons, one per
-    pair, when the structure has no rotation or w is not invariant."""
-    rotation = structure.rotation
-    if rotation is None or not (w[np.ix_(rotation, rotation)] == w).all():
-        return _PairOrbits.build(structure.scheme.pairs, None)
-    cached = vars(structure).get("_pair_orbits")
-    if cached is None:
-        cached = vars(structure)["_pair_orbits"] = _PairOrbits.build(
-            structure.scheme.pairs, rotation)
-    return cached
-
-
 def _pair_jacobian(scheme: GluingScheme, orbits: _PairOrbits,
                    ext: np.ndarray) -> np.ndarray:
     """dT_q/dx_o at w: the derivative of T at each orbit representative q
@@ -220,14 +206,15 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
     _newton_step iterate when there is one and it lowers the residual, and
     one cone_iteration step T(w)/mass(T(w)) otherwise; the loop also stops
     when STALL_STEPS steps in a row bring no new lowest residual. The
-    Newton unknowns are the values on the rotation orbits of the pairs
-    (_pair_orbits of the start): T commutes with the rotation, so from a
+    Newton unknowns are the values on the rotation orbits of the pairs,
+    or one per pair when the start is not rotation-invariant or the
+    structure has no rotation: T commutes with the rotation, so from a
     rotation-invariant start every Newton iterate is exactly invariant.
     Above NEWTON_MAX_PAIRS pairs the loop runs as without newton: no
     Newton system is formed, and the stall stop is off, since cone steps
     may raise the residual for longer than STALL_STEPS. A collapse to the
-    zero form, or to weights so small that the trace's interior block is
-    singular, raises NonConvergence.
+    zero form, or a trace that rounding spoils (GluingScheme.harmonic's
+    LinAlgError), raises NonConvergence at the step it happens.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
@@ -245,11 +232,9 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
         # w, scheme.harmonic(w), eta and the residual; inf at mass 0
         try:
             traced, ext = scheme.harmonic(w)
-        except np.linalg.LinAlgError:
-            raise NonConvergenceError(
-                f"step {iteration}: the interior block of the trace became "
-                "singular as the weights collapsed",
-                iterations=iteration) from None
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"step {iteration}: {exc}",
+                                      iterations=iteration) from None
         mass = traced.sum() / 2.0
         if not mass > 0:
             return w, traced, ext, np.inf, np.inf
@@ -259,7 +244,10 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
     iteration = 0
     w, traced, ext, eta, residual = measured(w / (w.sum() / 2.0))
     newton = newton and len(scheme.pairs[0]) <= NEWTON_MAX_PAIRS
-    orbits = _pair_orbits(structure, w) if newton else None
+    rotation = structure.rotation
+    if rotation is not None and not (w[np.ix_(rotation, rotation)] == w).all():
+        rotation = None
+    orbits = _PairOrbits.build(scheme.pairs, rotation) if newton else None
     history: deque = deque(maxlen=16)
     lowest, stalled, delta = residual, 0, 0.0
     while eta < np.inf and residual > tol and iteration < max_iter \

@@ -21,14 +21,15 @@ per differing leaf, named by its path, with the tolerances required to
 be equal. Every rule that derives a stated value from others (a verdict
 from its rho brackets, a metric's symmetry) is thereby held too, since
 the rerun derives it. The one check _diff cannot make is on the
-embedded eigenform itself (_CONSISTENCY): eta, its residual and its
-enclosure recomputed from the stated form, on the same subject.
+embedded eigenform of a harmonic or gd_harmonic report (_check_eta):
+eta, its residual and its enclosure recomputed from the stated form, on
+the same subject.
 """
 from __future__ import annotations
 
 import json
 import math
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -38,10 +39,9 @@ from .gd import (RELATION_PQ, RELATION_SIDES, GdCellGraph, GdStructure,
                  build_gd_structure, cell_graph, gd_solve,
                  gd_structure_to_json)
 from .networks import ConductanceForm, resistance_matrix
-from .relations import (DEFAULT_MARGIN, RATIO_TOL, RHO_KEYS,
-                        build_J_plus_minus, enumerate_preserved, is_preserved,
-                        per_cell_flows, rho_search, sabot_verdict,
-                        uniqueness_certificate)
+from .relations import (DEFAULT_MARGIN, RATIO_TOL, build_J_plus_minus,
+                        enumerate_preserved, is_preserved, per_cell_flows,
+                        rho_search, sabot_verdict, uniqueness_certificate)
 from .renorm import _eta_bounds, solve_eigenform, verify_harmonic_structure
 from .structure import (MsStructure, build_structure, level_size,
                         level_vertices, levels_to_json, structure_to_json)
@@ -214,10 +214,13 @@ def relations_results(structure: MsStructure, inputs: dict, solver_tol
             "verdict": verdict.verdict,
             "witnesses": [{
                 "relation": w.relation.to_json(),
-                **{key: claim(value, RATIO_TOL)
-                   for key, value in zip(RHO_KEYS, w.rhos)},
+                "rho_over_relation": claim(rr.rho_over, RATIO_TOL),
+                "rho_under_relation": claim(rr.rho_under, RATIO_TOL),
+                "rho_over_quotient": claim(qr.rho_over, RATIO_TOL),
+                "rho_under_quotient": claim(qr.rho_under, RATIO_TOL),
                 "criterion_met": w.criterion_met,
-            } for w in verdict.witnesses],
+            } for w in verdict.witnesses
+                for rr, qr in [(w.relation_rhos, w.quotient_rhos)]],
             "ordered_pairs": [[a.to_json(), b.to_json()]
                               for a, b in verdict.ordered_pairs],
         },
@@ -447,12 +450,10 @@ def _check_eta(report: dict, fresh: dict, structure,
                           "stated form")
 
 
-_CONSISTENCY = {"harmonic": _check_eta, "gd_harmonic": _check_eta}
-
 # what a malformed or edited report can make a recomputation raise
 _REBUILD_ERRORS = (ArithmeticError, KeyError, TypeError, ValueError,
                    WorkbenchError)
-# and what a consistency check of malformed stated values can raise
+# and what _check_eta of malformed stated values can raise
 _MALFORMED = _REBUILD_ERRORS + (AttributeError, IndexError)
 
 
@@ -471,14 +472,15 @@ def _envelope_errors(report) -> list[str]:
     return errors
 
 
-def report_errors(report: dict, inputs: dict, solver_tol: float
+def report_errors(report: dict, inputs: dict, solver_tol: Optional[float]
                   ) -> list[str]:
     """Validation of a report inside the envelope against the inputs and
-    solver_tol its command gives; an empty list means valid. The stated
-    inputs, and the stated solver_tol if any, must equal those, or
-    nothing is built. Then the kind's builder reruns on them, its
-    tolerances must be stated exactly and its results within _diff's
-    rules, and the kind's consistency checks run."""
+    solver_tol its command gives (None for a run that does not solve); an
+    empty list means valid. The stated inputs, and the stated solver_tol
+    if any, must equal those, or nothing is built. Then the kind's
+    builder reruns on them, its tolerances must be stated exactly and its
+    results within _diff's rules, and an embedded eigenform is checked
+    (_check_eta)."""
     kind = report["results"]["kind"]
     errors: list[str] = []
     _diff("inputs", report["inputs"], inputs, errors, 0.0)
@@ -495,9 +497,9 @@ def report_errors(report: dict, inputs: dict, solver_tol: float
                 f"inputs: {exc}"]
     _diff("results", report["results"], results, errors)
     _diff("tolerances", report["tolerances"], tolerances, errors, 0.0)
-    if kind in _CONSISTENCY:
+    if kind in ("harmonic", "gd_harmonic"):
         try:
-            _CONSISTENCY[kind](report, results, built, errors)
+            _check_eta(report, results, built, errors)
         except _MALFORMED as exc:
             if not errors:  # the diff names what is malformed
                 errors.append(f"cannot check the stated {kind} results: "

@@ -11,7 +11,6 @@ graph-directed cells share.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,10 +23,12 @@ from . import networks
 from .angles import (Angle, AngleContext, cell_of, critical_orbits,
                      critical_residues, make_context, rotation_closure)
 from .errors import DepthCapError, InvalidMsError
-from .networks import NEGATIVE_WEIGHT_WARN, DisjointSet
+from .networks import DisjointSet
 
 DEPTH_CAP = 12  # highest level level_size and level_vertices accept
 MAX_LEVEL_VERTICES = 1_000_000  # largest level level_vertices builds
+# a negative traced weight within this of the scale (at least 1) is rounding
+TRACE_NEGATIVE_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,23 +103,30 @@ class GluingScheme:
         the Laplacian L, and T(w) = A_BB + A_BI X_I off the diagonal.
         Every live component holds a marked id, so L_II is nonsingular;
         the plan is kept per support of w, whose positive entries are the
-        pairs."""
+        pairs. LinAlgError when rounding makes L_II singular or leaves a
+        traced weight negative beyond TRACE_NEGATIVE_ROUNDING."""
         nb = len(self.marked)
         flat, source, pos, size = self._plan(w)
         glued = np.bincount(flat, w.take(source), size * size
                             ).reshape(size, size)
         interior = glued[nb:, nb:]  # made L_II in place
         interior[...] = np.diag(glued[nb:].sum(axis=1)) - interior
-        ext_i = np.linalg.solve(interior, glued[nb:, :nb])
+        try:
+            ext_i = np.linalg.solve(interior, glued[nb:, :nb])
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                "the interior block of the trace became singular as the "
+                "weights collapsed") from None
         traced = glued[:nb, :nb] + glued[:nb, nb:] @ ext_i
         traced = 0.5 * (traced + traced.T)
         np.fill_diagonal(traced, 0.0)
         worst = float(traced.min(initial=0.0))
         if worst < 0.0:
             scale = float(np.abs(traced).max())
-            if worst < -NEGATIVE_WEIGHT_WARN * max(scale, 1.0):
-                warnings.warn(f"traced weight {worst:.3e} clamped to zero (scale"
-                              f" {scale:.3e}); result may be inaccurate")
+            if worst < -TRACE_NEGATIVE_ROUNDING * max(scale, 1.0):
+                raise np.linalg.LinAlgError(
+                    f"traced weight {worst:.3e} at scale {scale:.3e} is "
+                    "negative beyond rounding")
             np.clip(traced, 0.0, None, out=traced)
         floating = np.zeros((len(pos) - size, nb))
         return traced, np.concatenate((np.eye(nb), ext_i, floating))[pos]

@@ -1,5 +1,6 @@
 """Workbench front end: exit codes, determinism, file round-trips."""
 
+import argparse
 import json
 import os
 import re
@@ -153,6 +154,20 @@ class TestExitCodes:
             "singular as the weights collapsed"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, m, weight", [("5", "5", "-3.292e+00"),
+                                              ("8", "5", "-2.060e-01")])
+    def test_negative_traced_weight_stops_the_solve(self, n, m, weight,
+                                                    tmp_path, capsys):
+        # tol 0 drives these cells' traces to a weight that is negative far
+        # beyond rounding: an error that names it, not a clamp to zero
+        out = tmp_path / "r.json"
+        assert main(["gd", "solve", "--n", n, "--m", m, "--tol", "0",
+                     "--out", str(out)]) == 3
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("error:")]
+        assert len(err) == 1 and f"traced weight {weight} at scale" in err[0]
+        assert not out.exists()
+
     def test_enumeration_cap(self, capsys):
         code = main(["relations", "--n", "2", "--m", "1", "--theta", "1/12",
                      "--cap", "3"])
@@ -269,11 +284,14 @@ class TestExitCodes:
         assert main(argv + ["--tol", tol, "--max-iter", "50"]) == 2
         assert "tol must be finite and nonnegative" in capsys.readouterr().err
 
-    def test_structure_takes_any_tol(self, tmp_path):
+    def test_structure_refuses_tol(self, tmp_path, monkeypatch, capsys):
+        # structure solves nothing, so it takes no --tol
+        counts = count_builds(monkeypatch)
         out = tmp_path / "s.json"
         assert main(["structure", "--n", "2", "--m", "1", "--theta", "1/6",
-                     "--tol", "-1", "--out", str(out)]) == 0
-        assert main(["validate", str(out)]) == 0
+                     "--tol", "-1", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --tol -1" in capsys.readouterr().err
+        assert not out.exists() and not counts
 
     def test_validate_bad_solver_tol(self, tmp_path, capsys):
         out = tmp_path / "h.json"
@@ -415,7 +433,8 @@ class TestExitCodes:
             monkeypatch.setitem(reports.BUILDERS, name,
                                 lambda *a: called.append(a))
         assert main(KIND_RUNS[kind] + ["--format", "csv"]) == 2
-        assert "csv output is only available" in capsys.readouterr().err
+        assert "unrecognized arguments: --format csv" in (
+            capsys.readouterr().err)
         assert called == []
 
     @pytest.mark.parametrize("error", WorkbenchError.__subclasses__(),
@@ -608,6 +627,60 @@ class TestParserReuse:
         assert "--bogus" in capsys.readouterr().err
 
 
+# where a report records a run flag whose dest it does not name in inputs
+RECORDED_AS = {"tol": ("tolerances", "solver_tol"),
+               "symmetrize": ("inputs", "symmetrized"),
+               "all": ("inputs", "require_g")}
+
+
+def run_parser(argv: list) -> argparse.ArgumentParser:
+    """The subparser that parses the flags of the run argv."""
+    parser = cli.build_parser()
+    for token in argv[:2 if argv[0] == "gd" else 1]:
+        parser = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)
+                      ).choices[token]
+    return parser
+
+
+class TestRunFlags:
+    """Each subcommand takes only the flags its run reads."""
+
+    def test_every_flag_is_recorded(self, tmp_path):
+        # every option lands in the report, but --out, and --format where
+        # the results have a table
+        unread = []
+        for kind, argv in sorted(KIND_RUNS.items()):
+            out = tmp_path / f"{kind}.json"
+            assert main(argv + ["--out", str(out)]) == 0
+            report = load(out)
+            parser = run_parser(argv)
+            for action in parser._actions:
+                if not action.option_strings or action.dest in ("help",
+                                                                "out"):
+                    continue
+                if action.dest == "format" and parser.get_default("csv_rows"):
+                    continue
+                section, key = RECORDED_AS.get(action.dest,
+                                               ("inputs", action.dest))
+                if key not in report[section]:
+                    unread.append(f"{kind} {action.option_strings[0]}")
+        assert unread == []
+
+    def test_command_with_an_unread_flag_fails_validate(self, tmp_path,
+                                                        capsys):
+        # a report written while structure took --tol no longer parses
+        out = tmp_path / "s.json"
+        assert main(KIND_RUNS["structure"] + ["--out", str(out)]) == 0
+        report = load(out)
+        report["command"] += ["--tol", "1e-3"]
+        out.write_text(json.dumps(report), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "does not parse as a run" in err[0]
+
+
 class TestValidateCommand:
     """validate holds the inputs and tolerances to the report's command."""
 
@@ -633,19 +706,29 @@ class TestValidateCommand:
         assert code == 4
         assert err == ["tolerances.solver_tol: 1e-11, recomputed 1e-12"]
 
-    def test_recorded_flags_validate(self, tmp_path, capsys):
+    def test_recorded_flags_validate(self, tmp_path, monkeypatch, capsys):
         runs = [
             ["relations", "--all", "--n", "2", "--m", "1", "--theta", "2/12",
              "--tol", "1e-11", "--max-iter", "5000", "--k-max", "3",
              "--cap", "7", "--no-symmetrize"],
             ["structure", "--n", "2", "--m", "1", "--theta", "1/6",
-             "--level", "2", "--tol", "1e-3", "--max-iter", "7"],
-            ["gd", "build", "--n", "2", "--m", "1", "--max-iter", "5"],
+             "--level", "2"],
+            ["gd", "build", "--n", "2", "--m", "1"],
+            ["resistance", "--n", "2", "--m", "1", "--theta", "1/6",
+             "--tol", "1e-11", "--max-iter", "50", "--format", "json"],
         ]
         for argv in runs:
             out = tmp_path / "r.json"
-            assert main(argv + ["--out", str(out), "--format", "json"]) == 0
+            assert main(argv + ["--out", str(out)]) == 0
             assert main(["validate", str(out)]) == 0, argv
+        # the flags those runs do not read are refused before any build
+        counts = count_builds(monkeypatch)
+        for argv, extra in zip(runs, (["--format", "json"],
+                                      ["--tol", "1e-3", "--max-iter", "7"],
+                                      ["--max-iter", "5"])):
+            out = tmp_path / "refused.json"
+            assert main(argv + extra + ["--out", str(out)]) == 2, extra
+            assert not out.exists() and not counts
 
     def test_edited_inputs_fail(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -482,15 +482,29 @@ class TestCandidates:
         with pytest.raises(KappaUndefinedError):
             build_J_plus_minus(s)
 
-    def test_plus_classes_contain_return_centers(self):
-        s = ms(2, 1, "1/12")
-        plus, _ = build_J_plus_minus(s)
-        ctx = s.ctx
-        perm = kappa(ctx)
-        crits = critical_angles(ctx)
-        for i in range(ctx.ring_size):
-            center = phi_n(crits[perm[i] - 1], ctx.n)
-            assert center in block_containing(plus, center)
+    def test_generating_pairs_share_blocks(self):
+        # with center_i = phi_n(c_kappa(i)), J+ is generated by the pairs
+        # (c_i, center_i) and J- by (c_(i-1), center_i): their images under
+        # phi_n lie on the boundary and must share a block; the partition
+        # into singletons breaks every one of these checks
+        held = broken = 0
+        for n, m, theta in valid_contexts(SWEEP_FAMILIES + [(4, 1)], 60, 60):
+            s = ms(n, m, theta)
+            try:
+                plus, minus = build_J_plus_minus(s)
+            except KappaUndefinedError:
+                continue
+            singletons = Partition.from_blocks([a] for a in s.boundary)
+            crits, perm = critical_angles(s.ctx), kappa(s.ctx)
+            for i in range(s.ctx.ring_size):
+                image = phi_n(phi_n(crits[perm[i] - 1], n), n)
+                for rel, c in ((plus, crits[i]), (minus, crits[i - 1])):
+                    assert phi_n(c, n) in block_containing(rel, image), (
+                        n, m, theta, i)
+                    held += 1
+                    broken += phi_n(c, n) not in block_containing(
+                        singletons, image)
+        assert held == broken == 2846
 
     def test_nontrivial_g_relations_come_from_candidates(self):
         for n, theta in [(2, "1/12"), (3, "1/12")]:

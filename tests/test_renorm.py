@@ -18,7 +18,7 @@ from fractal_renorm import renorm, structure
 from fractal_renorm.gd import cell_graph, gd_solve
 from fractal_renorm.structure import GluingScheme
 from fractal_renorm.renorm import (_boundary_matrix, _newton_step,
-                                   _pair_jacobian, _pair_orbits, _PairOrbits)
+                                   _pair_jacobian, _PairOrbits)
 from _oracles import (dense_copy_consistency, energy, family_eta,
                       gd_eta_m1, power_eigenform, restriction_weights,
                       rotation_average, rotation_perm)
@@ -420,7 +420,7 @@ class TestOrbitSolve:
     def test_orbit_jacobian_matches_central_differences(self, n, m, theta):
         s = ms(n, m, theta)
         scheme, nb = s.scheme, len(s.boundary)
-        orbits = _pair_orbits(s, 1.0 - np.eye(nb))
+        orbits = _PairOrbits.build(scheme.pairs, s.rotation)
         ra, rb = orbits.ra, orbits.rb
         x = np.random.default_rng(13).uniform(0.5, 1.5, len(ra))
         jac = _pair_jacobian(scheme, orbits,
@@ -441,9 +441,7 @@ class TestOrbitSolve:
     def test_orbits_partition_the_pairs(self, n, m, theta):
         s = ms(n, m, theta)
         nb = len(s.boundary)
-        unit = 1.0 - np.eye(nb)
-        orbits = _pair_orbits(s, unit)
-        assert _pair_orbits(s, unit) is orbits
+        orbits = _PairOrbits.build(s.scheme.pairs, s.rotation)
         found = set(zip(orbits.ia.tolist(), orbits.ib.tolist()))
         assert found == {(a, b) for a in range(nb) for b in range(a + 1, nb)}
         assert len(found) == len(orbits.ia) == orbits.sizes.sum()
