@@ -18,8 +18,8 @@ from .relations import (CertificateReport, FlowReport, Partition,
                         build_J_plus_minus, enumerate_preserved, is_preserved,
                         per_cell_flows, rho_search, rotation_invariant,
                         sabot_verdict, uniqueness_certificate)
-from .gd import (GdCellGraph, GdHarmonicStructure, GdStructure, RELATION_PQ,
+from .gd import (GdCellGraph, GdHarmonicStructure, RELATION_PQ,
                  RELATION_SIDES, build_gd_structure, cell_graph,
-                 existence_verdict, gd_solve, gd_structure_to_json)
+                 existence_verdict, gd_solve)
 from .reports import claim, form_to_json, render_report
 from .cli import main, validate_report_details

@@ -78,8 +78,6 @@ def _run_inputs(args) -> tuple[dict, Optional[float]]:
     solver_tol = getattr(args, "tol", None)
     if "theta" not in args:
         return inputs, solver_tol
-    if args.n is None or args.m is None or args.theta is None:
-        raise ValueError("give either --structure or all of --n/--m/--theta")
     ctx = make_context(args.n, args.m, args.theta)
     return structure_inputs(ctx, symmetrize_rule(ctx, args.symmetrize),
                             **inputs), solver_tol
@@ -187,9 +185,9 @@ def _cmd_validate(args, started: float) -> int:
 def _add_ctx_flags(p: argparse.ArgumentParser) -> None:
     ctx = p.add_argument_group("context", "--structure FILE stands for "
                                "these flags, read from a report in FILE")
-    ctx.add_argument("--n", type=int, default=None)
-    ctx.add_argument("--m", type=int, default=None)
-    ctx.add_argument("--theta", type=str, default=None,
+    ctx.add_argument("--n", type=int, required=True)
+    ctx.add_argument("--m", type=int, required=True)
+    ctx.add_argument("--theta", type=str, required=True,
                      help="base angle as p/q")
     sym = ctx.add_mutually_exclusive_group()
     sym.add_argument("--symmetrize", dest="symmetrize", action="store_true",

@@ -88,25 +88,13 @@ def cell_graph(n: int, m: int, cell: int = 0) -> GdCellGraph:
                        scheme=GluingScheme(rows, corners, count))
 
 
-@dataclass(frozen=True)
-class GdStructure:
-    """Full level-2 gluing across all cells.
-
-    corner_ids[(k, l)] maps subcell k of cell l (both 0-based) to the ids
-    of its four corner images in CORNER_ORDER. level1_ids names the glued
-    level-1 vertices p0..q(ring-1).
-    """
-
-    n: int
-    m: int
-    num_vertices: int
-    corner_ids: Mapping[tuple[int, int], tuple[int, int, int, int]]
-    level1_ids: Mapping[str, int]
-
-
-def build_gd_structure(n: int, m: int) -> GdStructure:
-    """Glue all cells; the vertex count comes out to 2(m+n)^2, and one
-    above MAX_LEVEL_VERTICES is refused before any cell is built."""
+def build_gd_structure(n: int, m: int) -> dict:
+    """Glue all cells into the gd build payload: ctx, num_vertices, the
+    ids of each subcell's corner images as [subcell, cell, corner, id]
+    rows (1-based, sorted by subcell then cell, corners in CORNER_ORDER)
+    and the ids of the glued level-1 vertices p0..q(ring-1), by name. The
+    vertex count comes out to 2(m+n)^2, and one above MAX_LEVEL_VERTICES
+    is refused before any cell is built."""
     _check_orders(n, m)
     ring = m + n
     if 2 * ring * ring > MAX_LEVEL_VERTICES:
@@ -120,30 +108,16 @@ def build_gd_structure(n: int, m: int) -> GdStructure:
     rows, count = glue_copies(ring, cells[0].num_ids, pairs)
     if count != 2 * ring * ring:
         raise AssertionError(f"vertex count {count} != 2*{ring}^2")
-    corner_ids = {(sub, cell): tuple(rows[cell][v] for v in local)
-                  for cell in range(ring)
-                  for sub, local in enumerate(cells[cell].rows)}
+    corner_maps = [[sub + 1, cell + 1, corner, rows[cell][v]]
+                   for sub in range(ring) for cell in range(ring)
+                   for corner, v in zip(CORNER_ORDER, cells[cell].rows[sub])]
     level1 = {}
     for j in range(ring):
         cell = (j - 1) % ring
         level1[f"p{j}"] = rows[cell][cells[cell].marked[2]]
         level1[f"q{j}"] = rows[cell][cells[cell].marked[3]]
-    return GdStructure(n=n, m=m, num_vertices=count,
-                       corner_ids=corner_ids, level1_ids=level1)
-
-
-def gd_structure_to_json(gd: GdStructure) -> dict:
-    tables = []
-    for (sub, cell) in sorted(gd.corner_ids):
-        for corner, vid in zip(CORNER_ORDER, gd.corner_ids[(sub, cell)]):
-            tables.append([sub + 1, cell + 1, corner, vid])
-    return {
-        "kind": "graph_directed",
-        "ctx": {"n": gd.n, "m": gd.m},
-        "num_vertices": gd.num_vertices,
-        "corner_maps": tables,
-        "level1": dict(sorted(gd.level1_ids.items())),
-    }
+    return {"ctx": {"n": n, "m": m}, "num_vertices": count,
+            "corner_maps": corner_maps, "level1": dict(sorted(level1.items()))}
 
 
 def existence_verdict(n: int, m: int) -> str:
@@ -196,7 +170,7 @@ def gd_solve(cell: GdCellGraph, *, tol: float = DEFAULT_TOL,
         raise _no_convergence(cell, run, budget, tol)
     w = run.form
     scale = float(np.abs(w).max())
-    collapsed = [(FORM_VERTICES[i], FORM_VERTICES[j])
+    collapsed = [[FORM_VERTICES[i], FORM_VERTICES[j]]
                  for i in range(4) for j in range(i + 1, 4)
                  if w[i, j] < 1e-10 * scale]
     diagnostics = {

@@ -739,8 +739,10 @@ def per_cell_flows(structure: MsStructure, hs: HarmonicStructure,
     scheme = structure.scheme
     w0 = _boundary_matrix(structure, hs.form)
     hvec = scheme.harmonic(w0)[1] @ np.asarray(values, dtype=float)
-    # noise floor of the matvec, so the flows of a constant are inactive
-    matvec_floor = float(np.abs(hvec).max()) * float(scheme.assemble(w0).sum())
+    # noise floor of the matvec, so the flows of a constant are inactive;
+    # the glued copies sum to one w0 per copy, as gluing only merges entries
+    matvec_floor = float(np.abs(hvec).max()) * float(len(scheme.rows)
+                                                     * w0.sum())
 
     # net current out of each boundary vertex of the form, (L h)(x), at
     # the marked values and at each copy's values

@@ -86,7 +86,8 @@ def _eta_bounds(scheme: GluingScheme, w: np.ndarray, traced: np.ndarray
 @dataclass(frozen=True)
 class _Run:
     # the last iterate, its trace and eta, the lowest residual reached, the
-    # last step, and the last few (iterate, eta) pairs, oldest first
+    # last step, and the last five (iterate, eta) pairs, oldest first: the
+    # error keeps three iterates and gd_solve five etas
     form: np.ndarray
     traced: np.ndarray
     eta: float
@@ -248,7 +249,7 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
     if rotation is not None and not (w[np.ix_(rotation, rotation)] == w).all():
         rotation = None
     orbits = _PairOrbits.build(scheme.pairs, rotation) if newton else None
-    history: deque = deque(maxlen=16)
+    history: deque = deque(maxlen=5)
     lowest, stalled, delta = residual, 0, 0.0
     while eta < np.inf and residual > tol and iteration < max_iter \
             and stalled < STALL_STEPS:

@@ -35,9 +35,8 @@ import numpy as np
 
 from .angles import AngleContext, make_context
 from .errors import KappaUndefinedError, NonConvergenceError, WorkbenchError
-from .gd import (RELATION_PQ, RELATION_SIDES, GdCellGraph, GdStructure,
-                 build_gd_structure, cell_graph, gd_solve,
-                 gd_structure_to_json)
+from .gd import (RELATION_PQ, RELATION_SIDES, GdCellGraph,
+                 build_gd_structure, cell_graph, gd_solve)
 from .networks import ConductanceForm, resistance_matrix
 from .relations import (DEFAULT_MARGIN, RATIO_TOL, build_J_plus_minus,
                         enumerate_preserved, is_preserved, per_cell_flows,
@@ -285,11 +284,10 @@ def flows_results(structure: MsStructure, inputs: dict, solver_tol
     }, {"solver_tol": float(solver_tol), "flow_tol": FLOW_TOL}
 
 
-def gd_structure_results(gd: GdStructure, inputs: dict, solver_tol
+def gd_structure_results(gd: dict, inputs: dict, solver_tol
                          ) -> tuple[dict, dict]:
     """The glued graph-directed structure of all m+n cells."""
-    return ({**gd_structure_to_json(gd), "kind": "gd_structure"},
-            {"exact_arithmetic": 0.0})
+    return {"kind": "gd_structure", **gd}, {"exact_arithmetic": 0.0}
 
 
 def gd_harmonic_results(cell: GdCellGraph, inputs: dict, solver_tol
@@ -304,12 +302,7 @@ def gd_harmonic_results(cell: GdCellGraph, inputs: dict, solver_tol
         "existence": hs.existence,
         "converged": hs.converged,
         "harmonic": _harmonic_block(hs, float(solver_tol)),
-        "diagnostics": {
-            "last_step": float(hs.diagnostics["last_step"]),
-            "collapsed_pairs": [list(p)
-                                for p in hs.diagnostics["collapsed_pairs"]],
-            "mass_ratio_tail": list(hs.diagnostics["mass_ratio_tail"]),
-        },
+        "diagnostics": dict(hs.diagnostics),
     }, {"solver_tol": float(solver_tol)}
 
 

@@ -168,7 +168,8 @@ def test_06_uniqueness_certificates_all_partitions():
 def test_07_graph_directed_model():
     for n in range(2, 7):
         for m in range(1, 7):
-            assert build_gd_structure(n, m).num_vertices == 2 * (m + n) ** 2
+            assert (build_gd_structure(n, m)["num_vertices"]
+                    == 2 * (m + n) ** 2)
             crit = Fraction(1, m) + Fraction(1, n) - Fraction(1, 2)
             expected = ("exists_unique" if crit > 0
                         else "critical_undetermined" if crit == 0

@@ -113,9 +113,15 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_flags(self):
-        assert main(["solve", "--n", "2"]) == 2
-
+    def test_missing_flags(self, monkeypatch, capsys):
+        # the context flags are required by the parser: refused, with the
+        # missing ones named, before anything is built
+        counts = count_builds(monkeypatch)
+        for head, tail in [*STRUCTURE_RUNS.values(), (["structure"], [])]:
+            assert main([*head, "--n", "2", *tail]) == 2
+            assert ("the following arguments are required: --m, --theta"
+                    in capsys.readouterr().err)
+        assert not counts
     def test_zero_theta_denominator(self, capsys):
         assert main(["solve", "--n", "2", "--m", "1", "--theta", "1/0"]) == 2
         assert "zero denominator" in capsys.readouterr().err
@@ -623,7 +629,8 @@ class TestParserReuse:
         for _ in range(2):
             assert main(["--help"]) == 0
             assert main(["--version"]) == 0
-            assert main(["solve", "--bogus"]) == 2
+            assert main(["solve", "--n", "2", "--m", "1", "--theta", "1/12",
+                         "--bogus"]) == 2
         assert "--bogus" in capsys.readouterr().err
 
 

@@ -9,9 +9,10 @@ import pytest
 from fractal_renorm import (
     ConductanceForm, NonConvergenceError, NotInvariantError, Partition,
     RELATION_PQ, RELATION_SIDES, build_gd_structure, cell_graph,
-    enumerate_preserved, existence_verdict, gd_solve, gd_structure_to_json,
-    is_preserved, main, rho_search, sabot_verdict,
+    enumerate_preserved, existence_verdict, gd_solve, is_preserved, main,
+    rho_search, sabot_verdict,
 )
+from fractal_renorm import gd
 from fractal_renorm.gd import CORNER_ORDER, EXPLORE_ITER_CAP, FORM_VERTICES
 from fractal_renorm.relations import RATIO_TOL, _ratio_bounds, _side
 from fractal_renorm.renorm import _boundary_matrix
@@ -78,7 +79,7 @@ class TestCellGraph:
 class TestGdStructure:
     def test_vertex_count_grid(self):
         for n, m in GRID:
-            assert build_gd_structure(n, m).num_vertices == 2 * (m + n) ** 2
+            assert build_gd_structure(n, m)["num_vertices"] == 2 * (m + n) ** 2
 
     def test_parameter_bounds(self, capsys):
         with pytest.raises(ValueError):
@@ -94,22 +95,24 @@ class TestGdStructure:
         assert "need n >= 2" in capsys.readouterr().err
 
     def test_level1_names(self):
-        gd = build_gd_structure(2, 1)
-        assert sorted(gd.level1_ids) == sorted(
+        level1 = build_gd_structure(2, 1)["level1"]
+        assert list(level1) == sorted(
             f"{c}{j}" for c in "pq" for j in range(3))
-        assert len(set(gd.level1_ids.values())) == 6
+        assert len(set(level1.values())) == 6
 
     def test_corner_tables(self):
-        gd = build_gd_structure(3, 2)
-        assert len(gd.corner_ids) == 25
-        for ids in gd.corner_ids.values():
-            assert len(ids) == 4
-            assert all(0 <= v < gd.num_vertices for v in ids)
+        rows = build_gd_structure(3, 2)["corner_maps"]
+        # four corners per (subcell, cell), in that order
+        assert [row[:3] for row in rows] == [
+            [sub, cell, corner] for sub in range(1, 6) for cell in range(1, 6)
+            for corner in CORNER_ORDER]
+        assert all(0 <= row[3] < 50 for row in rows)
 
     def test_json_shape(self):
-        gd = build_gd_structure(3, 2)
-        payload = gd_structure_to_json(gd)
-        assert payload["kind"] == "graph_directed"
+        payload = build_gd_structure(3, 2)
+        assert list(payload) == ["ctx", "num_vertices", "corner_maps",
+                                 "level1"]
+        assert payload["ctx"] == {"n": 3, "m": 2}
         assert payload["num_vertices"] == 50
         assert len(payload["corner_maps"]) == 4 * 25
         for sub, cell, corner, vid in payload["corner_maps"]:
@@ -139,11 +142,12 @@ class TestExistence:
 
     def test_sabot_verdict_matches_the_dichotomy(self):
         # Sabot's criterion on the enumerated cell relations reproduces the
-        # sign test; the critical pairs get no verdict either way
+        # sign test on every cell with n, m <= 12; the critical pairs get no
+        # verdict either way
         expected = {"exists_unique": "criteria_hold_exists_unique",
                     "none": "nonexistence_certified",
                     "critical_undetermined": "inconclusive"}
-        for n, m in GRID:
+        for n, m in ((n, m) for n in range(2, 13) for m in range(1, 13)):
             cell = cell_graph(n, m)
             report = sabot_verdict(cell, enumerate_preserved(cell))
             assert report.verdict == expected[existence_verdict(n, m)], (n, m)
@@ -246,6 +250,25 @@ class TestSolve:
         tail = hs.diagnostics["mass_ratio_tail"]
         assert len(tail) == min(5, hs.iterations)
         assert tail[-1] == pytest.approx(hs.eta, abs=1e-9)
+
+    def test_history_holds_what_its_readers_take(self, monkeypatch):
+        # the mass-ratio tail reads the last five iterates and the
+        # non-convergence error the last three; a run keeps no more
+        runs, solve = [], gd._normalized_iteration
+
+        def spy(*args, **kwargs):
+            runs.append(solve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(gd, "_normalized_iteration", spy)
+        hs = gd_solve(cell_graph(5, 5))
+        assert hs.iterations > 16
+        assert len(runs[-1].history) <= 5
+        assert len(hs.diagnostics["mass_ratio_tail"]) == 5
+        with pytest.raises(NonConvergenceError) as err:
+            gd_solve(cell_graph(4, 3), max_iter=5)
+        assert len(runs[-1].history) == 5
+        assert len(err.value.last_iterates) == 3
 
 
 class TestPreservation:
