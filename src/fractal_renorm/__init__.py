@@ -11,8 +11,7 @@ from .structure import (GluingScheme, MsStructure, build_structure,
                         glue_copies, level_size, level_vertices,
                         levels_to_json, structure_from_json,
                         structure_to_json)
-from .renorm import (HarmonicStructure, solve_eigenform,
-                     verify_harmonic_structure)
+from .renorm import HarmonicStructure, solve_eigenform
 from .relations import (CertificateReport, FlowReport, Partition,
                         RelationWitness, RhoReport, VerdictReport,
                         build_J_plus_minus, enumerate_preserved, is_preserved,

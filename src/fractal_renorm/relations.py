@@ -248,14 +248,13 @@ class _SearchPlan:
 
     def buckets(self, structure, require_g: bool) -> tuple[list, list]:
         """joining and opening of one mode; the G search adds, on its
-        first run, p ~ q => r(p) ~ r(q) for each rotation r."""
+        first run, p ~ q => r(p) ~ r(q) for the rotation r alone (see
+        enumerate_preserved)."""
         if require_g not in self._buckets:
             self._buckets[True] = tuple([list(b) for b in lists]
                                         for lists in self._buckets[False])
-            rotation = power = self._renumbered(structure.rotation)
-            for _ in range(structure.ctx.ring_size - 1):
-                self._add(True, _implications(power))
-                power = [rotation[p] for p in power]
+            rotation = self._renumbered(structure.rotation)
+            self._add(True, _implications(rotation))
         return self._buckets[require_g]
 
 
@@ -308,9 +307,10 @@ def enumerate_preserved(structure, require_g: bool = False,
     implications: p ~ q implies f(p) ~ f(q), which makes every answer map
     blocks into blocks, and p ~ q implies such an arc, which fails when
     each arc holds a glue vertex outside f(p)'s block. With them, every
-    leaf that the labels pass is an answer. With require_g the rotations
-    r, ..., r^(ring-1) give p ~ q => r(p) ~ r(q), so a leaf that passes
-    them is rotation-invariant. A GD cell, whose ids mix vertex indices,
+    leaf that the labels pass is an answer. With require_g the rotation
+    r by 1/(m+n) gives p ~ q => r(p) ~ r(q): a leaf that passes it has r
+    permute its blocks, so it is invariant under every power of r, which
+    are the rotations. A GD cell, whose ids mix vertex indices,
     has no f and no such implications, and relies on the leaf test.
 
     The visiting order is image-first when f exists: the periodic points

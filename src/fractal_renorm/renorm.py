@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .networks import ConductanceForm
-from .structure import GluingScheme, MsStructure, level_vertices
+from .structure import GluingScheme
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
@@ -48,12 +48,11 @@ class HarmonicStructure:
     """Converged eigenform with its renormalization constant.
 
     eta comes from the mass ratio at the fixed point, and eta_bounds is
-    the form's enclosure of it (_eta_bounds). residual is
-    the relative sup-norm defect of eta*T(form) against form. On a
-    rotation-closed boundary the solver works on the rotation orbits of
-    the pairs, so a form that a Newton step made is exactly
-    rotation-invariant. verify_harmonic_structure checks a form
-    independently of how it was solved.
+    the form's enclosure of it (_eta_bounds). residual is the relative
+    sup-norm defect of eta*T(form) against form, measured on the form as
+    returned. On a rotation-closed boundary the solver works on the
+    rotation orbits of the pairs, so a form that a Newton step made is
+    exactly rotation-invariant.
     """
 
     form: ConductanceForm
@@ -311,49 +310,3 @@ def solve_eigenform(structure, *, tol: float = DEFAULT_TOL,
         eta=run.eta,
         eta_bounds=_eta_bounds(structure.scheme, run.form, run.traced),
         residual=run.residual, iterations=run.iterations)
-
-
-def _copy_defects(scheme: GluingScheme, scheme2: GluingScheme) -> int:
-    """Violations of the two identities that make level 2 (scheme2) the
-    gluing of copies of level 1 (scheme): the level-2 ids outside
-    scheme2.marked that do not lie in exactly one copy, and the (c, v)
-    with scheme2.rows[c][scheme.marked[v]] != scheme2.marked[
-    scheme.rows[c][v]]. The first makes the interior of level 2 the
-    disjoint union of the copies' interiors, the second puts each copy's
-    boundary where level 1 includes it."""
-    rows2 = np.asarray(scheme2.rows)
-    marked2 = np.asarray(scheme2.marked)
-    member = np.zeros((len(rows2), scheme2.num_ids), dtype=bool)
-    member[np.arange(len(rows2))[:, None], rows2] = True
-    copies = member.sum(axis=0)
-    interior = np.ones(scheme2.num_ids, dtype=bool)
-    interior[marked2] = False
-    misplaced = rows2[:, scheme.marked] != marked2[np.asarray(scheme.rows)]
-    return int((copies[interior] != 1).sum() + misplaced.sum())
-
-
-def verify_harmonic_structure(structure: MsStructure, form: ConductanceForm,
-                              eta: float, tol: float = DEFAULT_TOL
-                              ) -> dict:
-    """Independent residual report for a claimed eigenform.
-
-    Checks the eigen equation (to tol), the mass normalization, and the
-    locality of harmonic extension across levels: extending level-1 data
-    to level 2 and restricting to one copy equals that copy's own
-    extension of the same data, for every copy and every form, exactly
-    when the level-2 scheme glues the level-1 copies as _copy_defects
-    states. copy_consistency is the number of violations of those two
-    identities, checked exactly in O(N2) without building level 2's
-    network; it is 0.0 when both hold, and ok needs that.
-    """
-    scheme = structure.scheme
-    w0 = _boundary_matrix(structure, form)
-    eigen_residual = scheme.residual(w0, eta)
-    mass_defect = abs(w0.sum() / 2.0 - 1.0)
-    defects = _copy_defects(scheme, level_vertices(structure, 2))
-    return {
-        "eigen_residual": eigen_residual,
-        "mass_defect": mass_defect,
-        "copy_consistency": float(defects),
-        "ok": bool(eigen_residual <= tol and defects == 0),
-    }

@@ -301,6 +301,27 @@ def level_vertices(structure: MsStructure, k: int) -> GluingScheme:
     return scheme
 
 
+def _copy_defects(scheme: GluingScheme, scheme2: GluingScheme) -> int:
+    """Violations of the two identities that make level 2 (scheme2) the
+    gluing of copies of level 1 (scheme): the level-2 ids outside
+    scheme2.marked that do not lie in exactly one copy, and the (c, v)
+    with scheme2.rows[c][scheme.marked[v]] != scheme2.marked[
+    scheme.rows[c][v]]. The first makes the interior of level 2 the
+    disjoint union of the copies' interiors, the second puts each copy's
+    boundary where level 1 includes it. Both hold exactly when harmonic
+    extension is local across levels: extended to level 2 and restricted
+    to a copy, level-1 data extends as in that copy alone."""
+    rows2 = np.asarray(scheme2.rows)
+    marked2 = np.asarray(scheme2.marked)
+    member = np.zeros((len(rows2), scheme2.num_ids), dtype=bool)
+    member[np.arange(len(rows2))[:, None], rows2] = True
+    copies = member.sum(axis=0)
+    interior = np.ones(scheme2.num_ids, dtype=bool)
+    interior[marked2] = False
+    misplaced = rows2[:, scheme.marked] != marked2[np.asarray(scheme.rows)]
+    return int((copies[interior] != 1).sum() + misplaced.sum())
+
+
 def structure_to_json(structure: MsStructure) -> dict:
     ctx = structure.ctx
     return {

@@ -586,6 +586,10 @@ def angle_structure(ctx, symmetrize=None):
         "rotation": None if None in rotated else tuple(rotated)}
 
 
+# the (n, m) families that the sweeps over valid contexts run on
+SWEEP_FAMILIES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
+
+
 def valid_contexts(families, qmax, nbmax):
     """(n, m, theta) for every theta = p/q in [0, 1/(m+n)) with q <= qmax
     that critical_orbits finds valid and gives at most nbmax boundary

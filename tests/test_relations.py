@@ -26,7 +26,7 @@ from fractal_renorm.relations import (DEFAULT_ENUM_CAP, _block_traces,
                                       _ratio_bounds, _search_plan, _side)
 from fractal_renorm.renorm import _boundary_matrix, cone_iteration
 from fractal_renorm.structure import GluingScheme
-from _oracles import (angle_J_plus_minus, block_containing,
+from _oracles import (SWEEP_FAMILIES, angle_J_plus_minus, block_containing,
                       block_cycle_form, block_star_form,
                       boundary_order_preserved, brute_force_preserved,
                       circle_distance, critical_angles, energy,
@@ -35,7 +35,6 @@ from _oracles import (angle_J_plus_minus, block_containing,
                       phi_n, quotient_weights, rotated_by_angles,
                       search_counts, support_components, valid_contexts)
 
-SWEEP_FAMILIES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
 # the enumeration's brute-force oracle: every valid theta with q <= 40 and
 # nb <= 8 for the full search, and five of them for the G-search
 BRUTE_FORCE_CONTEXTS = [(n, m, str(theta)) for n, m, theta
@@ -353,9 +352,9 @@ class TestEnumeration:
                 assert leaves == len(found), (n, m, theta, require_g)
 
     @pytest.mark.parametrize("n,m,theta,nodes,before", [
-        (3, 1, "1/9", (65, 25), (122, 32)),
+        (3, 1, "1/9", (65, 26), (122, 32)),
         (2, 2, "3/16", (37, 22), (92, 30)),
-        (2, 1, "1/42", (42, 28), (78, 34)),
+        (2, 1, "1/42", (42, 31), (78, 34)),
     ])
     def test_node_counts(self, n, m, theta, nodes, before):
         # before: the search with the f and rotation implications alone
@@ -420,12 +419,13 @@ class TestEnumeration:
             enumerate_preserved(s, require_g=True)
 
     def test_g_search_is_the_invariant_part_of_the_full_search(self):
-        # the rotation implications drop no G-relation and keep the RGS
-        # order of the full search
-        contexts = valid_contexts(SWEEP_FAMILIES, 60, 9)
-        assert len(contexts) == 43
-        for n, m, theta in contexts + [(2, 1, Fraction(1, 48)),
-                                       (2, 1, Fraction(1, 96))]:
+        # the implications of the rotation r alone drop no G-relation,
+        # admit no other, and keep the RGS order of the full search
+        contexts = valid_contexts(SWEEP_FAMILIES, 100, 15)
+        assert len(contexts) == 233
+        assert {(2, 1, Fraction(1, 48)), (2, 1, Fraction(1, 96))} \
+            <= set(contexts)
+        for n, m, theta in contexts:
             s = ms(n, m, theta)
             full = enumerate_preserved(s)
             assert enumerate_preserved(s, require_g=True) == \

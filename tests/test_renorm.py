@@ -4,6 +4,7 @@ T is structure.scheme.T on boundary weight matrices, the operator the
 solver iterates.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -11,17 +12,20 @@ import pytest
 
 from fractal_renorm import (
     Angle, ConductanceForm, NonConvergenceError, build_structure,
-    level_vertices, make_context, resistance_matrix, solve_eigenform,
-    verify_harmonic_structure,
+    form_to_json, level_vertices, make_context, resistance_matrix,
+    solve_eigenform, validate_report_details,
 )
 from fractal_renorm import renorm, structure
+from fractal_renorm.cli import main
 from fractal_renorm.gd import cell_graph, gd_solve
-from fractal_renorm.structure import GluingScheme
+from fractal_renorm.reports import harmonic_results
+from fractal_renorm.structure import GluingScheme, _copy_defects
 from fractal_renorm.renorm import (_boundary_matrix, _newton_step,
                                    _pair_jacobian, _PairOrbits)
-from _oracles import (dense_copy_consistency, energy, family_eta,
-                      gd_eta_m1, power_eigenform, restriction_weights,
-                      rotation_average, rotation_perm)
+from _oracles import (SWEEP_FAMILIES, dense_copy_consistency, energy,
+                      family_eta, gd_eta_m1, power_eigenform,
+                      restriction_weights, rotation_average, rotation_perm,
+                      valid_contexts)
 
 
 def ms(n, m, theta, symmetrize=None):
@@ -537,32 +541,70 @@ class TestEtaEnclosure:
 
 
 class TestVerify:
-    def test_solved_structure_passes(self):
-        s = ms(2, 1, "1/6")
-        hs = solve_eigenform(s)
-        report = verify_harmonic_structure(s, hs.form, hs.eta)
-        assert report["ok"]
-        assert report["eigen_residual"] <= 1e-10
-        assert report["copy_consistency"] <= 1e-9
+    # the checks block of a harmonic report: the solve's own residual and
+    # mass, and the exact count of level-2 copy defects
 
-    def test_perturbation_detected(self):
+    @staticmethod
+    def results(s):
+        return harmonic_results(s, {"max_iter": renorm.DEFAULT_MAX_ITER},
+                                renorm.DEFAULT_TOL)[0]
+
+    def test_solved_structure_passes(self):
+        checks = self.results(ms(2, 1, "1/6"))["checks"]
+        assert checks["ok"] is True
+        assert checks["eigen_residual"]["value"] <= 1e-10
+        assert checks["copy_consistency"] == {"value": 0.0, "tol": 0.0}
+
+    @pytest.mark.parametrize("theta", ["1/6", "1/12"])
+    def test_report_traces_the_solved_form_once(self, monkeypatch, theta):
+        # the checks restate the solve's residual: one trace per iterate
+        # and one of the start, none more
+        s = ms(2, 1, theta)
+        calls = []
+        real = GluingScheme.harmonic
+
+        def counted(self, w):
+            calls.append(w)
+            return real(self, w)
+
+        monkeypatch.setattr(GluingScheme, "harmonic", counted)
+        iterations = self.results(s)["harmonic"]["iterations"]
+        assert len(calls) == iterations + 1
+
+    def test_solve_residual_is_the_form_s_own(self):
+        # the report states hs.residual as the eigen residual of hs.form:
+        # an independent trace of the returned form gives the same bits
+        contexts = valid_contexts(SWEEP_FAMILIES, 60, 12)
+        assert len(contexts) == 104
+        for n, m, theta in contexts:
+            s = ms(n, m, theta)
+            hs = solve_eigenform(s)
+            assert s.scheme.residual(_boundary_matrix(s, hs.form),
+                                     hs.eta) == hs.residual, (n, m, theta)
+
+    def test_perturbation_detected(self, tmp_path):
         s = ms(2, 1, "1/6")
         hs = solve_eigenform(s)
         vs = s.boundary
         bumped = ConductanceForm.from_edges(
             vs, [(x, y, w * (1.01 if (x, y) == (vs[0], vs[1]) else 1.0))
                  for x, y, w in hs.form.pairs()])
-        report = verify_harmonic_structure(s, bumped, hs.eta)
-        assert not report["ok"]
-        assert 1e-3 <= report["eigen_residual"] <= 1e-1
+        defect = s.scheme.residual(_boundary_matrix(s, bumped), hs.eta)
+        assert 1e-3 <= defect <= 1e-1
+        path = tmp_path / "h.json"
+        assert main(["solve", "--n", "2", "--m", "1", "--theta", "1/6",
+                     "--out", str(path)]) == 0
+        report = json.loads(path.read_text(encoding="utf-8"))
+        report["results"]["harmonic"]["form"] = form_to_json(bumped)
+        path.write_text(json.dumps(report), encoding="utf-8")
+        assert any("residual" in line
+                   for line in validate_report_details(str(path)))
 
     def test_rescaled_fixed_point_unchanged(self):
         s = ms(2, 1, "1/6")
         hs = solve_eigenform(s)
-        once = ConductanceForm.from_matrix(
-            s.boundary, hs.eta * s.scheme.T(as_weight_array(s, hs.form)))
-        report = verify_harmonic_structure(s, once, hs.eta)
-        assert report["ok"]
+        once = hs.eta * s.scheme.T(as_weight_array(s, hs.form))
+        assert s.scheme.residual(once, hs.eta) <= renorm.DEFAULT_TOL
 
     @pytest.mark.parametrize("n,m,theta", [
         (2, 1, "1/12"), (2, 1, "1/192"), (3, 1, "1/9"), (3, 2, "1/15"),
@@ -570,15 +612,13 @@ class TestVerify:
     def test_exact_check_agrees_with_dense_level_2(self, n, m, theta):
         s = ms(n, m, theta)
         hs = solve_eigenform(s)
-        report = verify_harmonic_structure(s, hs.form, hs.eta)
-        assert report["copy_consistency"] == 0.0
-        assert report["ok"]
+        assert _copy_defects(s.scheme, level_vertices(s, 2)) == 0
         assert dense_copy_consistency(
             s, _boundary_matrix(s, hs.form)) <= 1e-9
 
     def test_level_two_glues_the_structure_s_level_one(self, monkeypatch):
         s = ms(2, 1, "1/12")
-        hs = solve_eigenform(s)
+        s.scheme  # built before counting
         glued = []
         real = structure._next_level
 
@@ -587,35 +627,29 @@ class TestVerify:
             return real(structure_, prev, boundary)
 
         monkeypatch.setattr(structure, "_next_level", counted)
-        assert verify_harmonic_structure(s, hs.form, hs.eta)["ok"]
+        assert self.results(s)["checks"]["ok"]
         assert len(glued) == 1 and glued[0] is s.scheme
 
     @staticmethod
-    def corrupted_report(monkeypatch, corrupt):
-        # verify against a level 2 whose rows corrupt(rows) rewrites
+    def corrupted_defects(corrupt):
+        # the defects of a level 2 whose rows corrupt(rows) rewrites
         s = ms(2, 1, "1/12")
-        hs = solve_eigenform(s)
         level2 = level_vertices(s, 2)
         rows = [list(row) for row in level2.rows]
         corrupt(rows, s.scheme.marked, level2.marked)
         bad = GluingScheme(tuple(map(tuple, rows)), level2.marked,
                            level2.num_ids)
-        monkeypatch.setattr(renorm, "level_vertices",
-                            lambda structure, k: bad if k == 2
-                            else level_vertices(structure, k))
-        return verify_harmonic_structure(s, hs.form, hs.eta)
+        return _copy_defects(s.scheme, bad)
 
-    def test_misplaced_copy_detected(self, monkeypatch):
+    def test_misplaced_copy_detected(self):
         def swap(rows, marked1, marked2):
             # copy 0 takes two boundary images in the wrong order
             a, b = marked1[0], marked1[1]
             rows[0][a], rows[0][b] = rows[0][b], rows[0][a]
 
-        report = self.corrupted_report(monkeypatch, swap)
-        assert report["copy_consistency"] == 2.0
-        assert not report["ok"]
+        assert self.corrupted_defects(swap) == 2
 
-    def test_shared_interior_id_detected(self, monkeypatch):
+    def test_shared_interior_id_detected(self):
         def share(rows, marked1, marked2):
             # copy 1 takes an interior id of copy 0 in place of its own
             own = [u for u in range(len(rows[1]))
@@ -623,10 +657,8 @@ class TestVerify:
             other = [x for x in rows[0] if x not in marked2]
             rows[1][own[0]] = other[0]
 
-        report = self.corrupted_report(monkeypatch, share)
         # one id now lies in two copies and the one it replaced in none
-        assert report["copy_consistency"] == 2.0
-        assert not report["ok"]
+        assert self.corrupted_defects(share) == 2
 
 
 def restrict(structure, hs, subset):

@@ -291,7 +291,7 @@ class TestGluingScheme:
 
     def test_built_once_per_structure(self, monkeypatch):
         calls = []
-        for name in ("structure", "renorm"):
+        for name in ("structure", "reports"):
             module = sys.modules[f"fractal_renorm.{name}"]
             real = module.level_vertices
 
