@@ -32,7 +32,9 @@ DEFAULT_MAX_ITER = 100_000
 # enclosure were off by <= 7.2 eps against 40-digit arithmetic (nb 3-18)
 TRACE_ROUNDING = 64 * float(np.finfo(float).eps)
 STALL_STEPS = 16  # steps without a new lowest residual that stop a solve
-NEWTON_MAX_PAIRS = 2048  # largest pair count with a Newton system (32 MiB)
+# largest pair count with a Newton system; one step at nb 63 (1,953 pairs)
+# peaks at 90 MiB with one unknown per pair, 32 MiB on rotation orbits
+NEWTON_MAX_PAIRS = 2048
 
 
 def _boundary_matrix(structure, form: ConductanceForm) -> np.ndarray:
@@ -163,13 +165,16 @@ def _pair_jacobian(scheme: GluingScheme, orbits: _PairOrbits,
     X_c its rows at copy c, dT_ij/dw_(a,b) = -sum_c D[i]*D[j] where
     D = X_c[a] - X_c[b]; the columns of the pairs of orbit o add up."""
     ia, ib, ra, rb = orbits.ia, orbits.ib, orbits.ra, orbits.rb
+    rows = scheme._rows
+    # diffs[c, i, p] = D_c[p, i], copies x nb x pairs
+    diffs = (ext[rows[:, ia]] - ext[rows[:, ib]]).transpose(0, 2, 1)
     out = np.zeros((len(ra), len(ia)))
-    for row in scheme.rows:
-        xt = ext[list(row)].T
-        diff = xt[:, ia] - xt[:, ib]  # diff[i, p] = D_c[p, i]
-        term = np.take(diff, ra, axis=0)
-        term *= np.take(diff, rb, axis=0)
+    for diff in diffs:
+        term = diff[ra]
+        term *= diff[rb]
         out -= term
+    if len(orbits.starts) == len(ia):  # singleton orbits
+        return out
     return np.add.reduceat(out, orbits.starts, axis=1)
 
 
@@ -183,15 +188,20 @@ def _newton_step(scheme: GluingScheme, orbits: _PairOrbits, w: np.ndarray,
     when it is singular or a weight comes out <= 0."""
     ra, rb = orbits.ra, orbits.rb
     k = len(ra)
-    system = np.zeros((k + 1, k + 1))
-    system[:k, :k] = eta * _pair_jacobian(scheme, orbits, ext)
-    system[np.diag_indices(k)] -= 1.0
-    system[:k, k] = traced[ra, rb]
+    jac = _pair_jacobian(scheme, orbits, ext)
+    system = np.empty((k + 1, k + 1))
+    np.multiply(jac, eta, out=system[:k, :k])
+    del jac  # freed before the solve copies the system
+    system.reshape(-1)[:k * (k + 2):k + 2] -= 1.0  # the diagonal of eta*J
+    system[:k, k] = at_reps = traced[ra, rb]
     system[k, :k] = orbits.sizes
+    system[k, k] = 0.0
     x = w[ra, rb]
+    rhs = np.empty(k + 1)
+    rhs[:k] = x - eta * at_reps
+    rhs[k] = 1.0 - orbits.sizes @ x
     try:
-        x = x + np.linalg.solve(system, np.append(
-            x - eta * traced[ra, rb], 1.0 - orbits.sizes @ x))[:k]
+        x = x + np.linalg.solve(system, rhs)[:k]
     except np.linalg.LinAlgError:
         return None
     return orbits.matrix(x, len(w)) if (x > 0).all() else None
@@ -229,9 +239,11 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
         w = 1.0 - np.eye(len(structure.boundary))
 
     def measured(w):
-        # w, scheme.harmonic(w), eta and the residual; inf at mass 0
+        # w, T(w) with the extension a Newton step reads, eta and the
+        # residual; inf at mass 0
         try:
-            traced, ext = scheme.harmonic(w)
+            traced, ext = (scheme.harmonic(w) if newton
+                           else (scheme.T(w), None))
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"step {iteration}: {exc}",
                                       iterations=iteration) from None
@@ -242,8 +254,8 @@ def _normalized_iteration(structure, tol: float, max_iter: int,
                 scheme.residual(w, 1.0 / mass, traced))
 
     iteration = 0
-    w, traced, ext, eta, residual = measured(w / (w.sum() / 2.0))
     newton = newton and len(scheme.pairs[0]) <= NEWTON_MAX_PAIRS
+    w, traced, ext, eta, residual = measured(w / (w.sum() / 2.0))
     rotation = structure.rotation
     if rotation is not None and not (w[np.ix_(rotation, rotation)] == w).all():
         rotation = None

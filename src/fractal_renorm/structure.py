@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import networks
 from .angles import (Angle, AngleContext, cell_of, critical_orbits,
                      critical_residues, make_context, rotation_closure)
 from .errors import DepthCapError, InvalidMsError
@@ -45,6 +44,12 @@ class GluingScheme:
     marked: tuple[int, ...]
     num_ids: int
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """rows as one (copies x width) intp array."""
+        return np.array(self.rows or np.zeros((0, len(self.marked))),
+                        dtype=np.intp)
+
     def _plan(self, w: np.ndarray) -> tuple[np.ndarray, ...]:
         """The plan of w's support pattern, built on the first call with
         that pattern and kept on the scheme in _plans, by its bytes."""
@@ -61,23 +66,29 @@ class GluingScheme:
         id order: w.ravel()[source[k]] adds to entry flat[k] of the
         flattened glued matrix on the first size ids, the marked and live
         ones, and pos[x] is the position of id x. A floating id carries no
-        current, so it is left out and extends by 0."""
-        nv, marked = self.num_ids, list(self.marked)
-        rows = np.reshape(np.array(self.rows, dtype=np.intp),
-                          (len(self.rows), len(support)))
+        current, so it is left out and extends by 0. The live ids are
+        grown from the marked ones along the glued links until no new id
+        is reached."""
+        nv, rows = self.num_ids, self._rows
+        marked = np.array(self.marked, dtype=np.intp)
         a, b = np.nonzero(support)
+        ends = rows[:, a], rows[:, b]
         link = np.zeros((nv, nv), dtype=bool)
-        link[rows[:, a], rows[:, b]] = True
-        labels = networks._support_labels(link)
-        reached = np.zeros(nv, dtype=bool)
-        reached[labels[marked]] = True
-        rank = np.where(reached[labels], 1, 2)  # 1 live, 2 floating
-        rank[marked] = 0
-        order = np.argsort(rank, kind="stable")
-        order[:len(marked)] = marked
-        pos = np.argsort(order)
-        size = int((rank < 2).sum())
-        ends = pos[rows[:, a]], pos[rows[:, b]]
+        link[ends] = True
+        live = np.zeros(nv, dtype=bool)
+        live[marked] = True
+        grown = live.copy()
+        while grown.any():
+            grown = link[grown].any(axis=0) & ~live
+            live |= grown
+        size = int(live.sum())
+        inner = live.copy()
+        inner[marked] = False
+        order = np.concatenate((marked, np.flatnonzero(inner),
+                                np.flatnonzero(~live)))
+        pos = np.empty(nv, dtype=np.intp)
+        pos[order] = np.arange(nv)
+        ends = pos[ends[0]], pos[ends[1]]
         keep = (ends[0] < size).ravel()
         flat = (ends[0] * size + ends[1]).ravel()[keep]
         source = np.tile(a * len(support) + b, len(rows))[keep]
@@ -85,8 +96,7 @@ class GluingScheme:
 
     def assemble(self, w: np.ndarray) -> np.ndarray:
         """One copy of the marked weight matrix per row; glued pairs add up."""
-        nv, rows = self.num_ids, np.reshape(np.array(self.rows, dtype=np.intp),
-                                            (len(self.rows), len(w)))
+        nv, rows = self.num_ids, self._rows
         flat = (rows[:, :, None] * nv + rows[:, None, :]).ravel()
         return np.bincount(flat, np.tile(w.ravel(), len(rows)),
                            nv * nv).reshape(nv, nv)
@@ -95,6 +105,38 @@ class GluingScheme:
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Indices (a, b), a < b, of the marked pairs in row-major order."""
         return np.triu_indices(len(self.marked), 1)
+
+    def _trace(self, w: np.ndarray) -> tuple[np.ndarray, ...]:
+        """T(w), X_I and the plan's pos, as harmonic states them."""
+        nb = len(self.marked)
+        flat, source, pos, size = self._plan(w)
+        # bincount gives int64 zeros on an empty support
+        glued = np.bincount(flat, w.take(source), size * size
+                            ).astype(float, copy=False).reshape(size, size)
+        # L_II in place: 0 - A_II (so a zero stays +0.0), then the row
+        # sums of A_I on its diagonal
+        sums = glued[nb:].sum(axis=1)
+        interior = np.subtract(0.0, glued[nb:, nb:], out=glued[nb:, nb:])
+        glued.reshape(-1)[nb * (size + 1)::size + 1] += sums
+        try:
+            ext_i = np.linalg.solve(interior, glued[nb:, :nb])
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                "the interior block of the trace became singular as the "
+                "weights collapsed") from None
+        traced = glued[:nb, :nb] + glued[:nb, nb:] @ ext_i
+        traced += traced.T
+        traced *= 0.5
+        np.fill_diagonal(traced, 0.0)
+        worst = float(traced.min(initial=0.0))
+        if worst < 0.0:
+            scale = float(np.abs(traced).max())
+            if worst < -TRACE_NEGATIVE_ROUNDING * max(scale, 1.0):
+                raise np.linalg.LinAlgError(
+                    f"traced weight {worst:.3e} at scale {scale:.3e} is "
+                    "negative beyond rounding")
+            np.clip(traced, 0.0, None, out=traced)
+        return traced, ext_i, pos
 
     def harmonic(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """T(w) and the extension X of the marked basis to all ids (X @ fb
@@ -105,35 +147,15 @@ class GluingScheme:
         the plan is kept per support of w, whose positive entries are the
         pairs. LinAlgError when rounding makes L_II singular or leaves a
         traced weight negative beyond TRACE_NEGATIVE_ROUNDING."""
+        traced, ext_i, pos = self._trace(w)
         nb = len(self.marked)
-        flat, source, pos, size = self._plan(w)
-        glued = np.bincount(flat, w.take(source), size * size
-                            ).reshape(size, size)
-        interior = glued[nb:, nb:]  # made L_II in place
-        interior[...] = np.diag(glued[nb:].sum(axis=1)) - interior
-        try:
-            ext_i = np.linalg.solve(interior, glued[nb:, :nb])
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(
-                "the interior block of the trace became singular as the "
-                "weights collapsed") from None
-        traced = glued[:nb, :nb] + glued[:nb, nb:] @ ext_i
-        traced = 0.5 * (traced + traced.T)
-        np.fill_diagonal(traced, 0.0)
-        worst = float(traced.min(initial=0.0))
-        if worst < 0.0:
-            scale = float(np.abs(traced).max())
-            if worst < -TRACE_NEGATIVE_ROUNDING * max(scale, 1.0):
-                raise np.linalg.LinAlgError(
-                    f"traced weight {worst:.3e} at scale {scale:.3e} is "
-                    "negative beyond rounding")
-            np.clip(traced, 0.0, None, out=traced)
-        floating = np.zeros((len(pos) - size, nb))
+        floating = np.zeros((len(pos) - nb - len(ext_i), nb))
         return traced, np.concatenate((np.eye(nb), ext_i, floating))[pos]
 
     def T(self, w: np.ndarray) -> np.ndarray:
-        """Trace of the assembled copies back onto the marked ids."""
-        return self.harmonic(w)[0]
+        """Trace of the assembled copies back onto the marked ids, as
+        harmonic gives it, without the extension."""
+        return self._trace(w)[0]
 
     def residual(self, w: np.ndarray, eta: float,
                  traced: Optional[np.ndarray] = None) -> float:

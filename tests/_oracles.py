@@ -20,7 +20,7 @@ from fractal_renorm.angles import Angle, critical_orbits, make_context
 from fractal_renorm.errors import KappaUndefinedError, NonConvergenceError
 from fractal_renorm.gd import GdCellGraph, cell_graph
 from fractal_renorm import relations
-from fractal_renorm.networks import ConductanceForm
+from fractal_renorm.networks import ConductanceForm, _support_labels
 from fractal_renorm.relations import Partition
 from fractal_renorm.structure import build_structure, level_vertices
 
@@ -745,6 +745,24 @@ def _glued_copies(rows, num_ids, weights):
                     big[row[i], row[j]] += weights[i][j]
                     big[row[j], row[i]] += weights[i][j]
     return big
+
+
+def component_plan_order(scheme, w):
+    """(pos, size) of the trace plan by the component rule: an id is live
+    when its support component in the copies of w glued pair by pair
+    holds a marked id. The marked ids come first, in marked order, then
+    the other live ids and the floating ones, each in id order, and size
+    counts the marked and live ids. The reference for the plan, which
+    grows the live ids from the marked ones instead."""
+    labels = _support_labels(_glued_copies(scheme.rows, scheme.num_ids, w))
+    marked = list(scheme.marked)
+    held = {labels[x] for x in marked}
+    live = [x for x in range(scheme.num_ids)
+            if labels[x] in held and x not in marked]
+    floating = [x for x in range(scheme.num_ids) if labels[x] not in held]
+    pos = np.empty(scheme.num_ids, dtype=np.intp)
+    pos[marked + live + floating] = np.arange(scheme.num_ids)
+    return pos, len(marked) + len(live)
 
 
 def power_eigenform(structure, tol=1e-14, max_iter=5000):

@@ -19,8 +19,9 @@ from fractal_renorm.networks import _laplacian, _support_labels
 from fractal_renorm.gd import cell_graph
 from fractal_renorm.relations import _block_traces, _side
 from fractal_renorm.renorm import _boundary_matrix
-from _oracles import (_glued_copies, energy, pinv_schur_trace,
-                      relaxed_trace_weights, support_components)
+from _oracles import (_glued_copies, component_plan_order, energy,
+                      pinv_schur_trace, relaxed_trace_weights,
+                      support_components)
 
 
 def one_copy(matrix, boundary):
@@ -348,7 +349,80 @@ def positive_weights(rng, nv):
     return w + w.T
 
 
+def sparse_weights(rng, nv, density):
+    """Symmetric weights in [0.1, 2) on each pair with probability
+    density, zero elsewhere."""
+    w = np.triu(rng.uniform(0.1, 2.0, (nv, nv))
+                * (rng.random((nv, nv)) < density), 1)
+    return w + w.T
+
+
+def plan_scheme(name):
+    """A scheme the plan sweep runs on, by name: an MS level 1 "n,m,theta",
+    the quotient side "quotient" of (2,1,1/48), or a gd cell "gd n,m"."""
+    if name == "quotient":
+        s = build_structure(make_context(2, 1, Fraction(1, 48)))
+        rel = next(r for r in enumerate_preserved(s, True)
+                   if not r.is_trivial)
+        return _side(s, rel, "quotient").scheme
+    if name.startswith("gd "):
+        return cell_graph(*map(int, name[3:].split(","))).scheme
+    n, m, theta = name.split(",")
+    return build_structure(make_context(int(n), int(m),
+                                        Fraction(theta))).scheme
+
+
+PLAN_SCHEMES = ["2,1,1/12", "3,1,1/9", "2,2,3/16", "2,1,1/48", "quotient",
+                "gd 2,1", "gd 3,2", "gd 4,3"]
+DENSITIES = (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0)
+
+
 class TestTracePlan:
+    @pytest.mark.parametrize("name", PLAN_SCHEMES)
+    def test_live_ids_on_random_supports(self, name):
+        # the plan grows the live ids from the marked ones; its order and
+        # size are those of the component rule, and T is the reference
+        # trace, floating ids or not
+        scheme = plan_scheme(name)
+        width = len(scheme.rows[0])
+        rng = np.random.default_rng(len(name) * width)
+        floating = 0
+        for density in DENSITIES:
+            for _ in range(4):
+                w = sparse_weights(rng, width, density)
+                _, _, pos, size = scheme._plan(w)
+                want_pos, want_size = component_plan_order(scheme, w)
+                assert size == want_size
+                assert np.array_equal(pos, want_pos)
+                floating += size < scheme.num_ids
+                want = pinv_schur_trace(
+                    _glued_copies(scheme.rows, scheme.num_ids, w),
+                    scheme.marked)
+                assert np.abs(scheme.T(w) - want).max() <= \
+                    1e-12 * np.abs(w).max()
+        assert floating > 0
+
+    @pytest.mark.parametrize("name", PLAN_SCHEMES)
+    def test_trace_is_the_first_half_of_the_kernel(self, name):
+        # T skips the extension and nothing else: bit for bit the trace
+        # that harmonic returns
+        scheme = plan_scheme(name)
+        width = len(scheme.rows[0])
+        rng = np.random.default_rng(width)
+        for density in DENSITIES:
+            w = sparse_weights(rng, width, density)
+            assert np.array_equal(scheme.T(w), scheme.harmonic(w)[0])
+
+    def test_relation_side_trace_is_the_first_half_of_the_kernel(self):
+        s = build_structure(make_context(2, 1, Fraction(1, 12)))
+        hs = solve_eigenform(s)
+        for rel in enumerate_preserved(s, True):
+            if rel.is_trivial:
+                continue
+            w = _block_traces(s, _boundary_matrix(s, hs.form), rel)
+            assert s.scheme._plan(w)[3] < s.scheme.num_ids
+            assert np.array_equal(s.scheme.T(w), s.scheme.harmonic(w)[0])
+
     @pytest.mark.parametrize("theta,nb", [("1/6", 3), ("1/12", 6),
                                           ("1/48", 12), ("1/192", 18)])
     def test_ms_level_one(self, theta, nb):

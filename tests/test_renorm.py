@@ -5,6 +5,7 @@ solver iterates.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -361,6 +362,40 @@ class TestNewton:
         assert hs.iterations > 100
         assert abs(hs.eta - eta) <= 1e-12 * eta
         assert np.abs(_boundary_matrix(s, hs.form) - w).max() <= 1e-10
+
+    def test_cone_steps_build_no_extension(self, monkeypatch):
+        # only a Newton step reads the extension, so cone steps trace by T
+        def must_not_run(*args):
+            raise AssertionError("extension built")
+
+        monkeypatch.setattr(renorm, "NEWTON_MAX_PAIRS", 0)
+        monkeypatch.setattr(GluingScheme, "harmonic", must_not_run)
+        assert solve_eigenform(ms(2, 1, "1/48")).iterations > 0
+
+    def test_jacobian_memory(self):
+        # one unknown per pair at nb 33, K = P = 528: a step holds about
+        # three K x P arrays at once; one copies x pairs x unknowns
+        # product would hold more than five
+        s = ms(2, 1, "1/6144")
+        scheme, nb = s.scheme, len(s.boundary)
+        w = (1.0 - np.eye(nb)) / (nb * (nb - 1) / 2.0)
+        traced, ext = scheme.harmonic(w)
+        orbits = _PairOrbits.build(scheme.pairs, None)
+        k, p = len(orbits.ra), len(orbits.ia)
+        assert (nb, k, p) == (33, 528, 528)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        try:
+            step = _newton_step(scheme, orbits, w, traced, ext,
+                                2.0 / traced.sum())
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert step is not None
+        assert peak <= 5 * k * p * 8
 
     def test_few_steps_from_the_unit_form(self):
         # power iteration needs 157 steps at nb = 18 and 154 on GD (4,3)
